@@ -132,10 +132,19 @@ def _cmd_calibrate(args) -> int:
 
 
 def _run_member(payload):
-    # module-level so it pickles for the process pool
-    raw, out_dir = payload
-    spec = exp.ExperimentSpec(raw=raw)
-    artifacts = exp.run_experiment(spec, out_dir)
+    # module-level so it pickles for the process pool; a member that raises
+    # is recorded as an error without stopping the others
+    merged, out_dir = payload
+    try:
+        spec = exp.parse_config(json.dumps(merged))
+        artifacts = exp.run_experiment(spec, out_dir)
+    except exp.ConfigError as exc:
+        sys.stderr.write(f"{out_dir}: config error: {exc}\n")
+        return out_dir, exp.EXIT_ERROR, True
+    except Exception:
+        import traceback
+        sys.stderr.write(f"{out_dir}: error:\n{traceback.format_exc()}")
+        return out_dir, exp.EXIT_ERROR, True
     _, code = exp.emit_report(artifacts)
     return out_dir, code, artifacts.failed
 
@@ -152,8 +161,7 @@ def _cmd_sweep(args) -> int:
         _deep_update(merged, overrides)
         if args.seed is not None:
             merged["seed"] = args.seed
-        spec = exp.parse_config(json.dumps(merged))
-        jobs.append((spec.raw, os.path.join(args.out, f"member_{i:03d}")))
+        jobs.append((merged, os.path.join(args.out, f"member_{i:03d}")))
 
     results = []
     if args.parallel > 1:

@@ -133,10 +133,12 @@ class TwoDBudget:
         for name in ("A1_sq", "A2_sq", "A3_sq", "A4_sq", "A5_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        assert abs(self.A3_sq - (self.A1_sq + self.A2_sq)) <= \
-            1e-9 * max(1.0, self.A3_sq)
-        assert abs(self.A5_sq - (self.A1_sq + self.A4_sq)) <= \
-            1e-9 * max(1.0, self.A5_sq)
+        if abs(self.A3_sq - (self.A1_sq + self.A2_sq)) > \
+                1e-9 * max(1.0, self.A3_sq):
+            raise ValueError("A3_sq must equal A1_sq + A2_sq")
+        if abs(self.A5_sq - (self.A1_sq + self.A4_sq)) > \
+                1e-9 * max(1.0, self.A5_sq):
+            raise ValueError("A5_sq must equal A1_sq + A4_sq")
 
 
 def compute_A_constants(base: Trajectory, T: float, nu: float) -> TwoDBudget:

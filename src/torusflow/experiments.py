@@ -238,10 +238,10 @@ def _resolve_budget(spec: ExperimentSpec, grid3: TorusGrid) -> tuple:
     c4 = pick("c4", cal.c4)
     c5 = pick("c5", cal.c5)
     c_star = pick("c_star", b.get("c_star_frac", 0.5) * nu * c4)
-    gamma_star = pick("gamma_star",
-                      est.admissible_gamma_star(nu, c4, c5, c_star))
-    gamma = pick("gamma", b.get("gamma_frac", 0.5) * gamma_star)
     try:
+        gamma_star = pick("gamma_star",
+                          est.admissible_gamma_star(nu, c4, c5, c_star))
+        gamma = pick("gamma", b.get("gamma_frac", 0.5) * gamma_star)
         budget = StabilityBudget(nu=nu, T=T, gamma=gamma,
                                  gamma_star=gamma_star, c_star=c_star,
                                  alpha=b.get("alpha", 0.03), c1=c1, c3=c3,

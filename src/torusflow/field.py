@@ -264,15 +264,36 @@ def physical_padded(field: Field, factor: int = 2) -> np.ndarray:
 
     Exact trigonometric interpolation for band-limited (e.g. dealiased)
     fields; used for aliasing-reduced quadrature of |u|^p integrals.
-    """
-    from scipy.signal import resample
 
+    The spectral coefficients are zero-padded and inverse-transformed one
+    axis at a time (full axes first, the rfft axis last), so no line of
+    padding zeros is ever transformed.  Each Nyquist plane is split in half
+    across +-N/2, which makes the result agree to roundoff with resampling
+    the physical values axis by axis, band-limited or not.
+    """
     grid = field.grid
-    M = factor * grid.N
-    vals = field.physical()
-    for ax in range(1, grid.dim + 1):
-        vals = resample(vals, M, axis=ax)
-    return vals
+    if factor < 1:
+        raise ValueError(f"pad factor must be >= 1, got {factor}")
+    if factor == 1:
+        return field.physical()
+    M, h = factor * grid.N, grid.N // 2
+    vals = field.spectral()
+    for ax in range(1, grid.dim):
+        shape = list(vals.shape)
+        shape[ax] = M
+        padded = np.zeros(shape, dtype=complex)
+        src = np.moveaxis(vals, ax, 0)
+        dst = np.moveaxis(padded, ax, 0)
+        dst[:h] = src[:h]
+        dst[M - h + 1:] = src[h + 1:]
+        dst[h] = dst[M - h] = 0.5 * src[h]
+        # coefficients are normalized to the mean: no 1/M on the inverse
+        vals = np.fft.ifft(padded, axis=ax, norm="forward")
+    padded = np.zeros(vals.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    padded[..., :h] = vals[..., :h]
+    # irfft at size N reads only the real part of the Nyquist column
+    padded[..., h] = 0.5 * vals[..., h].real
+    return np.fft.irfft(padded, n=M, axis=-1, norm="forward")
 
 
 def save_field(path, field: Field) -> None:

@@ -52,13 +52,22 @@ def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return float(np.sqrt(l2_norm_sq(field)))
-    grid = field.grid
+    return _quadrature_norm(field.grid, _padded_magnitude(field, pad_factor),
+                            p, pad_factor)
+
+
+def _padded_magnitude(field: Field, pad_factor: int = 2) -> np.ndarray:
+    """Pointwise Euclidean magnitude |u(x)| on the padded grid."""
     vals = physical_padded(field, pad_factor)
-    mag = np.sqrt(np.sum(vals**2, axis=0))
-    M = pad_factor * grid.N
-    cell = (grid.L / M) ** grid.dim
+    return np.sqrt(np.sum(vals**2, axis=0))
+
+
+def _quadrature_norm(grid: TorusGrid, mag: np.ndarray, p: float,
+                     pad_factor: int = 2) -> float:
+    """L_p norm of a padded-grid magnitude by the collocation rule."""
     if np.isinf(p):
         return float(mag.max())
+    cell = (grid.L / (pad_factor * grid.N)) ** grid.dim
     return float((cell * np.sum(mag**p)) ** (1.0 / p))
 
 
@@ -109,16 +118,24 @@ class NormReport:
 
 
 def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> NormReport:
+    """All report columns; the field and its gradient are padded once each,
+    and every padded-quadrature norm is read from those two magnitudes."""
+    if sigma <= 3:
+        raise ValueError(f"sigma must exceed 3, got {sigma}")
+    grid = field.grid
+    mag = _padded_magnitude(field)
+    grad_mag = _padded_magnitude(gradient_field(field))
     return NormReport(
         time_stamp=field.time_stamp,
         l2_sq=l2_norm_sq(field),
         h1_sq=sobolev_norm_sq(field, 1),
         h2_sq=sobolev_norm_sq(field, 2),
         grad_l2_sq=grad_l2_norm_sq(field),
-        grad_l3_sq=grad_lp_norm(field, 3) ** 2,
-        l6_sq=lp_norm(field, 6) ** 2,
+        grad_l3_sq=_quadrature_norm(grid, grad_mag, 3) ** 2,
+        l6_sq=_quadrature_norm(grid, mag, 6) ** 2,
         sigma=sigma,
-        w1_sigma=w1_sigma_norm(field, sigma),
+        w1_sigma=_quadrature_norm(grid, mag, sigma)
+        + _quadrature_norm(grid, grad_mag, sigma),
     )
 
 

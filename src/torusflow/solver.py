@@ -22,9 +22,9 @@ from .grid import TorusGrid
 from .field import (Field, SPECTRAL, dealias, divergence_data, leray_data,
                     derivative_data, mean, physical_data, save_field,
                     spectral_data, spectral_field)
-from .norms import (NormReport, TrajectoryNorms, compute_norm_report,
-                    l2_norm_sq, grad_l2_norm_sq, sobolev_norm_sq,
-                    DEFAULT_SIGMA)
+from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
+                    compute_norm_report, l2_norm_sq, grad_l2_norm_sq,
+                    sobolev_norm_sq, DEFAULT_SIGMA)
 
 
 class BlowUpError(RuntimeError):
@@ -629,9 +629,11 @@ def recover_pressure(v: Field, f: Field | None, nu: float) -> Field:
 # trajectory persistence
 
 def save_trajectory(traj: Trajectory, directory) -> dict:
-    """Write config copy, per-stride snapshots, per-step CSV and summary.
+    """Write config copy, per-step CSV, norm series, snapshots and summary.
 
-    Layout: config.json, diagnostics.csv, summary.json, snapshots/*.npz.
+    Layout: config.json, diagnostics.csv (every step), norms.csv (one
+    NormReport row per report, at norm_stride), summary.json,
+    snapshots/snap_NNNNNN.npz (at snapshot_stride).
     """
     import os
 
@@ -652,6 +654,11 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
                traj.diag["h2_sq"][i], *traj.diag["mean"][i]]
         lines.append(",".join(f"{x:.17e}" for x in row))
     with open(os.path.join(directory, "diagnostics.csv"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    lines = [NormReport.csv_header()] \
+        + [r.to_csv_row() for r in traj.norms.reports]
+    with open(os.path.join(directory, "norms.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     paths = []
@@ -679,9 +686,9 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
 def load_trajectory(directory) -> Trajectory:
     """Rebuild a Trajectory from a save_trajectory directory.
 
-    Norm reports are recomputed from the stored snapshots; forcing series
-    are re-evaluated from the saved configuration (snapshot-kind forcing is
-    not reloadable).
+    The norm series is read from norms.csv exactly as the run wrote it (a
+    directory without it is refused); forcing series are re-evaluated from
+    the saved configuration (snapshot-kind forcing is not reloadable).
     """
     import os
     from .field import load_field
@@ -692,6 +699,15 @@ def load_trajectory(directory) -> Trajectory:
     if config["forcing_kind"] == "snapshots":
         raise ValueError("snapshot-kind forcing cannot be reloaded")
     grid = TorusGrid(L=config["L"], N=config["N"], dim=config["dim"])
+
+    norms_path = os.path.join(directory, "norms.csv")
+    if not os.path.exists(norms_path):
+        raise FileNotFoundError(
+            f"{norms_path} is missing: this trajectory was saved without "
+            "its norm series; run the experiment again")
+    rows = np.loadtxt(norms_path, delimiter=",", skiprows=1, ndmin=2)
+    reports = [NormReport(**{c: float(x) for c, x in
+                             zip(NORM_REPORT_COLUMNS, row)}) for row in rows]
 
     rows = np.loadtxt(os.path.join(directory, "diagnostics.csv"),
                       delimiter=",", skiprows=1, ndmin=2)
@@ -707,14 +723,6 @@ def load_trajectory(directory) -> Trajectory:
         snapshots.append(spec)
         times.append(fld.time_stamp)
         means.append(np.real(spec[zero]))
-
-    reports = []
-    for spec, t in zip(snapshots, times):
-        bar = spec.copy()
-        bar[zero] = 0.0
-        reports.append(compute_norm_report(
-            spectral_field(grid, bar, divergence_free=True, time_stamp=t),
-            config["sigma"]))
 
     forcing = ForcingSpec(kind=config["forcing_kind"],
                           expressions=tuple(config["forcing_expressions"]))

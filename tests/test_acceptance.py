@@ -312,6 +312,7 @@ def test_criterion_11_determinism(tmp_path):
                        str(tmp_path / "b"))
     same = []
     for rel in ("base/diagnostics.csv", "perturbation/diagnostics.csv",
+                "base/norms.csv", "perturbation/norms.csv",
                 "inequalities.json", "windows.csv"):
         same.append((tmp_path / "a" / rel).read_bytes()
                     == (tmp_path / "b" / rel).read_bytes())

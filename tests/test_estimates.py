@@ -201,6 +201,18 @@ def test_budget_validation():
                             c5=150.0)
 
 
+def test_two_d_budget_invariants_raise():
+    # enforced by exceptions, so `python -O` keeps them
+    kw = dict(nu=1.0, T=1.0, c_s1=0.5, c_s2=0.25, A1_sq=1.0, A2_sq=2.0,
+              A3_sq=3.0, A4_sq=4.0, A5_sq=5.0, k_max=1, f_window_sup=0.0,
+              v0_l2_sq=1.0, v0_grad_l2_sq=1.0)
+    est.TwoDBudget(**kw)
+    with pytest.raises(ValueError, match="A3_sq"):
+        est.TwoDBudget(**(kw | {"A3_sq": 3.5}))
+    with pytest.raises(ValueError, match="A5_sq"):
+        est.TwoDBudget(**(kw | {"A5_sq": 4.5}))
+
+
 def test_admissible_gamma_star_saturates():
     nu, c4, c5, c_star = 1.0, 1 / 3, 150.0, 1 / 6
     g = est.admissible_gamma_star(nu, c4, c5, c_star)

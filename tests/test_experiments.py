@@ -20,6 +20,11 @@ SMALL = {
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.1}},
 }
 
+# SMALL with a perturbation run: exercises calibration, the 3D norm reports
+# and every stability check
+SMALL_PERT = dict(SMALL, perturbation={"snapshot_stride": 50,
+                                       "norm_stride": 10})
+
 
 def test_parse_minimal_fills_defaults():
     spec = exp.parse_config(json.dumps({"nu": 0.25}))
@@ -110,13 +115,37 @@ def test_load_artifacts_missing_dir(tmp_path):
 
 
 def test_reverify_reproduces_statuses(tmp_path):
-    spec = exp.parse_config(json.dumps(SMALL))
-    out = str(tmp_path / "out")
-    first = exp.run_experiment(spec, out)
-    arts = exp.reverify(out)
+    spec = exp.parse_config(json.dumps(SMALL_PERT))
+    out = tmp_path / "out"
+    first = exp.run_experiment(spec, str(out))
+    written = {name: (out / name).read_bytes()
+               for name in ("inequalities.json", "windows.csv")}
+    arts = exp.reverify(str(out))
     assert set(arts.reports) == set(first.reports)
     for key in arts.reports:
         assert arts.reports[key].status == first.reports[key].status
+    # verify reads the stored norm series, so it rewrites run's artifacts
+    # byte for byte
+    for name, data in written.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    (out / "base" / "norms.csv").unlink()
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    assert "norms.csv is missing" in capsys.readouterr().err
+
+
+def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        dict(SMALL_PERT, budget={"c_star_frac": 5.0})))
+    code = cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == exp.EXIT_ERROR
+    assert "budget refused" in capsys.readouterr().err
 
 
 def test_combine_forcing():
@@ -170,6 +199,46 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep" / "sweep.csv").exists()
     assert (tmp_path / "sweep" / "member_000" / "summary.txt").exists()
     assert (tmp_path / "sweep" / "member_001" / "summary.txt").exists()
+
+
+def test_cli_sweep_member_fails_alone(tmp_path, capsys):
+    cfg = dict(SMALL_PERT, sweep=[{}, {"budget": {"c_star_frac": 5.0}}])
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert code == exp.EXIT_ERROR
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "member,exit_code,failed"
+    assert rows[1] == f"{out / 'member_000'},0,False"
+    assert rows[2] == f"{out / 'member_001'},{exp.EXIT_ERROR},True"
+    assert "budget refused" in capsys.readouterr().err
+
+
+def test_run_and_verify_do_not_import_scipy_signal(tmp_path):
+    # importing scipy.signal costs about 1.3 s in every CLI process
+    import subprocess
+    import sys
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_PERT))
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "from torusflow import cli\n"
+        f"assert cli.main(['run', '--config', {str(cfg_path)!r}, "
+        f"'--out', {out!r}]) == 0\n"
+        f"assert cli.main(['verify', '--out', {out!r}]) == 0\n"
+        "print('scipy.signal' in sys.modules)\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_margin_convergence_constant():

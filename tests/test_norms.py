@@ -10,7 +10,8 @@ from torusflow.field import (mean_free, physical_field, random_divfree_field,
                              spectral_field)
 from torusflow.norms import (NormReport, NORM_REPORT_COLUMNS, TrajectoryNorms,
                              compute_norm_report, embedding_ratio_l6_h1,
-                             extruded_lp_norm, grad_l2_norm_sq, l2_norm_sq,
+                             extruded_lp_norm, grad_l2_norm_sq,
+                             grad_lp_norm, l2_norm_sq,
                              lp_norm, mixed_norm, poincare_ratio,
                              sharp_dissipation_h2, sharp_poincare_h1,
                              sharp_poincare_h2, sobolev_norm_sq,
@@ -157,6 +158,18 @@ def test_norm_report_csv_schema(grid2):
     assert len(row.split(",")) == len(NORM_REPORT_COLUMNS)
     # fixed order: identical report -> identical row
     assert row == compute_norm_report(_sin_field(grid2)).to_csv_row()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_norm_report_matches_standalone_norms(dim):
+    grid = make_grid(2 * np.pi, 8, dim)
+    f = random_divfree_field(grid, seed=5, spectrum_decay=1.5)
+    rep = compute_norm_report(f, 4.5)
+    expected = {"grad_l3_sq": grad_lp_norm(f, 3) ** 2,
+                "l6_sq": lp_norm(f, 6) ** 2,
+                "w1_sigma": w1_sigma_norm(f, 4.5)}
+    for name, value in expected.items():
+        assert getattr(rep, name) == pytest.approx(value, rel=1e-14, abs=0)
 
 
 def test_trajectory_norms_ordering(grid2):
