@@ -191,12 +191,11 @@ def _build_forcing(cfg: dict, dim: int) -> ForcingSpec:
         exprs = cfg.get("expressions", [])
         if len(exprs) != dim:
             raise ConfigError(f"expression forcing needs {dim} components")
-        spec = ForcingSpec(kind="expression", expressions=tuple(exprs))
-        probe = make_grid(2 * math.pi, 4, dim)
         try:
-            spec.evaluate(probe, 0.0)
+            spec = ForcingSpec(kind="expression", expressions=tuple(exprs))
+            spec.evaluate(make_grid(2 * math.pi, 4, dim), 0.0)
         except Exception as exc:
-            raise ConfigError(f"forcing expression does not evaluate: {exc}")
+            raise ConfigError(f"forcing expression refused: {exc}")
         return spec
     raise ConfigError(f"unknown forcing kind {kind!r}")
 
@@ -264,9 +263,6 @@ class RunArtifacts:
     wall_seconds: float
     failed: bool
     reports: dict = dc_field(default_factory=dict)
-
-    def exists(self) -> bool:
-        return all(os.path.exists(p) for p in self.paths.values())
 
 
 def _window_csv(series_list, hyp_by_window, reports) -> str:

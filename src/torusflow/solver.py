@@ -1,16 +1,25 @@
 """Time integration of the periodic Navier-Stokes systems.
 
 Three evolutions share one IMEX scheme (Crank-Nicolson on the viscous term,
-Heun on the projected, dealiased nonlinearity; second order overall):
+Heun on the projected, dealiased nonlinearity; second order overall), one
+time loop and one nonlinear kernel in divergence form:
 
   * the full 3D equations,
-  * the 2D base flow (mean-free part; the spatial mean follows its own ODE),
-  * the 3D perturbation around an interpolated 2D base trajectory.
+  * the 2D base flow,
+  * the 3D perturbation u around a 2D base trajectory v_s: the full
+    equations minus the base equations, with the flux w(x)w - v_s(x)v_s of
+    w = u + v_s.
+
+Every state carries its spatial mean in the k=0 coefficient.  The flux
+divergence vanishes there and the Leray projection passes k=0 through, so
+the scheme advances the mean by the trapezoid rule on the mean force, the
+ODE that mean_ode_integrate solves.
 
 The pressure never enters the evolution (Leray projection) but can be
 reconstructed modewise on demand.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -19,9 +28,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import TorusGrid
-from .field import (Field, SPECTRAL, dealias, divergence_data, leray_data,
-                    derivative_data, mean, physical_data, save_field,
-                    spectral_data, spectral_field)
+from .field import (Field, SPECTRAL, divergence_data, leray_data, mean_free,
+                    physical_data, save_field, spectral_data, spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
                     compute_norm_report, l2_norm_sq, grad_l2_norm_sq,
                     sobolev_norm_sq, DEFAULT_SIGMA)
@@ -37,52 +45,76 @@ class BlowUpError(RuntimeError):
         super().__init__(f"blow-up detected at t={time:g}: {quantity}={value}")
 
 
-@dataclass
-class MeanVector:
-    """Spatial mean of a velocity field at one instant."""
-
-    value: np.ndarray
-    time_stamp: float
-
-
 # ---------------------------------------------------------------------------
 # forcing
 
-_EXPR_NAMES = {name: getattr(np, name) for name in
-               ("sin", "cos", "tan", "exp", "sqrt", "abs", "tanh", "cosh",
-                "sinh", "log")}
-_EXPR_NAMES["pi"] = np.pi
+_EXPR_FUNCTIONS = {name: getattr(np, name) for name in
+                   ("sin", "cos", "tan", "exp", "sqrt", "abs", "tanh", "cosh",
+                    "sinh", "log")}
+_EXPR_NAMES = set(_EXPR_FUNCTIONS) | {"x1", "x2", "x3", "t", "pi"}
+_EXPR_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.Add, ast.Sub,
+               ast.Mult, ast.Div, ast.Pow, ast.UnaryOp, ast.USub)
+
+
+def _allowed(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in _EXPR_NAMES
+    if isinstance(node, ast.Call):
+        return (not node.keywords and isinstance(node.func, ast.Name)
+                and node.func.id in _EXPR_FUNCTIONS)
+    return isinstance(node, _EXPR_NODES)
+
+
+def _compile_expression(expr: str):
+    """(code, names) of one forcing expression, checked against its grammar.
+
+    Allowed: numbers, the names x1, x2, x3, t and pi, + - * / **, unary
+    minus, and calls of the functions in _EXPR_FUNCTIONS.  Anything else
+    (attributes, subscripts, other names, keyword arguments) raises
+    ValueError, so evaluating the code can run nothing but numpy arithmetic.
+    Numbers become floats, so a power such as 9**9**9 overflows at once
+    instead of building an unbounded integer.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"forcing expression {expr!r}: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if not _allowed(node):
+            what = ast.unparse(node) or type(node).__name__
+            raise ValueError(f"forcing expression {expr!r}: {what!r} is "
+                             "not allowed")
+        if isinstance(node, ast.Constant):
+            node.value = float(node.value)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return compile(tree, "<forcing>", "eval"), names
 
 
 @dataclass
 class ForcingSpec:
-    """External force as zero, analytic expressions, or stored snapshots.
+    """External force: zero, or analytic expressions.
 
     expressions: one string per component in x1, x2 (, x3) and t, evaluated
-    with numpy semantics, e.g. "0.1*sin(x1)*cos(t)".
+    with numpy semantics, e.g. "0.1*sin(x1)*cos(t)"; _compile_expression
+    lists the grammar.
     """
 
     kind: str = "zero"
     expressions: tuple = ()
-    snapshots: list = dc_field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("zero", "expression", "snapshots"):
+        if self.kind not in ("zero", "expression"):
             raise ValueError(f"unknown forcing kind {self.kind!r}")
         if self.kind == "expression" and not self.expressions:
             raise ValueError("expression forcing needs component expressions")
-        if self.kind == "snapshots" and not self.snapshots:
-            raise ValueError("snapshot forcing needs stored fields")
+        self._compiled = [_compile_expression(e) for e in self.expressions]
         self._cache = {}
-        self._spline = None
 
     @property
     def steady(self) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind == "expression":
-            return not any(_uses_time(e) for e in self.expressions)
-        return len(self.snapshots) == 1
+        return not any("t" in names for _, names in self._compiled)
 
     def evaluate(self, grid: TorusGrid, t: float) -> np.ndarray:
         """Spectral coefficients of the force at time t."""
@@ -91,46 +123,23 @@ class ForcingSpec:
             return self._cache[key]
         if self.kind == "zero":
             out = np.zeros((grid.dim,) + grid.shape_spec, dtype=complex)
-        elif self.kind == "expression":
+        else:
             if len(self.expressions) != grid.dim:
                 raise ValueError(
                     f"need {grid.dim} component expressions, got "
                     f"{len(self.expressions)}")
-            coords = grid.meshgrid()
-            names = dict(_EXPR_NAMES)
-            for ax, c in enumerate(coords):
+            names = dict(_EXPR_FUNCTIONS, pi=np.pi, t=t)
+            for ax, c in enumerate(grid.meshgrid()):
                 names[f"x{ax + 1}"] = c
-            names["t"] = t
             phys = np.array([
-                np.broadcast_to(eval(expr, {"__builtins__": {}}, names),
+                np.broadcast_to(eval(code, {"__builtins__": {}}, names),
                                 grid.shape_phys).astype(float)
-                for expr in self.expressions])
+                for code, _ in self._compiled])
             out = spectral_data(grid, phys)
-        else:
-            out = self._interp_snapshots(grid, t)
         if len(self._cache) > 8:
             self._cache.clear()
         self._cache[key] = out
         return out
-
-    def _interp_snapshots(self, grid, t):
-        snaps = self.snapshots
-        if len(snaps) == 1:
-            return snaps[0].spectral()
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
-            times = np.array([f.time_stamp for f in snaps])
-            stack = np.array([f.spectral() for f in snaps])
-            self._spline = (times, CubicSpline(times, stack, axis=0))
-        times, spline = self._spline
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise ValueError(f"forcing snapshots do not cover t={t}")
-        return spline(float(np.clip(t, times[0], times[-1])))
-
-
-def _uses_time(expr: str) -> bool:
-    import re
-    return re.search(r"\bt\b", expr) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +204,13 @@ def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
 
 @dataclass
 class Trajectory:
-    """Stored run: spectral snapshots (mean included at k=0), per-step scalar
-    diagnostics and a norm series of the mean-free part."""
+    """A run: spectral snapshots (mean included at k=0), per-step scalar
+    diagnostics, a norm series of the mean-free part and, in extras, the
+    forcing series.  A trajectory loaded from disk has no snapshots."""
 
     grid: TorusGrid
     times: np.ndarray
     snapshots: list
-    means: np.ndarray
     norms: TrajectoryNorms
     diag: dict
     config: dict
@@ -234,33 +243,40 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # spatial terms
 
-def _advection_spec(grid: TorusGrid, vel_phys: np.ndarray,
-                    spec: np.ndarray) -> np.ndarray:
-    """Spectral coefficients of (vel . grad) of the field given by `spec`.
+def _flux_rhs(grid: TorusGrid, v_spec: np.ndarray, f_spec,
+              background=None) -> np.ndarray:
+    """-dealias(div(w(x)w - b(x)b)) + f, before the Leray projection.
 
-    vel_phys may have fewer components than grid.dim (trailing advecting
-    components treated as zero).
+    w is the physical value of dealias(v) plus the background b, given as
+    physical values broadcastable to (dim,) + grid.shape_phys (an
+    x3-invariant base flow has shape (3, N, N, 1)); without b this is the
+    flux of the full equations.  The divergence is zero at k=0, so the
+    result there is the mean of f.
     """
-    adv = np.zeros((spec.shape[0],) + grid.shape_phys)
-    for j in range(vel_phys.shape[0]):
-        dj = physical_data(grid, derivative_data(grid, spec, j, 1))
-        adv += vel_phys[j] * dj
-    return spectral_data(grid, adv)
-
-
-def nonlinear_term(grid: TorusGrid, v_spec: np.ndarray, f_spec, nu_unused=None,
-                   mean_vel=None) -> np.ndarray:
-    """P(-dealias((v+m).grad v) + f) for the full velocity v (mean at k=0)."""
-    v_d = v_spec * grid.dealias_mask
-    vel = physical_data(grid, v_d)
-    if mean_vel is not None:
-        vel = vel + np.asarray(mean_vel).reshape((-1,) + (1,) * grid.dim)
-    conv = _advection_spec(grid, vel, v_d)
-    conv *= grid.dealias_mask
-    out = -conv
+    w = physical_data(grid, v_spec * grid.dealias_mask)
+    pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
+    if background is None:
+        prod = [w[i] * w[j] for i, j in pairs]
+    else:
+        b = background
+        w = w + b
+        prod = [w[i] * w[j] - b[i] * b[j] for i, j in pairs]
+    flux = spectral_data(grid, np.array(prod))
+    out = np.zeros((grid.dim,) + grid.shape_spec, dtype=complex)
+    for (i, j), fij in zip(pairs, flux):
+        out[i] -= 1j * grid.k[j] * fij
+        if i != j:
+            out[j] -= 1j * grid.k[i] * fij
+    out *= grid.dealias_mask
     if f_spec is not None:
-        out = out + f_spec
-    return leray_data(grid, out)
+        out += f_spec
+    return out
+
+
+def nonlinear_term(grid: TorusGrid, v_spec: np.ndarray, f_spec,
+                   background=None) -> np.ndarray:
+    """P(-dealias(div(w(x)w - b(x)b)) + f), w = dealias(v) + b (_flux_rhs)."""
+    return leray_data(grid, _flux_rhs(grid, v_spec, f_spec, background))
 
 
 def nse_rhs(v: Field, f: Field | None, nu: float) -> Field:
@@ -322,63 +338,65 @@ def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
 # ---------------------------------------------------------------------------
 # run drivers
 
-def _zero_k0(grid, spec):
-    spec[(slice(None),) + (0,) * grid.dim] = 0.0
-    return spec
+def _run_loop(cfg: SolverConfig, label: str, background=None) -> Trajectory:
+    """The time loop of every run, from the projected initial field.
 
-
-def _run_loop(cfg: SolverConfig, nonlin, v0_spec, mean_series,
-              label) -> Trajectory:
-    """Shared time loop.
-
-    nonlin(spec, t) evolves the mean-free part; mean_series (n_steps+1, d)
-    holds the externally integrated mean, stored into k=0 of each snapshot.
+    background(t) gives the physical background of nonlinear_term, or is
+    None.  Records the mean and the norms of the mean-free part at every
+    step, snapshots at snapshot_stride and norm reports at norm_stride.
     """
     grid = cfg.grid
+    if cfg.initial is None:
+        raise ValueError("missing initial field")
+    if cfg.initial.grid != grid:
+        raise ValueError("initial field grid mismatch")
     n = cfg.n_steps
-    tgrid = cfg.dt * np.arange(n + 1)
+    tgrid, f_means, f_l2_sq = _forcing_series(cfg)
+    zero = (slice(None),) + (0,) * grid.dim
 
-    spec = _zero_k0(grid, v0_spec.copy())
+    def nonlin(spec, t):
+        b = None if background is None else background(t)
+        return nonlinear_term(grid, spec, cfg.forcing.evaluate(grid, t), b)
+
+    spec = leray_data(grid, cfg.initial.spectral())
     diag = {"t": tgrid,
             "l2_sq": np.empty(n + 1),
             "grad_l2_sq": np.empty(n + 1),
             "h2_sq": np.empty(n + 1),
-            "mean": mean_series.copy()}
-    snapshots, snap_times, snap_means, reports = [], [], [], []
+            "mean": np.empty((n + 1, grid.dim))}
+    snapshots, snap_times, reports = [], [], []
 
     def record(i):
         t = tgrid[i]
-        fld = spectral_field(grid, spec, divergence_free=True, time_stamp=t)
+        diag["mean"][i] = np.real(spec[zero])
+        fld = mean_free(spectral_field(grid, spec, divergence_free=True,
+                                       time_stamp=t))
         diag["l2_sq"][i] = l2_norm_sq(fld)
         diag["grad_l2_sq"][i] = grad_l2_norm_sq(fld)
         diag["h2_sq"][i] = sobolev_norm_sq(fld, 2)
         if not np.isfinite(diag["l2_sq"][i]):
             raise BlowUpError(t, f"{label} L2 norm", diag["l2_sq"][i])
         if i % cfg.snapshot_stride == 0 or i == n:
-            full = spec.copy()
-            full[(slice(None),) + (0,) * grid.dim] = mean_series[i]
-            snapshots.append(full)
+            snapshots.append(spec)
             snap_times.append(t)
-            snap_means.append(mean_series[i])
         if i % cfg.norm_stride == 0 or i == n:
             reports.append(compute_norm_report(fld, cfg.sigma))
 
     record(0)
     for i in range(n):
         spec = _imex_step(grid, spec, tgrid[i], cfg.dt, cfg.nu, nonlin)
-        spec = _zero_k0(grid, spec)
         record(i + 1)
 
     return Trajectory(
         grid=grid,
         times=np.array(snap_times),
         snapshots=snapshots,
-        means=np.array(snap_means),
         norms=TrajectoryNorms(reports, (0.0, cfg.t_end)),
         diag=diag,
         config=cfg.describe() | {"label": label},
         config_hash=config_hash(cfg, {"label": label}),
-        extras={},
+        extras={"forcing_l2_sq": f_l2_sq, "forcing_mean": f_means,
+                "forcing_times": tgrid},
     )
 
 
@@ -404,186 +422,53 @@ def _forcing_series(cfg: SolverConfig):
 
 
 def run_2d_base(cfg: SolverConfig) -> Trajectory:
-    """Evolve the mean-free 2D base flow; the mean follows its forcing ODE."""
-    grid = cfg.grid
-    if grid.dim != 2:
+    """Evolve the 2D base flow."""
+    if cfg.grid.dim != 2:
         raise ValueError("run_2d_base needs a 2D grid")
-    if cfg.initial is None:
-        raise ValueError("missing initial field")
-    if cfg.initial.grid != grid:
-        raise ValueError("initial field grid mismatch")
-
-    tgrid, f_means, f_l2_sq = _forcing_series(cfg)
-    m0 = mean(cfg.initial)
-    mean_series = mean_ode_integrate(tgrid, f_means, m0)
-    mean_lookup = {round(t / cfg.dt): i for i, t in enumerate(tgrid)}
-    zero = (slice(None),) + (0,) * grid.dim
-
-    def nonlin(spec, t):
-        f_spec = cfg.forcing.evaluate(grid, t).copy()
-        f_spec[zero] = 0.0
-        i = mean_lookup.get(round(t / cfg.dt))
-        m = mean_series[i] if i is not None \
-            else _interp_mean(tgrid, mean_series, t)
-        return _zero_k0(grid, nonlinear_term(grid, spec, f_spec, mean_vel=m))
-
-    v0 = leray_data(grid, cfg.initial.spectral())
-    traj = _run_loop(cfg, nonlin, v0, mean_series, "2d_base")
-    traj.extras["forcing_l2_sq"] = f_l2_sq
-    traj.extras["forcing_mean"] = f_means
-    traj.extras["forcing_times"] = tgrid
-    return traj
-
-
-def _interp_mean(tgrid, mean_series, t):
-    out = np.empty(mean_series.shape[1])
-    for c in range(mean_series.shape[1]):
-        out[c] = np.interp(t, tgrid, mean_series[:, c])
-    return out
+    return _run_loop(cfg, "2d_base")
 
 
 class BaseFlowSampler:
-    """Physical-space samples of a stored 2D base trajectory, cached per t."""
+    """A stored 2D base trajectory v_s(t), mean included, as physical values
+    of an x3-invariant background on the 3D grid, cached per t."""
 
     def __init__(self, base: Trajectory):
         if base.grid.dim != 2:
             raise ValueError("base trajectory must be two-dimensional")
         self.base = base
-        self.grid2 = base.grid
         self._cache = {}
 
-    def at(self, t: float):
-        """Returns (vs_phys (2,N,N) incl. mean, grad_vsbar_phys (2,2,N,N))."""
+    def at(self, t: float) -> np.ndarray:
+        """Shape (3, N, N, 1); the third component is zero."""
         key = round(t * 1e12)
-        if key in self._cache:
-            return self._cache[key]
-        g2 = self.grid2
-        spec = self.base.sample(t)
-        zero = (slice(None),) + (0,) * 2
-        m = np.real(spec[zero])
-        bar = spec.copy()
-        bar[zero] = 0.0
-        vs_phys = physical_data(g2, bar) + m.reshape(2, 1, 1)
-        grad = np.empty((2, 2) + g2.shape_phys)
-        for c in range(2):
-            for ax in range(2):
-                grad[c, ax] = physical_data(
-                    g2, derivative_data(g2, bar[c:c + 1], ax, 1))[0]
-        if len(self._cache) > 4:
-            self._cache.clear()
-        self._cache[key] = (vs_phys, grad)
-        return (vs_phys, grad)
+        if key not in self._cache:
+            if len(self._cache) > 4:
+                self._cache.clear()
+            vs = physical_data(self.base.grid, self.base.sample(t))
+            self._cache[key] = np.concatenate(
+                [vs, np.zeros_like(vs[:1])])[..., np.newaxis]
+        return self._cache[key]
 
 
 def run_perturbation(cfg: SolverConfig, base: Trajectory) -> Trajectory:
-    """Evolve the mean-free 3D perturbation around the 2D base trajectory."""
+    """Evolve the 3D perturbation around the 2D base trajectory."""
     grid = cfg.grid
     if grid.dim != 3:
         raise ValueError("run_perturbation needs a 3D grid")
-    if cfg.initial is None:
-        raise ValueError("missing initial field")
     if base.times[-1] < cfg.t_end - 1e-9:
         raise ValueError("base trajectory does not cover the run interval")
     if base.grid.N != grid.N or base.grid.L != grid.L:
         raise ValueError("base and perturbation grids are incompatible")
-
-    sampler = BaseFlowSampler(base)
-    tgrid, g_means, g_l2_sq = _forcing_series(cfg)
-    m0 = mean(cfg.initial)
-    mean_series = mean_ode_integrate(tgrid, g_means, m0)
-    zero = (slice(None),) + (0,) * 3
-
-    def nonlin(spec, t):
-        g_spec = cfg.forcing.evaluate(grid, t).copy()
-        g_spec[zero] = 0.0
-        i = round(t / cfg.dt)
-        m_u = mean_series[i] if abs(tgrid[min(i, len(tgrid) - 1)] - t) < 1e-10 \
-            else _interp_mean(tgrid, mean_series, t)
-        vs_phys, grad_vs = sampler.at(t)
-
-        u_d = spec * grid.dealias_mask
-        ubar_phys = physical_data(grid, u_d)
-        u_phys = ubar_phys + m_u.reshape(3, 1, 1, 1)
-
-        adv = np.zeros((3,) + grid.shape_phys)
-        # (u + v_s) . grad ubar ; v_s has no third component
-        for j in range(3):
-            dj = physical_data(grid, derivative_data(grid, u_d, j, 1))
-            vel_j = u_phys[j]
-            if j < 2:
-                vel_j = vel_j + vs_phys[j][..., np.newaxis]
-            adv += vel_j * dj
-        # u . grad vsbar ; vsbar is x3-invariant with two components
-        for c in range(2):
-            for j in range(2):
-                adv[c] += u_phys[j] * grad_vs[c, j][..., np.newaxis]
-
-        conv = spectral_data(grid, adv) * grid.dealias_mask
-        return _zero_k0(grid, leray_data(grid, -conv + g_spec))
-
-    u0 = leray_data(grid, cfg.initial.spectral())
-    traj = _run_loop(cfg, nonlin, u0, mean_series, "perturbation")
-    traj.extras["forcing_l2_sq"] = g_l2_sq
-    traj.extras["forcing_mean"] = g_means
-    traj.extras["forcing_times"] = tgrid
+    traj = _run_loop(cfg, "perturbation", BaseFlowSampler(base).at)
     traj.extras["base_hash"] = base.config_hash
     return traj
 
 
 def run_full_3d(cfg: SolverConfig) -> Trajectory:
-    """Evolve the full 3D equations (mean carried by the k=0 mode)."""
-    grid = cfg.grid
-    if grid.dim != 3:
+    """Evolve the full 3D equations."""
+    if cfg.grid.dim != 3:
         raise ValueError("run_full_3d needs a 3D grid")
-    if cfg.initial is None:
-        raise ValueError("missing initial field")
-
-    tgrid, f_means, f_l2_sq = _forcing_series(cfg)
-    zero = (slice(None),) + (0,) * 3
-
-    # mean evolves inside the scheme: keep k=0 in the state
-    def nonlin(spec, t):
-        return nonlinear_term(grid, spec, cfg.forcing.evaluate(grid, t))
-
-    v0 = leray_data(grid, cfg.initial.spectral())
-    n = cfg.n_steps
-    spec = v0.copy()
-    diag = {"t": tgrid, "l2_sq": np.empty(n + 1),
-            "grad_l2_sq": np.empty(n + 1), "h2_sq": np.empty(n + 1),
-            "mean": np.empty((n + 1, 3))}
-    snapshots, snap_times, reports = [], [], []
-
-    def record(i):
-        t = tgrid[i]
-        diag["mean"][i] = np.real(spec[zero])
-        bar = spec.copy()
-        bar[zero] = 0.0
-        fld = spectral_field(grid, bar, divergence_free=True, time_stamp=t)
-        diag["l2_sq"][i] = l2_norm_sq(fld)
-        diag["grad_l2_sq"][i] = grad_l2_norm_sq(fld)
-        diag["h2_sq"][i] = sobolev_norm_sq(fld, 2)
-        if not np.isfinite(diag["l2_sq"][i]):
-            raise BlowUpError(t, "full 3D L2 norm", diag["l2_sq"][i])
-        if i % cfg.snapshot_stride == 0 or i == n:
-            snapshots.append(spec.copy())
-            snap_times.append(t)
-        if i % cfg.norm_stride == 0 or i == n:
-            reports.append(compute_norm_report(fld, cfg.sigma))
-
-    record(0)
-    for i in range(n):
-        spec = _imex_step(grid, spec, tgrid[i], cfg.dt, cfg.nu, nonlin)
-        record(i + 1)
-
-    traj = Trajectory(
-        grid=grid, times=np.array(snap_times), snapshots=snapshots,
-        means=diag["mean"][[round(t / cfg.dt) for t in snap_times]],
-        norms=TrajectoryNorms(reports, (0.0, cfg.t_end)),
-        diag=diag, config=cfg.describe() | {"label": "full_3d"},
-        config_hash=config_hash(cfg, {"label": "full_3d"}),
-        extras={"forcing_l2_sq": f_l2_sq, "forcing_mean": f_means,
-                "forcing_times": tgrid})
-    return traj
+    return _run_loop(cfg, "full_3d")
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +496,13 @@ def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
 def recover_pressure(v: Field, f: Field | None, nu: float) -> Field:
     """Mean-free pressure from -Lap p = div(v.grad v - f), solved modewise."""
     grid = v.grid
-    v_spec = v.spectral() * grid.dealias_mask
-    vel = physical_data(grid, v_spec)
-    w = _advection_spec(grid, vel, v_spec) * grid.dealias_mask
-    if f is not None:
-        w = w - f.spectral()
+    f_spec = None if f is None else f.spectral()
+    # the unprojected rhs is -(v.grad v - f); its divergence i k . rhs
+    # already holds the i of p_hat = i k.(v.grad v - f) / |k|^2
+    rhs = _flux_rhs(grid, v.spectral(), f_spec)
     k_sq = grid.k_sq.copy()
     k_sq[(0,) * grid.dim] = 1.0
-    div_w = divergence_data(grid, w)
-    p = (div_w / k_sq)[np.newaxis]
-    # div_w = i k . w ; p_hat = i k.w / |k|^2 needs the i already in div_w
+    p = (-divergence_data(grid, rhs) / k_sq)[np.newaxis]
     p[(slice(None),) + (0,) * grid.dim] = 0.0
     return Field(grid, p, SPECTRAL, False, v.time_stamp)
 
@@ -684,20 +566,19 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
 
 
 def load_trajectory(directory) -> Trajectory:
-    """Rebuild a Trajectory from a save_trajectory directory.
+    """Rebuild the scalar series of a save_trajectory directory.
 
     The norm series is read from norms.csv exactly as the run wrote it (a
-    directory without it is refused); forcing series are re-evaluated from
-    the saved configuration (snapshot-kind forcing is not reloadable).
+    directory without it is refused) and the per-step diagnostics from
+    diagnostics.csv; forcing series are re-evaluated from the saved
+    configuration.  Snapshot files are not read, so the trajectory has no
+    snapshots; field.load_field reads one.
     """
     import os
-    from .field import load_field
 
     with open(os.path.join(directory, "config.json")) as fh:
         saved = json.load(fh)
     config = saved["config"]
-    if config["forcing_kind"] == "snapshots":
-        raise ValueError("snapshot-kind forcing cannot be reloaded")
     grid = TorusGrid(L=config["L"], N=config["N"], dim=config["dim"])
 
     norms_path = os.path.join(directory, "norms.csv")
@@ -714,16 +595,6 @@ def load_trajectory(directory) -> Trajectory:
     diag = {"t": rows[:, 0], "l2_sq": rows[:, 1], "grad_l2_sq": rows[:, 2],
             "h2_sq": rows[:, 3], "mean": rows[:, 4:4 + grid.dim]}
 
-    snapdir = os.path.join(directory, "snapshots")
-    snapshots, times, means = [], [], []
-    zero = (slice(None),) + (0,) * grid.dim
-    for name in sorted(os.listdir(snapdir)):
-        fld = load_field(os.path.join(snapdir, name))
-        spec = fld.spectral()
-        snapshots.append(spec)
-        times.append(fld.time_stamp)
-        means.append(np.real(spec[zero]))
-
     forcing = ForcingSpec(kind=config["forcing_kind"],
                           expressions=tuple(config["forcing_expressions"]))
     cfg = SolverConfig(grid=grid, nu=config["nu"], dt=config["dt"],
@@ -733,9 +604,8 @@ def load_trajectory(directory) -> Trajectory:
                        sigma=config["sigma"])
     tgrid, f_means, f_l2_sq = _forcing_series(cfg)
     return Trajectory(
-        grid=grid, times=np.array(times), snapshots=snapshots,
-        means=np.array(means),
-        norms=TrajectoryNorms(reports, (times[0], times[-1])),
+        grid=grid, times=np.empty(0), snapshots=[],
+        norms=TrajectoryNorms(reports, (diag["t"][0], diag["t"][-1])),
         diag=diag, config=config, config_hash=saved["hash"],
         extras={"forcing_l2_sq": f_l2_sq, "forcing_mean": f_means,
                 "forcing_times": tgrid})

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -64,6 +65,17 @@ def test_parse_rejects_bad_forcing_expression():
         exp.parse_config(json.dumps(cfg))
 
 
+@pytest.mark.parametrize("expr", [
+    "(1).__class__ and 0*x1",  # attribute access reaches object internals
+    "9**9**9 + 0*x1",          # an integer power would never finish
+], ids=["attribute", "integer-power"])
+def test_parse_rejects_forcing_expression_outside_grammar(expr):
+    cfg = {"base": {"forcing": {"kind": "expression",
+                                "expressions": [expr, "0*x1"]}}}
+    with pytest.raises(exp.ConfigError):
+        exp.parse_config(json.dumps(cfg))
+
+
 def test_bundled_scenarios_parse():
     for name in ("taylor-green-decay", "stability-smoke",
                  "hypothesis-violation"):
@@ -77,7 +89,6 @@ def test_run_experiment_base_only(tmp_path):
     spec = exp.parse_config(json.dumps(SMALL))
     arts = exp.run_experiment(spec, str(tmp_path / "out"))
     assert not arts.failed
-    assert arts.exists()
     for name in ("spec.json", "base", "inequalities.json", "windows.csv",
                  "summary.txt", "meta.json"):
         assert (tmp_path / "out" / name).exists()
@@ -128,6 +139,16 @@ def test_reverify_reproduces_statuses(tmp_path):
     # byte for byte
     for name, data in written.items():
         assert (out / name).read_bytes() == data, name
+
+
+def test_reverify_reads_no_snapshots(tmp_path):
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(SMALL_PERT)), str(out))
+    written = (out / "inequalities.json").read_bytes()
+    for run in ("base", "perturbation"):
+        shutil.rmtree(out / run / "snapshots")
+    exp.reverify(str(out))
+    assert (out / "inequalities.json").read_bytes() == written
 
 
 def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from torusflow import make_grid
-from torusflow.field import (divergence_linf, extrude_field, mean,
-                             physical_field, random_divfree_field,
+from torusflow.field import (derivative_data, divergence_linf,
+                             extrude_field, leray_data, load_field, mean,
+                             physical_field, physical_data,
+                             random_divfree_field, spectral_data,
                              spectral_field)
 from torusflow.norms import l2_norm_sq
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               advance, load_trajectory, mean_ode_integrate,
-                              nse_rhs, recover_pressure, run_2d_base,
-                              run_full_3d, run_perturbation, save_trajectory,
-                              taylor_green_exact)
+                              nonlinear_term, nse_rhs, recover_pressure,
+                              run_2d_base, run_full_3d, run_perturbation,
+                              save_trajectory, taylor_green_exact)
 
 
 def _tg_cfg(grid, nu=0.1, dt=1e-3, t_end=0.1, amplitude=1.0, **kw):
@@ -54,6 +56,42 @@ def test_forcing_validation():
         ForcingSpec(kind="expression")
     with pytest.raises(ValueError):
         ForcingSpec(kind="mystery")
+
+
+def _convective_reference(grid, v_spec, f_spec, b_spec):
+    """P(-dealias((w.grad)w - (b.grad)b) + f) with w = dealias(v) + b, in
+    convective form: the reference for the divergence-form kernel."""
+    def advect(a_spec, c_spec):
+        a = physical_data(grid, a_spec)
+        return sum(a[j] * physical_data(grid, derivative_data(grid, c_spec, j))
+                   for j in range(grid.dim))
+
+    w_spec = v_spec * grid.dealias_mask + b_spec
+    conv = advect(w_spec, w_spec) - advect(b_spec, b_spec)
+    return leray_data(grid, -spectral_data(grid, conv) * grid.dealias_mask
+                      + f_spec)
+
+
+@pytest.mark.parametrize("case", ["2d", "3d", "3d-background"])
+def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
+    # random dealiased divergence-free fields with a nonzero mean; the
+    # background is an x3-invariant 2D field with its own mean, passed to
+    # the kernel as (3, N, N, 1) physical values
+    grid = grid2 if case == "2d" else grid3
+    zero = (slice(None),) + (0,) * grid.dim
+    v = random_divfree_field(grid, seed=3, target_h1=1.0).spectral().copy()
+    v[zero] = [0.3, -0.2, 0.1][:grid.dim]
+    f = random_divfree_field(grid, seed=4, target_h1=1.0).spectral()
+    b_spec = np.zeros_like(v)
+    background = None
+    if case == "3d-background":
+        b2 = random_divfree_field(grid2, seed=5, target_h1=1.0)
+        b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
+        b_spec = extrude_field(b2, grid3).spectral()
+        background = physical_data(grid3, b_spec)[..., :1]
+    got = nonlinear_term(grid, v, f, background)
+    ref = _convective_reference(grid, v, f, b_spec)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_taylor_green_is_steady_state_of_rhs(grid2):
@@ -147,9 +185,15 @@ def test_full_3d_mean_matches_ode(grid3):
     assert np.abs(traj.diag["mean"] - oracle).max() < 1e-10
 
 
-def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3):
-    """With v_s = 0 the perturbation system is the plain 3D system."""
+@pytest.mark.parametrize("mean_force", [
+    None, ("0.5*cos(3*t)", "0.3*sin(2*t) + 0*x1", "0*x1")],
+    ids=["unforced", "mean-force"])
+def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force):
+    """With v_s = 0 the perturbation system is the plain 3D system, also
+    while a time-dependent mean force drives the mean."""
     nu, dt, t_end = 0.2, 2e-3, 0.1
+    forcing = ForcingSpec() if mean_force is None \
+        else ForcingSpec(kind="expression", expressions=mean_force)
     zero2 = spectral_field(grid2, np.zeros((2,) + grid2.shape_spec, complex),
                            divergence_free=True)
     base = run_2d_base(SolverConfig(grid=grid2, nu=nu, dt=dt, t_end=t_end,
@@ -158,10 +202,10 @@ def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3):
     u0 = random_divfree_field(grid3, seed=2, target_h1=0.1)
     steps = round(t_end / dt)
     pcfg = SolverConfig(grid=grid3, nu=nu, dt=dt, t_end=t_end, T=t_end,
-                        initial=u0, snapshot_stride=steps)
+                        initial=u0, snapshot_stride=steps, forcing=forcing)
     pert = run_perturbation(pcfg, base)
     full = run_full_3d(SolverConfig(grid=grid3, nu=nu, dt=dt, t_end=t_end,
-                                    T=t_end, initial=u0,
+                                    T=t_end, initial=u0, forcing=forcing,
                                     snapshot_stride=steps))
     diff = np.abs(pert.snapshot_field(-1).spectral()
                   - full.snapshot_field(-1).spectral()).max()
@@ -203,8 +247,10 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
 
     back = load_trajectory(tmp_path / "run")
     assert back.grid == grid2
-    assert np.allclose(back.times, traj.times)
-    assert np.abs(back.snapshots[-1] - traj.snapshots[-1]).max() < 1e-15
+    assert np.array_equal(back.diag["t"], traj.diag["t"])
+    last = load_field(out["snapshots"][-1])
+    assert last.time_stamp == traj.times[-1]
+    assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
     assert np.allclose(back.diag["l2_sq"], traj.diag["l2_sq"])
     assert np.allclose(back.extras["forcing_l2_sq"],
                        traj.extras["forcing_l2_sq"])
