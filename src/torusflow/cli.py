@@ -119,8 +119,12 @@ def _cmd_calibrate(args) -> int:
     import math
 
     L = args.L if args.L is not None else 2.0 * math.pi
-    grid = make_grid(L, args.N, 3)
-    cal = est.calibrate_constants(grid, args.ensemble, args.seed)
+    try:
+        grid = make_grid(L, args.N, 3)
+        cal = est.calibrate_constants(grid, args.ensemble, args.seed)
+    except ValueError as exc:
+        # an odd N, a nonpositive L or too small an ensemble
+        raise exp.ConfigError(str(exc)) from None
     payload = json.dumps(asdict(cal), indent=2, sort_keys=True) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

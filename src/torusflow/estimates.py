@@ -16,7 +16,7 @@ from .grid import TorusGrid
 from .norms import (grad_l2_norm_sq, l2_norm_sq, lp_norm, sobolev_norm_sq,
                     sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2, embedding_ratio_l6_h1,
-                    gradient_field)
+                    gradient_field, hessian_l2_norm_sq)
 from .solver import Trajectory, ForcingSpec
 from .field import random_divfree_field, spectral_field
 
@@ -348,9 +348,9 @@ def calibrate_constants(grid: TorusGrid, ensemble_size: int = 100,
         u = random_divfree_field(grid, int(s), spectrum_decay=decay)
         c3 = max(c3, embedding_ratio_l6_h1(u))
         g = gradient_field(u)
-        g2 = gradient_field(g)
         num = lp_norm(g, 3)
-        den = math.sqrt(math.sqrt(l2_norm_sq(g2)) * math.sqrt(l2_norm_sq(g)))
+        den = math.sqrt(math.sqrt(hessian_l2_norm_sq(u))
+                        * math.sqrt(l2_norm_sq(g)))
         if den > 0:
             ci = max(ci, num / den)
     c4, c5 = derive_c4_c5(grid, c2, c3, ci)

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
@@ -39,6 +40,10 @@ EXIT_ERROR = 2
 
 WINDOW_CSV_COLUMNS = ("window", "t_start", "t_end", "X_sq_start", "X_sq_end",
                       "int_A_sq", "int_G_sq", "hypotheses", "worst_margin")
+
+#: the phases of run_experiment timed in meta.json
+PHASES = ("calibration", "base", "perturbation", "direct", "analysis",
+          "writing")
 
 
 class ConfigError(ValueError):
@@ -312,16 +317,30 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     return reports, series_list, hyp_by_window, twod, bconst
 
 
+@contextmanager
+def _timed(phases: dict, name: str):
+    """Add the wall seconds of the with-block to phases[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] += time.perf_counter() - t0
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
     On solver blow-up the partial artifacts stay on disk next to a
-    failure marker in meta.json.
+    failure marker in meta.json.  meta.json also records the wall seconds
+    of each of PHASES and the solver steps per second of the runs.
     """
-    t_wall = time.time()
+    t_wall = time.perf_counter()
+    phases = dict.fromkeys(PHASES, 0.0)
+    steps = 0
     raw = spec.raw
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "spec.json"), "w") as fh:
+    with _timed(phases, "writing"), \
+            open(os.path.join(out_dir, "spec.json"), "w") as fh:
         fh.write(spec.to_json() + "\n")
 
     nu, dt, T = raw["nu"], raw["dt"], raw["T"]
@@ -338,15 +357,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                    raw["seed"], None),
             snapshot_stride=raw["snapshot_stride"],
             norm_stride=raw["norm_stride"], sigma=raw["sigma"])
-        base = run_2d_base(base_cfg)
-        save_trajectory(base, os.path.join(out_dir, "base"))
+        with _timed(phases, "base"):
+            base = run_2d_base(base_cfg)
+        steps += base_cfg.n_steps
+        with _timed(phases, "writing"):
+            save_trajectory(base, os.path.join(out_dir, "base"))
         paths["base"] = os.path.join(out_dir, "base")
 
         pert = budget = cal = None
         g_forcing = None
         if raw["perturbation"] is not None:
             g3 = make_grid(raw["L"], raw["N"], 3)
-            cal, budget = _resolve_budget(spec, g3)
+            with _timed(phases, "calibration"):
+                cal, budget = _resolve_budget(spec, g3)
             p = raw["perturbation"]
             g_forcing = _build_forcing(p["forcing"], 3)
             pert_cfg = SolverConfig(
@@ -355,29 +378,37 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                        budget.gamma),
                 snapshot_stride=p["snapshot_stride"],
                 norm_stride=p["norm_stride"], sigma=raw["sigma"])
-            pert = run_perturbation(pert_cfg, base)
-            save_trajectory(pert, os.path.join(out_dir, "perturbation"))
+            with _timed(phases, "perturbation"):
+                pert = run_perturbation(pert_cfg, base)
+            steps += pert_cfg.n_steps
+            with _timed(phases, "writing"):
+                save_trajectory(pert, os.path.join(out_dir, "perturbation"))
+                with open(os.path.join(out_dir, "constants.json"),
+                          "w") as fh:
+                    json.dump({"calibrated": asdict(cal),
+                               "budget": asdict(budget)}, fh, indent=2,
+                              sort_keys=True)
             paths["perturbation"] = os.path.join(out_dir, "perturbation")
-
-            with open(os.path.join(out_dir, "constants.json"), "w") as fh:
-                json.dump({"calibrated": asdict(cal),
-                           "budget": asdict(budget)}, fh, indent=2,
-                          sort_keys=True)
             paths["constants"] = os.path.join(out_dir, "constants.json")
 
             if raw["direct_3d"]:
-                direct = _run_direct(raw, base_cfg, pert_cfg)
-                save_trajectory(direct, os.path.join(out_dir, "direct"))
+                with _timed(phases, "direct"):
+                    direct = _run_direct(raw, base_cfg, pert_cfg)
+                steps += pert_cfg.n_steps
+                with _timed(phases, "writing"):
+                    save_trajectory(direct, os.path.join(out_dir, "direct"))
                 paths["direct"] = os.path.join(out_dir, "direct")
 
-        reports, series_list, hyp_by_window, twod, bconst = analyze(
-            base, pert, raw, budget, g_forcing)
+        with _timed(phases, "analysis"):
+            reports, series_list, hyp_by_window, twod, bconst = analyze(
+                base, pert, raw, budget, g_forcing)
 
-        with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
-            fh.write(est.reports_to_json(reports) + "\n")
+        with _timed(phases, "writing"):
+            with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
+                fh.write(est.reports_to_json(reports) + "\n")
+            with open(os.path.join(out_dir, "windows.csv"), "w") as fh:
+                fh.write(_window_csv(series_list, hyp_by_window, reports))
         paths["inequalities"] = os.path.join(out_dir, "inequalities.json")
-        with open(os.path.join(out_dir, "windows.csv"), "w") as fh:
-            fh.write(_window_csv(series_list, hyp_by_window, reports))
         paths["windows"] = os.path.join(out_dir, "windows.csv")
     except BlowUpError as exc:
         failed = True
@@ -387,15 +418,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
 
     artifacts = RunArtifacts(
         out_dir=out_dir, paths=paths,
-        config_hash=_spec_hash(spec), wall_seconds=time.time() - t_wall,
+        config_hash=_spec_hash(spec),
+        wall_seconds=time.perf_counter() - t_wall,
         failed=failed, reports=reports)
     text, code = emit_report(artifacts)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(text)
     paths["summary"] = os.path.join(out_dir, "summary.txt")
+    stepping = phases["base"] + phases["perturbation"] + phases["direct"]
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump({"hash": artifacts.config_hash,
                    "wall_seconds": artifacts.wall_seconds,
+                   "phases": phases,
+                   "steps_per_s": steps / stepping if stepping else 0.0,
                    "failed": failed, "exit_code": code}, fh, indent=2)
     return artifacts
 

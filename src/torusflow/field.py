@@ -75,14 +75,17 @@ class Field:
                 f"{self.representation}, t={self.time_stamp:g})")
 
 
-def spectral_data(grid: TorusGrid, phys: np.ndarray) -> np.ndarray:
+def spectral_data(grid: TorusGrid, phys: np.ndarray, out=None) -> np.ndarray:
+    """Spectral coefficients of physical values, into out if given."""
     axes = tuple(range(1, grid.dim + 1))
-    return np.fft.rfftn(phys, axes=axes) / grid.N**grid.dim
+    return np.fft.rfftn(phys, axes=axes, norm="forward", out=out)
 
 
-def physical_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
+def physical_data(grid: TorusGrid, spec: np.ndarray, out=None) -> np.ndarray:
+    """Physical values of spectral coefficients, into out if given."""
     axes = tuple(range(1, grid.dim + 1))
-    return np.fft.irfftn(spec * grid.N**grid.dim, s=grid.shape_phys, axes=axes)
+    return np.fft.irfftn(spec, s=grid.shape_phys, axes=axes, norm="forward",
+                         out=out)
 
 
 def transform(field: Field, target: str) -> Field:
@@ -135,14 +138,19 @@ def spectral_derivative(field: Field, direction: int, order: int = 1) -> Field:
     return Field(field.grid, out, SPECTRAL, False, field.time_stamp)
 
 
+def gradient_parts(grid: TorusGrid, spec: np.ndarray):
+    """First derivatives of each component along every axis, one
+    (1,) + spectral shape array at a time, ordered component-major."""
+    return (derivative_data(grid, spec[c:c + 1], ax, 1)
+            for c in range(spec.shape[0]) for ax in range(grid.dim))
+
+
 def gradient_data(grid: TorusGrid, spec_scalar: np.ndarray) -> np.ndarray:
     """Stack of first derivatives of each component along every axis.
 
     Shape (ncomp * dim,) + spectral shape, ordered component-major.
     """
-    parts = [derivative_data(grid, spec_scalar[c:c + 1], ax, 1)
-             for c in range(spec_scalar.shape[0]) for ax in range(grid.dim)]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(list(gradient_parts(grid, spec_scalar)), axis=0)
 
 
 def laplacian_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
@@ -168,17 +176,22 @@ def divergence_linf(field: Field) -> float:
     return float(np.abs(div).max() / scale)
 
 
-def leray_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
+def leray_data(grid: TorusGrid, spec: np.ndarray, out=None) -> np.ndarray:
+    """Leray projection of spectral data, into out (which may be spec)."""
     # uses the discrete-derivative wavenumbers so the projection annihilates
     # exactly the divergence the derivative operator measures; k=0 and
     # pure-Nyquist modes pass through untouched
     k_sq = np.where(grid.k_sq_deriv > 0, grid.k_sq_deriv, 1.0)
     kdotv = np.zeros(grid.shape_spec, dtype=complex)
+    term = np.empty(grid.shape_spec, dtype=complex)
     for ax in range(grid.dim):
-        kdotv += grid.k_deriv[ax] * spec[ax]
-    out = np.empty_like(spec)
+        kdotv += np.multiply(grid.k_deriv[ax], spec[ax], out=term)
+    if out is None:
+        out = np.empty_like(spec)
     for ax in range(grid.dim):
-        out[ax] = spec[ax] - grid.k_deriv[ax] * kdotv / k_sq
+        np.multiply(grid.k_deriv[ax], kdotv, out=term)
+        term /= k_sq
+        np.subtract(spec[ax], term, out=out[ax])
     return out
 
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import Field, gradient_data, physical_padded, spectral_field
+from .field import (Field, gradient_data, gradient_parts, physical_padded,
+                    spectral_field)
 from .grid import TorusGrid
 
 DEFAULT_SIGMA = 4.0
@@ -33,6 +34,14 @@ def grad_l2_norm_sq(field: Field) -> float:
     return _parseval_sum(field.grid, field.spectral(), field.grid.k_sq)
 
 
+def hessian_l2_norm_sq(field: Field) -> float:
+    """Squared L2 norm of all second derivatives (ordered pairs) by
+    Parseval: the modewise weight is |k|^4, built from the discrete
+    derivative's wavenumbers as second_derivative_field does."""
+    return _parseval_sum(field.grid, field.spectral(),
+                         field.grid.k_sq_deriv ** 2)
+
+
 def sobolev_norm_sq(field: Field, s: int) -> float:
     """Squared H^s norm: sum_{|alpha| <= s} ||D^alpha u||_L2^2.
 
@@ -52,14 +61,42 @@ def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return float(np.sqrt(l2_norm_sq(field)))
-    return _quadrature_norm(field.grid, _padded_magnitude(field, pad_factor),
+    return _quadrature_norm(field.grid,
+                            _padded_magnitude(_components(field), pad_factor),
                             p, pad_factor)
 
 
-def _padded_magnitude(field: Field, pad_factor: int = 2) -> np.ndarray:
-    """Pointwise Euclidean magnitude |u(x)| on the padded grid."""
-    vals = physical_padded(field, pad_factor)
-    return np.sqrt(np.sum(vals**2, axis=0))
+def _components(field: Field):
+    """The single-component Fields of field, in its representation."""
+    return (Field(field.grid, field.data[c:c + 1], field.representation)
+            for c in range(field.ncomp))
+
+
+def _gradient_components(field: Field):
+    """The first derivatives of field as single-component spectral Fields,
+    one at a time, in gradient_data's order."""
+    return (spectral_field(field.grid, d)
+            for d in gradient_parts(field.grid, field.spectral()))
+
+
+def _padded_magnitude(parts, pad_factor: int = 2) -> np.ndarray:
+    """Pointwise Euclidean magnitude |u(x)| on the padded grid, from the
+    single-component Fields of u.
+
+    Each part is padded on its own and its square added into one
+    accumulator in order, which equals sqrt(sum(physical_padded(u)**2,
+    axis=0)) bit for bit without holding every padded component at once.
+    """
+    acc = None
+    for part in parts:
+        vals = physical_padded(part, pad_factor)[0]
+        # with factor 1 vals may be the part's own values: square a copy
+        sq = np.square(vals, out=None if pad_factor == 1 else vals)
+        if acc is None:
+            acc = sq
+        else:
+            acc += sq
+    return np.sqrt(acc, out=acc)
 
 
 def _quadrature_norm(grid: TorusGrid, mag: np.ndarray, p: float,
@@ -119,12 +156,13 @@ class NormReport:
 
 def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> NormReport:
     """All report columns; the field and its gradient are padded once each,
-    and every padded-quadrature norm is read from those two magnitudes."""
+    one component at a time, and every padded-quadrature norm is read from
+    those two magnitudes."""
     if sigma <= 3:
         raise ValueError(f"sigma must exceed 3, got {sigma}")
     grid = field.grid
-    mag = _padded_magnitude(field)
-    grad_mag = _padded_magnitude(gradient_field(field))
+    mag = _padded_magnitude(_components(field))
+    grad_mag = _padded_magnitude(_gradient_components(field))
     return NormReport(
         time_stamp=field.time_stamp,
         l2_sq=l2_norm_sq(field),

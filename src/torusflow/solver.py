@@ -243,40 +243,103 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # spatial terms
 
-def _flux_rhs(grid: TorusGrid, v_spec: np.ndarray, f_spec,
-              background=None) -> np.ndarray:
-    """-dealias(div(w(x)w - b(x)b)) + f, before the Leray projection.
+class _Workspace:
+    """The arrays of one run's nonlinear kernel and IMEX steps.
 
-    w is the physical value of dealias(v) plus the background b, given as
-    physical values broadcastable to (dim,) + grid.shape_phys (an
-    x3-invariant base flow has shape (3, N, N, 1)); without b this is the
-    flux of the full equations.  The divergence is zero at k=0, so the
-    result there is the mean of f.
+    Holds the dealiased state, its physical values w, the products, their
+    transform, both Heun stages and the Crank-Nicolson factors, all
+    allocated once; the kernel and the step write into them with out=, so a
+    run allocates no state-sized array per step.  Without nu and dt the
+    factors are 1 and the workspace serves the kernel alone.
     """
-    w = physical_data(grid, v_spec * grid.dealias_mask)
-    pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
-    if background is None:
-        prod = [w[i] * w[j] for i, j in pairs]
-    else:
+
+    def __init__(self, grid: TorusGrid, nu: float = 0.0, dt: float = 0.0):
+        state = (grid.dim,) + grid.shape_spec
+        self.grid = grid
+        self.dt = dt
+        self.pairs = [(i, j) for i in range(grid.dim)
+                      for j in range(i, grid.dim)]
+        self.ik = [1j * k for k in grid.k]
+        self.v_dealiased = np.empty(state, dtype=complex)
+        self.w = np.empty((grid.dim,) + grid.shape_phys)
+        self.prod = np.empty((len(self.pairs),) + grid.shape_phys)
+        self.flux = np.empty((len(self.pairs),) + grid.shape_spec,
+                             dtype=complex)
+        self.term = np.empty(grid.shape_spec, dtype=complex)
+        self.n0 = np.empty(state, dtype=complex)
+        self.n1 = np.empty(state, dtype=complex)
+        self.v_star = np.empty(state, dtype=complex)
+        z = 0.5 * dt * nu * grid.k_sq
+        self.A = 1.0 - z
+        self.B = 1.0 + z
+
+    def flux_rhs(self, v_spec, f_spec, background, out):
+        """-dealias(div(w(x)w - b(x)b)) + f into out, before the Leray
+        projection.
+
+        w is the physical value of dealias(v) plus the background b, given
+        as physical values broadcastable to (dim,) + grid.shape_phys (an
+        x3-invariant base flow has shape (3, N, N, 1)); without b this is
+        the flux of the full equations.  The divergence is zero at k=0, so
+        the result there is the mean of f.
+        """
+        grid, w, prod, flux = self.grid, self.w, self.prod, self.flux
+        np.multiply(v_spec, grid.dealias_mask, out=self.v_dealiased)
+        physical_data(grid, self.v_dealiased, out=w)
         b = background
-        w = w + b
-        prod = [w[i] * w[j] - b[i] * b[j] for i, j in pairs]
-    flux = spectral_data(grid, np.array(prod))
-    out = np.zeros((grid.dim,) + grid.shape_spec, dtype=complex)
-    for (i, j), fij in zip(pairs, flux):
-        out[i] -= 1j * grid.k[j] * fij
-        if i != j:
-            out[j] -= 1j * grid.k[i] * fij
-    out *= grid.dealias_mask
-    if f_spec is not None:
-        out += f_spec
-    return out
+        if b is not None:
+            w += b
+        for p, (i, j) in enumerate(self.pairs):
+            np.multiply(w[i], w[j], out=prod[p])
+            if b is not None:
+                prod[p] -= b[i] * b[j]
+        spectral_data(grid, prod, out=flux)
+        out[...] = 0.0
+        for (i, j), fij in zip(self.pairs, flux):
+            out[i] -= np.multiply(self.ik[j], fij, out=self.term)
+            if i != j:
+                out[j] -= np.multiply(self.ik[i], fij, out=self.term)
+        out *= grid.dealias_mask
+        if f_spec is not None:
+            out += f_spec
+        return out
+
+    def nonlinear(self, v_spec, f_spec, background, out):
+        """P(flux_rhs) into out."""
+        self.flux_rhs(v_spec, f_spec, background, out)
+        return leray_data(self.grid, out, out=out)
+
+    def step(self, v, t, forcing: ForcingSpec, background=None):
+        """One CN(viscous) + Heun(nonlinear) step of the state v from t, in
+        place; background(t) gives the physical background or is None."""
+        grid, dt = self.grid, self.dt
+
+        def inputs(tt):
+            b = None if background is None else background(tt)
+            return forcing.evaluate(grid, tt), b
+
+        n0, n1, v_star = self.n0, self.n1, self.v_star
+        self.nonlinear(v, *inputs(t), out=n0)
+        np.multiply(self.A, v, out=v)
+        # predictor v* = (A v + dt n0) / B
+        np.multiply(n0, dt, out=v_star)
+        v_star += v
+        v_star /= self.B
+        self.nonlinear(v_star, *inputs(t + dt), out=n1)
+        # corrector (A v + dt/2 (n0 + n1)) / B
+        n1 += n0
+        n1 *= 0.5 * dt
+        v += n1
+        v /= self.B
+        return v
 
 
 def nonlinear_term(grid: TorusGrid, v_spec: np.ndarray, f_spec,
                    background=None) -> np.ndarray:
-    """P(-dealias(div(w(x)w - b(x)b)) + f), w = dealias(v) + b (_flux_rhs)."""
-    return leray_data(grid, _flux_rhs(grid, v_spec, f_spec, background))
+    """P(-dealias(div(w(x)w - b(x)b)) + f), w = dealias(v) + b
+    (_Workspace.flux_rhs)."""
+    ws = _Workspace(grid)
+    return ws.nonlinear(v_spec, f_spec, background, out=ws.n0)
 
 
 def nse_rhs(v: Field, f: Field | None, nu: float) -> Field:
@@ -290,28 +353,13 @@ def nse_rhs(v: Field, f: Field | None, nu: float) -> Field:
     return Field(grid, out, SPECTRAL, True, v.time_stamp)
 
 
-def _imex_step(grid, v_spec, t, dt, nu, nonlin):
-    """One CN(viscous) + Heun(nonlinear) step; nonlin(spec, t) -> spec."""
-    z = 0.5 * dt * nu * grid.k_sq
-    A = (1.0 - z)
-    B = (1.0 + z)
-    n0 = nonlin(v_spec, t)
-    v_star = (A * v_spec + dt * n0) / B
-    n1 = nonlin(v_star, t + dt)
-    return (A * v_spec + 0.5 * dt * (n0 + n1)) / B
-
-
 def advance(state: Field, forcing: ForcingSpec | None, nu: float,
             dt: float) -> Field:
     """One IMEX step of the full equations from state.time_stamp."""
     grid = state.grid
     t = state.time_stamp
-    forcing = forcing or ForcingSpec()
-
-    def nonlin(spec, tt):
-        return nonlinear_term(grid, spec, forcing.evaluate(grid, tt))
-
-    out = _imex_step(grid, state.spectral(), t, dt, nu, nonlin)
+    out = _Workspace(grid, nu, dt).step(state.spectral().copy(), t,
+                                        forcing or ForcingSpec())
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t + dt, "spectral coefficients", "non-finite")
     return Field(grid, out, SPECTRAL, True, t + dt)
@@ -353,11 +401,8 @@ def _run_loop(cfg: SolverConfig, label: str, background=None) -> Trajectory:
     n = cfg.n_steps
     tgrid, f_means, f_l2_sq = _forcing_series(cfg)
     zero = (slice(None),) + (0,) * grid.dim
-
-    def nonlin(spec, t):
-        b = None if background is None else background(t)
-        return nonlinear_term(grid, spec, cfg.forcing.evaluate(grid, t), b)
-
+    ws = _Workspace(grid, cfg.nu, cfg.dt)
+    # stepped in place: a snapshot stores a copy
     spec = leray_data(grid, cfg.initial.spectral())
     diag = {"t": tgrid,
             "l2_sq": np.empty(n + 1),
@@ -377,14 +422,14 @@ def _run_loop(cfg: SolverConfig, label: str, background=None) -> Trajectory:
         if not np.isfinite(diag["l2_sq"][i]):
             raise BlowUpError(t, f"{label} L2 norm", diag["l2_sq"][i])
         if i % cfg.snapshot_stride == 0 or i == n:
-            snapshots.append(spec)
+            snapshots.append(spec.copy())
             snap_times.append(t)
         if i % cfg.norm_stride == 0 or i == n:
             reports.append(compute_norm_report(fld, cfg.sigma))
 
     record(0)
     for i in range(n):
-        spec = _imex_step(grid, spec, tgrid[i], cfg.dt, cfg.nu, nonlin)
+        ws.step(spec, tgrid[i], cfg.forcing, background)
         record(i + 1)
 
     return Trajectory(
@@ -499,7 +544,8 @@ def recover_pressure(v: Field, f: Field | None, nu: float) -> Field:
     f_spec = None if f is None else f.spectral()
     # the unprojected rhs is -(v.grad v - f); its divergence i k . rhs
     # already holds the i of p_hat = i k.(v.grad v - f) / |k|^2
-    rhs = _flux_rhs(grid, v.spectral(), f_spec)
+    ws = _Workspace(grid)
+    rhs = ws.flux_rhs(v.spectral(), f_spec, None, out=ws.n0)
     k_sq = grid.k_sq.copy()
     k_sq[(0,) * grid.dim] = 1.0
     p = (-divergence_data(grid, rhs) / k_sq)[np.newaxis]

@@ -208,6 +208,27 @@ def test_cli_calibrate(tmp_path, capsys):
     assert doc["c5"] > 1
 
 
+@pytest.mark.parametrize("args", [["--ensemble", "10"], ["--N", "7"],
+                                  ["--L", "-1"]],
+                         ids=["small-ensemble", "odd-N", "negative-L"])
+def test_cli_calibrate_bad_arguments_are_config_errors(args, capsys):
+    assert cli.main(["calibrate", *args]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+def test_meta_records_phase_times(tmp_path):
+    spec = exp.parse_config(json.dumps(dict(SMALL_PERT, direct_3d=True)))
+    exp.run_experiment(spec, str(tmp_path / "out"))
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert set(meta["phases"]) == {"calibration", "base", "perturbation",
+                                   "direct", "analysis", "writing"}
+    assert all(v > 0 for v in meta["phases"].values())
+    assert sum(meta["phases"].values()) <= meta["wall_seconds"]
+    assert meta["steps_per_s"] > 0
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = dict(SMALL)
     cfg["sweep"] = [{"nu": 0.5}, {"nu": 0.7}]

@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from torusflow import make_grid
-from torusflow.field import (mean_free, physical_field, random_divfree_field,
+from torusflow import estimates as est
+from torusflow.field import (mean_free, physical_field, physical_padded,
+                             random_divfree_field, spectral_data,
                              spectral_field)
 from torusflow.norms import (NormReport, NORM_REPORT_COLUMNS, TrajectoryNorms,
-                             compute_norm_report, embedding_ratio_l6_h1,
-                             extruded_lp_norm, grad_l2_norm_sq,
-                             grad_lp_norm, l2_norm_sq,
-                             lp_norm, mixed_norm, poincare_ratio,
-                             sharp_dissipation_h2, sharp_poincare_h1,
-                             sharp_poincare_h2, sobolev_norm_sq,
-                             w1_sigma_norm, w21_norm)
+                             _components, _gradient_components,
+                             _padded_magnitude, compute_norm_report,
+                             embedding_ratio_l6_h1, extruded_lp_norm,
+                             grad_l2_norm_sq, grad_lp_norm, gradient_field,
+                             hessian_l2_norm_sq, l2_norm_sq, lp_norm,
+                             mixed_norm, poincare_ratio,
+                             second_derivative_field, sharp_dissipation_h2,
+                             sharp_poincare_h1, sharp_poincare_h2,
+                             sobolev_norm_sq, w1_sigma_norm, w21_norm)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -170,6 +174,62 @@ def test_norm_report_matches_standalone_norms(dim):
                 "w1_sigma": w1_sigma_norm(f, 4.5)}
     for name, value in expected.items():
         assert getattr(rep, name) == pytest.approx(value, rel=1e-14, abs=0)
+
+
+def _stacked_magnitude(field):
+    """|u| on the 2N grid with every component padded at once: the
+    reference for the streamed _padded_magnitude."""
+    return np.sqrt(np.sum(physical_padded(field) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("ncomp", [3, 9])
+def test_streamed_padded_magnitude_is_exact(dim, ncomp):
+    # random physical values: every Nyquist plane is nonzero
+    grid = make_grid(2 * np.pi, 8, dim)
+    rng = np.random.default_rng(10 * dim + ncomp)
+    spec = spectral_data(grid, rng.standard_normal((ncomp,) + grid.shape_phys))
+    nyquist = (slice(None),) + (slice(None),) * (dim - 1) + (grid.N // 2,)
+    assert np.abs(spec[nyquist]).min() > 0
+    for f in (spectral_field(grid, spec),
+              physical_field(grid, rng.standard_normal(
+                  (ncomp,) + grid.shape_phys))):
+        got = _padded_magnitude(_components(f))
+        np.testing.assert_array_equal(got, _stacked_magnitude(f))
+    f = spectral_field(grid, spec[:3])
+    np.testing.assert_array_equal(_padded_magnitude(_gradient_components(f)),
+                                  _stacked_magnitude(gradient_field(f)))
+
+
+def test_hessian_parseval_matches_second_derivative_field(grid3):
+    rng = np.random.default_rng(3)
+    for f in (random_divfree_field(grid3, seed=2, spectrum_decay=1.0),
+              spectral_field(grid3, spectral_data(
+                  grid3, rng.standard_normal((3,) + grid3.shape_phys)))):
+        reference = l2_norm_sq(second_derivative_field(f))
+        assert hessian_l2_norm_sq(f) == pytest.approx(reference, rel=1e-14,
+                                                      abs=0)
+
+
+def test_calibrate_constants_match_stacked_reference(grid3):
+    # reference formulas: every component padded at once and the
+    # 27-component second-derivative field
+    def stacked_lp(f, p):
+        cell = (grid3.L / (2 * grid3.N)) ** 3
+        return (cell * np.sum(_stacked_magnitude(f) ** p)) ** (1 / p)
+
+    c3 = ci = 0.0
+    for s in range(100):
+        u = random_divfree_field(grid3, s, spectrum_decay=1.0 + 2.0 * (s % 5)
+                                 / 4.0)
+        c3 = max(c3, stacked_lp(u, 6) ** 2 / sobolev_norm_sq(u, 1))
+        g = gradient_field(u)
+        den = np.sqrt(np.sqrt(l2_norm_sq(gradient_field(g)))
+                      * np.sqrt(l2_norm_sq(g)))
+        ci = max(ci, stacked_lp(g, 3) / den)
+    cal = est.calibrate_constants(grid3, 100, 0)
+    assert cal.c3 == c3
+    assert cal.c_interp == pytest.approx(ci, rel=1e-14, abs=0)
 
 
 def test_trajectory_norms_ordering(grid2):

@@ -1,6 +1,8 @@
 """Time integration: scheme order, invariants, forcing, persistence."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               advance, load_trajectory, mean_ode_integrate,
                               nonlinear_term, nse_rhs, recover_pressure,
                               run_2d_base, run_full_3d, run_perturbation,
-                              save_trajectory, taylor_green_exact)
+                              save_trajectory, taylor_green_exact,
+                              _Workspace)
 
 
 def _tg_cfg(grid, nu=0.1, dt=1e-3, t_end=0.1, amplitude=1.0, **kw):
@@ -210,6 +213,54 @@ def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force):
     diff = np.abs(pert.snapshot_field(-1).spectral()
                   - full.snapshot_field(-1).spectral()).max()
     assert diff < 1e-13
+
+
+def test_workspace_step_allocates_under_five_states(grid2, grid3):
+    # the perturbation kernel at 16^3 with a background and a steady force;
+    # after a warm-up step, 5 steps may hold less than 5 spectral states of
+    # temporaries at once
+    nu, dt = 1.0, 2e-3
+    ws = _Workspace(grid3, nu, dt)
+    v = random_divfree_field(grid3, seed=3, target_h1=0.1).spectral().copy()
+    vs = random_divfree_field(grid2, seed=5, target_h1=1.0).physical()
+    background = np.concatenate([vs, np.zeros_like(vs[:1])])[..., np.newaxis]
+    forcing = ForcingSpec(kind="expression",
+                          expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
+    ws.step(v, 0.0, forcing, lambda t: background)
+    tracemalloc.start()
+    try:
+        for i in range(1, 6):
+            ws.step(v, i * dt, forcing, lambda t: background)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(v).all()
+    assert peak < 5 * v.nbytes
+
+
+def test_snapshots_do_not_share_memory():
+    grid = make_grid(2 * np.pi, 8, 3)
+    cfg = SolverConfig(grid=grid, nu=0.5, dt=2e-3, t_end=0.01, T=0.01,
+                       initial=random_divfree_field(grid, 1, target_h1=0.5))
+    traj = run_full_3d(cfg)
+    assert len(traj.snapshots) == 6
+    for a, b in itertools.combinations(traj.snapshots, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_advance_reproduces_run_bit_for_bit():
+    grid = make_grid(2 * np.pi, 8, 3)
+    nu, dt, steps = 0.5, 2e-3, 10
+    forcing = ForcingSpec(kind="expression", expressions=(
+        "0.05 + 0.1*sin(x2)", "0.1*sin(x3)", "0.1*sin(x1)"))
+    cfg = SolverConfig(grid=grid, nu=nu, dt=dt, t_end=steps * dt,
+                       T=steps * dt, forcing=forcing, snapshot_stride=steps,
+                       initial=random_divfree_field(grid, 1, target_h1=0.5))
+    traj = run_full_3d(cfg)
+    state = traj.snapshot_field(0)
+    for _ in range(steps):
+        state = advance(state, forcing, nu, dt)
+    np.testing.assert_array_equal(state.spectral(), traj.snapshots[-1])
 
 
 def test_trajectory_sampling(grid2):
