@@ -8,9 +8,8 @@ from .field import (Field, dealias, divergence_linf, extrude_field,
                     physical_field, random_divfree_field, save_field,
                     spectral_derivative, spectral_field, transform)
 from .norms import (NormReport, TrajectoryNorms, compute_norm_report,
-                    embedding_ratio_l6_h1, extruded_lp_norm, grad_lp_norm,
-                    l2_norm_sq, lp_norm, mixed_norm, poincare_ratio,
-                    sobolev_norm_sq, w1_sigma_norm, w21_norm)
+                    embedding_ratio_l6_h1, grad_lp_norm, l2_norm_sq, lp_norm,
+                    poincare_ratio, sobolev_norm_sq, w1_sigma_norm)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      advance, load_trajectory, mean_ode_integrate, nse_rhs,
                      recover_pressure, run_2d_base, run_full_3d,

@@ -100,10 +100,6 @@ def _window_slices(times, T, t_end=None):
     return out
 
 
-def _at_time(times, series, t):
-    return float(np.interp(t, times, series))
-
-
 # ---------------------------------------------------------------------------
 # two-dimensional budget (Lemmas 3.1 and 3.2)
 
@@ -415,11 +411,6 @@ def margin_4_27(alpha, int_A_sq, c_star, T) -> float:
     return 1.0 - (alpha * math.exp(int_A_sq) + math.exp(-0.25 * c_star * T))
 
 
-def margin_4_27_product(alpha, c_star, T) -> float:
-    # Theorem-statement variant: the two exponentials cancel to alpha <= 1
-    return 1.0 - alpha * math.exp(0.25 * c_star * T) * math.exp(-0.25 * c_star * T)
-
-
 # ---------------------------------------------------------------------------
 # L2 stability (Lemma 4.1)
 
@@ -582,8 +573,7 @@ def check_stability_hypotheses(series: StabilitySeries,
         "4.26b": InequalityReport("4.26b", [t0], [m26[1]], tol),
         "4.27": InequalityReport(
             "4.27", [t0], [margin_4_27(a, series.int_A_sq, cs, T)], tol,
-            note="sum form (used by the window recursion); product form "
-                 f"margin {margin_4_27_product(a, cs, T):.3e}"),
+            note="sum form (used by the window recursion)"),
     }
     # hypotheses are premises, not claims: unmet ones are vacuous, not failed
     for r in reports.values():

@@ -28,7 +28,7 @@ from .grid import TorusGrid, make_grid
 from .field import (Field, extrude_field, physical_field, random_divfree_field,
                     spectral_field)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     load_trajectory, run_2d_base, run_full_3d,
+                     check_strides, load_trajectory, run_2d_base,
                      run_perturbation, save_trajectory, taylor_green_exact)
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
@@ -63,7 +63,7 @@ _DEFAULTS = {
     "dt": 2e-3,
     "T": 1.0,
     "sigma": 4.0,
-    "snapshot_stride": 1,
+    "snapshot_stride": 250,
     "norm_stride": 25,
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.005},
              "forcing": {"kind": "zero"}},
@@ -115,8 +115,9 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON scenario config, filling and recording defaults.
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
-    paths; a budget override violating the gamma* admissibility condition is
-    refused here, before any run starts.
+    paths; strides that solver.check_strides refuses and a budget override
+    violating the gamma* admissibility condition are refused here, before
+    any run starts.
     """
     try:
         given = json.loads(text)
@@ -133,6 +134,14 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"{key} must be positive, got {raw[key]}")
     if raw["windows"] < 1:
         raise ConfigError("need at least one window")
+    for where, section in (("config", raw),
+                           ("config.perturbation", raw["perturbation"])):
+        if section is not None:
+            try:
+                check_strides(raw["T"], raw["dt"], section["snapshot_stride"],
+                              section["norm_stride"])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}")
     b = raw["budget"]
     explicit = all(b.get(k) is not None
                    for k in ("c4", "c5", "gamma", "gamma_star", "c_star"))
@@ -330,9 +339,11 @@ def _timed(phases: dict, name: str):
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
-    On solver blow-up the partial artifacts stay on disk next to a
-    failure marker in meta.json.  meta.json also records the wall seconds
-    of each of PHASES and the solver steps per second of the runs.
+    Calibrates first, then steps the base, perturbation and direct runs in
+    one lockstep call and writes their trajectories once all have finished.
+    On solver blow-up no trajectory is written and meta.json carries the
+    failure marker.  meta.json also records the wall seconds of each of
+    PHASES and the solver steps per second of the runs.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -357,16 +368,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                    raw["seed"], None),
             snapshot_stride=raw["snapshot_stride"],
             norm_stride=raw["norm_stride"], sigma=raw["sigma"])
-        with _timed(phases, "base"):
+        pert = direct = budget = cal = g_forcing = None
+        if raw["perturbation"] is None:
             base = run_2d_base(base_cfg)
-        steps += base_cfg.n_steps
-        with _timed(phases, "writing"):
-            save_trajectory(base, os.path.join(out_dir, "base"))
-        paths["base"] = os.path.join(out_dir, "base")
-
-        pert = budget = cal = None
-        g_forcing = None
-        if raw["perturbation"] is not None:
+        else:
             g3 = make_grid(raw["L"], raw["N"], 3)
             with _timed(phases, "calibration"):
                 cal, budget = _resolve_budget(spec, g3)
@@ -378,26 +383,26 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                        budget.gamma),
                 snapshot_stride=p["snapshot_stride"],
                 norm_stride=p["norm_stride"], sigma=raw["sigma"])
-            with _timed(phases, "perturbation"):
-                pert = run_perturbation(pert_cfg, base)
-            steps += pert_cfg.n_steps
-            with _timed(phases, "writing"):
-                save_trajectory(pert, os.path.join(out_dir, "perturbation"))
-                with open(os.path.join(out_dir, "constants.json"),
-                          "w") as fh:
-                    json.dump({"calibrated": asdict(cal),
-                               "budget": asdict(budget)}, fh, indent=2,
-                              sort_keys=True)
-            paths["perturbation"] = os.path.join(out_dir, "perturbation")
+            direct_cfg = _direct_config(raw, base_cfg, pert_cfg) \
+                if raw["direct_3d"] else None
+            base, pert, direct = run_perturbation(pert_cfg, base_cfg,
+                                                  direct_cfg)
+            with _timed(phases, "writing"), \
+                    open(os.path.join(out_dir, "constants.json"), "w") as fh:
+                json.dump({"calibrated": asdict(cal),
+                           "budget": asdict(budget)}, fh, indent=2,
+                          sort_keys=True)
             paths["constants"] = os.path.join(out_dir, "constants.json")
 
-            if raw["direct_3d"]:
-                with _timed(phases, "direct"):
-                    direct = _run_direct(raw, base_cfg, pert_cfg)
-                steps += pert_cfg.n_steps
-                with _timed(phases, "writing"):
-                    save_trajectory(direct, os.path.join(out_dir, "direct"))
-                paths["direct"] = os.path.join(out_dir, "direct")
+        for name, traj in (("base", base), ("perturbation", pert),
+                           ("direct", direct)):
+            if traj is None:
+                continue
+            phases[name] += traj.step_seconds
+            steps += len(traj.diag["t"]) - 1
+            paths[name] = os.path.join(out_dir, name)
+            with _timed(phases, "writing"):
+                save_trajectory(traj, paths[name])
 
         with _timed(phases, "analysis"):
             reports, series_list, hyp_by_window, twod, bconst = analyze(
@@ -440,18 +445,19 @@ def _spec_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
 
 
-def _run_direct(raw, base_cfg: SolverConfig, pert_cfg: SolverConfig):
-    """Full 3D run of the recombined state v_s(0)+u(0) under f_s+g."""
+def _direct_config(raw, base_cfg: SolverConfig,
+                   pert_cfg: SolverConfig) -> SolverConfig:
+    """Config of the full 3D run of the recombined state v_s(0)+u(0)
+    under f_s+g."""
     g3 = pert_cfg.grid
     v0 = extrude_field(base_cfg.initial, g3)
     total0 = physical_field(g3, v0.physical() + pert_cfg.initial.physical())
     forcing = combine_forcing(base_cfg.forcing, pert_cfg.forcing)
-    cfg = SolverConfig(grid=g3, nu=raw["nu"], dt=raw["dt"],
-                       t_end=raw["windows"] * raw["T"], T=raw["T"],
-                       forcing=forcing, initial=total0,
-                       snapshot_stride=pert_cfg.snapshot_stride,
-                       norm_stride=pert_cfg.norm_stride, sigma=raw["sigma"])
-    return run_full_3d(cfg)
+    return SolverConfig(grid=g3, nu=raw["nu"], dt=raw["dt"],
+                        t_end=raw["windows"] * raw["T"], T=raw["T"],
+                        forcing=forcing, initial=total0,
+                        snapshot_stride=pert_cfg.snapshot_stride,
+                        norm_stride=pert_cfg.norm_stride, sigma=raw["sigma"])
 
 
 def combine_forcing(f2d: ForcingSpec, g3d: ForcingSpec) -> ForcingSpec:

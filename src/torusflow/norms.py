@@ -201,69 +201,6 @@ class TrajectoryNorms:
         return np.array([getattr(r, name) for r in self.reports])
 
 
-def _select_interval(times, interval):
-    t0, t1 = interval
-    if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
-        raise ValueError(f"interval {interval} outside trajectory span "
-                         f"({times[0]}, {times[-1]})")
-    sel = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
-    idx = np.nonzero(sel)[0]
-    if idx.size < 2:
-        raise ValueError("need at least two samples inside the interval")
-    return idx
-
-
-def mixed_norm(snapshots, p1: float, p2: float, interval) -> float:
-    """L_{p2}(interval; L_{p1}(Omega)) norm of a snapshot sequence.
-
-    snapshots: time-ordered Fields covering the interval.
-    """
-    times = np.array([f.time_stamp for f in snapshots])
-    idx = _select_interval(times, interval)
-    spatial = np.array([lp_norm(snapshots[i], p1) for i in idx])
-    return float(np.trapezoid(spatial**p2, times[idx]) ** (1.0 / p2))
-
-
-def _dt_series(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Second-order finite differences in time of a snapshot stack."""
-    out = np.empty_like(stack)
-    out[1:-1] = (stack[2:] - stack[:-2]) / (times[2:] - times[:-2]).reshape(
-        (-1,) + (1,) * (stack.ndim - 1))
-    h0 = times[1] - times[0]
-    out[0] = (-3 * stack[0] + 4 * stack[1] - stack[2]) / (2 * h0)
-    h1 = times[-1] - times[-2]
-    out[-1] = (3 * stack[-1] - 4 * stack[-2] + stack[-3]) / (2 * h1)
-    return out
-
-
-def w21_norm(snapshots, p1: float, p2: float, interval) -> float:
-    """W^{2,1}_{p1,p2} norm: mixed norms of D^2_x u, d_t u and u summed.
-
-    d_t u uses second-order finite differences of the stored snapshots,
-    which needs at least three of them inside the interval.
-    """
-    times = np.array([f.time_stamp for f in snapshots])
-    idx = _select_interval(times, interval)
-    if idx.size < 3:
-        raise ValueError("w21_norm needs at least 3 snapshots in the interval")
-    sel = [snapshots[i] for i in idx]
-    tsel = times[idx]
-
-    u_part = mixed_norm(sel, p1, p2, (tsel[0], tsel[-1]))
-
-    d2 = [second_derivative_field(f) for f in sel]
-    d2_part = mixed_norm(d2, p1, p2, (tsel[0], tsel[-1]))
-
-    stack = np.array([f.spectral() for f in sel])
-    dt_stack = _dt_series(stack, tsel)
-    dt_fields = [
-        spectral_field(sel[0].grid, dt_stack[i], time_stamp=tsel[i])
-        for i in range(len(sel))
-    ]
-    dt_part = mixed_norm(dt_fields, p1, p2, (tsel[0], tsel[-1]))
-    return d2_part + dt_part + u_part
-
-
 def poincare_ratio(field: Field, relative_to: str = "h1") -> float:
     """Sharpness probe for the torus Poincare inequality on mean-free fields.
 
@@ -292,17 +229,6 @@ def embedding_ratio_l6_h1(field: Field) -> float:
     if h1 == 0.0:
         raise ValueError("embedding ratio of a zero field")
     return lp_norm(field, 6) ** 2 / h1
-
-
-def extruded_lp_norm(field2d: Field, p: float) -> float:
-    """L_p norm over the 3D box of a 2D field extended x3-invariantly.
-
-    The extrusion multiplies the integral of |u|^p by L, i.e. the norm by
-    L^(1/p).
-    """
-    if field2d.grid.dim != 2:
-        raise ValueError("extruded_lp_norm expects a 2D field")
-    return field2d.grid.L ** (1.0 / p) * lp_norm(field2d, p)
 
 
 def sharp_poincare_h1(grid: TorusGrid) -> float:

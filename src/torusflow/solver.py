@@ -6,9 +6,10 @@ time loop and one nonlinear kernel in divergence form:
 
   * the full 3D equations,
   * the 2D base flow,
-  * the 3D perturbation u around a 2D base trajectory v_s: the full
-    equations minus the base equations, with the flux w(x)w - v_s(x)v_s of
-    w = u + v_s.
+  * the 3D perturbation u around a 2D base flow v_s: the full equations
+    minus the base equations, with the flux w(x)w - v_s(x)v_s of
+    w = u + v_s.  The base run is stepped in lockstep with it, so v_s is
+    read from the current base state, never from a stored trajectory.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -23,6 +24,7 @@ import ast
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -171,10 +173,7 @@ class SolverConfig:
                              f"(dt*nu*kmax^2 = {self.dt * self.nu * kmax_sq:.3g})")
         if self.norm_stride is None:
             self.norm_stride = self.snapshot_stride
-        snap_dt = self.dt * self.snapshot_stride
-        if abs(self.T / snap_dt - round(self.T / snap_dt)) > 1e-8:
-            raise ValueError("window length T must be a multiple of the "
-                             "snapshot interval")
+        check_strides(self.T, self.dt, self.snapshot_stride, self.norm_stride)
 
     @property
     def n_steps(self) -> int:
@@ -194,6 +193,24 @@ class SolverConfig:
         }
 
 
+def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
+    """Raise ValueError unless both strides are positive integers and the
+    window length T is a whole number of norm intervals dt * norm_stride.
+
+    The windowed estimates read the norm series, so a window must end on a
+    norm sample; snapshots are output only and may fall anywhere.
+    """
+    for name, stride in (("snapshot_stride", snapshot_stride),
+                         ("norm_stride", norm_stride)):
+        if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise ValueError(f"{name} must be a positive integer, got "
+                             f"{stride!r}")
+    windows = T / (dt * norm_stride)
+    if abs(windows - round(windows)) > 1e-8:
+        raise ValueError(f"window length T={T:g} must be a multiple of the "
+                         f"norm interval dt*norm_stride={dt * norm_stride:g}")
+
+
 def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
     payload = cfg.describe()
     if extra:
@@ -206,7 +223,8 @@ def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
 class Trajectory:
     """A run: spectral snapshots (mean included at k=0), per-step scalar
     diagnostics, a norm series of the mean-free part and, in extras, the
-    forcing series.  A trajectory loaded from disk has no snapshots."""
+    forcing series.  A trajectory loaded from disk has no snapshots.
+    step_seconds is the wall time the run spent stepping and recording."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -216,28 +234,11 @@ class Trajectory:
     config: dict
     config_hash: str
     extras: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        self._spline = None
+    step_seconds: float = 0.0
 
     def snapshot_field(self, i: int) -> Field:
         return spectral_field(self.grid, self.snapshots[i],
                               divergence_free=True, time_stamp=self.times[i])
-
-    def sample(self, t: float) -> np.ndarray:
-        """Spectral state at arbitrary t (exact at snapshots, cubic between)."""
-        times = self.times
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise ValueError(f"t={t} outside trajectory span "
-                             f"[{times[0]}, {times[-1]}]")
-        j = int(np.searchsorted(times, t))
-        for i in (j - 1, j, j + 1):
-            if 0 <= i < len(times) and abs(times[i] - t) < 1e-10:
-                return self.snapshots[i]
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(times, np.array(self.snapshots), axis=0)
-        return self._spline(float(np.clip(t, times[0], times[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +310,20 @@ class _Workspace:
         self.flux_rhs(v_spec, f_spec, background, out)
         return leray_data(self.grid, out, out=out)
 
-    def step(self, v, t, forcing: ForcingSpec, background=None):
+    def step(self, v, t, forcing: ForcingSpec, backgrounds=(None, None)):
         """One CN(viscous) + Heun(nonlinear) step of the state v from t, in
-        place; background(t) gives the physical background or is None."""
+        place; backgrounds holds the physical background at t and at t + dt
+        (None for none)."""
         grid, dt = self.grid, self.dt
-
-        def inputs(tt):
-            b = None if background is None else background(tt)
-            return forcing.evaluate(grid, tt), b
-
         n0, n1, v_star = self.n0, self.n1, self.v_star
-        self.nonlinear(v, *inputs(t), out=n0)
+        self.nonlinear(v, forcing.evaluate(grid, t), backgrounds[0], out=n0)
         np.multiply(self.A, v, out=v)
         # predictor v* = (A v + dt n0) / B
         np.multiply(n0, dt, out=v_star)
         v_star += v
         v_star /= self.B
-        self.nonlinear(v_star, *inputs(t + dt), out=n1)
+        self.nonlinear(v_star, forcing.evaluate(grid, t + dt), backgrounds[1],
+                       out=n1)
         # corrector (A v + dt/2 (n0 + n1)) / B
         n1 += n0
         n1 *= 0.5 * dt
@@ -386,63 +384,113 @@ def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
 # ---------------------------------------------------------------------------
 # run drivers
 
-def _run_loop(cfg: SolverConfig, label: str, background=None) -> Trajectory:
-    """The time loop of every run, from the projected initial field.
+class _Member:
+    """One run of _lockstep: its state, its workspace, the series it
+    records (the mean and the norms of the mean-free part at every step,
+    snapshots at snapshot_stride, norm reports at norm_stride) and the wall
+    seconds spent on them."""
 
-    background(t) gives the physical background of nonlinear_term, or is
-    None.  Records the mean and the norms of the mean-free part at every
-    step, snapshots at snapshot_stride and norm reports at norm_stride.
-    """
-    grid = cfg.grid
-    if cfg.initial is None:
-        raise ValueError("missing initial field")
-    if cfg.initial.grid != grid:
-        raise ValueError("initial field grid mismatch")
-    n = cfg.n_steps
-    tgrid, f_means, f_l2_sq = _forcing_series(cfg)
-    zero = (slice(None),) + (0,) * grid.dim
-    ws = _Workspace(grid, cfg.nu, cfg.dt)
-    # stepped in place: a snapshot stores a copy
-    spec = leray_data(grid, cfg.initial.spectral())
-    diag = {"t": tgrid,
-            "l2_sq": np.empty(n + 1),
-            "grad_l2_sq": np.empty(n + 1),
-            "h2_sq": np.empty(n + 1),
-            "mean": np.empty((n + 1, grid.dim))}
-    snapshots, snap_times, reports = [], [], []
+    def __init__(self, cfg: SolverConfig, label: str):
+        t0 = time.perf_counter()
+        grid = cfg.grid
+        if cfg.initial is None:
+            raise ValueError("missing initial field")
+        if cfg.initial.grid != grid:
+            raise ValueError("initial field grid mismatch")
+        self.cfg, self.label, self.n = cfg, label, cfg.n_steps
+        self.tgrid, self.f_means, self.f_l2_sq = _forcing_series(cfg)
+        self.ws = _Workspace(grid, cfg.nu, cfg.dt)
+        # stepped in place: a snapshot stores a copy
+        self.spec = leray_data(grid, cfg.initial.spectral())
+        self.diag = {"t": self.tgrid,
+                     "l2_sq": np.empty(self.n + 1),
+                     "grad_l2_sq": np.empty(self.n + 1),
+                     "h2_sq": np.empty(self.n + 1),
+                     "mean": np.empty((self.n + 1, grid.dim))}
+        self.snapshots, self.snap_times, self.reports = [], [], []
+        self._record(0)
+        self.seconds = time.perf_counter() - t0
 
-    def record(i):
-        t = tgrid[i]
-        diag["mean"][i] = np.real(spec[zero])
+    def _record(self, i):
+        cfg, grid, spec, diag = self.cfg, self.cfg.grid, self.spec, self.diag
+        t = self.tgrid[i]
+        diag["mean"][i] = np.real(spec[(slice(None),) + (0,) * grid.dim])
         fld = mean_free(spectral_field(grid, spec, divergence_free=True,
                                        time_stamp=t))
         diag["l2_sq"][i] = l2_norm_sq(fld)
         diag["grad_l2_sq"][i] = grad_l2_norm_sq(fld)
         diag["h2_sq"][i] = sobolev_norm_sq(fld, 2)
         if not np.isfinite(diag["l2_sq"][i]):
-            raise BlowUpError(t, f"{label} L2 norm", diag["l2_sq"][i])
-        if i % cfg.snapshot_stride == 0 or i == n:
-            snapshots.append(spec.copy())
-            snap_times.append(t)
-        if i % cfg.norm_stride == 0 or i == n:
-            reports.append(compute_norm_report(fld, cfg.sigma))
+            raise BlowUpError(t, f"{self.label} L2 norm", diag["l2_sq"][i])
+        if i % cfg.snapshot_stride == 0 or i == self.n:
+            self.snapshots.append(spec.copy())
+            self.snap_times.append(t)
+        if i % cfg.norm_stride == 0 or i == self.n:
+            self.reports.append(compute_norm_report(fld, cfg.sigma))
 
-    record(0)
-    for i in range(n):
-        ws.step(spec, tgrid[i], cfg.forcing, background)
-        record(i + 1)
+    def advance(self, i, backgrounds=(None, None)):
+        """Step from step i to step i + 1 and record it."""
+        t0 = time.perf_counter()
+        self.ws.step(self.spec, self.tgrid[i], self.cfg.forcing, backgrounds)
+        self._record(i + 1)
+        self.seconds += time.perf_counter() - t0
 
-    return Trajectory(
-        grid=grid,
-        times=np.array(snap_times),
-        snapshots=snapshots,
-        norms=TrajectoryNorms(reports, (0.0, cfg.t_end)),
-        diag=diag,
-        config=cfg.describe() | {"label": label},
-        config_hash=config_hash(cfg, {"label": label}),
-        extras={"forcing_l2_sq": f_l2_sq, "forcing_mean": f_means,
-                "forcing_times": tgrid},
-    )
+    def extrude(self, out):
+        """Physical values of this 2D state, mean included, as an
+        x3-invariant background into out, shape (3, N, N, 1), whose third
+        component stays zero."""
+        t0 = time.perf_counter()
+        physical_data(self.cfg.grid, self.spec, out=out[:2, ..., 0])
+        self.seconds += time.perf_counter() - t0
+
+    def trajectory(self) -> Trajectory:
+        cfg, label = self.cfg, self.label
+        return Trajectory(
+            grid=cfg.grid,
+            times=np.array(self.snap_times),
+            snapshots=self.snapshots,
+            norms=TrajectoryNorms(self.reports, (0.0, cfg.t_end)),
+            diag=self.diag,
+            config=cfg.describe() | {"label": label},
+            config_hash=config_hash(cfg, {"label": label}),
+            extras={"forcing_l2_sq": self.f_l2_sq,
+                    "forcing_mean": self.f_means,
+                    "forcing_times": self.tgrid},
+            step_seconds=self.seconds,
+        )
+
+
+def _lockstep(lead: _Member, base: _Member | None = None,
+              direct: _Member | None = None):
+    """The time loop of every run.
+
+    Per step of lead, the 2D base (if any) first takes its base.n // lead.n
+    substeps; lead then steps with the extruded base state before and after
+    them as its background b(t), b(t + dt); the direct run (if any) steps
+    last.  Only those two background arrays are kept, never the base
+    trajectory.
+    """
+    backgrounds = (None, None)
+    if base is not None:
+        r = base.n // lead.n
+        shape = (3,) + base.cfg.grid.shape_phys + (1,)
+        backgrounds = (np.zeros(shape), np.zeros(shape))
+        base.extrude(out=backgrounds[1])
+    for i in range(lead.n):
+        if base is not None:
+            backgrounds = backgrounds[::-1]
+            for j in range(i * r, (i + 1) * r):
+                base.advance(j)
+            base.extrude(out=backgrounds[1])
+        lead.advance(i, backgrounds)
+        if direct is not None:
+            direct.advance(i)
+
+
+def _run_alone(cfg: SolverConfig, label: str) -> Trajectory:
+    run = _Member(cfg, label)
+    _lockstep(run)
+    return run.trajectory()
 
 
 def _forcing_series(cfg: SolverConfig):
@@ -470,50 +518,49 @@ def run_2d_base(cfg: SolverConfig) -> Trajectory:
     """Evolve the 2D base flow."""
     if cfg.grid.dim != 2:
         raise ValueError("run_2d_base needs a 2D grid")
-    return _run_loop(cfg, "2d_base")
+    return _run_alone(cfg, "2d_base")
 
 
-class BaseFlowSampler:
-    """A stored 2D base trajectory v_s(t), mean included, as physical values
-    of an x3-invariant background on the 3D grid, cached per t."""
+def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
+                     direct_cfg: SolverConfig | None = None) -> tuple:
+    """Evolve the 3D perturbation of cfg around the 2D base flow of
+    base_cfg, in lockstep with that base run and, if direct_cfg is given,
+    with the full 3D run of direct_cfg.
 
-    def __init__(self, base: Trajectory):
-        if base.grid.dim != 2:
-            raise ValueError("base trajectory must be two-dimensional")
-        self.base = base
-        self._cache = {}
-
-    def at(self, t: float) -> np.ndarray:
-        """Shape (3, N, N, 1); the third component is zero."""
-        key = round(t * 1e12)
-        if key not in self._cache:
-            if len(self._cache) > 4:
-                self._cache.clear()
-            vs = physical_data(self.base.grid, self.base.sample(t))
-            self._cache[key] = np.concatenate(
-                [vs, np.zeros_like(vs[:1])])[..., np.newaxis]
-        return self._cache[key]
-
-
-def run_perturbation(cfg: SolverConfig, base: Trajectory) -> Trajectory:
-    """Evolve the 3D perturbation around the 2D base trajectory."""
-    grid = cfg.grid
+    The base dt must divide dt, and all runs end at cfg.t_end; the direct
+    run shares the perturbation's grid and dt.  Returns the trajectories
+    (base, perturbation, direct or None).
+    """
+    grid, g2 = cfg.grid, base_cfg.grid
     if grid.dim != 3:
         raise ValueError("run_perturbation needs a 3D grid")
-    if base.times[-1] < cfg.t_end - 1e-9:
-        raise ValueError("base trajectory does not cover the run interval")
-    if base.grid.N != grid.N or base.grid.L != grid.L:
+    if g2.dim != 2 or g2.N != grid.N or g2.L != grid.L:
         raise ValueError("base and perturbation grids are incompatible")
-    traj = _run_loop(cfg, "perturbation", BaseFlowSampler(base).at)
-    traj.extras["base_hash"] = base.config_hash
-    return traj
+    r = round(cfg.dt / base_cfg.dt)
+    if r < 1 or abs(r * base_cfg.dt - cfg.dt) > 1e-9 * cfg.dt:
+        raise ValueError(f"base dt {base_cfg.dt:g} does not divide the "
+                         f"perturbation dt {cfg.dt:g}")
+    if base_cfg.n_steps != r * cfg.n_steps:
+        raise ValueError(f"base run ends at {base_cfg.t_end:g}, the "
+                         f"perturbation run at {cfg.t_end:g}")
+    if direct_cfg is not None and (direct_cfg.grid != grid
+                                   or direct_cfg.dt != cfg.dt
+                                   or direct_cfg.n_steps != cfg.n_steps):
+        raise ValueError("the direct run must share the perturbation's "
+                         "grid, dt and t_end")
+    base = _Member(base_cfg, "2d_base")
+    pert = _Member(cfg, "perturbation")
+    direct = None if direct_cfg is None else _Member(direct_cfg, "full_3d")
+    _lockstep(pert, base, direct)
+    return base.trajectory(), pert.trajectory(), \
+        None if direct is None else direct.trajectory()
 
 
 def run_full_3d(cfg: SolverConfig) -> Trajectory:
     """Evolve the full 3D equations."""
     if cfg.grid.dim != 3:
         raise ValueError("run_full_3d needs a 3D grid")
-    return _run_loop(cfg, "full_3d")
+    return _run_alone(cfg, "full_3d")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from torusflow import make_grid
-from torusflow.field import (extrude_field, physical_field,
+from torusflow.field import (extrude_field, leray_data, physical_field,
                              random_divfree_field, spectral_field)
 from torusflow.norms import l2_norm_sq, poincare_ratio
 from torusflow.solver import (ForcingSpec, SolverConfig, mean_ode_integrate,
@@ -171,21 +171,22 @@ def test_criterion_07_split_consistency():
     nu = 0.2
     g2 = make_grid(2 * np.pi, 16, 2)
     g3 = make_grid(2 * np.pi, 16, 3)
-    base = run_2d_base(SolverConfig(
+    base_cfg = SolverConfig(
         grid=g2, nu=nu, dt=2.5e-4, t_end=1.0, T=1.0,
-        initial=taylor_green_exact(g2, nu, 0.0, 0.2), snapshot_stride=1))
+        initial=taylor_green_exact(g2, nu, 0.0, 0.2), snapshot_stride=4000)
+    vs0 = spectral_field(g2, leray_data(g2, base_cfg.initial.spectral()),
+                         divergence_free=True)
     u0 = random_divfree_field(g3, seed=3, spectrum_decay=3.0, target_h1=0.02)
+    v0 = physical_field(g3, extrude_field(vs0, g3).physical() + u0.physical())
     errs = []
     for dt in (1e-3, 5e-4):
         steps = round(1.0 / dt)
-        pert = run_perturbation(SolverConfig(
-            grid=g3, nu=nu, dt=dt, t_end=1.0, T=1.0, initial=u0,
-            snapshot_stride=steps), base)
-        v0 = physical_field(g3, extrude_field(base.snapshot_field(0),
-                                              g3).physical() + u0.physical())
-        direct = run_full_3d(SolverConfig(
-            grid=g3, nu=nu, dt=dt, t_end=1.0, T=1.0, initial=v0,
-            snapshot_stride=steps))
+        base, pert, direct = run_perturbation(
+            SolverConfig(grid=g3, nu=nu, dt=dt, t_end=1.0, T=1.0, initial=u0,
+                         snapshot_stride=steps),
+            base_cfg,
+            SolverConfig(grid=g3, nu=nu, dt=dt, t_end=1.0, T=1.0, initial=v0,
+                         snapshot_stride=steps))
         recombined = extrude_field(base.snapshot_field(-1), g3).physical() \
             + pert.snapshot_field(-1).physical()
         diff = physical_field(
@@ -205,17 +206,17 @@ def test_criterion_08_stability_conclusion(calibrated):
     nu, T, dt, windows = 1.0, 1.0, 2e-3, 5
     g2 = make_grid(2 * np.pi, 16, 2)
     g3 = make_grid(2 * np.pi, 16, 3)
-    base = run_2d_base(SolverConfig(
+    base_cfg = SolverConfig(
         grid=g2, nu=nu, dt=dt, t_end=windows * T, T=T,
         initial=taylor_green_exact(g2, nu, 0.0, 0.005),
-        snapshot_stride=1, norm_stride=25))
+        snapshot_stride=250, norm_stride=25)
     u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
     g_force = ForcingSpec(kind="expression",
                           expressions=("1e-4*sin(x3)", "0*x1", "0*x1"))
-    pert = run_perturbation(SolverConfig(
+    base, pert, _ = run_perturbation(SolverConfig(
         grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
-        forcing=g_force, snapshot_stride=250, norm_stride=50), base)
+        forcing=g_force, snapshot_stride=250, norm_stride=50), base_cfg)
 
     series = [est.stability_series(pert, base, budget, k)
               for k in range(windows)]
@@ -241,13 +242,13 @@ def test_criterion_09_gronwall_reduced_case(calibrated):
     g3 = make_grid(2 * np.pi, 16, 3)
     zero2 = spectral_field(g2, np.zeros((2,) + g2.shape_spec, complex),
                            divergence_free=True)
-    base = run_2d_base(SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end,
-                                    T=1.0, initial=zero2, snapshot_stride=1))
+    base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end, T=1.0,
+                            initial=zero2, snapshot_stride=500)
     u0 = random_divfree_field(g3, seed=5, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
-    pert = run_perturbation(SolverConfig(grid=g3, nu=nu, dt=dt, t_end=t_end,
-                                         T=1.0, initial=u0,
-                                         snapshot_stride=500), base)
+    _, pert, _ = run_perturbation(SolverConfig(grid=g3, nu=nu, dt=dt,
+                                               t_end=t_end, T=1.0, initial=u0,
+                                               snapshot_stride=500), base_cfg)
     t = pert.diag["t"]
     X_sq = pert.diag["l2_sq"] + pert.diag["grad_l2_sq"]
     bound = X_sq[0] * np.exp(-0.5 * budget.c_star * t) * (1 + 1e-3)

@@ -38,15 +38,15 @@ def stability_setup(grid2, grid3):
                                  gamma_star=gamma_star, c_star=c_star,
                                  alpha=0.03, c1=cal.c1, c3=cal.c3,
                                  c4=cal.c4, c5=cal.c5)
-    base = run_2d_base(SolverConfig(
+    base_cfg = SolverConfig(
         grid=grid2, nu=nu, dt=dt, t_end=windows * T, T=T,
         initial=taylor_green_exact(grid2, nu, 0.0, 0.005),
-        snapshot_stride=1, norm_stride=25))
+        snapshot_stride=250, norm_stride=25)
     u0 = random_divfree_field(grid3, seed=7, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
-    pert = run_perturbation(SolverConfig(
+    base, pert, _ = run_perturbation(SolverConfig(
         grid=grid3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
-        snapshot_stride=250, norm_stride=50), base)
+        snapshot_stride=250, norm_stride=50), base_cfg)
     return base, pert, budget, cal
 
 

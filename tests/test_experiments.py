@@ -169,6 +169,25 @@ def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
     assert "budget refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    dict(SMALL, norm_stride=30),
+    dict(SMALL_PERT, perturbation={"snapshot_stride": 50, "norm_stride": 30}),
+    dict(SMALL, snapshot_stride=0)],
+    ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride"])
+def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
+    # with norm_stride 30, dt*norm_stride = 0.15 puts norm samples at 0,
+    # 0.15, 0.30, 0.45, so the window [0, 0.5] would end between two of them
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_combine_forcing():
     from torusflow.solver import ForcingSpec
 
@@ -257,8 +276,9 @@ def test_cli_sweep_member_fails_alone(tmp_path, capsys):
     assert "budget refused" in capsys.readouterr().err
 
 
-def test_run_and_verify_do_not_import_scipy_signal(tmp_path):
-    # importing scipy.signal costs about 1.3 s in every CLI process
+def test_run_and_verify_do_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency; importing scipy.signal alone costs
+    # about 1.3 s in every CLI process
     import subprocess
     import sys
 
@@ -271,7 +291,8 @@ def test_run_and_verify_do_not_import_scipy_signal(tmp_path):
         f"assert cli.main(['run', '--config', {str(cfg_path)!r}, "
         f"'--out', {out!r}]) == 0\n"
         f"assert cli.main(['verify', '--out', {out!r}]) == 0\n"
-        "print('scipy.signal' in sys.modules)\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "\n")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -280,7 +301,7 @@ def test_run_and_verify_do_not_import_scipy_signal(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_margin_convergence_constant():

@@ -13,13 +13,12 @@ from torusflow.field import (mean_free, physical_field, physical_padded,
 from torusflow.norms import (NormReport, NORM_REPORT_COLUMNS, TrajectoryNorms,
                              _components, _gradient_components,
                              _padded_magnitude, compute_norm_report,
-                             embedding_ratio_l6_h1, extruded_lp_norm,
-                             grad_l2_norm_sq, grad_lp_norm, gradient_field,
-                             hessian_l2_norm_sq, l2_norm_sq, lp_norm,
-                             mixed_norm, poincare_ratio,
+                             embedding_ratio_l6_h1, grad_l2_norm_sq,
+                             grad_lp_norm, gradient_field, hessian_l2_norm_sq,
+                             l2_norm_sq, lp_norm, poincare_ratio,
                              second_derivative_field, sharp_dissipation_h2,
                              sharp_poincare_h1, sharp_poincare_h2,
-                             sobolev_norm_sq, w1_sigma_norm, w21_norm)
+                             sobolev_norm_sq, w1_sigma_norm)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -139,15 +138,6 @@ def test_sharp_h2_constants_are_lower_bounds(grid2, seed):
     assert dissip >= sharp_dissipation_h2(grid2) * h2 * (1 - 1e-12)
 
 
-def test_extruded_lp(grid2):
-    f = _sin_field(grid2)
-    L = grid2.L
-    assert extruded_lp_norm(f, 2) == pytest.approx(np.sqrt(L) * lp_norm(f, 2),
-                                                   rel=1e-13)
-    assert extruded_lp_norm(f, 3) == pytest.approx(L ** (1 / 3)
-                                                   * lp_norm(f, 3), rel=1e-13)
-
-
 def test_w1_sigma_requires_sigma_above_3(grid2):
     f = _sin_field(grid2)
     with pytest.raises(ValueError):
@@ -240,40 +230,6 @@ def test_trajectory_norms_ordering(grid2):
     assert tn.series("l2_sq").shape == (2,)
     with pytest.raises(ValueError):
         TrajectoryNorms([r1, r0], (0.0, 1.0))
-
-
-def test_mixed_norm_decaying_single_mode(grid2):
-    # u(t) = e^{-t} sin x1: L2(0,1; L2) integral of e^{-2t}||sin||^2
-    snaps = []
-    base = _sin_field(grid2)
-    times = np.linspace(0, 1, 101)
-    for t in times:
-        f = spectral_field(grid2, np.exp(-t) * base.spectral(), time_stamp=t)
-        snaps.append(f)
-    got = mixed_norm(snaps, 2, 2, (0.0, 1.0))
-    exact = np.sqrt(l2_norm_sq(base) * (1 - np.exp(-2)) / 2)
-    assert got == pytest.approx(exact, rel=1e-4)
-
-
-def test_w21_norm_needs_three_snapshots(grid2):
-    base = _sin_field(grid2)
-    snaps = []
-    for t in (0.0, 0.5):
-        f = spectral_field(grid2, base.spectral().copy(), time_stamp=t)
-        snaps.append(f)
-    with pytest.raises(ValueError):
-        w21_norm(snaps, 2, 2, (0.0, 0.5))
-
-
-def test_w21_norm_stationary_single_mode(grid2):
-    # constant-in-time u = sin(2 x1): d_t = 0, D^2 has factor 4
-    base = _sin_field(grid2, m=2)
-    snaps = [spectral_field(grid2, base.spectral().copy(), time_stamp=t)
-             for t in np.linspace(0, 1, 11)]
-    got = w21_norm(snaps, 2, 2, (0.0, 1.0))
-    u_l2 = np.sqrt(l2_norm_sq(base))
-    # mixed L2-in-time of a constant over [0,1] equals the spatial norm
-    assert got == pytest.approx(u_l2 + 4 * u_l2, rel=1e-6)
 
 
 def test_embedding_ratio_positive(grid3):

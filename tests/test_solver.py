@@ -13,6 +13,7 @@ from torusflow.field import (derivative_data, divergence_linf,
                              physical_field, physical_data,
                              random_divfree_field, spectral_data,
                              spectral_field)
+from torusflow.experiments import combine_forcing
 from torusflow.norms import l2_norm_sq
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               advance, load_trajectory, mean_ode_integrate,
@@ -35,9 +36,15 @@ def test_config_validation(grid2):
     with pytest.raises(ValueError):
         SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.5, T=1, initial=v0)
     with pytest.raises(ValueError):
-        # T not a multiple of the snapshot interval
+        # T not a multiple of the norm interval (norm_stride defaults to
+        # snapshot_stride)
         SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1, initial=v0,
                      snapshot_stride=3)
+    with pytest.raises(ValueError):
+        # norm samples at 0, 0.15, 0.30, 0.45: window [0, 0.5] would end
+        # between two of them
+        SolverConfig(grid=grid2, nu=0.1, dt=5e-3, t_end=0.5, T=0.5,
+                     initial=v0, snapshot_stride=100, norm_stride=30)
 
 
 def test_forcing_expression_and_steady(grid2):
@@ -199,20 +206,101 @@ def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force):
         else ForcingSpec(kind="expression", expressions=mean_force)
     zero2 = spectral_field(grid2, np.zeros((2,) + grid2.shape_spec, complex),
                            divergence_free=True)
-    base = run_2d_base(SolverConfig(grid=grid2, nu=nu, dt=dt, t_end=t_end,
-                                    T=t_end, initial=zero2,
-                                    snapshot_stride=10))
+    base_cfg = SolverConfig(grid=grid2, nu=nu, dt=dt, t_end=t_end,
+                            T=t_end, initial=zero2, snapshot_stride=10)
     u0 = random_divfree_field(grid3, seed=2, target_h1=0.1)
     steps = round(t_end / dt)
     pcfg = SolverConfig(grid=grid3, nu=nu, dt=dt, t_end=t_end, T=t_end,
                         initial=u0, snapshot_stride=steps, forcing=forcing)
-    pert = run_perturbation(pcfg, base)
+    _, pert, _ = run_perturbation(pcfg, base_cfg)
     full = run_full_3d(SolverConfig(grid=grid3, nu=nu, dt=dt, t_end=t_end,
                                     T=t_end, initial=u0, forcing=forcing,
                                     snapshot_stride=steps))
     diff = np.abs(pert.snapshot_field(-1).spectral()
                   - full.snapshot_field(-1).spectral()).max()
     assert diff < 1e-13
+
+
+def _lockstep_configs(r):
+    """Base (dt/r), perturbation and direct configs at N=8, with
+    time-dependent forces on every run."""
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    nu, dt, t_end = 0.5, 4e-3, 0.04
+    f = ForcingSpec(kind="expression", expressions=(
+        "0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)*sin(2*t)"))
+    g = ForcingSpec(kind="expression", expressions=(
+        "0.1*sin(x3)*cos(t)", "0.1*sin(x1)", "0.1*sin(x2)*sin(t)"))
+    base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt / r, t_end=t_end, T=t_end,
+                            forcing=f, snapshot_stride=1,
+                            initial=taylor_green_exact(g2, nu, 0.0, 0.5))
+    u0 = random_divfree_field(g3, seed=2, target_h1=0.3)
+    pert_cfg = SolverConfig(grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+                            forcing=g, snapshot_stride=1, initial=u0)
+    vs0 = spectral_field(g2, leray_data(g2, base_cfg.initial.spectral()))
+    v0 = physical_field(g3, extrude_field(vs0, g3).physical()
+                        + u0.physical())
+    direct_cfg = SolverConfig(grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+                              forcing=combine_forcing(f, g),
+                              snapshot_stride=2, initial=v0)
+    return base_cfg, pert_cfg, direct_cfg
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_lockstep_matches_stored_base_oracle(r):
+    # the replaced path: the base run stored at every base step, then the
+    # perturbation stepped with x3-invariant backgrounds read back from its
+    # snapshots on the perturbation's step times
+    base_cfg, pert_cfg, _ = _lockstep_configs(r)
+    stored = run_2d_base(base_cfg)
+    g2, g3 = base_cfg.grid, pert_cfg.grid
+
+    def background(i):
+        vs = physical_data(g2, stored.snapshots[i * r])
+        return np.concatenate([vs, np.zeros_like(vs[:1])])[..., np.newaxis]
+
+    ws = _Workspace(g3, pert_cfg.nu, pert_cfg.dt)
+    u = leray_data(g3, pert_cfg.initial.spectral())
+    oracle = [u.copy()]
+    tgrid = pert_cfg.dt * np.arange(pert_cfg.n_steps + 1)
+    for i in range(pert_cfg.n_steps):
+        ws.step(u, tgrid[i], pert_cfg.forcing,
+                (background(i), background(i + 1)))
+        oracle.append(u.copy())
+
+    base, pert, direct = run_perturbation(pert_cfg, base_cfg)
+    assert direct is None
+    np.testing.assert_array_equal(np.array(pert.snapshots),
+                                  np.array(oracle))
+    np.testing.assert_array_equal(np.array(base.snapshots),
+                                  np.array(stored.snapshots))
+    for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
+        np.testing.assert_array_equal(base.diag[key], stored.diag[key])
+
+
+def test_lockstep_direct_matches_run_full_3d():
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    _, _, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    alone = run_full_3d(direct_cfg)
+    np.testing.assert_array_equal(direct.times, alone.times)
+    np.testing.assert_array_equal(np.array(direct.snapshots),
+                                  np.array(alone.snapshots))
+    for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
+        np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
+    assert [r.to_csv_row() for r in direct.norms.reports] \
+        == [r.to_csv_row() for r in alone.norms.reports]
+
+
+@pytest.mark.parametrize("base_dt, base_t_end", [
+    (0.04 / 15, 0.04), (2e-3, 0.036), (2e-3, 0.048), (8e-3, 0.04)],
+    ids=["dt-not-divisor", "ends-early", "ends-late", "coarser-dt"])
+def test_run_perturbation_refuses_mismatched_base(base_dt, base_t_end):
+    # the stored-base sampler covered such times silently with a spline
+    base_cfg, pert_cfg, _ = _lockstep_configs(1)
+    base_cfg = SolverConfig(grid=base_cfg.grid, nu=base_cfg.nu, dt=base_dt,
+                            t_end=base_t_end, T=base_t_end,
+                            initial=base_cfg.initial)
+    with pytest.raises(ValueError):
+        run_perturbation(pert_cfg, base_cfg)
 
 
 def test_workspace_step_allocates_under_five_states(grid2, grid3):
@@ -226,11 +314,11 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
     background = np.concatenate([vs, np.zeros_like(vs[:1])])[..., np.newaxis]
     forcing = ForcingSpec(kind="expression",
                           expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
-    ws.step(v, 0.0, forcing, lambda t: background)
+    ws.step(v, 0.0, forcing, (background, background))
     tracemalloc.start()
     try:
         for i in range(1, 6):
-            ws.step(v, i * dt, forcing, lambda t: background)
+            ws.step(v, i * dt, forcing, (background, background))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -261,17 +349,6 @@ def test_advance_reproduces_run_bit_for_bit():
     for _ in range(steps):
         state = advance(state, forcing, nu, dt)
     np.testing.assert_array_equal(state.spectral(), traj.snapshots[-1])
-
-
-def test_trajectory_sampling(grid2):
-    cfg = _tg_cfg(grid2, t_end=0.1, snapshot_stride=10)
-    traj = run_2d_base(cfg)
-    exact_hit = traj.sample(traj.times[3])
-    assert np.array_equal(exact_hit, traj.snapshots[3])
-    mid = traj.sample(0.5 * (traj.times[3] + traj.times[4]))
-    assert np.isfinite(mid).all()
-    with pytest.raises(ValueError):
-        traj.sample(1e6)
 
 
 def test_recover_pressure_taylor_green(grid2):
