@@ -17,7 +17,8 @@ from .norms import (grad_l2_norm_sq, l2_norm_sq, lp_norm, sobolev_norm_sq,
                     sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2, embedding_ratio_l6_h1,
                     gradient_field, hessian_l2_norm_sq)
-from .solver import Trajectory, ForcingSpec
+# bench/trace_cli.py times forcing_lp_sq_series under this module's name
+from .solver import Trajectory, forcing_lp_sq_series  # noqa: F401
 from .field import random_divfree_field, spectral_field
 
 PASS = "pass"
@@ -143,14 +144,13 @@ def compute_A_constants(base: Trajectory, T: float, nu: float) -> TwoDBudget:
     The sup over all windows is taken as the max over the k_max windows the
     run actually covers.
     """
-    f_times = base.extras["forcing_times"]
-    f_l2_sq = base.extras["forcing_l2_sq"]
-    windows = _window_slices(f_times, T)
+    t, f_l2_sq = base.diag["t"], base.diag["forcing_l2_sq"]
+    windows = _window_slices(t, T)
     if not windows:
         raise ValueError("trajectory covers no complete window")
     c_s1 = sharp_poincare_h1(base.grid)
     c_s2 = sharp_poincare_h2(base.grid)
-    per_window = [np.trapezoid(f_l2_sq[sel], f_times[sel]) for _, sel in windows]
+    per_window = [np.trapezoid(f_l2_sq[sel], t[sel]) for _, sel in windows]
     f_sup = float(max(per_window))
 
     v0_l2 = float(base.diag["l2_sq"][0])
@@ -183,8 +183,7 @@ def verify_decay_2d(base: Trajectory, budget: TwoDBudget,
     H1 = base.diag["l2_sq"] + base.diag["grad_l2_sq"]
     H2 = base.diag["h2_sq"]
     G = base.diag["grad_l2_sq"]
-    F = np.interp(t, base.extras["forcing_times"],
-                  base.extras["forcing_l2_sq"])
+    F = base.diag["forcing_l2_sq"]
     windows = _window_slices(t, T)
     reports = {}
 
@@ -429,39 +428,18 @@ class BConstants:
         return self.assumption2_margin >= -FLOAT_FLOOR
 
 
-def forcing_lp_sq_series(grid: TorusGrid, forcing: ForcingSpec,
-                         times, p: float) -> np.ndarray:
-    """||mean-free forcing(t)||_{L_p}^2 on the given time grid."""
-    out = np.empty(len(times))
-    zero = (slice(None),) + (0,) * grid.dim
-    for i, t in enumerate(times):
-        spec = forcing.evaluate(grid, t).copy()
-        spec[zero] = 0.0
-        out[i] = lp_norm(spectral_field(grid, spec), p) ** 2
-        if forcing.steady:
-            out[:] = out[0]
-            break
-    return out
-
-
 def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
-                        c1: float, c3: float,
-                        g_forcing: ForcingSpec | None = None) -> BConstants:
+                        c1: float, c3: float) -> BConstants:
     """Evaluate B1..B4 and the smallness conditions of the L2 estimate.
 
     2D base norms entering 3D bounds are extruded (squared L2-type norms
     gain a factor L from the invariant third direction).
     """
     nu, T = twod.nu, twod.T
-    grid = pert.grid
-    L = grid.L
-    t = pert.extras["forcing_times"]
-    m_u = pert.diag["mean"]
-    mean_sq = np.sum(m_u**2, axis=1)
-    if g_forcing is None or g_forcing.kind == "zero":
-        g65_sq = np.zeros(len(t))
-    else:
-        g65_sq = forcing_lp_sq_series(grid, g_forcing, t, 1.2)
+    L = pert.grid.L
+    t = pert.diag["t"]
+    mean_sq = np.sum(pert.diag["mean"]**2, axis=1)
+    g65_sq = pert.diag["forcing_l6_5_sq"]
 
     integrand = (nu * c1 / (2.0 * c3)) * mean_sq \
         + (2.0 * c3 / (nu * c1)) * g65_sq
@@ -545,8 +523,7 @@ def stability_series(pert: Trajectory, base: Trajectory,
     A_sq = (budget.c5 / nu) * grad_l3_sq
 
     mean_sq = np.sum(pert.diag["mean"][sel] ** 2, axis=1)
-    g_l2_sq = np.interp(t, pert.extras["forcing_times"],
-                        pert.extras["forcing_l2_sq"])
+    g_l2_sq = pert.diag["forcing_l2_sq"][sel]
     G_sq = (budget.c5 / nu) * (grad_l3_sq * mean_sq + g_l2_sq)
 
     Z_sq = X_sq * np.exp(-_cumtrapz(A_sq, t))

@@ -28,8 +28,9 @@ from .grid import TorusGrid, make_grid
 from .field import (Field, extrude_field, physical_field, random_divfree_field,
                     spectral_field)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     check_strides, load_trajectory, run_2d_base,
-                     run_perturbation, save_trajectory, taylor_green_exact)
+                     check_strides, check_viscous_scale, load_trajectory,
+                     run_2d_base, run_perturbation, save_trajectory,
+                     taylor_green_exact)
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
                         TwoDBudget)
@@ -115,9 +116,9 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON scenario config, filling and recording defaults.
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
-    paths; strides that solver.check_strides refuses and a budget override
-    violating the gamma* admissibility condition are refused here, before
-    any run starts.
+    paths; a grid or dt that solver.check_viscous_scale refuses, strides
+    that solver.check_strides refuses and a budget override violating the
+    gamma* admissibility condition are refused here, before any run starts.
     """
     try:
         given = json.loads(text)
@@ -134,6 +135,12 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"{key} must be positive, got {raw[key]}")
     if raw["windows"] < 1:
         raise ConfigError("need at least one window")
+    dim = 2 if raw["perturbation"] is None else 3  # 3D has the larger kmax
+    try:
+        check_viscous_scale(TorusGrid(raw["L"], raw["N"], dim), raw["nu"],
+                            raw["dt"])
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}")
     for where, section in (("config", raw),
                            ("config.perturbation", raw["perturbation"])):
         if section is not None:
@@ -294,8 +301,7 @@ def _window_csv(series_list, hyp_by_window, reports) -> str:
 
 
 def analyze(base: Trajectory, pert: Trajectory | None,
-            spec_raw: dict, budget: StabilityBudget | None,
-            g_forcing: ForcingSpec | None = None) -> tuple:
+            spec_raw: dict, budget: StabilityBudget | None) -> tuple:
     """All estimate checks on finished trajectories.
 
     Returns (reports dict, series list, hypotheses per window, twod budget,
@@ -309,8 +315,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
 
     series_list, hyp_by_window, bconst = [], {}, None
     if pert is not None and budget is not None:
-        bconst = est.compute_B_constants(pert, twod, budget.c1, budget.c3,
-                                         g_forcing)
+        bconst = est.compute_B_constants(pert, twod, budget.c1, budget.c3)
         reports.update(est.verify_l2_stability(pert, bconst, T, tol))
         for k in range(spec_raw["windows"]):
             s = est.stability_series(pert, base, budget, k)
@@ -368,7 +373,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                    raw["seed"], None),
             snapshot_stride=raw["snapshot_stride"],
             norm_stride=raw["norm_stride"], sigma=raw["sigma"])
-        pert = direct = budget = cal = g_forcing = None
+        pert = direct = budget = cal = None
         if raw["perturbation"] is None:
             base = run_2d_base(base_cfg)
         else:
@@ -376,9 +381,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
             with _timed(phases, "calibration"):
                 cal, budget = _resolve_budget(spec, g3)
             p = raw["perturbation"]
-            g_forcing = _build_forcing(p["forcing"], 3)
             pert_cfg = SolverConfig(
-                grid=g3, nu=nu, dt=dt, t_end=t_end, T=T, forcing=g_forcing,
+                grid=g3, nu=nu, dt=dt, t_end=t_end, T=T,
+                forcing=_build_forcing(p["forcing"], 3),
                 initial=_build_initial(p["initial"], g3, nu, raw["seed"],
                                        budget.gamma),
                 snapshot_stride=p["snapshot_stride"],
@@ -406,7 +411,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
 
         with _timed(phases, "analysis"):
             reports, series_list, hyp_by_window, twod, bconst = analyze(
-                base, pert, raw, budget, g_forcing)
+                base, pert, raw, budget)
 
         with _timed(phases, "writing"):
             with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
@@ -529,15 +534,14 @@ def reverify(out_dir: str) -> RunArtifacts:
         spec = parse_config(fh.read())
     raw = spec.raw
     base = load_trajectory(os.path.join(out_dir, "base"))
-    pert = budget = g_forcing = None
+    pert = budget = None
     pert_dir = os.path.join(out_dir, "perturbation")
     if os.path.isdir(pert_dir):
         pert = load_trajectory(pert_dir)
         with open(os.path.join(out_dir, "constants.json")) as fh:
             budget = StabilityBudget(**json.load(fh)["budget"])
-        g_forcing = _build_forcing(raw["perturbation"]["forcing"], 3)
     reports, series_list, hyp_by_window, _, _ = analyze(
-        base, pert, raw, budget, g_forcing)
+        base, pert, raw, budget)
     with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
         fh.write(est.reports_to_json(reports) + "\n")
     with open(os.path.join(out_dir, "windows.csv"), "w") as fh:

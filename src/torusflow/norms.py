@@ -132,6 +132,12 @@ def w1_sigma_norm(field: Field, sigma: float = DEFAULT_SIGMA) -> float:
     return lp_norm(field, sigma) + grad_lp_norm(field, sigma)
 
 
+def csv_line(values) -> str:
+    """values as one CSV line, each in the shortest text that reads back to
+    the same double (repr of a Python float)."""
+    return ",".join(repr(float(x)) for x in values)
+
+
 @dataclass
 class NormReport:
     """One row of scalar diagnostics for a field at a time instant."""
@@ -147,7 +153,7 @@ class NormReport:
     w1_sigma: float
 
     def to_csv_row(self) -> str:
-        return ",".join(f"{getattr(self, c):.17e}" for c in NORM_REPORT_COLUMNS)
+        return csv_line(getattr(self, c) for c in NORM_REPORT_COLUMNS)
 
     @staticmethod
     def csv_header() -> str:

@@ -24,6 +24,7 @@ import ast
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -33,8 +34,8 @@ from .grid import TorusGrid
 from .field import (Field, SPECTRAL, divergence_data, leray_data, mean_free,
                     physical_data, save_field, spectral_data, spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
-                    compute_norm_report, l2_norm_sq, grad_l2_norm_sq,
-                    sobolev_norm_sq, DEFAULT_SIGMA)
+                    compute_norm_report, csv_line, l2_norm_sq,
+                    grad_l2_norm_sq, lp_norm, sobolev_norm_sq, DEFAULT_SIGMA)
 
 
 class BlowUpError(RuntimeError):
@@ -167,10 +168,7 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not (self.t_end >= self.T > 0):
             raise ValueError("need t_end >= T > 0")
-        kmax_sq = self.grid.dim * (np.pi * self.grid.N / self.grid.L) ** 2
-        if self.dt * self.nu * kmax_sq > 100.0:
-            raise ValueError("dt does not resolve the viscous scale "
-                             f"(dt*nu*kmax^2 = {self.dt * self.nu * kmax_sq:.3g})")
+        check_viscous_scale(self.grid, self.nu, self.dt)
         if self.norm_stride is None:
             self.norm_stride = self.snapshot_stride
         check_strides(self.T, self.dt, self.snapshot_stride, self.norm_stride)
@@ -191,6 +189,14 @@ class SolverConfig:
             "snapshot_stride": self.snapshot_stride,
             "norm_stride": self.norm_stride, "sigma": self.sigma,
         }
+
+
+def check_viscous_scale(grid: TorusGrid, nu: float, dt: float):
+    """Raise ValueError unless dt*nu*kmax^2 <= 100 on grid."""
+    kmax_sq = grid.dim * (np.pi * grid.N / grid.L) ** 2
+    if dt * nu * kmax_sq > 100.0:
+        raise ValueError("dt does not resolve the viscous scale "
+                         f"(dt*nu*kmax^2 = {dt * nu * kmax_sq:.3g})")
 
 
 def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
@@ -219,12 +225,26 @@ def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def diag_columns(label: str, dim: int) -> list:
+    """The diagnostics.csv columns of a run labelled label.
+
+    Every run records, at every step, the L2, H1-seminorm and H2 norms of
+    its mean-free part, its mean and the squared L2 norm of its mean-free
+    force; the perturbation run alone also records forcing_l6_5_sq, the
+    squared L^{6/5} norm of its mean-free force, which only B1 reads.
+    """
+    return ["t", "l2_sq", "grad_l2_sq", "h2_sq"] \
+        + [f"mean_{i + 1}" for i in range(dim)] + ["forcing_l2_sq"] \
+        + (["forcing_l6_5_sq"] if label == "perturbation" else [])
+
+
 @dataclass
 class Trajectory:
-    """A run: spectral snapshots (mean included at k=0), per-step scalar
-    diagnostics, a norm series of the mean-free part and, in extras, the
-    forcing series.  A trajectory loaded from disk has no snapshots.
-    step_seconds is the wall time the run spent stepping and recording."""
+    """A run: spectral snapshots (mean included at k=0), the per-step
+    series of diag_columns (diag["mean"] holds the mean_i columns as one
+    array) and a norm series of the mean-free part.  A trajectory loaded
+    from disk has no snapshots.  step_seconds is the wall time the run
+    spent stepping and recording."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -233,7 +253,6 @@ class Trajectory:
     diag: dict
     config: dict
     config_hash: str
-    extras: dict = dc_field(default_factory=dict)
     step_seconds: float = 0.0
 
     def snapshot_field(self, i: int) -> Field:
@@ -386,9 +405,8 @@ def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
 
 class _Member:
     """One run of _lockstep: its state, its workspace, the series it
-    records (the mean and the norms of the mean-free part at every step,
-    snapshots at snapshot_stride, norm reports at norm_stride) and the wall
-    seconds spent on them."""
+    records (diag_columns at every step, snapshots at snapshot_stride, norm
+    reports at norm_stride) and the wall seconds spent on them."""
 
     def __init__(self, cfg: SolverConfig, label: str):
         t0 = time.perf_counter()
@@ -398,7 +416,7 @@ class _Member:
         if cfg.initial.grid != grid:
             raise ValueError("initial field grid mismatch")
         self.cfg, self.label, self.n = cfg, label, cfg.n_steps
-        self.tgrid, self.f_means, self.f_l2_sq = _forcing_series(cfg)
+        self.tgrid = cfg.dt * np.arange(self.n + 1)
         self.ws = _Workspace(grid, cfg.nu, cfg.dt)
         # stepped in place: a snapshot stores a copy
         self.spec = leray_data(grid, cfg.initial.spectral())
@@ -406,7 +424,10 @@ class _Member:
                      "l2_sq": np.empty(self.n + 1),
                      "grad_l2_sq": np.empty(self.n + 1),
                      "h2_sq": np.empty(self.n + 1),
-                     "mean": np.empty((self.n + 1, grid.dim))}
+                     "mean": np.empty((self.n + 1, grid.dim)),
+                     "forcing_l2_sq": _forcing_series(cfg, l2_norm_sq)}
+        if "forcing_l6_5_sq" in diag_columns(label, grid.dim):
+            self.diag["forcing_l6_5_sq"] = forcing_lp_sq_series(cfg, 1.2)
         self.snapshots, self.snap_times, self.reports = [], [], []
         self._record(0)
         self.seconds = time.perf_counter() - t0
@@ -453,9 +474,6 @@ class _Member:
             diag=self.diag,
             config=cfg.describe() | {"label": label},
             config_hash=config_hash(cfg, {"label": label}),
-            extras={"forcing_l2_sq": self.f_l2_sq,
-                    "forcing_mean": self.f_means,
-                    "forcing_times": self.tgrid},
             step_seconds=self.seconds,
         )
 
@@ -493,25 +511,25 @@ def _run_alone(cfg: SolverConfig, label: str) -> Trajectory:
     return run.trajectory()
 
 
-def _forcing_series(cfg: SolverConfig):
-    """Forcing means and mean-free L2 norms on the step grid."""
-    grid = cfg.grid
-    n = cfg.n_steps
-    tgrid = cfg.dt * np.arange(n + 1)
-    means = np.empty((n + 1, grid.dim))
-    l2_sq = np.empty(n + 1)
+def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
+    """norm_sq of the mean-free force at every step of cfg."""
+    grid, out = cfg.grid, np.zeros(cfg.n_steps + 1)
+    if cfg.forcing.kind == "zero":
+        return out
     zero = (slice(None),) + (0,) * grid.dim
-    for i, t in enumerate(tgrid):
-        f_spec = cfg.forcing.evaluate(grid, t)
-        means[i] = np.real(f_spec[zero])
-        bar = f_spec.copy()
+    for i, t in enumerate(cfg.dt * np.arange(len(out))):
+        bar = cfg.forcing.evaluate(grid, t).copy()
         bar[zero] = 0.0
-        l2_sq[i] = l2_norm_sq(spectral_field(grid, bar))
+        out[i] = norm_sq(spectral_field(grid, bar))
         if cfg.forcing.steady:
-            means[:] = means[0]
-            l2_sq[:] = l2_sq[0]
+            out[:] = out[0]
             break
-    return tgrid, means, l2_sq
+    return out
+
+
+def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
+    """||mean-free force||_{L^p}^2 at every step of cfg."""
+    return _forcing_series(cfg, lambda f: lp_norm(f, p) ** 2)
 
 
 def run_2d_base(cfg: SolverConfig) -> Trajectory:
@@ -610,8 +628,6 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
     NormReport row per report, at norm_stride), summary.json,
     snapshots/snap_NNNNNN.npz (at snapshot_stride).
     """
-    import os
-
     os.makedirs(directory, exist_ok=True)
     snapdir = os.path.join(directory, "snapshots")
     os.makedirs(snapdir, exist_ok=True)
@@ -620,14 +636,11 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         json.dump({"config": traj.config, "hash": traj.config_hash}, fh,
                   indent=2, sort_keys=True)
 
-    dim = traj.grid.dim
-    cols = ["t", "l2_sq", "grad_l2_sq", "h2_sq"] \
-        + [f"mean_{i + 1}" for i in range(dim)]
-    lines = [",".join(cols)]
-    for i, t in enumerate(traj.diag["t"]):
-        row = [t, traj.diag["l2_sq"][i], traj.diag["grad_l2_sq"][i],
-               traj.diag["h2_sq"][i], *traj.diag["mean"][i]]
-        lines.append(",".join(f"{x:.17e}" for x in row))
+    cols = diag_columns(traj.config["label"], traj.grid.dim)
+    series = {**traj.diag, **{f"mean_{i + 1}": m
+                              for i, m in enumerate(traj.diag["mean"].T)}}
+    rows = np.column_stack([series[c] for c in cols])
+    lines = [",".join(cols)] + [csv_line(row) for row in rows]
     with open(os.path.join(directory, "diagnostics.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -661,14 +674,12 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
 def load_trajectory(directory) -> Trajectory:
     """Rebuild the scalar series of a save_trajectory directory.
 
-    The norm series is read from norms.csv exactly as the run wrote it (a
-    directory without it is refused) and the per-step diagnostics from
-    diagnostics.csv; forcing series are re-evaluated from the saved
-    configuration.  Snapshot files are not read, so the trajectory has no
-    snapshots; field.load_field reads one.
+    The norm series is read from norms.csv and the per-step series from
+    diagnostics.csv, exactly as the run wrote them; a directory without
+    either, or whose diagnostics.csv lacks a column of diag_columns, is
+    refused.  Nothing is re-evaluated, and snapshot files are not read, so
+    the trajectory has no snapshots; field.load_field reads one.
     """
-    import os
-
     with open(os.path.join(directory, "config.json")) as fh:
         saved = json.load(fh)
     config = saved["config"]
@@ -683,22 +694,18 @@ def load_trajectory(directory) -> Trajectory:
     reports = [NormReport(**{c: float(x) for c, x in
                              zip(NORM_REPORT_COLUMNS, row)}) for row in rows]
 
-    rows = np.loadtxt(os.path.join(directory, "diagnostics.csv"),
-                      delimiter=",", skiprows=1, ndmin=2)
-    diag = {"t": rows[:, 0], "l2_sq": rows[:, 1], "grad_l2_sq": rows[:, 2],
-            "h2_sq": rows[:, 3], "mean": rows[:, 4:4 + grid.dim]}
-
-    forcing = ForcingSpec(kind=config["forcing_kind"],
-                          expressions=tuple(config["forcing_expressions"]))
-    cfg = SolverConfig(grid=grid, nu=config["nu"], dt=config["dt"],
-                       t_end=config["t_end"], T=config["T"], forcing=forcing,
-                       snapshot_stride=config["snapshot_stride"],
-                       norm_stride=config["norm_stride"],
-                       sigma=config["sigma"])
-    tgrid, f_means, f_l2_sq = _forcing_series(cfg)
+    diag_path = os.path.join(directory, "diagnostics.csv")
+    cols = diag_columns(config["label"], grid.dim)
+    with open(diag_path) as fh:
+        header = fh.readline().strip().split(",")
+        if header != cols:
+            raise FileNotFoundError(f"{diag_path} has the columns {header}, "
+                                    f"not {cols}; run the experiment again")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    diag = dict(zip(cols, rows.T))
+    diag["mean"] = np.column_stack([diag.pop(f"mean_{i + 1}")
+                                    for i in range(grid.dim)])
     return Trajectory(
         grid=grid, times=np.empty(0), snapshots=[],
         norms=TrajectoryNorms(reports, (diag["t"][0], diag["t"][-1])),
-        diag=diag, config=config, config_hash=saved["hash"],
-        extras={"forcing_l2_sq": f_l2_sq, "forcing_mean": f_means,
-                "forcing_times": tgrid})
+        diag=diag, config=config, config_hash=saved["hash"])

@@ -17,3 +17,15 @@ def grid3():
 @pytest.fixture(scope="session")
 def grid2_rect():
     return make_grid(4.0, 16, 2)
+
+
+@pytest.fixture
+def no_fft(monkeypatch):
+    """Make every numpy.fft transform raise, so that the test proves the code
+    it runs performs none (the frequency helpers stay available)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft transform called")
+
+    for name in np.fft.__all__:
+        if not name.endswith(("freq", "shift")):
+            monkeypatch.setattr(np.fft, name, refuse)

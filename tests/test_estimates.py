@@ -74,7 +74,7 @@ def test_A1_constant_forcing_closed_form(grid2):
                        forcing=forcing, snapshot_stride=20, norm_stride=20,
                        initial=taylor_green_exact(grid2, NU, 0.0, 0.1))
     base = run_2d_base(cfg)
-    F = base.extras["forcing_l2_sq"][0]
+    F = base.diag["forcing_l2_sq"][0]
     b = est.compute_A_constants(base, T, NU)
     assert b.A1_sq == pytest.approx(F * T / (NU * b.c_s1), rel=1e-12)
 
@@ -82,8 +82,8 @@ def test_A1_constant_forcing_closed_form(grid2):
 def test_A_constants_hand_quadrature(forced_base):
     # independent trapezoid over the stored forcing series
     b = est.compute_A_constants(forced_base, T, NU)
-    ft = forced_base.extras["forcing_times"]
-    fl = forced_base.extras["forcing_l2_sq"]
+    ft = forced_base.diag["t"]
+    fl = forced_base.diag["forcing_l2_sq"]
     sup = 0.0
     for k in range(3):
         sel = (ft >= k * T - 1e-12) & (ft <= (k + 1) * T + 1e-12)

@@ -4,11 +4,14 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from torusflow import experiments as exp
 from torusflow import cli
-from torusflow.estimates import FAIL, PASS, VACUOUS, InequalityReport
+from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
+                                 StabilityBudget, reports_to_json)
+from torusflow.solver import load_trajectory
 
 SMALL = {
     "scenario": "test-small",
@@ -25,6 +28,13 @@ SMALL = {
 # and every stability check
 SMALL_PERT = dict(SMALL, perturbation={"snapshot_stride": 50,
                                        "norm_stride": 10})
+
+# SMALL_PERT under a time-dependent perturbation force: B1 reads a nonzero
+# L^{6/5} series
+FORCED_PERT = dict(SMALL, perturbation={
+    "snapshot_stride": 50, "norm_stride": 10,
+    "forcing": {"kind": "expression", "expressions": [
+        "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)"]}})
 
 
 def test_parse_minimal_fills_defaults():
@@ -125,8 +135,10 @@ def test_load_artifacts_missing_dir(tmp_path):
         exp.load_artifacts(str(tmp_path / "nothing"))
 
 
-def test_reverify_reproduces_statuses(tmp_path):
-    spec = exp.parse_config(json.dumps(SMALL_PERT))
+@pytest.mark.parametrize("cfg", [SMALL_PERT, FORCED_PERT],
+                         ids=["unforced", "forced"])
+def test_reverify_reproduces_statuses(tmp_path, cfg):
+    spec = exp.parse_config(json.dumps(cfg))
     out = tmp_path / "out"
     first = exp.run_experiment(spec, str(out))
     written = {name: (out / name).read_bytes()
@@ -159,6 +171,47 @@ def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
     assert "norms.csv is missing" in capsys.readouterr().err
 
 
+def test_verify_refuses_trajectory_without_forcing_series(tmp_path, capsys):
+    # a diagnostics.csv without the forcing_l2_sq column, as written before
+    # the run recorded its forcing norms
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    path = out / "base" / "diagnostics.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",forcing_l2_sq")
+    path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines)
+                    + "\n")
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "run the experiment again" in err
+    assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def forced_pert_out(tmp_path_factory):
+    # a fixture, so the run is made before no_fft takes effect
+    out = tmp_path_factory.mktemp("forced") / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(FORCED_PERT)), str(out))
+    return out
+
+
+def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
+    # every forcing series is read from disk: with numpy.fft refused,
+    # loading and analysing reproduce the run's inequalities.json
+    with pytest.raises(AssertionError):
+        np.fft.rfftn(np.zeros((4, 4)))
+    out = forced_pert_out
+    raw = json.loads((out / "spec.json").read_text())
+    budget = StabilityBudget(
+        **json.loads((out / "constants.json").read_text())["budget"])
+    base = load_trajectory(out / "base")
+    pert = load_trajectory(out / "perturbation")
+    assert pert.diag["forcing_l6_5_sq"].min() > 0.0
+    reports = exp.analyze(base, pert, raw, budget)[0]
+    assert reports_to_json(reports) + "\n" \
+        == (out / "inequalities.json").read_text()
+
+
 def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -169,14 +222,8 @@ def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
     assert "budget refused" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cfg", [
-    dict(SMALL, norm_stride=30),
-    dict(SMALL_PERT, perturbation={"snapshot_stride": 50, "norm_stride": 30}),
-    dict(SMALL, snapshot_stride=0)],
-    ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride"])
-def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
-    # with norm_stride 30, dt*norm_stride = 0.15 puts norm samples at 0,
-    # 0.15, 0.30, 0.45, so the window [0, 0.5] would end between two of them
+def _assert_run_refused(tmp_path, capsys, cfg):
+    """run exits 2 with a one-line config error and writes nothing."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = cli.main(["run", "--config", str(cfg_path),
@@ -186,6 +233,31 @@ def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(SMALL, norm_stride=30),
+    dict(SMALL_PERT, perturbation={"snapshot_stride": 50, "norm_stride": 30}),
+    dict(SMALL, snapshot_stride=0)],
+    ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride"])
+def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
+    # with norm_stride 30, dt*norm_stride = 0.15 puts norm samples at 0,
+    # 0.15, 0.30, 0.45, so the window [0, 0.5] would end between two of them
+    _assert_run_refused(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"N": 32, "windows": 1, "dt": 0.5, "norm_stride": 2,
+     "snapshot_stride": 2},
+    # dt*nu*kmax^2 is 80 on the 2D grid but 120 on the 3D one
+    {"N": 16, "windows": 1, "dt": 0.625, "T": 1.25, "norm_stride": 2,
+     "snapshot_stride": 2,
+     "perturbation": {"norm_stride": 2, "snapshot_stride": 2}}],
+    ids=["base", "perturbation"])
+def test_cli_refuses_unresolved_viscous_scale(tmp_path, capsys, cfg):
+    err = _assert_run_refused(tmp_path, capsys, cfg)
+    assert "viscous scale" in err
 
 
 def test_combine_forcing():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -189,9 +190,9 @@ def test_full_3d_mean_matches_ode(grid3):
                        forcing=forcing, snapshot_stride=100,
                        initial=random_divfree_field(grid3, 0, target_h1=0.05))
     traj = run_full_3d(cfg)
-    oracle = mean_ode_integrate(traj.diag["t"],
-                                traj.extras["forcing_mean"],
-                                np.zeros(3))
+    f_means = [mean(spectral_field(grid3, forcing.evaluate(grid3, t)))
+               for t in traj.diag["t"]]
+    oracle = mean_ode_integrate(traj.diag["t"], f_means, np.zeros(3))
     assert np.abs(traj.diag["mean"] - oracle).max() < 1e-10
 
 
@@ -364,24 +365,28 @@ def test_recover_pressure_taylor_green(grid2):
 
 def test_save_load_trajectory_round_trip(tmp_path, grid2):
     forcing = ForcingSpec(kind="expression",
-                          expressions=("0.1*sin(x1)", "0*x1"))
+                          expressions=("0.1*sin(x1)*cos(t)",
+                                       "0.2*cos(3*t) + 0.1*sin(x2)"))
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.05, T=0.05,
-                       forcing=forcing, snapshot_stride=10,
+                       forcing=forcing, snapshot_stride=10, norm_stride=25,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
     traj = run_2d_base(cfg)
+    assert np.ptp(traj.diag["forcing_l2_sq"]) > 0.0
     out = save_trajectory(traj, tmp_path / "run")
     assert (tmp_path / "run" / "diagnostics.csv").exists()
     assert len(out["snapshots"]) == len(traj.times)
 
     back = load_trajectory(tmp_path / "run")
     assert back.grid == grid2
-    assert np.array_equal(back.diag["t"], traj.diag["t"])
+    # every stored series reads back bit for bit
+    assert set(back.diag) == set(traj.diag)
+    for key, series in traj.diag.items():
+        assert np.array_equal(back.diag[key], series), key
+    row = [astuple(r) for r in (back.norms.reports[1], traj.norms.reports[1])]
+    assert np.array_equal(row[0], row[1])
     last = load_field(out["snapshots"][-1])
     assert last.time_stamp == traj.times[-1]
     assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
-    assert np.allclose(back.diag["l2_sq"], traj.diag["l2_sq"])
-    assert np.allclose(back.extras["forcing_l2_sq"],
-                       traj.extras["forcing_l2_sq"])
 
 
 def test_config_hash_stable(grid2):
