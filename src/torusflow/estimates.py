@@ -17,7 +17,9 @@ from .norms import (grad_l2_norm_sq, l2_norm_sq, lp_norm, sobolev_norm_sq,
                     sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2, embedding_ratio_l6_h1,
                     gradient_field, hessian_l2_norm_sq)
-# bench/trace_cli.py times forcing_lp_sq_series under this module's name
+# the benchmark's trace (bench/trace_cli.py) wraps forcing_lp_sq_series
+# under this module's name; runs record the series step by step and no
+# longer call it
 from .solver import Trajectory, forcing_lp_sq_series  # noqa: F401
 from .field import random_divfree_field, spectral_field
 

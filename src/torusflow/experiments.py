@@ -348,11 +348,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     one lockstep call and writes their trajectories once all have finished.
     On solver blow-up no trajectory is written and meta.json carries the
     failure marker.  meta.json also records the wall seconds of each of
-    PHASES and the solver steps per second of the runs.
+    PHASES, the solver steps per second of the runs and, per run, the
+    evaluations of its force that the cache did not serve.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
     steps = 0
+    force_evaluations = {}
     raw = spec.raw
     os.makedirs(out_dir, exist_ok=True)
     with _timed(phases, "writing"), \
@@ -405,6 +407,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                 continue
             phases[name] += traj.step_seconds
             steps += len(traj.diag["t"]) - 1
+            force_evaluations[name] = traj.force_evaluations
             paths[name] = os.path.join(out_dir, name)
             with _timed(phases, "writing"):
                 save_trajectory(traj, paths[name])
@@ -441,6 +444,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                    "wall_seconds": artifacts.wall_seconds,
                    "phases": phases,
                    "steps_per_s": steps / stepping if stepping else 0.0,
+                   "force_evaluations": force_evaluations,
                    "failed": failed, "exit_code": code}, fh, indent=2)
     return artifacts
 
@@ -526,18 +530,31 @@ def load_artifacts(out_dir: str) -> RunArtifacts:
 
 
 def reverify(out_dir: str) -> RunArtifacts:
-    """Re-run the estimate checks on stored trajectories (no simulation)."""
+    """Re-run the estimate checks on stored trajectories (no simulation).
+
+    Refuses (FileNotFoundError) before writing anything when an output the
+    spec calls for is missing: the base run and meta.json always, the
+    perturbation run and constants.json when a perturbation is configured.
+    """
     spec_path = os.path.join(out_dir, "spec.json")
     if not os.path.exists(spec_path):
         raise FileNotFoundError(f"no experiment spec under {out_dir}")
     with open(spec_path) as fh:
         spec = parse_config(fh.read())
     raw = spec.raw
+    needed = ["base", "meta.json"]
+    if raw["perturbation"] is not None:
+        needed += ["perturbation", "constants.json"]
+    missing = [name for name in needed
+               if not os.path.exists(os.path.join(out_dir, name))]
+    if missing:
+        raise FileNotFoundError(
+            f"{out_dir} lacks {', '.join(missing)}: the run is incomplete; "
+            "run the experiment again")
     base = load_trajectory(os.path.join(out_dir, "base"))
     pert = budget = None
-    pert_dir = os.path.join(out_dir, "perturbation")
-    if os.path.isdir(pert_dir):
-        pert = load_trajectory(pert_dir)
+    if raw["perturbation"] is not None:
+        pert = load_trajectory(os.path.join(out_dir, "perturbation"))
         with open(os.path.join(out_dir, "constants.json")) as fh:
             budget = StabilityBudget(**json.load(fh)["budget"])
     reports, series_list, hyp_by_window, _, _ = analyze(

@@ -75,6 +75,12 @@ class TorusGrid:
         return out
 
     @cached_property
+    def sobolev_weights(self) -> tuple:
+        """Modewise H^s weights 1 + |k|^2 + ... + |k|^(2s), for s = 0, 1, 2."""
+        return tuple(sum(self.k_sq**j for j in range(s + 1))
+                     for s in range(3))
+
+    @cached_property
     def k_deriv(self) -> tuple:
         """Wavenumbers of the discrete first derivative: as `k` but zero on
         each axis' Nyquist plane, where an odd derivative of a real field is

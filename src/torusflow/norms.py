@@ -22,8 +22,27 @@ NORM_REPORT_COLUMNS = ("time_stamp", "l2_sq", "h1_sq", "h2_sq", "grad_l2_sq",
 
 def _parseval_sum(grid: TorusGrid, spec: np.ndarray, weight=1.0) -> float:
     """volume * sum over the full lattice of weight(k) * |spec|^2."""
-    mag = np.sum(np.abs(spec) ** 2, axis=0)
+    return _weighted_sum(grid, np.sum(np.abs(spec) ** 2, axis=0), weight)
+
+
+def _weighted_sum(grid: TorusGrid, mag: np.ndarray, weight) -> float:
+    """volume * sum over the full lattice of weight(k) * mag(k)."""
     return float(grid.volume * np.sum(grid.hermitian_weight * weight * mag))
+
+
+def mean_free_norms_sq(grid: TorusGrid, spec: np.ndarray) -> tuple:
+    """(l2_norm_sq, grad_l2_norm_sq, sobolev_norm_sq(., 2)) of the
+    mean-free part of the spectral data spec, from one |spec|^2 sum.
+
+    Bit for bit the values of the three functions on mean_free of the
+    field: the k=0 entry of the sum is what the zeroed mean gives, and each
+    weighted sum runs in the same order.
+    """
+    mag = np.sum(np.abs(spec) ** 2, axis=0)
+    mag[(0,) * grid.dim] = 0.0
+    return (_weighted_sum(grid, mag, 1.0),
+            _weighted_sum(grid, mag, grid.k_sq),
+            _weighted_sum(grid, mag, grid.sobolev_weights[2]))
 
 
 def l2_norm_sq(field: Field) -> float:
@@ -50,9 +69,8 @@ def sobolev_norm_sq(field: Field, s: int) -> float:
     """
     if s not in (0, 1, 2):
         raise ValueError(f"s must be 0, 1 or 2, got {s}")
-    grid = field.grid
-    weight = sum(grid.k_sq**j for j in range(s + 1))
-    return _parseval_sum(grid, field.spectral(), weight)
+    return _parseval_sum(field.grid, field.spectral(),
+                         field.grid.sobolev_weights[s])
 
 
 def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
@@ -83,19 +101,20 @@ def _padded_magnitude(parts, pad_factor: int = 2) -> np.ndarray:
     """Pointwise Euclidean magnitude |u(x)| on the padded grid, from the
     single-component Fields of u.
 
-    Each part is padded on its own and its square added into one
-    accumulator in order, which equals sqrt(sum(physical_padded(u)**2,
-    axis=0)) bit for bit without holding every padded component at once.
+    Each part is padded on its own, the second and later ones into one
+    scratch array, and its square added into one accumulator in order,
+    which equals sqrt(sum(physical_padded(u)**2, axis=0)) bit for bit
+    without holding every padded component at once.
     """
-    acc = None
+    acc = scratch = None
     for part in parts:
-        vals = physical_padded(part, pad_factor)[0]
-        # with factor 1 vals may be the part's own values: square a copy
-        sq = np.square(vals, out=None if pad_factor == 1 else vals)
         if acc is None:
-            acc = sq
+            # a fresh square: with factor 1 the padded values may be the
+            # part's own
+            acc = np.square(physical_padded(part, pad_factor)[0])
         else:
-            acc += sq
+            scratch = physical_padded(part, pad_factor, out=scratch)
+            acc += np.square(scratch[0], out=scratch[0])
     return np.sqrt(acc, out=acc)
 
 

@@ -34,8 +34,8 @@ from .grid import TorusGrid
 from .field import (Field, SPECTRAL, divergence_data, leray_data, mean_free,
                     physical_data, save_field, spectral_data, spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
-                    compute_norm_report, csv_line, l2_norm_sq,
-                    grad_l2_norm_sq, lp_norm, sobolev_norm_sq, DEFAULT_SIGMA)
+                    compute_norm_report, csv_line, l2_norm_sq, lp_norm,
+                    mean_free_norms_sq, DEFAULT_SIGMA)
 
 
 class BlowUpError(RuntimeError):
@@ -114,16 +114,24 @@ class ForcingSpec:
             raise ValueError("expression forcing needs component expressions")
         self._compiled = [_compile_expression(e) for e in self.expressions]
         self._cache = {}
+        self.evaluations = 0
 
     @property
     def steady(self) -> bool:
         return not any("t" in names for _, names in self._compiled)
 
     def evaluate(self, grid: TorusGrid, t: float) -> np.ndarray:
-        """Spectral coefficients of the force at time t."""
+        """Spectral coefficients of the force at time t, shared with every
+        caller asking for the same grid and time: do not write to them.
+
+        The expressions are evaluated on the broadcastable coordinate axes
+        grid.coords and the result broadcast to the grid.  evaluations
+        counts the calls that were not served from the cache.
+        """
         key = (grid.L, grid.N, grid.dim, 0.0 if self.steady else float(t))
         if key in self._cache:
             return self._cache[key]
+        self.evaluations += 1
         if self.kind == "zero":
             out = np.zeros((grid.dim,) + grid.shape_spec, dtype=complex)
         else:
@@ -132,7 +140,7 @@ class ForcingSpec:
                     f"need {grid.dim} component expressions, got "
                     f"{len(self.expressions)}")
             names = dict(_EXPR_FUNCTIONS, pi=np.pi, t=t)
-            for ax, c in enumerate(grid.meshgrid()):
+            for ax, c in enumerate(grid.coords):
                 names[f"x{ax + 1}"] = c
             phys = np.array([
                 np.broadcast_to(eval(code, {"__builtins__": {}}, names),
@@ -244,7 +252,8 @@ class Trajectory:
     series of diag_columns (diag["mean"] holds the mean_i columns as one
     array) and a norm series of the mean-free part.  A trajectory loaded
     from disk has no snapshots.  step_seconds is the wall time the run
-    spent stepping and recording."""
+    spent stepping and recording, force_evaluations the evaluations of its
+    force that the ForcingSpec cache did not serve."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -254,6 +263,7 @@ class Trajectory:
     config: dict
     config_hash: str
     step_seconds: float = 0.0
+    force_evaluations: int = 0
 
     def snapshot_field(self, i: int) -> Field:
         return spectral_field(self.grid, self.snapshots[i],
@@ -406,7 +416,15 @@ def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
 class _Member:
     """One run of _lockstep: its state, its workspace, the series it
     records (diag_columns at every step, snapshots at snapshot_stride, norm
-    reports at norm_stride) and the wall seconds spent on them."""
+    reports at norm_stride), the wall seconds spent on them and the
+    evaluations of its force.
+
+    The forcing norms at step i come from the force at t_i, which the
+    step ending there has already evaluated whenever t_{i-1} + dt equals
+    t_i bit for bit, so each step time costs one evaluation.  The count is
+    read from the run's ForcingSpec: one shared with another run adds that
+    run's evaluations.
+    """
 
     def __init__(self, cfg: SolverConfig, label: str):
         t0 = time.perf_counter()
@@ -416,6 +434,7 @@ class _Member:
         if cfg.initial.grid != grid:
             raise ValueError("initial field grid mismatch")
         self.cfg, self.label, self.n = cfg, label, cfg.n_steps
+        self.evaluations_before = cfg.forcing.evaluations
         self.tgrid = cfg.dt * np.arange(self.n + 1)
         self.ws = _Workspace(grid, cfg.nu, cfg.dt)
         # stepped in place: a snapshot stores a copy
@@ -425,9 +444,12 @@ class _Member:
                      "grad_l2_sq": np.empty(self.n + 1),
                      "h2_sq": np.empty(self.n + 1),
                      "mean": np.empty((self.n + 1, grid.dim)),
-                     "forcing_l2_sq": _forcing_series(cfg, l2_norm_sq)}
+                     "forcing_l2_sq": np.empty(self.n + 1)}
+        self.forcing_norms = [("forcing_l2_sq", l2_norm_sq)]
         if "forcing_l6_5_sq" in diag_columns(label, grid.dim):
-            self.diag["forcing_l6_5_sq"] = forcing_lp_sq_series(cfg, 1.2)
+            self.diag["forcing_l6_5_sq"] = np.empty(self.n + 1)
+            self.forcing_norms.append(("forcing_l6_5_sq",
+                                       lambda f: lp_norm(f, 1.2) ** 2))
         self.snapshots, self.snap_times, self.reports = [], [], []
         self._record(0)
         self.seconds = time.perf_counter() - t0
@@ -436,17 +458,22 @@ class _Member:
         cfg, grid, spec, diag = self.cfg, self.cfg.grid, self.spec, self.diag
         t = self.tgrid[i]
         diag["mean"][i] = np.real(spec[(slice(None),) + (0,) * grid.dim])
-        fld = mean_free(spectral_field(grid, spec, divergence_free=True,
-                                       time_stamp=t))
-        diag["l2_sq"][i] = l2_norm_sq(fld)
-        diag["grad_l2_sq"][i] = grad_l2_norm_sq(fld)
-        diag["h2_sq"][i] = sobolev_norm_sq(fld, 2)
+        diag["l2_sq"][i], diag["grad_l2_sq"][i], diag["h2_sq"][i] = \
+            mean_free_norms_sq(grid, spec)
         if not np.isfinite(diag["l2_sq"][i]):
             raise BlowUpError(t, f"{self.label} L2 norm", diag["l2_sq"][i])
+        steady = cfg.forcing.steady
+        if i == 0 or not steady:
+            force = _mean_free_force(cfg, t)
+            for name, norm_sq in self.forcing_norms:
+                # a steady force's norms hold at every step
+                diag[name][slice(None) if steady else i] = norm_sq(force)
         if i % cfg.snapshot_stride == 0 or i == self.n:
             self.snapshots.append(spec.copy())
             self.snap_times.append(t)
         if i % cfg.norm_stride == 0 or i == self.n:
+            fld = mean_free(spectral_field(grid, spec, divergence_free=True,
+                                           time_stamp=t))
             self.reports.append(compute_norm_report(fld, cfg.sigma))
 
     def advance(self, i, backgrounds=(None, None)):
@@ -475,6 +502,8 @@ class _Member:
             config=cfg.describe() | {"label": label},
             config_hash=config_hash(cfg, {"label": label}),
             step_seconds=self.seconds,
+            force_evaluations=cfg.forcing.evaluations
+            - self.evaluations_before,
         )
 
 
@@ -511,16 +540,22 @@ def _run_alone(cfg: SolverConfig, label: str) -> Trajectory:
     return run.trajectory()
 
 
+def _mean_free_force(cfg: SolverConfig, t: float) -> Field:
+    """The force of cfg at time t without its mean, as a new Field."""
+    grid = cfg.grid
+    bar = cfg.forcing.evaluate(grid, t).copy()
+    bar[(slice(None),) + (0,) * grid.dim] = 0.0
+    return spectral_field(grid, bar)
+
+
 def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
-    """norm_sq of the mean-free force at every step of cfg."""
-    grid, out = cfg.grid, np.zeros(cfg.n_steps + 1)
+    """norm_sq of the mean-free force at every step of cfg, in one pass of
+    its own: the reference that the series a run records must equal."""
+    out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
-    zero = (slice(None),) + (0,) * grid.dim
     for i, t in enumerate(cfg.dt * np.arange(len(out))):
-        bar = cfg.forcing.evaluate(grid, t).copy()
-        bar[zero] = 0.0
-        out[i] = norm_sq(spectral_field(grid, bar))
+        out[i] = norm_sq(_mean_free_force(cfg, t))
         if cfg.forcing.steady:
             out[:] = out[0]
             break
@@ -528,7 +563,7 @@ def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
 
 
 def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
-    """||mean-free force||_{L^p}^2 at every step of cfg."""
+    """||mean-free force||_{L^p}^2 at every step of cfg (_forcing_series)."""
     return _forcing_series(cfg, lambda f: lp_norm(f, p) ** 2)
 
 

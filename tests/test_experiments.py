@@ -212,6 +212,28 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
         == (out / "inequalities.json").read_text()
 
 
+@pytest.mark.parametrize("missing", ["perturbation", "constants.json",
+                                     "meta.json"])
+def test_verify_refuses_incomplete_stability_run(forced_pert_out, tmp_path,
+                                                 capsys, missing):
+    # without the perturbation run, verify used to check the base alone,
+    # exit 0 and rewrite inequalities.json with the 2D ids only
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    path = out / missing
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert missing in err and "run the experiment again" in err
+    assert err.count("\n") == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
 def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -310,7 +332,10 @@ def test_cli_calibrate_bad_arguments_are_config_errors(args, capsys):
 
 
 def test_meta_records_phase_times(tmp_path):
-    spec = exp.parse_config(json.dumps(dict(SMALL_PERT, direct_3d=True)))
+    base = dict(SMALL["base"], forcing={"kind": "expression", "expressions": [
+        "1e-4*sin(x2)*cos(t)", "1e-4*sin(x1)*cos(t)"]})
+    spec = exp.parse_config(json.dumps(dict(FORCED_PERT, base=base,
+                                            direct_3d=True)))
     exp.run_experiment(spec, str(tmp_path / "out"))
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert set(meta["phases"]) == {"calibration", "base", "perturbation",
@@ -318,6 +343,14 @@ def test_meta_records_phase_times(tmp_path):
     assert all(v > 0 for v in meta["phases"].values())
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
     assert meta["steps_per_s"] > 0
+    # one evaluation per step time, plus one wherever t_i + dt is not the
+    # next step time t_{i+1} bit for bit
+    n, dt = round(SMALL["T"] / SMALL["dt"]), SMALL["dt"]
+    tgrid = dt * np.arange(n + 1)
+    off_grid = np.count_nonzero(tgrid[:-1] + dt != tgrid[1:])
+    counts = meta["force_evaluations"]
+    assert set(counts) == {"base", "perturbation", "direct"}
+    assert all(n + 1 <= c <= n + 1 + off_grid for c in counts.values())
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -15,7 +15,8 @@ from torusflow.norms import (NormReport, NORM_REPORT_COLUMNS, TrajectoryNorms,
                              _padded_magnitude, compute_norm_report,
                              embedding_ratio_l6_h1, grad_l2_norm_sq,
                              grad_lp_norm, gradient_field, hessian_l2_norm_sq,
-                             l2_norm_sq, lp_norm, poincare_ratio,
+                             l2_norm_sq, lp_norm, mean_free_norms_sq,
+                             poincare_ratio,
                              second_derivative_field, sharp_dissipation_h2,
                              sharp_poincare_h1, sharp_poincare_h2,
                              sobolev_norm_sq, w1_sigma_norm)
@@ -181,14 +182,29 @@ def test_streamed_padded_magnitude_is_exact(dim, ncomp):
     spec = spectral_data(grid, rng.standard_normal((ncomp,) + grid.shape_phys))
     nyquist = (slice(None),) + (slice(None),) * (dim - 1) + (grid.N // 2,)
     assert np.abs(spec[nyquist]).min() > 0
-    for f in (spectral_field(grid, spec),
+    # two different fields in a row, both results held: a stale scratch
+    # array would show in either
+    fields = (spectral_field(grid, spec),
               physical_field(grid, rng.standard_normal(
-                  (ncomp,) + grid.shape_phys))):
-        got = _padded_magnitude(_components(f))
-        np.testing.assert_array_equal(got, _stacked_magnitude(f))
+                  (ncomp,) + grid.shape_phys)))
+    got = [_padded_magnitude(_components(f)) for f in fields]
+    for f, mag in zip(fields, got):
+        np.testing.assert_array_equal(mag, _stacked_magnitude(f))
     f = spectral_field(grid, spec[:3])
     np.testing.assert_array_equal(_padded_magnitude(_gradient_components(f)),
                                   _stacked_magnitude(gradient_field(f)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mean_free_norms_sq_is_exact(dim):
+    # the replaced path: three Parseval sums on a mean-free copy
+    grid = make_grid(2 * np.pi, 8, dim)
+    rng = np.random.default_rng(dim)
+    spec = spectral_data(grid, rng.standard_normal((dim,) + grid.shape_phys))
+    assert np.abs(spec[(slice(None),) + (0,) * dim]).min() > 0
+    bar = mean_free(spectral_field(grid, spec))
+    assert mean_free_norms_sq(grid, spec) == (
+        l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2))
 
 
 def test_hessian_parseval_matches_second_derivative_field(grid3):

@@ -17,11 +17,12 @@ from torusflow.field import (derivative_data, divergence_linf,
 from torusflow.experiments import combine_forcing
 from torusflow.norms import l2_norm_sq
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
-                              advance, load_trajectory, mean_ode_integrate,
-                              nonlinear_term, nse_rhs, recover_pressure,
-                              run_2d_base, run_full_3d, run_perturbation,
-                              save_trajectory, taylor_green_exact,
-                              _Workspace)
+                              _EXPR_FUNCTIONS, _forcing_series, advance,
+                              forcing_lp_sq_series, load_trajectory,
+                              mean_ode_integrate, nonlinear_term, nse_rhs,
+                              recover_pressure, run_2d_base, run_full_3d,
+                              run_perturbation, save_trajectory,
+                              taylor_green_exact, _Workspace)
 
 
 def _tg_cfg(grid, nu=0.1, dt=1e-3, t_end=0.1, amplitude=1.0, **kw):
@@ -60,6 +61,30 @@ def test_forcing_expression_and_steady(grid2):
     # "t" must mean time, not match inside identifiers like "sqrt"
     h = ForcingSpec(kind="expression", expressions=("sqrt(2)*sin(x1)", "0*x1"))
     assert h.steady
+
+
+def _evaluate_on_meshgrid(forcing, grid, t):
+    """The replaced ForcingSpec.evaluate: expressions evaluated on the full
+    meshgrid."""
+    names = dict(_EXPR_FUNCTIONS, pi=np.pi, t=t)
+    names.update({f"x{ax + 1}": c for ax, c in enumerate(grid.meshgrid())})
+    return spectral_data(grid, np.array([
+        np.broadcast_to(eval(code, {"__builtins__": {}}, names),
+                        grid.shape_phys).astype(float)
+        for code, _ in forcing._compiled]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", sorted(_EXPR_FUNCTIONS))
+def test_forcing_on_axes_matches_meshgrid(name, dim):
+    xs = [f"x{ax + 1}" for ax in range(dim)]
+    exprs = [f"{name}(0.1 + 0.2*({' + '.join(xs)}) + t)",
+             f"{name}(0.1 + 0.3*x2 + t)*(1 + x1)", f"-{name}(0.5 + x3)"]
+    for N, t in ((8, 0.0), (16, 0.37)):
+        grid = make_grid(2 * np.pi, N, dim)
+        forcing = ForcingSpec(kind="expression", expressions=exprs[:dim])
+        np.testing.assert_array_equal(forcing.evaluate(grid, t),
+                                      _evaluate_on_meshgrid(forcing, grid, t))
 
 
 def test_forcing_validation():
@@ -302,6 +327,36 @@ def test_run_perturbation_refuses_mismatched_base(base_dt, base_t_end):
                             initial=base_cfg.initial)
     with pytest.raises(ValueError):
         run_perturbation(pert_cfg, base_cfg)
+
+
+@pytest.mark.parametrize("base_force", [
+    ("0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)"),
+    ("0.1*sin(x2)", "0.05 + 0.1*sin(x1)")], ids=["unsteady", "steady"])
+def test_recorded_forcing_norms_match_separate_passes(base_force):
+    # the replaced path: one pass of its own over the step times per norm.
+    # At dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), where the
+    # force the step evaluated last is not the one at t_{i+1}
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    nu, dt, t_end = 0.5, 2e-3, 0.2
+    tgrid = dt * np.arange(round(t_end / dt) + 1)
+    assert np.count_nonzero(tgrid[:-1] + dt != tgrid[1:]) > 0
+    base_cfg = SolverConfig(
+        grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end, snapshot_stride=100,
+        forcing=ForcingSpec(kind="expression", expressions=base_force),
+        initial=taylor_green_exact(g2, nu, 0.0, 0.5))
+    pert_cfg = SolverConfig(
+        grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end, snapshot_stride=100,
+        forcing=ForcingSpec(kind="expression", expressions=(
+            "0.1*sin(x3)*cos(40*t)", "0.1*sin(x1)*exp(5*t)",
+            "0.3 + 0.1*sin(x2)*sin(20*t)")),
+        initial=random_divfree_field(g3, seed=2, target_h1=0.3))
+    base, pert, _ = run_perturbation(pert_cfg, base_cfg)
+    np.testing.assert_array_equal(base.diag["forcing_l2_sq"],
+                                  _forcing_series(base_cfg, l2_norm_sq))
+    np.testing.assert_array_equal(pert.diag["forcing_l2_sq"],
+                                  _forcing_series(pert_cfg, l2_norm_sq))
+    np.testing.assert_array_equal(pert.diag["forcing_l6_5_sq"],
+                                  forcing_lp_sq_series(pert_cfg, 1.2))
 
 
 def test_workspace_step_allocates_under_five_states(grid2, grid3):

@@ -158,6 +158,47 @@ def test_physical_padded_matches_resample(dim, factor):
     assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _padded_reference(field, factor):
+    """The replaced physical_padded: every component padded at once, each
+    stage into fresh arrays."""
+    grid = field.grid
+    M, h = factor * grid.N, grid.N // 2
+    vals = field.spectral()
+    for ax in range(1, grid.dim):
+        shape = list(vals.shape)
+        shape[ax] = M
+        padded = np.zeros(shape, dtype=complex)
+        src = np.moveaxis(vals, ax, 0)
+        dst = np.moveaxis(padded, ax, 0)
+        dst[:h] = src[:h]
+        dst[M - h + 1:] = src[h + 1:]
+        dst[h] = dst[M - h] = 0.5 * src[h]
+        vals = np.fft.ifft(padded, axis=ax, norm="forward")
+    padded = np.zeros(vals.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    padded[..., :h] = vals[..., :h]
+    padded[..., h] = 0.5 * vals[..., h].real
+    return np.fft.irfft(padded, n=M, axis=-1, norm="forward")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("factor", [2, 3])
+def test_physical_padded_matches_fresh_array_path(dim, factor):
+    # every call on a grid and factor shares the scratch arrays: results of
+    # consecutive calls on different fields, held at once, must each equal
+    # the replaced path bit for bit, and out= must receive the same values
+    grid = make_grid(2 * np.pi, 8, dim)
+    rng = np.random.default_rng(100 * dim + factor)
+    fields = [physical_field(grid, rng.standard_normal((n,) + grid.shape_phys))
+              for n in (3, 1, 3)]
+    held = [physical_padded(f, factor) for f in fields]
+    assert not np.shares_memory(held[0], held[2])
+    for f, vals in zip(fields, held):
+        np.testing.assert_array_equal(vals, _padded_reference(f, factor))
+    out = np.empty_like(held[0])
+    assert physical_padded(fields[0], factor, out=out) is out
+    np.testing.assert_array_equal(out, held[0])
+
+
 def test_extrude_field(grid2, grid3):
     f = random_divfree_field(grid2, seed=1)
     lifted = extrude_field(f, grid3)
