@@ -11,9 +11,9 @@ from .norms import (NormReport, TrajectoryNorms, compute_norm_report,
                     embedding_ratio_l6_h1, grad_lp_norm, l2_norm_sq, lp_norm,
                     poincare_ratio, sobolev_norm_sq, w1_sigma_norm)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     advance, load_trajectory, mean_ode_integrate, nse_rhs,
-                     recover_pressure, run_2d_base, run_full_3d,
-                     run_perturbation, save_trajectory, taylor_green_exact)
+                     advance, load_trajectory, recover_pressure, run_2d_base,
+                     run_full_3d, run_perturbation, save_trajectory,
+                     taylor_green_exact)
 from .estimates import (BConstants, CalibratedConstants, InequalityReport,
                         StabilityBudget, StabilitySeries, TwoDBudget,
                         calibrate_constants, check_stability_hypotheses,

@@ -345,14 +345,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
     Calibrates first, then steps the base, perturbation and direct runs in
-    one lockstep call and writes their trajectories once all have finished.
-    On solver blow-up no trajectory is written and meta.json carries the
-    failure marker.  meta.json also records the wall seconds of each of
-    PHASES, the solver steps per second of the runs and, per run, the
-    evaluations of its force that the cache did not serve.
+    one run_perturbation call and writes their trajectories once all have
+    finished.  On solver blow-up no trajectory is written and meta.json
+    carries the failure marker.  meta.json also records the wall seconds of
+    each of PHASES in this process (direct: the wait for the direct run's
+    worker), the busy seconds of each forked worker, the solver steps per
+    second of the runs and, per run, the evaluations of its force that the
+    cache did not serve.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
+    workers = {}
     steps = 0
     force_evaluations = {}
     raw = spec.raw
@@ -382,6 +385,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
             g3 = make_grid(raw["L"], raw["N"], 3)
             with _timed(phases, "calibration"):
                 cal, budget = _resolve_budget(spec, g3)
+            workers["calibration"] = cal.worker_seconds
             p = raw["perturbation"]
             pert_cfg = SolverConfig(
                 grid=g3, nu=nu, dt=dt, t_end=t_end, T=T,
@@ -405,7 +409,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                            ("direct", direct)):
             if traj is None:
                 continue
-            phases[name] += traj.step_seconds
+            if name == "direct":
+                phases[name] += traj.wait_seconds
+                workers[name] = traj.step_seconds
+            else:
+                phases[name] += traj.step_seconds
             steps += len(traj.diag["t"]) - 1
             force_evaluations[name] = traj.force_evaluations
             paths[name] = os.path.join(out_dir, name)
@@ -442,7 +450,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump({"hash": artifacts.config_hash,
                    "wall_seconds": artifacts.wall_seconds,
-                   "phases": phases,
+                   "phases": phases, "workers": workers,
                    "steps_per_s": steps / stepping if stepping else 0.0,
                    "force_evaluations": force_evaluations,
                    "failed": failed, "exit_code": code}, fh, indent=2)

@@ -100,6 +100,12 @@ class TorusGrid:
         return out
 
     @cached_property
+    def k_sq_deriv_divisor(self) -> np.ndarray:
+        """k_sq_deriv with its zeros (k=0, pure-Nyquist) replaced by 1: the
+        divisor of the Leray projection."""
+        return np.where(self.k_sq_deriv > 0, self.k_sq_deriv, 1.0)
+
+    @cached_property
     def hermitian_weight(self) -> np.ndarray:
         """Multiplicity of each stored mode in the full spectrum.
 

@@ -9,12 +9,13 @@ time loop and one nonlinear kernel in divergence form:
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
     w = u + v_s.  The base run is stepped in lockstep with it, so v_s is
-    read from the current base state, never from a stored trajectory.
+    read from the current base state, never from a stored trajectory.  A
+    full 3D run beside them shares nothing with them and steps in a forked
+    worker.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
-the scheme advances the mean by the trapezoid rule on the mean force, the
-ODE that mean_ode_integrate solves.
+the scheme advances the mean by the trapezoid rule on the mean force.
 
 The pressure never enters the evolution (Leray projection) but can be
 reconstructed modewise on demand.
@@ -36,6 +37,7 @@ from .field import (Field, SPECTRAL, divergence_data, leray_data, mean_free,
 from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
                     compute_norm_report, csv_line, l2_norm_sq, lp_norm,
                     mean_free_norms_sq, DEFAULT_SIGMA)
+from .worker import Worker
 
 
 class BlowUpError(RuntimeError):
@@ -46,6 +48,10 @@ class BlowUpError(RuntimeError):
         self.quantity = quantity
         self.value = value
         super().__init__(f"blow-up detected at t={time:g}: {quantity}={value}")
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that it survives a worker's pickle
+        return type(self), (self.time, self.quantity, self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,8 @@ class Trajectory:
     array) and a norm series of the mean-free part.  A trajectory loaded
     from disk has no snapshots.  step_seconds is the wall time the run
     spent stepping and recording, force_evaluations the evaluations of its
-    force that the ForcingSpec cache did not serve."""
+    force that the ForcingSpec cache did not serve, and wait_seconds the
+    wall time its caller waited for it, when it ran in a worker."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -264,6 +271,7 @@ class Trajectory:
     config_hash: str
     step_seconds: float = 0.0
     force_evaluations: int = 0
+    wait_seconds: float = 0.0
 
     def snapshot_field(self, i: int) -> Field:
         return spectral_field(self.grid, self.snapshots[i],
@@ -277,10 +285,11 @@ class _Workspace:
     """The arrays of one run's nonlinear kernel and IMEX steps.
 
     Holds the dealiased state, its physical values w, the products, their
-    transform, both Heun stages and the Crank-Nicolson factors, all
-    allocated once; the kernel and the step write into them with out=, so a
-    run allocates no state-sized array per step.  Without nu and dt the
-    factors are 1 and the workspace serves the kernel alone.
+    transform, the Leray projection's intermediates, both Heun stages and
+    the Crank-Nicolson factors, all allocated once; the kernel and the step
+    write into them with out=, so a run allocates no state-sized array per
+    step.  Without nu and dt the factors are 1 and the workspace serves the
+    kernel alone.
     """
 
     def __init__(self, grid: TorusGrid, nu: float = 0.0, dt: float = 0.0):
@@ -296,6 +305,7 @@ class _Workspace:
         self.flux = np.empty((len(self.pairs),) + grid.shape_spec,
                              dtype=complex)
         self.term = np.empty(grid.shape_spec, dtype=complex)
+        self.kdotv = np.empty(grid.shape_spec, dtype=complex)
         self.n0 = np.empty(state, dtype=complex)
         self.n1 = np.empty(state, dtype=complex)
         self.v_star = np.empty(state, dtype=complex)
@@ -337,7 +347,8 @@ class _Workspace:
     def nonlinear(self, v_spec, f_spec, background, out):
         """P(flux_rhs) into out."""
         self.flux_rhs(v_spec, f_spec, background, out)
-        return leray_data(self.grid, out, out=out)
+        return leray_data(self.grid, out, out=out,
+                          work=(self.kdotv, self.term))
 
     def step(self, v, t, forcing: ForcingSpec, backgrounds=(None, None)):
         """One CN(viscous) + Heun(nonlinear) step of the state v from t, in
@@ -369,17 +380,6 @@ def nonlinear_term(grid: TorusGrid, v_spec: np.ndarray, f_spec,
     return ws.nonlinear(v_spec, f_spec, background, out=ws.n0)
 
 
-def nse_rhs(v: Field, f: Field | None, nu: float) -> Field:
-    """Full Navier-Stokes right-hand side P(-v.grad v + f) + nu*Lap v."""
-    grid = v.grid
-    if f is not None and f.grid != grid:
-        raise ValueError("velocity and forcing grids differ")
-    f_spec = None if f is None else f.spectral()
-    out = nonlinear_term(grid, v.spectral(), f_spec)
-    out = out - nu * grid.k_sq * v.spectral()
-    return Field(grid, out, SPECTRAL, True, v.time_stamp)
-
-
 def advance(state: Field, forcing: ForcingSpec | None, nu: float,
             dt: float) -> Field:
     """One IMEX step of the full equations from state.time_stamp."""
@@ -390,24 +390,6 @@ def advance(state: Field, forcing: ForcingSpec | None, nu: float,
     if not np.all(np.isfinite(out)):
         raise BlowUpError(t + dt, "spectral coefficients", "non-finite")
     return Field(grid, out, SPECTRAL, True, t + dt)
-
-
-def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
-                       initial: np.ndarray) -> np.ndarray:
-    """Integrate d(mean)/dt = mean forcing by exact trapezoid quadrature.
-
-    Returns the mean vector at every entry of `times`.
-    """
-    times = np.asarray(times, dtype=float)
-    mean_forcing = np.asarray(mean_forcing, dtype=float)
-    if mean_forcing.shape[0] != times.shape[0]:
-        raise ValueError("forcing-mean series does not cover the time grid")
-    out = np.empty_like(mean_forcing)
-    out[0] = initial
-    steps = 0.5 * (mean_forcing[1:] + mean_forcing[:-1]) \
-        * np.diff(times).reshape(-1, 1)
-    out[1:] = initial + np.cumsum(steps, axis=0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +489,13 @@ class _Member:
         )
 
 
-def _lockstep(lead: _Member, base: _Member | None = None,
-              direct: _Member | None = None):
+def _lockstep(lead: _Member, base: _Member | None = None):
     """The time loop of every run.
 
     Per step of lead, the 2D base (if any) first takes its base.n // lead.n
     substeps; lead then steps with the extruded base state before and after
-    them as its background b(t), b(t + dt); the direct run (if any) steps
-    last.  Only those two background arrays are kept, never the base
-    trajectory.
+    them as its background b(t), b(t + dt).  Only those two background
+    arrays are kept, never the base trajectory.
     """
     backgrounds = (None, None)
     if base is not None:
@@ -530,8 +510,6 @@ def _lockstep(lead: _Member, base: _Member | None = None,
                 base.advance(j)
             base.extrude(out=backgrounds[1])
         lead.advance(i, backgrounds)
-        if direct is not None:
-            direct.advance(i)
 
 
 def _run_alone(cfg: SolverConfig, label: str) -> Trajectory:
@@ -578,11 +556,15 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                      direct_cfg: SolverConfig | None = None) -> tuple:
     """Evolve the 3D perturbation of cfg around the 2D base flow of
     base_cfg, in lockstep with that base run and, if direct_cfg is given,
-    with the full 3D run of direct_cfg.
+    beside the full 3D run of direct_cfg, which a forked worker steps.
 
     The base dt must divide dt, and all runs end at cfg.t_end; the direct
     run shares the perturbation's grid and dt.  Returns the trajectories
-    (base, perturbation, direct or None).
+    (base, perturbation, direct or None); the direct one records in
+    wait_seconds how long this call waited for its worker.  If both sides
+    blow up, the BlowUpError with the earlier time is raised, and on a tie
+    the perturbation side's, as a loop stepping the direct run after the
+    perturbation at each step would report.
     """
     grid, g2 = cfg.grid, base_cfg.grid
     if grid.dim != 3:
@@ -603,10 +585,23 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                          "grid, dt and t_end")
     base = _Member(base_cfg, "2d_base")
     pert = _Member(cfg, "perturbation")
-    direct = None if direct_cfg is None else _Member(direct_cfg, "full_3d")
-    _lockstep(pert, base, direct)
-    return base.trajectory(), pert.trajectory(), \
-        None if direct is None else direct.trajectory()
+    if direct_cfg is None:
+        _lockstep(pert, base)
+        return base.trajectory(), pert.trajectory(), None
+    with Worker("direct", _run_alone, direct_cfg, "full_3d") as worker:
+        try:
+            _lockstep(pert, base)
+        except BlowUpError as own:
+            try:
+                worker.join()
+            except BlowUpError as other:
+                if other.time < own.time:
+                    raise other from None
+            raise
+        t0 = time.perf_counter()
+        direct = worker.join()
+        direct.wait_seconds = time.perf_counter() - t0
+    return base.trajectory(), pert.trajectory(), direct
 
 
 def run_full_3d(cfg: SolverConfig) -> Trajectory:

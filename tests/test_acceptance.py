@@ -16,12 +16,14 @@ from torusflow.field import (extrude_field, leray_data, mean,
                              physical_field, random_divfree_field,
                              spectral_field)
 from torusflow.norms import l2_norm_sq, poincare_ratio
-from torusflow.solver import (ForcingSpec, SolverConfig, mean_ode_integrate,
-                              run_2d_base, run_full_3d, run_perturbation,
+from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
+                              run_full_3d, run_perturbation,
                               taylor_green_exact)
 from torusflow import estimates as est
 from torusflow import experiments as exp
 from torusflow.cli import margin_convergence_constant
+
+from oracles import mean_ode_integrate
 
 
 def _line(n, ok, detail):

@@ -375,6 +375,44 @@ def test_calibrate_deterministic(grid3):
     assert a == b
 
 
+def _serial_calibration(grid, ensemble_size, seed):
+    """The one-process loop over the whole ensemble that the split
+    calibration replaced."""
+    from torusflow.norms import (embedding_ratio_l6_h1, gradient_field,
+                                 hessian_l2_norm_sq, lp_norm,
+                                 sharp_dissipation_h2)
+    c1 = sharp_poincare_h1(grid)
+    c2 = sharp_dissipation_h2(grid)
+    c3 = 0.0
+    ci = 0.0
+    for s in seed + np.arange(ensemble_size):
+        decay = 1.0 + 2.0 * ((s - seed) % 5) / 4.0
+        u = random_divfree_field(grid, int(s), spectrum_decay=decay)
+        c3 = max(c3, embedding_ratio_l6_h1(u))
+        g = gradient_field(u)
+        num = lp_norm(g, 3)
+        den = math.sqrt(math.sqrt(hessian_l2_norm_sq(u))
+                        * math.sqrt(l2_norm_sq(g)))
+        if den > 0:
+            ci = max(ci, num / den)
+    c4, c5 = est.derive_c4_c5(grid, c2, c3, ci)
+    return est.CalibratedConstants(c1=c1, c2=c2, c3=c3, c_interp=ci, c4=c4,
+                                   c5=c5, ensemble_size=ensemble_size,
+                                   seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("ensemble_size", [100, 101])
+def test_calibrate_matches_serial_loop(ensemble_size, seed):
+    grid = make_grid(2 * np.pi, 8, 3)
+    got = est.calibrate_constants(grid, ensemble_size, seed)
+    want = _serial_calibration(grid, ensemble_size, seed)
+    for name, value in vars(want).items():
+        assert type(getattr(got, name)) is type(value), name
+        assert repr(getattr(got, name)) == repr(value), name
+    assert got.worker_seconds > 0
+
+
 def test_c3_running_max_monotone(grid3):
     small = est.calibrate_constants(grid3, 100, 0)
     # same seed, more samples: the max can only grow

@@ -342,6 +342,11 @@ def test_meta_records_phase_times(tmp_path):
                                    "direct", "analysis", "writing"}
     assert all(v > 0 for v in meta["phases"].values())
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
+    # busy seconds of the forked workers, beside the parent's timeline
+    workers = meta["workers"]
+    assert set(workers) == {"calibration", "direct"}
+    assert all(0 < v < meta["wall_seconds"] for v in workers.values())
+    assert workers["calibration"] <= meta["phases"]["calibration"]
     assert meta["steps_per_s"] > 0
     # one evaluation per step time, plus one wherever t_i + dt is not the
     # next step time t_{i+1} bit for bit
@@ -405,6 +410,27 @@ def test_run_and_verify_do_not_import_scipy(tmp_path):
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the forked workers use os.fork directly; importing multiprocessing or
+    # concurrent.futures would add 12-20 ms to every CLI process
+    import subprocess
+    import sys
+
+    script = ("import sys\n"
+              "import torusflow.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('multiprocessing', 'concurrent')))\n")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 

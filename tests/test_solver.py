@@ -19,10 +19,23 @@ from torusflow.norms import l2_norm_sq
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               _EXPR_FUNCTIONS, _forcing_series, advance,
                               forcing_lp_sq_series, load_trajectory,
-                              mean_ode_integrate, nonlinear_term, nse_rhs,
-                              recover_pressure, run_2d_base, run_full_3d,
-                              run_perturbation, save_trajectory,
+                              nonlinear_term, recover_pressure, run_2d_base,
+                              run_full_3d, run_perturbation, save_trajectory,
                               taylor_green_exact, _Workspace)
+
+from oracles import mean_ode_integrate
+
+
+def nse_rhs(v, f, nu):
+    """Full Navier-Stokes right-hand side P(-v.grad v + f) + nu*Lap v."""
+    grid = v.grid
+    if f is not None and f.grid != grid:
+        raise ValueError("velocity and forcing grids differ")
+    f_spec = None if f is None else f.spectral()
+    out = nonlinear_term(grid, v.spectral(), f_spec)
+    out = out - nu * grid.k_sq * v.spectral()
+    return spectral_field(grid, out, divergence_free=True,
+                          time_stamp=v.time_stamp)
 
 
 def _tg_cfg(grid, nu=0.1, dt=1e-3, t_end=0.1, amplitude=1.0, **kw):
@@ -314,6 +327,39 @@ def test_lockstep_direct_matches_run_full_3d():
         np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
     assert [r.to_csv_row() for r in direct.norms.reports] \
         == [r.to_csv_row() for r in alone.norms.reports]
+
+
+@pytest.mark.parametrize("pert_h1, direct_h1, label, t", [
+    (0.3, 1e4, "full_3d", 0.024), (1e4, 1e5, "full_3d", 0.016),
+    (1e5, 1e4, "perturbation", 0.016), (1e4, 1e4, "perturbation", 0.024)],
+    ids=["direct-only", "direct-earlier", "perturbation-earlier", "tie"])
+def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
+    # the expected run and time are those of the loop that stepped the
+    # direct run after the perturbation at each step, in one process
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    nu, dt, t_end = 0.5, 4e-3, 0.08
+    base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end,
+                            initial=taylor_green_exact(g2, nu, 0.0, 0.5))
+    pert_cfg = SolverConfig(
+        grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+        initial=random_divfree_field(g3, seed=2, target_h1=pert_h1))
+    v0 = extrude_field(base_cfg.initial, g3).physical() \
+        + random_divfree_field(g3, seed=2, target_h1=direct_h1).physical()
+    direct_cfg = SolverConfig(grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+                              initial=physical_field(g3, v0))
+    with np.errstate(all="ignore"):
+        with pytest.raises(BlowUpError) as info:
+            run_perturbation(pert_cfg, base_cfg, direct_cfg)
+        with pytest.raises(BlowUpError) as alone:
+            if label == "full_3d":
+                run_full_3d(direct_cfg)
+            else:
+                run_perturbation(pert_cfg, base_cfg)
+    got, want = info.value, alone.value
+    assert got.quantity == f"{label} L2 norm"
+    assert got.time == t
+    assert (got.time, got.quantity, str(got)) \
+        == (want.time, want.quantity, str(want))
 
 
 @pytest.mark.parametrize("base_dt, base_t_end", [

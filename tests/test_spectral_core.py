@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import make_grid
 from torusflow.field import (Field, dealias, divergence_data, divergence_linf,
-                             extrude_field, leray_project, load_field, mean,
-                             mean_free, physical_field, physical_padded,
-                             random_divfree_field, save_field,
+                             extrude_field, leray_data, leray_project,
+                             load_field, mean, mean_free, physical_field,
+                             physical_padded, random_divfree_field, save_field,
                              spectral_derivative, spectral_field, transform)
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -84,6 +84,50 @@ def test_leray_idempotent_and_divfree(grid3, seed):
     assert divergence_linf(p) < 1e-13
     twice = leray_project(p)
     assert np.abs(twice.spectral() - p.spectral()).max() < 1e-14
+
+
+def _leray_oracle(grid, spec):
+    """The Leray projection as written before its divisor was cached and
+    its intermediates could be passed in."""
+    k_sq = np.where(grid.k_sq_deriv > 0, grid.k_sq_deriv, 1.0)
+    kdotv = np.zeros(grid.shape_spec, dtype=complex)
+    term = np.empty(grid.shape_spec, dtype=complex)
+    for ax in range(grid.dim):
+        kdotv += np.multiply(grid.k_deriv[ax], spec[ax], out=term)
+    out = np.empty_like(spec)
+    for ax in range(grid.dim):
+        np.multiply(grid.k_deriv[ax], kdotv, out=term)
+        term /= k_sq
+        np.subtract(spec[ax], term, out=out[ax])
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_leray_data_matches_oracle_bitwise(dim):
+    grid = make_grid(2 * np.pi, 8, dim)
+    rng = np.random.default_rng(dim)
+    shape = (dim,) + grid.shape_spec
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # Nyquist planes on every axis carry data
+    for ax in range(dim):
+        index = [slice(None)] * (dim + 1)
+        index[ax + 1] = grid.N // 2
+        assert np.all(spec[tuple(index)] != 0)
+    want = _leray_oracle(grid, spec).tobytes()
+    work = (np.full(grid.shape_spec, np.nan, dtype=complex),
+            np.full(grid.shape_spec, np.nan, dtype=complex))
+    assert leray_data(grid, spec).tobytes() == want
+    assert leray_data(grid, spec, work=work).tobytes() == want
+    assert leray_data(grid, spec, work=work).tobytes() == want  # reused
+    out = np.empty_like(spec)
+    assert leray_data(grid, spec, out=out, work=work) is out
+    assert out.tobytes() == want
+    in_place = spec.copy()
+    assert leray_data(grid, in_place, out=in_place, work=work) is in_place
+    assert in_place.tobytes() == want
+    in_place = spec.copy()
+    leray_data(grid, in_place, out=in_place)
+    assert in_place.tobytes() == want
 
 
 def test_leray_keeps_mean(grid2):
