@@ -51,7 +51,12 @@ class Worker:
             self._outcome = _outcome(fn, args)
             return
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             code = 1
             try:
