@@ -600,30 +600,31 @@ def gronwall_envelope(series: StabilitySeries, budget: StabilityBudget,
 
     dW/dt = -W*(nu*c4 - (c5/nu^3)*W^2) + A^2(t)*W + G^2(t), W(kT) = X0_sq,
     on the series' own time grid (RK4 with linear interpolation of A^2, G^2).
-    Aborts once the envelope exceeds gamma*, where the inequality's
-    coefficient bound no longer applies.
+    A^2 and G^2 are interpolated once, before the loop, at every stage time
+    t_i, t_i + h/2 and t_i + h.  Aborts once the envelope exceeds gamma*,
+    where the inequality's coefficient bound no longer applies.
     """
     if X0_sq > budget.gamma + FLOAT_FLOOR:
         raise ValueError("initial H1 norm exceeds gamma")
     nu, c4, c5 = budget.nu, budget.c4, budget.c5
     t = series.times
+    h = t[1:] - t[:-1]
+    stages = [(np.interp(tt, t, series.A_sq), np.interp(tt, t, series.G_sq))
+              for tt in (t[:-1], t[:-1] + 0.5 * h, t[:-1] + h)]
+    (a0, g0), (a1, g1), (a2, g2) = [(a.tolist(), g.tolist())
+                                    for a, g in stages]
 
-    def interp(y, tt):
-        return np.interp(tt, t, y)
-
-    def f(tt, W):
-        return (-W * (nu * c4 - (c5 / nu**3) * W * W)
-                + interp(series.A_sq, tt) * W + interp(series.G_sq, tt))
+    def f(a, g, W):
+        return -W * (nu * c4 - (c5 / nu**3) * W * W) + a * W + g
 
     W = np.empty_like(t)
     W[0] = X0_sq
-    for i in range(len(t) - 1):
-        h = t[i + 1] - t[i]
-        k1 = f(t[i], W[i])
-        k2 = f(t[i] + 0.5 * h, W[i] + 0.5 * h * k1)
-        k3 = f(t[i] + 0.5 * h, W[i] + 0.5 * h * k2)
-        k4 = f(t[i] + h, W[i] + h * k3)
-        W[i + 1] = W[i] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for i, hi in enumerate(h.tolist()):
+        k1 = f(a0[i], g0[i], W[i])
+        k2 = f(a1[i], g1[i], W[i] + 0.5 * hi * k1)
+        k3 = f(a1[i], g1[i], W[i] + 0.5 * hi * k2)
+        k4 = f(a2[i], g2[i], W[i] + hi * k3)
+        W[i + 1] = W[i] + hi / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if W[i + 1] > budget.gamma_star:
             raise ValueError(
                 f"envelope exceeded gamma* at t={t[i + 1]:g}; the stability "

@@ -5,7 +5,9 @@ runs, applies every estimate check, and writes deterministic artifacts:
 
   out/
     spec.json           resolved configuration (defaults echoed)
-    base/               save_trajectory layout for the 2D base run
+    base/               save_trajectory layout for the 2D base run (its
+                        snapshots stream into base/snapshots.partial/
+                        while it runs; likewise the other two)
     perturbation/       idem for the 3D perturbation run (if configured)
     direct/             idem for the optional full 3D run
     constants.json      calibrated constants and the stability budget
@@ -345,19 +347,23 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
     Calibrates first, then steps the base, perturbation and direct runs in
-    one run_perturbation call and writes their trajectories once all have
-    finished.  On solver blow-up no trajectory is written and meta.json
-    carries the failure marker.  meta.json also records the wall seconds of
-    each of PHASES in this process (direct: the wait for the direct run's
-    worker), the busy seconds of each forked worker, the solver steps per
-    second of the runs and, per run, the evaluations of its force that the
-    cache did not serve.
+    one run_perturbation call, each streaming its snapshots into the
+    snapshots.partial directory of its trajectory directory, and writes
+    their scalar series once all have finished.  On solver blow-up only the
+    partial snapshot directories are left of the trajectories, and
+    meta.json carries the failure marker.  meta.json also records the wall
+    seconds of each of PHASES in this process (direct: the wait for the
+    direct run's worker), the busy seconds of each forked worker, the
+    solver steps per second of the runs and, per run, the evaluations of
+    its force that the cache did not serve and the count and bytes of its
+    snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
     workers = {}
     steps = 0
     force_evaluations = {}
+    snapshots = {}
     raw = spec.raw
     os.makedirs(out_dir, exist_ok=True)
     with _timed(phases, "writing"), \
@@ -368,6 +374,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     t_end = raw["windows"] * T
     g2 = make_grid(raw["L"], raw["N"], 2)
     paths = {"spec": os.path.join(out_dir, "spec.json")}
+    runs = ("base", "perturbation", "direct")
+    directories = tuple(os.path.join(out_dir, name) for name in runs)
     failed = False
     reports = {}
     try:
@@ -380,7 +388,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
             norm_stride=raw["norm_stride"], sigma=raw["sigma"])
         pert = direct = budget = cal = None
         if raw["perturbation"] is None:
-            base = run_2d_base(base_cfg)
+            base = run_2d_base(base_cfg, directories[0])
         else:
             g3 = make_grid(raw["L"], raw["N"], 3)
             with _timed(phases, "calibration"):
@@ -397,7 +405,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
             direct_cfg = _direct_config(raw, base_cfg, pert_cfg) \
                 if raw["direct_3d"] else None
             base, pert, direct = run_perturbation(pert_cfg, base_cfg,
-                                                  direct_cfg)
+                                                  direct_cfg, directories)
             with _timed(phases, "writing"), \
                     open(os.path.join(out_dir, "constants.json"), "w") as fh:
                 json.dump({"calibrated": asdict(cal),
@@ -405,8 +413,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                           sort_keys=True)
             paths["constants"] = os.path.join(out_dir, "constants.json")
 
-        for name, traj in (("base", base), ("perturbation", pert),
-                           ("direct", direct)):
+        for name, directory, traj in zip(runs, directories,
+                                         (base, pert, direct)):
             if traj is None:
                 continue
             if name == "direct":
@@ -416,9 +424,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                 phases[name] += traj.step_seconds
             steps += len(traj.diag["t"]) - 1
             force_evaluations[name] = traj.force_evaluations
-            paths[name] = os.path.join(out_dir, name)
+            paths[name] = directory
             with _timed(phases, "writing"):
-                save_trajectory(traj, paths[name])
+                files = save_trajectory(traj, directory)["snapshots"]
+            snapshots[name] = {"count": len(files),
+                               "bytes": sum(map(os.path.getsize, files))}
 
         with _timed(phases, "analysis"):
             reports, series_list, hyp_by_window, twod, bconst = analyze(
@@ -453,6 +463,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                    "phases": phases, "workers": workers,
                    "steps_per_s": steps / stepping if stepping else 0.0,
                    "force_evaluations": force_evaluations,
+                   "snapshots": snapshots,
                    "failed": failed, "exit_code": code}, fh, indent=2)
     return artifacts
 
@@ -541,7 +552,8 @@ def reverify(out_dir: str) -> RunArtifacts:
     """Re-run the estimate checks on stored trajectories (no simulation).
 
     Refuses (FileNotFoundError) before writing anything when an output the
-    spec calls for is missing: the base run and meta.json always, the
+    spec calls for is missing: the complete base run (its summary.json,
+    which save_trajectory writes last) and meta.json always, the complete
     perturbation run and constants.json when a perturbation is configured.
     """
     spec_path = os.path.join(out_dir, "spec.json")
@@ -550,9 +562,10 @@ def reverify(out_dir: str) -> RunArtifacts:
     with open(spec_path) as fh:
         spec = parse_config(fh.read())
     raw = spec.raw
-    needed = ["base", "meta.json"]
+    needed = [os.path.join("base", "summary.json"), "meta.json"]
     if raw["perturbation"] is not None:
-        needed += ["perturbation", "constants.json"]
+        needed += [os.path.join("perturbation", "summary.json"),
+                   "constants.json"]
     missing = [name for name in needed
                if not os.path.exists(os.path.join(out_dir, name))]
     if missing:

@@ -351,10 +351,13 @@ def _pad_stages(grid: TorusGrid, factor: int) -> tuple:
 def save_field(path, field: Field) -> None:
     """Write a field snapshot.
 
-    Layout (stable, version 1): a .npz archive with
+    Layout (stable, version 1): a deflated .npz archive
+    (np.savez_compressed) with
       meta: JSON string {"version", "L", "N", "dim", "ncomp",
                          "representation", "divergence_free", "time_stamp"}
       data: the component array, shape (ncomp,)+grid shape
+    Deflate changes the container only: np.load, and so load_field, reads
+    the members of a deflated and of an uncompressed archive alike.
     """
     meta = {
         "version": SNAPSHOT_FORMAT_VERSION,
@@ -366,7 +369,8 @@ def save_field(path, field: Field) -> None:
         "divergence_free": bool(field.divergence_free),
         "time_stamp": field.time_stamp,
     }
-    np.savez(path, meta=np.array(json.dumps(meta)), data=field.data)
+    np.savez_compressed(path, meta=np.array(json.dumps(meta)),
+                        data=field.data)
 
 
 def load_field(path) -> Field:

@@ -27,6 +27,10 @@ class TorusGrid:
         if self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
 
+    def __reduce__(self):
+        # pickled by its parameters: the cached arrays are rebuilt on demand
+        return type(self), (self.L, self.N, self.dim)
+
     @property
     def dx(self) -> float:
         return self.L / self.N

@@ -26,14 +26,16 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import TorusGrid
-from .field import (Field, SPECTRAL, divergence_data, leray_data, mean_free,
-                    physical_data, save_field, spectral_data, spectral_field)
+from .field import (Field, SPECTRAL, divergence_data, leray_data, load_field,
+                    mean_free, physical_data, save_field, spectral_data,
+                    spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
                     compute_norm_report, csv_line, l2_norm_sq, lp_norm,
                     mean_free_norms_sq, DEFAULT_SIGMA)
@@ -256,11 +258,15 @@ def diag_columns(label: str, dim: int) -> list:
 class Trajectory:
     """A run: spectral snapshots (mean included at k=0), the per-step
     series of diag_columns (diag["mean"] holds the mean_i columns as one
-    array) and a norm series of the mean-free part.  A trajectory loaded
-    from disk has no snapshots.  step_seconds is the wall time the run
-    spent stepping and recording, force_evaluations the evaluations of its
-    force that the ForcingSpec cache did not serve, and wait_seconds the
-    wall time its caller waited for it, when it ran in a worker."""
+    array) and a norm series of the mean-free part.
+
+    The snapshots, taken at times, are held in memory (snapshots), or, for
+    a run that streamed them to disk, are files of field.save_field
+    (snapshot_paths) and snapshots is empty.  A trajectory loaded from disk
+    has neither.  step_seconds is the wall time the run spent stepping and
+    recording, force_evaluations the evaluations of its force that the
+    ForcingSpec cache did not serve, and wait_seconds the wall time its
+    caller waited for it, when it ran in a worker."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -272,8 +278,11 @@ class Trajectory:
     step_seconds: float = 0.0
     force_evaluations: int = 0
     wait_seconds: float = 0.0
+    snapshot_paths: list = dc_field(default_factory=list)
 
     def snapshot_field(self, i: int) -> Field:
+        if self.snapshot_paths:
+            return load_field(self.snapshot_paths[i])
         return spectral_field(self.grid, self.snapshots[i],
                               divergence_free=True, time_stamp=self.times[i])
 
@@ -401,6 +410,11 @@ class _Member:
     reports at norm_stride), the wall seconds spent on them and the
     evaluations of its force.
 
+    Given a trajectory directory, the run streams each snapshot, as it
+    takes it, to a file of its snapshots.partial directory
+    (_partial_snapshot_dir) and keeps only the path; without one it keeps
+    a copy of the state in memory.
+
     The forcing norms at step i come from the force at t_i, which the
     step ending there has already evaluated whenever t_{i-1} + dt equals
     t_i bit for bit, so each step time costs one evaluation.  The count is
@@ -408,7 +422,7 @@ class _Member:
     run's evaluations.
     """
 
-    def __init__(self, cfg: SolverConfig, label: str):
+    def __init__(self, cfg: SolverConfig, label: str, directory=None):
         t0 = time.perf_counter()
         grid = cfg.grid
         if cfg.initial is None:
@@ -432,7 +446,10 @@ class _Member:
             self.diag["forcing_l6_5_sq"] = np.empty(self.n + 1)
             self.forcing_norms.append(("forcing_l6_5_sq",
                                        lambda f: lp_norm(f, 1.2) ** 2))
-        self.snapshots, self.snap_times, self.reports = [], [], []
+        self.snapdir = None if directory is None \
+            else _partial_snapshot_dir(directory)
+        self.snapshots, self.snapshot_paths = [], []
+        self.snap_times, self.reports = [], []
         self._record(0)
         self.seconds = time.perf_counter() - t0
 
@@ -450,13 +467,19 @@ class _Member:
             for name, norm_sq in self.forcing_norms:
                 # a steady force's norms hold at every step
                 diag[name][slice(None) if steady else i] = norm_sq(force)
+        state = spectral_field(grid, spec, divergence_free=True, time_stamp=t)
         if i % cfg.snapshot_stride == 0 or i == self.n:
-            self.snapshots.append(spec.copy())
+            if self.snapdir is None:
+                self.snapshots.append(spec.copy())
+            else:
+                path = os.path.join(self.snapdir,
+                                    f"snap_{len(self.snap_times):06d}.npz")
+                save_field(path, state)
+                self.snapshot_paths.append(path)
             self.snap_times.append(t)
         if i % cfg.norm_stride == 0 or i == self.n:
-            fld = mean_free(spectral_field(grid, spec, divergence_free=True,
-                                           time_stamp=t))
-            self.reports.append(compute_norm_report(fld, cfg.sigma))
+            self.reports.append(compute_norm_report(mean_free(state),
+                                                    cfg.sigma))
 
     def advance(self, i, backgrounds=(None, None)):
         """Step from step i to step i + 1 and record it."""
@@ -486,6 +509,7 @@ class _Member:
             step_seconds=self.seconds,
             force_evaluations=cfg.forcing.evaluations
             - self.evaluations_before,
+            snapshot_paths=self.snapshot_paths,
         )
 
 
@@ -512,8 +536,8 @@ def _lockstep(lead: _Member, base: _Member | None = None):
         lead.advance(i, backgrounds)
 
 
-def _run_alone(cfg: SolverConfig, label: str) -> Trajectory:
-    run = _Member(cfg, label)
+def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
+    run = _Member(cfg, label, directory)
     _lockstep(run)
     return run.trajectory()
 
@@ -545,15 +569,17 @@ def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
     return _forcing_series(cfg, lambda f: lp_norm(f, p) ** 2)
 
 
-def run_2d_base(cfg: SolverConfig) -> Trajectory:
-    """Evolve the 2D base flow."""
+def run_2d_base(cfg: SolverConfig, directory=None) -> Trajectory:
+    """Evolve the 2D base flow; given a trajectory directory, stream its
+    snapshots there (_Member)."""
     if cfg.grid.dim != 2:
         raise ValueError("run_2d_base needs a 2D grid")
-    return _run_alone(cfg, "2d_base")
+    return _run_alone(cfg, "2d_base", directory)
 
 
 def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
-                     direct_cfg: SolverConfig | None = None) -> tuple:
+                     direct_cfg: SolverConfig | None = None,
+                     directories=None) -> tuple:
     """Evolve the 3D perturbation of cfg around the 2D base flow of
     base_cfg, in lockstep with that base run and, if direct_cfg is given,
     beside the full 3D run of direct_cfg, which a forked worker steps.
@@ -565,6 +591,10 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
     blow up, the BlowUpError with the earlier time is raised, and on a tie
     the perturbation side's, as a loop stepping the direct run after the
     perturbation at each step would report.
+
+    Given directories, one trajectory directory per run in the order
+    returned, each run streams its snapshots into its own (_Member), the
+    direct run from its worker.
     """
     grid, g2 = cfg.grid, base_cfg.grid
     if grid.dim != 3:
@@ -583,12 +613,14 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                                    or direct_cfg.n_steps != cfg.n_steps):
         raise ValueError("the direct run must share the perturbation's "
                          "grid, dt and t_end")
-    base = _Member(base_cfg, "2d_base")
-    pert = _Member(cfg, "perturbation")
+    base_dir, pert_dir, direct_dir = directories or (None, None, None)
+    base = _Member(base_cfg, "2d_base", base_dir)
+    pert = _Member(cfg, "perturbation", pert_dir)
     if direct_cfg is None:
         _lockstep(pert, base)
         return base.trajectory(), pert.trajectory(), None
-    with Worker("direct", _run_alone, direct_cfg, "full_3d") as worker:
+    with Worker("direct", _run_alone, direct_cfg, "full_3d",
+                direct_dir) as worker:
         try:
             _lockstep(pert, base)
         except BlowUpError as own:
@@ -604,11 +636,12 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
     return base.trajectory(), pert.trajectory(), direct
 
 
-def run_full_3d(cfg: SolverConfig) -> Trajectory:
-    """Evolve the full 3D equations."""
+def run_full_3d(cfg: SolverConfig, directory=None) -> Trajectory:
+    """Evolve the full 3D equations; given a trajectory directory, stream
+    its snapshots there (_Member)."""
     if cfg.grid.dim != 3:
         raise ValueError("run_full_3d needs a 3D grid")
-    return _run_alone(cfg, "full_3d")
+    return _run_alone(cfg, "full_3d", directory)
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +684,43 @@ def recover_pressure(v: Field, f: Field | None, nu: float) -> Field:
 # ---------------------------------------------------------------------------
 # trajectory persistence
 
+def _partial_snapshot_dir(directory) -> str:
+    """<directory>/snapshots.partial, made empty for the snapshots of a run
+    about to be written.  The directory's summary.json goes first: until
+    save_trajectory writes it again, the directory is not a complete
+    trajectory."""
+    os.makedirs(directory, exist_ok=True)
+    summary = os.path.join(directory, "summary.json")
+    if os.path.exists(summary):
+        os.remove(summary)
+    partial = os.path.join(directory, "snapshots.partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    os.makedirs(partial)
+    return partial
+
+
 def save_trajectory(traj: Trajectory, directory) -> dict:
     """Write config copy, per-step CSV, norm series, snapshots and summary.
 
     Layout: config.json, diagnostics.csv (every step), norms.csv (one
     NormReport row per report, at norm_stride), summary.json,
     snapshots/snap_NNNNNN.npz (at snapshot_stride).
+
+    A streamed trajectory's snapshots are already files, in the directory
+    its run streamed them into; the snapshots of any other are written to
+    <directory>/snapshots.partial.  Once the scalar files are written, that
+    directory moves to snapshots/, replacing an earlier one, and a streamed
+    trajectory's snapshot_paths follow it.  summary.json comes last, so a
+    directory with one is complete.
     """
     os.makedirs(directory, exist_ok=True)
-    snapdir = os.path.join(directory, "snapshots")
-    os.makedirs(snapdir, exist_ok=True)
+    files = traj.snapshot_paths
+    if not files:
+        partial = _partial_snapshot_dir(directory)
+        files = [os.path.join(partial, f"snap_{i:06d}.npz")
+                 for i in range(len(traj.times))]
+        for i, path in enumerate(files):
+            save_field(path, traj.snapshot_field(i))
 
     with open(os.path.join(directory, "config.json"), "w") as fh:
         json.dump({"config": traj.config, "hash": traj.config_hash}, fh,
@@ -679,11 +739,14 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
     with open(os.path.join(directory, "norms.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    paths = []
-    for i in range(len(traj.times)):
-        path = os.path.join(snapdir, f"snap_{i:06d}.npz")
-        save_field(path, traj.snapshot_field(i))
-        paths.append(path)
+    partial = os.path.dirname(files[0])
+    snapdir = os.path.join(directory, "snapshots")
+    if os.path.abspath(partial) != os.path.abspath(snapdir):
+        shutil.rmtree(snapdir, ignore_errors=True)
+        os.replace(partial, snapdir)
+    paths = [os.path.join(snapdir, os.path.basename(p)) for p in files]
+    if traj.snapshot_paths:
+        traj.snapshot_paths = paths
 
     summary = {
         "hash": traj.config_hash,
@@ -692,7 +755,7 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         "final_l2_sq": float(traj.diag["l2_sq"][-1]),
         "final_grad_l2_sq": float(traj.diag["grad_l2_sq"][-1]),
         "final_mean": [float(x) for x in traj.diag["mean"][-1]],
-        "snapshots": len(traj.snapshots),
+        "snapshots": len(traj.times),
         "aborted": False,
     }
     with open(os.path.join(directory, "summary.json"), "w") as fh:

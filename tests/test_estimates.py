@@ -292,6 +292,60 @@ def test_hypotheses_vacuous_not_failed(stability_setup):
     assert all(r.status == est.VACUOUS for r in conc.values())
 
 
+def _envelope_oracle(series, budget, X0_sq):
+    """The replaced gronwall_envelope loop: np.interp of A^2 and G^2 at
+    every RK4 stage (no gamma* abort; the tests stay below it)."""
+    nu, c4, c5 = budget.nu, budget.c4, budget.c5
+    t = series.times
+
+    def interp(y, tt):
+        return np.interp(tt, t, y)
+
+    def f(tt, W):
+        return (-W * (nu * c4 - (c5 / nu**3) * W * W)
+                + interp(series.A_sq, tt) * W + interp(series.G_sq, tt))
+
+    W = np.empty_like(t)
+    W[0] = X0_sq
+    for i in range(len(t) - 1):
+        h = t[i + 1] - t[i]
+        k1 = f(t[i], W[i])
+        k2 = f(t[i] + 0.5 * h, W[i] + 0.5 * h * k1)
+        k3 = f(t[i] + 0.5 * h, W[i] + 0.5 * h * k2)
+        k4 = f(t[i] + h, W[i] + h * k3)
+        W[i + 1] = W[i] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return W
+
+
+@pytest.mark.parametrize("forced", [False, True],
+                         ids=["unforced", "forced"])
+def test_envelope_matches_interpolating_loop(stability_setup, forced):
+    base, pert, budget, cal = stability_setup
+    if forced:
+        # time-dependent forces on both runs, at N=8, so that A^2 and G^2
+        # vary between the norm samples
+        g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+        base_cfg = SolverConfig(
+            grid=g2, nu=budget.nu, dt=2e-3, t_end=2 * T, T=T,
+            forcing=ForcingSpec(kind="expression", expressions=(
+                "1e-3*sin(x2)*cos(3*t)", "1e-3*sin(x1)")),
+            initial=taylor_green_exact(g2, budget.nu, 0.0, 0.005),
+            snapshot_stride=1000, norm_stride=25)
+        u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
+                                  target_h1=np.sqrt(0.5 * budget.gamma))
+        base, pert, _ = run_perturbation(SolverConfig(
+            grid=g3, nu=budget.nu, dt=2e-3, t_end=2 * T, T=T, initial=u0,
+            forcing=ForcingSpec(kind="expression", expressions=(
+                "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)")),
+            snapshot_stride=1000, norm_stride=50), base_cfg)
+    for k in range(2):
+        s = est.stability_series(pert, base, budget, k)
+        assert np.ptp(s.A_sq) > 0 and (np.ptp(s.G_sq) > 0) == forced
+        X0 = float(s.X_sq[0])
+        assert np.array_equal(est.gronwall_envelope(s, budget, X0),
+                              _envelope_oracle(s, budget, X0))
+
+
 def test_envelope_reduced_linear_case(stability_setup):
     # A = G = 0: dW/dt <= -W(nu c4 - (c5/nu^3) W^2) <= -c*/2 W below gamma*,
     # and for tiny W the decay rate approaches nu*c4

@@ -163,6 +163,47 @@ def test_reverify_reads_no_snapshots(tmp_path):
     assert (out / "inequalities.json").read_bytes() == written
 
 
+def test_rerun_replaces_stale_snapshots(tmp_path):
+    # a second run into the same directory used to leave the first run's
+    # extra snapshot files beside its own
+    out = tmp_path / "out"
+    for stride, count in ((10, 11), (50, 3)):
+        cfg = dict(SMALL_PERT, perturbation={"snapshot_stride": stride,
+                                             "norm_stride": 10})
+        exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
+        for run in ("base", "perturbation"):
+            summary = json.loads((out / run / "summary.json").read_text())
+            files = sorted(os.listdir(out / run / "snapshots"))
+            assert len(files) == summary["snapshots"]
+            assert not (out / run / "snapshots.partial").exists()
+        assert len(files) == count
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
+    # a run that blows up in a directory holding a complete earlier run
+    # must not leave that run's trajectories looking complete
+    out = tmp_path / "out"
+    if rerun:
+        exp.run_experiment(exp.parse_config(json.dumps(
+            dict(SMALL_PERT, direct_3d=True))), str(out))
+    cfg = dict(SMALL_PERT, direct_3d=True, perturbation={
+        "initial": {"kind": "random", "target_h1": 1e4}})
+    with np.errstate(all="ignore"):
+        arts = exp.run_experiment(exp.parse_config(json.dumps(cfg)),
+                                  str(out))
+    assert arts.failed and "blow-up" in arts.reports
+    for run in ("base", "perturbation", "direct"):
+        assert (out / run / "snapshots.partial").is_dir()
+        assert not (out / run / "summary.json").exists()
+        if not rerun:
+            assert sorted(os.listdir(out / run)) == ["snapshots.partial"]
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run the experiment again" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
@@ -356,6 +397,13 @@ def test_meta_records_phase_times(tmp_path):
     counts = meta["force_evaluations"]
     assert set(counts) == {"base", "perturbation", "direct"}
     assert all(n + 1 <= c <= n + 1 + off_grid for c in counts.values())
+    # the snapshot files each run streamed, as they lie in snapshots/
+    for name, streamed in meta["snapshots"].items():
+        files = list((tmp_path / "out" / name / "snapshots").iterdir())
+        assert streamed == {"count": len(files),
+                            "bytes": sum(f.stat().st_size for f in files)}
+    assert set(meta["snapshots"]) == {"base", "perturbation", "direct"}
+    assert meta["snapshots"]["perturbation"]["count"] == 3
 
 
 def test_cli_sweep(tmp_path, capsys):

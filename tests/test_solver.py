@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import os
+import pickle
 import tracemalloc
 from dataclasses import astuple
 
@@ -314,6 +316,80 @@ def test_lockstep_matches_stored_base_oracle(r):
                                   np.array(stored.snapshots))
     for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
         np.testing.assert_array_equal(base.diag[key], stored.diag[key])
+
+
+def test_streamed_snapshots_equal_in_memory_path(tmp_path):
+    # the in-memory list is the reference: every streamed file holds the
+    # same state and time, and a saved streamed run matches a saved
+    # in-memory one file for file
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    held = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    names = ("base", "perturbation", "direct")
+    dirs = tuple(tmp_path / "streamed" / name for name in names)
+    streamed = run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
+    for name, directory, mem, disk in zip(names, dirs, held, streamed):
+        partial = str(directory / "snapshots.partial")
+        assert disk.snapshots == []
+        assert [os.path.dirname(p) for p in disk.snapshot_paths] \
+            == [partial] * len(mem.snapshots)
+        np.testing.assert_array_equal(disk.times, mem.times)
+        # the pickle a worker sends back carries paths, not states
+        assert len(pickle.dumps(disk)) \
+            - sum(len(p.encode()) for p in disk.snapshot_paths) \
+            < len(pickle.dumps(mem)) - sum(s.nbytes for s in mem.snapshots)
+        for i, path in enumerate(disk.snapshot_paths):
+            got, want = disk.snapshot_field(i), mem.snapshot_field(i)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert (got.grid, got.representation, got.divergence_free,
+                    got.time_stamp) == (want.grid, want.representation,
+                                        want.divergence_free,
+                                        want.time_stamp)
+        save_trajectory(mem, tmp_path / "held" / name)
+        out = save_trajectory(disk, directory)
+        assert not os.path.exists(partial)
+        assert disk.snapshot_paths == out["snapshots"]
+        # saved again where its files now lie, it keeps them
+        assert save_trajectory(disk, directory) == out
+        for fname in ("config.json", "diagnostics.csv", "norms.csv",
+                      "summary.json"):
+            assert (directory / fname).read_bytes() \
+                == (tmp_path / "held" / name / fname).read_bytes()
+        held_files = sorted(os.listdir(tmp_path / "held" / name
+                                       / "snapshots"))
+        assert sorted(os.listdir(directory / "snapshots")) == held_files
+        for fname in held_files:
+            assert (directory / "snapshots" / fname).read_bytes() \
+                == (tmp_path / "held" / name / "snapshots"
+                    / fname).read_bytes()
+
+
+def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
+    # a streamed run holds no state per snapshot: its traced peak is the
+    # same, within one state, for a snapshot at every step and at the two
+    # ends; the in-memory path holds one more state per snapshot
+    grid = make_grid(2 * np.pi, 8, 3)
+    steps, dt = 20, 2e-3
+    initial = random_divfree_field(grid, 1, target_h1=0.5)
+    state = initial.spectral().nbytes
+
+    def peak(stride, directory):
+        cfg = SolverConfig(grid=grid, nu=0.5, dt=dt, t_end=steps * dt,
+                           T=steps * dt, initial=initial,
+                           snapshot_stride=stride, norm_stride=steps)
+        run_full_3d(cfg, directory)  # warms every cache first
+        tracemalloc.start()
+        try:
+            traj = run_full_3d(cfg, directory)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == steps // stride + 1
+        return top
+
+    streamed = [peak(stride, tmp_path / "run") for stride in (1, steps)]
+    assert abs(streamed[0] - streamed[1]) < state
+    held = [peak(stride, None) for stride in (1, steps)]
+    assert held[0] - held[1] >= (steps - 1) * state
 
 
 def test_lockstep_direct_matches_run_full_3d():

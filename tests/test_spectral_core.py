@@ -1,5 +1,9 @@
 """Grid, transforms, calculus operators, projection, dealiasing."""
 
+import json
+import pickle
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,29 @@ def test_grid_validation():
         make_grid(2 * np.pi, 15, 2)
     with pytest.raises(ValueError):
         make_grid(2 * np.pi, 2, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_pickles_by_its_parameters(dim):
+    grid = make_grid(4.0, 16, dim)
+    cached = ("modes", "k", "k_sq", "sobolev_weights", "k_deriv",
+              "k_sq_deriv", "k_sq_deriv_divisor", "hermitian_weight",
+              "dealias_mask", "coords")
+    for name in cached:
+        getattr(grid, name)
+    data = pickle.dumps(grid)
+    assert len(data) < 1024
+    back = pickle.loads(data)
+    assert back == grid
+    assert not set(cached) & set(vars(back))
+    for name in cached:
+        want, got = getattr(grid, name), getattr(back, name)
+        if isinstance(want, tuple):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_grid_lattice(grid2):
@@ -264,3 +291,28 @@ def test_save_load_round_trip(tmp_path, grid2):
     assert g.time_stamp == 1.25
     assert g.divergence_free
     assert np.array_equal(g.data, f.data)
+
+
+def test_load_field_reads_uncompressed_and_deflated(tmp_path, grid3):
+    # snapshots written before save_field deflated them are the same
+    # version-1 members in an uncompressed archive
+    f = random_divfree_field(grid3, seed=4)
+    f.time_stamp = 0.375
+    meta = {"version": 1, "L": grid3.L, "N": grid3.N, "dim": grid3.dim,
+            "ncomp": f.ncomp, "representation": f.representation,
+            "divergence_free": True, "time_stamp": f.time_stamp}
+    np.savez(tmp_path / "plain.npz", meta=np.array(json.dumps(meta)),
+             data=f.data)
+    save_field(tmp_path / "deflated.npz", f)
+    with zipfile.ZipFile(tmp_path / "deflated.npz") as zf:
+        assert {i.compress_type for i in zf.infolist()} \
+            == {zipfile.ZIP_DEFLATED}
+    assert (tmp_path / "deflated.npz").stat().st_size \
+        < (tmp_path / "plain.npz").stat().st_size
+    plain = load_field(tmp_path / "plain.npz")
+    deflated = load_field(tmp_path / "deflated.npz")
+    for g in (plain, deflated):
+        assert (g.grid, g.representation, g.divergence_free, g.time_stamp) \
+            == (grid3, f.representation, True, 0.375)
+        assert g.data.dtype == f.data.dtype and g.data.shape == f.data.shape
+    assert plain.data.tobytes() == deflated.data.tobytes() == f.data.tobytes()
