@@ -609,17 +609,16 @@ def gronwall_envelope(series: StabilitySeries, budget: StabilityBudget,
     nu, c4, c5 = budget.nu, budget.c4, budget.c5
     t = series.times
     h = t[1:] - t[:-1]
-    stages = [(np.interp(tt, t, series.A_sq), np.interp(tt, t, series.G_sq))
-              for tt in (t[:-1], t[:-1] + 0.5 * h, t[:-1] + h)]
-    (a0, g0), (a1, g1), (a2, g2) = [(a.tolist(), g.tolist())
-                                    for a, g in stages]
+    (a0, g0), (a1, g1), (a2, g2) = [
+        (np.interp(tt, t, series.A_sq), np.interp(tt, t, series.G_sq))
+        for tt in (t[:-1], t[:-1] + 0.5 * h, t[:-1] + h)]
 
     def f(a, g, W):
         return -W * (nu * c4 - (c5 / nu**3) * W * W) + a * W + g
 
     W = np.empty_like(t)
     W[0] = X0_sq
-    for i, hi in enumerate(h.tolist()):
+    for i, hi in enumerate(h):
         k1 = f(a0[i], g0[i], W[i])
         k2 = f(a1[i], g1[i], W[i] + 0.5 * hi * k1)
         k3 = f(a1[i], g1[i], W[i] + 0.5 * hi * k2)

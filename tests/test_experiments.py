@@ -201,6 +201,8 @@ def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run the experiment again" in err
+    for run in ("base", "perturbation"):
+        assert os.path.join(run, "summary.json") in err
     assert err.count("\n") == 1
 
 
