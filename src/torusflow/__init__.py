@@ -3,15 +3,14 @@ stability bounds are checked, inequality by inequality, on the computed
 trajectories."""
 
 from .grid import TorusGrid, make_grid
-from .field import (Field, dealias, divergence_linf, extrude_field,
-                    leray_project, load_field, mean, mean_free,
-                    physical_field, random_divfree_field, save_field,
-                    spectral_derivative, spectral_field, transform)
+from .field import (Field, divergence_linf, extrude_field, load_field, mean,
+                    mean_free, physical_field, random_divfree_field,
+                    save_field, spectral_derivative, spectral_field)
 from .norms import (NormReport, TrajectoryNorms, compute_norm_report,
-                    embedding_ratio_l6_h1, grad_lp_norm, l2_norm_sq, lp_norm,
-                    poincare_ratio, sobolev_norm_sq, w1_sigma_norm)
+                    embedding_ratio_l6_h1, l2_norm_sq, lp_norm,
+                    poincare_ratio, sobolev_norm_sq)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     advance, load_trajectory, recover_pressure, run_2d_base,
+                     load_trajectory, recover_pressure, run_2d_base,
                      run_full_3d, run_perturbation, save_trajectory,
                      taylor_green_exact)
 from .estimates import (BConstants, CalibratedConstants, InequalityReport,

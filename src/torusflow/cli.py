@@ -4,18 +4,20 @@ Sub-commands:
   run        simulate a scenario config (or a bundled scenario) and check it
   verify     re-run the estimate checks on stored trajectories
   calibrate  estimate the embedding/interpolation constants on an ensemble
-  sweep      run a grid of scenario variants, optionally in parallel
+  sweep      run a grid of scenario variants, optionally in forked workers
 """
 
 import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 
 from . import estimates as est
 from . import experiments as exp
 from .grid import make_grid
+from .worker import Worker
 
 
 def _add_common(p):
@@ -59,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--out", default="runs/sweep")
     p_sweep.add_argument("--parallel", type=int, default=1,
-                         help="concurrent experiments")
+                         help="members run at once in forked workers")
     return parser
 
 
@@ -135,10 +137,9 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _run_member(payload):
-    # module-level so it pickles for the process pool; a member that raises
-    # is recorded as an error without stopping the others
-    merged, out_dir = payload
+def _run_member(merged, out_dir):
+    # a member that raises is recorded as an error without stopping the
+    # others
     try:
         spec = exp.parse_config(json.dumps(merged))
         artifacts = exp.run_experiment(spec, out_dir)
@@ -169,12 +170,18 @@ def _cmd_sweep(args) -> int:
 
     results = []
     if args.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_run_member, jobs))
+        # up to args.parallel members at once, each in a forked worker,
+        # joined in jobs order
+        with ExitStack() as stack:
+            running = []
+            for job in jobs:
+                if len(running) == args.parallel:
+                    results.append(running.pop(0).join())
+                running.append(stack.enter_context(
+                    Worker(job[1], _run_member, *job)))
+            results += [worker.join() for worker in running]
     else:
-        results = [_run_member(j) for j in jobs]
+        results = [_run_member(*job) for job in jobs]
 
     worst = 0
     lines = ["member,exit_code,failed"]

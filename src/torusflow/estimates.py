@@ -243,11 +243,12 @@ def vorticity_cancellation_residual(vs: Field) -> float:
     vel = physical_padded(vs, factor)
     lap = physical_padded(
         spectral_field(grid, laplacian_data(grid, bar.spectral())), factor)
+    grad = [physical_padded(spectral_derivative(bar, j), factor)
+            for j in range(2)]
     integrand = np.zeros_like(vel[0])
     for c in range(2):
         for j in range(2):
-            dj = physical_padded(spectral_derivative(bar, j, 1), factor)
-            integrand += vel[j] * dj[c] * lap[c]
+            integrand += vel[j] * grad[j][c] * lap[c]
     M = factor * grid.N
     integral = (grid.L / M) ** 2 * float(np.sum(integrand))
     h1 = math.sqrt(sobolev_norm_sq(vs, 1))

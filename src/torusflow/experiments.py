@@ -21,7 +21,7 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field as dc_field, asdict
 
 import numpy as np
@@ -346,17 +346,17 @@ def _timed(phases: dict, name: str):
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
-    Calibrates first, then steps the base, perturbation and direct runs in
-    one run_perturbation call, each streaming its snapshots into the
-    snapshots.partial directory of its trajectory directory, and writes
-    their scalar series once all have finished.  On solver blow-up only the
-    partial snapshot directories are left of the trajectories, and
-    meta.json carries the failure marker.  meta.json also records the wall
-    seconds of each of PHASES in this process (direct: the wait for the
-    direct run's worker), the busy seconds of each forked worker, the
-    solver steps per second of the runs and, per run, the evaluations of
-    its force that the cache did not serve and the count and bytes of its
-    snapshot files.
+    Removes an earlier run's verdict files from out_dir, calibrates, then
+    steps the base, perturbation and direct runs in one run_perturbation
+    call, each streaming its snapshots into the snapshots.partial directory
+    of its trajectory directory, and writes their scalar series once all
+    have finished.  On solver blow-up only the partial snapshot
+    directories are left of the trajectories, and meta.json carries the
+    failure marker.  meta.json also records the wall seconds of each of
+    PHASES in this process (direct: the wait for the direct run's worker),
+    the busy seconds of each forked worker, the solver steps per second of
+    the runs and, per run, the evaluations of its force that the cache did
+    not serve and the count and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -366,6 +366,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     snapshots = {}
     raw = spec.raw
     os.makedirs(out_dir, exist_ok=True)
+    for name in ("constants.json", "inequalities.json", "windows.csv"):
+        # an earlier run's verdicts must not outlive a rerun that fails
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     with _timed(phases, "writing"), \
             open(os.path.join(out_dir, "spec.json"), "w") as fh:
         fh.write(spec.to_json() + "\n")

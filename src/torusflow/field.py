@@ -55,10 +55,6 @@ class Field:
     def ncomp(self) -> int:
         return self.data.shape[0]
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy(), self.representation,
-                     self.divergence_free, self.time_stamp)
-
     def spectral(self) -> np.ndarray:
         """Spectral coefficients (converting if needed)."""
         if self.representation == SPECTRAL:
@@ -89,16 +85,6 @@ def physical_data(grid: TorusGrid, spec: np.ndarray, out=None) -> np.ndarray:
                          out=out)
 
 
-def transform(field: Field, target: str) -> Field:
-    """Change representation; round trips preserve values to ~1e-15."""
-    if target not in (PHYSICAL, SPECTRAL):
-        raise ValueError(f"unknown representation {target!r}")
-    if field.representation == target:
-        return field
-    data = field.spectral() if target == SPECTRAL else field.physical()
-    return Field(field.grid, data, target, field.divergence_free, field.time_stamp)
-
-
 def spectral_field(grid: TorusGrid, spec: np.ndarray, divergence_free=False,
                    time_stamp=0.0) -> Field:
     return Field(grid, spec, SPECTRAL, divergence_free, time_stamp)
@@ -119,30 +105,26 @@ def _nyquist_selector(grid: TorusGrid, axis: int):
     return tuple([slice(None)] + idx)
 
 
-def derivative_data(grid: TorusGrid, spec: np.ndarray, axis: int,
-                    order: int = 1) -> np.ndarray:
+def derivative_data(grid: TorusGrid, spec: np.ndarray, axis: int) -> np.ndarray:
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} invalid for dim {grid.dim}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    out = spec * (1j * grid.k[axis]) ** order
-    if order % 2 == 1:
-        # odd derivatives of the Nyquist mode are not representable on the
-        # collocation grid; zero them to keep fields real
-        out[_nyquist_selector(grid, axis)] = 0.0
+    out = spec * (1j * grid.k[axis])
+    # the derivative of the Nyquist mode is not representable on the
+    # collocation grid; zero it to keep fields real
+    out[_nyquist_selector(grid, axis)] = 0.0
     return out
 
 
-def spectral_derivative(field: Field, direction: int, order: int = 1) -> Field:
-    """Differentiate along `direction` by modewise (i k)^order."""
-    out = derivative_data(field.grid, field.spectral(), direction, order)
+def spectral_derivative(field: Field, direction: int) -> Field:
+    """Differentiate along `direction` by modewise i k."""
+    out = derivative_data(field.grid, field.spectral(), direction)
     return Field(field.grid, out, SPECTRAL, False, field.time_stamp)
 
 
 def gradient_parts(grid: TorusGrid, spec: np.ndarray):
     """First derivatives of each component along every axis, one
     (1,) + spectral shape array at a time, ordered component-major."""
-    return (derivative_data(grid, spec[c:c + 1], ax, 1)
+    return (derivative_data(grid, spec[c:c + 1], ax)
             for c in range(spec.shape[0]) for ax in range(grid.dim))
 
 
@@ -163,7 +145,7 @@ def divergence_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
         raise ValueError("divergence needs one component per grid axis")
     out = np.zeros(grid.shape_spec, dtype=complex)
     for ax in range(grid.dim):
-        out += derivative_data(grid, spec[ax:ax + 1], ax, 1)[0]
+        out += derivative_data(grid, spec[ax:ax + 1], ax)[0]
     return out
 
 
@@ -204,21 +186,6 @@ def leray_data(grid: TorusGrid, spec: np.ndarray, out=None,
     return out
 
 
-def leray_project(field: Field) -> Field:
-    """Project onto divergence-free fields: v_hat -= k (k.v_hat)/|k|^2."""
-    if field.ncomp != field.grid.dim:
-        raise ValueError("Leray projection needs one component per grid axis")
-    out = leray_data(field.grid, field.spectral())
-    return Field(field.grid, out, SPECTRAL, True, field.time_stamp)
-
-
-def dealias(field: Field) -> Field:
-    """2/3-rule truncation: zero every mode with any |m| > N/3."""
-    out = field.spectral() * field.grid.dealias_mask
-    return Field(field.grid, out, SPECTRAL, field.divergence_free,
-                 field.time_stamp)
-
-
 def mean(field: Field) -> np.ndarray:
     """Spatial mean vector (the k=0 spectral coefficient)."""
     zero = (slice(None),) + (0,) * field.grid.dim
@@ -235,8 +202,7 @@ def mean_free(field: Field) -> Field:
 
 
 def random_divfree_field(grid: TorusGrid, seed: int, spectrum_decay: float = 2.0,
-                         target_h1: float | None = None,
-                         ncomp: int | None = None) -> Field:
+                         target_h1: float | None = None) -> Field:
     """Reproducible random mean-free divergence-free field.
 
     Coefficients are Gaussian with amplitude |k|^(-spectrum_decay), dealiased,
@@ -245,18 +211,14 @@ def random_divfree_field(grid: TorusGrid, seed: int, spectrum_decay: float = 2.0
     """
     if spectrum_decay <= 0:
         raise ValueError("spectrum_decay must be positive")
-    if ncomp is None:
-        ncomp = grid.dim
     rng = np.random.default_rng(seed)
-    phys = rng.standard_normal((ncomp,) + grid.shape_phys)
+    phys = rng.standard_normal((grid.dim,) + grid.shape_phys)
     spec = spectral_data(grid, phys)
     amp = np.where(grid.k_sq > 0, grid.k_sq, 1.0) ** (-spectrum_decay / 2.0)
     spec *= amp * grid.dealias_mask
     zero = (slice(None),) + (0,) * grid.dim
     spec[zero] = 0.0
-    if ncomp == grid.dim:
-        spec = leray_data(grid, spec)
-    out = Field(grid, spec, SPECTRAL, ncomp == grid.dim, 0.0)
+    out = Field(grid, leray_data(grid, spec), SPECTRAL, True, 0.0)
     if target_h1 is not None:
         from .norms import sobolev_norm_sq
         h1 = np.sqrt(sobolev_norm_sq(out, 1))
@@ -335,8 +297,8 @@ def _pad_stages(grid: TorusGrid, factor: int) -> tuple:
     zero-padded input of the rfft axis.  Zeroed once here; physical_padded
     overwrites only the kept modes, so every padding entry stays zero.  The
     arrays of the 8 most recent (grid, factor) pairs are kept and shared by
-    every caller in the process, so threads must not pad concurrently
-    (sweeps run their members in processes)."""
+    every caller in the process, so threads must not pad concurrently (a
+    forked Worker, which runs sweep members, gets its own copy)."""
     M = factor * grid.N
     shape = [1, *grid.shape_spec]
     stages = []

@@ -145,9 +145,6 @@ class TorusGrid:
             axes.append(x.reshape(shape))
         return tuple(axes)
 
-    def meshgrid(self) -> tuple:
-        return tuple(np.broadcast_to(c, self.shape_phys) for c in self.coords)
-
 
 def make_grid(L: float, N: int, dim: int) -> TorusGrid:
     """Build a TorusGrid; rejects odd or tiny N and nonpositive L."""

@@ -56,7 +56,8 @@ def grad_l2_norm_sq(field: Field) -> float:
 def hessian_l2_norm_sq(field: Field) -> float:
     """Squared L2 norm of all second derivatives (ordered pairs) by
     Parseval: the modewise weight is |k|^4, built from the discrete
-    derivative's wavenumbers as second_derivative_field does."""
+    derivative's wavenumbers, so it equals the L2 norm of the gradient of
+    gradient_field."""
     return _parseval_sum(field.grid, field.spectral(),
                          field.grid.k_sq_deriv ** 2)
 
@@ -133,24 +134,6 @@ def gradient_field(field: Field) -> Field:
                           time_stamp=field.time_stamp)
 
 
-def second_derivative_field(field: Field) -> Field:
-    """All second derivatives (ordered pairs) stacked into one field."""
-    g = gradient_field(field)
-    return gradient_field(g)
-
-
-def grad_lp_norm(field: Field, p: float) -> float:
-    """L_p norm of |grad u| (Frobenius magnitude of the Jacobian)."""
-    return lp_norm(gradient_field(field), p)
-
-
-def w1_sigma_norm(field: Field, sigma: float = DEFAULT_SIGMA) -> float:
-    """W^1_sigma norm: ||u||_{L_sigma} + ||grad u||_{L_sigma}."""
-    if sigma <= 3:
-        raise ValueError(f"sigma must exceed 3, got {sigma}")
-    return lp_norm(field, sigma) + grad_lp_norm(field, sigma)
-
-
 def csv_line(values) -> str:
     """values as one CSV line, each in the shortest text that reads back to
     the same double (repr of a Python float)."""
@@ -208,7 +191,6 @@ class TrajectoryNorms:
 
     reports: list
     interval: tuple
-    quadrature: str = "trapezoid"
 
     def __post_init__(self):
         times = self.times

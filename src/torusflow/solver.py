@@ -121,7 +121,7 @@ class ForcingSpec:
         if self.kind == "expression" and not self.expressions:
             raise ValueError("expression forcing needs component expressions")
         self._compiled = [_compile_expression(e) for e in self.expressions]
-        self._cache = {}
+        self._last = (None, None)  # (key, transform) of the last evaluation
         self.evaluations = 0
 
     @property
@@ -133,12 +133,13 @@ class ForcingSpec:
         caller asking for the same grid and time: do not write to them.
 
         The expressions are evaluated on the broadcastable coordinate axes
-        grid.coords and the result broadcast to the grid.  evaluations
-        counts the calls that were not served from the cache.
+        grid.coords and the result broadcast to the grid.  Only the last
+        evaluation is kept: a step asks for t, then t + dt, which the next
+        step asks for again.  evaluations counts the calls it did not serve.
         """
         key = (grid.L, grid.N, grid.dim, 0.0 if self.steady else float(t))
-        if key in self._cache:
-            return self._cache[key]
+        if self._last[0] == key:
+            return self._last[1]
         self.evaluations += 1
         if self.kind == "zero":
             out = np.zeros((grid.dim,) + grid.shape_spec, dtype=complex)
@@ -155,9 +156,7 @@ class ForcingSpec:
                                 grid.shape_phys).astype(float)
                 for code, _ in self._compiled])
             out = spectral_data(grid, phys)
-        if len(self._cache) > 8:
-            self._cache.clear()
-        self._cache[key] = out
+        self._last = (key, out)
         return out
 
 
@@ -379,26 +378,6 @@ class _Workspace:
         v += n1
         v /= self.B
         return v
-
-
-def nonlinear_term(grid: TorusGrid, v_spec: np.ndarray, f_spec,
-                   background=None) -> np.ndarray:
-    """P(-dealias(div(w(x)w - b(x)b)) + f), w = dealias(v) + b
-    (_Workspace.flux_rhs)."""
-    ws = _Workspace(grid)
-    return ws.nonlinear(v_spec, f_spec, background, out=ws.n0)
-
-
-def advance(state: Field, forcing: ForcingSpec | None, nu: float,
-            dt: float) -> Field:
-    """One IMEX step of the full equations from state.time_stamp."""
-    grid = state.grid
-    t = state.time_stamp
-    out = _Workspace(grid, nu, dt).step(state.spectral().copy(), t,
-                                        forcing or ForcingSpec())
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(t + dt, "spectral coefficients", "non-finite")
-    return Field(grid, out, SPECTRAL, True, t + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_03_poincare_sharpness():
     for seed in range(1000):
         f = random_divfree_field(grid, seed, spectrum_decay=1.0)
         worst = min(worst, poincare_ratio(f, "l2"))
-    x1, _ = grid.meshgrid()
+    x1, _ = np.broadcast_arrays(*grid.coords)
     lowest = physical_field(grid, np.sin(x1))
     attained = poincare_ratio(lowest, "l2")
     ok = worst >= kappa_sq * (1 - 1e-10) \

@@ -182,17 +182,22 @@ def test_rerun_replaces_stale_snapshots(tmp_path):
 @pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
 def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
     # a run that blows up in a directory holding a complete earlier run
-    # must not leave that run's trajectories looking complete
+    # must not leave that run's trajectories looking complete, nor its
+    # verdicts beside a meta.json that says the rerun failed
     out = tmp_path / "out"
+    verdicts = ("constants.json", "inequalities.json", "windows.csv")
     if rerun:
         exp.run_experiment(exp.parse_config(json.dumps(
             dict(SMALL_PERT, direct_3d=True))), str(out))
+        assert all((out / name).exists() for name in verdicts)
     cfg = dict(SMALL_PERT, direct_3d=True, perturbation={
         "initial": {"kind": "random", "target_h1": 1e4}})
     with np.errstate(all="ignore"):
         arts = exp.run_experiment(exp.parse_config(json.dumps(cfg)),
                                   str(out))
     assert arts.failed and "blow-up" in arts.reports
+    assert json.loads((out / "meta.json").read_text())["failed"]
+    assert not any((out / name).exists() for name in verdicts)
     for run in ("base", "perturbation", "direct"):
         assert (out / run / "snapshots.partial").is_dir()
         assert not (out / run / "summary.json").exists()
@@ -422,18 +427,22 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep" / "member_001" / "summary.txt").exists()
 
 
-def test_cli_sweep_member_fails_alone(tmp_path, capsys):
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_cli_sweep_member_fails_alone(tmp_path, capsys, parallel):
     cfg = dict(SMALL_PERT, sweep=[{}, {"budget": {"c_star_frac": 5.0}}])
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "sweep"
-    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--parallel", str(parallel)])
     assert code == exp.EXIT_ERROR
     rows = (out / "sweep.csv").read_text().splitlines()
-    assert rows[0] == "member,exit_code,failed"
-    assert rows[1] == f"{out / 'member_000'},0,False"
-    assert rows[2] == f"{out / 'member_001'},{exp.EXIT_ERROR},True"
-    assert "budget refused" in capsys.readouterr().err
+    assert rows == ["member,exit_code,failed",
+                    f"{out / 'member_000'},0,False",
+                    f"{out / 'member_001'},{exp.EXIT_ERROR},True"]
+    if parallel == 1:
+        # a forked member writes to the process's stderr, past capsys
+        assert "budget refused" in capsys.readouterr().err
 
 
 def test_run_and_verify_do_not_import_scipy(tmp_path):

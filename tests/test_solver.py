@@ -19,10 +19,10 @@ from torusflow.field import (derivative_data, divergence_linf,
 from torusflow.experiments import combine_forcing
 from torusflow.norms import l2_norm_sq
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
-                              _EXPR_FUNCTIONS, _forcing_series, advance,
+                              _EXPR_FUNCTIONS, _forcing_series,
                               forcing_lp_sq_series, load_trajectory,
-                              nonlinear_term, recover_pressure, run_2d_base,
-                              run_full_3d, run_perturbation, save_trajectory,
+                              recover_pressure, run_2d_base, run_full_3d,
+                              run_perturbation, save_trajectory,
                               taylor_green_exact, _Workspace)
 
 from oracles import mean_ode_integrate
@@ -34,7 +34,8 @@ def nse_rhs(v, f, nu):
     if f is not None and f.grid != grid:
         raise ValueError("velocity and forcing grids differ")
     f_spec = None if f is None else f.spectral()
-    out = nonlinear_term(grid, v.spectral(), f_spec)
+    ws = _Workspace(grid)
+    out = ws.nonlinear(v.spectral(), f_spec, None, out=ws.n0)
     out = out - nu * grid.k_sq * v.spectral()
     return spectral_field(grid, out, divergence_free=True,
                           time_stamp=v.time_stamp)
@@ -82,7 +83,8 @@ def _evaluate_on_meshgrid(forcing, grid, t):
     """The replaced ForcingSpec.evaluate: expressions evaluated on the full
     meshgrid."""
     names = dict(_EXPR_FUNCTIONS, pi=np.pi, t=t)
-    names.update({f"x{ax + 1}": c for ax, c in enumerate(grid.meshgrid())})
+    names.update({f"x{ax + 1}": c for ax, c in
+                  enumerate(np.broadcast_arrays(*grid.coords))})
     return spectral_data(grid, np.array([
         np.broadcast_to(eval(code, {"__builtins__": {}}, names),
                         grid.shape_phys).astype(float)
@@ -140,7 +142,7 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
         b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
         b_spec = extrude_field(b2, grid3).spectral()
         background = physical_data(grid3, b_spec)[..., :1]
-    got = nonlinear_term(grid, v, f, background)
+    got = _Workspace(grid).nonlinear(v, f, background, out=np.empty_like(v))
     ref = _convective_reference(grid, v, f, b_spec)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -156,18 +158,20 @@ def test_taylor_green_is_steady_state_of_rhs(grid2):
 
 def test_advance_single_step_matches_exact(grid2):
     nu, dt = 0.1, 1e-3
-    v = taylor_green_exact(grid2, nu, 0.0)
-    out = advance(v, None, nu, dt)
+    v = taylor_green_exact(grid2, nu, 0.0).spectral().copy()
+    _Workspace(grid2, nu, dt).step(v, 0.0, ForcingSpec())
     exact = taylor_green_exact(grid2, nu, dt)
-    assert np.abs(out.physical() - exact.physical()).max() < 1e-10
-    assert out.time_stamp == pytest.approx(dt)
+    assert np.abs(physical_data(grid2, v) - exact.physical()).max() < 1e-10
 
 
 def test_advance_detects_blowup(grid2):
     bad = spectral_field(grid2,
                          np.full((2,) + grid2.shape_spec, np.nan + 0j))
-    with pytest.raises(BlowUpError):
-        advance(bad, None, 0.1, 1e-3)
+    cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.01, T=0.01,
+                       initial=bad)
+    with pytest.raises(BlowUpError) as info:
+        run_2d_base(cfg)
+    assert (info.value.time, info.value.quantity) == (0.0, "2d_base L2 norm")
 
 
 def test_second_order_convergence(grid2):
@@ -523,10 +527,11 @@ def test_advance_reproduces_run_bit_for_bit():
                        T=steps * dt, forcing=forcing, snapshot_stride=steps,
                        initial=random_divfree_field(grid, 1, target_h1=0.5))
     traj = run_full_3d(cfg)
-    state = traj.snapshot_field(0)
-    for _ in range(steps):
-        state = advance(state, forcing, nu, dt)
-    np.testing.assert_array_equal(state.spectral(), traj.snapshots[-1])
+    ws = _Workspace(grid, nu, dt)
+    state = traj.snapshots[0].copy()
+    for i in range(steps):
+        ws.step(state, i * dt, forcing)
+    np.testing.assert_array_equal(state, traj.snapshots[-1])
 
 
 def test_recover_pressure_taylor_green(grid2):
@@ -535,7 +540,7 @@ def test_recover_pressure_taylor_green(grid2):
     nu = 0.1
     v = taylor_green_exact(grid2, nu, 0.0)
     p = recover_pressure(v, None, nu)
-    x1, x2 = grid2.meshgrid()
+    x1, x2 = np.broadcast_arrays(*grid2.coords)
     expect = (np.cos(2 * x1) + np.cos(2 * x2)) / 4.0
     assert np.abs(p.physical()[0] - expect).max() < 1e-12
 
