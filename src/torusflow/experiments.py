@@ -32,7 +32,7 @@ from .field import (Field, extrude_field, physical_field, random_divfree_field,
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      check_strides, check_viscous_scale, load_trajectory,
                      run_2d_base, run_perturbation, save_trajectory,
-                     taylor_green_exact)
+                     taylor_green_exact, text_hash)
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
                         TwoDBudget)
@@ -473,8 +473,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
 
 
 def _spec_hash(spec: ExperimentSpec) -> str:
-    import hashlib
-    return hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
+    return text_hash(spec.to_json())
 
 
 def _direct_config(raw, base_cfg: SolverConfig,

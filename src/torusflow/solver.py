@@ -22,7 +22,6 @@ reconstructed modewise on demand.
 """
 
 import ast
-import hashlib
 import json
 import math
 import os
@@ -40,6 +39,16 @@ from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
                     compute_norm_report, csv_line, l2_norm_sq, lp_norm,
                     mean_free_norms_sq, DEFAULT_SIGMA)
 from .worker import Worker
+
+# the interpreter's own SHA-256: hashlib's would load OpenSSL into every
+# process that hashes a config
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class BlowUpError(RuntimeError):
@@ -232,12 +241,16 @@ def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
                          f"norm interval dt*norm_stride={dt * norm_stride:g}")
 
 
+def text_hash(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of text."""
+    return _sha256(text.encode()).hexdigest()[:16]
+
+
 def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
     payload = cfg.describe()
     if extra:
         payload.update(extra)
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return text_hash(json.dumps(payload, sort_keys=True))
 
 
 def diag_columns(label: str, dim: int) -> list:
@@ -322,7 +335,7 @@ class _Workspace:
         self.B = 1.0 + z
 
     def flux_rhs(self, v_spec, f_spec, background, out):
-        """-dealias(div(w(x)w - b(x)b)) + f into out, before the Leray
+        """dealias(-div(w(x)w - b(x)b) + f) into out, before the Leray
         projection.
 
         w is the physical value of dealias(v) plus the background b, given
@@ -330,6 +343,11 @@ class _Workspace:
         x3-invariant base flow has shape (3, N, N, 1)); without b this is
         the flux of the full equations.  The divergence is zero at k=0, so
         the result there is the mean of f.
+
+        The 2/3-rule mask applies to the force too: the applied force is
+        f on the modes with every |m| <= N/3 and zero elsewhere, so a state
+        that starts on those modes stays exactly on them.  A force
+        component above N/3 is not applied; resolve it with a larger N.
         """
         grid, w, prod, flux = self.grid, self.w, self.prod, self.flux
         np.multiply(v_spec, grid.dealias_mask, out=self.v_dealiased)
@@ -347,9 +365,9 @@ class _Workspace:
             out[i] -= np.multiply(self.ik[j], fij, out=self.term)
             if i != j:
                 out[j] -= np.multiply(self.ik[i], fij, out=self.term)
-        out *= grid.dealias_mask
         if f_spec is not None:
             out += f_spec
+        out *= grid.dealias_mask
         return out
 
     def nonlinear(self, v_spec, f_spec, background, out):
@@ -389,16 +407,21 @@ class _Member:
     reports at norm_stride), the wall seconds spent on them and the
     evaluations of its force.
 
+    The state lives on the 2/3-rule modes (grid.dealias_mask): the
+    initial field is masked before its Leray projection, and every step
+    adds only masked terms (_Workspace.flux_rhs), so each state is exactly
+    zero outside them.
+
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
     (_partial_snapshot_dir) and keeps only the path; without one it keeps
     a copy of the state in memory.
 
-    The forcing norms at step i come from the force at t_i, which the
-    step ending there has already evaluated whenever t_{i-1} + dt equals
-    t_i bit for bit, so each step time costs one evaluation.  The count is
-    read from the run's ForcingSpec: one shared with another run adds that
-    run's evaluations.
+    The forcing norms at step i are those of the applied force at t_i
+    (_mean_free_force), which the step ending there has already evaluated
+    whenever t_{i-1} + dt equals t_i bit for bit, so each step time costs
+    one evaluation.  The count is read from the run's ForcingSpec: one
+    shared with another run adds that run's evaluations.
     """
 
     def __init__(self, cfg: SolverConfig, label: str, directory=None):
@@ -413,7 +436,8 @@ class _Member:
         self.tgrid = cfg.dt * np.arange(self.n + 1)
         self.ws = _Workspace(grid, cfg.nu, cfg.dt)
         # stepped in place: a snapshot stores a copy
-        self.spec = leray_data(grid, cfg.initial.spectral())
+        self.spec = leray_data(grid, cfg.initial.spectral()
+                               * grid.dealias_mask)
         self.diag = {"t": self.tgrid,
                      "l2_sq": np.empty(self.n + 1),
                      "grad_l2_sq": np.empty(self.n + 1),
@@ -522,9 +546,11 @@ def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
 
 
 def _mean_free_force(cfg: SolverConfig, t: float) -> Field:
-    """The force of cfg at time t without its mean, as a new Field."""
+    """The applied force of cfg at time t without its mean, as a new
+    Field: the force on the 2/3-rule modes, as _Workspace.flux_rhs applies
+    it, so the recorded forcing norms are those the equations see."""
     grid = cfg.grid
-    bar = cfg.forcing.evaluate(grid, t).copy()
+    bar = cfg.forcing.evaluate(grid, t) * grid.dealias_mask
     bar[(slice(None),) + (0,) * grid.dim] = 0.0
     return spectral_field(grid, bar)
 
@@ -646,7 +672,8 @@ def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
 
 
 def recover_pressure(v: Field, f: Field | None, nu: float) -> Field:
-    """Mean-free pressure from -Lap p = div(v.grad v - f), solved modewise."""
+    """Mean-free pressure from -Lap p = div(v.grad v - f), solved modewise,
+    with v and f on the 2/3-rule modes, as the kernel applies them."""
     grid = v.grid
     f_spec = None if f is None else f.spectral()
     # the unprojected rhs is -(v.grad v - f); its divergence i k . rhs

@@ -11,6 +11,7 @@ from torusflow import experiments as exp
 from torusflow import cli
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
+from torusflow.field import load_field
 from torusflow.solver import load_trajectory
 
 SMALL = {
@@ -35,6 +36,16 @@ FORCED_PERT = dict(SMALL, perturbation={
     "snapshot_stride": 50, "norm_stride": 10,
     "forcing": {"kind": "expression", "expressions": [
         "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)"]}})
+
+# FORCED_PERT for a few steps, with a forced base and the full 3D run
+FORCED_DIRECT = dict(SMALL, T=0.05, norm_stride=5, snapshot_stride=5,
+                     direct_3d=True,
+                     base=dict(SMALL["base"], forcing={
+                         "kind": "expression", "expressions": [
+                             "1e-3*sin(x1)*cos(x2)*cos(t)",
+                             "-1e-3*cos(x1)*sin(x2)*cos(t)"]}),
+                     perturbation=dict(FORCED_PERT["perturbation"],
+                                       snapshot_stride=5, norm_stride=5))
 
 
 def test_parse_minimal_fills_defaults():
@@ -473,16 +484,16 @@ def test_run_and_verify_do_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_cli_import_loads_no_process_pool():
-    # the forked workers use os.fork directly; importing multiprocessing or
-    # concurrent.futures would add 12-20 ms to every CLI process
+def _modules_after_cli_import(packages):
+    """The modules of the top-level packages named in packages that a fresh
+    interpreter holds after importing torusflow.cli."""
     import subprocess
     import sys
 
     script = ("import sys\n"
               "import torusflow.cli\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-              "('multiprocessing', 'concurrent')))\n")
+              f"{tuple(packages)!r}))\n")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -491,7 +502,49 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the forked workers use os.fork directly; importing multiprocessing or
+    # concurrent.futures would add 12-20 ms to every CLI process
+    assert _modules_after_cli_import(("multiprocessing", "concurrent")) \
+        == "[]"
+
+
+def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
+    # every state of every run lives on the 2/3-rule modes, exactly: no
+    # roundoff of a physical-space initial state or of a transformed force
+    # reaches the modes the rule drops
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)), str(out))
+    for run in ("base", "perturbation", "direct"):
+        paths = sorted((out / run / "snapshots").iterdir())
+        assert len(paths) == 3, run
+        for path in paths:
+            snap = load_field(path)
+            outside = snap.data[:, ~snap.grid.dealias_mask]
+            assert not outside.any(), (run, path.name)
+
+
+def test_hashes_are_sha256_without_openssl(grid2):
+    # the interpreter's own SHA-256 gives hashlib's digests, and importing
+    # the CLI loads no OpenSSL (_hashlib)
+    import hashlib
+
+    from torusflow.solver import (SolverConfig, config_hash,
+                                  taylor_green_exact)
+
+    cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.01, T=0.01,
+                       initial=taylor_green_exact(grid2, 0.1, 0.0))
+    payload = json.dumps(cfg.describe() | {"label": "2d_base"},
+                         sort_keys=True)
+    assert config_hash(cfg, {"label": "2d_base"}) \
+        == hashlib.sha256(payload.encode()).hexdigest()[:16]
+    spec = exp.parse_config(json.dumps(FORCED_PERT))
+    assert exp._spec_hash(spec) \
+        == hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
+    assert _modules_after_cli_import(("_hashlib",)) == "[]"
 
 
 def test_margin_convergence_constant():

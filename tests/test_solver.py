@@ -485,6 +485,28 @@ def test_recorded_forcing_norms_match_separate_passes(base_force):
                                   forcing_lp_sq_series(pert_cfg, 1.2))
 
 
+def test_force_above_two_thirds_is_not_applied():
+    # at N=8 the 2/3 rule keeps |m| <= 2: sin(3 x2) lies above it, so the
+    # run applies and records only 0.1 sin(x2), whose squared L2 norm on
+    # [0, 2 pi]^2 is 0.01 * (2 pi)^2 / 2
+    grid = make_grid(2 * np.pi, 8, 2)
+    cfg = SolverConfig(
+        grid=grid, nu=0.5, dt=2e-3, t_end=0.02, T=0.02,
+        forcing=ForcingSpec(kind="expression", expressions=(
+            "0.1*sin(x2) + sin(3*x2)", "0*x1")),
+        initial=taylor_green_exact(grid, 0.5, 0.0, 0.5))
+    high = (0, 0, 3)  # component 1, mode (m1, m2) = (0, 3)
+    assert not grid.dealias_mask[high[1:]]
+    assert abs(cfg.forcing.evaluate(grid, 0.0)[high]) > 0.4
+    traj = run_2d_base(cfg)
+    assert len(traj.snapshots) == 11
+    for snap in traj.snapshots:
+        assert snap[high] == 0.0
+        assert not snap[:, ~grid.dealias_mask].any()
+    np.testing.assert_allclose(traj.diag["forcing_l2_sq"],
+                               0.02 * np.pi ** 2, rtol=1e-13)
+
+
 def test_workspace_step_allocates_under_five_states(grid2, grid3):
     # the perturbation kernel at 16^3 with a background and a steady force;
     # after a warm-up step, 5 steps may hold less than 5 spectral states of
