@@ -32,7 +32,7 @@ from .field import (Field, extrude_field, physical_field, random_divfree_field,
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      check_strides, check_viscous_scale, load_trajectory,
                      run_2d_base, run_perturbation, save_trajectory,
-                     taylor_green_exact, text_hash)
+                     taylor_green_exact)
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
                         TwoDBudget)
@@ -119,8 +119,9 @@ def parse_config(text: str) -> ExperimentSpec:
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
     paths; a grid or dt that solver.check_viscous_scale refuses, strides
-    that solver.check_strides refuses and a budget override violating the
-    gamma* admissibility condition are refused here, before any run starts.
+    that solver.check_strides refuses, a budget override violating the
+    gamma* admissibility condition and a force the run would not apply in
+    full (_check_forcing) are refused here, before any run starts.
     """
     try:
         given = json.loads(text)
@@ -165,9 +166,13 @@ def parse_config(text: str) -> ExperimentSpec:
                             c4=b["c4"], c5=b["c5"])
         except ValueError as exc:
             raise ConfigError(f"budget refused: {exc}")
-    _build_forcing(raw["base"]["forcing"], 2)  # validate expressions parse
-    if raw["perturbation"] is not None:
-        _build_forcing(raw["perturbation"]["forcing"], 3)
+    t_end = raw["windows"] * raw["T"]
+    for where, section, dim in (("config.base.forcing", raw["base"], 2),
+                                ("config.perturbation.forcing",
+                                 raw["perturbation"], 3)):
+        if section is not None:
+            _check_forcing(_build_forcing(section["forcing"], dim),
+                           make_grid(raw["L"], raw["N"], dim), t_end, where)
     return ExperimentSpec(raw=raw)
 
 
@@ -215,12 +220,37 @@ def _build_forcing(cfg: dict, dim: int) -> ForcingSpec:
         if len(exprs) != dim:
             raise ConfigError(f"expression forcing needs {dim} components")
         try:
-            spec = ForcingSpec(kind="expression", expressions=tuple(exprs))
-            spec.evaluate(make_grid(2 * math.pi, 4, dim), 0.0)
+            return ForcingSpec(kind="expression", expressions=tuple(exprs))
         except Exception as exc:
             raise ConfigError(f"forcing expression refused: {exc}")
-        return spec
     raise ConfigError(f"unknown forcing kind {kind!r}")
+
+
+def _check_forcing(spec: ForcingSpec, grid: TorusGrid, t_end: float,
+                   where: str):
+    """Refuse a force that does not evaluate on grid or that has a
+    component above N/3 there.
+
+    The kernel applies the force on the 2/3-rule modes only
+    (grid.dealias_mask), so such a component would be dropped while the
+    config still names it.  A time-dependent force is checked at 9 times
+    spanning [0, t_end]; coefficients outside the mask up to 1e-12 of the
+    largest are transform roundoff.
+    """
+    if spec.kind == "zero":
+        return
+    for t in (0.0,) if spec.steady else np.linspace(0.0, t_end, 9):
+        try:
+            coeffs = np.abs(spec.evaluate(grid, t))
+        except Exception as exc:
+            raise ConfigError(f"{where}: forcing expression refused: {exc}")
+        dropped = coeffs[:, ~grid.dealias_mask].max()
+        if dropped > 1e-12 * coeffs.max():
+            raise ConfigError(
+                f"{where}: at t={t:g} the force has a component above "
+                f"N/3 (N={grid.N}) of relative size "
+                f"{dropped / coeffs.max():.2g}, which the 2/3 rule would "
+                f"drop; use a larger N")
 
 
 def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
@@ -473,7 +503,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
 
 
 def _spec_hash(spec: ExperimentSpec) -> str:
-    return text_hash(spec.to_json())
+    import hashlib
+    return hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
 
 
 def _direct_config(raw, base_cfg: SolverConfig,

@@ -40,16 +40,6 @@ from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
                     mean_free_norms_sq, DEFAULT_SIGMA)
 from .worker import Worker
 
-# the interpreter's own SHA-256: hashlib's would load OpenSSL into every
-# process that hashes a config
-try:
-    from _sha2 import sha256 as _sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256  # Python <= 3.11
-    except ImportError:
-        from hashlib import sha256 as _sha256
-
 
 class BlowUpError(RuntimeError):
     """Raised when a run produces non-finite norms."""
@@ -241,16 +231,13 @@ def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
                          f"norm interval dt*norm_stride={dt * norm_stride:g}")
 
 
-def text_hash(text: str) -> str:
-    """The first 16 hex digits of the SHA-256 of text."""
-    return _sha256(text.encode()).hexdigest()[:16]
-
-
 def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
+    import hashlib  # loads OpenSSL: only a run hashes a config
     payload = cfg.describe()
     if extra:
         payload.update(extra)
-    return text_hash(json.dumps(payload, sort_keys=True))
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def diag_columns(label: str, dim: int) -> list:
@@ -347,7 +334,8 @@ class _Workspace:
         The 2/3-rule mask applies to the force too: the applied force is
         f on the modes with every |m| <= N/3 and zero elsewhere, so a state
         that starts on those modes stays exactly on them.  A force
-        component above N/3 is not applied; resolve it with a larger N.
+        component above N/3 is not applied (experiments.parse_config
+        refuses a config that names one); resolve it with a larger N.
         """
         grid, w, prod, flux = self.grid, self.w, self.prod, self.flux
         np.multiply(v_spec, grid.dealias_mask, out=self.v_dealiased)

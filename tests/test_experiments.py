@@ -527,9 +527,30 @@ def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
             assert not outside.any(), (run, path.name)
 
 
+def test_force_above_two_thirds_is_refused():
+    # at N=8 the 2/3 rule keeps |m| <= 2, so the kernel would drop sin(3 x2)
+    # while the config still names it; a time-dependent one is caught at a
+    # time where it is nonzero
+    base = dict(SMALL["base"], forcing={"kind": "expression", "expressions": [
+        "0.1*sin(x2) + sin(3*x2)", "0*x1"]})
+    with pytest.raises(exp.ConfigError,
+                       match=r"config\.base\.forcing: .*above N/3"):
+        exp.parse_config(json.dumps(dict(SMALL, base=base)))
+    pert = dict(FORCED_PERT["perturbation"], forcing={
+        "kind": "expression", "expressions": [
+            "1e-6*sin(x3)", "1e-6*sin(3*x1)*sin(t)", "0*x1"]})
+    with pytest.raises(exp.ConfigError,
+                       match=r"config\.perturbation\.forcing: .*above N/3"):
+        exp.parse_config(json.dumps(dict(SMALL, perturbation=pert)))
+    # the same forces on the kept modes, or at N=16, are accepted
+    exp.parse_config(json.dumps(dict(SMALL, N=16, base=base)))
+    exp.parse_config(json.dumps(dict(SMALL, N=16, perturbation=pert)))
+    exp.parse_config(json.dumps(FORCED_DIRECT))
+
+
 def test_hashes_are_sha256_without_openssl(grid2):
-    # the interpreter's own SHA-256 gives hashlib's digests, and importing
-    # the CLI loads no OpenSSL (_hashlib)
+    # the digests are hashlib's SHA-256, and importing the CLI loads no
+    # OpenSSL (_hashlib): only a run hashes a config
     import hashlib
 
     from torusflow.solver import (SolverConfig, config_hash,
