@@ -6,9 +6,8 @@ from .grid import TorusGrid, make_grid
 from .field import (Field, divergence_linf, extrude_field, load_field, mean,
                     mean_free, physical_field, random_divfree_field,
                     save_field, spectral_derivative, spectral_field)
-from .norms import (NormReport, TrajectoryNorms, compute_norm_report,
-                    embedding_ratio_l6_h1, l2_norm_sq, lp_norm,
-                    poincare_ratio, sobolev_norm_sq)
+from .norms import (compute_norm_report, embedding_ratio_l6_h1, l2_norm_sq,
+                    lp_norm, poincare_ratio, sobolev_norm_sq)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      load_trajectory, recover_pressure, run_2d_base,
                      run_full_3d, run_perturbation, save_trajectory,

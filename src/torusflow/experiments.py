@@ -336,8 +336,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
             spec_raw: dict, budget: StabilityBudget | None) -> tuple:
     """All estimate checks on finished trajectories.
 
-    Returns (reports dict, series list, hypotheses per window, twod budget,
-    b constants).
+    Returns (reports dict, series list, hypotheses per window).
     """
     nu, T = spec_raw["nu"], spec_raw["T"]
     tol = est.margin_tolerance(spec_raw["tolerance"]["C"], spec_raw["dt"])
@@ -345,7 +344,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     reports = dict(est.verify_decay_2d(base, twod, tol))
     reports["3.8"] = est.w1sigma_monitor(base, spec_raw["sigma"])
 
-    series_list, hyp_by_window, bconst = [], {}, None
+    series_list, hyp_by_window = [], {}
     if pert is not None and budget is not None:
         bconst = est.compute_B_constants(pert, twod, budget.c1, budget.c3)
         reports.update(est.verify_l2_stability(pert, bconst, T, tol))
@@ -360,7 +359,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
                     reports[key] = rep
         reports.update(est.verify_stability_conclusion(series_list, budget,
                                                        tol=tol))
-    return reports, series_list, hyp_by_window, twod, bconst
+    return reports, series_list, hyp_by_window
 
 
 @contextmanager
@@ -465,8 +464,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                "bytes": sum(map(os.path.getsize, files))}
 
         with _timed(phases, "analysis"):
-            reports, series_list, hyp_by_window, twod, bconst = analyze(
-                base, pert, raw, budget)
+            reports, series_list, hyp_by_window = analyze(base, pert, raw,
+                                                          budget)
 
         with _timed(phases, "writing"):
             with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
@@ -612,8 +611,7 @@ def reverify(out_dir: str) -> RunArtifacts:
         pert = load_trajectory(os.path.join(out_dir, "perturbation"))
         with open(os.path.join(out_dir, "constants.json")) as fh:
             budget = StabilityBudget(**json.load(fh)["budget"])
-    reports, series_list, hyp_by_window, _, _ = analyze(
-        base, pert, raw, budget)
+    reports, series_list, hyp_by_window = analyze(base, pert, raw, budget)
     with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
         fh.write(est.reports_to_json(reports) + "\n")
     with open(os.path.join(out_dir, "windows.csv"), "w") as fh:

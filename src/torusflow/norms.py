@@ -5,8 +5,6 @@ weights); other Lebesgue exponents use collocation quadrature on a 2N-padded
 grid to reduce aliasing in integrals of |u|^p.
 """
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .field import (Field, gradient_data, gradient_parts, physical_padded,
@@ -15,7 +13,7 @@ from .grid import TorusGrid
 
 DEFAULT_SIGMA = 4.0
 
-#: fixed CSV column order for NormReport serialization
+#: the keys of compute_norm_report, in the column order of norms.csv
 NORM_REPORT_COLUMNS = ("time_stamp", "l2_sq", "h1_sq", "h2_sq", "grad_l2_sq",
                        "grad_l3_sq", "l6_sq", "sigma", "w1_sigma")
 
@@ -134,78 +132,28 @@ def gradient_field(field: Field) -> Field:
                           time_stamp=field.time_stamp)
 
 
-def csv_line(values) -> str:
-    """values as one CSV line, each in the shortest text that reads back to
-    the same double (repr of a Python float)."""
-    return ",".join(repr(float(x)) for x in values)
-
-
-@dataclass
-class NormReport:
-    """One row of scalar diagnostics for a field at a time instant."""
-
-    time_stamp: float
-    l2_sq: float
-    h1_sq: float
-    h2_sq: float
-    grad_l2_sq: float
-    grad_l3_sq: float
-    l6_sq: float
-    sigma: float
-    w1_sigma: float
-
-    def to_csv_row(self) -> str:
-        return csv_line(getattr(self, c) for c in NORM_REPORT_COLUMNS)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(NORM_REPORT_COLUMNS)
-
-
-def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> NormReport:
-    """All report columns; the field and its gradient are padded once each,
-    one component at a time, and every padded-quadrature norm is read from
-    those two magnitudes."""
+def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> dict:
+    """{column: value} for every NORM_REPORT_COLUMNS name, in that order:
+    the norms of field at its time_stamp.  The field and its gradient are
+    padded once each, one component at a time, and every padded-quadrature
+    norm is read from those two magnitudes."""
     if sigma <= 3:
         raise ValueError(f"sigma must exceed 3, got {sigma}")
     grid = field.grid
     mag = _padded_magnitude(_components(field))
     grad_mag = _padded_magnitude(_gradient_components(field))
-    return NormReport(
-        time_stamp=field.time_stamp,
-        l2_sq=l2_norm_sq(field),
-        h1_sq=sobolev_norm_sq(field, 1),
-        h2_sq=sobolev_norm_sq(field, 2),
-        grad_l2_sq=grad_l2_norm_sq(field),
-        grad_l3_sq=_quadrature_norm(grid, grad_mag, 3) ** 2,
-        l6_sq=_quadrature_norm(grid, mag, 6) ** 2,
-        sigma=sigma,
-        w1_sigma=_quadrature_norm(grid, mag, sigma)
+    return {
+        "time_stamp": field.time_stamp,
+        "l2_sq": l2_norm_sq(field),
+        "h1_sq": sobolev_norm_sq(field, 1),
+        "h2_sq": sobolev_norm_sq(field, 2),
+        "grad_l2_sq": grad_l2_norm_sq(field),
+        "grad_l3_sq": _quadrature_norm(grid, grad_mag, 3) ** 2,
+        "l6_sq": _quadrature_norm(grid, mag, 6) ** 2,
+        "sigma": sigma,
+        "w1_sigma": _quadrature_norm(grid, mag, sigma)
         + _quadrature_norm(grid, grad_mag, sigma),
-    )
-
-
-@dataclass
-class TrajectoryNorms:
-    """Time-ordered NormReport sequence over an interval."""
-
-    reports: list
-    interval: tuple
-
-    def __post_init__(self):
-        times = self.times
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("time stamps must be strictly increasing")
-        t0, t1 = self.interval
-        if len(times) and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
-            raise ValueError("interval does not bracket the time stamps")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.time_stamp for r in self.reports])
-
-    def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.reports])
+    }
 
 
 def poincare_ratio(field: Field, relative_to: str = "h1") -> float:

@@ -35,9 +35,8 @@ from .grid import TorusGrid
 from .field import (Field, SPECTRAL, divergence_data, leray_data, load_field,
                     mean_free, physical_data, save_field, spectral_data,
                     spectral_field)
-from .norms import (NORM_REPORT_COLUMNS, NormReport, TrajectoryNorms,
-                    compute_norm_report, csv_line, l2_norm_sq, lp_norm,
-                    mean_free_norms_sq, DEFAULT_SIGMA)
+from .norms import (NORM_REPORT_COLUMNS, compute_norm_report, l2_norm_sq,
+                    lp_norm, mean_free_norms_sq, DEFAULT_SIGMA)
 from .worker import Worker
 
 
@@ -257,7 +256,9 @@ def diag_columns(label: str, dim: int) -> list:
 class Trajectory:
     """A run: spectral snapshots (mean included at k=0), the per-step
     series of diag_columns (diag["mean"] holds the mean_i columns as one
-    array) and a norm series of the mean-free part.
+    array) and the norm series of the mean-free part at norm_stride
+    (norms: one array per NORM_REPORT_COLUMNS name, as compute_norm_report
+    returns them, in time order).
 
     The snapshots, taken at times, are held in memory (snapshots), or, for
     a run that streamed them to disk, are files of field.save_field
@@ -270,7 +271,7 @@ class Trajectory:
     grid: TorusGrid
     times: np.ndarray
     snapshots: list
-    norms: TrajectoryNorms
+    norms: dict
     diag: dict
     config: dict
     config_hash: str
@@ -493,7 +494,8 @@ class _Member:
             grid=cfg.grid,
             times=np.array(self.snap_times),
             snapshots=self.snapshots,
-            norms=TrajectoryNorms(self.reports, (0.0, cfg.t_end)),
+            norms={c: np.array([r[c] for r in self.reports])
+                   for c in NORM_REPORT_COLUMNS},
             diag=self.diag,
             config=cfg.describe() | {"label": label},
             config_hash=config_hash(cfg, {"label": label}),
@@ -696,9 +698,10 @@ def _partial_snapshot_dir(directory) -> str:
 def save_trajectory(traj: Trajectory, directory) -> dict:
     """Write config copy, per-step CSV, norm series, snapshots and summary.
 
-    Layout: config.json, diagnostics.csv (every step), norms.csv (one
-    NormReport row per report, at norm_stride), summary.json,
-    snapshots/snap_NNNNNN.npz (at snapshot_stride).
+    Layout: config.json, diagnostics.csv (diag_columns, every step),
+    norms.csv (NORM_REPORT_COLUMNS, at norm_stride), summary.json,
+    snapshots/snap_NNNNNN.npz (at snapshot_stride).  Both CSV files are
+    tables of _write_table, which load_trajectory reads back bit for bit.
 
     A streamed trajectory's snapshots are already files, in the directory
     its run streamed them into; the snapshots of any other are written to
@@ -720,18 +723,12 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         json.dump({"config": traj.config, "hash": traj.config_hash}, fh,
                   indent=2, sort_keys=True)
 
-    cols = diag_columns(traj.config["label"], traj.grid.dim)
     series = {**traj.diag, **{f"mean_{i + 1}": m
                               for i, m in enumerate(traj.diag["mean"].T)}}
-    rows = np.column_stack([series[c] for c in cols])
-    lines = [",".join(cols)] + [csv_line(row) for row in rows]
-    with open(os.path.join(directory, "diagnostics.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    lines = [NormReport.csv_header()] \
-        + [r.to_csv_row() for r in traj.norms.reports]
-    with open(os.path.join(directory, "norms.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(os.path.join(directory, "diagnostics.csv"), series,
+                 diag_columns(traj.config["label"], traj.grid.dim))
+    _write_table(os.path.join(directory, "norms.csv"), traj.norms,
+                 NORM_REPORT_COLUMNS)
 
     partial = os.path.dirname(files[0])
     snapdir = os.path.join(directory, "snapshots")
@@ -761,38 +758,73 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
 def load_trajectory(directory) -> Trajectory:
     """Rebuild the scalar series of a save_trajectory directory.
 
-    The norm series is read from norms.csv and the per-step series from
-    diagnostics.csv, exactly as the run wrote them; a directory without
-    either, or whose diagnostics.csv lacks a column of diag_columns, is
-    refused.  Nothing is re-evaluated, and snapshot files are not read, so
-    the trajectory has no snapshots; field.load_field reads one.
+    The per-step series are read from diagnostics.csv and the norm series
+    from norms.csv, exactly as the run wrote them; _read_table refuses
+    either file when it is missing, its header or rows are not the run's
+    columns or its times do not strictly increase, and series that do not
+    span the run's steps are refused too.  Nothing is re-evaluated, and
+    snapshot files are not read, so the trajectory has no snapshots;
+    field.load_field reads one.
     """
     with open(os.path.join(directory, "config.json")) as fh:
         saved = json.load(fh)
     config = saved["config"]
     grid = TorusGrid(L=config["L"], N=config["N"], dim=config["dim"])
-
-    norms_path = os.path.join(directory, "norms.csv")
-    if not os.path.exists(norms_path):
-        raise FileNotFoundError(
-            f"{norms_path} is missing: this trajectory was saved without "
-            "its norm series; run the experiment again")
-    rows = np.loadtxt(norms_path, delimiter=",", skiprows=1, ndmin=2)
-    reports = [NormReport(**{c: float(x) for c, x in
-                             zip(NORM_REPORT_COLUMNS, row)}) for row in rows]
-
-    diag_path = os.path.join(directory, "diagnostics.csv")
-    cols = diag_columns(config["label"], grid.dim)
-    with open(diag_path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != cols:
-            raise FileNotFoundError(f"{diag_path} has the columns {header}, "
-                                    f"not {cols}; run the experiment again")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    diag = dict(zip(cols, rows.T))
+    diag = _read_table(os.path.join(directory, "diagnostics.csv"),
+                       diag_columns(config["label"], grid.dim))
     diag["mean"] = np.column_stack([diag.pop(f"mean_{i + 1}")
                                     for i in range(grid.dim)])
-    return Trajectory(
-        grid=grid, times=np.empty(0), snapshots=[],
-        norms=TrajectoryNorms(reports, (diag["t"][0], diag["t"][-1])),
-        diag=diag, config=config, config_hash=saved["hash"])
+    norms = _read_table(os.path.join(directory, "norms.csv"),
+                        NORM_REPORT_COLUMNS)
+    # a run records every step, and its norms at the first and the last
+    steps = round(config["t_end"] / config["dt"]) + 1
+    ends = [diag["t"][0], diag["t"][-1]]
+    if len(diag["t"]) != steps or list(norms["time_stamp"][[0, -1]]) != ends:
+        raise FileNotFoundError(f"{directory}: the series do not span the "
+                                f"run's {steps} steps; run the experiment "
+                                "again")
+    return Trajectory(grid=grid, times=np.empty(0), snapshots=[],
+                      norms=norms, diag=diag, config=config,
+                      config_hash=saved["hash"])
+
+
+def _write_table(path, table: dict, columns):
+    """The arrays table[c], for c in columns, as the columns of a CSV file
+    under a header of those names.  Each value is written as repr(float(x)),
+    the shortest text that reads back to the same double."""
+    rows = np.column_stack([table[c] for c in columns])
+    lines = [",".join(columns)] \
+        + [",".join(repr(float(x)) for x in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_table(path, columns) -> dict:
+    """{c: array} for c in columns, from a file of _write_table whose first
+    column is time.
+
+    A missing file, a header other than columns, a row of another length
+    and times that do not strictly increase are refused with
+    FileNotFoundError, so that verify exits with code 2 and asks for a new
+    run instead of checking series that are not the run's.
+    """
+    columns = list(columns)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{path} is missing; run the experiment "
+                                "again")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if header != columns:
+            raise FileNotFoundError(f"{path} has the columns {header}, not "
+                                    f"{columns}; run the experiment again")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError:
+            rows = np.empty((0, 0))
+    if rows.shape[1] != len(columns):
+        raise FileNotFoundError(f"{path} has rows that do not match its "
+                                "header; run the experiment again")
+    if not np.all(np.diff(rows[:, 0]) > 0):  # refuses a nan time too
+        raise FileNotFoundError(f"{path}: the times in {columns[0]} do not "
+                                "strictly increase; run the experiment again")
+    return dict(zip(columns, rows.T))

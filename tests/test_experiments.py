@@ -12,6 +12,7 @@ from torusflow import cli
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field
+from torusflow.norms import NORM_REPORT_COLUMNS
 from torusflow.solver import load_trajectory
 
 SMALL = {
@@ -269,6 +270,45 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
     reports = exp.analyze(base, pert, raw, budget)[0]
     assert reports_to_json(reports) + "\n" \
         == (out / "inequalities.json").read_text()
+
+
+def _drop_l6(lines):
+    l6 = NORM_REPORT_COLUMNS.index("l6_sq")
+    return [",".join(c for i, c in enumerate(line.split(",")) if i != l6)
+            for line in lines]
+
+
+def _swap_grad_l3_l6(lines):
+    i, j = (NORM_REPORT_COLUMNS.index(c) for c in ("grad_l3_sq", "l6_sq"))
+    out = []
+    for line in lines:
+        cells = line.split(",")
+        cells[i], cells[j] = cells[j], cells[i]
+        out.append(",".join(cells))
+    return out
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_l6, _swap_grad_l3_l6,
+    lambda lines: lines[:1] + _drop_l6(lines[1:]),
+    lambda lines: lines[:3]],
+    ids=["dropped-l6", "swapped-grad-l3-l6", "rows-without-l6", "ends-early"])
+def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
+                                                      tmp_path, capsys, edit):
+    # a base norms.csv that is not the run's: the dropped column used to end
+    # in a TypeError and the truncated series in an IndexError (exit 1), the
+    # swapped pair to pass with moved 4.26a/4.27 margins (exit 0)
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    path = out / "base" / "norms.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(out / "base") in err and "run the experiment again" in err
+    assert err.count("\n") == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
 
 
 @pytest.mark.parametrize("missing", ["perturbation", "constants.json",

@@ -1,23 +1,28 @@
 """Norm computations against independent quadrature and closed forms."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from torusflow import make_grid
+from torusflow import cli, make_grid
 from torusflow import estimates as est
+from torusflow import experiments as exp
 from torusflow.field import (mean_free, physical_field, physical_padded,
                              random_divfree_field, spectral_data,
                              spectral_field)
-from torusflow.norms import (NormReport, NORM_REPORT_COLUMNS, TrajectoryNorms,
-                             _components, _gradient_components,
-                             _padded_magnitude, compute_norm_report,
+from torusflow.norms import (NORM_REPORT_COLUMNS, _components,
+                             _gradient_components, _padded_magnitude,
+                             compute_norm_report,
                              embedding_ratio_l6_h1, grad_l2_norm_sq,
                              gradient_field, hessian_l2_norm_sq, l2_norm_sq,
                              lp_norm, mean_free_norms_sq, poincare_ratio,
                              sharp_dissipation_h2, sharp_poincare_h1,
                              sharp_poincare_h2, sobolev_norm_sq)
+from torusflow.solver import _read_table, _write_table
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -141,16 +146,22 @@ def test_w1_sigma_requires_sigma_above_3(grid2):
     f = _sin_field(grid2)
     with pytest.raises(ValueError):
         compute_norm_report(f, 3.0)
-    assert compute_norm_report(f, 4.0).w1_sigma > 0
+    assert compute_norm_report(f, 4.0)["w1_sigma"] > 0
 
 
-def test_norm_report_csv_schema(grid2):
+def test_norm_report_csv_schema(grid2, tmp_path):
     rep = compute_norm_report(_sin_field(grid2))
-    assert NormReport.csv_header() == ",".join(NORM_REPORT_COLUMNS)
-    row = rep.to_csv_row()
+    assert tuple(rep) == NORM_REPORT_COLUMNS
+    path = tmp_path / "norms.csv"
+    _write_table(path, {c: [v] for c, v in rep.items()}, NORM_REPORT_COLUMNS)
+    header, row = path.read_text().splitlines()
+    assert header == ",".join(NORM_REPORT_COLUMNS)
     assert len(row.split(",")) == len(NORM_REPORT_COLUMNS)
     # fixed order: identical report -> identical row
-    assert row == compute_norm_report(_sin_field(grid2)).to_csv_row()
+    again = compute_norm_report(_sin_field(grid2))
+    assert row == ",".join(repr(float(again[c])) for c in NORM_REPORT_COLUMNS)
+    back = _read_table(path, NORM_REPORT_COLUMNS)
+    assert {c: float(v[0]) for c, v in back.items()} == rep
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -163,7 +174,7 @@ def test_norm_report_matches_standalone_norms(dim):
                 "l6_sq": lp_norm(f, 6) ** 2,
                 "w1_sigma": lp_norm(f, 4.5) + lp_norm(grad, 4.5)}
     for name, value in expected.items():
-        assert getattr(rep, name) == pytest.approx(value, rel=1e-14, abs=0)
+        assert rep[name] == pytest.approx(value, rel=1e-14, abs=0)
 
 
 def _stacked_magnitude(field):
@@ -237,14 +248,38 @@ def test_calibrate_constants_match_stacked_reference(grid3):
     assert cal.c_interp == pytest.approx(ci, rel=1e-14, abs=0)
 
 
-def test_trajectory_norms_ordering(grid2):
-    r0 = compute_norm_report(_sin_field(grid2))
-    r1 = compute_norm_report(_sin_field(grid2))
-    r1.time_stamp = 1.0
-    tn = TrajectoryNorms([r0, r1], (0.0, 1.0))
-    assert tn.series("l2_sq").shape == (2,)
-    with pytest.raises(ValueError):
-        TrajectoryNorms([r1, r0], (0.0, 1.0))
+def test_trajectory_norms_ordering(tmp_path, capsys):
+    # a saved series whose rows are out of time order, or hold a time that
+    # is not a number, is refused when verify loads it (exit 2), for the
+    # norm and the per-step table alike
+    run = tmp_path / "run"
+    spec = exp.parse_config(json.dumps({
+        "scenario": "ordering", "nu": 0.5, "dt": 5e-3, "T": 0.05,
+        "windows": 1, "N": 8, "norm_stride": 5,
+        "base": {"initial": {"kind": "taylor-green", "amplitude": 0.1}}}))
+    exp.run_experiment(spec, str(run))
+    assert cli.main(["verify", "--out", str(run)]) == exp.EXIT_OK
+    capsys.readouterr()
+
+    def swap(lines):
+        lines[1], lines[2] = lines[2], lines[1]
+
+    def nan_time(lines):
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+
+    cases = [("norms.csv", swap), ("diagnostics.csv", swap),
+             ("norms.csv", nan_time)]
+    for case, (name, edit) in enumerate(cases):
+        out = tmp_path / f"case{case}"
+        shutil.copytree(run, out)
+        path = out / "base" / name
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert name in err and "strictly increase" in err
+        assert "run the experiment again" in err and err.count("\n") == 1
 
 
 def test_embedding_ratio_positive(grid3):

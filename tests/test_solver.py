@@ -5,7 +5,6 @@ import json
 import os
 import pickle
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from torusflow.field import (derivative_data, divergence_linf,
                              random_divfree_field, spectral_data,
                              spectral_field)
 from torusflow.experiments import combine_forcing
-from torusflow.norms import l2_norm_sq
+from torusflow.norms import NORM_REPORT_COLUMNS, l2_norm_sq
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               _EXPR_FUNCTIONS, _forcing_series,
                               forcing_lp_sq_series, load_trajectory,
@@ -405,8 +404,9 @@ def test_lockstep_direct_matches_run_full_3d():
                                   np.array(alone.snapshots))
     for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
         np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
-    assert [r.to_csv_row() for r in direct.norms.reports] \
-        == [r.to_csv_row() for r in alone.norms.reports]
+    assert list(direct.norms) == list(alone.norms) == list(NORM_REPORT_COLUMNS)
+    for key, series in alone.norms.items():
+        assert direct.norms[key].tobytes() == series.tobytes(), key
 
 
 @pytest.mark.parametrize("pert_h1, direct_h1, label, t", [
@@ -586,8 +586,9 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     assert set(back.diag) == set(traj.diag)
     for key, series in traj.diag.items():
         assert np.array_equal(back.diag[key], series), key
-    row = [astuple(r) for r in (back.norms.reports[1], traj.norms.reports[1])]
-    assert np.array_equal(row[0], row[1])
+    assert list(back.norms) == list(traj.norms) == list(NORM_REPORT_COLUMNS)
+    for key, series in traj.norms.items():
+        assert np.array_equal(back.norms[key], series), key
     last = load_field(out["snapshots"][-1])
     assert last.time_stamp == traj.times[-1]
     assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
