@@ -38,7 +38,7 @@ u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
 # the base run is stepped in lockstep with the perturbation
 base, pert, _ = run_perturbation(SolverConfig(
     grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
-    snapshot_stride=250, norm_stride=50), base_cfg)
+    snapshot_stride=250), base_cfg)
 
 series = [est.stability_series(pert, base, budget, k)
           for k in range(windows)]

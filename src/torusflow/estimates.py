@@ -272,9 +272,11 @@ def w1sigma_monitor(base: Trajectory, sigma: float | None = None,
 
     Passes when every window maximum stays below the first window's maximum
     times (1 + tol); the report carries the per-window maxima as its series.
+    sigma defaults to the base run's config["sigma"]; another one raises
+    ValueError.
     """
     norms = base.norms
-    recorded = float(norms["sigma"][0])
+    recorded = float(base.config["sigma"])
     if sigma is None:
         sigma = recorded
     if sigma <= 3:

@@ -84,7 +84,6 @@ _PERT_DEFAULTS = {
                 "h1_sq_frac_of_gamma": 0.5},
     "forcing": {"kind": "zero"},
     "snapshot_stride": 250,
-    "norm_stride": 50,
 }
 
 
@@ -121,7 +120,8 @@ def parse_config(text: str) -> ExperimentSpec:
     paths; a grid or dt that solver.check_viscous_scale refuses, strides
     that solver.check_strides refuses, a budget override violating the
     gamma* admissibility condition and a force the run would not apply in
-    full (_check_forcing) are refused here, before any run starts.
+    full (_check_forcing) are refused here, before any run starts.  The
+    base run alone records a norm series, at the required norm_stride.
     """
     try:
         given = json.loads(text)
@@ -144,12 +144,15 @@ def parse_config(text: str) -> ExperimentSpec:
                             raw["dt"])
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
+    if raw["norm_stride"] is None:
+        raise ConfigError("config: norm_stride must be a positive integer, "
+                          "got None")
     for where, section in (("config", raw),
                            ("config.perturbation", raw["perturbation"])):
         if section is not None:
             try:
                 check_strides(raw["T"], raw["dt"], section["snapshot_stride"],
-                              section["norm_stride"])
+                              section.get("norm_stride"))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}")
     b = raw["budget"]
@@ -362,6 +365,18 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     return reports, series_list, hyp_by_window
 
 
+def _write_verdicts(out_dir, reports, series_list, hyp_by_window) -> dict:
+    """Write inequalities.json and windows.csv of analyze's results into
+    out_dir; returns their paths."""
+    paths = {"inequalities": os.path.join(out_dir, "inequalities.json"),
+             "windows": os.path.join(out_dir, "windows.csv")}
+    with open(paths["inequalities"], "w") as fh:
+        fh.write(est.reports_to_json(reports) + "\n")
+    with open(paths["windows"], "w") as fh:
+        fh.write(_window_csv(series_list, hyp_by_window, reports))
+    return paths
+
+
 @contextmanager
 def _timed(phases: dict, name: str):
     """Add the wall seconds of the with-block to phases[name]."""
@@ -433,8 +448,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                 forcing=_build_forcing(p["forcing"], 3),
                 initial=_build_initial(p["initial"], g3, nu, raw["seed"],
                                        budget.gamma),
-                snapshot_stride=p["snapshot_stride"],
-                norm_stride=p["norm_stride"], sigma=raw["sigma"])
+                snapshot_stride=p["snapshot_stride"], sigma=raw["sigma"])
             direct_cfg = _direct_config(raw, base_cfg, pert_cfg) \
                 if raw["direct_3d"] else None
             base, pert, direct = run_perturbation(pert_cfg, base_cfg,
@@ -468,12 +482,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                                           budget)
 
         with _timed(phases, "writing"):
-            with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
-                fh.write(est.reports_to_json(reports) + "\n")
-            with open(os.path.join(out_dir, "windows.csv"), "w") as fh:
-                fh.write(_window_csv(series_list, hyp_by_window, reports))
-        paths["inequalities"] = os.path.join(out_dir, "inequalities.json")
-        paths["windows"] = os.path.join(out_dir, "windows.csv")
+            paths.update(_write_verdicts(out_dir, reports, series_list,
+                                         hyp_by_window))
     except BlowUpError as exc:
         failed = True
         reports = {"blow-up": InequalityReport(
@@ -518,7 +528,7 @@ def _direct_config(raw, base_cfg: SolverConfig,
                         t_end=raw["windows"] * raw["T"], T=raw["T"],
                         forcing=forcing, initial=total0,
                         snapshot_stride=pert_cfg.snapshot_stride,
-                        norm_stride=pert_cfg.norm_stride, sigma=raw["sigma"])
+                        sigma=raw["sigma"])
 
 
 def combine_forcing(f2d: ForcingSpec, g3d: ForcingSpec) -> ForcingSpec:
@@ -540,8 +550,7 @@ def emit_report(artifacts: RunArtifacts) -> tuple:
     non-vacuous failure (its id leads the first line).  Exit 2: artifacts
     missing.
     """
-    if artifacts.reports is None or (not artifacts.reports
-                                     and not artifacts.failed):
+    if not artifacts.reports and not artifacts.failed:
         return "error: no inequality reports found\n", EXIT_ERROR
     failed_ids = [k for k, r in sorted(artifacts.reports.items())
                   if r.status == FAIL]
@@ -556,29 +565,6 @@ def emit_report(artifacts: RunArtifacts) -> tuple:
                      f"{r.worst_time:>10.3f}")
     code = EXIT_FAIL if failed_ids or artifacts.failed else EXIT_OK
     return "\n".join(lines) + "\n", code
-
-
-def load_artifacts(out_dir: str) -> RunArtifacts:
-    """Rebuild artifacts from disk for re-reporting; missing dirs error."""
-    ineq = os.path.join(out_dir, "inequalities.json")
-    if not os.path.isdir(out_dir) or not os.path.exists(ineq):
-        raise FileNotFoundError(f"no experiment artifacts under {out_dir}")
-    with open(ineq) as fh:
-        saved = json.load(fh)
-    reports = {}
-    for key, entry in saved.items():
-        r = InequalityReport(entry["inequality"], [entry["worst_time"]],
-                             [entry["worst_margin"]], entry["tolerance"],
-                             note=entry.get("note", ""))
-        r.status = entry["status"]
-        reports[key] = r
-    with open(os.path.join(out_dir, "meta.json")) as fh:
-        meta = json.load(fh)
-    paths = {"inequalities": ineq}
-    return RunArtifacts(out_dir=out_dir, paths=paths,
-                        config_hash=meta["hash"],
-                        wall_seconds=meta["wall_seconds"],
-                        failed=meta["failed"], reports=reports)
 
 
 def reverify(out_dir: str) -> RunArtifacts:
@@ -611,11 +597,9 @@ def reverify(out_dir: str) -> RunArtifacts:
         pert = load_trajectory(os.path.join(out_dir, "perturbation"))
         with open(os.path.join(out_dir, "constants.json")) as fh:
             budget = StabilityBudget(**json.load(fh)["budget"])
+    with open(os.path.join(out_dir, "meta.json")) as fh:
+        meta = json.load(fh)
     reports, series_list, hyp_by_window = analyze(base, pert, raw, budget)
-    with open(os.path.join(out_dir, "inequalities.json"), "w") as fh:
-        fh.write(est.reports_to_json(reports) + "\n")
-    with open(os.path.join(out_dir, "windows.csv"), "w") as fh:
-        fh.write(_window_csv(series_list, hyp_by_window, reports))
-    arts = load_artifacts(out_dir)
-    arts.reports = reports
-    return arts
+    paths = _write_verdicts(out_dir, reports, series_list, hyp_by_window)
+    return RunArtifacts(out_dir, paths, meta["hash"], meta["wall_seconds"],
+                        meta["failed"], reports)

@@ -163,6 +163,14 @@ class ForcingSpec:
 
 @dataclass
 class SolverConfig:
+    """One run's grid, viscosity, time grid, force and initial field.
+
+    A run takes a snapshot every snapshot_stride steps and, given a
+    norm_stride, a compute_norm_report every norm_stride steps, the last
+    step included; None records no norm series.  The checks read the
+    series of the 2D base run only.
+    """
+
     grid: TorusGrid
     nu: float
     dt: float
@@ -182,8 +190,6 @@ class SolverConfig:
         if not (self.t_end >= self.T > 0):
             raise ValueError("need t_end >= T > 0")
         check_viscous_scale(self.grid, self.nu, self.dt)
-        if self.norm_stride is None:
-            self.norm_stride = self.snapshot_stride
         check_strides(self.T, self.dt, self.snapshot_stride, self.norm_stride)
 
     @property
@@ -213,7 +219,8 @@ def check_viscous_scale(grid: TorusGrid, nu: float, dt: float):
 
 
 def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
-    """Raise ValueError unless both strides are positive integers and the
+    """Raise ValueError unless snapshot_stride is a positive integer and,
+    given a norm_stride (None: no norm series), so is norm_stride and the
     window length T is a whole number of norm intervals dt * norm_stride.
 
     The windowed estimates read the norm series, so a window must end on a
@@ -221,6 +228,8 @@ def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
     """
     for name, stride in (("snapshot_stride", snapshot_stride),
                          ("norm_stride", norm_stride)):
+        if name == "norm_stride" and stride is None:
+            return
         if not (isinstance(stride, (int, np.integer)) and stride >= 1):
             raise ValueError(f"{name} must be a positive integer, got "
                              f"{stride!r}")
@@ -258,7 +267,7 @@ class Trajectory:
     series of diag_columns (diag["mean"] holds the mean_i columns as one
     array) and the norm series of the mean-free part at norm_stride
     (norms: one array per NORM_REPORT_COLUMNS name, as compute_norm_report
-    returns them, in time order).
+    returns them, in time order; {} for a run without a norm_stride).
 
     The snapshots, taken at times, are held in memory (snapshots), or, for
     a run that streamed them to disk, are files of field.save_field
@@ -393,8 +402,8 @@ class _Workspace:
 class _Member:
     """One run of _lockstep: its state, its workspace, the series it
     records (diag_columns at every step, snapshots at snapshot_stride, norm
-    reports at norm_stride), the wall seconds spent on them and the
-    evaluations of its force.
+    reports at norm_stride, if given), the wall seconds spent on them and
+    the evaluations of its force.
 
     The state lives on the 2/3-rule modes (grid.dealias_mask): the
     initial field is masked before its Leray projection, and every step
@@ -469,7 +478,7 @@ class _Member:
                 save_field(path, state)
                 self.snapshot_paths.append(path)
             self.snap_times.append(t)
-        if i % cfg.norm_stride == 0 or i == self.n:
+        if cfg.norm_stride and (i % cfg.norm_stride == 0 or i == self.n):
             self.reports.append(compute_norm_report(mean_free(state),
                                                     cfg.sigma))
 
@@ -495,7 +504,7 @@ class _Member:
             times=np.array(self.snap_times),
             snapshots=self.snapshots,
             norms={c: np.array([r[c] for r in self.reports])
-                   for c in NORM_REPORT_COLUMNS},
+                   for c in NORM_REPORT_COLUMNS} if self.reports else {},
             diag=self.diag,
             config=cfg.describe() | {"label": label},
             config_hash=config_hash(cfg, {"label": label}),
@@ -699,7 +708,8 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
     """Write config copy, per-step CSV, norm series, snapshots and summary.
 
     Layout: config.json, diagnostics.csv (diag_columns, every step),
-    norms.csv (NORM_REPORT_COLUMNS, at norm_stride), summary.json,
+    norms.csv (NORM_REPORT_COLUMNS, at norm_stride; only for a run with a
+    norm series, and an earlier run's is removed), summary.json,
     snapshots/snap_NNNNNN.npz (at snapshot_stride).  Both CSV files are
     tables of _write_table, which load_trajectory reads back bit for bit.
 
@@ -727,8 +737,11 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
                               for i, m in enumerate(traj.diag["mean"].T)}}
     _write_table(os.path.join(directory, "diagnostics.csv"), series,
                  diag_columns(traj.config["label"], traj.grid.dim))
-    _write_table(os.path.join(directory, "norms.csv"), traj.norms,
-                 NORM_REPORT_COLUMNS)
+    norms_path = os.path.join(directory, "norms.csv")
+    if traj.norms:
+        _write_table(norms_path, traj.norms, NORM_REPORT_COLUMNS)
+    elif os.path.exists(norms_path):
+        os.remove(norms_path)
 
     partial = os.path.dirname(files[0])
     snapdir = os.path.join(directory, "snapshots")
@@ -758,10 +771,11 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
 def load_trajectory(directory) -> Trajectory:
     """Rebuild the scalar series of a save_trajectory directory.
 
-    The per-step series are read from diagnostics.csv and the norm series
-    from norms.csv, exactly as the run wrote them; _read_table refuses
-    either file when it is missing, its header or rows are not the run's
-    columns or its times do not strictly increase, and series that do not
+    The per-step series are read from diagnostics.csv and, for a run with
+    a norm_stride, the norm series from norms.csv (else norms is {}),
+    exactly as the run wrote them; _read_table refuses either file when it
+    is missing, its header or rows are not the run's columns, its times do
+    not strictly increase or a value is not finite, and series that do not
     span the run's steps are refused too.  Nothing is re-evaluated, and
     snapshot files are not read, so the trajectory has no snapshots;
     field.load_field reads one.
@@ -774,12 +788,13 @@ def load_trajectory(directory) -> Trajectory:
                        diag_columns(config["label"], grid.dim))
     diag["mean"] = np.column_stack([diag.pop(f"mean_{i + 1}")
                                     for i in range(grid.dim)])
-    norms = _read_table(os.path.join(directory, "norms.csv"),
-                        NORM_REPORT_COLUMNS)
+    norms = {} if config["norm_stride"] is None else _read_table(
+        os.path.join(directory, "norms.csv"), NORM_REPORT_COLUMNS)
     # a run records every step, and its norms at the first and the last
     steps = round(config["t_end"] / config["dt"]) + 1
     ends = [diag["t"][0], diag["t"][-1]]
-    if len(diag["t"]) != steps or list(norms["time_stamp"][[0, -1]]) != ends:
+    if len(diag["t"]) != steps \
+            or (norms and list(norms["time_stamp"][[0, -1]]) != ends):
         raise FileNotFoundError(f"{directory}: the series do not span the "
                                 f"run's {steps} steps; run the experiment "
                                 "again")
@@ -803,10 +818,10 @@ def _read_table(path, columns) -> dict:
     """{c: array} for c in columns, from a file of _write_table whose first
     column is time.
 
-    A missing file, a header other than columns, a row of another length
-    and times that do not strictly increase are refused with
-    FileNotFoundError, so that verify exits with code 2 and asks for a new
-    run instead of checking series that are not the run's.
+    A missing file, a header other than columns, a row of another length,
+    times that do not strictly increase and a value that is not finite are
+    refused with FileNotFoundError, so that verify exits with code 2 and
+    asks for a new run instead of checking series that are not the run's.
     """
     columns = list(columns)
     if not os.path.exists(path):
@@ -827,4 +842,7 @@ def _read_table(path, columns) -> dict:
     if not np.all(np.diff(rows[:, 0]) > 0):  # refuses a nan time too
         raise FileNotFoundError(f"{path}: the times in {columns[0]} do not "
                                 "strictly increase; run the experiment again")
+    if not np.all(np.isfinite(rows)):
+        raise FileNotFoundError(f"{path} holds a value that is not finite; "
+                                "run the experiment again")
     return dict(zip(columns, rows.T))

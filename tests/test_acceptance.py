@@ -219,7 +219,7 @@ def test_criterion_08_stability_conclusion(calibrated):
                           expressions=("1e-4*sin(x3)", "0*x1", "0*x1"))
     base, pert, _ = run_perturbation(SolverConfig(
         grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
-        forcing=g_force, snapshot_stride=250, norm_stride=50), base_cfg)
+        forcing=g_force, snapshot_stride=250), base_cfg)
 
     series = [est.stability_series(pert, base, budget, k)
               for k in range(windows)]
@@ -308,7 +308,7 @@ def test_criterion_11_determinism(tmp_path):
         "T": 0.5, "windows": 1, "N": 8, "norm_stride": 10,
         "base": {"initial": {"kind": "taylor-green", "amplitude": 0.01}},
         "perturbation": {"initial": {"kind": "random", "seed": 2},
-                         "snapshot_stride": 50, "norm_stride": 10},
+                         "snapshot_stride": 50},
     }
     spec = exp.parse_config(json.dumps(config))
     exp.run_experiment(spec, str(tmp_path / "a"))
@@ -316,7 +316,7 @@ def test_criterion_11_determinism(tmp_path):
                        str(tmp_path / "b"))
     same = []
     for rel in ("base/diagnostics.csv", "perturbation/diagnostics.csv",
-                "base/norms.csv", "perturbation/norms.csv",
+                "base/norms.csv",
                 "inequalities.json", "windows.csv"):
         same.append((tmp_path / "a" / rel).read_bytes()
                     == (tmp_path / "b" / rel).read_bytes())

@@ -46,7 +46,7 @@ def stability_setup(grid2, grid3):
                               target_h1=np.sqrt(0.5 * budget.gamma))
     base, pert, _ = run_perturbation(SolverConfig(
         grid=grid3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
-        snapshot_stride=250, norm_stride=50), base_cfg)
+        snapshot_stride=250), base_cfg)
     return base, pert, budget, cal
 
 
@@ -337,7 +337,7 @@ def test_envelope_matches_interpolating_loop(stability_setup, forced):
             grid=g3, nu=budget.nu, dt=2e-3, t_end=2 * T, T=T, initial=u0,
             forcing=ForcingSpec(kind="expression", expressions=(
                 "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)")),
-            snapshot_stride=1000, norm_stride=50), base_cfg)
+            snapshot_stride=1000), base_cfg)
     for k in range(2):
         s = est.stability_series(pert, base, budget, k)
         assert np.ptp(s.A_sq) > 0 and (np.ptp(s.G_sq) > 0) == forced

@@ -26,15 +26,14 @@ SMALL = {
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.1}},
 }
 
-# SMALL with a perturbation run: exercises calibration, the 3D norm reports
-# and every stability check
-SMALL_PERT = dict(SMALL, perturbation={"snapshot_stride": 50,
-                                       "norm_stride": 10})
+# SMALL with a perturbation run: exercises calibration and every stability
+# check
+SMALL_PERT = dict(SMALL, perturbation={"snapshot_stride": 50})
 
 # SMALL_PERT under a time-dependent perturbation force: B1 reads a nonzero
 # L^{6/5} series
 FORCED_PERT = dict(SMALL, perturbation={
-    "snapshot_stride": 50, "norm_stride": 10,
+    "snapshot_stride": 50,
     "forcing": {"kind": "expression", "expressions": [
         "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)"]}})
 
@@ -46,7 +45,7 @@ FORCED_DIRECT = dict(SMALL, T=0.05, norm_stride=5, snapshot_stride=5,
                              "1e-3*sin(x1)*cos(x2)*cos(t)",
                              "-1e-3*cos(x1)*sin(x2)*cos(t)"]}),
                      perturbation=dict(FORCED_PERT["perturbation"],
-                                       snapshot_stride=5, norm_stride=5))
+                                       snapshot_stride=5))
 
 
 def test_parse_minimal_fills_defaults():
@@ -142,9 +141,14 @@ def test_emit_report_exit_codes():
     assert exp.emit_report(empty)[1] == exp.EXIT_ERROR
 
 
-def test_load_artifacts_missing_dir(tmp_path):
+def test_load_artifacts_missing_dir(tmp_path, capsys):
+    # verify loads a run's artifacts from its directory: a missing one is
+    # refused with one line on stderr
     with pytest.raises(FileNotFoundError):
-        exp.load_artifacts(str(tmp_path / "nothing"))
+        exp.reverify(str(tmp_path / "nothing"))
+    assert cli.main(["verify", "--out", str(tmp_path / "nothing")]) \
+        == exp.EXIT_ERROR
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cfg", [SMALL_PERT, FORCED_PERT],
@@ -180,9 +184,14 @@ def test_rerun_replaces_stale_snapshots(tmp_path):
     # extra snapshot files beside its own
     out = tmp_path / "out"
     for stride, count in ((10, 11), (50, 3)):
-        cfg = dict(SMALL_PERT, perturbation={"snapshot_stride": stride,
-                                             "norm_stride": 10})
+        cfg = dict(SMALL_PERT, perturbation={"snapshot_stride": stride})
+        # an earlier output's perturbation norm series, which this run
+        # does not record
+        stale = out / "perturbation" / "norms.csv"
+        if stale.parent.exists():
+            stale.write_text("stale\n")
         exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
+        assert not stale.exists()
         for run in ("base", "perturbation"):
             summary = json.loads((out / run / "summary.json").read_text())
             files = sorted(os.listdir(out / run / "snapshots"))
@@ -272,14 +281,23 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
         == (out / "inequalities.json").read_text()
 
 
-def _drop_l6(lines):
-    l6 = NORM_REPORT_COLUMNS.index("l6_sq")
-    return [",".join(c for i, c in enumerate(line.split(",")) if i != l6)
-            for line in lines]
+def _norms_csv_edit(edit):
+    """An edit of base/norms.csv, line by line, and what verify's error
+    names."""
+    def apply(out):
+        path = out / "base" / "norms.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines()))
+                        + "\n")
+        return [str(out / "base"), "run the experiment again"]
+    return apply
 
 
-def _swap_grad_l3_l6(lines):
-    i, j = (NORM_REPORT_COLUMNS.index(c) for c in ("grad_l3_sq", "l6_sq"))
+def _drop_w1(lines):
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def _swap_grad_l3_w1(lines):
+    i, j = (NORM_REPORT_COLUMNS.index(c) for c in ("grad_l3_sq", "w1_sigma"))
     out = []
     for line in lines:
         cells = line.split(",")
@@ -288,24 +306,48 @@ def _swap_grad_l3_l6(lines):
     return out
 
 
+#: the columns of norms.csv written before it held only what a check reads
+NINE_COLUMNS = ("time_stamp", "l2_sq", "h1_sq", "h2_sq", "grad_l2_sq",
+                "grad_l3_sq", "l6_sq", "sigma", "w1_sigma")
+
+
+def _nine_columns(lines):
+    rows = (dict(zip(NORM_REPORT_COLUMNS, line.split(",")))
+            for line in lines[1:])
+    return [",".join(NINE_COLUMNS)] \
+        + [",".join(row.get(c, "4.0") for c in NINE_COLUMNS) for row in rows]
+
+
+def _spec_with_perturbation_norm_stride(out):
+    path = out / "spec.json"
+    spec = json.loads(path.read_text())
+    spec["perturbation"]["norm_stride"] = 50
+    path.write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n")
+    return ["unknown key 'norm_stride' in config.perturbation"]
+
+
 @pytest.mark.parametrize("edit", [
-    _drop_l6, _swap_grad_l3_l6,
-    lambda lines: lines[:1] + _drop_l6(lines[1:]),
-    lambda lines: lines[:3]],
-    ids=["dropped-l6", "swapped-grad-l3-l6", "rows-without-l6", "ends-early"])
+    _norms_csv_edit(_drop_w1), _norms_csv_edit(_swap_grad_l3_w1),
+    _norms_csv_edit(lambda lines: lines[:1] + _drop_w1(lines[1:])),
+    _norms_csv_edit(lambda lines: lines[:3]),
+    _norms_csv_edit(_nine_columns), _spec_with_perturbation_norm_stride],
+    ids=["dropped-w1-sigma", "swapped-grad-l3-w1-sigma",
+         "rows-without-w1-sigma", "ends-early", "nine-columns",
+         "perturbation-norm-stride"])
 def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
                                                       tmp_path, capsys, edit):
-    # a base norms.csv that is not the run's: the dropped column used to end
-    # in a TypeError and the truncated series in an IndexError (exit 1), the
-    # swapped pair to pass with moved 4.26a/4.27 margins (exit 0)
+    # a base norms.csv that is not the run's, or a spec that names a
+    # perturbation norm_stride: the truncated series used to end in an
+    # IndexError (exit 1) and the swapped pair to pass with moved 4.26a/4.27
+    # margins (exit 0); the nine-column series and such a spec are those of
+    # an output written before only the base recorded a norm series
     out = tmp_path / "out"
     shutil.copytree(forced_pert_out, out)
-    path = out / "base" / "norms.csv"
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    expected = edit(out)
     before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     err = capsys.readouterr().err
-    assert str(out / "base") in err and "run the experiment again" in err
+    assert all(text in err for text in expected), err
     assert err.count("\n") == 1
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
         == before
@@ -359,9 +401,13 @@ def _assert_run_refused(tmp_path, capsys, cfg):
 
 @pytest.mark.parametrize("cfg", [
     dict(SMALL, norm_stride=30),
+    # the perturbation records no norm series: its norm_stride is no key
     dict(SMALL_PERT, perturbation={"snapshot_stride": 50, "norm_stride": 30}),
-    dict(SMALL, snapshot_stride=0)],
-    ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride"])
+    dict(SMALL, snapshot_stride=0),
+    # the checks read the base run's norm series: it must be recorded
+    dict(SMALL, norm_stride=None)],
+    ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride",
+         "no-base-norm-stride"])
 def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
     # with norm_stride 30, dt*norm_stride = 0.15 puts norm samples at 0,
     # 0.15, 0.30, 0.45, so the window [0, 0.5] would end between two of them
@@ -374,7 +420,7 @@ def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
     # dt*nu*kmax^2 is 80 on the 2D grid but 120 on the 3D one
     {"N": 16, "windows": 1, "dt": 0.625, "T": 1.25, "norm_stride": 2,
      "snapshot_stride": 2,
-     "perturbation": {"norm_stride": 2, "snapshot_stride": 2}}],
+     "perturbation": {"snapshot_stride": 2}}],
     ids=["base", "perturbation"])
 def test_cli_refuses_unresolved_viscous_scale(tmp_path, capsys, cfg):
     err = _assert_run_refused(tmp_path, capsys, cfg)
@@ -559,6 +605,9 @@ def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)), str(out))
     for run in ("base", "perturbation", "direct"):
+        # only the 2D base run records a norm series
+        assert (out / run / "norms.csv").exists() == (run == "base"), run
+        assert (load_trajectory(out / run).norms == {}) == (run != "base")
         paths = sorted((out / run / "snapshots").iterdir())
         assert len(paths) == 3, run
         for path in paths:

@@ -170,9 +170,10 @@ def test_norm_report_matches_standalone_norms(dim):
     f = random_divfree_field(grid, seed=5, spectrum_decay=1.5)
     rep = compute_norm_report(f, 4.5)
     grad = gradient_field(f)
-    expected = {"grad_l3_sq": lp_norm(grad, 3) ** 2,
-                "l6_sq": lp_norm(f, 6) ** 2,
+    expected = {"time_stamp": f.time_stamp,
+                "grad_l3_sq": lp_norm(grad, 3) ** 2,
                 "w1_sigma": lp_norm(f, 4.5) + lp_norm(grad, 4.5)}
+    assert tuple(rep) == tuple(expected) == NORM_REPORT_COLUMNS
     for name, value in expected.items():
         assert rep[name] == pytest.approx(value, rel=1e-14, abs=0)
 
@@ -249,9 +250,10 @@ def test_calibrate_constants_match_stacked_reference(grid3):
 
 
 def test_trajectory_norms_ordering(tmp_path, capsys):
-    # a saved series whose rows are out of time order, or hold a time that
-    # is not a number, is refused when verify loads it (exit 2), for the
-    # norm and the per-step table alike
+    # a saved series whose rows are out of time order, or hold a time or a
+    # value that is not a number, is refused when verify loads it (exit 2),
+    # for the norm and the per-step table alike; a nan l2_sq used to be
+    # checked, and failed as 3.2 and 3.3 (exit 1)
     run = tmp_path / "run"
     spec = exp.parse_config(json.dumps({
         "scenario": "ordering", "nu": 0.5, "dt": 5e-3, "T": 0.05,
@@ -267,9 +269,17 @@ def test_trajectory_norms_ordering(tmp_path, capsys):
     def nan_time(lines):
         lines[2] = "nan" + lines[2][lines[2].index(","):]
 
-    cases = [("norms.csv", swap), ("diagnostics.csv", swap),
-             ("norms.csv", nan_time)]
-    for case, (name, edit) in enumerate(cases):
+    def nan_l2(lines):
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("l2_sq")] = "nan"
+        lines[2] = ",".join(cells)
+
+    increase, finite = "strictly increase", "not finite"
+    cases = [("norms.csv", swap, increase),
+             ("diagnostics.csv", swap, increase),
+             ("norms.csv", nan_time, increase),
+             ("diagnostics.csv", nan_l2, finite)]
+    for case, (name, edit, message) in enumerate(cases):
         out = tmp_path / f"case{case}"
         shutil.copytree(run, out)
         path = out / "base" / name
@@ -278,7 +288,7 @@ def test_trajectory_norms_ordering(tmp_path, capsys):
         path.write_text("\n".join(lines) + "\n")
         assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
         err = capsys.readouterr().err
-        assert name in err and "strictly increase" in err
+        assert name in err and message in err
         assert "run the experiment again" in err and err.count("\n") == 1
 
 

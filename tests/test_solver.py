@@ -1,5 +1,6 @@
 """Time integration: scheme order, invariants, forcing, persistence."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -9,14 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusflow import make_grid
+from torusflow import make_grid, solver
 from torusflow.field import (derivative_data, divergence_linf,
                              extrude_field, leray_data, load_field, mean,
                              physical_field, physical_data,
                              random_divfree_field, spectral_data,
                              spectral_field)
 from torusflow.experiments import combine_forcing
-from torusflow.norms import NORM_REPORT_COLUMNS, l2_norm_sq
+from torusflow.norms import (NORM_REPORT_COLUMNS, compute_norm_report,
+                             l2_norm_sq)
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               _EXPR_FUNCTIONS, _forcing_series,
                               forcing_lp_sq_series, load_trajectory,
@@ -53,15 +55,18 @@ def test_config_validation(grid2):
     with pytest.raises(ValueError):
         SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.5, T=1, initial=v0)
     with pytest.raises(ValueError):
-        # T not a multiple of the norm interval (norm_stride defaults to
-        # snapshot_stride)
+        # T not a multiple of the norm interval
         SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1, initial=v0,
-                     snapshot_stride=3)
+                     snapshot_stride=3, norm_stride=3)
     with pytest.raises(ValueError):
         # norm samples at 0, 0.15, 0.30, 0.45: window [0, 0.5] would end
         # between two of them
         SolverConfig(grid=grid2, nu=0.1, dt=5e-3, t_end=0.5, T=0.5,
                      initial=v0, snapshot_stride=100, norm_stride=30)
+    # without a norm_stride a run records no norm series, and snapshots may
+    # fall anywhere
+    assert SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1,
+                        initial=v0, snapshot_stride=3).norm_stride is None
 
 
 def test_forcing_expression_and_steady(grid2):
@@ -326,6 +331,7 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
     # same state and time, and a saved streamed run matches a saved
     # in-memory one file for file
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    base_cfg = dataclasses.replace(base_cfg, norm_stride=5)
     held = run_perturbation(pert_cfg, base_cfg, direct_cfg)
     names = ("base", "perturbation", "direct")
     dirs = tuple(tmp_path / "streamed" / name for name in names)
@@ -353,8 +359,11 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
         assert disk.snapshot_paths == out["snapshots"]
         # saved again where its files now lie, it keeps them
         assert save_trajectory(disk, directory) == out
-        for fname in ("config.json", "diagnostics.csv", "norms.csv",
-                      "summary.json"):
+        scalar = sorted(set(os.listdir(directory)) - {"snapshots"})
+        assert scalar == sorted(set(os.listdir(tmp_path / "held" / name))
+                                - {"snapshots"})
+        assert ("norms.csv" in scalar) == (name == "base")
+        for fname in scalar:
             assert (directory / fname).read_bytes() \
                 == (tmp_path / "held" / name / fname).read_bytes()
         held_files = sorted(os.listdir(tmp_path / "held" / name
@@ -395,18 +404,28 @@ def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
     assert held[0] - held[1] >= (steps - 1) * state
 
 
-def test_lockstep_direct_matches_run_full_3d():
+def test_lockstep_direct_matches_run_full_3d(monkeypatch):
+    # the 3D configs give no norm_stride, so only the base computes norm
+    # reports: a 3D one fails the run, in the direct run's worker too
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
-    _, _, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    base_cfg = dataclasses.replace(base_cfg, norm_stride=5)
+    dims = []
+
+    def report_2d(field, sigma):
+        dims.append(field.grid.dim)
+        assert field.grid.dim == 2, "a 3D run computed a norm report"
+        return compute_norm_report(field, sigma)
+
+    monkeypatch.setattr(solver, "compute_norm_report", report_2d)
+    base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
     alone = run_full_3d(direct_cfg)
+    assert dims == [2] * len(base.norms["time_stamp"]) == [2] * 5
+    assert pert.norms == direct.norms == alone.norms == {}
     np.testing.assert_array_equal(direct.times, alone.times)
     np.testing.assert_array_equal(np.array(direct.snapshots),
                                   np.array(alone.snapshots))
     for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
         np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
-    assert list(direct.norms) == list(alone.norms) == list(NORM_REPORT_COLUMNS)
-    for key, series in alone.norms.items():
-        assert direct.norms[key].tobytes() == series.tobytes(), key
 
 
 @pytest.mark.parametrize("pert_h1, direct_h1, label, t", [
