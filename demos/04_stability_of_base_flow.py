@@ -1,8 +1,9 @@
 """Nonlinear stability of a 2D base flow under 3D perturbations.
 
 A small Taylor-Green base flow is perturbed by a small 3D divergence-free
-field.  The budget (gamma, gamma*, c*, alpha, c1..c5) is calibrated on the
-grid, the smallness hypotheses are checked per window, and the measured
+field.  The budget (gamma, gamma*, c*, alpha, c1..c5) is derived from the
+grid's constants (c3 and c_interp are closed-form bounds over its 2/3-rule
+modes), the smallness hypotheses are checked per window, and the measured
 H1 norm of the perturbation is compared against the integrated envelope of
 its differential inequality.
 """
@@ -18,7 +19,7 @@ nu, T, dt, windows = 1.0, 1.0, 2e-3, 3
 g2 = make_grid(2 * np.pi, 16, 2)
 g3 = make_grid(2 * np.pi, 16, 3)
 
-cal = est.calibrate_constants(g3, ensemble_size=100, seed=0)
+cal = est.calibrate_constants(g3)
 c_star = 0.5 * nu * cal.c4
 gamma_star = est.admissible_gamma_star(nu, cal.c4, cal.c5, c_star)
 budget = est.StabilityBudget(nu=nu, T=T, gamma=0.5 * gamma_star,

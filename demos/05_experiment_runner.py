@@ -3,7 +3,10 @@
 Equivalent shell commands:
     torusflow run --scenario stability-smoke --out runs/demo
     torusflow verify --out runs/demo
-    torusflow calibrate --N 16 --ensemble 100
+    torusflow calibrate --N 16
+
+The last prints the grid's constants: c1, c2, the L6/H1 embedding bound c3,
+the interpolation bound c_interp, and c4, c5 derived from them.
 """
 
 import json

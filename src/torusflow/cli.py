@@ -3,7 +3,7 @@
 Sub-commands:
   run        simulate a scenario config (or a bundled scenario) and check it
   verify     re-run the estimate checks on stored trajectories
-  calibrate  estimate the embedding/interpolation constants on an ensemble
+  calibrate  print the embedding/interpolation constants of a grid
   sweep      run a grid of scenario variants, optionally in forked workers
 """
 
@@ -45,12 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", required=True,
                           help="existing experiment directory")
 
-    p_cal = sub.add_parser("calibrate", help="constants ensemble")
+    p_cal = sub.add_parser("calibrate", help="constants of a grid")
     p_cal.add_argument("--N", type=int, default=16)
     p_cal.add_argument("--L", type=float, default=None,
                        help="box length (default 2*pi)")
-    p_cal.add_argument("--ensemble", type=int, default=100)
-    p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--out", default=None,
                        help="write constants JSON here (default stdout)")
 
@@ -123,10 +121,10 @@ def _cmd_calibrate(args) -> int:
     L = args.L if args.L is not None else 2.0 * math.pi
     try:
         grid = make_grid(L, args.N, 3)
-        cal = est.calibrate_constants(grid, args.ensemble, args.seed)
     except ValueError as exc:
-        # an odd N, a nonpositive L or too small an ensemble
+        # an odd N or a nonpositive L
         raise exp.ConfigError(str(exc)) from None
+    cal = est.calibrate_constants(grid)
     payload = json.dumps(asdict(cal), indent=2, sort_keys=True) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

@@ -45,8 +45,7 @@ WINDOW_CSV_COLUMNS = ("window", "t_start", "t_end", "X_sq_start", "X_sq_end",
                       "int_A_sq", "int_G_sq", "hypotheses", "worst_margin")
 
 #: the phases of run_experiment timed in meta.json
-PHASES = ("calibration", "base", "perturbation", "direct", "analysis",
-          "writing")
+PHASES = ("base", "perturbation", "direct", "analysis", "writing")
 
 
 class ConfigError(ValueError):
@@ -75,7 +74,6 @@ _DEFAULTS = {
     "budget": {"gamma_frac": 0.5, "c_star_frac": 0.5, "alpha": 0.03,
                "gamma": None, "gamma_star": None, "c_star": None,
                "c1": None, "c3": None, "c4": None, "c5": None},
-    "calibration": {"ensemble_size": 100, "seed": 0},
     "tolerance": {"C": 1.0},
 }
 
@@ -117,11 +115,12 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON scenario config, filling and recording defaults.
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
-    paths; a grid or dt that solver.check_viscous_scale refuses, strides
-    that solver.check_strides refuses, a budget override violating the
-    gamma* admissibility condition and a force the run would not apply in
-    full (_check_forcing) are refused here, before any run starts.  The
-    base run alone records a norm series, at the required norm_stride.
+    paths; a value of the wrong type, a grid or dt that
+    solver.check_viscous_scale refuses, strides that solver.check_strides
+    refuses, a budget that _resolve_budget refuses and a force the run
+    would not apply in full (_check_forcing) are refused here, before any
+    run starts.  The base run alone records a norm series, at the required
+    norm_stride.
     """
     try:
         given = json.loads(text)
@@ -134,8 +133,12 @@ def parse_config(text: str) -> ExperimentSpec:
         raw["perturbation"] = _merged(_PERT_DEFAULTS, raw["perturbation"],
                                       "config.perturbation")
     for key in ("nu", "dt", "T", "L"):
-        if not raw[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {raw[key]}")
+        if not _is_number(raw[key], (int, float)) or not raw[key] > 0:
+            raise ConfigError(f"{key} must be a positive number, got "
+                              f"{raw[key]!r}")
+    for key in ("N", "windows", "seed"):
+        if not _is_number(raw[key], int):
+            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
     if raw["windows"] < 1:
         raise ConfigError("need at least one window")
     dim = 2 if raw["perturbation"] is None else 3  # 3D has the larger kmax
@@ -155,20 +158,7 @@ def parse_config(text: str) -> ExperimentSpec:
                               section.get("norm_stride"))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}")
-    b = raw["budget"]
-    explicit = all(b.get(k) is not None
-                   for k in ("c4", "c5", "gamma", "gamma_star", "c_star"))
-    if explicit:
-        # fail fast: the resolved budget must be admissible
-        try:
-            StabilityBudget(nu=raw["nu"], T=raw["T"], gamma=b["gamma"],
-                            gamma_star=b["gamma_star"], c_star=b["c_star"],
-                            alpha=b["alpha"],
-                            c1=b["c1"] if b["c1"] is not None else 0.5,
-                            c3=b["c3"] if b["c3"] is not None else 1.0,
-                            c4=b["c4"], c5=b["c5"])
-        except ValueError as exc:
-            raise ConfigError(f"budget refused: {exc}")
+    _resolve_budget(raw)
     t_end = raw["windows"] * raw["T"]
     for where, section, dim in (("config.base.forcing", raw["base"], 2),
                                 ("config.perturbation.forcing",
@@ -177,6 +167,11 @@ def parse_config(text: str) -> ExperimentSpec:
             _check_forcing(_build_forcing(section["forcing"], dim),
                            make_grid(raw["L"], raw["N"], dim), t_end, where)
     return ExperimentSpec(raw=raw)
+
+
+def _is_number(value, types) -> bool:
+    """isinstance(value, types), but a bool (a JSON true) is no number."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def bundled_scenario(name: str) -> ExperimentSpec:
@@ -277,23 +272,22 @@ def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
-def _resolve_budget(spec: ExperimentSpec, grid3: TorusGrid) -> tuple:
-    """Calibrate constants and assemble the stability budget."""
-    cal_cfg = spec["calibration"]
-    cal = est.calibrate_constants(grid3, cal_cfg["ensemble_size"],
-                                  cal_cfg["seed"])
-    b = dict(spec["budget"])
+def _resolve_budget(raw: dict) -> tuple:
+    """The constants of the 3D grid and the stability budget, the config's
+    overrides applied; (calibrated constants, StabilityBudget)."""
+    cal = est.calibrate_constants(make_grid(raw["L"], raw["N"], 3))
+    b = raw["budget"]
 
     def pick(key, fallback):
         return b[key] if b.get(key) is not None else fallback
 
-    nu, T = spec["nu"], spec["T"]
+    nu, T = raw["nu"], raw["T"]
     c1 = pick("c1", cal.c1)
     c3 = pick("c3", cal.c3)
     c4 = pick("c4", cal.c4)
     c5 = pick("c5", cal.c5)
-    c_star = pick("c_star", b.get("c_star_frac", 0.5) * nu * c4)
     try:
+        c_star = pick("c_star", b.get("c_star_frac", 0.5) * nu * c4)
         gamma_star = pick("gamma_star",
                           est.admissible_gamma_star(nu, c4, c5, c_star))
         gamma = pick("gamma", b.get("gamma_frac", 0.5) * gamma_star)
@@ -301,7 +295,8 @@ def _resolve_budget(spec: ExperimentSpec, grid3: TorusGrid) -> tuple:
                                  gamma_star=gamma_star, c_star=c_star,
                                  alpha=b.get("alpha", 0.03), c1=c1, c3=c3,
                                  c4=c4, c5=c5)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
+        # an inadmissible budget, or a null or a string in one of its values
         raise ConfigError(f"budget refused: {exc}")
     return cal, budget
 
@@ -390,11 +385,11 @@ def _timed(phases: dict, name: str):
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
-    Removes an earlier run's verdict files from out_dir, calibrates, then
-    steps the base, perturbation and direct runs in one run_perturbation
-    call, each streaming its snapshots into the snapshots.partial directory
-    of its trajectory directory, and writes their scalar series once all
-    have finished.  On solver blow-up only the partial snapshot
+    Removes an earlier run's verdict files from out_dir, resolves the
+    budget, then steps the base, perturbation and direct runs in one
+    run_perturbation call, each streaming its snapshots into the
+    snapshots.partial directory of its trajectory directory, and writes
+    their scalar series once all have finished.  On solver blow-up only the partial snapshot
     directories are left of the trajectories, and meta.json carries the
     failure marker.  meta.json also records the wall seconds of each of
     PHASES in this process (direct: the wait for the direct run's worker),
@@ -439,9 +434,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
             base = run_2d_base(base_cfg, directories[0])
         else:
             g3 = make_grid(raw["L"], raw["N"], 3)
-            with _timed(phases, "calibration"):
-                cal, budget = _resolve_budget(spec, g3)
-            workers["calibration"] = cal.worker_seconds
+            cal, budget = _resolve_budget(raw)
             p = raw["perturbation"]
             pert_cfg = SolverConfig(
                 grid=g3, nu=nu, dt=dt, t_end=t_end, T=T,

@@ -51,15 +51,6 @@ def grad_l2_norm_sq(field: Field) -> float:
     return _parseval_sum(field.grid, field.spectral(), field.grid.k_sq)
 
 
-def hessian_l2_norm_sq(field: Field) -> float:
-    """Squared L2 norm of all second derivatives (ordered pairs) by
-    Parseval: the modewise weight is |k|^4, built from the discrete
-    derivative's wavenumbers, so it equals the L2 norm of the gradient of
-    gradient_field."""
-    return _parseval_sum(field.grid, field.spectral(),
-                         field.grid.k_sq_deriv ** 2)
-
-
 def sobolev_norm_sq(field: Field, s: int) -> float:
     """Squared H^s norm: sum_{|alpha| <= s} ||D^alpha u||_L2^2.
 
@@ -171,14 +162,6 @@ def poincare_ratio(field: Field, relative_to: str = "h1") -> float:
     if relative_to == "l2":
         return grad / l2
     raise ValueError(f"unknown relative_to {relative_to!r}")
-
-
-def embedding_ratio_l6_h1(field: Field) -> float:
-    """||u||_L6^2 / ||u||_H1^2 for mean-free fields; probes the L6 embedding."""
-    h1 = sobolev_norm_sq(field, 1)
-    if h1 == 0.0:
-        raise ValueError("embedding ratio of a zero field")
-    return lp_norm(field, 6) ** 2 / h1
 
 
 def sharp_poincare_h1(grid: TorusGrid) -> float:

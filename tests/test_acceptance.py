@@ -35,7 +35,7 @@ def _line(n, ok, detail):
 @pytest.fixture(scope="module")
 def calibrated():
     grid3 = make_grid(2 * np.pi, 16, 3)
-    cal = est.calibrate_constants(grid3, 100, 0)
+    cal = est.calibrate_constants(grid3)
     c_star = 0.5 * cal.c4  # nu = 1 in the stability scenarios
     gamma_star = est.admissible_gamma_star(1.0, cal.c4, cal.c5, c_star)
     budget = est.StabilityBudget(nu=1.0, T=1.0, gamma=0.5 * gamma_star,

@@ -326,21 +326,31 @@ def _spec_with_perturbation_norm_stride(out):
     return ["unknown key 'norm_stride' in config.perturbation"]
 
 
+def _spec_with_calibration(out):
+    path = out / "spec.json"
+    spec = json.loads(path.read_text())
+    spec["calibration"] = {"ensemble_size": 100, "seed": 0}
+    path.write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n")
+    return ["unknown key 'calibration' in config"]
+
+
 @pytest.mark.parametrize("edit", [
     _norms_csv_edit(_drop_w1), _norms_csv_edit(_swap_grad_l3_w1),
     _norms_csv_edit(lambda lines: lines[:1] + _drop_w1(lines[1:])),
     _norms_csv_edit(lambda lines: lines[:3]),
-    _norms_csv_edit(_nine_columns), _spec_with_perturbation_norm_stride],
+    _norms_csv_edit(_nine_columns), _spec_with_perturbation_norm_stride,
+    _spec_with_calibration],
     ids=["dropped-w1-sigma", "swapped-grad-l3-w1-sigma",
          "rows-without-w1-sigma", "ends-early", "nine-columns",
-         "perturbation-norm-stride"])
+         "perturbation-norm-stride", "calibration-section"])
 def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
                                                       tmp_path, capsys, edit):
     # a base norms.csv that is not the run's, or a spec that names a
-    # perturbation norm_stride: the truncated series used to end in an
-    # IndexError (exit 1) and the swapped pair to pass with moved 4.26a/4.27
-    # margins (exit 0); the nine-column series and such a spec are those of
-    # an output written before only the base recorded a norm series
+    # perturbation norm_stride or a calibration ensemble: the truncated
+    # series used to end in an IndexError (exit 1) and the swapped pair to
+    # pass with moved 4.26a/4.27 margins (exit 0); the nine-column series
+    # and such a spec are those of an output written before only the base
+    # recorded a norm series, or before the constants were closed-form
     out = tmp_path / "out"
     shutil.copytree(forced_pert_out, out)
     expected = edit(out)
@@ -376,13 +386,11 @@ def test_verify_refuses_incomplete_stability_run(forced_pert_out, tmp_path,
 
 
 def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        dict(SMALL_PERT, budget={"c_star_frac": 5.0})))
-    code = cli.main(["run", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out")])
-    assert code == exp.EXIT_ERROR
-    assert "budget refused" in capsys.readouterr().err
+    # the budget is resolved by parse_config: a refused one used to leave
+    # the run's spec.json behind
+    err = _assert_run_refused(tmp_path, capsys,
+                              dict(SMALL_PERT, budget={"c_star_frac": 5.0}))
+    assert "budget refused" in err
 
 
 def _assert_run_refused(tmp_path, capsys, cfg):
@@ -412,6 +420,18 @@ def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
     # with norm_stride 30, dt*norm_stride = 0.15 puts norm samples at 0,
     # 0.15, 0.30, 0.45, so the window [0, 0.5] would end between two of them
     _assert_run_refused(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"nu": None}, {"dt": "2e-3"}, {"T": True}, {"L": [6.0]},
+    {"windows": "3"}, {"windows": 1.0}, {"N": None}, {"seed": 0.5},
+    {"perturbation": {}, "budget": {"c_star_frac": None}}],
+    ids=["null-nu", "string-dt", "bool-T", "list-L", "string-windows",
+         "float-windows", "null-N", "float-seed", "null-budget-fraction"])
+def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
+    # a null or a string used to reach a comparison or a product and end in
+    # a TypeError traceback with exit 1
+    _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -458,17 +478,23 @@ def test_cli_errors(tmp_path, capsys):
 
 def test_cli_calibrate(tmp_path, capsys):
     out = tmp_path / "cal.json"
-    code = cli.main(["calibrate", "--N", "8", "--ensemble", "100",
-                     "--out", str(out)])
+    code = cli.main(["calibrate", "--N", "8", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert set(doc) == {"c1", "c2", "c3", "c_interp", "c4", "c5"}
     assert doc["c1"] == pytest.approx(0.5)
+    assert doc["c3"] == pytest.approx(0.15774, abs=5e-6)
+    assert doc["c_interp"] == pytest.approx(0.70245, abs=5e-6)
     assert doc["c5"] > 1
+    # the bounds are not sampled: there is no ensemble to size or seed
+    for option in ("--ensemble", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", option, "100"])
+        assert exc.value.code == exp.EXIT_ERROR
 
 
-@pytest.mark.parametrize("args", [["--ensemble", "10"], ["--N", "7"],
-                                  ["--L", "-1"]],
-                         ids=["small-ensemble", "odd-N", "negative-L"])
+@pytest.mark.parametrize("args", [["--N", "7"], ["--L", "-1"]],
+                         ids=["odd-N", "negative-L"])
 def test_cli_calibrate_bad_arguments_are_config_errors(args, capsys):
     assert cli.main(["calibrate", *args]) == exp.EXIT_ERROR
     err = capsys.readouterr().err
@@ -483,15 +509,14 @@ def test_meta_records_phase_times(tmp_path):
                                             direct_3d=True)))
     exp.run_experiment(spec, str(tmp_path / "out"))
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-    assert set(meta["phases"]) == {"calibration", "base", "perturbation",
-                                   "direct", "analysis", "writing"}
+    assert set(meta["phases"]) == {"base", "perturbation", "direct",
+                                   "analysis", "writing"}
     assert all(v > 0 for v in meta["phases"].values())
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
     # busy seconds of the forked workers, beside the parent's timeline
     workers = meta["workers"]
-    assert set(workers) == {"calibration", "direct"}
+    assert set(workers) == {"direct"}
     assert all(0 < v < meta["wall_seconds"] for v in workers.values())
-    assert workers["calibration"] <= meta["phases"]["calibration"]
     assert meta["steps_per_s"] > 0
     # one evaluation per step time, plus one wherever t_i + dt is not the
     # next step time t_{i+1} bit for bit
