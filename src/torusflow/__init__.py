@@ -9,9 +9,8 @@ from .field import (Field, divergence_linf, extrude_field, load_field, mean,
 from .norms import (compute_norm_report, l2_norm_sq, lp_norm, poincare_ratio,
                     sobolev_norm_sq)
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     load_trajectory, recover_pressure, run_2d_base,
-                     run_full_3d, run_perturbation, save_trajectory,
-                     taylor_green_exact)
+                     load_trajectory, run_2d_base, run_full_3d,
+                     run_perturbation, save_trajectory, taylor_green_exact)
 from .estimates import (BConstants, CalibratedConstants, InequalityReport,
                         StabilityBudget, StabilitySeries, TwoDBudget,
                         calibrate_constants, check_stability_hypotheses,

@@ -68,14 +68,10 @@ def _load_spec(args) -> exp.ExperimentSpec:
         raise exp.ConfigError("give either --config or --scenario, not both")
     if args.config:
         with open(args.config) as fh:
-            spec = exp.parse_config(fh.read())
-    elif args.scenario:
-        spec = exp.bundled_scenario(args.scenario)
-    else:
-        raise exp.ConfigError("one of --config or --scenario is required")
-    if args.seed is not None:
-        spec.raw["seed"] = args.seed
-    return spec
+            return exp.parse_config(fh.read(), args.seed)
+    if args.scenario:
+        return exp.bundled_scenario(args.scenario, args.seed)
+    raise exp.ConfigError("one of --config or --scenario is required")
 
 
 def _cmd_run(args) -> int:

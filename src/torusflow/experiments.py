@@ -27,8 +27,7 @@ from dataclasses import dataclass, field as dc_field, asdict
 import numpy as np
 
 from .grid import TorusGrid, make_grid
-from .field import (Field, extrude_field, physical_field, random_divfree_field,
-                    spectral_field)
+from .field import Field, extrude_field, physical_field, random_divfree_field
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      check_strides, check_viscous_scale, load_trajectory,
                      run_2d_base, run_perturbation, save_trajectory,
@@ -90,8 +89,9 @@ def _merged(defaults: dict, given: dict, where: str) -> dict:
     for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        if isinstance(defaults[key], dict) and isinstance(val, dict) \
-                and "kind" not in defaults[key]:
+        if isinstance(defaults[key], dict) and not isinstance(val, dict):
+            raise ConfigError(f"{where}.{key} must be an object, got {val!r}")
+        if isinstance(defaults[key], dict) and "kind" not in defaults[key]:
             out[key] = _merged(defaults[key], val, f"{where}.{key}")
         else:
             out[key] = val
@@ -111,15 +111,17 @@ class ExperimentSpec:
         return json.dumps(self.raw, indent=2, sort_keys=True)
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse a JSON scenario config, filling and recording defaults.
+def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
+    """Parse a JSON scenario config, filling and recording defaults; a
+    given seed replaces the config's.
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
     paths; a value of the wrong type, a grid or dt that
     solver.check_viscous_scale refuses, strides that solver.check_strides
-    refuses, a budget that _resolve_budget refuses and a force the run
-    would not apply in full (_check_forcing) are refused here, before any
-    run starts.  The base run alone records a norm series, at the required
+    refuses, a sigma of 3 or less, a budget that _resolve_budget refuses,
+    an initial field that _check_initial refuses and a force the run would
+    not apply in full (_check_forcing) are refused here, before any run
+    starts.  The base run alone records a norm series, at the required
     norm_stride.
     """
     try:
@@ -129,7 +131,12 @@ def parse_config(text: str) -> ExperimentSpec:
     if not isinstance(given, dict):
         raise ConfigError("top-level config must be a JSON object")
     raw = _merged(_DEFAULTS, given, "config")
+    if seed is not None:
+        raw["seed"] = seed
     if raw["perturbation"] is not None:
+        if not isinstance(raw["perturbation"], dict):
+            raise ConfigError("config.perturbation must be an object or "
+                              f"null, got {raw['perturbation']!r}")
         raw["perturbation"] = _merged(_PERT_DEFAULTS, raw["perturbation"],
                                       "config.perturbation")
     for key in ("nu", "dt", "T", "L"):
@@ -141,6 +148,14 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
     if raw["windows"] < 1:
         raise ConfigError("need at least one window")
+    # compute_norm_report's W^1_sigma norm needs sigma > 3
+    if not _is_number(raw["sigma"], (int, float)) or not raw["sigma"] > 3:
+        raise ConfigError(f"sigma must be a number above 3, got "
+                          f"{raw['sigma']!r}")
+    C = raw["tolerance"]["C"]
+    if not _is_number(C, (int, float)) or not C >= 0:
+        raise ConfigError(f"tolerance.C must be a nonnegative number, got "
+                          f"{C!r}")
     dim = 2 if raw["perturbation"] is None else 3  # 3D has the larger kmax
     try:
         check_viscous_scale(TorusGrid(raw["L"], raw["N"], dim), raw["nu"],
@@ -160,12 +175,14 @@ def parse_config(text: str) -> ExperimentSpec:
                 raise ConfigError(f"{where}: {exc}")
     _resolve_budget(raw)
     t_end = raw["windows"] * raw["T"]
-    for where, section, dim in (("config.base.forcing", raw["base"], 2),
-                                ("config.perturbation.forcing",
+    for where, section, dim in (("config.base", raw["base"], 2),
+                                ("config.perturbation",
                                  raw["perturbation"], 3)):
         if section is not None:
+            _check_initial(section["initial"], raw, f"{where}.initial")
             _check_forcing(_build_forcing(section["forcing"], dim),
-                           make_grid(raw["L"], raw["N"], dim), t_end, where)
+                           make_grid(raw["L"], raw["N"], dim), t_end,
+                           f"{where}.forcing")
     return ExperimentSpec(raw=raw)
 
 
@@ -174,9 +191,9 @@ def _is_number(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def bundled_scenario(name: str) -> ExperimentSpec:
+def bundled_scenario(name: str, seed: int | None = None) -> ExperimentSpec:
     """Shipped scenario configs: taylor-green-decay, stability-smoke,
-    hypothesis-violation."""
+    hypothesis-violation; a given seed replaces the scenario's."""
     if name == "taylor-green-decay":
         cfg = {
             "scenario": name, "nu": 0.5, "dt": 5e-3, "T": 1.0, "windows": 3,
@@ -203,7 +220,7 @@ def bundled_scenario(name: str) -> ExperimentSpec:
         }
     else:
         raise ConfigError(f"unknown bundled scenario {name!r}")
-    return parse_config(json.dumps(cfg))
+    return parse_config(json.dumps(cfg), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +268,39 @@ def _check_forcing(spec: ForcingSpec, grid: TorusGrid, t_end: float,
                 f"drop; use a larger N")
 
 
+def _check_initial(cfg: dict, raw: dict, where: str):
+    """Refuse, without building it, an initial field that _build_initial
+    would not build: an unknown kind or key, a value of the wrong type or
+    sign, a random field whose seed (raw["seed"] plus its own) is negative
+    and a Taylor-Green field on a box other than L = 2*pi."""
+    kind = cfg.get("kind")
+    if kind == "taylor-green":
+        if abs(raw["L"] - 2.0 * math.pi) > 1e-12:
+            raise ConfigError(f"{where}: a Taylor-Green field needs "
+                              f"L = 2*pi, got L = {raw['L']!r}")
+        checks = {"amplitude": ("a number", lambda v: True)}
+    elif kind == "random":
+        checks = {"seed": ("an integer", lambda v: True),
+                  "decay": ("a positive number", lambda v: v > 0),
+                  "target_h1": ("a nonnegative number", lambda v: v >= 0),
+                  "h1_sq_frac_of_gamma": ("a nonnegative number",
+                                          lambda v: v >= 0)}
+    else:
+        raise ConfigError(f"{where}: unknown initial kind {kind!r}")
+    for key, val in cfg.items():
+        if key == "kind":
+            continue
+        if key not in checks:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        what, holds = checks[key]
+        if not _is_number(val, int if key == "seed" else (int, float)) \
+                or not holds(val):
+            raise ConfigError(f"{where}.{key} must be {what}, got {val!r}")
+    if kind == "random" and raw["seed"] + cfg.get("seed", 0) < 0:
+        raise ConfigError(f"{where}: the seed {raw['seed']} + "
+                          f"{cfg.get('seed', 0)} is negative")
+
+
 def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
                    gamma: float | None) -> Field:
     kind = cfg.get("kind")
@@ -265,10 +315,6 @@ def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
         return random_divfree_field(grid, seed + cfg.get("seed", 0),
                                     spectrum_decay=cfg.get("decay", 4.0),
                                     target_h1=target)
-    if kind == "zero":
-        return spectral_field(
-            grid, np.zeros((grid.dim,) + grid.shape_spec, dtype=complex),
-            divergence_free=True)
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
@@ -277,6 +323,12 @@ def _resolve_budget(raw: dict) -> tuple:
     overrides applied; (calibrated constants, StabilityBudget)."""
     cal = est.calibrate_constants(make_grid(raw["L"], raw["N"], 3))
     b = raw["budget"]
+    for key, val in b.items():
+        # a null override takes the calibrated or derived value
+        if not _is_number(val, (int, float)) \
+                and not (val is None and _DEFAULTS["budget"][key] is None):
+            raise ConfigError(f"budget refused: {key} must be a number, "
+                              f"got {val!r}")
 
     def pick(key, fallback):
         return b[key] if b.get(key) is not None else fallback
@@ -295,8 +347,8 @@ def _resolve_budget(raw: dict) -> tuple:
                                  gamma_star=gamma_star, c_star=c_star,
                                  alpha=b.get("alpha", 0.03), c1=c1, c3=c3,
                                  c4=c4, c5=c5)
-    except (TypeError, ValueError) as exc:
-        # an inadmissible budget, or a null or a string in one of its values
+    except (ArithmeticError, ValueError) as exc:
+        # an inadmissible budget
         raise ConfigError(f"budget refused: {exc}")
     return cal, budget
 
@@ -310,7 +362,6 @@ class RunArtifacts:
 
     out_dir: str
     paths: dict
-    config_hash: str
     wall_seconds: float
     failed: bool
     reports: dict = dc_field(default_factory=dict)
@@ -485,7 +536,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
 
     artifacts = RunArtifacts(
         out_dir=out_dir, paths=paths,
-        config_hash=_spec_hash(spec),
         wall_seconds=time.perf_counter() - t_wall,
         failed=failed, reports=reports)
     text, code = emit_report(artifacts)
@@ -494,19 +544,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     paths["summary"] = os.path.join(out_dir, "summary.txt")
     stepping = phases["base"] + phases["perturbation"] + phases["direct"]
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"hash": artifacts.config_hash,
-                   "wall_seconds": artifacts.wall_seconds,
+        json.dump({"wall_seconds": artifacts.wall_seconds,
                    "phases": phases, "workers": workers,
                    "steps_per_s": steps / stepping if stepping else 0.0,
                    "force_evaluations": force_evaluations,
                    "snapshots": snapshots,
                    "failed": failed, "exit_code": code}, fh, indent=2)
     return artifacts
-
-
-def _spec_hash(spec: ExperimentSpec) -> str:
-    import hashlib
-    return hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
 
 
 def _direct_config(raw, base_cfg: SolverConfig,
@@ -594,5 +638,5 @@ def reverify(out_dir: str) -> RunArtifacts:
         meta = json.load(fh)
     reports, series_list, hyp_by_window = analyze(base, pert, raw, budget)
     paths = _write_verdicts(out_dir, reports, series_list, hyp_by_window)
-    return RunArtifacts(out_dir, paths, meta["hash"], meta["wall_seconds"],
-                        meta["failed"], reports)
+    return RunArtifacts(out_dir, paths, meta["wall_seconds"], meta["failed"],
+                        reports)

@@ -3,7 +3,9 @@
 Spectral data uses real-to-complex (rfftn) Hermitian storage and is
 normalized so that the k=0 coefficient equals the spatial mean.  A field
 carries one leading component axis: velocity fields have grid.dim
-components, scalars one.
+components, scalars one.  Every first derivative, here and in the solver's
+nonlinear kernel, multiplies by i k on one lattice, grid.k_deriv, which is
+zero on each axis' Nyquist plane.
 """
 
 import functools
@@ -95,24 +97,13 @@ def physical_field(grid: TorusGrid, phys: np.ndarray, divergence_free=False,
     return Field(grid, phys, PHYSICAL, divergence_free, time_stamp)
 
 
-def _nyquist_selector(grid: TorusGrid, axis: int):
-    """Index selecting the Nyquist plane of `axis` in spectral storage."""
-    idx = [slice(None)] * grid.dim
-    if axis == grid.dim - 1:
-        idx[axis] = grid.N // 2
-    else:
-        idx[axis] = -(grid.N // 2) % grid.N
-    return tuple([slice(None)] + idx)
-
-
 def derivative_data(grid: TorusGrid, spec: np.ndarray, axis: int) -> np.ndarray:
+    """Modewise i k of spec along axis, on grid.k_deriv: zero on the axis'
+    Nyquist plane, whose derivative is not representable on the collocation
+    grid, so fields stay real."""
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} invalid for dim {grid.dim}")
-    out = spec * (1j * grid.k[axis])
-    # the derivative of the Nyquist mode is not representable on the
-    # collocation grid; zero it to keep fields real
-    out[_nyquist_selector(grid, axis)] = 0.0
-    return out
+    return spec * (1j * grid.k_deriv[axis])
 
 
 def spectral_derivative(field: Field, direction: int) -> Field:
@@ -166,8 +157,8 @@ def leray_data(grid: TorusGrid, spec: np.ndarray, out=None,
     work, two complex arrays of shape grid.shape_spec, holds the
     intermediates k.v and one term; without it they are allocated.
     """
-    # uses the discrete-derivative wavenumbers so the projection annihilates
-    # exactly the divergence the derivative operator measures; k=0 and
+    # on grid.k_deriv, the lattice of derivative_data, so the projection
+    # annihilates exactly the divergence the derivative measures; k=0 and
     # pure-Nyquist modes pass through untouched
     k_sq = grid.k_sq_deriv_divisor
     if work is None:
@@ -244,8 +235,8 @@ def extrude_field(field2d: Field, grid3: TorusGrid) -> Field:
 
 
 def physical_padded(field: Field, factor: int = 2, out=None) -> np.ndarray:
-    """Collocation values on a refined (factor*N) grid via Fourier upsampling,
-    into out if given, else into a fresh array.
+    """Collocation values on a refined (factor*N, factor >= 2) grid via
+    Fourier upsampling, into out if given, else into a fresh array.
 
     Exact trigonometric interpolation for band-limited (e.g. dealiased)
     fields; used for aliasing-reduced quadrature of |u|^p integrals.
@@ -259,14 +250,8 @@ def physical_padded(field: Field, factor: int = 2, out=None) -> np.ndarray:
     axis by axis, band-limited or not.
     """
     grid = field.grid
-    if factor < 1:
-        raise ValueError(f"pad factor must be >= 1, got {factor}")
-    if factor == 1:
-        vals = field.physical()
-        if out is None:
-            return vals
-        out[...] = vals
-        return out
+    if factor < 2:
+        raise ValueError(f"pad factor must be >= 2, got {factor}")
     M, h = factor * grid.N, grid.N // 2
     spec = field.spectral()
     if out is None:

@@ -88,7 +88,8 @@ class TorusGrid:
     def k_deriv(self) -> tuple:
         """Wavenumbers of the discrete first derivative: as `k` but zero on
         each axis' Nyquist plane, where an odd derivative of a real field is
-        not representable."""
+        not representable.  The one lattice of every first derivative: the
+        nonlinear kernel, field.derivative_data and the Leray projection."""
         out = []
         for ax, m in enumerate(self.modes):
             nyq = self.N // 2 if ax == self.dim - 1 else -(self.N // 2)
@@ -96,18 +97,11 @@ class TorusGrid:
         return tuple(out)
 
     @cached_property
-    def k_sq_deriv(self) -> np.ndarray:
-        """|k|^2 built from k_deriv; zero on pure-Nyquist modes."""
-        out = np.zeros(self.shape_spec)
-        for ka in self.k_deriv:
-            out = out + ka**2
-        return out
-
-    @cached_property
     def k_sq_deriv_divisor(self) -> np.ndarray:
-        """k_sq_deriv with its zeros (k=0, pure-Nyquist) replaced by 1: the
-        divisor of the Leray projection."""
-        return np.where(self.k_sq_deriv > 0, self.k_sq_deriv, 1.0)
+        """|k|^2 built from k_deriv, with its zeros (k=0, pure-Nyquist
+        modes) replaced by 1: the divisor of the Leray projection."""
+        k_sq = sum(ka**2 for ka in self.k_deriv)
+        return np.where(k_sq > 0, k_sq, 1.0)
 
     @cached_property
     def hermitian_weight(self) -> np.ndarray:

@@ -99,9 +99,8 @@ def _padded_magnitude(parts, pad_factor: int = 2) -> np.ndarray:
     acc = scratch = None
     for part in parts:
         if acc is None:
-            # a fresh square: with factor 1 the padded values may be the
-            # part's own
-            acc = np.square(physical_padded(part, pad_factor)[0])
+            acc = physical_padded(part, pad_factor)[0]
+            np.square(acc, out=acc)
         else:
             scratch = physical_padded(part, pad_factor, out=scratch)
             acc += np.square(scratch[0], out=scratch[0])

@@ -17,8 +17,9 @@ Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
 the scheme advances the mean by the trapezoid rule on the mean force.
 
-The pressure never enters the evolution (Leray projection) but can be
-reconstructed modewise on demand.
+The pressure never enters the evolution: the Leray projection removes it.
+The kernel's derivatives and the projection share one wavenumber lattice,
+grid.k_deriv.
 """
 
 import ast
@@ -32,9 +33,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import TorusGrid
-from .field import (Field, SPECTRAL, divergence_data, leray_data, load_field,
-                    mean_free, physical_data, save_field, spectral_data,
-                    spectral_field)
+from .field import (Field, leray_data, load_field, mean_free, physical_data,
+                    save_field, spectral_data, spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, compute_norm_report, l2_norm_sq,
                     lp_norm, mean_free_norms_sq, DEFAULT_SIGMA)
 from .worker import Worker
@@ -239,15 +239,6 @@ def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
                          f"norm interval dt*norm_stride={dt * norm_stride:g}")
 
 
-def config_hash(cfg: SolverConfig, extra: dict | None = None) -> str:
-    import hashlib  # loads OpenSSL: only a run hashes a config
-    payload = cfg.describe()
-    if extra:
-        payload.update(extra)
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def diag_columns(label: str, dim: int) -> list:
     """The diagnostics.csv columns of a run labelled label.
 
@@ -283,7 +274,6 @@ class Trajectory:
     norms: dict
     diag: dict
     config: dict
-    config_hash: str
     step_seconds: float = 0.0
     force_evaluations: int = 0
     wait_seconds: float = 0.0
@@ -316,7 +306,7 @@ class _Workspace:
         self.dt = dt
         self.pairs = [(i, j) for i in range(grid.dim)
                       for j in range(i, grid.dim)]
-        self.ik = [1j * k for k in grid.k]
+        self.ik = [1j * k for k in grid.k_deriv]
         self.v_dealiased = np.empty(state, dtype=complex)
         self.w = np.empty((grid.dim,) + grid.shape_phys)
         self.prod = np.empty((len(self.pairs),) + grid.shape_phys)
@@ -507,7 +497,6 @@ class _Member:
                    for c in NORM_REPORT_COLUMNS} if self.reports else {},
             diag=self.diag,
             config=cfg.describe() | {"label": label},
-            config_hash=config_hash(cfg, {"label": label}),
             step_seconds=self.seconds,
             force_evaluations=cfg.forcing.evaluations
             - self.evaluations_before,
@@ -649,7 +638,7 @@ def run_full_3d(cfg: SolverConfig, directory=None) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# analytic references and pressure
+# analytic reference
 
 def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
                        amplitude: float = 1.0) -> Field:
@@ -668,22 +657,6 @@ def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
         phys[0] = u1[..., np.newaxis]
         phys[1] = u2[..., np.newaxis]
     return Field(grid, phys, "physical", True, t)
-
-
-def recover_pressure(v: Field, f: Field | None, nu: float) -> Field:
-    """Mean-free pressure from -Lap p = div(v.grad v - f), solved modewise,
-    with v and f on the 2/3-rule modes, as the kernel applies them."""
-    grid = v.grid
-    f_spec = None if f is None else f.spectral()
-    # the unprojected rhs is -(v.grad v - f); its divergence i k . rhs
-    # already holds the i of p_hat = i k.(v.grad v - f) / |k|^2
-    ws = _Workspace(grid)
-    rhs = ws.flux_rhs(v.spectral(), f_spec, None, out=ws.n0)
-    k_sq = grid.k_sq.copy()
-    k_sq[(0,) * grid.dim] = 1.0
-    p = (-divergence_data(grid, rhs) / k_sq)[np.newaxis]
-    p[(slice(None),) + (0,) * grid.dim] = 0.0
-    return Field(grid, p, SPECTRAL, False, v.time_stamp)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +703,7 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
             save_field(path, traj.snapshot_field(i))
 
     with open(os.path.join(directory, "config.json"), "w") as fh:
-        json.dump({"config": traj.config, "hash": traj.config_hash}, fh,
-                  indent=2, sort_keys=True)
+        json.dump({"config": traj.config}, fh, indent=2, sort_keys=True)
 
     series = {**traj.diag, **{f"mean_{i + 1}": m
                               for i, m in enumerate(traj.diag["mean"].T)}}
@@ -753,14 +725,12 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         traj.snapshot_paths = paths
 
     summary = {
-        "hash": traj.config_hash,
         "label": traj.config.get("label"),
         "final_time": float(traj.times[-1]),
         "final_l2_sq": float(traj.diag["l2_sq"][-1]),
         "final_grad_l2_sq": float(traj.diag["grad_l2_sq"][-1]),
         "final_mean": [float(x) for x in traj.diag["mean"][-1]],
         "snapshots": len(traj.times),
-        "aborted": False,
     }
     with open(os.path.join(directory, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -781,8 +751,7 @@ def load_trajectory(directory) -> Trajectory:
     field.load_field reads one.
     """
     with open(os.path.join(directory, "config.json")) as fh:
-        saved = json.load(fh)
-    config = saved["config"]
+        config = json.load(fh)["config"]
     grid = TorusGrid(L=config["L"], N=config["N"], dim=config["dim"])
     diag = _read_table(os.path.join(directory, "diagnostics.csv"),
                        diag_columns(config["label"], grid.dim))
@@ -799,8 +768,7 @@ def load_trajectory(directory) -> Trajectory:
                                 f"run's {steps} steps; run the experiment "
                                 "again")
     return Trajectory(grid=grid, times=np.empty(0), snapshots=[],
-                      norms=norms, diag=diag, config=config,
-                      config_hash=saved["hash"])
+                      norms=norms, diag=diag, config=config)
 
 
 def _write_table(path, table: dict, columns):

@@ -29,8 +29,8 @@ def hessian_l2_norm_sq(field: Field) -> float:
     Parseval: the modewise weight is |k|^4, built from the discrete
     derivative's wavenumbers, so it equals the L2 norm of the gradient of
     gradient_field."""
-    return _parseval_sum(field.grid, field.spectral(),
-                         field.grid.k_sq_deriv ** 2)
+    k_sq = sum(ka**2 for ka in field.grid.k_deriv)
+    return _parseval_sum(field.grid, field.spectral(), k_sq ** 2)
 
 
 def embedding_ratio_l6_h1(field: Field) -> float:

@@ -65,6 +65,11 @@ def test_parse_round_trip():
 def test_parse_rejects_unknown_key():
     with pytest.raises(exp.ConfigError, match="unknown key"):
         exp.parse_config(json.dumps({"viscosity": 1.0}))
+    # an initial field's parameters are those of its kind
+    base = {"initial": {"kind": "taylor-green", "decay": 2.0}}
+    with pytest.raises(exp.ConfigError,
+                       match=r"unknown key 'decay' in config\.base\.initial"):
+        exp.parse_config(json.dumps({"base": base}))
 
 
 def test_parse_rejects_bad_json_with_position():
@@ -127,17 +132,15 @@ def test_emit_report_exit_codes():
     vac = InequalityReport("c", [0.0], [-1.0], 1e-9)
     vac.status = VACUOUS
 
-    arts = exp.RunArtifacts("x", {}, "h", 0.0, False,
-                            {"a": ok, "c": vac})
+    arts = exp.RunArtifacts("x", {}, 0.0, False, {"a": ok, "c": vac})
     assert exp.emit_report(arts)[1] == exp.EXIT_OK
 
-    arts = exp.RunArtifacts("x", {}, "h", 0.0, False,
-                            {"a": ok, "b": bad})
+    arts = exp.RunArtifacts("x", {}, 0.0, False, {"a": ok, "b": bad})
     text, code = exp.emit_report(arts)
     assert code == exp.EXIT_FAIL
     assert text.splitlines()[0].startswith("FAIL: b")
 
-    empty = exp.RunArtifacts("x", {}, "h", 0.0, False, {})
+    empty = exp.RunArtifacts("x", {}, 0.0, False, {})
     assert exp.emit_report(empty)[1] == exp.EXIT_ERROR
 
 
@@ -435,6 +438,43 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
 
 
 @pytest.mark.parametrize("cfg", [
+    {"perturbation": {"snapshot_stride": 50}, "budget": {"alpha": "x"}},
+    {"perturbation": {"snapshot_stride": 50}, "budget": {"c5": 0}},
+    {"tolerance": {"C": None}}, {"tolerance": 5},
+    {"sigma": None}, {"sigma": 3},
+    {"L": 6.0},
+    {"perturbation": {"snapshot_stride": 50,
+                      "initial": {"kind": "random", "decay": -1}}},
+    {"perturbation": {"snapshot_stride": 50,
+                      "initial": {"kind": "random", "target_h1": "1"}}},
+    {"perturbation": {"snapshot_stride": 50}, "seed": -8},
+    {"perturbation": 5},
+    {"base": {"initial": {"kind": "vortex"}}},
+    {"base": {"initial": {"kind": "taylor-green", "amplitude": None}}}],
+    ids=["string-alpha", "zero-c5", "null-tolerance-C", "number-tolerance",
+         "null-sigma", "sigma-3", "taylor-green-off-2pi", "negative-decay",
+         "string-target-h1", "negative-seed", "number-perturbation",
+         "unknown-initial-kind", "null-amplitude"])
+def test_cli_refuses_config_the_run_would_fail_on(tmp_path, capsys, cfg):
+    # each used to pass parsing and then fail once the run had started,
+    # with a traceback and exit 1 or after writing spec.json
+    _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
+
+
+def test_cli_seed_is_checked_with_the_config(tmp_path, capsys):
+    # --seed replaces the config's seed before the checks: a negative sum
+    # with the random field's own seed 7 is refused like one in the config
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_PERT))
+    code = cli.main(["run", "--config", str(cfg_path), "--seed", "-8",
+                     "--out", str(tmp_path / "out")])
+    assert code == exp.EXIT_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+    assert exp.parse_config(json.dumps(SMALL_PERT), seed=3)["seed"] == 3
+
+
+@pytest.mark.parametrize("cfg", [
     {"N": 32, "windows": 1, "dt": 0.5, "norm_stride": 2,
      "snapshot_stride": 2},
     # dt*nu*kmax^2 is 80 on the 2D grid but 120 on the 3D one
@@ -662,24 +702,35 @@ def test_force_above_two_thirds_is_refused():
     exp.parse_config(json.dumps(FORCED_DIRECT))
 
 
-def test_hashes_are_sha256_without_openssl(grid2):
-    # the digests are hashlib's SHA-256, and importing the CLI loads no
-    # OpenSSL (_hashlib): only a run hashes a config
-    import hashlib
-
-    from torusflow.solver import (SolverConfig, config_hash,
-                                  taylor_green_exact)
-
-    cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.01, T=0.01,
-                       initial=taylor_green_exact(grid2, 0.1, 0.0))
-    payload = json.dumps(cfg.describe() | {"label": "2d_base"},
-                         sort_keys=True)
-    assert config_hash(cfg, {"label": "2d_base"}) \
-        == hashlib.sha256(payload.encode()).hexdigest()[:16]
-    spec = exp.parse_config(json.dumps(FORCED_PERT))
-    assert exp._spec_hash(spec) \
-        == hashlib.sha256(spec.to_json().encode()).hexdigest()[:16]
+def test_cli_import_loads_no_openssl():
+    # importing OpenSSL (_hashlib) would add its load time to every CLI
+    # process
     assert _modules_after_cli_import(("_hashlib",)) == "[]"
+
+
+def test_verify_ignores_the_former_hash_and_aborted_keys(tmp_path):
+    # outputs written while runs stored config digests and summary.json's
+    # aborted flag carry them still: verify ignores both and rewrites the
+    # verdict files byte for byte
+    out = tmp_path / "out"
+    arts = exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)),
+                              str(out))
+    former = {"meta.json": {"hash": "0123456789abcdef"}}
+    for run in ("base", "perturbation", "direct"):
+        former[f"{run}/config.json"] = {"hash": "fedcba9876543210"}
+        former[f"{run}/summary.json"] = {"hash": "fedcba9876543210",
+                                         "aborted": False}
+    for name, keys in former.items():
+        path = out / name
+        path.write_text(json.dumps(json.loads(path.read_text()) | keys))
+    verdicts = {}
+    for name in ("inequalities.json", "windows.csv"):
+        verdicts[name] = (out / name).read_bytes()
+        (out / name).unlink()
+    assert cli.main(["verify", "--out", str(out)]) \
+        == exp.emit_report(arts)[1]
+    for name, data in verdicts.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_margin_convergence_constant():

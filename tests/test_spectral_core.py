@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusflow import make_grid
-from torusflow.field import (divergence_linf, extrude_field, leray_data,
-                             load_field, mean, mean_free, physical_field,
-                             physical_padded, random_divfree_field,
-                             save_field, spectral_derivative, spectral_field)
+from torusflow.field import (derivative_data, divergence_linf, extrude_field,
+                             leray_data, load_field, mean, mean_free,
+                             physical_field, physical_padded,
+                             random_divfree_field, save_field,
+                             spectral_derivative, spectral_field)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -32,8 +33,8 @@ def test_grid_validation():
 def test_grid_pickles_by_its_parameters(dim):
     grid = make_grid(4.0, 16, dim)
     cached = ("modes", "k", "k_sq", "sobolev_weights", "k_deriv",
-              "k_sq_deriv", "k_sq_deriv_divisor", "hermitian_weight",
-              "dealias_mask", "coords")
+              "k_sq_deriv_divisor", "hermitian_weight", "dealias_mask",
+              "coords")
     for name in cached:
         getattr(grid, name)
     data = pickle.dumps(grid)
@@ -101,6 +102,24 @@ def test_derivative_keeps_fields_real(grid2):
     assert np.abs(d).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_derivative_on_k_deriv_matches_zeroed_nyquist_plane(dim):
+    # the replaced derivative_data: i k on grid.k, then the axis' Nyquist
+    # plane set to zero; the data is not band-limited
+    grid = make_grid(2 * np.pi, 8, dim)
+    rng = np.random.default_rng(dim)
+    spec = physical_field(
+        grid, rng.standard_normal((2,) + grid.shape_phys)).spectral()
+    for axis in range(dim):
+        nyq = [slice(None)] * (dim + 1)
+        nyq[axis + 1] = grid.N // 2
+        nyq = tuple(nyq)
+        assert np.abs(spec[nyq]).max() > 1e-3
+        ref = spec * (1j * grid.k[axis])
+        ref[nyq] = 0.0
+        np.testing.assert_array_equal(derivative_data(grid, spec, axis), ref)
+
+
 @given(seed=seeds)
 @settings(max_examples=25, deadline=None)
 def test_leray_idempotent_and_divfree(grid3, seed):
@@ -115,7 +134,8 @@ def test_leray_idempotent_and_divfree(grid3, seed):
 def _leray_oracle(grid, spec):
     """The Leray projection as written before its divisor was cached and
     its intermediates could be passed in."""
-    k_sq = np.where(grid.k_sq_deriv > 0, grid.k_sq_deriv, 1.0)
+    k_sq = sum(ka**2 for ka in grid.k_deriv)
+    k_sq = np.where(k_sq > 0, k_sq, 1.0)
     kdotv = np.zeros(grid.shape_spec, dtype=complex)
     term = np.empty(grid.shape_spec, dtype=complex)
     for ax in range(grid.dim):
@@ -206,6 +226,8 @@ def test_physical_padded_interpolates_exactly(grid2):
     x = np.arange(M) * grid2.L / M
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     assert np.abs(vals[0] - np.sin(2 * X1) * np.cos(3 * X2)).max() < 1e-12
+    with pytest.raises(ValueError, match="pad factor"):
+        physical_padded(f, 1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
