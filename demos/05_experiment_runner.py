@@ -26,7 +26,7 @@ config = {
 
 spec = exp.parse_config(json.dumps(config))
 print("resolved spec (defaults filled in):")
-print(spec.to_json()[:400], "...\n")
+print(json.dumps(spec, indent=2, sort_keys=True)[:400], "...\n")
 
 with tempfile.TemporaryDirectory() as out:
     artifacts = exp.run_experiment(spec, out)

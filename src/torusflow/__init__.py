@@ -19,7 +19,7 @@ from .estimates import (BConstants, CalibratedConstants, InequalityReport,
                         verify_decay_2d, verify_l2_stability,
                         verify_stability_conclusion,
                         vorticity_cancellation_residual, w1sigma_monitor)
-from .experiments import (ExperimentSpec, RunArtifacts, bundled_scenario,
-                          emit_report, parse_config, run_experiment)
+from .experiments import (RunArtifacts, bundled_scenario, emit_report,
+                          parse_config, run_experiment)
 
 __version__ = "1.0.0"

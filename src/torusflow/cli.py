@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args) -> exp.ExperimentSpec:
+def _load_spec(args) -> dict:
     if args.config and args.scenario:
         raise exp.ConfigError("give either --config or --scenario, not both")
     if args.config:
@@ -80,11 +80,10 @@ def _cmd_run(args) -> int:
     text, code = exp.emit_report(artifacts)
     sys.stdout.write(text)
     if args.dt_halving:
-        fine = exp.ExperimentSpec(raw=dict(spec.raw))
-        fine.raw["dt"] = spec.raw["dt"] / 2.0
+        fine = dict(spec, dt=spec["dt"] / 2.0)
         fine_arts = exp.run_experiment(fine, os.path.join(args.out, "half-dt"))
         C = margin_convergence_constant(artifacts.reports,
-                                        fine_arts.reports, spec.raw["dt"])
+                                        fine_arts.reports, spec["dt"])
         sys.stdout.write(f"dt-halving margin constant C = {C:.6e} "
                          f"(tol = C*dt^2 + {est.FLOAT_FLOOR:g})\n")
     return code

@@ -83,115 +83,144 @@ _PERT_DEFAULTS = {
     "snapshot_stride": 250,
 }
 
+#: each kind of an initial or forcing section: its keys and their defaults
+_KINDS = {
+    "initial": {"taylor-green": {"amplitude": 1.0},
+                "random": {"seed": 0, "decay": 4.0, "target_h1": None,
+                           "h1_sq_frac_of_gamma": 0.5}},
+    "forcing": {"zero": {}, "expression": {"expressions": []}},
+}
 
-def _merged(defaults: dict, given: dict, where: str) -> dict:
+#: the JSON values a leaf takes, by the type of its default, and their name
+#: in a refusal; a bool is never a number
+_LEAF_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
+               float: ((int, float), "a number"), str: (str, "a string"),
+               list: (list, "a list"),
+               type(None): ((int, float, type(None)), "a number or null")}
+
+#: what a leaf's type cannot say: key -> (bound, whether the bound itself
+#: is excluded); a null passes
+_BOUNDS = {"nu": (0, True), "dt": (0, True), "T": (0, True), "L": (0, True),
+           "windows": (1, False),
+           # compute_norm_report's W^1_sigma norm needs sigma > 3
+           "sigma": (3, True), "C": (0, False), "decay": (0, True),
+           "target_h1": (0, False), "h1_sq_frac_of_gamma": (0, False)}
+
+
+def _merged(defaults: dict, given, where: str) -> dict:
+    """defaults with the keys of the JSON object given put in, each checked
+    against its default.
+
+    A key must be one of defaults'.  An object default is a section, merged
+    in turn; a non-null perturbation is merged into _PERT_DEFAULTS.  An
+    initial or forcing section must name a kind of _KINDS and only that
+    kind's keys, checked like a section's, and is kept as given.  A leaf
+    takes the JSON values of _LEAF_TYPES for its default's type and lies
+    within its _BOUNDS.
+    """
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object, got {given!r}")
     out = dict(defaults)
     for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        if isinstance(defaults[key], dict) and not isinstance(val, dict):
-            raise ConfigError(f"{where}.{key} must be an object, got {val!r}")
-        if isinstance(defaults[key], dict) and "kind" not in defaults[key]:
-            out[key] = _merged(defaults[key], val, f"{where}.{key}")
+        path = f"{where}.{key}"
+        if key in _KINDS:
+            if not isinstance(val, dict):
+                raise ConfigError(f"{path} must be an object, got {val!r}")
+            kind = val.get("kind")
+            if not isinstance(kind, str) or kind not in _KINDS[key]:
+                raise ConfigError(f"{path}.kind must be one of "
+                                  f"{', '.join(_KINDS[key])}, got {kind!r}")
+            _merged({"kind": kind} | _KINDS[key][kind], val, path)
+        elif key == "perturbation" and val is not None:
+            val = _merged(_PERT_DEFAULTS, val, path)
+        elif isinstance(defaults[key], dict):
+            val = _merged(defaults[key], val, path)
         else:
-            out[key] = val
+            _check_leaf(key, defaults[key], val, path)
+        out[key] = val
     return out
 
 
-@dataclass
-class ExperimentSpec:
-    """Fully resolved experiment configuration (all defaults filled in)."""
+def _check_leaf(key: str, default, val, where: str):
+    """Refuse a value of key that is not of the _LEAF_TYPES of its
+    default's type or that lies outside its _BOUNDS."""
+    types, what = _LEAF_TYPES[type(default)]
+    if not isinstance(val, types) \
+            or isinstance(val, bool) != isinstance(default, bool):
+        raise ConfigError(f"{where} must be {what}, got {val!r}")
+    if val is not None and key in _BOUNDS:
+        bound, excluded = _BOUNDS[key]
+        if not (val > bound if excluded else val >= bound):
+            raise ConfigError(f"{where} must be "
+                              f"{'above' if excluded else 'at least'} "
+                              f"{bound}, got {val!r}")
 
-    raw: dict
 
-    def __getitem__(self, key):
-        return self.raw[key]
-
-    def to_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True)
-
-
-def parse_config(text: str, seed: int | None = None) -> ExperimentSpec:
-    """Parse a JSON scenario config, filling and recording defaults; a
-    given seed replaces the config's.
+def parse_config(text: str, seed: int | None = None) -> dict:
+    """The resolved config of a JSON scenario config: _DEFAULTS (and, with a
+    perturbation, _PERT_DEFAULTS) with the config's keys put in by _merged,
+    which checks each key, type, bound and kind; a given seed replaces the
+    config's.
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
-    paths; a value of the wrong type, a grid or dt that
+    paths.  The checks that read two keys at once also refuse, before any
+    run starts: direct_3d without a perturbation, a grid or dt that
     solver.check_viscous_scale refuses, strides that solver.check_strides
-    refuses, a sigma of 3 or less, a budget that _resolve_budget refuses,
-    an initial field that _check_initial refuses and a force the run would
-    not apply in full (_check_forcing) are refused here, before any run
-    starts.  The base run alone records a norm series, at the required
-    norm_stride.
+    refuses, a budget that _resolve_budget refuses, a Taylor-Green initial
+    field on a box other than L = 2*pi, a random one whose seed (the
+    config's plus its own) is negative and a force the run would not apply
+    in full (_check_forcing).  The base run alone records a norm series, at
+    the required norm_stride.
     """
     try:
         given = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(given, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    raw = _merged(_DEFAULTS, given, "config")
+    spec = _merged(_DEFAULTS, given, "config")
     if seed is not None:
-        raw["seed"] = seed
-    if raw["perturbation"] is not None:
-        if not isinstance(raw["perturbation"], dict):
-            raise ConfigError("config.perturbation must be an object or "
-                              f"null, got {raw['perturbation']!r}")
-        raw["perturbation"] = _merged(_PERT_DEFAULTS, raw["perturbation"],
-                                      "config.perturbation")
-    for key in ("nu", "dt", "T", "L"):
-        if not _is_number(raw[key], (int, float)) or not raw[key] > 0:
-            raise ConfigError(f"{key} must be a positive number, got "
-                              f"{raw[key]!r}")
-    for key in ("N", "windows", "seed"):
-        if not _is_number(raw[key], int):
-            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
-    if raw["windows"] < 1:
-        raise ConfigError("need at least one window")
-    # compute_norm_report's W^1_sigma norm needs sigma > 3
-    if not _is_number(raw["sigma"], (int, float)) or not raw["sigma"] > 3:
-        raise ConfigError(f"sigma must be a number above 3, got "
-                          f"{raw['sigma']!r}")
-    C = raw["tolerance"]["C"]
-    if not _is_number(C, (int, float)) or not C >= 0:
-        raise ConfigError(f"tolerance.C must be a nonnegative number, got "
-                          f"{C!r}")
-    dim = 2 if raw["perturbation"] is None else 3  # 3D has the larger kmax
+        spec["seed"] = seed
+    if spec["direct_3d"] and spec["perturbation"] is None:
+        raise ConfigError("config: direct_3d needs a perturbation")
+    dim = 2 if spec["perturbation"] is None else 3  # 3D has the larger kmax
     try:
-        check_viscous_scale(TorusGrid(raw["L"], raw["N"], dim), raw["nu"],
-                            raw["dt"])
+        check_viscous_scale(TorusGrid(spec["L"], spec["N"], dim), spec["nu"],
+                            spec["dt"])
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
-    if raw["norm_stride"] is None:
-        raise ConfigError("config: norm_stride must be a positive integer, "
-                          "got None")
-    for where, section in (("config", raw),
-                           ("config.perturbation", raw["perturbation"])):
+    for where, section in (("config", spec),
+                           ("config.perturbation", spec["perturbation"])):
         if section is not None:
             try:
-                check_strides(raw["T"], raw["dt"], section["snapshot_stride"],
+                check_strides(spec["T"], spec["dt"],
+                              section["snapshot_stride"],
                               section.get("norm_stride"))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}")
-    _resolve_budget(raw)
-    t_end = raw["windows"] * raw["T"]
-    for where, section, dim in (("config.base", raw["base"], 2),
+    _resolve_budget(spec)
+    t_end = spec["windows"] * spec["T"]
+    for where, section, dim in (("config.base", spec["base"], 2),
                                 ("config.perturbation",
-                                 raw["perturbation"], 3)):
-        if section is not None:
-            _check_initial(section["initial"], raw, f"{where}.initial")
-            _check_forcing(_build_forcing(section["forcing"], dim),
-                           make_grid(raw["L"], raw["N"], dim), t_end,
-                           f"{where}.forcing")
-    return ExperimentSpec(raw=raw)
+                                 spec["perturbation"], 3)):
+        if section is None:
+            continue
+        initial = _KINDS["initial"][section["initial"]["kind"]] \
+            | section["initial"]
+        if initial["kind"] == "taylor-green" \
+                and abs(spec["L"] - 2.0 * math.pi) > 1e-12:
+            raise ConfigError(f"{where}.initial: a Taylor-Green field needs "
+                              f"L = 2*pi, got L = {spec['L']!r}")
+        if initial["kind"] == "random" and spec["seed"] + initial["seed"] < 0:
+            raise ConfigError(f"{where}.initial: the seed {spec['seed']} + "
+                              f"{initial['seed']} is negative")
+        _check_forcing(_build_forcing(section["forcing"], dim),
+                       make_grid(spec["L"], spec["N"], dim), t_end,
+                       f"{where}.forcing")
+    return spec
 
 
-def _is_number(value, types) -> bool:
-    """isinstance(value, types), but a bool (a JSON true) is no number."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def bundled_scenario(name: str, seed: int | None = None) -> ExperimentSpec:
+def bundled_scenario(name: str, seed: int | None = None) -> dict:
     """Shipped scenario configs: taylor-green-decay, stability-smoke,
     hypothesis-violation; a given seed replaces the scenario's."""
     if name == "taylor-green-decay":
@@ -227,18 +256,16 @@ def bundled_scenario(name: str, seed: int | None = None) -> ExperimentSpec:
 # building blocks
 
 def _build_forcing(cfg: dict, dim: int) -> ForcingSpec:
-    kind = cfg.get("kind", "zero")
-    if kind == "zero":
+    cfg = _KINDS["forcing"][cfg["kind"]] | cfg
+    if cfg["kind"] == "zero":
         return ForcingSpec()
-    if kind == "expression":
-        exprs = cfg.get("expressions", [])
-        if len(exprs) != dim:
-            raise ConfigError(f"expression forcing needs {dim} components")
-        try:
-            return ForcingSpec(kind="expression", expressions=tuple(exprs))
-        except Exception as exc:
-            raise ConfigError(f"forcing expression refused: {exc}")
-    raise ConfigError(f"unknown forcing kind {kind!r}")
+    if len(cfg["expressions"]) != dim:
+        raise ConfigError(f"expression forcing needs {dim} components")
+    try:
+        return ForcingSpec(kind="expression",
+                           expressions=tuple(cfg["expressions"]))
+    except Exception as exc:
+        raise ConfigError(f"forcing expression refused: {exc}")
 
 
 def _check_forcing(spec: ForcingSpec, grid: TorusGrid, t_end: float,
@@ -268,84 +295,41 @@ def _check_forcing(spec: ForcingSpec, grid: TorusGrid, t_end: float,
                 f"drop; use a larger N")
 
 
-def _check_initial(cfg: dict, raw: dict, where: str):
-    """Refuse, without building it, an initial field that _build_initial
-    would not build: an unknown kind or key, a value of the wrong type or
-    sign, a random field whose seed (raw["seed"] plus its own) is negative
-    and a Taylor-Green field on a box other than L = 2*pi."""
-    kind = cfg.get("kind")
-    if kind == "taylor-green":
-        if abs(raw["L"] - 2.0 * math.pi) > 1e-12:
-            raise ConfigError(f"{where}: a Taylor-Green field needs "
-                              f"L = 2*pi, got L = {raw['L']!r}")
-        checks = {"amplitude": ("a number", lambda v: True)}
-    elif kind == "random":
-        checks = {"seed": ("an integer", lambda v: True),
-                  "decay": ("a positive number", lambda v: v > 0),
-                  "target_h1": ("a nonnegative number", lambda v: v >= 0),
-                  "h1_sq_frac_of_gamma": ("a nonnegative number",
-                                          lambda v: v >= 0)}
-    else:
-        raise ConfigError(f"{where}: unknown initial kind {kind!r}")
-    for key, val in cfg.items():
-        if key == "kind":
-            continue
-        if key not in checks:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-        what, holds = checks[key]
-        if not _is_number(val, int if key == "seed" else (int, float)) \
-                or not holds(val):
-            raise ConfigError(f"{where}.{key} must be {what}, got {val!r}")
-    if kind == "random" and raw["seed"] + cfg.get("seed", 0) < 0:
-        raise ConfigError(f"{where}: the seed {raw['seed']} + "
-                          f"{cfg.get('seed', 0)} is negative")
-
-
 def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
                    gamma: float | None) -> Field:
-    kind = cfg.get("kind")
-    if kind == "taylor-green":
-        return taylor_green_exact(grid, nu, 0.0, cfg.get("amplitude", 1.0))
-    if kind == "random":
-        target = None
-        if "target_h1" in cfg:
-            target = cfg["target_h1"]
-        elif gamma is not None:
-            target = math.sqrt(cfg.get("h1_sq_frac_of_gamma", 0.5) * gamma)
-        return random_divfree_field(grid, seed + cfg.get("seed", 0),
-                                    spectrum_decay=cfg.get("decay", 4.0),
-                                    target_h1=target)
-    raise ConfigError(f"unknown initial kind {kind!r}")
+    cfg = _KINDS["initial"][cfg["kind"]] | cfg
+    if cfg["kind"] == "taylor-green":
+        return taylor_green_exact(grid, nu, 0.0, cfg["amplitude"])
+    target = cfg["target_h1"]
+    if target is None and gamma is not None:
+        target = math.sqrt(cfg["h1_sq_frac_of_gamma"] * gamma)
+    return random_divfree_field(grid, seed + cfg["seed"],
+                                spectrum_decay=cfg["decay"], target_h1=target)
 
 
-def _resolve_budget(raw: dict) -> tuple:
+def _resolve_budget(spec: dict) -> tuple:
     """The constants of the 3D grid and the stability budget, the config's
     overrides applied; (calibrated constants, StabilityBudget)."""
-    cal = est.calibrate_constants(make_grid(raw["L"], raw["N"], 3))
-    b = raw["budget"]
-    for key, val in b.items():
-        # a null override takes the calibrated or derived value
-        if not _is_number(val, (int, float)) \
-                and not (val is None and _DEFAULTS["budget"][key] is None):
-            raise ConfigError(f"budget refused: {key} must be a number, "
-                              f"got {val!r}")
+    cal = est.calibrate_constants(make_grid(spec["L"], spec["N"], 3))
+    b = spec["budget"]
 
     def pick(key, fallback):
-        return b[key] if b.get(key) is not None else fallback
+        # a null override takes the calibrated or derived value
+        return b[key] if b[key] is not None else fallback
 
-    nu, T = raw["nu"], raw["T"]
+    nu, T = spec["nu"], spec["T"]
     c1 = pick("c1", cal.c1)
     c3 = pick("c3", cal.c3)
     c4 = pick("c4", cal.c4)
     c5 = pick("c5", cal.c5)
     try:
-        c_star = pick("c_star", b.get("c_star_frac", 0.5) * nu * c4)
+        c_star = pick("c_star", b["c_star_frac"] * nu * c4)
         gamma_star = pick("gamma_star",
                           est.admissible_gamma_star(nu, c4, c5, c_star))
-        gamma = pick("gamma", b.get("gamma_frac", 0.5) * gamma_star)
+        gamma = pick("gamma", b["gamma_frac"] * gamma_star)
         budget = StabilityBudget(nu=nu, T=T, gamma=gamma,
                                  gamma_star=gamma_star, c_star=c_star,
-                                 alpha=b.get("alpha", 0.03), c1=c1, c3=c3,
+                                 alpha=b["alpha"], c1=c1, c3=c3,
                                  c4=c4, c5=c5)
     except (ArithmeticError, ValueError) as exc:
         # an inadmissible budget
@@ -382,22 +366,22 @@ def _window_csv(series_list, hyp_by_window, reports) -> str:
 
 
 def analyze(base: Trajectory, pert: Trajectory | None,
-            spec_raw: dict, budget: StabilityBudget | None) -> tuple:
+            spec: dict, budget: StabilityBudget | None) -> tuple:
     """All estimate checks on finished trajectories.
 
     Returns (reports dict, series list, hypotheses per window).
     """
-    nu, T = spec_raw["nu"], spec_raw["T"]
-    tol = est.margin_tolerance(spec_raw["tolerance"]["C"], spec_raw["dt"])
+    nu, T = spec["nu"], spec["T"]
+    tol = est.margin_tolerance(spec["tolerance"]["C"], spec["dt"])
     twod = est.compute_A_constants(base, T, nu)
     reports = dict(est.verify_decay_2d(base, twod, tol))
-    reports["3.8"] = est.w1sigma_monitor(base, spec_raw["sigma"])
+    reports["3.8"] = est.w1sigma_monitor(base, spec["sigma"])
 
     series_list, hyp_by_window = [], {}
     if pert is not None and budget is not None:
         bconst = est.compute_B_constants(pert, twod, budget.c1, budget.c3)
         reports.update(est.verify_l2_stability(pert, bconst, T, tol))
-        for k in range(spec_raw["windows"]):
+        for k in range(spec["windows"]):
             s = est.stability_series(pert, base, budget, k)
             series_list.append(s)
             hyp = est.check_stability_hypotheses(s, budget, tol)
@@ -433,7 +417,7 @@ def _timed(phases: dict, name: str):
         phases[name] += time.perf_counter() - t0
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
+def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
     Removes an earlier run's verdict files from out_dir, resolves the
@@ -454,7 +438,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     steps = 0
     force_evaluations = {}
     snapshots = {}
-    raw = spec.raw
     os.makedirs(out_dir, exist_ok=True)
     for name in ("constants.json", "inequalities.json", "windows.csv"):
         # an earlier run's verdicts must not outlive a rerun that fails
@@ -462,11 +445,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
             os.remove(os.path.join(out_dir, name))
     with _timed(phases, "writing"), \
             open(os.path.join(out_dir, "spec.json"), "w") as fh:
-        fh.write(spec.to_json() + "\n")
+        fh.write(json.dumps(spec, indent=2, sort_keys=True) + "\n")
 
-    nu, dt, T = raw["nu"], raw["dt"], raw["T"]
-    t_end = raw["windows"] * T
-    g2 = make_grid(raw["L"], raw["N"], 2)
+    nu, dt, T = spec["nu"], spec["dt"], spec["T"]
+    t_end = spec["windows"] * T
+    g2 = make_grid(spec["L"], spec["N"], 2)
     paths = {"spec": os.path.join(out_dir, "spec.json")}
     runs = ("base", "perturbation", "direct")
     directories = tuple(os.path.join(out_dir, name) for name in runs)
@@ -475,26 +458,26 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     try:
         base_cfg = SolverConfig(
             grid=g2, nu=nu, dt=dt, t_end=t_end, T=T,
-            forcing=_build_forcing(raw["base"]["forcing"], 2),
-            initial=_build_initial(raw["base"]["initial"], g2, nu,
-                                   raw["seed"], None),
-            snapshot_stride=raw["snapshot_stride"],
-            norm_stride=raw["norm_stride"], sigma=raw["sigma"])
+            forcing=_build_forcing(spec["base"]["forcing"], 2),
+            initial=_build_initial(spec["base"]["initial"], g2, nu,
+                                   spec["seed"], None),
+            snapshot_stride=spec["snapshot_stride"],
+            norm_stride=spec["norm_stride"], sigma=spec["sigma"])
         pert = direct = budget = cal = None
-        if raw["perturbation"] is None:
+        if spec["perturbation"] is None:
             base = run_2d_base(base_cfg, directories[0])
         else:
-            g3 = make_grid(raw["L"], raw["N"], 3)
-            cal, budget = _resolve_budget(raw)
-            p = raw["perturbation"]
+            g3 = make_grid(spec["L"], spec["N"], 3)
+            cal, budget = _resolve_budget(spec)
+            p = spec["perturbation"]
             pert_cfg = SolverConfig(
                 grid=g3, nu=nu, dt=dt, t_end=t_end, T=T,
                 forcing=_build_forcing(p["forcing"], 3),
-                initial=_build_initial(p["initial"], g3, nu, raw["seed"],
+                initial=_build_initial(p["initial"], g3, nu, spec["seed"],
                                        budget.gamma),
-                snapshot_stride=p["snapshot_stride"], sigma=raw["sigma"])
-            direct_cfg = _direct_config(raw, base_cfg, pert_cfg) \
-                if raw["direct_3d"] else None
+                snapshot_stride=p["snapshot_stride"], sigma=spec["sigma"])
+            direct_cfg = _direct_config(spec, base_cfg, pert_cfg) \
+                if spec["direct_3d"] else None
             base, pert, direct = run_perturbation(pert_cfg, base_cfg,
                                                   direct_cfg, directories)
             with _timed(phases, "writing"), \
@@ -522,7 +505,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
                                "bytes": sum(map(os.path.getsize, files))}
 
         with _timed(phases, "analysis"):
-            reports, series_list, hyp_by_window = analyze(base, pert, raw,
+            reports, series_list, hyp_by_window = analyze(base, pert, spec,
                                                           budget)
 
         with _timed(phases, "writing"):
@@ -553,7 +536,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunArtifacts:
     return artifacts
 
 
-def _direct_config(raw, base_cfg: SolverConfig,
+def _direct_config(spec, base_cfg: SolverConfig,
                    pert_cfg: SolverConfig) -> SolverConfig:
     """Config of the full 3D run of the recombined state v_s(0)+u(0)
     under f_s+g."""
@@ -561,11 +544,11 @@ def _direct_config(raw, base_cfg: SolverConfig,
     v0 = extrude_field(base_cfg.initial, g3)
     total0 = physical_field(g3, v0.physical() + pert_cfg.initial.physical())
     forcing = combine_forcing(base_cfg.forcing, pert_cfg.forcing)
-    return SolverConfig(grid=g3, nu=raw["nu"], dt=raw["dt"],
-                        t_end=raw["windows"] * raw["T"], T=raw["T"],
+    return SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],
+                        t_end=spec["windows"] * spec["T"], T=spec["T"],
                         forcing=forcing, initial=total0,
                         snapshot_stride=pert_cfg.snapshot_stride,
-                        sigma=raw["sigma"])
+                        sigma=spec["sigma"])
 
 
 def combine_forcing(f2d: ForcingSpec, g3d: ForcingSpec) -> ForcingSpec:
@@ -617,9 +600,8 @@ def reverify(out_dir: str) -> RunArtifacts:
         raise FileNotFoundError(f"no experiment spec under {out_dir}")
     with open(spec_path) as fh:
         spec = parse_config(fh.read())
-    raw = spec.raw
     needed = [os.path.join("base", "summary.json"), "meta.json"]
-    if raw["perturbation"] is not None:
+    if spec["perturbation"] is not None:
         needed += [os.path.join("perturbation", "summary.json"),
                    "constants.json"]
     missing = [name for name in needed
@@ -630,13 +612,13 @@ def reverify(out_dir: str) -> RunArtifacts:
             "run the experiment again")
     base = load_trajectory(os.path.join(out_dir, "base"))
     pert = budget = None
-    if raw["perturbation"] is not None:
+    if spec["perturbation"] is not None:
         pert = load_trajectory(os.path.join(out_dir, "perturbation"))
         with open(os.path.join(out_dir, "constants.json")) as fh:
             budget = StabilityBudget(**json.load(fh)["budget"])
     with open(os.path.join(out_dir, "meta.json")) as fh:
         meta = json.load(fh)
-    reports, series_list, hyp_by_window = analyze(base, pert, raw, budget)
+    reports, series_list, hyp_by_window = analyze(base, pert, spec, budget)
     paths = _write_verdicts(out_dir, reports, series_list, hyp_by_window)
     return RunArtifacts(out_dir, paths, meta["wall_seconds"], meta["failed"],
                         reports)

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from torusflow import cli
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field
+from torusflow.grid import make_grid
 from torusflow.norms import NORM_REPORT_COLUMNS
 from torusflow.solver import load_trajectory
 
@@ -56,10 +58,40 @@ def test_parse_minimal_fills_defaults():
     assert spec["perturbation"] is None
 
 
-def test_parse_round_trip():
-    spec = exp.parse_config(json.dumps(SMALL))
-    again = exp.parse_config(spec.to_json())
-    assert again.raw == spec.raw
+BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
+    / "forced-direct.json"
+
+
+@pytest.mark.parametrize("load", [
+    lambda: exp.parse_config(json.dumps(SMALL)),
+    lambda: exp.bundled_scenario("taylor-green-decay"),
+    lambda: exp.bundled_scenario("stability-smoke"),
+    lambda: exp.bundled_scenario("hypothesis-violation"),
+    lambda: exp.parse_config(json.dumps(SMALL_PERT)),
+    lambda: exp.parse_config(json.dumps(FORCED_DIRECT)),
+    lambda: exp.parse_config(BENCH_CONFIG.read_text())],
+    ids=["small", "taylor-green-decay", "stability-smoke",
+         "hypothesis-violation", "small-pert", "forced-direct",
+         "bench-forced-direct"])
+def test_parse_round_trip(load):
+    # a resolved config, as spec.json records it, resolves to itself
+    spec = load()
+    assert exp.parse_config(json.dumps(spec)) == spec
+
+
+def test_null_target_h1_means_not_given():
+    # like a null budget override, a null target_h1 takes the value derived
+    # from gamma
+    fields = []
+    for initial in ({"kind": "random"}, {"kind": "random", "target_h1": None}):
+        spec = exp.parse_config(json.dumps(dict(
+            SMALL, perturbation={"snapshot_stride": 50, "initial": initial})))
+        grid = make_grid(spec["L"], spec["N"], 3)
+        gamma = exp._resolve_budget(spec)[1].gamma
+        fields.append(exp._build_initial(spec["perturbation"]["initial"],
+                                         grid, spec["nu"], spec["seed"],
+                                         gamma).data)
+    assert np.array_equal(*fields)
 
 
 def test_parse_rejects_unknown_key():
@@ -450,14 +482,26 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
     {"perturbation": {"snapshot_stride": 50}, "seed": -8},
     {"perturbation": 5},
     {"base": {"initial": {"kind": "vortex"}}},
-    {"base": {"initial": {"kind": "taylor-green", "amplitude": None}}}],
+    {"base": {"initial": {"kind": "taylor-green", "amplitude": None}}},
+    {"base": {"forcing": {"expressions": ["0.5*sin(x2)", "0.5*sin(x1)"]}}},
+    {"base": {"forcing": {"kind": "zero", "expressions": [
+        "0.5*sin(x2)", "0.5*sin(x1)"]}}},
+    {"base": {"forcing": {"kind": "expression", "expressions": [
+        "0.5*sin(x2)", "0.5*sin(x1)"], "amplitude": 2.0}}},
+    {"perturbation": {"snapshot_stride": 50}, "direct_3d": "no"},
+    {"direct_3d": True},
+    {"scenario": 5}],
     ids=["string-alpha", "zero-c5", "null-tolerance-C", "number-tolerance",
          "null-sigma", "sigma-3", "taylor-green-off-2pi", "negative-decay",
          "string-target-h1", "negative-seed", "number-perturbation",
-         "unknown-initial-kind", "null-amplitude"])
+         "unknown-initial-kind", "null-amplitude", "forcing-without-kind",
+         "zero-forcing-with-expressions", "unknown-expression-forcing-key",
+         "string-direct-3d", "direct-3d-without-perturbation",
+         "number-scenario"])
 def test_cli_refuses_config_the_run_would_fail_on(tmp_path, capsys, cfg):
     # each used to pass parsing and then fail once the run had started,
-    # with a traceback and exit 1 or after writing spec.json
+    # with a traceback and exit 1 or after writing spec.json, or to run
+    # without the force or the direct run the config names
     _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
 
 
@@ -635,16 +679,19 @@ def test_run_and_verify_do_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def _modules_after_cli_import(packages):
-    """The modules of the top-level packages named in packages that a fresh
-    interpreter holds after importing torusflow.cli."""
+def _modules_after_cli_import(packages, argv=None):
+    """The modules of the packages named in packages, and their submodules,
+    that a fresh interpreter holds after importing torusflow.cli and, given
+    argv, running cli.main(argv)."""
     import subprocess
     import sys
 
     script = ("import sys\n"
               "import torusflow.cli\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-              f"{tuple(packages)!r}))\n")
+              + (f"assert torusflow.cli.main({argv!r}) == 0\n" if argv
+                 else "")
+              + "print(sorted(m for m in sys.modules if any(m == p or "
+              f"m.startswith(p + '.') for p in {tuple(packages)!r})))\n")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -706,6 +753,16 @@ def test_cli_import_loads_no_openssl():
     # importing OpenSSL (_hashlib) would add its load time to every CLI
     # process
     assert _modules_after_cli_import(("_hashlib",)) == "[]"
+
+
+def test_verify_loads_no_random_generator_or_openssl(forced_pert_out,
+                                                      tmp_path):
+    # parse_config is on the verify path: importing numpy.random there would
+    # load OpenSSL (through secrets) and add about 6 MB to verify's peak RSS
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    assert _modules_after_cli_import(("numpy.random", "_hashlib"),
+                                     ["verify", "--out", str(out)]) == "[]"
 
 
 def test_verify_ignores_the_former_hash_and_aborted_keys(tmp_path):
