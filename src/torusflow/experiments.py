@@ -120,7 +120,10 @@ def _merged(defaults: dict, given, where: str) -> dict:
     """
     if not isinstance(given, dict):
         raise ConfigError(f"{where} must be an object, got {given!r}")
-    out = dict(defaults)
+    # every section a copy, so that no resolved spec shares a dict with
+    # the defaults
+    out = {key: _merged(val, {}, where) if isinstance(val, dict) else val
+           for key, val in defaults.items()}
     for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {where}")
@@ -420,9 +423,9 @@ def _timed(phases: dict, name: str):
 def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
-    Removes an earlier run's verdict files from out_dir, resolves the
-    budget, then steps the base, perturbation and direct runs in one
-    run_perturbation call, each streaming its snapshots into the
+    Removes an earlier run's verdict files and meta.json from out_dir,
+    resolves the budget, then steps the base, perturbation and direct runs
+    in one run_perturbation call, each streaming its snapshots into the
     snapshots.partial directory of its trajectory directory, and writes
     their scalar series once all have finished.  On solver blow-up only the partial snapshot
     directories are left of the trajectories, and meta.json carries the
@@ -439,8 +442,11 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     force_evaluations = {}
     snapshots = {}
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("constants.json", "inequalities.json", "windows.csv"):
-        # an earlier run's verdicts must not outlive a rerun that fails
+    for name in ("constants.json", "inequalities.json", "windows.csv",
+                 "meta.json"):
+        # an earlier run's verdicts must not outlive a rerun that fails,
+        # nor its meta.json one that is killed: verify refuses a directory
+        # without it
         with suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
     with _timed(phases, "writing"), \

@@ -120,6 +120,16 @@ class TorusGrid:
         return np.broadcast_to(w.reshape(shape), self.shape_spec)
 
     @cached_property
+    def parseval_weights(self) -> dict:
+        """hermitian_weight times the modewise weight of each Parseval sum
+        of norms, formed once: "l2" (1), "grad" (|k|^2), "h1" and "h2"
+        (sobolev_weights; s = 0 is "l2")."""
+        hw = self.hermitian_weight
+        return {"l2": hw * 1.0, "grad": hw * self.k_sq,
+                "h1": hw * self.sobolev_weights[1],
+                "h2": hw * self.sobolev_weights[2]}
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: True where every |m| <= N/3."""
         cutoff = self.N // 3

@@ -18,14 +18,16 @@ DEFAULT_SIGMA = 4.0
 NORM_REPORT_COLUMNS = ("time_stamp", "grad_l3_sq", "w1_sigma")
 
 
-def _parseval_sum(grid: TorusGrid, spec: np.ndarray, weight=1.0) -> float:
-    """volume * sum over the full lattice of weight(k) * |spec|^2."""
+def _parseval_sum(grid: TorusGrid, spec: np.ndarray, weight="l2") -> float:
+    """volume * sum over the full lattice of the modewise weight named
+    weight (TorusGrid.parseval_weights) times |spec|^2."""
     return _weighted_sum(grid, np.sum(np.abs(spec) ** 2, axis=0), weight)
 
 
-def _weighted_sum(grid: TorusGrid, mag: np.ndarray, weight) -> float:
-    """volume * sum over the full lattice of weight(k) * mag(k)."""
-    return float(grid.volume * np.sum(grid.hermitian_weight * weight * mag))
+def _weighted_sum(grid: TorusGrid, mag: np.ndarray, weight: str) -> float:
+    """volume * sum over the full lattice of the modewise weight named
+    weight (TorusGrid.parseval_weights) times mag(k)."""
+    return float(grid.volume * np.sum(grid.parseval_weights[weight] * mag))
 
 
 def mean_free_norms_sq(grid: TorusGrid, spec: np.ndarray) -> tuple:
@@ -38,9 +40,8 @@ def mean_free_norms_sq(grid: TorusGrid, spec: np.ndarray) -> tuple:
     """
     mag = np.sum(np.abs(spec) ** 2, axis=0)
     mag[(0,) * grid.dim] = 0.0
-    return (_weighted_sum(grid, mag, 1.0),
-            _weighted_sum(grid, mag, grid.k_sq),
-            _weighted_sum(grid, mag, grid.sobolev_weights[2]))
+    return (_weighted_sum(grid, mag, "l2"), _weighted_sum(grid, mag, "grad"),
+            _weighted_sum(grid, mag, "h2"))
 
 
 def l2_norm_sq(field: Field) -> float:
@@ -48,7 +49,7 @@ def l2_norm_sq(field: Field) -> float:
 
 
 def grad_l2_norm_sq(field: Field) -> float:
-    return _parseval_sum(field.grid, field.spectral(), field.grid.k_sq)
+    return _parseval_sum(field.grid, field.spectral(), "grad")
 
 
 def sobolev_norm_sq(field: Field, s: int) -> float:
@@ -59,8 +60,7 @@ def sobolev_norm_sq(field: Field, s: int) -> float:
     """
     if s not in (0, 1, 2):
         raise ValueError(f"s must be 0, 1 or 2, got {s}")
-    return _parseval_sum(field.grid, field.spectral(),
-                         field.grid.sobolev_weights[s])
+    return _parseval_sum(field.grid, field.spectral(), ("l2", "h1", "h2")[s])
 
 
 def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:

@@ -13,6 +13,13 @@ time loop and one nonlinear kernel in divergence form:
     full 3D run beside them shares nothing with them and steps in a forked
     worker.
 
+Every run stores and steps its state on the 2/3-rule modes K alone
+(_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
+to K, in numpy's own axis order, and every other operation is per mode, so
+each state equals, bit for bit, the one the full spectral lattice gives
+under the 2/3-rule masks.  The records read the state copied onto the full
+lattice, +0.0 outside K.
+
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
 the scheme advances the mean by the trapezoid rule on the mean force.
@@ -33,8 +40,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import TorusGrid
-from .field import (Field, leray_data, load_field, mean_free, physical_data,
-                    save_field, spectral_data, spectral_field)
+from .field import (Field, leray_data, load_field, mean_free, save_field,
+                    spectral_data, spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, compute_norm_report, l2_norm_sq,
                     lp_norm, mean_free_norms_sq, DEFAULT_SIGMA)
 from .worker import Worker
@@ -290,93 +297,212 @@ class Trajectory:
 # spatial terms
 
 class _Workspace:
-    """The arrays of one run's nonlinear kernel and IMEX steps.
+    """The arrays of one run's nonlinear kernel and IMEX steps, on the
+    2/3-rule modes K alone.
 
-    Holds the dealiased state, its physical values w, the products, their
-    transform, the Leray projection's intermediates, both Heun stages and
-    the Crank-Nicolson factors, all allocated once; the kernel and the step
-    write into them with out=, so a run allocates no state-sized array per
-    step.  Without nu and dt the factors are 1 and the workspace serves the
-    kernel alone.
+    With c = N // 3, K holds the modes with every |m| <= c.  Its states
+    have shape (dim, 2c+1, ..., 2c+1, c+1): along each full axis the
+    entries run m = 0..c, then -c..-1, and along the last m = 0..c.  K
+    holds no Nyquist mode, so grid.k_deriv equals grid.k on it.
+
+    physical and spectral are numpy's irfftn and rfftn pruned to K, stage
+    by stage in numpy's own axis order: before each inverse stage the kept
+    rows are copied into a zero-padded buffer, and after each forward
+    stage only the kept rows are kept.  Every transformed line gets the
+    arithmetic it gets in the full transform, and every other operation is
+    per mode, so a state stepped here equals, bit for bit on K, the one the
+    full lattice gives with its 2/3-rule masks; to_full puts it there.
+
+    Every array, the transforms' buffers included, is allocated once; the
+    kernel and the step write into them with out=, so a run allocates no
+    state-sized array per step.  Without nu and dt the Crank-Nicolson
+    factors are 1 and the workspace serves the kernel alone.
     """
 
     def __init__(self, grid: TorusGrid, nu: float = 0.0, dt: float = 0.0):
-        state = (grid.dim,) + grid.shape_spec
-        self.grid = grid
-        self.dt = dt
-        self.pairs = [(i, j) for i in range(grid.dim)
-                      for j in range(i, grid.dim)]
-        self.ik = [1j * k for k in grid.k_deriv]
-        self.v_dealiased = np.empty(state, dtype=complex)
-        self.w = np.empty((grid.dim,) + grid.shape_phys)
-        self.prod = np.empty((len(self.pairs),) + grid.shape_phys)
-        self.flux = np.empty((len(self.pairs),) + grid.shape_spec,
-                             dtype=complex)
-        self.term = np.empty(grid.shape_spec, dtype=complex)
-        self.kdotv = np.empty(grid.shape_spec, dtype=complex)
-        self.n0 = np.empty(state, dtype=complex)
-        self.n1 = np.empty(state, dtype=complex)
-        self.v_star = np.empty(state, dtype=complex)
-        z = 0.5 * dt * nu * grid.k_sq
+        N, c, d = grid.N, grid.N // 3, grid.dim
+        self.grid, self.dt = grid, dt
+        self.shape = (d,) + (2 * c + 1,) * (d - 1) + (c + 1,)
+        self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        # the kept rows of a full axis, as slices of a full and of a K
+        # axis: the modes 0..c, then -c..-1
+        lo, hi_full, hi_kept = slice(0, c + 1), slice(N - c, N), \
+            slice(c + 1, 2 * c + 1)
+        self.row_slices = {ax: ((slice(None),) * ax + (lo,),
+                                (slice(None),) * ax + (hi_full,),
+                                (slice(None),) * ax + (hi_kept,))
+                           for ax in range(1, d)}
+        # the 2^(d-1) blocks of K: (index into the full lattice, into K)
+        self.blocks = [((...,), (...,))]
+        for _ in range(d - 1):
+            self.blocks = [(f + (fs,), k + (ks,)) for f, k in self.blocks
+                           for fs, ks in ((lo, lo), (hi_full, hi_kept))]
+        self.blocks = [(f + (lo,), k + (lo,)) for f, k in self.blocks]
+
+        self.ik = [self.to_kept(1j * k) for k in grid.k_deriv]
+        self.k = np.array([self.to_kept(k) for k in grid.k_deriv])
+        self.k_sq_divisor = self.to_kept(grid.k_sq_deriv_divisor)
+        z = 0.5 * dt * nu * self.to_kept(grid.k_sq)
         self.A = 1.0 - z
         self.B = 1.0 + z
+        self.w = np.empty((d,) + grid.shape_phys)
+        self.prod = np.empty((len(self.pairs),) + grid.shape_phys)
+        self.flux = np.empty((len(self.pairs),) + self.shape[1:],
+                             dtype=complex)
+        self.terms = np.empty(self.shape, dtype=complex)
+        self.kdotv = np.empty(self.shape[1:], dtype=complex)
+        self.n0 = np.empty(self.shape, dtype=complex)
+        self.n1 = np.empty(self.shape, dtype=complex)
+        self.v_star = np.empty(self.shape, dtype=complex)
+        self._force = (None, None)  # (the last force, its entries on K)
 
-    def flux_rhs(self, v_spec, f_spec, background, out):
-        """dealias(-div(w(x)w - b(x)b) + f) into out, before the Leray
+        # physical: per full axis its zero-padded input and its result,
+        # then the zero-padded input of the last axis
+        shape, self.inverse_stages = list(self.shape), []
+        for ax in range(1, d):
+            shape[ax] = N
+            self.inverse_stages.append((ax, np.zeros(shape, dtype=complex),
+                                        np.empty(shape, dtype=complex)))
+        shape[-1] = N // 2 + 1
+        self.inverse_last = np.zeros(shape, dtype=complex)
+        # spectral: the rfft of the products, then per full axis, from the
+        # last to the first, its result and (but for the first axis, which
+        # writes into the caller's array) the kept rows of that
+        shape = [len(self.pairs), *grid.shape_spec]
+        self.forward_first = np.empty(shape, dtype=complex)
+        shape[-1], self.forward_stages = c + 1, []
+        for ax in range(d - 1, 0, -1):
+            result = np.empty(shape, dtype=complex)
+            shape[ax] = 2 * c + 1
+            self.forward_stages.append(
+                (ax, result, np.empty(shape, dtype=complex) if ax > 1
+                 else None))
+
+    def to_kept(self, a):
+        """The entries on K of a, an array over the spectral lattice or
+        broadcastable to it, as a new array in K's layout."""
+        lead = a.shape[:a.ndim - self.grid.dim]
+        a = np.broadcast_to(a, lead + self.grid.shape_spec)
+        out = np.empty(lead + self.shape[1:], dtype=a.dtype)
+        for full, kept in self.blocks:
+            out[kept] = a[full]
+        return out
+
+    def to_full(self, v, out=None):
+        """The K-state v on the full spectral lattice, into out, whose
+        entries outside K must be +0.0, or into a new array of zeros."""
+        if out is None:
+            out = np.zeros((len(v),) + self.grid.shape_spec, dtype=complex)
+        for full, kept in self.blocks:
+            out[full] = v[kept]
+        return out
+
+    def physical(self, v, out=None):
+        """Physical values of the K-state v into out (a new array if
+        None): irfftn's stages, pruned to K."""
+        for ax, padded, result in self.inverse_stages:
+            lo, hi_full, hi_kept = self.row_slices[ax]
+            padded[lo] = v[lo]
+            padded[hi_full] = v[hi_kept]
+            v = np.fft.ifft(padded, axis=ax, norm="forward", out=result)
+        self.inverse_last[..., :self.shape[-1]] = v
+        return np.fft.irfft(self.inverse_last, n=self.grid.N, axis=-1,
+                            norm="forward", out=out)
+
+    def spectral(self, phys, out):
+        """The K entries of the spectral coefficients of the physical
+        products phys into out: rfftn's stages, pruned to K."""
+        v = np.fft.rfft(phys, axis=-1, norm="forward",
+                        out=self.forward_first)[..., :self.shape[-1]]
+        for ax, result, kept in self.forward_stages:
+            np.fft.fft(v, axis=ax, norm="forward", out=result)
+            v = out if kept is None else kept
+            lo, hi_full, hi_kept = self.row_slices[ax]
+            v[lo] = result[lo]
+            v[hi_kept] = result[hi_full]
+        return out
+
+    def force(self, forcing: ForcingSpec, t: float):
+        """The force of forcing at t on K, gathered once per evaluation."""
+        f = forcing.evaluate(self.grid, t)
+        if f is not self._force[0]:
+            self._force = (f, self.to_kept(f))
+        return self._force[1]
+
+    def background(self, b, products=None):
+        """(b, the products b[i] * b[j] of self.pairs): the background of
+        flux_rhs for the physical values b, the products into products if
+        given."""
+        if products is None:
+            products = np.empty((len(self.pairs),) + b.shape[1:])
+        for p, (i, j) in enumerate(self.pairs):
+            np.multiply(b[i], b[j], out=products[p])
+        return b, products
+
+    def flux_rhs(self, v, f, background, out):
+        """-div(w(x)w - b(x)b) + f on K into out, before the Leray
         projection.
 
-        w is the physical value of dealias(v) plus the background b, given
-        as physical values broadcastable to (dim,) + grid.shape_phys (an
-        x3-invariant base flow has shape (3, N, N, 1)); without b this is
-        the flux of the full equations.  The divergence is zero at k=0, so
-        the result there is the mean of f.
+        w is the physical value of the K-state v plus the background b,
+        given as a pair of background(): physical values broadcastable to
+        (dim,) + grid.shape_phys (an x3-invariant base flow has shape
+        (3, N, N, 1)) and their products; without it this is the flux of
+        the full equations.  The divergence is zero at k=0, so the result
+        there is the mean of f, the force on K.
 
-        The 2/3-rule mask applies to the force too: the applied force is
-        f on the modes with every |m| <= N/3 and zero elsewhere, so a state
-        that starts on those modes stays exactly on them.  A force
-        component above N/3 is not applied (experiments.parse_config
-        refuses a config that names one); resolve it with a larger N.
+        The storage is the 2/3-rule mask: the applied force is f on K and
+        zero elsewhere, so a state stays exactly on K.  A force component
+        above N/3 is not applied (experiments.parse_config refuses a config
+        that names one); resolve it with a larger N.
         """
-        grid, w, prod, flux = self.grid, self.w, self.prod, self.flux
-        np.multiply(v_spec, grid.dealias_mask, out=self.v_dealiased)
-        physical_data(grid, self.v_dealiased, out=w)
-        b = background
-        if b is not None:
+        w, prod, flux = self.w, self.prod, self.flux
+        self.physical(v, out=w)
+        if background is not None:
+            b, bb = background
             w += b
         for p, (i, j) in enumerate(self.pairs):
             np.multiply(w[i], w[j], out=prod[p])
-            if b is not None:
-                prod[p] -= b[i] * b[j]
-        spectral_data(grid, prod, out=flux)
+        if background is not None:
+            prod -= bb
+        self.spectral(prod, out=flux)
         out[...] = 0.0
+        term = self.terms[0]
         for (i, j), fij in zip(self.pairs, flux):
-            out[i] -= np.multiply(self.ik[j], fij, out=self.term)
+            out[i] -= np.multiply(self.ik[j], fij, out=term)
             if i != j:
-                out[j] -= np.multiply(self.ik[i], fij, out=self.term)
-        if f_spec is not None:
-            out += f_spec
-        out *= grid.dealias_mask
+                out[j] -= np.multiply(self.ik[i], fij, out=term)
+        if f is not None:
+            out += f
         return out
 
-    def nonlinear(self, v_spec, f_spec, background, out):
+    def project(self, v):
+        """The Leray projection of the K-state v, in place: field.leray_data's
+        operations, in its order, on K."""
+        kdotv, terms = self.kdotv, self.terms
+        kdotv.fill(0.0)
+        for ax, k in enumerate(self.k):
+            kdotv += np.multiply(k, v[ax], out=terms[0])
+        np.multiply(self.k, kdotv, out=terms)
+        terms /= self.k_sq_divisor
+        return np.subtract(v, terms, out=v)
+
+    def nonlinear(self, v, f, background, out):
         """P(flux_rhs) into out."""
-        self.flux_rhs(v_spec, f_spec, background, out)
-        return leray_data(self.grid, out, out=out,
-                          work=(self.kdotv, self.term))
+        return self.project(self.flux_rhs(v, f, background, out))
 
     def step(self, v, t, forcing: ForcingSpec, backgrounds=(None, None)):
-        """One CN(viscous) + Heun(nonlinear) step of the state v from t, in
-        place; backgrounds holds the physical background at t and at t + dt
-        (None for none)."""
-        grid, dt = self.grid, self.dt
+        """One CN(viscous) + Heun(nonlinear) step of the K-state v from t,
+        in place; backgrounds holds the background of flux_rhs at t and at
+        t + dt (None for none)."""
+        dt = self.dt
         n0, n1, v_star = self.n0, self.n1, self.v_star
-        self.nonlinear(v, forcing.evaluate(grid, t), backgrounds[0], out=n0)
+        self.nonlinear(v, self.force(forcing, t), backgrounds[0], out=n0)
         np.multiply(self.A, v, out=v)
         # predictor v* = (A v + dt n0) / B
         np.multiply(n0, dt, out=v_star)
         v_star += v
         v_star /= self.B
-        self.nonlinear(v_star, forcing.evaluate(grid, t + dt), backgrounds[1],
+        self.nonlinear(v_star, self.force(forcing, t + dt), backgrounds[1],
                        out=n1)
         # corrector (A v + dt/2 (n0 + n1)) / B
         n1 += n0
@@ -395,10 +521,13 @@ class _Member:
     reports at norm_stride, if given), the wall seconds spent on them and
     the evaluations of its force.
 
-    The state lives on the 2/3-rule modes (grid.dealias_mask): the
-    initial field is masked before its Leray projection, and every step
-    adds only masked terms (_Workspace.flux_rhs), so each state is exactly
-    zero outside them.
+    The run steps its state on the 2/3-rule modes K alone (state, in the
+    layout of _Workspace): the initial field is masked
+    (grid.dealias_mask) before its Leray projection, then taken onto K.
+    After each step, spec, the state on the full spectral lattice that the
+    records read, is refreshed from it by 2^(dim-1) slice copies and holds
+    +0.0 outside K, as a step on the full lattice under the 2/3-rule masks
+    leaves it.
 
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
@@ -423,9 +552,11 @@ class _Member:
         self.evaluations_before = cfg.forcing.evaluations
         self.tgrid = cfg.dt * np.arange(self.n + 1)
         self.ws = _Workspace(grid, cfg.nu, cfg.dt)
-        # stepped in place: a snapshot stores a copy
+        # the first record reads the initial state as the projection
+        # leaves it, signed zeros outside K included
         self.spec = leray_data(grid, cfg.initial.spectral()
                                * grid.dealias_mask)
+        self.state = self.ws.to_kept(self.spec)  # stepped in place
         self.diag = {"t": self.tgrid,
                      "l2_sq": np.empty(self.n + 1),
                      "grad_l2_sq": np.empty(self.n + 1),
@@ -442,6 +573,7 @@ class _Member:
         self.snapshots, self.snapshot_paths = [], []
         self.snap_times, self.reports = [], []
         self._record(0)
+        self.spec = self.ws.to_full(self.state)  # a snapshot stores a copy
         self.seconds = time.perf_counter() - t0
 
     def _record(self, i):
@@ -475,7 +607,9 @@ class _Member:
     def advance(self, i, backgrounds=(None, None)):
         """Step from step i to step i + 1 and record it."""
         t0 = time.perf_counter()
-        self.ws.step(self.spec, self.tgrid[i], self.cfg.forcing, backgrounds)
+        self.ws.step(self.state, self.tgrid[i], self.cfg.forcing,
+                     backgrounds)
+        self.ws.to_full(self.state, out=self.spec)
         self._record(i + 1)
         self.seconds += time.perf_counter() - t0
 
@@ -484,7 +618,7 @@ class _Member:
         x3-invariant background into out, shape (3, N, N, 1), whose third
         component stays zero."""
         t0 = time.perf_counter()
-        physical_data(self.cfg.grid, self.spec, out=out[:2, ..., 0])
+        self.ws.physical(self.state, out=out[:2, ..., 0])
         self.seconds += time.perf_counter() - t0
 
     def trajectory(self) -> Trajectory:
@@ -509,21 +643,25 @@ def _lockstep(lead: _Member, base: _Member | None = None):
 
     Per step of lead, the 2D base (if any) first takes its base.n // lead.n
     substeps; lead then steps with the extruded base state before and after
-    them as its background b(t), b(t + dt).  Only those two background
-    arrays are kept, never the base trajectory.
+    them as its background b(t), b(t + dt).  Only those two backgrounds are
+    kept, never the base trajectory, and each b[i] * b[j] is formed once
+    per background.
     """
     backgrounds = (None, None)
     if base is not None:
         r = base.n // lead.n
         shape = (3,) + base.cfg.grid.shape_phys + (1,)
-        backgrounds = (np.zeros(shape), np.zeros(shape))
-        base.extrude(out=backgrounds[1])
+        backgrounds = tuple(lead.ws.background(np.zeros(shape))
+                            for _ in range(2))
+        base.extrude(out=backgrounds[1][0])
+        lead.ws.background(*backgrounds[1])
     for i in range(lead.n):
         if base is not None:
             backgrounds = backgrounds[::-1]
             for j in range(i * r, (i + 1) * r):
                 base.advance(j)
-            base.extrude(out=backgrounds[1])
+            base.extrude(out=backgrounds[1][0])
+            lead.ws.background(*backgrounds[1])
         lead.advance(i, backgrounds)
 
 

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from torusflow.field import Field
-from torusflow.norms import _parseval_sum, lp_norm, sobolev_norm_sq
+from torusflow.field import Field, leray_data, physical_data, spectral_data
+from torusflow.norms import lp_norm, sobolev_norm_sq
 
 
 def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
@@ -29,8 +29,10 @@ def hessian_l2_norm_sq(field: Field) -> float:
     Parseval: the modewise weight is |k|^4, built from the discrete
     derivative's wavenumbers, so it equals the L2 norm of the gradient of
     gradient_field."""
-    k_sq = sum(ka**2 for ka in field.grid.k_deriv)
-    return _parseval_sum(field.grid, field.spectral(), k_sq ** 2)
+    grid = field.grid
+    k_sq = sum(ka**2 for ka in grid.k_deriv)
+    mag = np.sum(np.abs(field.spectral()) ** 2, axis=0)
+    return float(grid.volume * np.sum(grid.hermitian_weight * k_sq ** 2 * mag))
 
 
 def embedding_ratio_l6_h1(field: Field) -> float:
@@ -39,3 +41,74 @@ def embedding_ratio_l6_h1(field: Field) -> float:
     if h1 == 0.0:
         raise ValueError("embedding ratio of a zero field")
     return lp_norm(field, 6) ** 2 / h1
+
+
+class FullLatticeWorkspace:
+    """The replaced solver._Workspace: the same kernel and IMEX step on
+    the full spectral lattice, with the 2/3-rule mask applied to the state
+    before its transform and to the result.  The background is the
+    physical values b alone; their products are formed on every call."""
+
+    def __init__(self, grid, nu=0.0, dt=0.0):
+        state = (grid.dim,) + grid.shape_spec
+        self.grid = grid
+        self.dt = dt
+        self.pairs = [(i, j) for i in range(grid.dim)
+                      for j in range(i, grid.dim)]
+        self.ik = [1j * k for k in grid.k_deriv]
+        self.v_dealiased = np.empty(state, dtype=complex)
+        self.w = np.empty((grid.dim,) + grid.shape_phys)
+        self.prod = np.empty((len(self.pairs),) + grid.shape_phys)
+        self.flux = np.empty((len(self.pairs),) + grid.shape_spec,
+                             dtype=complex)
+        self.term = np.empty(grid.shape_spec, dtype=complex)
+        self.kdotv = np.empty(grid.shape_spec, dtype=complex)
+        self.n0 = np.empty(state, dtype=complex)
+        self.n1 = np.empty(state, dtype=complex)
+        self.v_star = np.empty(state, dtype=complex)
+        z = 0.5 * dt * nu * grid.k_sq
+        self.A = 1.0 - z
+        self.B = 1.0 + z
+
+    def flux_rhs(self, v_spec, f_spec, background, out):
+        grid, w, prod, flux = self.grid, self.w, self.prod, self.flux
+        np.multiply(v_spec, grid.dealias_mask, out=self.v_dealiased)
+        physical_data(grid, self.v_dealiased, out=w)
+        b = background
+        if b is not None:
+            w += b
+        for p, (i, j) in enumerate(self.pairs):
+            np.multiply(w[i], w[j], out=prod[p])
+            if b is not None:
+                prod[p] -= b[i] * b[j]
+        spectral_data(grid, prod, out=flux)
+        out[...] = 0.0
+        for (i, j), fij in zip(self.pairs, flux):
+            out[i] -= np.multiply(self.ik[j], fij, out=self.term)
+            if i != j:
+                out[j] -= np.multiply(self.ik[i], fij, out=self.term)
+        if f_spec is not None:
+            out += f_spec
+        out *= grid.dealias_mask
+        return out
+
+    def nonlinear(self, v_spec, f_spec, background, out):
+        self.flux_rhs(v_spec, f_spec, background, out)
+        return leray_data(self.grid, out, out=out,
+                          work=(self.kdotv, self.term))
+
+    def step(self, v, t, forcing, backgrounds=(None, None)):
+        grid, dt = self.grid, self.dt
+        n0, n1, v_star = self.n0, self.n1, self.v_star
+        self.nonlinear(v, forcing.evaluate(grid, t), backgrounds[0], out=n0)
+        np.multiply(self.A, v, out=v)
+        np.multiply(n0, dt, out=v_star)
+        v_star += v
+        v_star /= self.B
+        self.nonlinear(v_star, forcing.evaluate(grid, t + dt), backgrounds[1],
+                       out=n1)
+        n1 += n0
+        n1 *= 0.5 * dt
+        v += n1
+        v /= self.B
+        return v

@@ -94,6 +94,25 @@ def test_null_target_h1_means_not_given():
     assert np.array_equal(*fields)
 
 
+@pytest.mark.parametrize("config", [{}, {"perturbation": {}}],
+                         ids=["2d", "perturbation"])
+def test_parse_shares_no_dict_with_the_defaults(config):
+    # editing one resolved spec changed the defaults of every later one
+    want = json.dumps(exp.parse_config(json.dumps(config)), sort_keys=True)
+    first = exp.parse_config(json.dumps(config))
+    sections = [first["budget"], first["tolerance"], first["base"],
+                first["base"]["initial"], first["base"]["forcing"]]
+    if first["perturbation"] is not None:
+        sections += [first["perturbation"]["initial"],
+                     first["perturbation"]["forcing"]]
+    first["budget"]["alpha"] = 0.5
+    for section in sections:
+        section["edited"] = True
+    again = exp.parse_config(json.dumps(config))
+    assert json.dumps(again, sort_keys=True) == want
+    assert again["budget"]["alpha"] == 0.03
+
+
 def test_parse_rejects_unknown_key():
     with pytest.raises(exp.ConfigError, match="unknown key"):
         exp.parse_config(json.dumps({"viscosity": 1.0}))
@@ -265,6 +284,31 @@ def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
     for run in ("base", "perturbation"):
         assert os.path.join(run, "summary.json") in err
     assert err.count("\n") == 1
+
+
+def test_killed_2d_rerun_leaves_no_meta(tmp_path, capsys, monkeypatch):
+    # a 2D-only rerun killed after it wrote its spec.json, before its base
+    # run starts: the earlier run's base/summary.json is still there, so
+    # only a missing meta.json keeps verify from checking the earlier
+    # trajectory under the new spec
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_OK
+
+    def killed(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(exp, "run_2d_base", killed)
+    with pytest.raises(KeyboardInterrupt):
+        exp.run_experiment(exp.parse_config(json.dumps(dict(SMALL, nu=0.4))),
+                           str(out))
+    assert json.loads((out / "spec.json").read_text())["nu"] == 0.4
+    assert (out / "base" / "summary.json").exists()
+    assert not (out / "meta.json").exists()
+    capsys.readouterr()
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "meta.json" in err and "run the experiment again" in err
 
 
 def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):

@@ -218,6 +218,24 @@ def test_mean_free_norms_sq_is_exact(dim):
         l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_parseval_weights_match_per_call_products(dim):
+    # the replaced path: hermitian_weight * weight formed on every call
+    grid = make_grid(2 * np.pi, 8, dim)
+    rng = np.random.default_rng(dim)
+    f = physical_field(grid, rng.standard_normal((dim,) + grid.shape_phys))
+    mag = np.sum(np.abs(f.spectral()) ** 2, axis=0)
+
+    def per_call(weight):
+        return float(grid.volume * np.sum(grid.hermitian_weight * weight
+                                          * mag))
+
+    assert l2_norm_sq(f) == per_call(1.0)
+    assert grad_l2_norm_sq(f) == per_call(grid.k_sq)
+    for s in range(3):
+        assert sobolev_norm_sq(f, s) == per_call(grid.sobolev_weights[s])
+
+
 def test_hessian_parseval_matches_second_derivative_field(grid3):
     rng = np.random.default_rng(3)
     for f in (random_divfree_field(grid3, seed=2, spectrum_decay=1.0),

@@ -26,7 +26,7 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               save_trajectory, taylor_green_exact,
                               _Workspace)
 
-from oracles import mean_ode_integrate
+from oracles import FullLatticeWorkspace, mean_ode_integrate
 
 
 def nse_rhs(v, f, nu):
@@ -34,9 +34,10 @@ def nse_rhs(v, f, nu):
     grid = v.grid
     if f is not None and f.grid != grid:
         raise ValueError("velocity and forcing grids differ")
-    f_spec = None if f is None else f.spectral()
     ws = _Workspace(grid)
-    out = ws.nonlinear(v.spectral(), f_spec, None, out=ws.n0)
+    f_kept = None if f is None else ws.to_kept(f.spectral())
+    out = ws.to_full(ws.nonlinear(ws.to_kept(v.spectral()), f_kept, None,
+                                  out=ws.n0))
     out = out - nu * grid.k_sq * v.spectral()
     return spectral_field(grid, out, divergence_free=True,
                           time_stamp=v.time_stamp)
@@ -135,6 +136,7 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
     # background is an x3-invariant 2D field with its own mean, passed to
     # the kernel as (3, N, N, 1) physical values
     grid = grid2 if case == "2d" else grid3
+    ws = _Workspace(grid)
     zero = (slice(None),) + (0,) * grid.dim
     v = random_divfree_field(grid, seed=3, target_h1=1.0).spectral().copy()
     v[zero] = [0.3, -0.2, 0.1][:grid.dim]
@@ -145,8 +147,9 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
         b2 = random_divfree_field(grid2, seed=5, target_h1=1.0)
         b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
         b_spec = extrude_field(b2, grid3).spectral()
-        background = physical_data(grid3, b_spec)[..., :1]
-    got = _Workspace(grid).nonlinear(v, f, background, out=np.empty_like(v))
+        background = ws.background(physical_data(grid3, b_spec)[..., :1])
+    got = ws.to_full(ws.nonlinear(ws.to_kept(v), ws.to_kept(f), background,
+                                  out=ws.n0))
     ref = _convective_reference(grid, v, f, b_spec)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -154,22 +157,81 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
 @pytest.mark.parametrize("case", ["2d", "3d", "3d-background"])
 def test_kernel_on_k_deriv_matches_kernel_on_k(grid2, grid3, case):
     # the kernel's derivatives on grid.k_deriv, zero on each axis' Nyquist
-    # plane, against the replaced ones on grid.k: flux_rhs masks its result
-    # after the derivative, so both agree bit for bit on a masked state
+    # plane, against the replaced ones on grid.k, in the replaced
+    # full-lattice kernel: that masks its result after the derivative, and
+    # the kernel on the 2/3-rule modes holds no Nyquist mode, so both agree
+    # bit for bit on a masked state
     grid = grid2 if case == "2d" else grid3
     v = random_divfree_field(grid, seed=6, target_h1=1.0).spectral()
     f = random_divfree_field(grid, seed=7, target_h1=1.0).spectral()
     background = None
+    ws = _Workspace(grid)
     if case == "3d-background":
         b2 = random_divfree_field(grid2, seed=8, target_h1=1.0)
         background = extrude_field(b2, grid3).physical()[..., :1]
-    old = _Workspace(grid)
+    old = FullLatticeWorkspace(grid)
     old.ik = [1j * k for k in grid.k]
     ref = old.nonlinear(v, f, background, out=np.empty_like(v))
     # the products reach the Nyquist plane of the rfft axis
     assert np.abs(old.flux[..., grid.N // 2]).max() > 1e-6
-    got = _Workspace(grid).nonlinear(v, f, background, out=np.empty_like(v))
+    got = ws.to_full(ws.nonlinear(
+        ws.to_kept(v), ws.to_kept(f),
+        None if background is None else ws.background(background),
+        out=ws.n0))
     np.testing.assert_array_equal(got, ref)
+
+
+def _signed_zeros(a) -> int:
+    """The entries of a whose real or imaginary part is -0.0."""
+    return int(np.count_nonzero((a.real == 0) & np.signbit(a.real))
+               + np.count_nonzero((a.imag == 0) & np.signbit(a.imag)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("N", [6, 8, 16])
+def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
+    # the replaced path steps the full spectral lattice under the 2/3-rule
+    # masks; stepped on K alone, under a time-dependent force and (3D) an
+    # x3-invariant background that changes between the two Heun stages,
+    # the state is the same on K bit for bit, and a run's stored state
+    # holds exactly +0.0 outside K after its first step
+    grid = make_grid(2 * np.pi, N, dim)
+    nu, dt, steps = 0.5, 4e-3, 4
+    forcing = ForcingSpec(kind="expression", expressions=(
+        "0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)*sin(2*t)",
+        "0.1*sin(x1)*cos(t)")[:dim])
+    initial = random_divfree_field(grid, seed=3, target_h1=0.5)
+    ws, old = _Workspace(grid, nu, dt), FullLatticeWorkspace(grid, nu, dt)
+    backgrounds = old_backgrounds = (None, None)
+    if dim == 3:
+        b2 = random_divfree_field(make_grid(2 * np.pi, N, 2), seed=5,
+                                  target_h1=1.0)
+        b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
+        b = extrude_field(b2, grid).physical()[..., :1]
+        old_backgrounds = (b, 0.5 * b)
+        backgrounds = (ws.background(b), ws.background(0.5 * b))
+    v0 = leray_data(grid, initial.spectral() * grid.dealias_mask)
+    v, u = v0.copy(), ws.to_kept(v0)
+    for i in range(steps):
+        old.step(v, i * dt, forcing, old_backgrounds)
+        ws.step(u, i * dt, forcing, backgrounds)
+        assert np.array_equal(u, ws.to_kept(v))
+        assert _signed_zeros(u) == _signed_zeros(ws.to_kept(v))
+    full = ws.to_full(u)
+    assert not full[:, ~grid.dealias_mask].any()
+    assert _signed_zeros(full[:, ~grid.dealias_mask]) == 0
+
+    cfg = SolverConfig(grid=grid, nu=nu, dt=dt, t_end=steps * dt,
+                       T=steps * dt, forcing=forcing, initial=initial)
+    run = run_2d_base(cfg) if dim == 2 else run_full_3d(cfg)
+    # a run without a background, stored at every step: byte for byte the
+    # replaced path's states, the first with its signed zeros outside K
+    v = v0.copy()
+    assert run.snapshots[0].tobytes() == v.tobytes()
+    for i, snap in enumerate(run.snapshots[1:]):
+        old.step(v, i * dt, forcing)
+        assert snap.tobytes() == v.tobytes()
+        assert _signed_zeros(snap[:, ~grid.dealias_mask]) == 0
 
 
 def test_taylor_green_is_steady_state_of_rhs(grid2):
@@ -183,10 +245,11 @@ def test_taylor_green_is_steady_state_of_rhs(grid2):
 
 def test_advance_single_step_matches_exact(grid2):
     nu, dt = 0.1, 1e-3
-    v = taylor_green_exact(grid2, nu, 0.0).spectral().copy()
-    _Workspace(grid2, nu, dt).step(v, 0.0, ForcingSpec())
+    ws = _Workspace(grid2, nu, dt)
+    v = ws.to_kept(taylor_green_exact(grid2, nu, 0.0).spectral())
+    ws.step(v, 0.0, ForcingSpec())
     exact = taylor_green_exact(grid2, nu, dt)
-    assert np.abs(physical_data(grid2, v) - exact.physical()).max() < 1e-10
+    assert np.abs(ws.physical(v) - exact.physical()).max() < 1e-10
 
 
 def test_advance_detects_blowup(grid2):
@@ -324,18 +387,20 @@ def test_lockstep_matches_stored_base_oracle(r):
     stored = run_2d_base(base_cfg)
     g2, g3 = base_cfg.grid, pert_cfg.grid
 
+    ws = _Workspace(g3, pert_cfg.nu, pert_cfg.dt)
+
     def background(i):
         vs = physical_data(g2, stored.snapshots[i * r])
-        return np.concatenate([vs, np.zeros_like(vs[:1])])[..., np.newaxis]
+        return ws.background(np.concatenate([vs, np.zeros_like(vs[:1])])
+                             [..., np.newaxis])
 
-    ws = _Workspace(g3, pert_cfg.nu, pert_cfg.dt)
-    u = leray_data(g3, pert_cfg.initial.spectral())
-    oracle = [u.copy()]
+    u = ws.to_kept(leray_data(g3, pert_cfg.initial.spectral()))
+    oracle = [ws.to_full(u)]
     tgrid = pert_cfg.dt * np.arange(pert_cfg.n_steps + 1)
     for i in range(pert_cfg.n_steps):
         ws.step(u, tgrid[i], pert_cfg.forcing,
                 (background(i), background(i + 1)))
-        oracle.append(u.copy())
+        oracle.append(ws.to_full(u))
 
     base, pert, direct = run_perturbation(pert_cfg, base_cfg)
     assert direct is None
@@ -553,9 +618,11 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
     # temporaries at once
     nu, dt = 1.0, 2e-3
     ws = _Workspace(grid3, nu, dt)
-    v = random_divfree_field(grid3, seed=3, target_h1=0.1).spectral().copy()
+    v = ws.to_kept(random_divfree_field(grid3, seed=3,
+                                        target_h1=0.1).spectral())
     vs = random_divfree_field(grid2, seed=5, target_h1=1.0).physical()
-    background = np.concatenate([vs, np.zeros_like(vs[:1])])[..., np.newaxis]
+    background = ws.background(np.concatenate([vs, np.zeros_like(vs[:1])])
+                               [..., np.newaxis])
     forcing = ForcingSpec(kind="expression",
                           expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
     ws.step(v, 0.0, forcing, (background, background))
@@ -590,10 +657,10 @@ def test_advance_reproduces_run_bit_for_bit():
                        initial=random_divfree_field(grid, 1, target_h1=0.5))
     traj = run_full_3d(cfg)
     ws = _Workspace(grid, nu, dt)
-    state = traj.snapshots[0].copy()
+    state = ws.to_kept(traj.snapshots[0])
     for i in range(steps):
         ws.step(state, i * dt, forcing)
-    np.testing.assert_array_equal(state, traj.snapshots[-1])
+    np.testing.assert_array_equal(ws.to_full(state), traj.snapshots[-1])
 
 
 def test_save_load_trajectory_round_trip(tmp_path, grid2):
