@@ -449,9 +449,9 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
         # without it
         with suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
-    with _timed(phases, "writing"), \
-            open(os.path.join(out_dir, "spec.json"), "w") as fh:
-        fh.write(json.dumps(spec, indent=2, sort_keys=True) + "\n")
+    with _timed(phases, "writing"):
+        _write_atomic(os.path.join(out_dir, "spec.json"),
+                      json.dumps(spec, indent=2, sort_keys=True) + "\n")
 
     nu, dt, T = spec["nu"], spec["dt"], spec["T"]
     t_end = spec["windows"] * T
@@ -486,11 +486,11 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                 if spec["direct_3d"] else None
             base, pert, direct = run_perturbation(pert_cfg, base_cfg,
                                                   direct_cfg, directories)
-            with _timed(phases, "writing"), \
-                    open(os.path.join(out_dir, "constants.json"), "w") as fh:
-                json.dump({"calibrated": asdict(cal),
-                           "budget": asdict(budget)}, fh, indent=2,
-                          sort_keys=True)
+            with _timed(phases, "writing"):
+                _write_atomic(os.path.join(out_dir, "constants.json"),
+                              json.dumps({"calibrated": asdict(cal),
+                                          "budget": asdict(budget)},
+                                         indent=2, sort_keys=True))
             paths["constants"] = os.path.join(out_dir, "constants.json")
 
         for name, directory, traj in zip(runs, directories,
@@ -532,14 +532,34 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
         fh.write(text)
     paths["summary"] = os.path.join(out_dir, "summary.txt")
     stepping = phases["base"] + phases["perturbation"] + phases["direct"]
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"wall_seconds": artifacts.wall_seconds,
-                   "phases": phases, "workers": workers,
-                   "steps_per_s": steps / stepping if stepping else 0.0,
-                   "force_evaluations": force_evaluations,
-                   "snapshots": snapshots,
-                   "failed": failed, "exit_code": code}, fh, indent=2)
+    _write_atomic(os.path.join(out_dir, "meta.json"), json.dumps(
+        {"wall_seconds": artifacts.wall_seconds,
+         "phases": phases, "workers": workers,
+         "steps_per_s": steps / stepping if stepping else 0.0,
+         "force_evaluations": force_evaluations,
+         "snapshots": snapshots,
+         "failed": failed, "exit_code": code}, indent=2))
     return artifacts
+
+
+def _write_atomic(path, text: str):
+    """Write text to path through a temporary file moved into place with
+    os.replace, so that a run killed while writing leaves the earlier file
+    or none, never a part of one."""
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
+
+
+def _read_json(path):
+    """The JSON value of the file at path; a file that does not parse is
+    refused with FileNotFoundError, so that verify exits with code 2."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileNotFoundError(f"{path} is not readable JSON ({exc}); "
+                                    "run the experiment again") from None
 
 
 def _direct_config(spec, base_cfg: SolverConfig,
@@ -599,7 +619,8 @@ def reverify(out_dir: str) -> RunArtifacts:
     Refuses (FileNotFoundError) before writing anything when an output the
     spec calls for is missing: the complete base run (its summary.json,
     which save_trajectory writes last) and meta.json always, the complete
-    perturbation run and constants.json when a perturbation is configured.
+    perturbation run and constants.json when a perturbation is configured;
+    a meta.json or constants.json that does not parse is refused too.
     """
     spec_path = os.path.join(out_dir, "spec.json")
     if not os.path.exists(spec_path):
@@ -620,10 +641,9 @@ def reverify(out_dir: str) -> RunArtifacts:
     pert = budget = None
     if spec["perturbation"] is not None:
         pert = load_trajectory(os.path.join(out_dir, "perturbation"))
-        with open(os.path.join(out_dir, "constants.json")) as fh:
-            budget = StabilityBudget(**json.load(fh)["budget"])
-    with open(os.path.join(out_dir, "meta.json")) as fh:
-        meta = json.load(fh)
+        budget = StabilityBudget(
+            **_read_json(os.path.join(out_dir, "constants.json"))["budget"])
+    meta = _read_json(os.path.join(out_dir, "meta.json"))
     reports, series_list, hyp_by_window = analyze(base, pert, spec, budget)
     paths = _write_verdicts(out_dir, reports, series_list, hyp_by_window)
     return RunArtifacts(out_dir, paths, meta["wall_seconds"], meta["failed"],

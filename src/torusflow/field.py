@@ -150,22 +150,14 @@ def divergence_linf(field: Field) -> float:
     return float(np.abs(div).max() / scale)
 
 
-def leray_data(grid: TorusGrid, spec: np.ndarray, out=None,
-               work=None) -> np.ndarray:
-    """Leray projection of spectral data, into out (which may be spec).
-
-    work, two complex arrays of shape grid.shape_spec, holds the
-    intermediates k.v and one term; without it they are allocated.
-    """
+def leray_data(grid: TorusGrid, spec: np.ndarray, out=None) -> np.ndarray:
+    """Leray projection of spectral data, into out (which may be spec)."""
     # on grid.k_deriv, the lattice of derivative_data, so the projection
     # annihilates exactly the divergence the derivative measures; k=0 and
     # pure-Nyquist modes pass through untouched
     k_sq = grid.k_sq_deriv_divisor
-    if work is None:
-        work = (np.empty(grid.shape_spec, dtype=complex),
-                np.empty(grid.shape_spec, dtype=complex))
-    kdotv, term = work
-    kdotv.fill(0.0)
+    kdotv = np.zeros(grid.shape_spec, dtype=complex)
+    term = np.empty(grid.shape_spec, dtype=complex)
     for ax in range(grid.dim):
         kdotv += np.multiply(grid.k_deriv[ax], spec[ax], out=term)
     if out is None:

@@ -1,15 +1,19 @@
 """Time integration of the periodic Navier-Stokes systems.
 
 Three evolutions share one IMEX scheme (Crank-Nicolson on the viscous term,
-Heun on the projected, dealiased nonlinearity; second order overall), one
-time loop and one nonlinear kernel in divergence form:
+Adams-Bashforth 2 on the projected, dealiased flux and the trapezoid rule
+on the projected force; second order overall, one evaluation of the
+nonlinear kernel per step), one time loop and one nonlinear kernel in
+divergence form:
 
   * the full 3D equations,
   * the 2D base flow,
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
     w = u + v_s.  The base run is stepped in lockstep with it, so v_s is
-    read from the current base state, never from a stored trajectory.  A
+    read from the current base state, never from a stored trajectory.  The
+    step is linear in the flux history, so the extruded base plus the
+    perturbation equals the full 3D run to roundoff.  A
     full 3D run beside them shares nothing with them and steps in a forked
     worker.
 
@@ -23,6 +27,10 @@ lattice, +0.0 outside K.
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
 the scheme advances the mean by the trapezoid rule on the mean force.
+
+The Adams-Bashforth 2 splitting of Crank-Nicolson is the classic one of
+Kim & Moin, J. Comput. Phys. 59 (1985) and of Canuto, Hussaini, Quarteroni
+& Zang, Spectral Methods in Fluid Dynamics (1988).
 
 The pressure never enters the evolution: the Leray projection removes it.
 The kernel's derivatives and the projection share one wavenumber lattice,
@@ -297,7 +305,8 @@ class Trajectory:
 # spatial terms
 
 class _Workspace:
-    """The arrays of one run's nonlinear kernel and IMEX steps, on the
+    """The arrays of one run's nonlinear kernel and IMEX steps
+    (Crank-Nicolson / Adams-Bashforth 2 / trapezoid, see step), on the
     2/3-rule modes K alone.
 
     With c = N // 3, K holds the modes with every |m| <= c.  Its states
@@ -315,8 +324,11 @@ class _Workspace:
 
     Every array, the transforms' buffers included, is allocated once; the
     kernel and the step write into them with out=, so a run allocates no
-    state-sized array per step.  Without nu and dt the Crank-Nicolson
-    factors are 1 and the workspace serves the kernel alone.
+    state-sized array per step.  n0 holds the projected flux of the last
+    step, and the next one is written into n1.  The workspace steps one
+    state: its first step takes the flux before it to be its own.  Without
+    nu and dt the Crank-Nicolson factors are 1 and the workspace serves the
+    kernel alone.
     """
 
     def __init__(self, grid: TorusGrid, nu: float = 0.0, dt: float = 0.0):
@@ -353,8 +365,9 @@ class _Workspace:
         self.kdotv = np.empty(self.shape[1:], dtype=complex)
         self.n0 = np.empty(self.shape, dtype=complex)
         self.n1 = np.empty(self.shape, dtype=complex)
-        self.v_star = np.empty(self.shape, dtype=complex)
-        self._force = (None, None)  # (the last force, its entries on K)
+        self.started = False  # whether n0 holds the last step's flux
+        self.force_sum = np.empty(self.shape, dtype=complex)
+        self._force = (None, None)  # (the last force, P of it on K)
 
         # physical: per full axis its zero-padded input and its result,
         # then the zero-padded input of the last axis
@@ -423,10 +436,17 @@ class _Workspace:
         return out
 
     def force(self, forcing: ForcingSpec, t: float):
-        """The force of forcing at t on K, gathered once per evaluation."""
+        """The Leray projection of the force of forcing at t on K, gathered
+        and projected once per evaluation.
+
+        The storage is the 2/3-rule mask: the applied force is the force on
+        K and zero elsewhere, so a state stays exactly on K.  A force
+        component above N/3 is not applied (experiments.parse_config refuses
+        a config that names one); resolve it with a larger N.
+        """
         f = forcing.evaluate(self.grid, t)
         if f is not self._force[0]:
-            self._force = (f, self.to_kept(f))
+            self._force = (f, self.project(self.to_kept(f)))
         return self._force[1]
 
     def background(self, b, products=None):
@@ -439,21 +459,14 @@ class _Workspace:
             np.multiply(b[i], b[j], out=products[p])
         return b, products
 
-    def flux_rhs(self, v, f, background, out):
-        """-div(w(x)w - b(x)b) + f on K into out, before the Leray
-        projection.
+    def flux_rhs(self, v, background, out):
+        """-div(w(x)w - b(x)b) on K into out, before the Leray projection.
 
         w is the physical value of the K-state v plus the background b,
         given as a pair of background(): physical values broadcastable to
         (dim,) + grid.shape_phys (an x3-invariant base flow has shape
         (3, N, N, 1)) and their products; without it this is the flux of
-        the full equations.  The divergence is zero at k=0, so the result
-        there is the mean of f, the force on K.
-
-        The storage is the 2/3-rule mask: the applied force is f on K and
-        zero elsewhere, so a state stays exactly on K.  A force component
-        above N/3 is not applied (experiments.parse_config refuses a config
-        that names one); resolve it with a larger N.
+        the full equations.  The divergence is zero at k=0.
         """
         w, prod, flux = self.w, self.prod, self.flux
         self.physical(v, out=w)
@@ -471,8 +484,6 @@ class _Workspace:
             out[i] -= np.multiply(self.ik[j], fij, out=term)
             if i != j:
                 out[j] -= np.multiply(self.ik[i], fij, out=term)
-        if f is not None:
-            out += f
         return out
 
     def project(self, v):
@@ -486,29 +497,38 @@ class _Workspace:
         terms /= self.k_sq_divisor
         return np.subtract(v, terms, out=v)
 
-    def nonlinear(self, v, f, background, out):
+    def nonlinear(self, v, background, out):
         """P(flux_rhs) into out."""
-        return self.project(self.flux_rhs(v, f, background, out))
+        return self.project(self.flux_rhs(v, background, out))
 
-    def step(self, v, t, forcing: ForcingSpec, backgrounds=(None, None)):
-        """One CN(viscous) + Heun(nonlinear) step of the K-state v from t,
-        in place; backgrounds holds the background of flux_rhs at t and at
-        t + dt (None for none)."""
-        dt = self.dt
-        n0, n1, v_star = self.n0, self.n1, self.v_star
-        self.nonlinear(v, self.force(forcing, t), backgrounds[0], out=n0)
+    def step(self, v, t, forcing: ForcingSpec, background=None):
+        """One step of the K-state v from t, in place: Crank-Nicolson on
+        the viscous term, Adams-Bashforth 2 on the projected flux N and the
+        trapezoid rule on the projected force P f,
+
+          v <- [A v + dt (3/2 N(t) - 1/2 N(t - dt))
+                + dt/2 (P f(t) + P f(t + dt))] / B,
+
+        with A, B = 1 -+ dt nu |k|^2 / 2.  N(t) is nonlinear of v with the
+        background of flux_rhs at t (None for none), its one evaluation of
+        the step; N(t - dt) is the one of the step before, and the first
+        step takes N(t) for it.
+        """
+        dt, force_sum = self.dt, self.force_sum
+        flux, previous = self.n1, self.n0
+        self.nonlinear(v, background, out=flux)
+        if not self.started:
+            previous[...] = flux
+            self.started = True
+        np.add(self.force(forcing, t), self.force(forcing, t + dt),
+               out=force_sum)
+        force_sum *= 0.5 * dt
         np.multiply(self.A, v, out=v)
-        # predictor v* = (A v + dt n0) / B
-        np.multiply(n0, dt, out=v_star)
-        v_star += v
-        v_star /= self.B
-        self.nonlinear(v_star, self.force(forcing, t + dt), backgrounds[1],
-                       out=n1)
-        # corrector (A v + dt/2 (n0 + n1)) / B
-        n1 += n0
-        n1 *= 0.5 * dt
-        v += n1
+        v += force_sum
+        v += np.multiply(flux, 1.5 * dt, out=force_sum)
+        v -= np.multiply(previous, 0.5 * dt, out=previous)
         v /= self.B
+        self.n0, self.n1 = flux, previous
         return v
 
 
@@ -604,11 +624,11 @@ class _Member:
             self.reports.append(compute_norm_report(mean_free(state),
                                                     cfg.sigma))
 
-    def advance(self, i, backgrounds=(None, None)):
-        """Step from step i to step i + 1 and record it."""
+    def advance(self, i, background=None):
+        """Step from step i to step i + 1, with the background of
+        _Workspace.flux_rhs at step i, and record it."""
         t0 = time.perf_counter()
-        self.ws.step(self.state, self.tgrid[i], self.cfg.forcing,
-                     backgrounds)
+        self.ws.step(self.state, self.tgrid[i], self.cfg.forcing, background)
         self.ws.to_full(self.state, out=self.spec)
         self._record(i + 1)
         self.seconds += time.perf_counter() - t0
@@ -642,27 +662,26 @@ def _lockstep(lead: _Member, base: _Member | None = None):
     """The time loop of every run.
 
     Per step of lead, the 2D base (if any) first takes its base.n // lead.n
-    substeps; lead then steps with the extruded base state before and after
-    them as its background b(t), b(t + dt).  Only those two backgrounds are
-    kept, never the base trajectory, and each b[i] * b[j] is formed once
-    per background.
+    substeps; lead then steps with the extruded base state at the start of
+    its step as its background b(t), and b is refreshed from the base.  Only
+    that one background is kept, never the base trajectory, and each
+    b[i] * b[j] is formed once per background.
     """
-    backgrounds = (None, None)
+    background = None
     if base is not None:
         r = base.n // lead.n
-        shape = (3,) + base.cfg.grid.shape_phys + (1,)
-        backgrounds = tuple(lead.ws.background(np.zeros(shape))
-                            for _ in range(2))
-        base.extrude(out=backgrounds[1][0])
-        lead.ws.background(*backgrounds[1])
+        background = lead.ws.background(
+            np.zeros((3,) + base.cfg.grid.shape_phys + (1,)))
+        base.extrude(out=background[0])
+        lead.ws.background(*background)
     for i in range(lead.n):
         if base is not None:
-            backgrounds = backgrounds[::-1]
             for j in range(i * r, (i + 1) * r):
                 base.advance(j)
-            base.extrude(out=backgrounds[1][0])
-            lead.ws.background(*backgrounds[1])
-        lead.advance(i, backgrounds)
+        lead.advance(i, background)
+        if base is not None:
+            base.extrude(out=background[0])
+            lead.ws.background(*background)
 
 
 def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
@@ -783,17 +802,11 @@ def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
     """(sin x1 cos x2, -cos x1 sin x2[, 0]) * exp(-2 nu t); needs L=2*pi."""
     if abs(grid.L - 2.0 * np.pi) > 1e-12:
         raise ValueError("Taylor-Green reference requires L = 2*pi")
-    x1, x2 = np.broadcast_arrays(grid.coords[0], grid.coords[1])
+    x1, x2 = grid.coords[:2]
     decay = amplitude * math.exp(-2.0 * nu * t)
-    u1 = decay * np.sin(x1) * np.cos(x2)
-    u2 = -decay * np.cos(x1) * np.sin(x2)
-    if grid.dim == 2:
-        phys = np.array([u1, u2])
-    else:
-        shape = grid.shape_phys
-        phys = np.zeros((3,) + shape)
-        phys[0] = u1[..., np.newaxis]
-        phys[1] = u2[..., np.newaxis]
+    phys = np.zeros((grid.dim,) + grid.shape_phys)
+    phys[0] = decay * np.sin(x1) * np.cos(x2)
+    phys[1] = -decay * np.cos(x1) * np.sin(x2)
     return Field(grid, phys, "physical", True, t)
 
 

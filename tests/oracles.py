@@ -44,10 +44,16 @@ def embedding_ratio_l6_h1(field: Field) -> float:
 
 
 class FullLatticeWorkspace:
-    """The replaced solver._Workspace: the same kernel and IMEX step on
+    """The replaced solver._Workspace: the same kernel and IMEX steps on
     the full spectral lattice, with the 2/3-rule mask applied to the state
     before its transform and to the result.  The background is the
-    physical values b alone; their products are formed on every call."""
+    physical values b alone; their products are formed on every call.
+
+    step is solver._Workspace.step (Crank-Nicolson, Adams-Bashforth 2 on
+    the flux, trapezoid on the projected force); heun_step is the
+    Crank-Nicolson / Heun step that it replaced, which evaluates the kernel,
+    the force included, at t and at the predictor at t + dt.  One instance
+    steps one state with one of them."""
 
     def __init__(self, grid, nu=0.0, dt=0.0):
         state = (grid.dim,) + grid.shape_spec
@@ -62,9 +68,9 @@ class FullLatticeWorkspace:
         self.flux = np.empty((len(self.pairs),) + grid.shape_spec,
                              dtype=complex)
         self.term = np.empty(grid.shape_spec, dtype=complex)
-        self.kdotv = np.empty(grid.shape_spec, dtype=complex)
         self.n0 = np.empty(state, dtype=complex)
         self.n1 = np.empty(state, dtype=complex)
+        self.started = False
         self.v_star = np.empty(state, dtype=complex)
         z = 0.5 * dt * nu * grid.k_sq
         self.A = 1.0 - z
@@ -94,10 +100,31 @@ class FullLatticeWorkspace:
 
     def nonlinear(self, v_spec, f_spec, background, out):
         self.flux_rhs(v_spec, f_spec, background, out)
-        return leray_data(self.grid, out, out=out,
-                          work=(self.kdotv, self.term))
+        return leray_data(self.grid, out, out=out)
 
-    def step(self, v, t, forcing, backgrounds=(None, None)):
+    def force(self, forcing, t):
+        grid = self.grid
+        return leray_data(grid, forcing.evaluate(grid, t) * grid.dealias_mask)
+
+    def step(self, v, t, forcing, background=None):
+        dt, force_sum = self.dt, self.v_star
+        flux, previous = self.n1, self.n0
+        self.nonlinear(v, None, background, out=flux)
+        if not self.started:
+            previous[...] = flux
+            self.started = True
+        np.add(self.force(forcing, t), self.force(forcing, t + dt),
+               out=force_sum)
+        force_sum *= 0.5 * dt
+        np.multiply(self.A, v, out=v)
+        v += force_sum
+        v += np.multiply(flux, 1.5 * dt, out=force_sum)
+        v -= np.multiply(previous, 0.5 * dt, out=previous)
+        v /= self.B
+        self.n0, self.n1 = flux, previous
+        return v
+
+    def heun_step(self, v, t, forcing, backgrounds=(None, None)):
         grid, dt = self.grid, self.dt
         n0, n1, v_star = self.n0, self.n1, self.v_star
         self.nonlinear(v, forcing.evaluate(grid, t), backgrounds[0], out=n0)

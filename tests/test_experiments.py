@@ -311,6 +311,49 @@ def test_killed_2d_rerun_leaves_no_meta(tmp_path, capsys, monkeypatch):
     assert "meta.json" in err and "run the experiment again" in err
 
 
+@pytest.mark.parametrize("name", ["meta.json", "constants.json",
+                                  "spec.json"])
+def test_verify_refuses_truncated_json(forced_pert_out, tmp_path, capsys,
+                                       name):
+    # a JSON file cut short, as a run killed while writing it in place
+    # left it: verify used to end in a JSONDecodeError traceback, exit 1
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    path = out / name
+    path.write_bytes(path.read_bytes()[:40])
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if name != "spec.json":
+        assert name in err and "run the experiment again" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
+def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
+    # a run killed after it wrote meta.json's temporary file, before it
+    # moved it into place, leaves no meta.json, and verify refuses the
+    # directory; an undisturbed run leaves no temporary file
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    assert not list(out.glob("*.tmp"))
+    replace = os.replace
+
+    def killed(src, dst):
+        if os.path.basename(dst) == "meta.json":
+            raise KeyboardInterrupt
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    assert not (out / "meta.json").exists()
+    capsys.readouterr()
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    assert "meta.json" in capsys.readouterr().err
+
+
 def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))

@@ -35,9 +35,10 @@ def nse_rhs(v, f, nu):
     if f is not None and f.grid != grid:
         raise ValueError("velocity and forcing grids differ")
     ws = _Workspace(grid)
-    f_kept = None if f is None else ws.to_kept(f.spectral())
-    out = ws.to_full(ws.nonlinear(ws.to_kept(v.spectral()), f_kept, None,
-                                  out=ws.n0))
+    rhs = ws.nonlinear(ws.to_kept(v.spectral()), None, out=ws.n0)
+    if f is not None:
+        rhs += ws.project(ws.to_kept(f.spectral()))
+    out = ws.to_full(rhs)
     out = out - nu * grid.k_sq * v.spectral()
     return spectral_field(grid, out, divergence_free=True,
                           time_stamp=v.time_stamp)
@@ -148,8 +149,9 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
         b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
         b_spec = extrude_field(b2, grid3).spectral()
         background = ws.background(physical_data(grid3, b_spec)[..., :1])
-    got = ws.to_full(ws.nonlinear(ws.to_kept(v), ws.to_kept(f), background,
-                                  out=ws.n0))
+    # the force enters the step projected beside the kernel's flux
+    got = ws.nonlinear(ws.to_kept(v), background, out=ws.n0)
+    got = ws.to_full(got + ws.project(ws.to_kept(f)))
     ref = _convective_reference(grid, v, f, b_spec)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -163,7 +165,6 @@ def test_kernel_on_k_deriv_matches_kernel_on_k(grid2, grid3, case):
     # bit for bit on a masked state
     grid = grid2 if case == "2d" else grid3
     v = random_divfree_field(grid, seed=6, target_h1=1.0).spectral()
-    f = random_divfree_field(grid, seed=7, target_h1=1.0).spectral()
     background = None
     ws = _Workspace(grid)
     if case == "3d-background":
@@ -171,11 +172,11 @@ def test_kernel_on_k_deriv_matches_kernel_on_k(grid2, grid3, case):
         background = extrude_field(b2, grid3).physical()[..., :1]
     old = FullLatticeWorkspace(grid)
     old.ik = [1j * k for k in grid.k]
-    ref = old.nonlinear(v, f, background, out=np.empty_like(v))
+    ref = old.nonlinear(v, None, background, out=np.empty_like(v))
     # the products reach the Nyquist plane of the rfft axis
     assert np.abs(old.flux[..., grid.N // 2]).max() > 1e-6
     got = ws.to_full(ws.nonlinear(
-        ws.to_kept(v), ws.to_kept(f),
+        ws.to_kept(v),
         None if background is None else ws.background(background),
         out=ws.n0))
     np.testing.assert_array_equal(got, ref)
@@ -192,9 +193,9 @@ def _signed_zeros(a) -> int:
 def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
     # the replaced path steps the full spectral lattice under the 2/3-rule
     # masks; stepped on K alone, under a time-dependent force and (3D) an
-    # x3-invariant background that changes between the two Heun stages,
-    # the state is the same on K bit for bit, and a run's stored state
-    # holds exactly +0.0 outside K after its first step
+    # x3-invariant background that changes from step to step, the state is
+    # the same on K bit for bit, and a run's stored state holds exactly
+    # +0.0 outside K after its first step
     grid = make_grid(2 * np.pi, N, dim)
     nu, dt, steps = 0.5, 4e-3, 4
     forcing = ForcingSpec(kind="expression", expressions=(
@@ -213,8 +214,8 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
     v0 = leray_data(grid, initial.spectral() * grid.dealias_mask)
     v, u = v0.copy(), ws.to_kept(v0)
     for i in range(steps):
-        old.step(v, i * dt, forcing, old_backgrounds)
-        ws.step(u, i * dt, forcing, backgrounds)
+        old.step(v, i * dt, forcing, old_backgrounds[i % 2])
+        ws.step(u, i * dt, forcing, backgrounds[i % 2])
         assert np.array_equal(u, ws.to_kept(v))
         assert _signed_zeros(u) == _signed_zeros(ws.to_kept(v))
     full = ws.to_full(u)
@@ -226,12 +227,24 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
     run = run_2d_base(cfg) if dim == 2 else run_full_3d(cfg)
     # a run without a background, stored at every step: byte for byte the
     # replaced path's states, the first with its signed zeros outside K
+    old = FullLatticeWorkspace(grid, nu, dt)
     v = v0.copy()
     assert run.snapshots[0].tobytes() == v.tobytes()
     for i, snap in enumerate(run.snapshots[1:]):
         old.step(v, i * dt, forcing)
         assert snap.tobytes() == v.tobytes()
         assert _signed_zeros(snap[:, ~grid.dealias_mask]) == 0
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_taylor_green_exact_on_a_3d_grid(grid2, grid3, t):
+    # the 2D vortex extruded along x3, its third component zero
+    got = taylor_green_exact(grid3, 0.1, t, 0.7)
+    assert got.grid == grid3
+    want = extrude_field(taylor_green_exact(grid2, 0.1, t, 0.7), grid3)
+    np.testing.assert_array_equal(got.physical(), want.physical())
+    assert not got.physical()[2].any()
+    assert divergence_linf(got) < 1e-14
 
 
 def test_taylor_green_is_steady_state_of_rhs(grid2):
@@ -284,6 +297,44 @@ def test_second_order_convergence(grid2):
     e_coarse = np.abs(errs[0] - ref).max()
     e_fine = np.abs(errs[1] - ref).max()
     assert e_coarse / e_fine > 3.5
+
+
+def _taylor_green_3d(grid, amplitude):
+    """The 3D Taylor-Green vortex (sin x1 cos x2 cos x3,
+    -cos x1 sin x2 cos x3, 0): its nonlinear term is not a gradient."""
+    x1, x2, x3 = grid.coords
+    phys = np.zeros((3,) + grid.shape_phys)
+    phys[0] = amplitude * np.sin(x1) * np.cos(x2) * np.cos(x3)
+    phys[1] = -amplitude * np.cos(x1) * np.sin(x2) * np.cos(x3)
+    return physical_field(grid, phys)
+
+
+@pytest.mark.parametrize("case", ["taylor-green", "forced"])
+def test_ab2_step_matches_replaced_heun_to_second_order(case):
+    # the replaced path: Crank-Nicolson / Heun, on the full lattice.  Both
+    # schemes are second order, so their states at t_end differ by
+    # C dt^2 + O(dt^3): halving dt divides the difference by about 4
+    grid = make_grid(2 * np.pi, 8, 3)
+    nu, t_end = 0.1, 0.2
+    if case == "taylor-green":
+        initial, forcing = _taylor_green_3d(grid, 1.0), ForcingSpec()
+    else:
+        initial = random_divfree_field(grid, seed=3, target_h1=1.0)
+        forcing = ForcingSpec(kind="expression", expressions=(
+            "0.5*sin(x3)*cos(3*t)", "0.5*sin(x1)*sin(2*t)",
+            "0.3 + 0.5*sin(x2)*cos(t)"))
+    v0 = leray_data(grid, initial.spectral() * grid.dealias_mask)
+    diffs = []
+    for dt in (1e-2, 5e-3):
+        ws, heun = _Workspace(grid, nu, dt), FullLatticeWorkspace(grid, nu,
+                                                                  dt)
+        u, v = ws.to_kept(v0), v0.copy()
+        for i in range(round(t_end / dt)):
+            ws.step(u, i * dt, forcing)
+            heun.heun_step(v, i * dt, forcing)
+        diffs.append(np.abs(ws.to_full(u) - v).max())
+    assert diffs[1] > 1e-6 * np.abs(v0).max()
+    assert 3.8 < diffs[0] / diffs[1] < 4.2
 
 
 def test_run_keeps_divergence_free(grid2):
@@ -398,8 +449,7 @@ def test_lockstep_matches_stored_base_oracle(r):
     oracle = [ws.to_full(u)]
     tgrid = pert_cfg.dt * np.arange(pert_cfg.n_steps + 1)
     for i in range(pert_cfg.n_steps):
-        ws.step(u, tgrid[i], pert_cfg.forcing,
-                (background(i), background(i + 1)))
+        ws.step(u, tgrid[i], pert_cfg.forcing, background(i))
         oracle.append(ws.to_full(u))
 
     base, pert, direct = run_perturbation(pert_cfg, base_cfg)
@@ -515,8 +565,8 @@ def test_lockstep_direct_matches_run_full_3d(monkeypatch):
 
 
 @pytest.mark.parametrize("pert_h1, direct_h1, label, t", [
-    (0.3, 1e4, "full_3d", 0.024), (1e4, 1e5, "full_3d", 0.016),
-    (1e5, 1e4, "perturbation", 0.016), (1e4, 1e4, "perturbation", 0.024)],
+    (0.3, 1e4, "full_3d", 0.04), (1e4, 1e5, "full_3d", 0.032),
+    (1e5, 1e4, "perturbation", 0.032), (1e4, 1e4, "perturbation", 0.04)],
     ids=["direct-only", "direct-earlier", "perturbation-earlier", "tie"])
 def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
     # the expected run and time are those of the loop that stepped the
@@ -625,11 +675,11 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
                                [..., np.newaxis])
     forcing = ForcingSpec(kind="expression",
                           expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
-    ws.step(v, 0.0, forcing, (background, background))
+    ws.step(v, 0.0, forcing, background)
     tracemalloc.start()
     try:
         for i in range(1, 6):
-            ws.step(v, i * dt, forcing, (background, background))
+            ws.step(v, i * dt, forcing, background)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

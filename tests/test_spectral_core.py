@@ -160,19 +160,12 @@ def test_leray_data_matches_oracle_bitwise(dim):
         index[ax + 1] = grid.N // 2
         assert np.all(spec[tuple(index)] != 0)
     want = _leray_oracle(grid, spec).tobytes()
-    work = (np.full(grid.shape_spec, np.nan, dtype=complex),
-            np.full(grid.shape_spec, np.nan, dtype=complex))
     assert leray_data(grid, spec).tobytes() == want
-    assert leray_data(grid, spec, work=work).tobytes() == want
-    assert leray_data(grid, spec, work=work).tobytes() == want  # reused
     out = np.empty_like(spec)
-    assert leray_data(grid, spec, out=out, work=work) is out
+    assert leray_data(grid, spec, out=out) is out
     assert out.tobytes() == want
     in_place = spec.copy()
-    assert leray_data(grid, in_place, out=in_place, work=work) is in_place
-    assert in_place.tobytes() == want
-    in_place = spec.copy()
-    leray_data(grid, in_place, out=in_place)
+    assert leray_data(grid, in_place, out=in_place) is in_place
     assert in_place.tobytes() == want
 
 
