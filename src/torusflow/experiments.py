@@ -430,10 +430,11 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     their scalar series once all have finished.  On solver blow-up only the partial snapshot
     directories are left of the trajectories, and meta.json carries the
     failure marker.  meta.json also records the wall seconds of each of
-    PHASES in this process (direct: the wait for the direct run's worker),
-    the busy seconds of each forked worker, the solver steps per second of
-    the runs and, per run, the evaluations of its force that the cache did
-    not serve and the count and bytes of its snapshot files.
+    PHASES in this process (direct, perturbation: with the wait for its
+    worker), the busy seconds of each forked worker, the solver steps per
+    second of the runs and, per run and for the forcing worker, the
+    evaluations of its force that the cache did not serve and, per run, the
+    count and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -497,13 +498,16 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                                          (base, pert, direct)):
             if traj is None:
                 continue
+            phases[name] += traj.wait_seconds
             if name == "direct":
-                phases[name] += traj.wait_seconds
                 workers[name] = traj.step_seconds
             else:
                 phases[name] += traj.step_seconds
             steps += len(traj.diag["t"]) - 1
             force_evaluations[name] = traj.force_evaluations
+            if traj.forcing_worker is not None:
+                workers["forcing"], force_evaluations["forcing"] = \
+                    traj.forcing_worker
             paths[name] = directory
             with _timed(phases, "writing"):
                 files = save_trajectory(traj, directory)["snapshots"]

@@ -43,6 +43,7 @@ import math
 import os
 import shutil
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -280,8 +281,9 @@ class Trajectory:
     (snapshot_paths) and snapshots is empty.  A trajectory loaded from disk
     has neither.  step_seconds is the wall time the run spent stepping and
     recording, force_evaluations the evaluations of its force that the
-    ForcingSpec cache did not serve, and wait_seconds the wall time its
-    caller waited for it, when it ran in a worker."""
+    ForcingSpec cache did not serve, wait_seconds the wall time its caller
+    waited for a worker of it, and forcing_worker (busy seconds, force
+    evaluations) of the worker that computed its forcing_l6_5_sq, if any."""
 
     grid: TorusGrid
     times: np.ndarray
@@ -292,6 +294,7 @@ class Trajectory:
     step_seconds: float = 0.0
     force_evaluations: int = 0
     wait_seconds: float = 0.0
+    forcing_worker: tuple | None = None
     snapshot_paths: list = dc_field(default_factory=list)
 
     def snapshot_field(self, i: int) -> Field:
@@ -554,11 +557,12 @@ class _Member:
     (_partial_snapshot_dir) and keeps only the path; without one it keeps
     a copy of the state in memory.
 
-    The forcing norms at step i are those of the applied force at t_i
+    forcing_l2_sq at step i is the norm of the applied force at t_i
     (_mean_free_force), which the step ending there has already evaluated
     whenever t_{i-1} + dt equals t_i bit for bit, so each step time costs
     one evaluation.  The count is read from the run's ForcingSpec: one
-    shared with another run adds that run's evaluations.
+    shared with another run adds that run's evaluations.  No L^{6/5} norm
+    is computed per step: run_perturbation records forcing_l6_5_sq.
     """
 
     def __init__(self, cfg: SolverConfig, label: str, directory=None):
@@ -583,11 +587,6 @@ class _Member:
                      "h2_sq": np.empty(self.n + 1),
                      "mean": np.empty((self.n + 1, grid.dim)),
                      "forcing_l2_sq": np.empty(self.n + 1)}
-        self.forcing_norms = [("forcing_l2_sq", l2_norm_sq)]
-        if "forcing_l6_5_sq" in diag_columns(label, grid.dim):
-            self.diag["forcing_l6_5_sq"] = np.empty(self.n + 1)
-            self.forcing_norms.append(("forcing_l6_5_sq",
-                                       lambda f: lp_norm(f, 1.2) ** 2))
         self.snapdir = None if directory is None \
             else _partial_snapshot_dir(directory)
         self.snapshots, self.snapshot_paths = [], []
@@ -606,10 +605,9 @@ class _Member:
             raise BlowUpError(t, f"{self.label} L2 norm", diag["l2_sq"][i])
         steady = cfg.forcing.steady
         if i == 0 or not steady:
-            force = _mean_free_force(cfg, t)
-            for name, norm_sq in self.forcing_norms:
-                # a steady force's norms hold at every step
-                diag[name][slice(None) if steady else i] = norm_sq(force)
+            # a steady force's norm holds at every step
+            diag["forcing_l2_sq"][slice(None) if steady else i] = \
+                l2_norm_sq(_mean_free_force(cfg, t))
         state = spectral_field(grid, spec, divergence_free=True, time_stamp=t)
         if i % cfg.snapshot_stride == 0 or i == self.n:
             if self.snapdir is None:
@@ -702,7 +700,9 @@ def _mean_free_force(cfg: SolverConfig, t: float) -> Field:
 
 def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
     """norm_sq of the mean-free force at every step of cfg, in one pass of
-    its own: the reference that the series a run records must equal."""
+    its own (one evaluation per step time, one for a steady force): how
+    run_perturbation records forcing_l6_5_sq, and the reference that a
+    run's recorded forcing_l2_sq must equal."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
@@ -717,6 +717,14 @@ def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
 def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
     """||mean-free force||_{L^p}^2 at every step of cfg (_forcing_series)."""
     return _forcing_series(cfg, lambda f: lp_norm(f, p) ** 2)
+
+
+def _timed_forcing_l6_5_sq(cfg: SolverConfig) -> tuple:
+    """(forcing_l6_5_sq of cfg, (wall seconds, force evaluations))."""
+    t0, before = time.perf_counter(), cfg.forcing.evaluations
+    series = forcing_lp_sq_series(cfg, 1.2)
+    return series, (time.perf_counter() - t0,
+                    cfg.forcing.evaluations - before)
 
 
 def run_2d_base(cfg: SolverConfig, directory=None) -> Trajectory:
@@ -742,6 +750,12 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
     the perturbation side's, as a loop stepping the direct run after the
     perturbation at each step would report.
 
+    The perturbation's forcing_l6_5_sq depends on its force alone: for a
+    time-dependent force a second forked worker computes it with
+    _forcing_series beside the runs (forcing_worker, wait_seconds); a
+    steady or zero force takes one evaluation here.  A blow-up or any other
+    exception kills and reaps every worker still running.
+
     Given directories, one trajectory directory per run in the order
     returned, each run streams its snapshots into its own (_Member), the
     direct run from its worker.
@@ -764,26 +778,38 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
         raise ValueError("the direct run must share the perturbation's "
                          "grid, dt and t_end")
     base_dir, pert_dir, direct_dir = directories or (None, None, None)
-    base = _Member(base_cfg, "2d_base", base_dir)
-    pert = _Member(cfg, "perturbation", pert_dir)
-    if direct_cfg is None:
-        _lockstep(pert, base)
-        return base.trajectory(), pert.trajectory(), None
-    with Worker("direct", _run_alone, direct_cfg, "full_3d",
-                direct_dir) as worker:
-        try:
+    with ExitStack() as workers:
+        forcing = None if cfg.forcing.steady else workers.enter_context(
+            Worker("forcing", _timed_forcing_l6_5_sq, cfg))
+        base = _Member(base_cfg, "2d_base", base_dir)
+        pert = _Member(cfg, "perturbation", pert_dir)
+        direct = None
+        if direct_cfg is None:
             _lockstep(pert, base)
-        except BlowUpError as own:
+        else:
+            worker = workers.enter_context(Worker(
+                "direct", _run_alone, direct_cfg, "full_3d", direct_dir))
             try:
-                worker.join()
-            except BlowUpError as other:
-                if other.time < own.time:
-                    raise other from None
-            raise
+                _lockstep(pert, base)
+            except BlowUpError as own:
+                try:
+                    worker.join()
+                except BlowUpError as other:
+                    if other.time < own.time:
+                        raise other from None
+                raise
+            t0 = time.perf_counter()
+            direct = worker.join()
+            direct.wait_seconds = time.perf_counter() - t0
+        traj = pert.trajectory()
         t0 = time.perf_counter()
-        direct = worker.join()
-        direct.wait_seconds = time.perf_counter() - t0
-    return base.trajectory(), pert.trajectory(), direct
+        if forcing is None:
+            series = forcing_lp_sq_series(cfg, 1.2)
+        else:
+            series, traj.forcing_worker = forcing.join()
+            traj.wait_seconds = time.perf_counter() - t0
+        traj.diag["forcing_l6_5_sq"] = series
+    return base.trajectory(), traj, direct
 
 
 def run_full_3d(cfg: SolverConfig, directory=None) -> Trajectory:

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from torusflow import experiments as exp
-from torusflow import cli
+from torusflow import cli, solver
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field
 from torusflow.grid import make_grid
 from torusflow.norms import NORM_REPORT_COLUMNS
-from torusflow.solver import load_trajectory
+from torusflow.solver import (SolverConfig, forcing_lp_sq_series,
+                              load_trajectory)
+from torusflow.worker import Worker
 
 SMALL = {
     "scenario": "test-small",
@@ -686,7 +688,7 @@ def test_meta_records_phase_times(tmp_path):
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
     # busy seconds of the forked workers, beside the parent's timeline
     workers = meta["workers"]
-    assert set(workers) == {"direct"}
+    assert set(workers) == {"direct", "forcing"}
     assert all(0 < v < meta["wall_seconds"] for v in workers.values())
     assert meta["steps_per_s"] > 0
     # one evaluation per step time, plus one wherever t_i + dt is not the
@@ -695,8 +697,10 @@ def test_meta_records_phase_times(tmp_path):
     tgrid = dt * np.arange(n + 1)
     off_grid = np.count_nonzero(tgrid[:-1] + dt != tgrid[1:])
     counts = meta["force_evaluations"]
-    assert set(counts) == {"base", "perturbation", "direct"}
+    assert set(counts) == {"base", "perturbation", "direct", "forcing"}
     assert all(n + 1 <= c <= n + 1 + off_grid for c in counts.values())
+    # the forcing worker evaluates the force once per step time
+    assert counts["forcing"] == n + 1
     # the snapshot files each run streamed, as they lie in snapshots/
     for name, streamed in meta["snapshots"].items():
         files = list((tmp_path / "out" / name / "snapshots").iterdir())
@@ -704,6 +708,68 @@ def test_meta_records_phase_times(tmp_path):
                             "bytes": sum(f.stat().st_size for f in files)}
     assert set(meta["snapshots"]) == {"base", "perturbation", "direct"}
     assert meta["snapshots"]["perturbation"]["count"] == 3
+
+
+def _artifacts(out: Path) -> dict:
+    """{path relative to out: bytes} of every file of a run but meta.json."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "meta.json"}
+
+
+def test_one_process_fallback_writes_the_forked_artifacts(tmp_path,
+                                                          monkeypatch):
+    # without os.fork the direct run and the forcing series are computed in
+    # the run's own process, to the same bytes
+    spec = exp.parse_config(json.dumps(FORCED_DIRECT))
+    exp.run_experiment(spec, str(tmp_path / "forked"))
+    monkeypatch.delattr(os, "fork")
+    exp.run_experiment(spec, str(tmp_path / "alone"))
+    forked, alone = (_artifacts(tmp_path / name)
+                     for name in ("forked", "alone"))
+    assert "perturbation/diagnostics.csv" in forked
+    assert "direct/diagnostics.csv" in forked
+    assert list(alone) == list(forked)
+    for name, data in forked.items():
+        assert alone[name] == data, name
+    meta = json.loads((tmp_path / "alone" / "meta.json").read_text())
+    assert set(meta["workers"]) == {"direct", "forcing"}
+
+
+@pytest.mark.parametrize("forcing", [
+    {"kind": "zero"},
+    {"kind": "expression", "expressions": [
+        "1e-6*sin(x3)", "1e-6*sin(x1)", "1e-6*sin(x2)"]}],
+    ids=["zero", "steady"])
+@pytest.mark.parametrize("direct_3d", [False, True],
+                         ids=["alone", "direct"])
+def test_no_forcing_worker_without_time_dependent_force(
+        tmp_path, monkeypatch, forcing, direct_3d):
+    # a zero force (stability-smoke) or a steady one (hypothesis-violation)
+    # has its L^{6/5} series computed in the run's own process
+    started = []
+
+    def worker(name, *args):
+        started.append(name)
+        return Worker(name, *args)
+
+    monkeypatch.setattr(solver, "Worker", worker)
+    spec = exp.parse_config(json.dumps(dict(
+        SMALL, T=0.05, direct_3d=direct_3d,
+        perturbation={"snapshot_stride": 5, "forcing": forcing})))
+    out = tmp_path / "out"
+    exp.run_experiment(spec, str(out))
+    meta = json.loads((out / "meta.json").read_text())
+    assert started == (["direct"] if direct_3d else [])
+    assert set(meta["workers"]) == ({"direct"} if direct_3d else set())
+    assert "forcing" not in meta["force_evaluations"]
+    g3 = make_grid(spec["L"], spec["N"], 3)
+    cfg = SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],
+                       t_end=spec["T"], T=spec["T"],
+                       forcing=exp._build_forcing(forcing, 3))
+    recorded = load_trajectory(out / "perturbation").diag["forcing_l6_5_sq"]
+    np.testing.assert_array_equal(recorded, forcing_lp_sq_series(cfg, 1.2))
+    assert (recorded == 0.0).all() == (forcing["kind"] == "zero")
 
 
 def test_cli_sweep(tmp_path, capsys):

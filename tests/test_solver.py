@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -597,6 +598,52 @@ def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
         == (want.time, want.quantity, str(want))
 
 
+@pytest.mark.parametrize("direct", [False, True], ids=["alone", "direct"])
+def test_blowup_kills_a_live_forcing_worker(monkeypatch, direct):
+    # a time-dependent perturbation force starts the forcing worker; made to
+    # outlast the runs, it is still computing when the perturbation blows up
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    nu, dt, t_end = 0.5, 4e-3, 0.08
+    base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end,
+                            initial=taylor_green_exact(g2, nu, 0.0, 0.5))
+    pert_cfg = SolverConfig(
+        grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+        forcing=ForcingSpec(kind="expression", expressions=(
+            "0.1*sin(x3)*cos(t)", "0.1*sin(x1)", "0.1*sin(x2)")),
+        initial=random_divfree_field(g3, seed=2, target_h1=1e4))
+    direct_cfg = dataclasses.replace(
+        pert_cfg, forcing=ForcingSpec(), initial=physical_field(
+            g3, extrude_field(base_cfg.initial, g3).physical()
+            + random_divfree_field(g3, seed=2, target_h1=1e5).physical())) \
+        if direct else None
+    series = solver._timed_forcing_l6_5_sq
+
+    def slow_series(cfg):
+        time.sleep(30)
+        return series(cfg)
+
+    def blow_up():
+        with pytest.raises(BlowUpError) as info:
+            run_perturbation(pert_cfg, base_cfg, direct_cfg)
+        return info.value
+
+    with np.errstate(all="ignore"):
+        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", slow_series)
+        t0 = time.perf_counter()
+        got = blow_up()
+        assert time.perf_counter() - t0 < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # the one-process loop, with the real series
+        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", series)
+        monkeypatch.delattr(os, "fork")
+        want = blow_up()
+    assert got.quantity == f"{'full_3d' if direct else 'perturbation'} " \
+        "L2 norm"
+    assert (got.time, got.quantity, str(got)) \
+        == (want.time, want.quantity, str(want))
+
+
 @pytest.mark.parametrize("base_dt, base_t_end", [
     (0.04 / 15, 0.04), (2e-3, 0.036), (2e-3, 0.048), (8e-3, 0.04)],
     ids=["dt-not-divisor", "ends-early", "ends-late", "coarser-dt"])
@@ -614,8 +661,9 @@ def test_run_perturbation_refuses_mismatched_base(base_dt, base_t_end):
     ("0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)"),
     ("0.1*sin(x2)", "0.05 + 0.1*sin(x1)")], ids=["unsteady", "steady"])
 def test_recorded_forcing_norms_match_separate_passes(base_force):
-    # the replaced path: one pass of its own over the step times per norm.
-    # At dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), where the
+    # one pass of its own over the step times per norm: the reference for
+    # forcing_l2_sq, and the path that records forcing_l6_5_sq.  At
+    # dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), where the
     # force the step evaluated last is not the one at t_{i+1}
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
     nu, dt, t_end = 0.5, 2e-3, 0.2
