@@ -96,10 +96,9 @@ def _cumtrapz(y, x):
     return out
 
 
-def _window_slices(times, T, t_end=None):
+def _window_slices(times, T):
     """Index arrays [kT, (k+1)T] per complete window."""
-    t_end = times[-1] if t_end is None else t_end
-    k_max = int(round(t_end / T + 1e-9))
+    k_max = int(round(times[-1] / T + 1e-9))
     out = []
     for k in range(k_max):
         lo, hi = k * T, (k + 1) * T
@@ -520,12 +519,10 @@ def stability_series(pert: Trajectory, base: Trajectory,
                      budget: StabilityBudget, window: int) -> StabilitySeries:
     """Assemble X^2, Y^2, Z^2, A^2, G^2 on one window's step grid."""
     nu, T = budget.nu, budget.T
-    t_all = pert.diag["t"]
-    sel = np.nonzero((t_all >= window * T - 1e-9)
-                     & (t_all <= (window + 1) * T + 1e-9))[0]
-    if sel.size < 2:
+    sel = dict(_window_slices(pert.diag["t"], T)).get(window)
+    if sel is None:
         raise ValueError(f"window {window} not covered by the run")
-    t = t_all[sel]
+    t = pert.diag["t"][sel]
     X_sq = pert.diag["l2_sq"][sel] + pert.diag["grad_l2_sq"][sel]
     Y_sq = pert.diag["h2_sq"][sel]
 

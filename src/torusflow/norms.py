@@ -21,27 +21,8 @@ NORM_REPORT_COLUMNS = ("time_stamp", "grad_l3_sq", "w1_sigma")
 def _parseval_sum(grid: TorusGrid, spec: np.ndarray, weight="l2") -> float:
     """volume * sum over the full lattice of the modewise weight named
     weight (TorusGrid.parseval_weights) times |spec|^2."""
-    return _weighted_sum(grid, np.sum(np.abs(spec) ** 2, axis=0), weight)
-
-
-def _weighted_sum(grid: TorusGrid, mag: np.ndarray, weight: str) -> float:
-    """volume * sum over the full lattice of the modewise weight named
-    weight (TorusGrid.parseval_weights) times mag(k)."""
-    return float(grid.volume * np.sum(grid.parseval_weights[weight] * mag))
-
-
-def mean_free_norms_sq(grid: TorusGrid, spec: np.ndarray) -> tuple:
-    """(l2_norm_sq, grad_l2_norm_sq, sobolev_norm_sq(., 2)) of the
-    mean-free part of the spectral data spec, from one |spec|^2 sum.
-
-    Bit for bit the values of the three functions on mean_free of the
-    field: the k=0 entry of the sum is what the zeroed mean gives, and each
-    weighted sum runs in the same order.
-    """
     mag = np.sum(np.abs(spec) ** 2, axis=0)
-    mag[(0,) * grid.dim] = 0.0
-    return (_weighted_sum(grid, mag, "l2"), _weighted_sum(grid, mag, "grad"),
-            _weighted_sum(grid, mag, "h2"))
+    return float(grid.volume * np.sum(grid.parseval_weights[weight] * mag))
 
 
 def l2_norm_sq(field: Field) -> float:

@@ -21,8 +21,8 @@ Every run stores and steps its state on the 2/3-rule modes K alone
 (_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
 to K, in numpy's own axis order, and every other operation is per mode, so
 each state equals, bit for bit, the one the full spectral lattice gives
-under the 2/3-rule masks.  The records read the state copied onto the full
-lattice, +0.0 outside K.
+under the 2/3-rule masks.  The records read the K-state itself; only a
+snapshot or a norm report copies it onto the full lattice, +0.0 outside K.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -49,10 +49,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import TorusGrid
-from .field import (Field, leray_data, load_field, mean_free, save_field,
-                    spectral_data, spectral_field)
+from .field import (Field, load_field, mean_free, save_field, spectral_data,
+                    spectral_field)
 from .norms import (NORM_REPORT_COLUMNS, compute_norm_report, l2_norm_sq,
-                    lp_norm, mean_free_norms_sq, DEFAULT_SIGMA)
+                    lp_norm, DEFAULT_SIGMA)
 from .worker import Worker
 
 
@@ -148,8 +148,9 @@ class ForcingSpec:
 
         The expressions are evaluated on the broadcastable coordinate axes
         grid.coords and the result broadcast to the grid.  Only the last
-        evaluation is kept: a step asks for t, then t + dt, which the next
-        step asks for again.  evaluations counts the calls it did not serve.
+        evaluation is kept: a step asks for its run's step times t_i, then
+        t_{i+1}, which the next step asks for again.  evaluations counts
+        the calls it did not serve.
         """
         key = (grid.L, grid.N, grid.dim, 0.0 if self.steady else float(t))
         if self._last[0] == key:
@@ -370,6 +371,8 @@ class _Workspace:
         self.n1 = np.empty(self.shape, dtype=complex)
         self.started = False  # whether n0 holds the last step's flux
         self.force_sum = np.empty(self.shape, dtype=complex)
+        self.norm_weights = [self.to_kept(grid.parseval_weights[w])
+                             for w in ("l2", "grad", "h2")]
         self._force = (None, None)  # (the last force, P of it on K)
 
         # physical: per full axis its zero-padded input and its result,
@@ -404,14 +407,23 @@ class _Workspace:
             out[kept] = a[full]
         return out
 
-    def to_full(self, v, out=None):
-        """The K-state v on the full spectral lattice, into out, whose
-        entries outside K must be +0.0, or into a new array of zeros."""
-        if out is None:
-            out = np.zeros((len(v),) + self.grid.shape_spec, dtype=complex)
+    def to_full(self, v):
+        """The K-state v on the full spectral lattice, as a new array that
+        holds +0.0 outside K."""
+        out = np.zeros((len(v),) + self.grid.shape_spec, dtype=complex)
         for full, kept in self.blocks:
             out[full] = v[kept]
         return out
+
+    def mean_free_norms_sq(self, v):
+        """(l2_norm_sq, grad_l2_norm_sq, sobolev_norm_sq(., 2)) of the
+        mean-free part of to_full(v), up to the order of summation: one
+        |v|^2 sum over K, its k=0 entry zeroed, under grid.parseval_weights
+        gathered onto K."""
+        mag = np.sum(np.abs(v) ** 2, axis=0)
+        mag[(0,) * self.grid.dim] = 0.0
+        return tuple(float(self.grid.volume * np.sum(w * mag))
+                     for w in self.norm_weights)
 
     def physical(self, v, out=None):
         """Physical values of the K-state v into out (a new array if
@@ -504,13 +516,14 @@ class _Workspace:
         """P(flux_rhs) into out."""
         return self.project(self.flux_rhs(v, background, out))
 
-    def step(self, v, t, forcing: ForcingSpec, background=None):
-        """One step of the K-state v from t, in place: Crank-Nicolson on
-        the viscous term, Adams-Bashforth 2 on the projected flux N and the
-        trapezoid rule on the projected force P f,
+    def step(self, v, t, t_next, forcing: ForcingSpec, background=None):
+        """One step of the K-state v from t to the run's next step time
+        t_next, in place: Crank-Nicolson on the viscous term,
+        Adams-Bashforth 2 on the projected flux N and the trapezoid rule on
+        the projected force P f,
 
           v <- [A v + dt (3/2 N(t) - 1/2 N(t - dt))
-                + dt/2 (P f(t) + P f(t + dt))] / B,
+                + dt/2 (P f(t) + P f(t_next))] / B,
 
         with A, B = 1 -+ dt nu |k|^2 / 2.  N(t) is nonlinear of v with the
         background of flux_rhs at t (None for none), its one evaluation of
@@ -523,7 +536,7 @@ class _Workspace:
         if not self.started:
             previous[...] = flux
             self.started = True
-        np.add(self.force(forcing, t), self.force(forcing, t + dt),
+        np.add(self.force(forcing, t), self.force(forcing, t_next),
                out=force_sum)
         force_sum *= 0.5 * dt
         np.multiply(self.A, v, out=v)
@@ -544,23 +557,21 @@ class _Member:
     reports at norm_stride, if given), the wall seconds spent on them and
     the evaluations of its force.
 
-    The run steps its state on the 2/3-rule modes K alone (state, in the
-    layout of _Workspace): the initial field is masked
-    (grid.dealias_mask) before its Leray projection, then taken onto K.
-    After each step, spec, the state on the full spectral lattice that the
-    records read, is refreshed from it by 2^(dim-1) slice copies and holds
-    +0.0 outside K, as a step on the full lattice under the 2/3-rule masks
-    leaves it.
+    The run holds its state on the 2/3-rule modes K alone (state, in the
+    layout of _Workspace): the initial field is taken onto K, which masks
+    it, and Leray-projected there.  The records read the mean and the norms
+    (_Workspace.mean_free_norms_sq) of that state; only a snapshot or a
+    norm report copies it onto the full lattice (_Workspace.to_full).
 
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
     (_partial_snapshot_dir) and keeps only the path; without one it keeps
     a copy of the state in memory.
 
-    forcing_l2_sq at step i is the norm of the applied force at t_i
-    (_mean_free_force), which the step ending there has already evaluated
-    whenever t_{i-1} + dt equals t_i bit for bit, so each step time costs
-    one evaluation.  The count is read from the run's ForcingSpec: one
+    Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i is
+    the norm of the applied force at tgrid[i] (_mean_free_force), which the
+    step ending there has already evaluated, so each step time costs one
+    evaluation.  The count is read from the run's ForcingSpec: one
     shared with another run adds that run's evaluations.  No L^{6/5} norm
     is computed per step: run_perturbation records forcing_l6_5_sq.
     """
@@ -575,12 +586,8 @@ class _Member:
         self.cfg, self.label, self.n = cfg, label, cfg.n_steps
         self.evaluations_before = cfg.forcing.evaluations
         self.tgrid = cfg.dt * np.arange(self.n + 1)
-        self.ws = _Workspace(grid, cfg.nu, cfg.dt)
-        # the first record reads the initial state as the projection
-        # leaves it, signed zeros outside K included
-        self.spec = leray_data(grid, cfg.initial.spectral()
-                               * grid.dealias_mask)
-        self.state = self.ws.to_kept(self.spec)  # stepped in place
+        self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
+        self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
         self.diag = {"t": self.tgrid,
                      "l2_sq": np.empty(self.n + 1),
                      "grad_l2_sq": np.empty(self.n + 1),
@@ -592,15 +599,14 @@ class _Member:
         self.snapshots, self.snapshot_paths = [], []
         self.snap_times, self.reports = [], []
         self._record(0)
-        self.spec = self.ws.to_full(self.state)  # a snapshot stores a copy
         self.seconds = time.perf_counter() - t0
 
     def _record(self, i):
-        cfg, grid, spec, diag = self.cfg, self.cfg.grid, self.spec, self.diag
-        t = self.tgrid[i]
-        diag["mean"][i] = np.real(spec[(slice(None),) + (0,) * grid.dim])
+        cfg, grid, ws, diag = self.cfg, self.cfg.grid, self.ws, self.diag
+        t, v = self.tgrid[i], self.state
+        diag["mean"][i] = np.real(v[(slice(None),) + (0,) * grid.dim])
         diag["l2_sq"][i], diag["grad_l2_sq"][i], diag["h2_sq"][i] = \
-            mean_free_norms_sq(grid, spec)
+            ws.mean_free_norms_sq(v)
         if not np.isfinite(diag["l2_sq"][i]):
             raise BlowUpError(t, f"{self.label} L2 norm", diag["l2_sq"][i])
         steady = cfg.forcing.steady
@@ -608,17 +614,22 @@ class _Member:
             # a steady force's norm holds at every step
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
                 l2_norm_sq(_mean_free_force(cfg, t))
+        snapshot = i % cfg.snapshot_stride == 0 or i == self.n
+        report = cfg.norm_stride and (i % cfg.norm_stride == 0 or i == self.n)
+        if not (snapshot or report):
+            return
+        spec = ws.to_full(v)
         state = spectral_field(grid, spec, divergence_free=True, time_stamp=t)
-        if i % cfg.snapshot_stride == 0 or i == self.n:
+        if snapshot:
             if self.snapdir is None:
-                self.snapshots.append(spec.copy())
+                self.snapshots.append(spec)
             else:
                 path = os.path.join(self.snapdir,
                                     f"snap_{len(self.snap_times):06d}.npz")
                 save_field(path, state)
                 self.snapshot_paths.append(path)
             self.snap_times.append(t)
-        if cfg.norm_stride and (i % cfg.norm_stride == 0 or i == self.n):
+        if report:
             self.reports.append(compute_norm_report(mean_free(state),
                                                     cfg.sigma))
 
@@ -626,8 +637,8 @@ class _Member:
         """Step from step i to step i + 1, with the background of
         _Workspace.flux_rhs at step i, and record it."""
         t0 = time.perf_counter()
-        self.ws.step(self.state, self.tgrid[i], self.cfg.forcing, background)
-        self.ws.to_full(self.state, out=self.spec)
+        self.ws.step(self.state, self.tgrid[i], self.tgrid[i + 1],
+                     self.cfg.forcing, background)
         self._record(i + 1)
         self.seconds += time.perf_counter() - t0
 

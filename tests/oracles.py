@@ -50,10 +50,10 @@ class FullLatticeWorkspace:
     physical values b alone; their products are formed on every call.
 
     step is solver._Workspace.step (Crank-Nicolson, Adams-Bashforth 2 on
-    the flux, trapezoid on the projected force); heun_step is the
-    Crank-Nicolson / Heun step that it replaced, which evaluates the kernel,
-    the force included, at t and at the predictor at t + dt.  One instance
-    steps one state with one of them."""
+    the flux, trapezoid on the projected force at the step times t and
+    t_next); heun_step is the Crank-Nicolson / Heun step that it replaced,
+    which evaluates the kernel, the force included, at t and at the
+    predictor at t + dt.  One instance steps one state with one of them."""
 
     def __init__(self, grid, nu=0.0, dt=0.0):
         state = (grid.dim,) + grid.shape_spec
@@ -106,14 +106,14 @@ class FullLatticeWorkspace:
         grid = self.grid
         return leray_data(grid, forcing.evaluate(grid, t) * grid.dealias_mask)
 
-    def step(self, v, t, forcing, background=None):
+    def step(self, v, t, t_next, forcing, background=None):
         dt, force_sum = self.dt, self.v_star
         flux, previous = self.n1, self.n0
         self.nonlinear(v, None, background, out=flux)
         if not self.started:
             previous[...] = flux
             self.started = True
-        np.add(self.force(forcing, t), self.force(forcing, t + dt),
+        np.add(self.force(forcing, t), self.force(forcing, t_next),
                out=force_sum)
         force_sum *= 0.5 * dt
         np.multiply(self.A, v, out=v)

@@ -691,16 +691,12 @@ def test_meta_records_phase_times(tmp_path):
     assert set(workers) == {"direct", "forcing"}
     assert all(0 < v < meta["wall_seconds"] for v in workers.values())
     assert meta["steps_per_s"] > 0
-    # one evaluation per step time, plus one wherever t_i + dt is not the
-    # next step time t_{i+1} bit for bit
-    n, dt = round(SMALL["T"] / SMALL["dt"]), SMALL["dt"]
-    tgrid = dt * np.arange(n + 1)
-    off_grid = np.count_nonzero(tgrid[:-1] + dt != tgrid[1:])
+    # every run, and the forcing worker, evaluates its force exactly once
+    # per step time
+    n = round(SMALL["T"] / SMALL["dt"])
     counts = meta["force_evaluations"]
     assert set(counts) == {"base", "perturbation", "direct", "forcing"}
-    assert all(n + 1 <= c <= n + 1 + off_grid for c in counts.values())
-    # the forcing worker evaluates the force once per step time
-    assert counts["forcing"] == n + 1
+    assert all(c == n + 1 for c in counts.values())
     # the snapshot files each run streamed, as they lie in snapshots/
     for name, streamed in meta["snapshots"].items():
         files = list((tmp_path / "out" / name / "snapshots").iterdir())

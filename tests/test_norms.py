@@ -19,9 +19,9 @@ from torusflow.norms import (NORM_REPORT_COLUMNS, _components,
                              _gradient_components, _padded_magnitude,
                              compute_norm_report, grad_l2_norm_sq,
                              gradient_field, l2_norm_sq, lp_norm,
-                             mean_free_norms_sq, poincare_ratio,
-                             sharp_dissipation_h2, sharp_poincare_h1,
-                             sharp_poincare_h2, sobolev_norm_sq)
+                             poincare_ratio, sharp_dissipation_h2,
+                             sharp_poincare_h1, sharp_poincare_h2,
+                             sobolev_norm_sq)
 from torusflow.solver import _read_table, _write_table
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -204,18 +204,6 @@ def test_streamed_padded_magnitude_is_exact(dim, ncomp):
     f = spectral_field(grid, spec[:3])
     np.testing.assert_array_equal(_padded_magnitude(_gradient_components(f)),
                                   _stacked_magnitude(gradient_field(f)))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_mean_free_norms_sq_is_exact(dim):
-    # the replaced path: three Parseval sums on a mean-free copy
-    grid = make_grid(2 * np.pi, 8, dim)
-    rng = np.random.default_rng(dim)
-    spec = spectral_data(grid, rng.standard_normal((dim,) + grid.shape_phys))
-    assert np.abs(spec[(slice(None),) + (0,) * dim]).min() > 0
-    bar = mean_free(spectral_field(grid, spec))
-    assert mean_free_norms_sq(grid, spec) == (
-        l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -14,12 +14,12 @@ import pytest
 from torusflow import make_grid, solver
 from torusflow.field import (derivative_data, divergence_linf,
                              extrude_field, leray_data, load_field, mean,
-                             physical_field, physical_data,
+                             mean_free, physical_field, physical_data,
                              random_divfree_field, spectral_data,
                              spectral_field)
 from torusflow.experiments import combine_forcing
 from torusflow.norms import (NORM_REPORT_COLUMNS, compute_norm_report,
-                             l2_norm_sq)
+                             grad_l2_norm_sq, l2_norm_sq, sobolev_norm_sq)
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               _EXPR_FUNCTIONS, _forcing_series,
                               forcing_lp_sq_series, load_trajectory,
@@ -215,8 +215,8 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
     v0 = leray_data(grid, initial.spectral() * grid.dealias_mask)
     v, u = v0.copy(), ws.to_kept(v0)
     for i in range(steps):
-        old.step(v, i * dt, forcing, old_backgrounds[i % 2])
-        ws.step(u, i * dt, forcing, backgrounds[i % 2])
+        old.step(v, i * dt, (i + 1) * dt, forcing, old_backgrounds[i % 2])
+        ws.step(u, i * dt, (i + 1) * dt, forcing, backgrounds[i % 2])
         assert np.array_equal(u, ws.to_kept(v))
         assert _signed_zeros(u) == _signed_zeros(ws.to_kept(v))
     full = ws.to_full(u)
@@ -227,14 +227,46 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
                        T=steps * dt, forcing=forcing, initial=initial)
     run = run_2d_base(cfg) if dim == 2 else run_full_3d(cfg)
     # a run without a background, stored at every step: byte for byte the
-    # replaced path's states, the first with its signed zeros outside K
+    # replaced path's states on K, +0.0 outside K from the first one on
     old = FullLatticeWorkspace(grid, nu, dt)
     v = v0.copy()
-    assert run.snapshots[0].tobytes() == v.tobytes()
+    assert run.snapshots[0].tobytes() == ws.to_full(ws.to_kept(v)).tobytes()
+    assert _signed_zeros(run.snapshots[0][:, ~grid.dealias_mask]) == 0
     for i, snap in enumerate(run.snapshots[1:]):
-        old.step(v, i * dt, forcing)
+        old.step(v, i * dt, (i + 1) * dt, forcing)
         assert snap.tobytes() == v.tobytes()
         assert _signed_zeros(snap[:, ~grid.dealias_mask]) == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("N", [8, 16])
+def test_kept_mode_norms_match_full_lattice_norms(N, dim):
+    # the replaced path: the three Parseval sums of norms on the mean-free
+    # part of the state copied onto the full lattice; on K alone the sums
+    # run in another order, so they agree to roundoff
+    grid = make_grid(2 * np.pi, N, dim)
+    ws = _Workspace(grid)
+    rng = np.random.default_rng(N + dim)
+    for _ in range(3):
+        v = ws.to_kept(spectral_data(
+            grid, rng.standard_normal((dim,) + grid.shape_phys)))
+        v[(slice(None),) + (0,) * dim] = rng.uniform(0.5, 1.0, dim)
+        bar = mean_free(spectral_field(grid, ws.to_full(v)))
+        np.testing.assert_allclose(
+            ws.mean_free_norms_sq(v),
+            (l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2)),
+            rtol=1e-14, atol=0)
+    # a run records its mean as the k=0 coefficient of its state, bit for
+    # bit, under a mean force
+    forcing = ForcingSpec(kind="expression", expressions=(
+        "0.3*cos(2*t) + 0.1*sin(x2)", "0.2 + 0*x1", "0.1*sin(t)")[:dim])
+    cfg = SolverConfig(grid=grid, nu=0.5, dt=4e-3, t_end=0.02, T=0.02,
+                       forcing=forcing,
+                       initial=random_divfree_field(grid, 1, target_h1=0.5))
+    run = run_2d_base(cfg) if dim == 2 else run_full_3d(cfg)
+    k0 = np.real([s[(slice(None),) + (0,) * dim] for s in run.snapshots])
+    assert np.abs(k0[1:]).min() > 0
+    assert run.diag["mean"].tobytes() == k0.tobytes()
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3])
@@ -261,7 +293,7 @@ def test_advance_single_step_matches_exact(grid2):
     nu, dt = 0.1, 1e-3
     ws = _Workspace(grid2, nu, dt)
     v = ws.to_kept(taylor_green_exact(grid2, nu, 0.0).spectral())
-    ws.step(v, 0.0, ForcingSpec())
+    ws.step(v, 0.0, dt, ForcingSpec())
     exact = taylor_green_exact(grid2, nu, dt)
     assert np.abs(ws.physical(v) - exact.physical()).max() < 1e-10
 
@@ -331,7 +363,7 @@ def test_ab2_step_matches_replaced_heun_to_second_order(case):
                                                                   dt)
         u, v = ws.to_kept(v0), v0.copy()
         for i in range(round(t_end / dt)):
-            ws.step(u, i * dt, forcing)
+            ws.step(u, i * dt, (i + 1) * dt, forcing)
             heun.heun_step(v, i * dt, forcing)
         diffs.append(np.abs(ws.to_full(u) - v).max())
     assert diffs[1] > 1e-6 * np.abs(v0).max()
@@ -450,7 +482,7 @@ def test_lockstep_matches_stored_base_oracle(r):
     oracle = [ws.to_full(u)]
     tgrid = pert_cfg.dt * np.arange(pert_cfg.n_steps + 1)
     for i in range(pert_cfg.n_steps):
-        ws.step(u, tgrid[i], pert_cfg.forcing, background(i))
+        ws.step(u, tgrid[i], tgrid[i + 1], pert_cfg.forcing, background(i))
         oracle.append(ws.to_full(u))
 
     base, pert, direct = run_perturbation(pert_cfg, base_cfg)
@@ -723,11 +755,11 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
                                [..., np.newaxis])
     forcing = ForcingSpec(kind="expression",
                           expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
-    ws.step(v, 0.0, forcing, background)
+    ws.step(v, 0.0, dt, forcing, background)
     tracemalloc.start()
     try:
         for i in range(1, 6):
-            ws.step(v, i * dt, forcing, background)
+            ws.step(v, i * dt, (i + 1) * dt, forcing, background)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -757,7 +789,7 @@ def test_advance_reproduces_run_bit_for_bit():
     ws = _Workspace(grid, nu, dt)
     state = ws.to_kept(traj.snapshots[0])
     for i in range(steps):
-        ws.step(state, i * dt, forcing)
+        ws.step(state, i * dt, (i + 1) * dt, forcing)
     np.testing.assert_array_equal(ws.to_full(state), traj.snapshots[-1])
 
 
