@@ -17,8 +17,9 @@ from .grid import TorusGrid
 from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2)
 # the benchmark's trace (bench/trace_cli.py) wraps forcing_lp_sq_series
-# under this module's name; runs record the series step by step and no
-# longer call it
+# under this module's name: run_perturbation calls it for the
+# perturbation's forcing_l6_5_sq, in-process for a steady force and in its
+# forcing worker (_timed_forcing_l6_5_sq) otherwise
 from .solver import Trajectory, forcing_lp_sq_series  # noqa: F401
 from .field import spectral_field
 
@@ -97,15 +98,13 @@ def _cumtrapz(y, x):
 
 
 def _window_slices(times, T):
-    """Index arrays [kT, (k+1)T] per complete window."""
-    k_max = int(round(times[-1] / T + 1e-9))
-    out = []
-    for k in range(k_max):
-        lo, hi = k * T, (k + 1) * T
-        sel = np.nonzero((times >= lo - 1e-9) & (times <= hi + 1e-9))[0]
-        if sel.size >= 2:
-            out.append((k, sel))
-    return out
+    """(k, index array of [kT, (k+1)T]) per complete window of a series
+    sampled every times[1] from 0, as every run's step and norm series
+    are.  A window is per = T/times[1] intervals, a whole number that
+    SolverConfig checks; a trailing partial window is not one."""
+    per = round(T / times[1])
+    return [(k, np.arange(k * per, (k + 1) * per + 1))
+            for k in range((len(times) - 1) // per)]
 
 
 # ---------------------------------------------------------------------------

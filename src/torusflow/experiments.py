@@ -22,16 +22,15 @@ import math
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, field as dc_field, asdict, replace
 
 import numpy as np
 
 from .grid import TorusGrid, make_grid
 from .field import Field, extrude_field, physical_field, random_divfree_field
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     check_strides, check_viscous_scale, load_trajectory,
-                     run_2d_base, run_perturbation, save_trajectory,
-                     taylor_green_exact)
+                     load_trajectory, run_2d_base, run_perturbation,
+                     save_trajectory, taylor_green_exact)
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
                         TwoDBudget)
@@ -169,13 +168,14 @@ def parse_config(text: str, seed: int | None = None) -> dict:
 
     Schema errors carry line-level positions (JSON decoder) or dotted key
     paths.  The checks that read two keys at once also refuse, before any
-    run starts: direct_3d without a perturbation, a grid or dt that
-    solver.check_viscous_scale refuses, strides that solver.check_strides
-    refuses, a budget that _resolve_budget refuses, a Taylor-Green initial
-    field on a box other than L = 2*pi, a random one whose seed (the
-    config's plus its own) is negative and a force the run would not apply
-    in full (_check_forcing).  The base run alone records a norm series, at
-    the required norm_stride.
+    run starts: direct_3d without a perturbation, a run that SolverConfig
+    refuses (the base and perturbation runs are built, without their
+    initial fields, by _run_config: a grid or dt off the viscous scale, a
+    stride off the window grid), a Taylor-Green initial field on a box
+    other than L = 2*pi, a random one whose seed (the config's plus its
+    own) is negative, a force the run would not apply in full
+    (_check_forcing) and a budget that _resolve_budget refuses.  The base
+    run alone records a norm series, at the required norm_stride.
     """
     try:
         given = json.loads(text)
@@ -186,30 +186,13 @@ def parse_config(text: str, seed: int | None = None) -> dict:
         spec["seed"] = seed
     if spec["direct_3d"] and spec["perturbation"] is None:
         raise ConfigError("config: direct_3d needs a perturbation")
-    dim = 2 if spec["perturbation"] is None else 3  # 3D has the larger kmax
-    try:
-        check_viscous_scale(TorusGrid(spec["L"], spec["N"], dim), spec["nu"],
-                            spec["dt"])
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}")
-    for where, section in (("config", spec),
-                           ("config.perturbation", spec["perturbation"])):
-        if section is not None:
-            try:
-                check_strides(spec["T"], spec["dt"],
-                              section["snapshot_stride"],
-                              section.get("norm_stride"))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}")
-    _resolve_budget(spec)
-    t_end = spec["windows"] * spec["T"]
-    for where, section, dim in (("config.base", spec["base"], 2),
-                                ("config.perturbation",
-                                 spec["perturbation"], 3)):
-        if section is None:
+    for run in ("base", "perturbation"):
+        if spec[run] is None:
             continue
-        initial = _KINDS["initial"][section["initial"]["kind"]] \
-            | section["initial"]
+        where = f"config.{run}"
+        cfg = _run_config(spec, run)
+        initial = _KINDS["initial"][spec[run]["initial"]["kind"]] \
+            | spec[run]["initial"]
         if initial["kind"] == "taylor-green" \
                 and abs(spec["L"] - 2.0 * math.pi) > 1e-12:
             raise ConfigError(f"{where}.initial: a Taylor-Green field needs "
@@ -217,9 +200,8 @@ def parse_config(text: str, seed: int | None = None) -> dict:
         if initial["kind"] == "random" and spec["seed"] + initial["seed"] < 0:
             raise ConfigError(f"{where}.initial: the seed {spec['seed']} + "
                               f"{initial['seed']} is negative")
-        _check_forcing(_build_forcing(section["forcing"], dim),
-                       make_grid(spec["L"], spec["N"], dim), t_end,
-                       f"{where}.forcing")
+        _check_forcing(cfg, f"{where}.forcing")
+    _resolve_budget(spec)
     return spec
 
 
@@ -271,10 +253,25 @@ def _build_forcing(cfg: dict, dim: int) -> ForcingSpec:
         raise ConfigError(f"forcing expression refused: {exc}")
 
 
-def _check_forcing(spec: ForcingSpec, grid: TorusGrid, t_end: float,
-                   where: str):
-    """Refuse a force that does not evaluate on grid or that has a
-    component above N/3 there.
+def _run_config(spec: dict, run: str) -> SolverConfig:
+    """The SolverConfig of spec's "base" or "perturbation" run, without its
+    initial field; a run that SolverConfig refuses raises ConfigError."""
+    dim = 2 if run == "base" else 3
+    strides = spec if run == "base" else spec[run]
+    forcing = _build_forcing(spec[run]["forcing"], dim)
+    try:
+        return SolverConfig(
+            grid=make_grid(spec["L"], spec["N"], dim), nu=spec["nu"],
+            dt=spec["dt"], t_end=spec["windows"] * spec["T"], T=spec["T"],
+            forcing=forcing, snapshot_stride=strides["snapshot_stride"],
+            norm_stride=strides.get("norm_stride"), sigma=spec["sigma"])
+    except ValueError as exc:
+        raise ConfigError(f"config.{run}: {exc}")
+
+
+def _check_forcing(cfg: SolverConfig, where: str):
+    """Refuse a force of cfg that does not evaluate on its grid or that
+    has a component above N/3 there.
 
     The kernel applies the force on the 2/3-rule modes only
     (grid.dealias_mask), so such a component would be dropped while the
@@ -282,9 +279,10 @@ def _check_forcing(spec: ForcingSpec, grid: TorusGrid, t_end: float,
     spanning [0, t_end]; coefficients outside the mask up to 1e-12 of the
     largest are transform roundoff.
     """
+    spec, grid = cfg.forcing, cfg.grid
     if spec.kind == "zero":
         return
-    for t in (0.0,) if spec.steady else np.linspace(0.0, t_end, 9):
+    for t in (0.0,) if spec.steady else np.linspace(0.0, cfg.t_end, 9):
         try:
             coeffs = np.abs(spec.evaluate(grid, t))
         except Exception as exc:
@@ -454,36 +452,26 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
         _write_atomic(os.path.join(out_dir, "spec.json"),
                       json.dumps(spec, indent=2, sort_keys=True) + "\n")
 
-    nu, dt, T = spec["nu"], spec["dt"], spec["T"]
-    t_end = spec["windows"] * T
-    g2 = make_grid(spec["L"], spec["N"], 2)
     paths = {"spec": os.path.join(out_dir, "spec.json")}
     runs = ("base", "perturbation", "direct")
     directories = tuple(os.path.join(out_dir, name) for name in runs)
     failed = False
     reports = {}
     try:
-        base_cfg = SolverConfig(
-            grid=g2, nu=nu, dt=dt, t_end=t_end, T=T,
-            forcing=_build_forcing(spec["base"]["forcing"], 2),
-            initial=_build_initial(spec["base"]["initial"], g2, nu,
-                                   spec["seed"], None),
-            snapshot_stride=spec["snapshot_stride"],
-            norm_stride=spec["norm_stride"], sigma=spec["sigma"])
+        base_cfg = _run_config(spec, "base")
+        base_cfg.initial = _build_initial(spec["base"]["initial"],
+                                          base_cfg.grid, spec["nu"],
+                                          spec["seed"], None)
         pert = direct = budget = cal = None
         if spec["perturbation"] is None:
             base = run_2d_base(base_cfg, directories[0])
         else:
-            g3 = make_grid(spec["L"], spec["N"], 3)
             cal, budget = _resolve_budget(spec)
-            p = spec["perturbation"]
-            pert_cfg = SolverConfig(
-                grid=g3, nu=nu, dt=dt, t_end=t_end, T=T,
-                forcing=_build_forcing(p["forcing"], 3),
-                initial=_build_initial(p["initial"], g3, nu, spec["seed"],
-                                       budget.gamma),
-                snapshot_stride=p["snapshot_stride"], sigma=spec["sigma"])
-            direct_cfg = _direct_config(spec, base_cfg, pert_cfg) \
+            pert_cfg = _run_config(spec, "perturbation")
+            pert_cfg.initial = _build_initial(
+                spec["perturbation"]["initial"], pert_cfg.grid, spec["nu"],
+                spec["seed"], budget.gamma)
+            direct_cfg = _direct_config(base_cfg, pert_cfg) \
                 if spec["direct_3d"] else None
             base, pert, direct = run_perturbation(pert_cfg, base_cfg,
                                                   direct_cfg, directories)
@@ -566,19 +554,15 @@ def _read_json(path):
                                     "run the experiment again") from None
 
 
-def _direct_config(spec, base_cfg: SolverConfig,
+def _direct_config(base_cfg: SolverConfig,
                    pert_cfg: SolverConfig) -> SolverConfig:
     """Config of the full 3D run of the recombined state v_s(0)+u(0)
-    under f_s+g."""
+    under f_s+g, on the perturbation's grid and clock."""
     g3 = pert_cfg.grid
     v0 = extrude_field(base_cfg.initial, g3)
     total0 = physical_field(g3, v0.physical() + pert_cfg.initial.physical())
-    forcing = combine_forcing(base_cfg.forcing, pert_cfg.forcing)
-    return SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],
-                        t_end=spec["windows"] * spec["T"], T=spec["T"],
-                        forcing=forcing, initial=total0,
-                        snapshot_stride=pert_cfg.snapshot_stride,
-                        sigma=spec["sigma"])
+    return replace(pert_cfg, initial=total0, forcing=combine_forcing(
+        base_cfg.forcing, pert_cfg.forcing))
 
 
 def combine_forcing(f2d: ForcingSpec, g3d: ForcingSpec) -> ForcingSpec:

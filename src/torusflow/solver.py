@@ -123,7 +123,8 @@ class ForcingSpec:
 
     expressions: one string per component in x1, x2 (, x3) and t, evaluated
     with numpy semantics, e.g. "0.1*sin(x1)*cos(t)"; _compile_expression
-    lists the grammar.
+    lists the grammar.  steady (no expression names t) is decided once, at
+    construction.
     """
 
     kind: str = "zero"
@@ -135,12 +136,9 @@ class ForcingSpec:
         if self.kind == "expression" and not self.expressions:
             raise ValueError("expression forcing needs component expressions")
         self._compiled = [_compile_expression(e) for e in self.expressions]
+        self.steady = not any("t" in names for _, names in self._compiled)
         self._last = (None, None)  # (key, transform) of the last evaluation
         self.evaluations = 0
-
-    @property
-    def steady(self) -> bool:
-        return not any("t" in names for _, names in self._compiled)
 
     def evaluate(self, grid: TorusGrid, t: float) -> np.ndarray:
         """Spectral coefficients of the force at time t, shared with every
@@ -182,6 +180,14 @@ class ForcingSpec:
 class SolverConfig:
     """One run's grid, viscosity, time grid, force and initial field.
 
+    The run's clock is stated here once and checked at construction, by
+    ValueError: t_end is a whole number of windows T, and T a whole number
+    of steps dt and, given a norm_stride, of norm intervals dt*norm_stride,
+    so that every window [kT, (k+1)T] starts and ends on a step and on a
+    norm sample.  n_steps and the step times times = dt*arange(n_steps + 1),
+    read-only, are fixed then.  dt must resolve the viscous scale of the grid:
+    dt*nu*kmax^2 <= 100.
+
     A run takes a snapshot every snapshot_stride steps and, given a
     norm_stride, a compute_norm_report every norm_stride steps, the last
     step included; None records no norm series.  The checks read the
@@ -198,6 +204,8 @@ class SolverConfig:
     snapshot_stride: int = 1
     norm_stride: int | None = None
     sigma: float = DEFAULT_SIGMA
+    n_steps: int = dc_field(init=False)
+    times: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -206,15 +214,32 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not (self.t_end >= self.T > 0):
             raise ValueError("need t_end >= T > 0")
-        check_viscous_scale(self.grid, self.nu, self.dt)
-        check_strides(self.T, self.dt, self.snapshot_stride, self.norm_stride)
-
-    @property
-    def n_steps(self) -> int:
-        n = round(self.t_end / self.dt)
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be a multiple of dt")
-        return n
+        kmax_sq = self.grid.dim * (np.pi * self.grid.N / self.grid.L) ** 2
+        scale = self.dt * self.nu * kmax_sq
+        if scale > 100.0:
+            raise ValueError("dt does not resolve the viscous scale "
+                             f"(dt*nu*kmax^2 = {scale:.3g})")
+        strides = {"snapshot_stride": self.snapshot_stride}
+        if self.norm_stride is not None:
+            strides["norm_stride"] = self.norm_stride
+        for name, stride in strides.items():
+            if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+                raise ValueError(f"{name} must be a positive integer, got "
+                                 f"{stride!r}")
+        stride = self.norm_stride or 1
+        interval = self.dt * stride
+        windows, per = self.t_end / self.T, self.T / interval
+        if abs(per - round(per)) > 1e-8:
+            what = "norm interval dt*norm_stride" if self.norm_stride \
+                else "step dt"
+            raise ValueError(f"window length T={self.T:g} must be a multiple "
+                             f"of the {what}={interval:g}")
+        if abs(windows - round(windows)) > 1e-8:
+            raise ValueError(f"t_end={self.t_end:g} must be a whole number "
+                             f"of windows T={self.T:g}")
+        self.n_steps = round(windows) * round(per) * int(stride)
+        self.times = self.dt * np.arange(self.n_steps + 1)
+        self.times.flags.writeable = False  # every run of cfg shares it
 
     def describe(self) -> dict:
         return {
@@ -225,35 +250,6 @@ class SolverConfig:
             "snapshot_stride": self.snapshot_stride,
             "norm_stride": self.norm_stride, "sigma": self.sigma,
         }
-
-
-def check_viscous_scale(grid: TorusGrid, nu: float, dt: float):
-    """Raise ValueError unless dt*nu*kmax^2 <= 100 on grid."""
-    kmax_sq = grid.dim * (np.pi * grid.N / grid.L) ** 2
-    if dt * nu * kmax_sq > 100.0:
-        raise ValueError("dt does not resolve the viscous scale "
-                         f"(dt*nu*kmax^2 = {dt * nu * kmax_sq:.3g})")
-
-
-def check_strides(T: float, dt: float, snapshot_stride, norm_stride):
-    """Raise ValueError unless snapshot_stride is a positive integer and,
-    given a norm_stride (None: no norm series), so is norm_stride and the
-    window length T is a whole number of norm intervals dt * norm_stride.
-
-    The windowed estimates read the norm series, so a window must end on a
-    norm sample; snapshots are output only and may fall anywhere.
-    """
-    for name, stride in (("snapshot_stride", snapshot_stride),
-                         ("norm_stride", norm_stride)):
-        if name == "norm_stride" and stride is None:
-            return
-        if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-            raise ValueError(f"{name} must be a positive integer, got "
-                             f"{stride!r}")
-    windows = T / (dt * norm_stride)
-    if abs(windows - round(windows)) > 1e-8:
-        raise ValueError(f"window length T={T:g} must be a multiple of the "
-                         f"norm interval dt*norm_stride={dt * norm_stride:g}")
 
 
 def diag_columns(label: str, dim: int) -> list:
@@ -585,7 +581,7 @@ class _Member:
             raise ValueError("initial field grid mismatch")
         self.cfg, self.label, self.n = cfg, label, cfg.n_steps
         self.evaluations_before = cfg.forcing.evaluations
-        self.tgrid = cfg.dt * np.arange(self.n + 1)
+        self.tgrid = cfg.times
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
         self.diag = {"t": self.tgrid,
@@ -717,7 +713,7 @@ def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
-    for i, t in enumerate(cfg.dt * np.arange(len(out))):
+    for i, t in enumerate(cfg.times):
         out[i] = norm_sq(_mean_free_force(cfg, t))
         if cfg.forcing.steady:
             out[:] = out[0]

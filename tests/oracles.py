@@ -24,6 +24,20 @@ def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
     return out
 
 
+def window_slices_by_time(times: np.ndarray, T: float) -> list:
+    """The replaced window map of the estimates: (k, indices of the samples
+    with kT - 1e-9 <= t <= (k+1)T + 1e-9) for k below round(t_end/T), for
+    each window holding two samples or more."""
+    k_max = int(round(times[-1] / T + 1e-9))
+    out = []
+    for k in range(k_max):
+        lo, hi = k * T, (k + 1) * T
+        sel = np.nonzero((times >= lo - 1e-9) & (times <= hi + 1e-9))[0]
+        if sel.size >= 2:
+            out.append((k, sel))
+    return out
+
+
 def hessian_l2_norm_sq(field: Field) -> float:
     """Squared L2 norm of all second derivatives (ordered pairs) by
     Parseval: the modewise weight is |k|^4, built from the discrete

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import embedding_ratio_l6_h1, hessian_l2_norm_sq
+from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq,
+                     window_slices_by_time)
 from torusflow import make_grid
 from torusflow.field import (leray_data, physical_padded, random_divfree_field,
                              spectral_field)
@@ -18,6 +19,34 @@ from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
 from torusflow import estimates as est
 
 NU, T = 0.5, 1.0
+
+
+@pytest.mark.parametrize("dt, windows, stride", [
+    (2e-3, 3, 1), (5e-3, 3, 1), (2e-3, 3, 25),
+    # a base run at dt/4, as criterion 07 steps it
+    (2.5e-4, 1, 1),
+    (1e-3, 20, 1)],
+    ids=["steps-2e-3", "steps-5e-3", "norms-stride-25", "base-dt-over-4",
+         "20-windows"])
+def test_window_map_matches_selection_by_time(grid2, dt, windows, stride):
+    # the integer window map picks, on a run's own step or norm times, the
+    # samples that the replaced float selection picked
+    cfg = SolverConfig(grid=grid2, nu=NU, dt=dt, t_end=windows * T, T=T,
+                       norm_stride=stride)
+    times = cfg.times[::stride]
+    got = est._window_slices(times, T)
+    want = window_slices_by_time(times, T)
+    assert [k for k, _ in got] == [k for k, _ in want] == list(range(windows))
+    for (_, a), (_, b) in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_window_map_has_no_partial_window():
+    # the replaced selection took [1, 1.5] for a second window
+    assert [k for k, _ in est._window_slices(0.01 * np.arange(151), T)] \
+        == [0]
+    assert [k for k, _ in window_slices_by_time(0.01 * np.arange(151), T)] \
+        == [0, 1]
 
 
 @pytest.fixture(scope="module")

@@ -66,10 +66,21 @@ def test_config_validation(grid2):
         # between two of them
         SolverConfig(grid=grid2, nu=0.1, dt=5e-3, t_end=0.5, T=0.5,
                      initial=v0, snapshot_stride=100, norm_stride=30)
+    # a run's clock is refused at construction: [1, 1.5] is no window, nor
+    # is t_end = 1.0011 a whole number of windows; with no norm_stride, T
+    # must still be a whole number of steps
+    for dt, t_end, what in ((1e-3, 1.5, "windows"), (2e-3, 1.0011, "windows"),
+                            (3e-3, 1, "step dt")):
+        with pytest.raises(ValueError, match=what):
+            SolverConfig(grid=grid2, nu=0.1, dt=dt, t_end=t_end, T=1,
+                         initial=v0)
     # without a norm_stride a run records no norm series, and snapshots may
     # fall anywhere
     assert SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1,
                         initial=v0, snapshot_stride=3).norm_stride is None
+    cfg = SolverConfig(grid=grid2, nu=0.1, dt=2e-3, t_end=3, T=1, initial=v0)
+    assert cfg.n_steps == 1500
+    np.testing.assert_array_equal(cfg.times, 2e-3 * np.arange(1501))
 
 
 def test_forcing_expression_and_steady(grid2):
@@ -695,8 +706,9 @@ def test_run_perturbation_refuses_mismatched_base(base_dt, base_t_end):
 def test_recorded_forcing_norms_match_separate_passes(base_force):
     # one pass of its own over the step times per norm: the reference for
     # forcing_l2_sq, and the path that records forcing_l6_5_sq.  At
-    # dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), where the
-    # force the step evaluated last is not the one at t_{i+1}
+    # dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), so a step
+    # that evaluated its force at t_i + dt would record another norm than
+    # the pass, which evaluates at t_{i+1}
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
     nu, dt, t_end = 0.5, 2e-3, 0.2
     tgrid = dt * np.arange(round(t_end / dt) + 1)
