@@ -431,8 +431,8 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     PHASES in this process (direct, perturbation: with the wait for its
     worker), the busy seconds of each forked worker, the solver steps per
     second of the runs and, per run and for the forcing worker, the
-    evaluations of its force that the cache did not serve and, per run, the
-    count and bytes of its snapshot files.
+    evaluations of its force (one per step time) and, per run, the count
+    and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)

@@ -23,6 +23,10 @@ to K, in numpy's own axis order, and every other operation is per mode, so
 each state equals, bit for bit, the one the full spectral lattice gives
 under the 2/3-rule masks.  The records read the K-state itself; only a
 snapshot or a norm report copies it onto the full lattice, +0.0 outside K.
+Every force a run uses is computed on K as well: its physical values
+through the pruned rfftn, and the L^{6/5} series of the perturbation's
+force through the pruned irfftn stages at 2N points an axis, each equal
+bit for bit to the full transform's values on K.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -45,14 +49,15 @@ import shutil
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .grid import TorusGrid
 from .field import (Field, load_field, mean_free, save_field, spectral_data,
                     spectral_field)
-from .norms import (NORM_REPORT_COLUMNS, compute_norm_report, l2_norm_sq,
-                    lp_norm, DEFAULT_SIGMA)
+from .norms import (NORM_REPORT_COLUMNS, _quadrature_norm,
+                    compute_norm_report, l2_norm_sq, lp_norm, DEFAULT_SIGMA)
 from .worker import Worker
 
 
@@ -124,7 +129,8 @@ class ForcingSpec:
     expressions: one string per component in x1, x2 (, x3) and t, evaluated
     with numpy semantics, e.g. "0.1*sin(x1)*cos(t)"; _compile_expression
     lists the grammar.  steady (no expression names t) is decided once, at
-    construction.
+    construction.  evaluations counts the calls of physical, evaluate's
+    included.
     """
 
     kind: str = "zero"
@@ -137,40 +143,37 @@ class ForcingSpec:
             raise ValueError("expression forcing needs component expressions")
         self._compiled = [_compile_expression(e) for e in self.expressions]
         self.steady = not any("t" in names for _, names in self._compiled)
-        self._last = (None, None)  # (key, transform) of the last evaluation
         self.evaluations = 0
 
-    def evaluate(self, grid: TorusGrid, t: float) -> np.ndarray:
-        """Spectral coefficients of the force at time t, shared with every
-        caller asking for the same grid and time: do not write to them.
+    def physical(self, grid: TorusGrid, t: float, out=None) -> np.ndarray:
+        """Physical values of the force at time t into out, shape
+        (dim,) + grid.shape_phys (a new array if None).
 
-        The expressions are evaluated on the broadcastable coordinate axes
-        grid.coords and the result broadcast to the grid.  Only the last
-        evaluation is kept: a step asks for its run's step times t_i, then
-        t_{i+1}, which the next step asks for again.  evaluations counts
-        the calls it did not serve.
+        Each expression is evaluated on the broadcastable coordinate axes
+        grid.coords and its value broadcast into its component of out.
         """
-        key = (grid.L, grid.N, grid.dim, 0.0 if self.steady else float(t))
-        if self._last[0] == key:
-            return self._last[1]
         self.evaluations += 1
+        if out is None:
+            out = np.empty((grid.dim,) + grid.shape_phys)
         if self.kind == "zero":
-            out = np.zeros((grid.dim,) + grid.shape_spec, dtype=complex)
-        else:
-            if len(self.expressions) != grid.dim:
-                raise ValueError(
-                    f"need {grid.dim} component expressions, got "
-                    f"{len(self.expressions)}")
-            names = dict(_EXPR_FUNCTIONS, pi=np.pi, t=t)
-            for ax, c in enumerate(grid.coords):
-                names[f"x{ax + 1}"] = c
-            phys = np.array([
-                np.broadcast_to(eval(code, {"__builtins__": {}}, names),
-                                grid.shape_phys).astype(float)
-                for code, _ in self._compiled])
-            out = spectral_data(grid, phys)
-        self._last = (key, out)
+            out.fill(0.0)
+            return out
+        if len(self.expressions) != grid.dim:
+            raise ValueError(f"need {grid.dim} component expressions, got "
+                             f"{len(self.expressions)}")
+        names = dict(_EXPR_FUNCTIONS, pi=np.pi, t=t)
+        for ax, c in enumerate(grid.coords):
+            names[f"x{ax + 1}"] = c
+        for c, (code, _) in enumerate(self._compiled):
+            out[c] = eval(code, {"__builtins__": {}}, names)
         return out
+
+    def evaluate(self, grid: TorusGrid, t: float) -> np.ndarray:
+        """Spectral coefficients of the force at time t on the full
+        lattice, as a new array: rfftn of physical.  The runs take only the
+        2/3-rule modes K (_Workspace.kept_force); this serves the config
+        check, which looks outside K."""
+        return spectral_data(grid, self.physical(grid, t))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +280,8 @@ class Trajectory:
     a run that streamed them to disk, are files of field.save_field
     (snapshot_paths) and snapshots is empty.  A trajectory loaded from disk
     has neither.  step_seconds is the wall time the run spent stepping and
-    recording, force_evaluations the evaluations of its force that the
-    ForcingSpec cache did not serve, wait_seconds the wall time its caller
+    recording, force_evaluations the evaluations of its force (one per
+    step time, _Workspace.kept_force), wait_seconds the wall time its caller
     waited for a worker of it, and forcing_worker (busy seconds, force
     evaluations) of the worker that computed its forcing_l6_5_sq, if any."""
 
@@ -318,13 +321,19 @@ class _Workspace:
     by stage in numpy's own axis order: before each inverse stage the kept
     rows are copied into a zero-padded buffer, and after each forward
     stage only the kept rows are kept.  Every transformed line gets the
-    arithmetic it gets in the full transform, and every other operation is
-    per mode, so a state stepped here equals, bit for bit on K, the one the
-    full lattice gives with its 2/3-rule masks; to_full puts it there.
+    arithmetic it gets in the full transform, and a line left out is zero
+    and would transform to zeros; every other operation is per mode, so a
+    state stepped here equals, bit for bit on K, the one the full lattice
+    gives with its 2/3-rule masks; to_full puts it there.  spectral takes
+    the products of the kernel or the force's values (kept_force, force);
+    padded_magnitude runs physical's stages at 2N points an axis, one call
+    per stage over every component, for the force's L^{6/5} series.
 
-    Every array, the transforms' buffers included, is allocated once; the
-    kernel and the step write into them with out=, so a run allocates no
-    state-sized array per step.  n0 holds the projected flux of the last
+    Every array, the transforms' buffers included, is allocated once (the
+    padded stages' at their first use); the kernel and the step write into
+    them with out=, so a run allocates no state-sized array per step.  w
+    holds the kernel's physical values, and the force's at an evaluation.
+    n0 holds the projected flux of the last
     step, and the next one is written into n1.  The workspace steps one
     state: its first step takes the flux before it to be its own.  Without
     nu and dt the Crank-Nicolson factors are 1 and the workspace serves the
@@ -336,15 +345,9 @@ class _Workspace:
         self.grid, self.dt = grid, dt
         self.shape = (d,) + (2 * c + 1,) * (d - 1) + (c + 1,)
         self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
-        # the kept rows of a full axis, as slices of a full and of a K
-        # axis: the modes 0..c, then -c..-1
+        # the 2^(d-1) blocks of K: (index into the full lattice, into K)
         lo, hi_full, hi_kept = slice(0, c + 1), slice(N - c, N), \
             slice(c + 1, 2 * c + 1)
-        self.row_slices = {ax: ((slice(None),) * ax + (lo,),
-                                (slice(None),) * ax + (hi_full,),
-                                (slice(None),) * ax + (hi_kept,))
-                           for ax in range(1, d)}
-        # the 2^(d-1) blocks of K: (index into the full lattice, into K)
         self.blocks = [((...,), (...,))]
         for _ in range(d - 1):
             self.blocks = [(f + (fs,), k + (ks,)) for f, k in self.blocks
@@ -369,20 +372,16 @@ class _Workspace:
         self.force_sum = np.empty(self.shape, dtype=complex)
         self.norm_weights = [self.to_kept(grid.parseval_weights[w])
                              for w in ("l2", "grad", "h2")]
-        self._force = (None, None)  # (the last force, P of it on K)
+        # the force on K and P of it, of the forcing and time of _force
+        self.kept_f = np.empty(self.shape, dtype=complex)
+        self.projected_f = np.empty(self.shape, dtype=complex)
+        self._force = (None, None, False)  # (forcing, time, projected)
 
-        # physical: per full axis its zero-padded input and its result,
-        # then the zero-padded input of the last axis
-        shape, self.inverse_stages = list(self.shape), []
-        for ax in range(1, d):
-            shape[ax] = N
-            self.inverse_stages.append((ax, np.zeros(shape, dtype=complex),
-                                        np.empty(shape, dtype=complex)))
-        shape[-1] = N // 2 + 1
-        self.inverse_last = np.zeros(shape, dtype=complex)
+        self.inverse = self._inverse_buffers(N)
         # spectral: the rfft of the products, then per full axis, from the
-        # last to the first, its result and (but for the first axis, which
-        # writes into the caller's array) the kept rows of that
+        # last to the first, its kept rows, its result and (but for the
+        # first axis, which writes into the caller's array) the kept rows
+        # of that
         shape = [len(self.pairs), *grid.shape_spec]
         self.forward_first = np.empty(shape, dtype=complex)
         shape[-1], self.forward_stages = c + 1, []
@@ -390,8 +389,36 @@ class _Workspace:
             result = np.empty(shape, dtype=complex)
             shape[ax] = 2 * c + 1
             self.forward_stages.append(
-                (ax, result, np.empty(shape, dtype=complex) if ax > 1
-                 else None))
+                (ax, self._rows(ax, N), result,
+                 np.empty(shape, dtype=complex) if ax > 1 else None))
+
+    def _rows(self, ax, n):
+        """The kept rows of axis ax at n points, the modes 0..c, then
+        -c..-1: (index of 0..c, of -c..-1 at n points, of -c..-1 on K)."""
+        c, pre = self.grid.N // 3, (slice(None),) * ax
+        return (pre + (slice(0, c + 1),), pre + (slice(n - c, n),),
+                pre + (slice(c + 1, 2 * c + 1),))
+
+    def _inverse_buffers(self, n):
+        """The buffers of irfftn's stages from K to n points an axis, for
+        dim components: per full axis its kept rows, its zero-padded input
+        and its result, then the zero-padded input of the last axis."""
+        shape, stages = list(self.shape), []
+        for ax in range(1, self.grid.dim):
+            shape[ax] = n
+            stages.append((ax, self._rows(ax, n),
+                           np.zeros(shape, dtype=complex),
+                           np.empty(shape, dtype=complex)))
+        shape[-1] = n // 2 + 1
+        return stages, np.zeros(shape, dtype=complex)
+
+    @cached_property
+    def padded(self):
+        """(_inverse_buffers at M = 2N, the (dim, M, ..., M) result),
+        allocated at the first padded_magnitude."""
+        M = 2 * self.grid.N
+        return self._inverse_buffers(M) + (
+            np.empty((self.grid.dim,) + (M,) * self.grid.dim),)
 
     def to_kept(self, a):
         """The entries on K of a, an array over the spectral lattice or
@@ -421,44 +448,101 @@ class _Workspace:
         return tuple(float(self.grid.volume * np.sum(w * mag))
                      for w in self.norm_weights)
 
+    def mean_free_field(self, v) -> Field:
+        """The K-state v without its mean on the full lattice, +0.0
+        outside K, as a new spectral Field."""
+        full = self.to_full(v)
+        full[(slice(None),) + (0,) * self.grid.dim] = 0.0
+        return spectral_field(self.grid, full)
+
+    def _inverse(self, v, buffers, n, out):
+        """irfftn's stages of the K-state v to n points an axis, pruned to
+        K, through buffers (_inverse_buffers(n)), into out (a new array if
+        None)."""
+        stages, last = buffers
+        for ax, (lo, hi, hi_kept), padded, result in stages:
+            padded[lo] = v[lo]
+            padded[hi] = v[hi_kept]
+            v = np.fft.ifft(padded, axis=ax, norm="forward", out=result)
+        last[..., :self.shape[-1]] = v
+        return np.fft.irfft(last, n=n, axis=-1, norm="forward", out=out)
+
     def physical(self, v, out=None):
         """Physical values of the K-state v into out (a new array if
         None): irfftn's stages, pruned to K."""
-        for ax, padded, result in self.inverse_stages:
-            lo, hi_full, hi_kept = self.row_slices[ax]
-            padded[lo] = v[lo]
-            padded[hi_full] = v[hi_kept]
-            v = np.fft.ifft(padded, axis=ax, norm="forward", out=result)
-        self.inverse_last[..., :self.shape[-1]] = v
-        return np.fft.irfft(self.inverse_last, n=self.grid.N, axis=-1,
-                            norm="forward", out=out)
+        return self._inverse(v, self.inverse, self.grid.N, out)
+
+    def padded_magnitude(self, v):
+        """|u(x)| on the 2N grid of the mean-free part u of the K-state v,
+        into a buffer of the workspace that the next call overwrites.
+
+        physical's stages at M = 2N, one call per stage over every
+        component (padded), then the squares added in component order and
+        the square root: norms._padded_magnitude of field.physical_padded,
+        bit for bit, which transforms every line of the full lattice one
+        component at a time.  The lines it skips are zero, and a zero line
+        transforms to zeros.
+        """
+        part = self.terms
+        part[...] = v
+        part[(slice(None),) + (0,) * self.grid.dim] = 0.0
+        *buffers, out = self.padded
+        vals = self._inverse(part, buffers, 2 * self.grid.N, out)
+        np.square(vals, out=vals)
+        mag = vals[0]
+        for square in vals[1:]:
+            mag += square
+        return np.sqrt(mag, out=mag)
 
     def spectral(self, phys, out):
         """The K entries of the spectral coefficients of the physical
-        products phys into out: rfftn's stages, pruned to K."""
+        values phys, any leading count up to len(pairs), into out: rfftn's
+        stages, pruned to K."""
+        lead = len(phys)
         v = np.fft.rfft(phys, axis=-1, norm="forward",
-                        out=self.forward_first)[..., :self.shape[-1]]
-        for ax, result, kept in self.forward_stages:
-            np.fft.fft(v, axis=ax, norm="forward", out=result)
-            v = out if kept is None else kept
-            lo, hi_full, hi_kept = self.row_slices[ax]
+                        out=self.forward_first[:lead])[..., :self.shape[-1]]
+        for ax, (lo, hi, hi_kept), result, kept in self.forward_stages:
+            result = np.fft.fft(v, axis=ax, norm="forward",
+                                out=result[:lead])
+            v = out if kept is None else kept[:lead]
             v[lo] = result[lo]
-            v[hi_kept] = result[hi_full]
+            v[hi_kept] = result[hi]
         return out
 
+    def kept_force(self, forcing: ForcingSpec, t: float):
+        """The force of forcing at t on K: its physical values
+        (forcing.physical, into w) through spectral, equal on K to
+        forcing.evaluate bit for bit.
+
+        The force of one step time is kept, with its projection (force),
+        until another is asked for: a step asks for t_i, then t_{i+1},
+        which the step's record and the next step ask for again, so each
+        step time costs one evaluation, and a steady force one per run.
+        The array is the workspace's: do not write to it.
+        """
+        when = 0.0 if forcing.steady else float(t)
+        kept, kept_when, _ = self._force
+        if kept is not forcing or kept_when != when:
+            self.spectral(forcing.physical(self.grid, t, out=self.w),
+                          out=self.kept_f)
+            self._force = (forcing, when, False)
+        return self.kept_f
+
     def force(self, forcing: ForcingSpec, t: float):
-        """The Leray projection of the force of forcing at t on K, gathered
-        and projected once per evaluation.
+        """The Leray projection of kept_force, computed once per
+        evaluation.  The array is the workspace's: do not write to it.
 
         The storage is the 2/3-rule mask: the applied force is the force on
         K and zero elsewhere, so a state stays exactly on K.  A force
         component above N/3 is not applied (experiments.parse_config refuses
         a config that names one); resolve it with a larger N.
         """
-        f = forcing.evaluate(self.grid, t)
-        if f is not self._force[0]:
-            self._force = (f, self.project(self.to_kept(f)))
-        return self._force[1]
+        f = self.kept_force(forcing, t)
+        if not self._force[2]:
+            self.projected_f[...] = f
+            self.project(self.projected_f)
+            self._force = self._force[:2] + (True,)
+        return self.projected_f
 
     def background(self, b, products=None):
         """(b, the products b[i] * b[j] of self.pairs): the background of
@@ -532,8 +616,9 @@ class _Workspace:
         if not self.started:
             previous[...] = flux
             self.started = True
-        np.add(self.force(forcing, t), self.force(forcing, t_next),
-               out=force_sum)
+        # force's array holds one step time: P f(t) is copied out first
+        force_sum[...] = self.force(forcing, t)
+        force_sum += self.force(forcing, t_next)
         force_sum *= 0.5 * dt
         np.multiply(self.A, v, out=v)
         v += force_sum
@@ -565,8 +650,10 @@ class _Member:
     a copy of the state in memory.
 
     Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i is
-    the norm of the applied force at tgrid[i] (_mean_free_force), which the
-    step ending there has already evaluated, so each step time costs one
+    l2_norm_sq of the applied force at tgrid[i] without its mean: the
+    workspace's kept force (_Workspace.kept_force), which the step ending
+    there has already evaluated, on the full lattice with its k=0 mode
+    zeroed (_Workspace.mean_free_field); so each step time costs one
     evaluation.  The count is read from the run's ForcingSpec: one
     shared with another run adds that run's evaluations.  No L^{6/5} norm
     is computed per step: run_perturbation records forcing_l6_5_sq.
@@ -609,7 +696,7 @@ class _Member:
         if i == 0 or not steady:
             # a steady force's norm holds at every step
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
-                l2_norm_sq(_mean_free_force(cfg, t))
+                l2_norm_sq(ws.mean_free_field(ws.kept_force(cfg.forcing, t)))
         snapshot = i % cfg.snapshot_stride == 0 or i == self.n
         report = cfg.norm_stride and (i % cfg.norm_stride == 0 or i == self.n)
         if not (snapshot or report):
@@ -695,35 +782,40 @@ def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
     return run.trajectory()
 
 
-def _mean_free_force(cfg: SolverConfig, t: float) -> Field:
-    """The applied force of cfg at time t without its mean, as a new
-    Field: the force on the 2/3-rule modes, as _Workspace.flux_rhs applies
-    it, so the recorded forcing norms are those the equations see."""
-    grid = cfg.grid
-    bar = cfg.forcing.evaluate(grid, t) * grid.dealias_mask
-    bar[(slice(None),) + (0,) * grid.dim] = 0.0
-    return spectral_field(grid, bar)
-
-
-def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
-    """norm_sq of the mean-free force at every step of cfg, in one pass of
-    its own (one evaluation per step time, one for a steady force): how
-    run_perturbation records forcing_l6_5_sq, and the reference that a
-    run's recorded forcing_l2_sq must equal."""
+def _force_series(cfg: SolverConfig, value) -> np.ndarray:
+    """value(ws, f) at every step of cfg, for the force f on K at its time
+    (_Workspace.kept_force of ws, a workspace of this pass alone): one
+    evaluation per step time, one for a steady force, none for a zero
+    force, whose series is zero."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
+    ws = _Workspace(cfg.grid)
     for i, t in enumerate(cfg.times):
-        out[i] = norm_sq(_mean_free_force(cfg, t))
+        out[i] = value(ws, ws.kept_force(cfg.forcing, t))
         if cfg.forcing.steady:
             out[:] = out[0]
             break
     return out
 
 
+def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
+    """norm_sq of the mean-free force (_Workspace.mean_free_field) at
+    every step of cfg, in one pass of its own (_force_series): the
+    reference that a run's recorded forcing_l2_sq must equal."""
+    return _force_series(cfg, lambda ws, f: norm_sq(ws.mean_free_field(f)))
+
+
 def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
-    """||mean-free force||_{L^p}^2 at every step of cfg (_forcing_series)."""
-    return _forcing_series(cfg, lambda f: lp_norm(f, p) ** 2)
+    """||mean-free force||_{L^p}^2 at every step of cfg, in one pass of
+    its own (_force_series), equal bit for bit to lp_norm(., p) ** 2 of
+    the mean-free force: for p = 2 by Parseval (lp_norm itself), else by
+    the collocation rule on the 2N grid (norms._quadrature_norm) of
+    _Workspace.padded_magnitude."""
+    if p == 2:
+        return _forcing_series(cfg, lambda f: lp_norm(f, 2) ** 2)
+    return _force_series(cfg, lambda ws, f: _quadrature_norm(
+        cfg.grid, ws.padded_magnitude(f), p) ** 2)
 
 
 def _timed_forcing_l6_5_sq(cfg: SolverConfig) -> tuple:
@@ -759,9 +851,10 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
 
     The perturbation's forcing_l6_5_sq depends on its force alone: for a
     time-dependent force a second forked worker computes it with
-    _forcing_series beside the runs (forcing_worker, wait_seconds); a
-    steady or zero force takes one evaluation here.  A blow-up or any other
-    exception kills and reaps every worker still running.
+    forcing_lp_sq_series beside the runs (forcing_worker, wait_seconds); a
+    steady force takes one evaluation here, and a zero force none.  A
+    blow-up or any other exception kills and reaps every worker still
+    running.
 
     Given directories, one trajectory directory per run in the order
     returned, each run streams its snapshots into its own (_Member), the

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from torusflow.field import Field, leray_data, physical_data, spectral_data
-from torusflow.norms import lp_norm, sobolev_norm_sq
+from torusflow.field import (Field, leray_data, physical_data, spectral_data,
+                             spectral_field)
+from torusflow.norms import l2_norm_sq, lp_norm, sobolev_norm_sq
 
 
 def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,
@@ -35,6 +36,33 @@ def window_slices_by_time(times: np.ndarray, T: float) -> list:
         sel = np.nonzero((times >= lo - 1e-9) & (times <= hi + 1e-9))[0]
         if sel.size >= 2:
             out.append((k, sel))
+    return out
+
+
+def mean_free_force(cfg, t: float) -> Field:
+    """The replaced solver._mean_free_force: the force of cfg at t on the
+    full lattice (ForcingSpec.evaluate), times the 2/3-rule mask, with its
+    k=0 coefficient zeroed."""
+    grid = cfg.grid
+    bar = cfg.forcing.evaluate(grid, t) * grid.dealias_mask
+    bar[(slice(None),) + (0,) * grid.dim] = 0.0
+    return spectral_field(grid, bar)
+
+
+def forcing_norm_sq_series(cfg, p: float) -> np.ndarray:
+    """The replaced solver.forcing_lp_sq_series: lp_norm(., p) ** 2 of
+    mean_free_force at every step time of cfg (physical_padded, one
+    component at a time, for p != 2), l2_norm_sq for p = None; a steady
+    force's once, zeros for a zero force."""
+    out = np.zeros(cfg.n_steps + 1)
+    if cfg.forcing.kind == "zero":
+        return out
+    for i, t in enumerate(cfg.times):
+        f = mean_free_force(cfg, t)
+        out[i] = l2_norm_sq(f) if p is None else lp_norm(f, p) ** 2
+        if cfg.forcing.steady:
+            out[:] = out[0]
+            break
     return out
 
 

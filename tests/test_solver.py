@@ -27,7 +27,8 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               save_trajectory, taylor_green_exact,
                               _Workspace)
 
-from oracles import FullLatticeWorkspace, mean_ode_integrate
+from oracles import (FullLatticeWorkspace, forcing_norm_sq_series,
+                     mean_ode_integrate)
 
 
 def nse_rhs(v, f, nu):
@@ -730,6 +731,68 @@ def test_recorded_forcing_norms_match_separate_passes(base_force):
                                   _forcing_series(pert_cfg, l2_norm_sq))
     np.testing.assert_array_equal(pert.diag["forcing_l6_5_sq"],
                                   forcing_lp_sq_series(pert_cfg, 1.2))
+
+
+def _force_to_cutoff(N, dim):
+    """A time-dependent force with a mean and modes up to |m| = N // 3,
+    the largest the 2/3 rule keeps, along every axis."""
+    c = N // 3
+    return ForcingSpec(kind="expression", expressions=(
+        f"0.3 + 0.1*sin({c}*x2 + t)*cos(x1) - 0.2*cos({c}*x1)*exp(t)",
+        f"0.05*sin(x1 - 2*t)*cos({c}*x{dim}) + 0.7*sin({c}*x1)",
+        f"-0.4*cos(x2)*sin({c}*x3 + 3*t) + 0.1")[:dim])
+
+
+@pytest.mark.parametrize("N", [8, 12, 16, 18])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kept_force_matches_full_transform(dim, N):
+    # the force's values through the pruned rfftn equal the full rfftn on
+    # K bit for bit, and so does its projection; the force of a step time
+    # is kept, at the cost of one evaluation
+    grid = make_grid(2 * np.pi, N, dim)
+    forcing = _force_to_cutoff(N, dim)
+    ws = _Workspace(grid)
+    values = np.empty((dim,) + grid.shape_phys)
+    for t in (0.0, 0.37):
+        assert forcing.physical(grid, t, out=values) is values
+        full = forcing.evaluate(grid, t)
+        before = forcing.evaluations
+        kept = ws.kept_force(forcing, t)
+        assert kept.tobytes() == ws.to_kept(full).tobytes()
+        projected = ws.force(forcing, t)
+        assert projected.tobytes() \
+            == ws.project(ws.to_kept(full)).tobytes()
+        assert ws.kept_force(forcing, t) is kept
+        assert ws.force(forcing, t) is projected
+        assert forcing.evaluations == before + 1
+
+
+@pytest.mark.parametrize("dim, N, expressions, t_end", [
+    (3, 16, ("1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)*cos(t)",
+             "1e-6*sin(x2)*cos(t)"), 0.2),
+    *[(3, N, None, 0.05) for N in (8, 12, 16, 18)],
+    (2, 16, None, 0.05),
+    (3, 16, ("0.2 + sin(5*x2)", "cos(x3)", "sin(5*x1)*cos(x2)"), 0.05)],
+    ids=["forced-direct", "N8", "N12", "N16", "N18", "2d", "steady"])
+def test_forcing_series_match_replaced_path(dim, N, expressions, t_end):
+    # the series on K (the pruned stages at 2N for p != 2, Parseval for
+    # p = 2) equal, bit for bit, lp_norm and l2_norm_sq of the replaced
+    # mean-free force on the full lattice (tests/oracles.py); the first
+    # case is the perturbation force of bench/workloads/forced-direct.json
+    grid = make_grid(2 * np.pi, N, dim)
+    forcing = _force_to_cutoff(N, dim) if expressions is None \
+        else ForcingSpec(kind="expression", expressions=expressions)
+    cfg = SolverConfig(grid=grid, nu=1.0, dt=2e-3 if N == 16 else 1e-2,
+                       t_end=t_end, T=t_end, forcing=forcing)
+    for p in (1.2, 2, 3):
+        before = forcing.evaluations
+        series = forcing_lp_sq_series(cfg, p)
+        assert forcing.evaluations - before \
+            == (1 if forcing.steady else cfg.n_steps + 1)
+        assert series.tobytes() == forcing_norm_sq_series(cfg, p).tobytes()
+    assert _forcing_series(cfg, l2_norm_sq).tobytes() \
+        == forcing_norm_sq_series(cfg, None).tobytes()
+    assert (series > 0).all()
 
 
 def test_force_above_two_thirds_is_not_applied():
