@@ -19,7 +19,7 @@ forcing = ForcingSpec(kind="expression", expressions=(
     "0.02*sin(x1)*cos(x2)*cos(t)", "-0.02*cos(x1)*sin(x2)*cos(t)"))
 
 cfg = SolverConfig(grid=grid, nu=nu, dt=5e-3, t_end=5 * T, T=T,
-                   forcing=forcing, snapshot_stride=20, norm_stride=10,
+                   forcing=forcing, snapshot_stride=20,
                    initial=taylor_green_exact(grid, nu, 0.0, amplitude=0.3))
 base = run_2d_base(cfg)
 

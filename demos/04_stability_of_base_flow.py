@@ -32,7 +32,7 @@ print(f"gamma* = {gamma_star:.4e}   gamma = {budget.gamma:.4e}\n")
 base_cfg = SolverConfig(
     grid=g2, nu=nu, dt=dt, t_end=windows * T, T=T,
     initial=taylor_green_exact(g2, nu, 0.0, amplitude=0.005),
-    snapshot_stride=250, norm_stride=25)
+    snapshot_stride=250)
 
 u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
                           target_h1=np.sqrt(0.5 * budget.gamma))

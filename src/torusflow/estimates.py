@@ -99,9 +99,9 @@ def _cumtrapz(y, x):
 
 def _window_slices(times, T):
     """(k, index array of [kT, (k+1)T]) per complete window of a series
-    sampled every times[1] from 0, as every run's step and norm series
-    are.  A window is per = T/times[1] intervals, a whole number that
-    SolverConfig checks; a trailing partial window is not one."""
+    sampled every times[1] from 0, as every run's per-step series is.  A
+    window is per = T/times[1] intervals, a whole number that SolverConfig
+    checks; a trailing partial window is not one."""
     per = round(T / times[1])
     return [(k, np.arange(k * per, (k + 1) * per + 1))
             for k in range((len(times) - 1) // per)]
@@ -264,12 +264,11 @@ def w1sigma_monitor(base: Trajectory, sigma: float | None = None,
                     tol: float = 1e-6) -> InequalityReport:
     """Empirical uniform-in-time bound on the W^1_sigma norm (per window).
 
-    Passes when every window maximum stays below the first window's maximum
-    times (1 + tol); the report carries the per-window maxima as its series.
-    sigma defaults to the base run's config["sigma"]; another one raises
-    ValueError.
+    Passes when every window maximum, over the base run's per-step
+    w1_sigma, stays below the first window's maximum times (1 + tol); the
+    report carries the per-window maxima as its series.  sigma defaults to
+    the base run's config["sigma"]; another one raises ValueError.
     """
-    norms = base.norms
     recorded = float(base.config["sigma"])
     if sigma is None:
         sigma = recorded
@@ -277,8 +276,7 @@ def w1sigma_monitor(base: Trajectory, sigma: float | None = None,
         raise ValueError(f"sigma must exceed 3, got {sigma}")
     if abs(recorded - sigma) > 1e-12:
         raise ValueError("trajectory norm series used a different sigma")
-    times = norms["time_stamp"]
-    series = norms["w1_sigma"]
+    times, series = base.diag["t"], base.diag["w1_sigma"]
     T = base.config["T"]
     windows = _window_slices(times, T)
     w_times = np.array([times[sel[-1]] for _, sel in windows])
@@ -516,19 +514,23 @@ class StabilitySeries:
 
 def stability_series(pert: Trajectory, base: Trajectory,
                      budget: StabilityBudget, window: int) -> StabilitySeries:
-    """Assemble X^2, Y^2, Z^2, A^2, G^2 on one window's step grid."""
+    """Assemble X^2, Y^2, Z^2, A^2, G^2 on one window's step grid, reading
+    the base's grad_l3_sq at perturbation step i from base step r*i, r the
+    whole number of base steps per perturbation step (ValueError if none)."""
     nu, T = budget.nu, budget.T
     sel = dict(_window_slices(pert.diag["t"], T)).get(window)
     if sel is None:
         raise ValueError(f"window {window} not covered by the run")
+    r, rest = divmod(len(base.diag["t"]) - 1, len(pert.diag["t"]) - 1)
+    if r < 1 or rest:
+        raise ValueError("the base run's steps are not a whole multiple of "
+                         "the perturbation's")
     t = pert.diag["t"][sel]
     X_sq = pert.diag["l2_sq"][sel] + pert.diag["grad_l2_sq"][sel]
     Y_sq = pert.diag["h2_sq"][sel]
 
-    # base gradient L3 norms live on the (coarser) norm-report grid
     grad_l3_sq = base.grid.L ** (2.0 / 3.0) \
-        * np.interp(t, base.norms["time_stamp"],
-                    base.norms["grad_l3_sq"])  # extruded to the 3D box
+        * base.diag["grad_l3_sq"][r * sel]  # extruded to the 3D box
     A_sq = (budget.c5 / nu) * grad_l3_sq
 
     mean_sq = np.sum(pert.diag["mean"][sel] ** 2, axis=1)

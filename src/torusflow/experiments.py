@@ -64,7 +64,6 @@ _DEFAULTS = {
     "T": 1.0,
     "sigma": 4.0,
     "snapshot_stride": 250,
-    "norm_stride": 25,
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.005},
              "forcing": {"kind": "zero"}},
     "perturbation": None,
@@ -101,7 +100,7 @@ _LEAF_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
 #: is excluded); a null passes
 _BOUNDS = {"nu": (0, True), "dt": (0, True), "T": (0, True), "L": (0, True),
            "windows": (1, False),
-           # compute_norm_report's W^1_sigma norm needs sigma > 3
+           # the base run's W^1_sigma norm (3.8) needs sigma > 3
            "sigma": (3, True), "C": (0, False), "decay": (0, True),
            "target_h1": (0, False), "h1_sq_frac_of_gamma": (0, False)}
 
@@ -171,11 +170,11 @@ def parse_config(text: str, seed: int | None = None) -> dict:
     run starts: direct_3d without a perturbation, a run that SolverConfig
     refuses (the base and perturbation runs are built, without their
     initial fields, by _run_config: a grid or dt off the viscous scale, a
-    stride off the window grid), a Taylor-Green initial field on a box
-    other than L = 2*pi, a random one whose seed (the config's plus its
-    own) is negative, a force the run would not apply in full
-    (_check_forcing) and a budget that _resolve_budget refuses.  The base
-    run alone records a norm series, at the required norm_stride.
+    window T that is not a whole number of steps dt, a snapshot_stride
+    below 1), a Taylor-Green initial field on a box other than L = 2*pi, a
+    random one whose seed (the config's plus its own) is negative, a force
+    the run would not apply in full (_check_forcing) and a budget that
+    _resolve_budget refuses.
     """
     try:
         given = json.loads(text)
@@ -211,7 +210,6 @@ def bundled_scenario(name: str, seed: int | None = None) -> dict:
     if name == "taylor-green-decay":
         cfg = {
             "scenario": name, "nu": 0.5, "dt": 5e-3, "T": 1.0, "windows": 3,
-            "norm_stride": 10,
             "base": {
                 "initial": {"kind": "taylor-green", "amplitude": 0.3},
                 "forcing": {"kind": "expression", "expressions": [
@@ -257,14 +255,13 @@ def _run_config(spec: dict, run: str) -> SolverConfig:
     """The SolverConfig of spec's "base" or "perturbation" run, without its
     initial field; a run that SolverConfig refuses raises ConfigError."""
     dim = 2 if run == "base" else 3
-    strides = spec if run == "base" else spec[run]
+    stride = (spec if run == "base" else spec[run])["snapshot_stride"]
     forcing = _build_forcing(spec[run]["forcing"], dim)
     try:
         return SolverConfig(
             grid=make_grid(spec["L"], spec["N"], dim), nu=spec["nu"],
             dt=spec["dt"], t_end=spec["windows"] * spec["T"], T=spec["T"],
-            forcing=forcing, snapshot_stride=strides["snapshot_stride"],
-            norm_stride=strides.get("norm_stride"), sigma=spec["sigma"])
+            forcing=forcing, snapshot_stride=stride, sigma=spec["sigma"])
     except ValueError as exc:
         raise ConfigError(f"config.{run}: {exc}")
 

@@ -13,10 +13,6 @@ from .grid import TorusGrid
 
 DEFAULT_SIGMA = 4.0
 
-#: the keys of compute_norm_report, in the column order of norms.csv: the
-#: norms that 4.25-4.27 (grad_l3_sq) and 3.8 (w1_sigma) read
-NORM_REPORT_COLUMNS = ("time_stamp", "grad_l3_sq", "w1_sigma")
-
 
 def _parseval_sum(grid: TorusGrid, spec: np.ndarray, weight="l2") -> float:
     """volume * sum over the full lattice of the modewise weight named
@@ -104,11 +100,13 @@ def gradient_field(field: Field) -> Field:
 
 
 def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> dict:
-    """{column: value} for every NORM_REPORT_COLUMNS name, in that order:
-    the time_stamp of field, ||grad field||_{L3}^2 and the W^1_sigma norm
-    ||field||_{L^sigma} + ||grad field||_{L^sigma}, for sigma > 3.  The
-    field and its gradient are padded once each, one component at a time,
-    and every norm is read from those two magnitudes."""
+    """{"time_stamp", "grad_l3_sq", "w1_sigma"}: the time_stamp of field,
+    ||grad field||_{L3}^2 and the W^1_sigma norm ||field||_{L^sigma} +
+    ||grad field||_{L^sigma}, for sigma > 3.  The field and its gradient
+    are padded once each, one component at a time, and every norm is read
+    from those two magnitudes.  The reference of the 2D base run's
+    per-step norms (solver._Workspace.base_norms), which equal it bit for
+    bit on the run's mean-free state."""
     if sigma <= 3:
         raise ValueError(f"sigma must exceed 3, got {sigma}")
     grid = field.grid

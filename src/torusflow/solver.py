@@ -21,12 +21,13 @@ Every run stores and steps its state on the 2/3-rule modes K alone
 (_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
 to K, in numpy's own axis order, and every other operation is per mode, so
 each state equals, bit for bit, the one the full spectral lattice gives
-under the 2/3-rule masks.  The records read the K-state itself; only a
-snapshot or a norm report copies it onto the full lattice, +0.0 outside K.
-Every force a run uses is computed on K as well: its physical values
-through the pruned rfftn, and the L^{6/5} series of the perturbation's
-force through the pruned irfftn stages at 2N points an axis, each equal
-bit for bit to the full transform's values on K.
+under the 2/3-rule masks.  The records read the K-state itself, the base
+run's L^3 and W^{1,sigma} norms through the pruned irfftn stages at 2N
+points an axis; only a snapshot copies it onto the full lattice, +0.0
+outside K.  Every force a run uses is computed on K as well: its physical
+values through the pruned rfftn, and the L^{6/5} series of the
+perturbation's force through the pruned irfftn stages at 2N points an
+axis, each equal bit for bit to the full transform's values on K.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -42,6 +43,7 @@ grid.k_deriv.
 """
 
 import ast
+import itertools
 import json
 import math
 import os
@@ -49,15 +51,12 @@ import shutil
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
 from .grid import TorusGrid
-from .field import (Field, load_field, mean_free, save_field, spectral_data,
-                    spectral_field)
-from .norms import (NORM_REPORT_COLUMNS, _quadrature_norm,
-                    compute_norm_report, l2_norm_sq, lp_norm, DEFAULT_SIGMA)
+from .field import Field, load_field, save_field, spectral_data, spectral_field
+from .norms import _quadrature_norm, l2_norm_sq, lp_norm, DEFAULT_SIGMA
 from .worker import Worker
 
 
@@ -185,16 +184,14 @@ class SolverConfig:
 
     The run's clock is stated here once and checked at construction, by
     ValueError: t_end is a whole number of windows T, and T a whole number
-    of steps dt and, given a norm_stride, of norm intervals dt*norm_stride,
-    so that every window [kT, (k+1)T] starts and ends on a step and on a
-    norm sample.  n_steps and the step times times = dt*arange(n_steps + 1),
+    of steps dt, so that every window [kT, (k+1)T] starts and ends on a
+    step.  n_steps and the step times times = dt*arange(n_steps + 1),
     read-only, are fixed then.  dt must resolve the viscous scale of the grid:
     dt*nu*kmax^2 <= 100.
 
-    A run takes a snapshot every snapshot_stride steps and, given a
-    norm_stride, a compute_norm_report every norm_stride steps, the last
-    step included; None records no norm series.  The checks read the
-    series of the 2D base run only.
+    A run records diag_columns at every step and takes a snapshot every
+    snapshot_stride steps, the last step included.  sigma is the exponent
+    of the W^{1,sigma} norm that the 2D base run records.
     """
 
     grid: TorusGrid
@@ -205,7 +202,6 @@ class SolverConfig:
     forcing: ForcingSpec = dc_field(default_factory=ForcingSpec)
     initial: Field | None = None
     snapshot_stride: int = 1
-    norm_stride: int | None = None
     sigma: float = DEFAULT_SIGMA
     n_steps: int = dc_field(init=False)
     times: np.ndarray = dc_field(init=False, repr=False, compare=False)
@@ -222,25 +218,18 @@ class SolverConfig:
         if scale > 100.0:
             raise ValueError("dt does not resolve the viscous scale "
                              f"(dt*nu*kmax^2 = {scale:.3g})")
-        strides = {"snapshot_stride": self.snapshot_stride}
-        if self.norm_stride is not None:
-            strides["norm_stride"] = self.norm_stride
-        for name, stride in strides.items():
-            if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-                raise ValueError(f"{name} must be a positive integer, got "
-                                 f"{stride!r}")
-        stride = self.norm_stride or 1
-        interval = self.dt * stride
-        windows, per = self.t_end / self.T, self.T / interval
+        stride = self.snapshot_stride
+        if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise ValueError("snapshot_stride must be a positive integer, "
+                             f"got {stride!r}")
+        windows, per = self.t_end / self.T, self.T / self.dt
         if abs(per - round(per)) > 1e-8:
-            what = "norm interval dt*norm_stride" if self.norm_stride \
-                else "step dt"
             raise ValueError(f"window length T={self.T:g} must be a multiple "
-                             f"of the {what}={interval:g}")
+                             f"of the step dt={self.dt:g}")
         if abs(windows - round(windows)) > 1e-8:
             raise ValueError(f"t_end={self.t_end:g} must be a whole number "
                              f"of windows T={self.T:g}")
-        self.n_steps = round(windows) * round(per) * int(stride)
+        self.n_steps = round(windows) * round(per)
         self.times = self.dt * np.arange(self.n_steps + 1)
         self.times.flags.writeable = False  # every run of cfg shares it
 
@@ -250,8 +239,7 @@ class SolverConfig:
             "nu": self.nu, "dt": self.dt, "t_end": self.t_end, "T": self.T,
             "forcing_kind": self.forcing.kind,
             "forcing_expressions": list(self.forcing.expressions),
-            "snapshot_stride": self.snapshot_stride,
-            "norm_stride": self.norm_stride, "sigma": self.sigma,
+            "snapshot_stride": self.snapshot_stride, "sigma": self.sigma,
         }
 
 
@@ -259,10 +247,15 @@ def diag_columns(label: str, dim: int) -> list:
     """The diagnostics.csv columns of a run labelled label.
 
     Every run records, at every step, the L2, H1-seminorm and H2 norms of
-    its mean-free part, its mean and the squared L2 norm of its mean-free
-    force; the perturbation run alone also records forcing_l6_5_sq, the
+    its mean-free part and the squared L2 norm of its mean-free force.  The
+    2D base adds the norms of 4.25-4.27 (grad_l3_sq, ||grad v||_{L3}^2) and
+    3.8 (w1_sigma, ||v||_{L^sigma} + ||grad v||_{L^sigma}) and writes no
+    mean, which no check reads; the perturbation adds forcing_l6_5_sq, the
     squared L^{6/5} norm of its mean-free force, which only B1 reads.
     """
+    if label == "2d_base":
+        return ["t", "l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq",
+                "grad_l3_sq", "w1_sigma"]
     return ["t", "l2_sq", "grad_l2_sq", "h2_sq"] \
         + [f"mean_{i + 1}" for i in range(dim)] + ["forcing_l2_sq"] \
         + (["forcing_l6_5_sq"] if label == "perturbation" else [])
@@ -270,11 +263,9 @@ def diag_columns(label: str, dim: int) -> list:
 
 @dataclass
 class Trajectory:
-    """A run: spectral snapshots (mean included at k=0), the per-step
-    series of diag_columns (diag["mean"] holds the mean_i columns as one
-    array) and the norm series of the mean-free part at norm_stride
-    (norms: one array per NORM_REPORT_COLUMNS name, as compute_norm_report
-    returns them, in time order; {} for a run without a norm_stride).
+    """A run: spectral snapshots (mean included at k=0) and the per-step
+    series of diag_columns (diag["mean"] holds the mean as one array, for
+    every run in memory and for a 3D run loaded from disk).
 
     The snapshots, taken at times, are held in memory (snapshots), or, for
     a run that streamed them to disk, are files of field.save_field
@@ -288,7 +279,6 @@ class Trajectory:
     grid: TorusGrid
     times: np.ndarray
     snapshots: list
-    norms: dict
     diag: dict
     config: dict
     step_seconds: float = 0.0
@@ -326,8 +316,9 @@ class _Workspace:
     state stepped here equals, bit for bit on K, the one the full lattice
     gives with its 2/3-rule masks; to_full puts it there.  spectral takes
     the products of the kernel or the force's values (kept_force, force);
-    padded_magnitude runs physical's stages at 2N points an axis, one call
-    per stage over every component, for the force's L^{6/5} series.
+    padded_magnitude and base_norms run physical's stages at 2N points an
+    axis, one call per stage over every component, for the force's L^{6/5}
+    series and the 2D base's L^3 and W^{1,sigma} norms.
 
     Every array, the transforms' buffers included, is allocated once (the
     padded stages' at their first use); the kernel and the step write into
@@ -369,6 +360,7 @@ class _Workspace:
         self.n0 = np.empty(self.shape, dtype=complex)
         self.n1 = np.empty(self.shape, dtype=complex)
         self.started = False  # whether n0 holds the last step's flux
+        self.padded_buffers = {}  # _padded_squares', by component count
         self.force_sum = np.empty(self.shape, dtype=complex)
         self.norm_weights = [self.to_kept(grid.parseval_weights[w])
                              for w in ("l2", "grad", "h2")]
@@ -377,7 +369,7 @@ class _Workspace:
         self.projected_f = np.empty(self.shape, dtype=complex)
         self._force = (None, None, False)  # (forcing, time, projected)
 
-        self.inverse = self._inverse_buffers(N)
+        self.inverse = self._inverse_buffers(N, d)
         # spectral: the rfft of the products, then per full axis, from the
         # last to the first, its kept rows, its result and (but for the
         # first axis, which writes into the caller's array) the kept rows
@@ -399,11 +391,11 @@ class _Workspace:
         return (pre + (slice(0, c + 1),), pre + (slice(n - c, n),),
                 pre + (slice(c + 1, 2 * c + 1),))
 
-    def _inverse_buffers(self, n):
+    def _inverse_buffers(self, n, ncomp):
         """The buffers of irfftn's stages from K to n points an axis, for
-        dim components: per full axis its kept rows, its zero-padded input
-        and its result, then the zero-padded input of the last axis."""
-        shape, stages = list(self.shape), []
+        ncomp components: per full axis its kept rows, its zero-padded
+        input and its result, then the zero-padded input of the last axis."""
+        shape, stages = [ncomp, *self.shape[1:]], []
         for ax in range(1, self.grid.dim):
             shape[ax] = n
             stages.append((ax, self._rows(ax, n),
@@ -411,14 +403,6 @@ class _Workspace:
                            np.empty(shape, dtype=complex)))
         shape[-1] = n // 2 + 1
         return stages, np.zeros(shape, dtype=complex)
-
-    @cached_property
-    def padded(self):
-        """(_inverse_buffers at M = 2N, the (dim, M, ..., M) result),
-        allocated at the first padded_magnitude."""
-        M = 2 * self.grid.N
-        return self._inverse_buffers(M) + (
-            np.empty((self.grid.dim,) + (M,) * self.grid.dim),)
 
     def to_kept(self, a):
         """The entries on K of a, an array over the spectral lattice or
@@ -472,27 +456,62 @@ class _Workspace:
         None): irfftn's stages, pruned to K."""
         return self._inverse(v, self.inverse, self.grid.N, out)
 
-    def padded_magnitude(self, v):
-        """|u(x)| on the 2N grid of the mean-free part u of the K-state v,
-        into a buffer of the workspace that the next call overwrites.
+    def _padded_squares(self, v, gradient=False):
+        """The squares of the values on the 2N grid of the mean-free part u
+        of the K-state v and, given gradient, of its first derivatives
+        ik_j u_c after it, in field.gradient_parts' order, into a buffer of
+        the workspace that the next call overwrites.
 
-        physical's stages at M = 2N, one call per stage over every
-        component (padded), then the squares added in component order and
-        the square root: norms._padded_magnitude of field.physical_padded,
-        bit for bit, which transforms every line of the full lattice one
-        component at a time.  The lines it skips are zero, and a zero line
-        transforms to zeros.
+        One K-array holds every component (its buffers are allocated at the
+        first call for their count), and physical's stages at M = 2N take
+        them all, one call per stage.  Each component's values equal, bit
+        for bit, those of field.physical_padded, which transforms every line
+        of the full lattice one component at a time: the lines skipped here
+        are zero, and a zero line transforms to zeros.
         """
-        part = self.terms
-        part[...] = v
-        part[(slice(None),) + (0,) * self.grid.dim] = 0.0
-        *buffers, out = self.padded
-        vals = self._inverse(part, buffers, 2 * self.grid.N, out)
-        np.square(vals, out=vals)
-        mag = vals[0]
-        for square in vals[1:]:
+        n, d, M = len(v), self.grid.dim, 2 * self.grid.N
+        ncomp = n + n * d if gradient else n
+        if ncomp not in self.padded_buffers:
+            self.padded_buffers[ncomp] = (
+                np.empty((ncomp,) + self.shape[1:], dtype=complex),
+                self._inverse_buffers(M, ncomp),
+                np.empty((ncomp,) + (M,) * d))
+        parts, buffers, out = self.padded_buffers[ncomp]
+        parts[:n] = v
+        parts[(slice(0, n),) + (0,) * d] = 0.0
+        if gradient:
+            for c, ax in itertools.product(range(n), range(d)):
+                np.multiply(parts[c], self.ik[ax], out=parts[n + c * d + ax])
+        vals = self._inverse(parts, buffers, M, out)
+        return np.square(vals, out=vals)
+
+    @staticmethod
+    def _magnitude(squares):
+        """The square root of the squares added in component order, into
+        the first: norms._padded_magnitude, bit for bit."""
+        mag = squares[0]
+        for square in squares[1:]:
             mag += square
         return np.sqrt(mag, out=mag)
+
+    def padded_magnitude(self, v):
+        """|u(x)| on the 2N grid of the mean-free part u of the K-state v
+        (_padded_squares): norms._padded_magnitude of
+        field.physical_padded, bit for bit."""
+        return self._magnitude(self._padded_squares(v))
+
+    def base_norms(self, v, sigma):
+        """(grad_l3_sq, w1_sigma) of the mean-free part u of the 2D K-state
+        v: ||grad u||_{L3}^2 and ||u||_{L^sigma} + ||grad u||_{L^sigma} by
+        the collocation rule on the 2N grid, from one _padded_squares of u
+        and grad u; equal bit for bit to norms.compute_norm_report of
+        field.mean_free of v on the full lattice."""
+        squares = self._padded_squares(v, gradient=True)
+        mag, grad = self._magnitude(squares[:len(v)]), \
+            self._magnitude(squares[len(v):])
+        return (_quadrature_norm(self.grid, grad, 3) ** 2,
+                _quadrature_norm(self.grid, mag, sigma)
+                + _quadrature_norm(self.grid, grad, sigma))
 
     def spectral(self, phys, out):
         """The K entries of the spectral coefficients of the physical
@@ -634,15 +653,15 @@ class _Workspace:
 
 class _Member:
     """One run of _lockstep: its state, its workspace, the series it
-    records (diag_columns at every step, snapshots at snapshot_stride, norm
-    reports at norm_stride, if given), the wall seconds spent on them and
-    the evaluations of its force.
+    records (diag_columns at every step, snapshots at snapshot_stride), the
+    wall seconds spent on them and the evaluations of its force.
 
     The run holds its state on the 2/3-rule modes K alone (state, in the
     layout of _Workspace): the initial field is taken onto K, which masks
     it, and Leray-projected there.  The records read the mean and the norms
-    (_Workspace.mean_free_norms_sq) of that state; only a snapshot or a
-    norm report copies it onto the full lattice (_Workspace.to_full).
+    (_Workspace.mean_free_norms_sq, and for the 2D base run
+    _Workspace.base_norms) of that state; only a snapshot copies it onto
+    the full lattice (_Workspace.to_full).
 
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
@@ -671,16 +690,13 @@ class _Member:
         self.tgrid = cfg.times
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
-        self.diag = {"t": self.tgrid,
-                     "l2_sq": np.empty(self.n + 1),
-                     "grad_l2_sq": np.empty(self.n + 1),
-                     "h2_sq": np.empty(self.n + 1),
-                     "mean": np.empty((self.n + 1, grid.dim)),
-                     "forcing_l2_sq": np.empty(self.n + 1)}
+        norms = ("grad_l3_sq", "w1_sigma") if label == "2d_base" else ()
+        self.diag = {"t": self.tgrid, "mean": np.empty((self.n + 1, grid.dim))}
+        for c in ("l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq") + norms:
+            self.diag[c] = np.empty(self.n + 1)
         self.snapdir = None if directory is None \
             else _partial_snapshot_dir(directory)
-        self.snapshots, self.snapshot_paths = [], []
-        self.snap_times, self.reports = [], []
+        self.snapshots, self.snapshot_paths, self.snap_times = [], [], []
         self._record(0)
         self.seconds = time.perf_counter() - t0
 
@@ -697,24 +713,21 @@ class _Member:
             # a steady force's norm holds at every step
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
                 l2_norm_sq(ws.mean_free_field(ws.kept_force(cfg.forcing, t)))
-        snapshot = i % cfg.snapshot_stride == 0 or i == self.n
-        report = cfg.norm_stride and (i % cfg.norm_stride == 0 or i == self.n)
-        if not (snapshot or report):
+        if self.label == "2d_base":
+            diag["grad_l3_sq"][i], diag["w1_sigma"][i] = \
+                ws.base_norms(v, cfg.sigma)
+        if i % cfg.snapshot_stride and i != self.n:
             return
         spec = ws.to_full(v)
-        state = spectral_field(grid, spec, divergence_free=True, time_stamp=t)
-        if snapshot:
-            if self.snapdir is None:
-                self.snapshots.append(spec)
-            else:
-                path = os.path.join(self.snapdir,
-                                    f"snap_{len(self.snap_times):06d}.npz")
-                save_field(path, state)
-                self.snapshot_paths.append(path)
-            self.snap_times.append(t)
-        if report:
-            self.reports.append(compute_norm_report(mean_free(state),
-                                                    cfg.sigma))
+        if self.snapdir is None:
+            self.snapshots.append(spec)
+        else:
+            path = os.path.join(self.snapdir,
+                                f"snap_{len(self.snap_times):06d}.npz")
+            save_field(path, spectral_field(grid, spec, divergence_free=True,
+                                            time_stamp=t))
+            self.snapshot_paths.append(path)
+        self.snap_times.append(t)
 
     def advance(self, i, background=None):
         """Step from step i to step i + 1, with the background of
@@ -739,8 +752,6 @@ class _Member:
             grid=cfg.grid,
             times=np.array(self.snap_times),
             snapshots=self.snapshots,
-            norms={c: np.array([r[c] for r in self.reports])
-                   for c in NORM_REPORT_COLUMNS} if self.reports else {},
             diag=self.diag,
             config=cfg.describe() | {"label": label},
             step_seconds=self.seconds,
@@ -955,13 +966,11 @@ def _partial_snapshot_dir(directory) -> str:
 
 
 def save_trajectory(traj: Trajectory, directory) -> dict:
-    """Write config copy, per-step CSV, norm series, snapshots and summary.
+    """Write config copy, per-step CSV, snapshots and summary.
 
-    Layout: config.json, diagnostics.csv (diag_columns, every step),
-    norms.csv (NORM_REPORT_COLUMNS, at norm_stride; only for a run with a
-    norm series, and an earlier run's is removed), summary.json,
-    snapshots/snap_NNNNNN.npz (at snapshot_stride).  Both CSV files are
-    tables of _write_table, which load_trajectory reads back bit for bit.
+    Layout: config.json, diagnostics.csv (diag_columns, every step, a
+    table of _write_table, which load_trajectory reads back bit for bit),
+    summary.json, snapshots/snap_NNNNNN.npz (at snapshot_stride).
 
     A streamed trajectory's snapshots are already files, in the directory
     its run streamed them into; the snapshots of any other are written to
@@ -986,11 +995,6 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
                               for i, m in enumerate(traj.diag["mean"].T)}}
     _write_table(os.path.join(directory, "diagnostics.csv"), series,
                  diag_columns(traj.config["label"], traj.grid.dim))
-    norms_path = os.path.join(directory, "norms.csv")
-    if traj.norms:
-        _write_table(norms_path, traj.norms, NORM_REPORT_COLUMNS)
-    elif os.path.exists(norms_path):
-        os.remove(norms_path)
 
     partial = os.path.dirname(files[0])
     snapdir = os.path.join(directory, "snapshots")
@@ -1018,34 +1022,31 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
 def load_trajectory(directory) -> Trajectory:
     """Rebuild the scalar series of a save_trajectory directory.
 
-    The per-step series are read from diagnostics.csv and, for a run with
-    a norm_stride, the norm series from norms.csv (else norms is {}),
-    exactly as the run wrote them; _read_table refuses either file when it
-    is missing, its header or rows are not the run's columns, its times do
-    not strictly increase or a value is not finite, and series that do not
-    span the run's steps are refused too.  Nothing is re-evaluated, and
-    snapshot files are not read, so the trajectory has no snapshots;
+    The per-step series are read from diagnostics.csv exactly as the run
+    wrote them, the mean_i columns of a 3D run into diag["mean"];
+    _read_table refuses the file when it is missing, its header or rows
+    are not the run's columns (an output written before the 2D base run
+    recorded its norms at every step included), its times do not strictly
+    increase or a value is not finite, and series that do not span the
+    run's steps are refused too.  Nothing is re-evaluated, and snapshot
+    files are not read, so the trajectory has no snapshots;
     field.load_field reads one.
     """
     with open(os.path.join(directory, "config.json")) as fh:
         config = json.load(fh)["config"]
     grid = TorusGrid(L=config["L"], N=config["N"], dim=config["dim"])
-    diag = _read_table(os.path.join(directory, "diagnostics.csv"),
-                       diag_columns(config["label"], grid.dim))
-    diag["mean"] = np.column_stack([diag.pop(f"mean_{i + 1}")
-                                    for i in range(grid.dim)])
-    norms = {} if config["norm_stride"] is None else _read_table(
-        os.path.join(directory, "norms.csv"), NORM_REPORT_COLUMNS)
-    # a run records every step, and its norms at the first and the last
+    columns = diag_columns(config["label"], grid.dim)
+    diag = _read_table(os.path.join(directory, "diagnostics.csv"), columns)
+    means = [c for c in columns if c.startswith("mean_")]
+    if means:
+        diag["mean"] = np.column_stack([diag.pop(c) for c in means])
     steps = round(config["t_end"] / config["dt"]) + 1
-    ends = [diag["t"][0], diag["t"][-1]]
-    if len(diag["t"]) != steps \
-            or (norms and list(norms["time_stamp"][[0, -1]]) != ends):
+    if len(diag["t"]) != steps:
         raise FileNotFoundError(f"{directory}: the series do not span the "
                                 f"run's {steps} steps; run the experiment "
                                 "again")
-    return Trajectory(grid=grid, times=np.empty(0), snapshots=[],
-                      norms=norms, diag=diag, config=config)
+    return Trajectory(grid=grid, times=np.empty(0), snapshots=[], diag=diag,
+                      config=config)
 
 
 def _write_table(path, table: dict, columns):

@@ -127,7 +127,6 @@ def test_criterion_05_2d_decay_inequalities():
     def margins(step):
         cfg = SolverConfig(grid=grid, nu=nu, dt=step, t_end=10 * T, T=T,
                            forcing=forcing, snapshot_stride=round(0.1 / step),
-                           norm_stride=round(0.1 / step),
                            initial=taylor_green_exact(grid, nu, 0.0, 0.3))
         base = run_2d_base(cfg)
         budget = est.compute_A_constants(base, T, nu)
@@ -212,7 +211,7 @@ def test_criterion_08_stability_conclusion(calibrated):
     base_cfg = SolverConfig(
         grid=g2, nu=nu, dt=dt, t_end=windows * T, T=T,
         initial=taylor_green_exact(g2, nu, 0.0, 0.005),
-        snapshot_stride=250, norm_stride=25)
+        snapshot_stride=250)
     u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
     g_force = ForcingSpec(kind="expression",
@@ -305,7 +304,7 @@ def test_criterion_11_determinism(tmp_path):
 
     config = {
         "scenario": "determinism", "seed": 3, "nu": 1.0, "dt": 5e-3,
-        "T": 0.5, "windows": 1, "N": 8, "norm_stride": 10,
+        "T": 0.5, "windows": 1, "N": 8,
         "base": {"initial": {"kind": "taylor-green", "amplitude": 0.01}},
         "perturbation": {"initial": {"kind": "random", "seed": 2},
                          "snapshot_stride": 50},
@@ -316,7 +315,6 @@ def test_criterion_11_determinism(tmp_path):
                        str(tmp_path / "b"))
     same = []
     for rel in ("base/diagnostics.csv", "perturbation/diagnostics.csv",
-                "base/norms.csv",
                 "inequalities.json", "windows.csv"):
         same.append((tmp_path / "a" / rel).read_bytes()
                     == (tmp_path / "b" / rel).read_bytes())

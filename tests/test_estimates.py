@@ -1,5 +1,6 @@
 """Budget constants, inequality checks, envelopes, calibration."""
 
+import dataclasses
 import json
 import math
 
@@ -29,16 +30,49 @@ NU, T = 0.5, 1.0
     ids=["steps-2e-3", "steps-5e-3", "norms-stride-25", "base-dt-over-4",
          "20-windows"])
 def test_window_map_matches_selection_by_time(grid2, dt, windows, stride):
-    # the integer window map picks, on a run's own step or norm times, the
-    # samples that the replaced float selection picked
-    cfg = SolverConfig(grid=grid2, nu=NU, dt=dt, t_end=windows * T, T=T,
-                       norm_stride=stride)
+    # the integer window map picks, on a run's own step times or every
+    # stride-th of them, the samples that the replaced float selection
+    # picked
+    cfg = SolverConfig(grid=grid2, nu=NU, dt=dt, t_end=windows * T, T=T)
     times = cfg.times[::stride]
     got = est._window_slices(times, T)
     want = window_slices_by_time(times, T)
     assert [k for k, _ in got] == [k for k, _ in want] == list(range(windows))
     for (_, a), (_, b) in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("r", [1, 4])
+def test_base_read_at_perturbation_step_times(stability_setup, r):
+    # A^2 reads the base's per-step grad_l3_sq at the perturbation's step
+    # times, with no interpolation: perturbation step i is base step r*i,
+    # and r = 4 for a base stepped at dt/4, as criterion 07 steps it
+    budget = dataclasses.replace(stability_setup[2], T=0.05)
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    dt, nu, windows = 2e-3, budget.nu, 2
+    base, pert, _ = run_perturbation(
+        SolverConfig(grid=g3, nu=nu, dt=dt, t_end=windows * budget.T,
+                     T=budget.T, snapshot_stride=1000,
+                     initial=random_divfree_field(g3, 7, target_h1=1e-3)),
+        SolverConfig(grid=g2, nu=nu, dt=dt / r, t_end=windows * budget.T,
+                     T=budget.T, snapshot_stride=1000,
+                     initial=taylor_green_exact(g2, nu, 0.0, 0.005)))
+    steps = len(pert.diag["t"]) - 1
+    grad_l3_sq = base.diag["grad_l3_sq"]
+    assert len(grad_l3_sq) == r * steps + 1
+    for k in range(windows):
+        s = est.stability_series(pert, base, budget, k)
+        first = k * round(budget.T / dt)
+        for i, a_sq in enumerate(s.A_sq, start=first):
+            assert a_sq == (budget.c5 / nu) \
+                * (g2.L ** (2 / 3) * grad_l3_sq[r * i]), (k, i)
+    # a base whose steps are not a whole multiple of the perturbation's
+    for rows in (r * steps, r * steps + 2):
+        other = dataclasses.replace(base, diag={
+            key: np.resize(base.diag[key], rows)
+            for key in ("t", "grad_l3_sq")})
+        with pytest.raises(ValueError, match="whole multiple"):
+            est.stability_series(pert, other, budget, 0)
 
 
 def test_window_map_has_no_partial_window():
@@ -54,7 +88,7 @@ def forced_base(grid2):
     forcing = ForcingSpec(kind="expression", expressions=(
         "0.02*sin(x1)*cos(x2)*cos(t)", "-0.02*cos(x1)*sin(x2)*cos(t)"))
     cfg = SolverConfig(grid=grid2, nu=NU, dt=5e-3, t_end=3 * T, T=T,
-                       forcing=forcing, snapshot_stride=20, norm_stride=10,
+                       forcing=forcing, snapshot_stride=20,
                        initial=taylor_green_exact(grid2, NU, 0.0, 0.3))
     return run_2d_base(cfg)
 
@@ -73,7 +107,7 @@ def stability_setup(grid2, grid3):
     base_cfg = SolverConfig(
         grid=grid2, nu=nu, dt=dt, t_end=windows * T, T=T,
         initial=taylor_green_exact(grid2, nu, 0.0, 0.005),
-        snapshot_stride=250, norm_stride=25)
+        snapshot_stride=250)
     u0 = random_divfree_field(grid3, seed=7, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
     base, pert, _ = run_perturbation(SolverConfig(
@@ -88,7 +122,7 @@ def stability_setup(grid2, grid3):
 def test_A_constants_zero_forcing(grid2):
     cfg = SolverConfig(grid=grid2, nu=NU, dt=5e-3, t_end=T, T=T,
                        initial=taylor_green_exact(grid2, NU, 0.0, 0.2),
-                       snapshot_stride=20, norm_stride=20)
+                       snapshot_stride=20)
     base = run_2d_base(cfg)
     b = est.compute_A_constants(base, T, NU)
     assert b.A1_sq == 0.0
@@ -103,7 +137,7 @@ def test_A1_constant_forcing_closed_form(grid2):
     forcing = ForcingSpec(kind="expression",
                           expressions=("0.1*sin(x1)", "0*x1"))
     cfg = SolverConfig(grid=grid2, nu=NU, dt=5e-3, t_end=T, T=T,
-                       forcing=forcing, snapshot_stride=20, norm_stride=20,
+                       forcing=forcing, snapshot_stride=20,
                        initial=taylor_green_exact(grid2, NU, 0.0, 0.1))
     base = run_2d_base(cfg)
     F = base.diag["forcing_l2_sq"][0]
@@ -139,8 +173,7 @@ def test_decay_zero_solution(grid2):
     zero = spectral_field(grid2, np.zeros((2,) + grid2.shape_spec, complex),
                           divergence_free=True)
     base = run_2d_base(SolverConfig(grid=grid2, nu=NU, dt=5e-3, t_end=T,
-                                    T=T, initial=zero, snapshot_stride=20,
-                                    norm_stride=20))
+                                    T=T, initial=zero, snapshot_stride=20))
     b = est.compute_A_constants(base, T, NU)
     reports = est.verify_decay_2d(base, b)
     for rep in reports.values():
@@ -153,7 +186,7 @@ def test_unforced_differential_inequality(grid2):
     base = run_2d_base(SolverConfig(
         grid=grid2, nu=NU, dt=5e-3, t_end=T, T=T,
         initial=taylor_green_exact(grid2, NU, 0.0, 0.4),
-        snapshot_stride=20, norm_stride=20))
+        snapshot_stride=20))
     b = est.compute_A_constants(base, T, NU)
     rep = est.verify_decay_2d(base, b)["3.3"]
     assert rep.status == est.PASS
@@ -355,14 +388,14 @@ def test_envelope_matches_interpolating_loop(stability_setup, forced):
     base, pert, budget, cal = stability_setup
     if forced:
         # time-dependent forces on both runs, at N=8, so that A^2 and G^2
-        # vary between the norm samples
+        # vary between the steps
         g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
         base_cfg = SolverConfig(
             grid=g2, nu=budget.nu, dt=2e-3, t_end=2 * T, T=T,
             forcing=ForcingSpec(kind="expression", expressions=(
                 "1e-3*sin(x2)*cos(3*t)", "1e-3*sin(x1)")),
             initial=taylor_green_exact(g2, budget.nu, 0.0, 0.005),
-            snapshot_stride=1000, norm_stride=25)
+            snapshot_stride=1000)
         u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
                                   target_h1=np.sqrt(0.5 * budget.gamma))
         base, pert, _ = run_perturbation(SolverConfig(

@@ -14,7 +14,6 @@ from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field
 from torusflow.grid import make_grid
-from torusflow.norms import NORM_REPORT_COLUMNS
 from torusflow.solver import (SolverConfig, forcing_lp_sq_series,
                               load_trajectory)
 from torusflow.worker import Worker
@@ -26,7 +25,6 @@ SMALL = {
     "T": 0.5,
     "windows": 1,
     "N": 8,
-    "norm_stride": 10,
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.1}},
 }
 
@@ -42,7 +40,7 @@ FORCED_PERT = dict(SMALL, perturbation={
         "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)"]}})
 
 # FORCED_PERT for a few steps, with a forced base and the full 3D run
-FORCED_DIRECT = dict(SMALL, T=0.05, norm_stride=5, snapshot_stride=5,
+FORCED_DIRECT = dict(SMALL, T=0.05, snapshot_stride=5,
                      direct_3d=True,
                      base=dict(SMALL["base"], forcing={
                          "kind": "expression", "expressions": [
@@ -241,13 +239,7 @@ def test_rerun_replaces_stale_snapshots(tmp_path):
     out = tmp_path / "out"
     for stride, count in ((10, 11), (50, 3)):
         cfg = dict(SMALL_PERT, perturbation={"snapshot_stride": stride})
-        # an earlier output's perturbation norm series, which this run
-        # does not record
-        stale = out / "perturbation" / "norms.csv"
-        if stale.parent.exists():
-            stale.write_text("stale\n")
         exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
-        assert not stale.exists()
         for run in ("base", "perturbation"):
             summary = json.loads((out / run / "summary.json").read_text())
             files = sorted(os.listdir(out / run / "snapshots"))
@@ -357,11 +349,18 @@ def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
+    # a base diagnostics.csv without its grad_l3_sq and w1_sigma columns
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
-    (out / "base" / "norms.csv").unlink()
+    path = out / "base" / "diagnostics.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",grad_l3_sq,w1_sigma")
+    path.write_text("\n".join(line.rsplit(",", 2)[0] for line in lines)
+                    + "\n")
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
-    assert "norms.csv is missing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and "run the experiment again" in err
+    assert err.count("\n") == 1
 
 
 def test_verify_refuses_trajectory_without_forcing_series(tmp_path, capsys):
@@ -370,10 +369,10 @@ def test_verify_refuses_trajectory_without_forcing_series(tmp_path, capsys):
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
     path = out / "base" / "diagnostics.csv"
-    lines = path.read_text().splitlines()
-    assert lines[0].endswith(",forcing_l2_sq")
-    path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines)
-                    + "\n")
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    i = lines[0].index("forcing_l2_sq")
+    path.write_text("\n".join(",".join(cells[:i] + cells[i + 1:])
+                              for cells in lines) + "\n")
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     err = capsys.readouterr().err
     assert "run the experiment again" in err
@@ -405,11 +404,11 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
         == (out / "inequalities.json").read_text()
 
 
-def _norms_csv_edit(edit):
-    """An edit of base/norms.csv, line by line, and what verify's error
-    names."""
+def _base_table_edit(edit):
+    """An edit of base/diagnostics.csv, line by line, and what verify's
+    error names."""
     def apply(out):
-        path = out / "base" / "norms.csv"
+        path = out / "base" / "diagnostics.csv"
         path.write_text("\n".join(edit(path.read_text().splitlines()))
                         + "\n")
         return [str(out / "base"), "run the experiment again"]
@@ -421,7 +420,8 @@ def _drop_w1(lines):
 
 
 def _swap_grad_l3_w1(lines):
-    i, j = (NORM_REPORT_COLUMNS.index(c) for c in ("grad_l3_sq", "w1_sigma"))
+    header = lines[0].split(",")
+    i, j = (header.index(c) for c in ("grad_l3_sq", "w1_sigma"))
     out = []
     for line in lines:
         cells = line.split(",")
@@ -430,16 +430,32 @@ def _swap_grad_l3_w1(lines):
     return out
 
 
-#: the columns of norms.csv written before it held only what a check reads
-NINE_COLUMNS = ("time_stamp", "l2_sq", "h1_sq", "h2_sq", "grad_l2_sq",
-                "grad_l3_sq", "l6_sq", "sigma", "w1_sigma")
-
-
-def _nine_columns(lines):
-    rows = (dict(zip(NORM_REPORT_COLUMNS, line.split(",")))
+def _relabelled(lines, columns, default="0.0"):
+    """lines as a table of columns: each row's cells by the name of its
+    header, default for a name the header lacks."""
+    rows = (dict(zip(lines[0].split(","), line.split(",")))
             for line in lines[1:])
-    return [",".join(NINE_COLUMNS)] \
-        + [",".join(row.get(c, "4.0") for c in NINE_COLUMNS) for row in rows]
+    return [",".join(columns)] \
+        + [",".join(row.get(c, default) for c in columns) for row in rows]
+
+
+#: the base table with the mean columns, which no check reads, beside the
+#: norm columns
+NINE_COLUMNS = ("t", "l2_sq", "grad_l2_sq", "h2_sq", "mean_1", "mean_2",
+                "forcing_l2_sq", "grad_l3_sq", "w1_sigma")
+
+#: the base table written before the base run recorded its norms at every
+#: step: its norm series was a norms.csv of its own
+STRIDED_NORMS_COLUMNS = ("t", "l2_sq", "grad_l2_sq", "h2_sq", "mean_1",
+                         "mean_2", "forcing_l2_sq")
+
+
+def _spec_with_norm_stride(out):
+    path = out / "spec.json"
+    spec = json.loads(path.read_text())
+    spec["norm_stride"] = 25
+    path.write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n")
+    return ["unknown key 'norm_stride' in config"]
 
 
 def _spec_with_perturbation_norm_stride(out):
@@ -459,22 +475,27 @@ def _spec_with_calibration(out):
 
 
 @pytest.mark.parametrize("edit", [
-    _norms_csv_edit(_drop_w1), _norms_csv_edit(_swap_grad_l3_w1),
-    _norms_csv_edit(lambda lines: lines[:1] + _drop_w1(lines[1:])),
-    _norms_csv_edit(lambda lines: lines[:3]),
-    _norms_csv_edit(_nine_columns), _spec_with_perturbation_norm_stride,
+    _base_table_edit(_drop_w1), _base_table_edit(_swap_grad_l3_w1),
+    _base_table_edit(lambda lines: lines[:1] + _drop_w1(lines[1:])),
+    _base_table_edit(lambda lines: lines[:3]),
+    _base_table_edit(lambda lines: _relabelled(lines, NINE_COLUMNS)),
+    _base_table_edit(lambda lines: _relabelled(lines,
+                                               STRIDED_NORMS_COLUMNS)),
+    _spec_with_norm_stride, _spec_with_perturbation_norm_stride,
     _spec_with_calibration],
     ids=["dropped-w1-sigma", "swapped-grad-l3-w1-sigma",
          "rows-without-w1-sigma", "ends-early", "nine-columns",
+         "strided-norms-header", "base-norm-stride",
          "perturbation-norm-stride", "calibration-section"])
 def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
                                                       tmp_path, capsys, edit):
-    # a base norms.csv that is not the run's, or a spec that names a
-    # perturbation norm_stride or a calibration ensemble: the truncated
+    # a base diagnostics.csv whose norm series is not the run's, or a spec
+    # that names a norm_stride or a calibration ensemble: the truncated
     # series used to end in an IndexError (exit 1) and the swapped pair to
-    # pass with moved 4.26a/4.27 margins (exit 0); the nine-column series
-    # and such a spec are those of an output written before only the base
-    # recorded a norm series, or before the constants were closed-form
+    # pass with moved 4.26a/4.27 margins (exit 0); the mean columns, the
+    # header without norm columns and such a spec are those of an output
+    # written before the base recorded its norms at every step, or before
+    # the constants were closed-form
     out = tmp_path / "out"
     shutil.copytree(forced_pert_out, out)
     expected = edit(out)
@@ -533,17 +554,18 @@ def _assert_run_refused(tmp_path, capsys, cfg):
 
 @pytest.mark.parametrize("cfg", [
     dict(SMALL, norm_stride=30),
-    # the perturbation records no norm series: its norm_stride is no key
     dict(SMALL_PERT, perturbation={"snapshot_stride": 50, "norm_stride": 30}),
     dict(SMALL, snapshot_stride=0),
-    # the checks read the base run's norm series: it must be recorded
     dict(SMALL, norm_stride=None)],
     ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride",
          "no-base-norm-stride"])
 def test_cli_refuses_stride_off_the_window_grid(tmp_path, capsys, cfg):
-    # with norm_stride 30, dt*norm_stride = 0.15 puts norm samples at 0,
-    # 0.15, 0.30, 0.45, so the window [0, 0.5] would end between two of them
-    _assert_run_refused(tmp_path, capsys, cfg)
+    # every run records its series at every step: a norm_stride, which
+    # once set a coarser grid for the base's norms, is no key, in either
+    # run, whatever its value
+    err = _assert_run_refused(tmp_path, capsys, cfg)
+    if "norm_stride" in json.dumps(cfg):
+        assert "unknown key 'norm_stride'" in err
 
 
 @pytest.mark.parametrize("cfg", [
@@ -608,11 +630,9 @@ def test_cli_seed_is_checked_with_the_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg", [
-    {"N": 32, "windows": 1, "dt": 0.5, "norm_stride": 2,
-     "snapshot_stride": 2},
+    {"N": 32, "windows": 1, "dt": 0.5, "snapshot_stride": 2},
     # dt*nu*kmax^2 is 80 on the 2D grid but 120 on the 3D one
-    {"N": 16, "windows": 1, "dt": 0.625, "T": 1.25, "norm_stride": 2,
-     "snapshot_stride": 2,
+    {"N": 16, "windows": 1, "dt": 0.625, "T": 1.25, "snapshot_stride": 2,
      "perturbation": {"snapshot_stride": 2}}],
     ids=["base", "perturbation"])
 def test_cli_refuses_unresolved_viscous_scale(tmp_path, capsys, cfg):
@@ -852,6 +872,24 @@ def _modules_after_cli_import(packages, argv=None):
     return proc.stdout.splitlines()[-1]
 
 
+def test_benchmark_trace_installs():
+    # bench/trace_cli.py wraps package functions by their names: one that
+    # the package no longer has fails its install, and every traced
+    # benchmark run with it
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import trace_cli; trace_cli.Tracer().install()"],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_loads_no_process_pool():
     # the forked workers use os.fork directly; importing multiprocessing or
     # concurrent.futures would add 12-20 ms to every CLI process
@@ -866,9 +904,12 @@ def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)), str(out))
     for run in ("base", "perturbation", "direct"):
-        # only the 2D base run records a norm series
-        assert (out / run / "norms.csv").exists() == (run == "base"), run
-        assert (load_trajectory(out / run).norms == {}) == (run != "base")
+        # only the 2D base run records the L3 and W^1_sigma norms, in its
+        # per-step table, and no run writes a table beside it
+        norms = {"grad_l3_sq", "w1_sigma"} & set(load_trajectory(out / run)
+                                                  .diag)
+        assert len(norms) == (2 if run == "base" else 0), run
+        assert not (out / run / "norms.csv").exists(), run
         paths = sorted((out / run / "snapshots").iterdir())
         assert len(paths) == 3, run
         for path in paths:

@@ -15,14 +15,14 @@ from torusflow import experiments as exp
 from torusflow.field import (mean_free, physical_field, physical_padded,
                              random_divfree_field, spectral_data,
                              spectral_field)
-from torusflow.norms import (NORM_REPORT_COLUMNS, _components,
+from torusflow.norms import (_components,
                              _gradient_components, _padded_magnitude,
                              compute_norm_report, grad_l2_norm_sq,
                              gradient_field, l2_norm_sq, lp_norm,
                              poincare_ratio, sharp_dissipation_h2,
                              sharp_poincare_h1, sharp_poincare_h2,
                              sobolev_norm_sq)
-from torusflow.solver import _read_table, _write_table
+from torusflow.solver import _read_table, _write_table, diag_columns
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -149,19 +149,31 @@ def test_w1_sigma_requires_sigma_above_3(grid2):
     assert compute_norm_report(f, 4.0)["w1_sigma"] > 0
 
 
+#: the keys of compute_norm_report, in order
+REPORT_KEYS = ("time_stamp", "grad_l3_sq", "w1_sigma")
+
+
 def test_norm_report_csv_schema(grid2, tmp_path):
+    # the base run's diagnostics.csv ends with the report's two norms, and
+    # a row of them reads back bit for bit
     rep = compute_norm_report(_sin_field(grid2))
-    assert tuple(rep) == NORM_REPORT_COLUMNS
-    path = tmp_path / "norms.csv"
-    _write_table(path, {c: [v] for c, v in rep.items()}, NORM_REPORT_COLUMNS)
+    assert tuple(rep) == REPORT_KEYS
+    columns = diag_columns("2d_base", 2)
+    assert columns[0] == "t" and tuple(columns[-2:]) == REPORT_KEYS[1:]
+    table = {"t": [rep["time_stamp"]]} | {c: [rep.get(c, 1.0)]
+                                          for c in columns[1:]}
+    path = tmp_path / "diagnostics.csv"
+    _write_table(path, table, columns)
     header, row = path.read_text().splitlines()
-    assert header == ",".join(NORM_REPORT_COLUMNS)
-    assert len(row.split(",")) == len(NORM_REPORT_COLUMNS)
+    assert header == ",".join(columns)
+    assert len(row.split(",")) == len(columns)
     # fixed order: identical report -> identical row
     again = compute_norm_report(_sin_field(grid2))
-    assert row == ",".join(repr(float(again[c])) for c in NORM_REPORT_COLUMNS)
-    back = _read_table(path, NORM_REPORT_COLUMNS)
-    assert {c: float(v[0]) for c, v in back.items()} == rep
+    assert row.split(",")[-2:] == [repr(float(again[c]))
+                                   for c in REPORT_KEYS[1:]]
+    back = _read_table(path, columns)
+    assert {c: float(back[c][0]) for c in REPORT_KEYS[1:]} \
+        == {c: rep[c] for c in REPORT_KEYS[1:]}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -173,7 +185,7 @@ def test_norm_report_matches_standalone_norms(dim):
     expected = {"time_stamp": f.time_stamp,
                 "grad_l3_sq": lp_norm(grad, 3) ** 2,
                 "w1_sigma": lp_norm(f, 4.5) + lp_norm(grad, 4.5)}
-    assert tuple(rep) == tuple(expected) == NORM_REPORT_COLUMNS
+    assert tuple(rep) == tuple(expected) == REPORT_KEYS
     for name, value in expected.items():
         assert rep[name] == pytest.approx(value, rel=1e-14, abs=0)
 
@@ -256,12 +268,12 @@ def test_calibrate_constants_match_stacked_reference(grid3):
 def test_trajectory_norms_ordering(tmp_path, capsys):
     # a saved series whose rows are out of time order, or hold a time or a
     # value that is not a number, is refused when verify loads it (exit 2),
-    # for the norm and the per-step table alike; a nan l2_sq used to be
-    # checked, and failed as 3.2 and 3.3 (exit 1)
+    # for the base's norm columns and the other per-step columns alike; a
+    # nan l2_sq used to be checked, and failed as 3.2 and 3.3 (exit 1)
     run = tmp_path / "run"
     spec = exp.parse_config(json.dumps({
         "scenario": "ordering", "nu": 0.5, "dt": 5e-3, "T": 0.05,
-        "windows": 1, "N": 8, "norm_stride": 5,
+        "windows": 1, "N": 8,
         "base": {"initial": {"kind": "taylor-green", "amplitude": 0.1}}}))
     exp.run_experiment(spec, str(run))
     assert cli.main(["verify", "--out", str(run)]) == exp.EXIT_OK
@@ -273,17 +285,19 @@ def test_trajectory_norms_ordering(tmp_path, capsys):
     def nan_time(lines):
         lines[2] = "nan" + lines[2][lines[2].index(","):]
 
-    def nan_l2(lines):
-        cells = lines[2].split(",")
-        cells[lines[0].split(",").index("l2_sq")] = "nan"
-        lines[2] = ",".join(cells)
+    def nan_in(column):
+        def edit(lines):
+            cells = lines[2].split(",")
+            cells[lines[0].split(",").index(column)] = "nan"
+            lines[2] = ",".join(cells)
+        return edit
 
     increase, finite = "strictly increase", "not finite"
-    cases = [("norms.csv", swap, increase),
-             ("diagnostics.csv", swap, increase),
-             ("norms.csv", nan_time, increase),
-             ("diagnostics.csv", nan_l2, finite)]
-    for case, (name, edit, message) in enumerate(cases):
+    name = "diagnostics.csv"
+    cases = [(swap, increase), (nan_time, increase),
+             (nan_in("l2_sq"), finite), (nan_in("grad_l3_sq"), finite),
+             (nan_in("w1_sigma"), finite)]
+    for case, (edit, message) in enumerate(cases):
         out = tmp_path / f"case{case}"
         shutil.copytree(run, out)
         path = out / "base" / name

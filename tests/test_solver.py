@@ -18,8 +18,8 @@ from torusflow.field import (derivative_data, divergence_linf,
                              random_divfree_field, spectral_data,
                              spectral_field)
 from torusflow.experiments import combine_forcing
-from torusflow.norms import (NORM_REPORT_COLUMNS, compute_norm_report,
-                             grad_l2_norm_sq, l2_norm_sq, sobolev_norm_sq)
+from torusflow.norms import (compute_norm_report, grad_l2_norm_sq,
+                             l2_norm_sq, sobolev_norm_sq)
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               _EXPR_FUNCTIONS, _forcing_series,
                               forcing_lp_sq_series, load_trajectory,
@@ -58,27 +58,23 @@ def test_config_validation(grid2):
         SolverConfig(grid=grid2, nu=-1, dt=1e-3, t_end=1, T=1, initial=v0)
     with pytest.raises(ValueError):
         SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.5, T=1, initial=v0)
-    with pytest.raises(ValueError):
-        # T not a multiple of the norm interval
-        SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1, initial=v0,
-                     snapshot_stride=3, norm_stride=3)
-    with pytest.raises(ValueError):
-        # norm samples at 0, 0.15, 0.30, 0.45: window [0, 0.5] would end
-        # between two of them
-        SolverConfig(grid=grid2, nu=0.1, dt=5e-3, t_end=0.5, T=0.5,
-                     initial=v0, snapshot_stride=100, norm_stride=30)
     # a run's clock is refused at construction: [1, 1.5] is no window, nor
-    # is t_end = 1.0011 a whole number of windows; with no norm_stride, T
-    # must still be a whole number of steps
+    # is t_end = 1.0011 a whole number of windows, and T must be a whole
+    # number of steps
     for dt, t_end, what in ((1e-3, 1.5, "windows"), (2e-3, 1.0011, "windows"),
                             (3e-3, 1, "step dt")):
         with pytest.raises(ValueError, match=what):
             SolverConfig(grid=grid2, nu=0.1, dt=dt, t_end=t_end, T=1,
                          initial=v0)
-    # without a norm_stride a run records no norm series, and snapshots may
-    # fall anywhere
-    assert SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1,
-                        initial=v0, snapshot_stride=3).norm_stride is None
+    for stride in (0, 1.5):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1,
+                         initial=v0, snapshot_stride=stride)
+    # every run records its series at every step, and snapshots may fall
+    # anywhere
+    assert "norm_stride" not in SolverConfig(
+        grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1, initial=v0,
+        snapshot_stride=3).describe()
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=2e-3, t_end=3, T=1, initial=v0)
     assert cfg.n_steps == 1500
     np.testing.assert_array_equal(cfg.times, 2e-3 * np.arange(1501))
@@ -512,7 +508,6 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
     # same state and time, and a saved streamed run matches a saved
     # in-memory one file for file
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
-    base_cfg = dataclasses.replace(base_cfg, norm_stride=5)
     held = run_perturbation(pert_cfg, base_cfg, direct_cfg)
     names = ("base", "perturbation", "direct")
     dirs = tuple(tmp_path / "streamed" / name for name in names)
@@ -543,7 +538,7 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
         scalar = sorted(set(os.listdir(directory)) - {"snapshots"})
         assert scalar == sorted(set(os.listdir(tmp_path / "held" / name))
                                 - {"snapshots"})
-        assert ("norms.csv" in scalar) == (name == "base")
+        assert scalar == ["config.json", "diagnostics.csv", "summary.json"]
         for fname in scalar:
             assert (directory / fname).read_bytes() \
                 == (tmp_path / "held" / name / fname).read_bytes()
@@ -568,7 +563,7 @@ def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
     def peak(stride, directory):
         cfg = SolverConfig(grid=grid, nu=0.5, dt=dt, t_end=steps * dt,
                            T=steps * dt, initial=initial,
-                           snapshot_stride=stride, norm_stride=steps)
+                           snapshot_stride=stride)
         run_full_3d(cfg, directory)  # warms every cache first
         tracemalloc.start()
         try:
@@ -586,22 +581,23 @@ def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
 
 
 def test_lockstep_direct_matches_run_full_3d(monkeypatch):
-    # the 3D configs give no norm_stride, so only the base computes norm
-    # reports: a 3D one fails the run, in the direct run's worker too
+    # only the 2D base computes the L3 and W^1_sigma norms, at every step:
+    # a 3D run that computed them fails, in the direct run's worker too
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
-    base_cfg = dataclasses.replace(base_cfg, norm_stride=5)
     dims = []
+    base_norms = _Workspace.base_norms
 
-    def report_2d(field, sigma):
-        dims.append(field.grid.dim)
-        assert field.grid.dim == 2, "a 3D run computed a norm report"
-        return compute_norm_report(field, sigma)
+    def norms_2d(ws, v, sigma):
+        dims.append(ws.grid.dim)
+        assert ws.grid.dim == 2, "a 3D run computed the base's norms"
+        return base_norms(ws, v, sigma)
 
-    monkeypatch.setattr(solver, "compute_norm_report", report_2d)
+    monkeypatch.setattr(_Workspace, "base_norms", norms_2d)
     base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
     alone = run_full_3d(direct_cfg)
-    assert dims == [2] * len(base.norms["time_stamp"]) == [2] * 5
-    assert pert.norms == direct.norms == alone.norms == {}
+    assert dims == [2] * len(base.diag["t"]) == [2] * (base_cfg.n_steps + 1)
+    for traj in (pert, direct, alone):
+        assert not {"grad_l3_sq", "w1_sigma"} & set(traj.diag)
     np.testing.assert_array_equal(direct.times, alone.times)
     np.testing.assert_array_equal(np.array(direct.snapshots),
                                   np.array(alone.snapshots))
@@ -795,6 +791,36 @@ def test_forcing_series_match_replaced_path(dim, N, expressions, t_end):
     assert (series > 0).all()
 
 
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_base_norms_match_norm_report(N):
+    # the 2D base's grad_l3_sq and w1_sigma, read from its K-state through
+    # the pruned stages at 2N, equal bit for bit compute_norm_report of its
+    # mean-free part on the full lattice (the replaced path), on random
+    # K-states and divergence-free fields with a mean and on Taylor-Green,
+    # one after another, so that a stale buffer would show; the state is
+    # left as it was
+    grid = make_grid(2 * np.pi, N, 2)
+    ws = _Workspace(grid)
+    rng = np.random.default_rng(N)
+    states = [rng.standard_normal(ws.shape) + 1j * rng.standard_normal(
+        ws.shape) for _ in range(5)]
+    states += [ws.to_kept(random_divfree_field(grid, seed).spectral())
+               for seed in range(5)]
+    for v in states:
+        v[:, 0, 0] = rng.standard_normal(2)
+    states.append(ws.to_kept(taylor_green_exact(grid, 0.5, 0.0, 0.3)
+                             .spectral()))
+    for sigma in (4.0, 4.5):
+        for v in states:
+            before = v.copy()
+            report = compute_norm_report(
+                mean_free(spectral_field(grid, ws.to_full(v))), sigma)
+            want = np.array([report["grad_l3_sq"], report["w1_sigma"]])
+            assert np.array(ws.base_norms(v, sigma)).tobytes() \
+                == want.tobytes()
+            assert v.tobytes() == before.tobytes()
+
+
 def test_force_above_two_thirds_is_not_applied():
     # at N=8 the 2/3 rule keeps |m| <= 2: sin(3 x2) lies above it, so the
     # run applies and records only 0.1 sin(x2), whose squared L2 norm on
@@ -873,7 +899,7 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
                           expressions=("0.1*sin(x1)*cos(t)",
                                        "0.2*cos(3*t) + 0.1*sin(x2)"))
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.05, T=0.05,
-                       forcing=forcing, snapshot_stride=10, norm_stride=25,
+                       forcing=forcing, snapshot_stride=10,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
     traj = run_2d_base(cfg)
     assert np.ptp(traj.diag["forcing_l2_sq"]) > 0.0
@@ -883,13 +909,12 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
 
     back = load_trajectory(tmp_path / "run")
     assert back.grid == grid2
-    # every stored series reads back bit for bit
-    assert set(back.diag) == set(traj.diag)
-    for key, series in traj.diag.items():
-        assert np.array_equal(back.diag[key], series), key
-    assert list(back.norms) == list(traj.norms) == list(NORM_REPORT_COLUMNS)
-    for key, series in traj.norms.items():
-        assert np.array_equal(back.norms[key], series), key
+    # every stored series reads back bit for bit; the base stores every
+    # one but its mean
+    assert set(back.diag) == set(traj.diag) - {"mean"}
+    assert {"grad_l3_sq", "w1_sigma"} <= set(back.diag)
+    for key, series in back.diag.items():
+        assert np.array_equal(series, traj.diag[key]), key
     last = load_field(out["snapshots"][-1])
     assert last.time_stamp == traj.times[-1]
     assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
