@@ -12,7 +12,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .field import Field, divergence_linf, mean as field_mean, physical_padded
+from .field import (Field, divergence_linf, laplacian_data, mean as field_mean,
+                    mean_free, physical_padded, spectral_derivative,
+                    spectral_field)
 from .grid import TorusGrid
 from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2)
@@ -21,7 +23,6 @@ from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
 # perturbation's forcing_l6_5_sq, in-process for a steady force and in its
 # forcing worker (_timed_forcing_l6_5_sq) otherwise
 from .solver import Trajectory, forcing_lp_sq_series  # noqa: F401
-from .field import spectral_field
 
 PASS = "pass"
 FAIL = "fail"
@@ -236,8 +237,6 @@ def vorticity_cancellation_residual(vs: Field) -> float:
         raise ValueError("the cancellation identity is specific to 2D fields")
     if divergence_linf(vs) > 1e-8:
         raise ValueError("input must be divergence free")
-    from .field import mean_free, spectral_derivative, laplacian_data
-
     bar = mean_free(vs)
     m = field_mean(vs)
     factor = 3  # integrand is cubic in the field: 3K bandwidth needs 3N/2+
@@ -427,7 +426,6 @@ def margin_4_27(alpha, int_A_sq, c_star, T) -> float:
 class BConstants:
     B1_sq: float
     B2_sq: float          # exponent with A5^2, as in the lemma statement
-    B2_sq_a3: float       # exponent with A3^2, as used in the derivation
     B3_sq: float
     B4_sq: float
     assumption2_margin: float
@@ -460,13 +458,12 @@ def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
     A5_3d = L * twod.A5_sq
     assumption2 = -(-0.5 * nu * c1 * T + 4.0 * c3 / (nu * c1) * A3_3d)
     B2_sq = math.exp(4.0 * c3 / (nu * c1) * A5_3d) * B1_sq
-    B2_sq_a3 = math.exp(4.0 * c3 / (nu * c1) * A3_3d) * B1_sq
     u0_l2_sq = float(pert.diag["l2_sq"][0])
     B3_sq = B2_sq / (1.0 - math.exp(-0.5 * nu * c1 * T)) + u0_l2_sq
     explicit = margin_4_11(nu, T, twod.c_s1, c1, c3,
                            L * twod.f_window_sup, L * twod.v0_grad_l2_sq)
-    return BConstants(B1_sq=B1_sq, B2_sq=B2_sq, B2_sq_a3=B2_sq_a3,
-                      B3_sq=B3_sq, B4_sq=B2_sq + B3_sq,
+    return BConstants(B1_sq=B1_sq, B2_sq=B2_sq, B3_sq=B3_sq,
+                      B4_sq=B2_sq + B3_sq,
                       assumption2_margin=assumption2,
                       explicit_condition_margin=explicit)
 

@@ -8,7 +8,6 @@ nonlinear kernel, multiplies by i k on one lattice, grid.k_deriv, which is
 zero on each axis' Nyquist plane.
 """
 
-import functools
 import json
 
 import numpy as np
@@ -112,19 +111,14 @@ def spectral_derivative(field: Field, direction: int) -> Field:
     return Field(field.grid, out, SPECTRAL, False, field.time_stamp)
 
 
-def gradient_parts(grid: TorusGrid, spec: np.ndarray):
-    """First derivatives of each component along every axis, one
-    (1,) + spectral shape array at a time, ordered component-major."""
-    return (derivative_data(grid, spec[c:c + 1], ax)
-            for c in range(spec.shape[0]) for ax in range(grid.dim))
-
-
-def gradient_data(grid: TorusGrid, spec_scalar: np.ndarray) -> np.ndarray:
+def gradient_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
     """Stack of first derivatives of each component along every axis.
 
     Shape (ncomp * dim,) + spectral shape, ordered component-major.
     """
-    return np.concatenate(list(gradient_parts(grid, spec_scalar)), axis=0)
+    return np.concatenate([derivative_data(grid, spec[c:c + 1], ax)
+                           for c in range(spec.shape[0])
+                           for ax in range(grid.dim)], axis=0)
 
 
 def laplacian_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
@@ -226,65 +220,41 @@ def extrude_field(field2d: Field, grid3: TorusGrid) -> Field:
                  field2d.time_stamp)
 
 
-def physical_padded(field: Field, factor: int = 2, out=None) -> np.ndarray:
+def physical_padded(field: Field, factor: int = 2) -> np.ndarray:
     """Collocation values on a refined (factor*N, factor >= 2) grid via
-    Fourier upsampling, into out if given, else into a fresh array.
+    Fourier upsampling, as a fresh array.
 
     Exact trigonometric interpolation for band-limited (e.g. dealiased)
     fields; used for aliasing-reduced quadrature of |u|^p integrals.
 
-    Each component's spectral coefficients are zero-padded and
-    inverse-transformed one axis at a time (full axes first, the rfft axis
-    last), so no line of padding zeros is ever transformed; the
-    intermediate arrays are those of _pad_stages, allocated once per grid
-    and factor.  Each Nyquist plane is split in half across +-N/2, which
-    makes the result agree to roundoff with resampling the physical values
-    axis by axis, band-limited or not.
+    Every component's spectral coefficients are zero-padded and
+    inverse-transformed at once, one axis at a time (full axes first, the
+    rfft axis last), so no line of padding zeros is ever transformed.  Each
+    Nyquist plane is split in half across +-N/2, which makes the result
+    agree to roundoff with resampling the physical values axis by axis,
+    band-limited or not.
     """
     grid = field.grid
     if factor < 2:
         raise ValueError(f"pad factor must be >= 2, got {factor}")
     M, h = factor * grid.N, grid.N // 2
-    spec = field.spectral()
-    if out is None:
-        out = np.empty((field.ncomp,) + (M,) * grid.dim)
-    stages, last = _pad_stages(grid, factor)
-    for c in range(field.ncomp):
-        vals = spec[c:c + 1]
-        for ax, (padded, result) in enumerate(stages, start=1):
-            # only the kept modes are written: the padding stays zero
-            src = np.moveaxis(vals, ax, 0)
-            dst = np.moveaxis(padded, ax, 0)
-            dst[:h] = src[:h]
-            dst[M - h + 1:] = src[h + 1:]
-            dst[h] = dst[M - h] = 0.5 * src[h]
-            # coefficients are normalized to the mean: no 1/M on the inverse
-            vals = np.fft.ifft(padded, axis=ax, norm="forward", out=result)
-        last[..., :h] = vals[..., :h]
-        # irfft at size N reads only the real part of the Nyquist column
-        last[..., h] = 0.5 * vals[..., h].real
-        np.fft.irfft(last, n=M, axis=-1, norm="forward", out=out[c:c + 1])
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _pad_stages(grid: TorusGrid, factor: int) -> tuple:
-    """The scratch arrays of physical_padded for one component on grid:
-    per full axis the zero-padded input and its inverse transform, then the
-    zero-padded input of the rfft axis.  Zeroed once here; physical_padded
-    overwrites only the kept modes, so every padding entry stays zero.  The
-    arrays of the 8 most recent (grid, factor) pairs are kept and shared by
-    every caller in the process, so threads must not pad concurrently (a
-    forked Worker, which runs sweep members, gets its own copy)."""
-    M = factor * grid.N
-    shape = [1, *grid.shape_spec]
-    stages = []
+    vals = field.spectral()
     for ax in range(1, grid.dim):
+        shape = list(vals.shape)
         shape[ax] = M
-        stages.append((np.zeros(shape, dtype=complex),
-                       np.empty(shape, dtype=complex)))
-    shape[-1] = M // 2 + 1
-    return stages, np.zeros(shape, dtype=complex)
+        padded = np.zeros(shape, dtype=complex)
+        src = np.moveaxis(vals, ax, 0)
+        dst = np.moveaxis(padded, ax, 0)
+        dst[:h] = src[:h]
+        dst[M - h + 1:] = src[h + 1:]
+        dst[h] = dst[M - h] = 0.5 * src[h]
+        # coefficients are normalized to the mean: no 1/M on the inverse
+        vals = np.fft.ifft(padded, axis=ax, norm="forward")
+    padded = np.zeros(vals.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    padded[..., :h] = vals[..., :h]
+    # irfft at size N reads only the real part of the Nyquist column
+    padded[..., h] = 0.5 * vals[..., h].real
+    return np.fft.irfft(padded, n=M, axis=-1, norm="forward")
 
 
 def save_field(path, field: Field) -> None:

@@ -7,8 +7,7 @@ grid to reduce aliasing in integrals of |u|^p.
 
 import numpy as np
 
-from .field import (Field, gradient_data, gradient_parts, physical_padded,
-                    spectral_field)
+from .field import Field, gradient_data, mean, physical_padded, spectral_field
 from .grid import TorusGrid
 
 DEFAULT_SIGMA = 4.0
@@ -46,42 +45,13 @@ def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return float(np.sqrt(l2_norm_sq(field)))
-    return _quadrature_norm(field.grid,
-                            _padded_magnitude(_components(field), pad_factor),
+    return _quadrature_norm(field.grid, _padded_magnitude(field, pad_factor),
                             p, pad_factor)
 
 
-def _components(field: Field):
-    """The single-component Fields of field, in its representation."""
-    return (Field(field.grid, field.data[c:c + 1], field.representation)
-            for c in range(field.ncomp))
-
-
-def _gradient_components(field: Field):
-    """The first derivatives of field as single-component spectral Fields,
-    one at a time, in gradient_data's order."""
-    return (spectral_field(field.grid, d)
-            for d in gradient_parts(field.grid, field.spectral()))
-
-
-def _padded_magnitude(parts, pad_factor: int = 2) -> np.ndarray:
-    """Pointwise Euclidean magnitude |u(x)| on the padded grid, from the
-    single-component Fields of u.
-
-    Each part is padded on its own, the second and later ones into one
-    scratch array, and its square added into one accumulator in order,
-    which equals sqrt(sum(physical_padded(u)**2, axis=0)) bit for bit
-    without holding every padded component at once.
-    """
-    acc = scratch = None
-    for part in parts:
-        if acc is None:
-            acc = physical_padded(part, pad_factor)[0]
-            np.square(acc, out=acc)
-        else:
-            scratch = physical_padded(part, pad_factor, out=scratch)
-            acc += np.square(scratch[0], out=scratch[0])
-    return np.sqrt(acc, out=acc)
+def _padded_magnitude(field: Field, pad_factor: int = 2) -> np.ndarray:
+    """Pointwise Euclidean magnitude |u(x)| on the padded grid."""
+    return np.sqrt(np.sum(physical_padded(field, pad_factor) ** 2, axis=0))
 
 
 def _quadrature_norm(grid: TorusGrid, mag: np.ndarray, p: float,
@@ -99,25 +69,30 @@ def gradient_field(field: Field) -> Field:
                           time_stamp=field.time_stamp)
 
 
+def w1_sigma_norms(grid: TorusGrid, mag: np.ndarray, grad_mag: np.ndarray,
+                   sigma: float) -> tuple:
+    """(||grad u||_{L3}^2, ||u||_{L^sigma} + ||grad u||_{L^sigma}) by the
+    collocation rule on the 2N grid, from the padded magnitudes of u and of
+    its gradient."""
+    return (_quadrature_norm(grid, grad_mag, 3) ** 2,
+            _quadrature_norm(grid, mag, sigma)
+            + _quadrature_norm(grid, grad_mag, sigma))
+
+
 def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> dict:
     """{"time_stamp", "grad_l3_sq", "w1_sigma"}: the time_stamp of field,
     ||grad field||_{L3}^2 and the W^1_sigma norm ||field||_{L^sigma} +
-    ||grad field||_{L^sigma}, for sigma > 3.  The field and its gradient
-    are padded once each, one component at a time, and every norm is read
-    from those two magnitudes.  The reference of the 2D base run's
-    per-step norms (solver._Workspace.base_norms), which equal it bit for
-    bit on the run's mean-free state."""
+    ||grad field||_{L^sigma}, for sigma > 3 (w1_sigma_norms of the padded
+    magnitudes of field and of gradient_field(field)).  The reference of
+    the 2D base run's per-step norms (solver._Workspace.base_norms), which
+    equal it bit for bit on the run's mean-free state."""
     if sigma <= 3:
         raise ValueError(f"sigma must exceed 3, got {sigma}")
-    grid = field.grid
-    mag = _padded_magnitude(_components(field))
-    grad_mag = _padded_magnitude(_gradient_components(field))
-    return {
-        "time_stamp": field.time_stamp,
-        "grad_l3_sq": _quadrature_norm(grid, grad_mag, 3) ** 2,
-        "w1_sigma": _quadrature_norm(grid, mag, sigma)
-        + _quadrature_norm(grid, grad_mag, sigma),
-    }
+    grad_l3_sq, w1_sigma = w1_sigma_norms(
+        field.grid, _padded_magnitude(field),
+        _padded_magnitude(gradient_field(field)), sigma)
+    return {"time_stamp": field.time_stamp, "grad_l3_sq": grad_l3_sq,
+            "w1_sigma": w1_sigma}
 
 
 def poincare_ratio(field: Field, relative_to: str = "h1") -> float:
@@ -126,8 +101,6 @@ def poincare_ratio(field: Field, relative_to: str = "h1") -> float:
     relative_to="h1": ||grad u||^2 / ||u||_H1^2   (>= kappa^2/(1+kappa^2))
     relative_to="l2": ||grad u||^2 / ||u||_L2^2   (>= kappa^2)
     """
-    from .field import mean
-
     l2 = l2_norm_sq(field)
     if l2 == 0.0:
         raise ValueError("poincare_ratio of a zero field")

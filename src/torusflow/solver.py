@@ -56,7 +56,8 @@ import numpy as np
 
 from .grid import TorusGrid
 from .field import Field, load_field, save_field, spectral_data, spectral_field
-from .norms import _quadrature_norm, l2_norm_sq, lp_norm, DEFAULT_SIGMA
+from .norms import (_quadrature_norm, l2_norm_sq, lp_norm, w1_sigma_norms,
+                    DEFAULT_SIGMA)
 from .worker import Worker
 
 
@@ -459,15 +460,15 @@ class _Workspace:
     def _padded_squares(self, v, gradient=False):
         """The squares of the values on the 2N grid of the mean-free part u
         of the K-state v and, given gradient, of its first derivatives
-        ik_j u_c after it, in field.gradient_parts' order, into a buffer of
+        ik_j u_c after it, in field.gradient_data's order, into a buffer of
         the workspace that the next call overwrites.
 
         One K-array holds every component (its buffers are allocated at the
         first call for their count), and physical's stages at M = 2N take
         them all, one call per stage.  Each component's values equal, bit
         for bit, those of field.physical_padded, which transforms every line
-        of the full lattice one component at a time: the lines skipped here
-        are zero, and a zero line transforms to zeros.
+        of the full lattice: the lines skipped here are zero, and a zero
+        line transforms to zeros.
         """
         n, d, M = len(v), self.grid.dim, 2 * self.grid.N
         ncomp = n + n * d if gradient else n
@@ -496,22 +497,19 @@ class _Workspace:
 
     def padded_magnitude(self, v):
         """|u(x)| on the 2N grid of the mean-free part u of the K-state v
-        (_padded_squares): norms._padded_magnitude of
-        field.physical_padded, bit for bit."""
+        (_padded_squares): norms._padded_magnitude, bit for bit."""
         return self._magnitude(self._padded_squares(v))
 
     def base_norms(self, v, sigma):
         """(grad_l3_sq, w1_sigma) of the mean-free part u of the 2D K-state
         v: ||grad u||_{L3}^2 and ||u||_{L^sigma} + ||grad u||_{L^sigma} by
         the collocation rule on the 2N grid, from one _padded_squares of u
-        and grad u; equal bit for bit to norms.compute_norm_report of
-        field.mean_free of v on the full lattice."""
+        and grad u (norms.w1_sigma_norms); equal bit for bit to
+        norms.compute_norm_report of field.mean_free of v on the full
+        lattice."""
         squares = self._padded_squares(v, gradient=True)
-        mag, grad = self._magnitude(squares[:len(v)]), \
-            self._magnitude(squares[len(v):])
-        return (_quadrature_norm(self.grid, grad, 3) ** 2,
-                _quadrature_norm(self.grid, mag, sigma)
-                + _quadrature_norm(self.grid, grad, sigma))
+        return w1_sigma_norms(self.grid, self._magnitude(squares[:len(v)]),
+                              self._magnitude(squares[len(v):]), sigma)
 
     def spectral(self, phys, out):
         """The K entries of the spectral coefficients of the physical

@@ -1,5 +1,7 @@
 """Reference computations the tests compare the solver against."""
 
+import functools
+
 import numpy as np
 
 from torusflow.field import (Field, leray_data, physical_data, spectral_data,
@@ -51,9 +53,9 @@ def mean_free_force(cfg, t: float) -> Field:
 
 def forcing_norm_sq_series(cfg, p: float) -> np.ndarray:
     """The replaced solver.forcing_lp_sq_series: lp_norm(., p) ** 2 of
-    mean_free_force at every step time of cfg (physical_padded, one
-    component at a time, for p != 2), l2_norm_sq for p = None; a steady
-    force's once, zeros for a zero force."""
+    mean_free_force at every step time of cfg (field.physical_padded, for
+    p != 2), l2_norm_sq for p = None; a steady force's once, zeros for a
+    zero force."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
@@ -83,6 +85,67 @@ def embedding_ratio_l6_h1(field: Field) -> float:
     if h1 == 0.0:
         raise ValueError("embedding ratio of a zero field")
     return lp_norm(field, 6) ** 2 / h1
+
+
+def physical_padded_per_component(field: Field, factor: int = 2,
+                                  out=None) -> np.ndarray:
+    """The replaced field.physical_padded: each component zero-padded and
+    inverse-transformed on its own, one axis at a time, through the scratch
+    arrays of _pad_stages that every call on a grid and factor shares, into
+    out if given, else into a fresh array."""
+    grid = field.grid
+    M, h = factor * grid.N, grid.N // 2
+    spec = field.spectral()
+    if out is None:
+        out = np.empty((field.ncomp,) + (M,) * grid.dim)
+    stages, last = _pad_stages(grid, factor)
+    for c in range(field.ncomp):
+        vals = spec[c:c + 1]
+        for ax, (padded, result) in enumerate(stages, start=1):
+            src = np.moveaxis(vals, ax, 0)
+            dst = np.moveaxis(padded, ax, 0)
+            dst[:h] = src[:h]
+            dst[M - h + 1:] = src[h + 1:]
+            dst[h] = dst[M - h] = 0.5 * src[h]
+            vals = np.fft.ifft(padded, axis=ax, norm="forward", out=result)
+        last[..., :h] = vals[..., :h]
+        last[..., h] = 0.5 * vals[..., h].real
+        np.fft.irfft(last, n=M, axis=-1, norm="forward", out=out[c:c + 1])
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _pad_stages(grid, factor: int) -> tuple:
+    """The shared scratch of physical_padded_per_component for one
+    component: per full axis the zero-padded input and its inverse
+    transform, then the zero-padded input of the rfft axis, zeroed once."""
+    M = factor * grid.N
+    shape = [1, *grid.shape_spec]
+    stages = []
+    for ax in range(1, grid.dim):
+        shape[ax] = M
+        stages.append((np.zeros(shape, dtype=complex),
+                       np.empty(shape, dtype=complex)))
+    shape[-1] = M // 2 + 1
+    return stages, np.zeros(shape, dtype=complex)
+
+
+def streamed_padded_magnitude(field: Field, pad_factor: int = 2) -> np.ndarray:
+    """The replaced norms._padded_magnitude: |u| on the padded grid with
+    each component padded on its own (physical_padded_per_component), the
+    second and later ones into one scratch array, and its square added into
+    one accumulator in component order."""
+    acc = scratch = None
+    for c in range(field.ncomp):
+        part = Field(field.grid, field.data[c:c + 1], field.representation)
+        if acc is None:
+            acc = physical_padded_per_component(part, pad_factor)[0]
+            np.square(acc, out=acc)
+        else:
+            scratch = physical_padded_per_component(part, pad_factor,
+                                                    out=scratch)
+            acc += np.square(scratch[0], out=scratch[0])
+    return np.sqrt(acc, out=acc)
 
 
 class FullLatticeWorkspace:

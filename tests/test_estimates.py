@@ -293,7 +293,7 @@ def test_B_constants_zero_forcing(stability_setup):
     twod = est.compute_A_constants(base, T, budget.nu)
     b = est.compute_B_constants(pert, twod, budget.c1, budget.c3)
     assert b.B1_sq == 0.0
-    assert b.B2_sq == 0.0 and b.B2_sq_a3 == 0.0
+    assert b.B2_sq == 0.0
     assert b.B3_sq == pytest.approx(pert.diag["l2_sq"][0])
     assert b.hypotheses_hold
     assert b.explicit_condition_margin > 0

@@ -752,6 +752,40 @@ def test_one_process_fallback_writes_the_forked_artifacts(tmp_path,
     assert set(meta["workers"]) == {"direct", "forcing"}
 
 
+def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
+    # every norm a run records is read from its K-state (solver._Workspace):
+    # field.physical_padded, patched to raise under every torusflow name
+    # bound to it before the direct and forcing workers fork, is called
+    # neither by run nor by verify, in this process or in a worker
+    import sys
+    from torusflow import field, norms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field.physical_padded called")
+
+    original = field.physical_padded
+    patched = []
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "torusflow":
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, refuse)
+                patched.append(name)
+    assert {"torusflow.field", "torusflow.norms"} <= set(patched)
+    # the patch reaches the public full-lattice norm
+    with pytest.raises(AssertionError, match="physical_padded"):
+        norms.lp_norm(field.random_divfree_field(make_grid(2 * np.pi, 8, 2),
+                                                 1), 3)
+    spec = exp.parse_config(json.dumps(FORCED_DIRECT))
+    out = tmp_path / "out"
+    assert exp.emit_report(exp.run_experiment(spec, str(out)))[1] \
+        == exp.EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    assert set(meta["workers"]) == {"direct", "forcing"}
+    assert exp.emit_report(exp.reverify(str(out)))[1] == exp.EXIT_OK
+
+
 @pytest.mark.parametrize("forcing", [
     {"kind": "zero"},
     {"kind": "expression", "expressions": [

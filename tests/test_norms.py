@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from oracles import embedding_ratio_l6_h1, hessian_l2_norm_sq
+from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq,
+                     streamed_padded_magnitude)
 from torusflow import cli, make_grid
 from torusflow import estimates as est
 from torusflow import experiments as exp
-from torusflow.field import (mean_free, physical_field, physical_padded,
-                             random_divfree_field, spectral_data,
-                             spectral_field)
-from torusflow.norms import (_components,
-                             _gradient_components, _padded_magnitude,
-                             compute_norm_report, grad_l2_norm_sq,
-                             gradient_field, l2_norm_sq, lp_norm,
-                             poincare_ratio, sharp_dissipation_h2,
+from torusflow.field import (mean_free, physical_field, random_divfree_field,
+                             spectral_data, spectral_field)
+from torusflow.norms import (_padded_magnitude, compute_norm_report,
+                             grad_l2_norm_sq, gradient_field, l2_norm_sq,
+                             lp_norm, poincare_ratio, sharp_dissipation_h2,
                              sharp_poincare_h1, sharp_poincare_h2,
                              sobolev_norm_sq)
 from torusflow.solver import _read_table, _write_table, diag_columns
@@ -190,12 +188,6 @@ def test_norm_report_matches_standalone_norms(dim):
         assert rep[name] == pytest.approx(value, rel=1e-14, abs=0)
 
 
-def _stacked_magnitude(field):
-    """|u| on the 2N grid with every component padded at once: the
-    reference for the streamed _padded_magnitude."""
-    return np.sqrt(np.sum(physical_padded(field) ** 2, axis=0))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("ncomp", [3, 9])
 def test_streamed_padded_magnitude_is_exact(dim, ncomp):
@@ -205,17 +197,19 @@ def test_streamed_padded_magnitude_is_exact(dim, ncomp):
     spec = spectral_data(grid, rng.standard_normal((ncomp,) + grid.shape_phys))
     nyquist = (slice(None),) + (slice(None),) * (dim - 1) + (grid.N // 2,)
     assert np.abs(spec[nyquist]).min() > 0
-    # two different fields in a row, both results held: a stale scratch
-    # array would show in either
+    # two different fields in a row, both results held: the replaced path
+    # (tests/oracles.py) pads one component at a time through shared
+    # scratch arrays, and a stale one would show in either
     fields = (spectral_field(grid, spec),
               physical_field(grid, rng.standard_normal(
                   (ncomp,) + grid.shape_phys)))
-    got = [_padded_magnitude(_components(f)) for f in fields]
-    for f, mag in zip(fields, got):
-        np.testing.assert_array_equal(mag, _stacked_magnitude(f))
-    f = spectral_field(grid, spec[:3])
-    np.testing.assert_array_equal(_padded_magnitude(_gradient_components(f)),
-                                  _stacked_magnitude(gradient_field(f)))
+    got = [_padded_magnitude(f) for f in fields]
+    held = [streamed_padded_magnitude(f) for f in fields]
+    for mag, ref in zip(got, held):
+        np.testing.assert_array_equal(mag, ref)
+    grad = gradient_field(spectral_field(grid, spec[:3]))
+    np.testing.assert_array_equal(_padded_magnitude(grad),
+                                  streamed_padded_magnitude(grad))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -252,7 +246,7 @@ def test_calibrate_constants_match_stacked_reference(grid3):
     # sampling ensemble stays below the bounds
     def stacked_lp(f, p):
         cell = (grid3.L / (2 * grid3.N)) ** 3
-        return (cell * np.sum(_stacked_magnitude(f) ** p)) ** (1 / p)
+        return (cell * np.sum(_padded_magnitude(f) ** p)) ** (1 / p)
 
     cal = est.calibrate_constants(grid3)
     for s in range(100):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import physical_padded_per_component
 from torusflow import make_grid
 from torusflow.field import (derivative_data, divergence_linf, extrude_field,
                              leray_data, load_field, mean, mean_free,
@@ -267,9 +268,9 @@ def _padded_reference(field, factor):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("factor", [2, 3])
 def test_physical_padded_matches_fresh_array_path(dim, factor):
-    # every call on a grid and factor shares the scratch arrays: results of
-    # consecutive calls on different fields, held at once, must each equal
-    # the replaced path bit for bit, and out= must receive the same values
+    # results of consecutive calls on different fields, held at once, must
+    # each equal the fresh-array path and the replaced per-component path
+    # with shared scratch (tests/oracles.py) bit for bit
     grid = make_grid(2 * np.pi, 8, dim)
     rng = np.random.default_rng(100 * dim + factor)
     fields = [physical_field(grid, rng.standard_normal((n,) + grid.shape_phys))
@@ -278,9 +279,8 @@ def test_physical_padded_matches_fresh_array_path(dim, factor):
     assert not np.shares_memory(held[0], held[2])
     for f, vals in zip(fields, held):
         np.testing.assert_array_equal(vals, _padded_reference(f, factor))
-    out = np.empty_like(held[0])
-    assert physical_padded(fields[0], factor, out=out) is out
-    np.testing.assert_array_equal(out, held[0])
+        np.testing.assert_array_equal(
+            vals, physical_padded_per_component(f, factor))
 
 
 def test_extrude_field(grid2, grid3):
