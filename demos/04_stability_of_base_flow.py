@@ -36,7 +36,7 @@ base_cfg = SolverConfig(
 
 u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
                           target_h1=np.sqrt(0.5 * budget.gamma))
-# the base run is stepped in lockstep with the perturbation
+# a forked worker steps the base run a few steps ahead of the perturbation
 base, pert, _ = run_perturbation(SolverConfig(
     grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
     snapshot_stride=250), base_cfg)

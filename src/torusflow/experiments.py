@@ -425,7 +425,8 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     their scalar series once all have finished.  On solver blow-up only the partial snapshot
     directories are left of the trajectories, and meta.json carries the
     failure marker.  meta.json also records the wall seconds of each of
-    PHASES in this process (direct, perturbation: with the wait for its
+    PHASES in this process (base and direct beside a perturbation: the
+    wait for its worker; perturbation: with the wait for the forcing
     worker), the busy seconds of each forked worker, the solver steps per
     second of the runs and, per run and for the forcing worker, the
     evaluations of its force (one per step time) and, per run, the count
@@ -484,7 +485,9 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
             if traj is None:
                 continue
             phases[name] += traj.wait_seconds
-            if name == "direct":
+            if pert is not None and name != "perturbation":
+                # run_perturbation steps the base and direct runs in
+                # forked workers
                 workers[name] = traj.step_seconds
             else:
                 phases[name] += traj.step_seconds

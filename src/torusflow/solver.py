@@ -10,12 +10,13 @@ divergence form:
   * the 2D base flow,
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
-    w = u + v_s.  The base run is stepped in lockstep with it, so v_s is
-    read from the current base state, never from a stored trajectory.  The
-    step is linear in the flux history, so the extruded base plus the
-    perturbation equals the full 3D run to roundoff.  A
-    full 3D run beside them shares nothing with them and steps in a forked
-    worker.
+    w = u + v_s.  A forked worker steps the base run and hands the
+    perturbation each extruded base state through a ring of shared slots
+    (_backgrounds, worker.Stream), so v_s is read from the base state at
+    the start of each step, never from a stored trajectory.  The step is
+    linear in the flux history, so the extruded base plus the perturbation
+    equals the full 3D run to roundoff.  A full 3D run beside them shares
+    nothing with them and steps in a forked worker of its own.
 
 Every run stores and steps its state on the 2/3-rule modes K alone
 (_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
@@ -58,7 +59,7 @@ from .grid import TorusGrid
 from .field import Field, load_field, save_field, spectral_data, spectral_field
 from .norms import (_quadrature_norm, l2_norm_sq, lp_norm, w1_sigma_norms,
                     DEFAULT_SIGMA)
-from .worker import Worker
+from .worker import Stream, Worker
 
 
 class BlowUpError(RuntimeError):
@@ -336,7 +337,7 @@ class _Workspace:
         N, c, d = grid.N, grid.N // 3, grid.dim
         self.grid, self.dt = grid, dt
         self.shape = (d,) + (2 * c + 1,) * (d - 1) + (c + 1,)
-        self.pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        self.pairs = list(itertools.combinations_with_replacement(range(d), 2))
         # the 2^(d-1) blocks of K: (index into the full lattice, into K)
         lo, hi_full, hi_kept = slice(0, c + 1), slice(N - c, N), \
             slice(c + 1, 2 * c + 1)
@@ -561,13 +562,15 @@ class _Workspace:
             self._force = self._force[:2] + (True,)
         return self.projected_f
 
-    def background(self, b, products=None):
-        """(b, the products b[i] * b[j] of self.pairs): the background of
-        flux_rhs for the physical values b, the products into products if
-        given."""
+    @staticmethod
+    def background(b, products=None):
+        """(b, the products b[i] * b[j], i <= j, in the order of pairs of a
+        workspace of len(b) dimensions): the background of flux_rhs for the
+        physical values b, the products into products if given."""
+        pairs = list(itertools.combinations_with_replacement(range(len(b)), 2))
         if products is None:
-            products = np.empty((len(self.pairs),) + b.shape[1:])
-        for p, (i, j) in enumerate(self.pairs):
+            products = np.empty((len(pairs),) + b.shape[1:])
+        for p, (i, j) in enumerate(pairs):
             np.multiply(b[i], b[j], out=products[p])
         return b, products
 
@@ -650,9 +653,10 @@ class _Workspace:
 # run drivers
 
 class _Member:
-    """One run of _lockstep: its state, its workspace, the series it
-    records (diag_columns at every step, snapshots at snapshot_stride), the
-    wall seconds spent on them and the evaluations of its force.
+    """One run of _lockstep or _backgrounds: its state, its workspace, the
+    series it records (diag_columns at every step, snapshots at
+    snapshot_stride), the wall seconds spent on them and the evaluations of
+    its force.
 
     The run holds its state on the 2/3-rule modes K alone (state, in the
     layout of _Workspace): the initial field is taken onto K, which masks
@@ -736,12 +740,16 @@ class _Member:
         self._record(i + 1)
         self.seconds += time.perf_counter() - t0
 
-    def extrude(self, out):
-        """Physical values of this 2D state, mean included, as an
-        x3-invariant background into out, shape (3, N, N, 1), whose third
-        component stays zero."""
+    def extrude(self, slot):
+        """The background of a 3D run's flux_rhs for this 2D state into
+        slot, shape (9, N, N, 1): its physical values b, mean included,
+        extruded along x3 into slot[:3], whose third component is zero, and
+        the products of _Workspace.background of b into slot[3:]."""
         t0 = time.perf_counter()
-        self.ws.physical(self.state, out=out[:2, ..., 0])
+        b = slot[:3]
+        self.ws.physical(self.state, out=b[:2, ..., 0])
+        b[2] = 0.0
+        self.ws.background(b, slot[3:])
         self.seconds += time.perf_counter() - t0
 
     def trajectory(self) -> Trajectory:
@@ -759,30 +767,35 @@ class _Member:
         )
 
 
-def _lockstep(lead: _Member, base: _Member | None = None):
-    """The time loop of every run.
+def _lockstep(lead: _Member, backgrounds=None):
+    """The time loop of every run: lead takes its n steps, step i with the
+    i-th slot of backgrounds (_backgrounds) as the background of
+    _Workspace.flux_rhs, if given, else none.
 
-    Per step of lead, the 2D base (if any) first takes its base.n // lead.n
-    substeps; lead then steps with the extruded base state at the start of
-    its step as its background b(t), and b is refreshed from the base.  Only
-    that one background is kept, never the base trajectory, and each
-    b[i] * b[j] is formed once per background.
+    The steps are counted before a slot is asked for, so no slot is asked
+    for after the last step.
     """
-    background = None
-    if base is not None:
-        r = base.n // lead.n
-        background = lead.ws.background(
-            np.zeros((3,) + base.cfg.grid.shape_phys + (1,)))
-        base.extrude(out=background[0])
-        lead.ws.background(*background)
-    for i in range(lead.n):
-        if base is not None:
-            for j in range(i * r, (i + 1) * r):
-                base.advance(j)
-        lead.advance(i, background)
-        if base is not None:
-            base.extrude(out=background[0])
-            lead.ws.background(*background)
+    slots = itertools.repeat(None) if backgrounds is None else backgrounds
+    for i, slot in zip(range(lead.n), slots):
+        lead.advance(i, None if slot is None else (slot[:3], slot[3:]))
+
+
+def _backgrounds(slots, base: _Member, r: int, n: int):
+    """The backgrounds of n steps of a 3D run around the 2D run base, each
+    filled into the next of slots and yielded (worker.Stream): for step i,
+    base extrudes its state at the start of the step (_Member.extrude), then
+    takes its r substeps of the step, and only then is the slot yielded.  So
+    the base reaches the end of a step before the 3D run starts it, as one
+    process stepping the base first would, and a base that blows up yields
+    no slot for that step.  Only the slots are kept, never the base
+    trajectory.  Returns the base's trajectory.
+    """
+    for i, slot in zip(range(n), slots):
+        base.extrude(slot)
+        for j in range(i * r, (i + 1) * r):
+            base.advance(j)
+        yield slot
+    return base.trajectory()
 
 
 def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
@@ -847,16 +860,19 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                      direct_cfg: SolverConfig | None = None,
                      directories=None) -> tuple:
     """Evolve the 3D perturbation of cfg around the 2D base flow of
-    base_cfg, in lockstep with that base run and, if direct_cfg is given,
-    beside the full 3D run of direct_cfg, which a forked worker steps.
+    base_cfg, which a forked worker steps beside it and streams to it
+    (_backgrounds, worker.Stream), and, if direct_cfg is given, beside the
+    full 3D run of direct_cfg, which another forked worker steps.
 
     The base dt must divide dt, and all runs end at cfg.t_end; the direct
     run shares the perturbation's grid and dt.  Returns the trajectories
-    (base, perturbation, direct or None); the direct one records in
-    wait_seconds how long this call waited for its worker.  If both sides
-    blow up, the BlowUpError with the earlier time is raised, and on a tie
-    the perturbation side's, as a loop stepping the direct run after the
-    perturbation at each step would report.
+    (base, perturbation, direct or None); the base and direct ones record
+    in wait_seconds how long this call waited for their workers.  The base
+    reaches the end of each step before the perturbation starts it, so a
+    blow-up of either is the one a loop stepping the base first would
+    report.  If both that side and the direct run blow up, the BlowUpError
+    with the earlier time is raised, and on a tie that side's, as a loop
+    stepping the direct run last at each step would report.
 
     The perturbation's forcing_l6_5_sq depends on its force alone: for a
     time-dependent force a second forked worker computes it with
@@ -867,7 +883,7 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
 
     Given directories, one trajectory directory per run in the order
     returned, each run streams its snapshots into its own (_Member), the
-    direct run from its worker.
+    base and direct runs from their workers.
     """
     grid, g2 = cfg.grid, base_cfg.grid
     if grid.dim != 3:
@@ -890,23 +906,29 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
     with ExitStack() as workers:
         forcing = None if cfg.forcing.steady else workers.enter_context(
             Worker("forcing", _timed_forcing_l6_5_sq, cfg))
-        base = _Member(base_cfg, "2d_base", base_dir)
+        worker = None if direct_cfg is None else workers.enter_context(
+            Worker("direct", _run_alone, direct_cfg, "full_3d", direct_dir))
+        # forked last, so that no other worker holds an end of its pipes
+        base_run = _Member(base_cfg, "2d_base", base_dir)
+        backgrounds = workers.enter_context(Stream(
+            "base", (9,) + g2.shape_phys + (1,), _backgrounds, base_run, r,
+            cfg.n_steps))
         pert = _Member(cfg, "perturbation", pert_dir)
-        direct = None
-        if direct_cfg is None:
-            _lockstep(pert, base)
-        else:
-            worker = workers.enter_context(Worker(
-                "direct", _run_alone, direct_cfg, "full_3d", direct_dir))
-            try:
-                _lockstep(pert, base)
-            except BlowUpError as own:
-                try:
-                    worker.join()
-                except BlowUpError as other:
-                    if other.time < own.time:
-                        raise other from None
+        try:
+            _lockstep(pert, backgrounds)
+            base = backgrounds.join()
+        except BlowUpError as own:
+            if worker is None:
                 raise
+            try:
+                worker.join()
+            except BlowUpError as other:
+                if other.time < own.time:
+                    raise other from None
+            raise
+        base.wait_seconds = backgrounds.wait_seconds
+        direct = None
+        if worker is not None:
             t0 = time.perf_counter()
             direct = worker.join()
             direct.wait_seconds = time.perf_counter() - t0
@@ -918,7 +940,7 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
             series, traj.forcing_worker = forcing.join()
             traj.wait_seconds = time.perf_counter() - t0
         traj.diag["forcing_l6_5_sq"] = series
-    return base.trajectory(), traj, direct
+    return base, traj, direct
 
 
 def run_full_3d(cfg: SolverConfig, directory=None) -> Trajectory:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from torusflow import experiments as exp
-from torusflow import cli, solver
+from torusflow import cli, solver, worker as worker_module
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field
@@ -708,7 +708,7 @@ def test_meta_records_phase_times(tmp_path):
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
     # busy seconds of the forked workers, beside the parent's timeline
     workers = meta["workers"]
-    assert set(workers) == {"direct", "forcing"}
+    assert set(workers) == {"base", "direct", "forcing"}
     assert all(0 < v < meta["wall_seconds"] for v in workers.values())
     assert meta["steps_per_s"] > 0
     # every run, and the forcing worker, evaluates its force exactly once
@@ -733,23 +733,47 @@ def _artifacts(out: Path) -> dict:
             if p.is_file() and p.name != "meta.json"}
 
 
-def test_one_process_fallback_writes_the_forked_artifacts(tmp_path,
-                                                          monkeypatch):
-    # without os.fork the direct run and the forcing series are computed in
-    # the run's own process, to the same bytes
-    spec = exp.parse_config(json.dumps(FORCED_DIRECT))
+def _forked_and_alone(spec, tmp_path, monkeypatch) -> dict:
+    """The artifacts of spec's run, which must be those of the same run
+    without os.fork, and the workers of the latter's meta.json."""
     exp.run_experiment(spec, str(tmp_path / "forked"))
     monkeypatch.delattr(os, "fork")
     exp.run_experiment(spec, str(tmp_path / "alone"))
     forked, alone = (_artifacts(tmp_path / name)
                      for name in ("forked", "alone"))
-    assert "perturbation/diagnostics.csv" in forked
-    assert "direct/diagnostics.csv" in forked
     assert list(alone) == list(forked)
     for name, data in forked.items():
         assert alone[name] == data, name
     meta = json.loads((tmp_path / "alone" / "meta.json").read_text())
-    assert set(meta["workers"]) == {"direct", "forcing"}
+    return forked, set(meta["workers"])
+
+
+def test_one_process_fallback_writes_the_forked_artifacts(tmp_path,
+                                                          monkeypatch):
+    # without os.fork the base and direct runs and the forcing series are
+    # computed in the run's own process, to the same bytes
+    spec = exp.parse_config(json.dumps(FORCED_DIRECT))
+    forked, workers = _forked_and_alone(spec, tmp_path, monkeypatch)
+    assert "perturbation/diagnostics.csv" in forked
+    assert "direct/diagnostics.csv" in forked
+    assert workers == {"base", "direct", "forcing"}
+
+
+def test_one_process_fallback_without_force_or_direct_run(tmp_path,
+                                                          monkeypatch):
+    # stability-smoke's physics at N=8: a zero force and no direct run, so
+    # the base is the only worker
+    spec = exp.parse_config(json.dumps({
+        "scenario": "smoke-n8", "nu": 1.0, "dt": 2e-3, "T": 0.1,
+        "windows": 2, "N": 8,
+        "base": {"initial": {"kind": "taylor-green", "amplitude": 0.005}},
+        "perturbation": {"snapshot_stride": 25}}))
+    assert spec["perturbation"]["forcing"]["kind"] == "zero"
+    assert not spec["direct_3d"]
+    forked, workers = _forked_and_alone(spec, tmp_path, monkeypatch)
+    assert "perturbation/diagnostics.csv" in forked
+    assert not any(name.startswith("direct/") for name in forked)
+    assert workers == {"base"}
 
 
 def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
@@ -782,7 +806,7 @@ def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
     assert exp.emit_report(exp.run_experiment(spec, str(out)))[1] \
         == exp.EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
-    assert set(meta["workers"]) == {"direct", "forcing"}
+    assert set(meta["workers"]) == {"base", "direct", "forcing"}
     assert exp.emit_report(exp.reverify(str(out)))[1] == exp.EXIT_OK
 
 
@@ -804,14 +828,16 @@ def test_no_forcing_worker_without_time_dependent_force(
         return Worker(name, *args)
 
     monkeypatch.setattr(solver, "Worker", worker)
+    monkeypatch.setattr(worker_module, "Worker", worker)  # the base's Stream
     spec = exp.parse_config(json.dumps(dict(
         SMALL, T=0.05, direct_3d=direct_3d,
         perturbation={"snapshot_stride": 5, "forcing": forcing})))
     out = tmp_path / "out"
     exp.run_experiment(spec, str(out))
     meta = json.loads((out / "meta.json").read_text())
-    assert started == (["direct"] if direct_3d else [])
-    assert set(meta["workers"]) == ({"direct"} if direct_3d else set())
+    assert started == (["direct", "base"] if direct_3d else ["base"])
+    assert set(meta["workers"]) == ({"base", "direct"} if direct_3d
+                                    else {"base"})
     assert "forcing" not in meta["force_evaluations"]
     g3 = make_grid(spec["L"], spec["N"], 3)
     cfg = SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],

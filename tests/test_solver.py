@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusflow import make_grid, solver
+from torusflow import make_grid, solver, worker as worker_module
 from torusflow.field import (derivative_data, divergence_linf,
                              extrude_field, leray_data, load_field, mean,
                              mean_free, physical_field, physical_data,
@@ -26,6 +26,7 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               run_2d_base, run_full_3d, run_perturbation,
                               save_trajectory, taylor_green_exact,
                               _Workspace)
+from torusflow.worker import Worker
 
 from oracles import (FullLatticeWorkspace, forcing_norm_sq_series,
                      mean_ode_integrate)
@@ -580,21 +581,26 @@ def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
     assert held[0] - held[1] >= (steps - 1) * state
 
 
-def test_lockstep_direct_matches_run_full_3d(monkeypatch):
+def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
     # only the 2D base computes the L3 and W^1_sigma norms, at every step:
-    # a 3D run that computed them fails, in the direct run's worker too
+    # a 3D run that computed them fails, in the direct run's worker too.
+    # Each call appends its grid's dim to a file, from whichever process
+    # makes it: the base steps in a worker of its own
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
-    dims = []
+    calls = tmp_path / "dims"
+    calls.touch()
     base_norms = _Workspace.base_norms
 
     def norms_2d(ws, v, sigma):
-        dims.append(ws.grid.dim)
+        with open(calls, "a") as fh:
+            fh.write(str(ws.grid.dim))
         assert ws.grid.dim == 2, "a 3D run computed the base's norms"
         return base_norms(ws, v, sigma)
 
     monkeypatch.setattr(_Workspace, "base_norms", norms_2d)
     base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
     alone = run_full_3d(direct_cfg)
+    dims = [int(d) for d in calls.read_text()]
     assert dims == [2] * len(base.diag["t"]) == [2] * (base_cfg.n_steps + 1)
     for traj in (pert, direct, alone):
         assert not {"grad_l3_sq", "w1_sigma"} & set(traj.diag)
@@ -636,6 +642,102 @@ def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
     assert got.time == t
     assert (got.time, got.quantity, str(got)) \
         == (want.time, want.quantity, str(want))
+
+
+def _own_blowup_steps(base_cfg, pert_cfg) -> dict:
+    """{label: the step at whose end that run first blows up}, for the base
+    and the perturbation stepped in one loop that goes on past the first
+    blow-up: per step the base extrudes its state, then steps, and the
+    perturbation steps with that state."""
+    base = solver._Member(base_cfg, "2d_base")
+    pert = solver._Member(pert_cfg, "perturbation")
+    slot = np.zeros((9,) + base_cfg.grid.shape_phys + (1,))
+    steps = {}
+    for i in range(pert.n):
+        base.extrude(slot)
+        for run, background in ((base, None), (pert, (slot[:3], slot[3:]))):
+            if run.label not in steps:
+                try:
+                    run.advance(i, background)
+                except BlowUpError:
+                    steps[run.label] = i + 1
+    return steps
+
+
+@pytest.mark.parametrize("amplitude, pert_h1, base_step, pert_step", [
+    (1e50, 1e5, 2, 3), (1e20, 1e4, 5, 5), (1e12, 1e4, 6, 5)],
+    ids=["base-earlier", "tie", "perturbation-earlier"])
+def test_base_blowup_reported_as_one_loop_would(
+        monkeypatch, amplitude, pert_h1, base_step, pert_step):
+    # a Taylor-Green base of huge amplitude blows up in its worker, ahead
+    # of the perturbation; the run reports the blow-up that the loop
+    # stepping the base first at each step reports, in one process
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    nu, dt, t_end = 0.5, 4e-3, 0.08
+    base_cfg = SolverConfig(
+        grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end,
+        initial=taylor_green_exact(g2, nu, 0.0, amplitude))
+    pert_cfg = SolverConfig(
+        grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+        initial=random_divfree_field(g3, seed=2, target_h1=pert_h1))
+    with np.errstate(all="ignore"):
+        assert _own_blowup_steps(base_cfg, pert_cfg) \
+            == {"2d_base": base_step, "perturbation": pert_step}
+        with pytest.raises(BlowUpError) as info:
+            run_perturbation(pert_cfg, base_cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(BlowUpError) as alone:
+            run_perturbation(pert_cfg, base_cfg)
+    got, want = info.value, alone.value
+    label = "2d_base" if base_step <= pert_step else "perturbation"
+    assert got.quantity == f"{label} L2 norm"
+    assert got.time == pert_cfg.times[min(base_step, pert_step)]
+    assert (got.time, got.quantity, str(got)) \
+        == (want.time, want.quantity, str(want))
+
+
+def test_interrupt_kills_and_reaps_the_base_worker(monkeypatch):
+    # an interrupt while the perturbation steps, the base worker ahead of
+    # it in the ring, leaves no child process
+    base_cfg, pert_cfg, _ = _lockstep_configs(2)
+    advance, started = solver._Member.advance, []
+
+    def interrupted(member, i, background=None):
+        if member.label == "perturbation" and i == 3:
+            raise KeyboardInterrupt
+        return advance(member, i, background)
+
+    def worker(name, *args):
+        started.append(name)
+        return Worker(name, *args)
+
+    monkeypatch.setattr(solver._Member, "advance", interrupted)
+    monkeypatch.setattr(worker_module, "Worker", worker)
+    with pytest.raises(KeyboardInterrupt):
+        run_perturbation(pert_cfg, base_cfg)
+    assert started == ["base"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("slots", ["one", "more-than-steps"])
+def test_ring_size_leaves_the_runs_unchanged(monkeypatch, slots):
+    # flow control at its extremes: the base worker waits for the
+    # perturbation at every step, or never
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    want = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    monkeypatch.setattr(worker_module, "SLOTS",
+                        1 if slots == "one" else pert_cfg.n_steps + 1)
+    got = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    for mine, theirs in zip(got, want):
+        assert mine.times.tobytes() == theirs.times.tobytes()
+        assert np.array(mine.snapshots).tobytes() \
+            == np.array(theirs.snapshots).tobytes()
+        assert list(mine.diag) == list(theirs.diag)
+        for key, series in theirs.diag.items():
+            assert mine.diag[key].tobytes() == series.tobytes(), key
 
 
 @pytest.mark.parametrize("direct", [False, True], ids=["alone", "direct"])

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+from torusflow import worker as worker_module
 from torusflow.solver import BlowUpError
-from torusflow.worker import Worker
+from torusflow.worker import Stream, Worker
 
 
 def _fail(exc):
@@ -90,6 +91,14 @@ def test_parent_exception_kills_and_reaps_worker(exc_type, fn, args):
     assert time.perf_counter() - t0 < 30
 
 
+def _env() -> dict:
+    """The environment of a Python subprocess that imports this torusflow."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_worker_leaves_through_os_exit():
     # the child must not run the atexit handlers (nor anything else) of
     # the process it was forked from, also when its function raises
@@ -105,11 +114,89 @@ def test_worker_leaves_through_os_exit():
         "    except (ValueError, SystemExit):\n"
         "        pass\n"
         "print('parent done', flush=True)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["parent done", "atexit"]
+
+
+def _counting(slots, n, fail_at=None):
+    # slot i holds i and the filling process's id
+    for i, slot in zip(range(n), slots):
+        if i == fail_at:
+            raise BlowUpError(0.5, "2d_base L2 norm", float("inf"))
+        slot[:] = i, os.getpid()
+        yield slot
+    return f"{n} slots"
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
+@pytest.mark.parametrize("slots", [1, 3])
+def test_stream_hands_out_each_slot_in_order(monkeypatch, fork, slots):
+    # a ring smaller than the stream: every slot is filled again, only
+    # after the parent asked for the next one
+    monkeypatch.setattr(worker_module, "SLOTS", slots)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with Stream("count", (2,), _counting, 10) as stream:
+        got = [(float(a), int(b)) for _, (a, b) in zip(range(10), stream)]
+        assert stream.join() == "10 slots"
+    assert [a for a, _ in got] == list(range(10))
+    pids = {b for _, b in got}
+    assert len(pids) == 1 and (pids == {os.getpid()}) == (not fork)
+    assert stream.wait_seconds > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
+def test_stream_reraises_at_the_slot_it_did_not_fill(monkeypatch, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    taken = []
+    with Stream("count", (2,), _counting, 10, 4) as stream:
+        with pytest.raises(BlowUpError) as info:
+            for slot in stream:
+                taken.append(float(slot[0]))
+    assert taken == [0.0, 1.0, 2.0, 3.0]
+    assert (info.value.time, info.value.quantity) == (0.5, "2d_base L2 norm")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stream_child_leaves_when_its_parent_is_killed():
+    # the child, blocked on a full ring, sees the free pipe close with
+    # its killed parent and exits: no process is left running
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("needs /proc to see an orphan")
+    script = (
+        "import os, sys, time\n"
+        "from torusflow.worker import Stream\n"
+        "def endless(slots):\n"
+        "    for slot in slots:\n"
+        "        slot[0] = os.getpid()\n"
+        "        yield slot\n"
+        "stream = Stream('endless', (1,), endless)\n"
+        "print(int(next(stream)[0]), flush=True)\n"
+        "time.sleep(60)\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_env(),
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+
+    def running():
+        try:
+            with open(f"/proc/{child}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        return state != "Z"  # an orphan's zombie runs nothing
+
+    t0 = time.perf_counter()
+    while running() and time.perf_counter() - t0 < 20:
+        time.sleep(0.05)
+    assert not running()
