@@ -10,8 +10,8 @@ divergence form:
   * the 2D base flow,
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
-    w = u + v_s.  A forked worker steps the base run and hands the
-    perturbation each extruded base state through a ring of shared slots
+    w = u + v_s.  A forked worker steps the base run and writes the
+    perturbation each extruded base state through a pipe
     (_backgrounds, worker.Stream), so v_s is read from the base state at
     the start of each step, never from a stored trajectory.  The step is
     linear in the flux history, so the extruded base plus the perturbation
@@ -769,10 +769,10 @@ class _Member:
 
 def _lockstep(lead: _Member, backgrounds=None):
     """The time loop of every run: lead takes its n steps, step i with the
-    i-th slot of backgrounds (_backgrounds) as the background of
+    i-th array of backgrounds (_backgrounds) as the background of
     _Workspace.flux_rhs, if given, else none.
 
-    The steps are counted before a slot is asked for, so no slot is asked
+    The steps are counted before an array is asked for, so none is asked
     for after the last step.
     """
     slots = itertools.repeat(None) if backgrounds is None else backgrounds
@@ -780,21 +780,22 @@ def _lockstep(lead: _Member, backgrounds=None):
         lead.advance(i, None if slot is None else (slot[:3], slot[3:]))
 
 
-def _backgrounds(slots, base: _Member, r: int, n: int):
+def _backgrounds(base: _Member, r: int, n: int):
     """The backgrounds of n steps of a 3D run around the 2D run base, each
-    filled into the next of slots and yielded (worker.Stream): for step i,
-    base extrudes its state at the start of the step (_Member.extrude), then
-    takes its r substeps of the step, and only then is the slot yielded.  So
-    the base reaches the end of a step before the 3D run starts it, as one
-    process stepping the base first would, and a base that blows up yields
-    no slot for that step.  Only the slots are kept, never the base
-    trajectory.  Returns the base's trajectory.
+    filled into one array of its own and yielded (worker.Stream): for step
+    i, base extrudes its state at the start of the step (_Member.extrude),
+    then takes its r substeps of the step, and only then is the array
+    yielded.  So the base reaches the end of a step before the 3D run
+    starts it, as one process stepping the base first would, and a base
+    that blows up yields nothing for that step.  Only the backgrounds are
+    handed on, never the base trajectory.  Returns the base's trajectory.
     """
-    for i, slot in zip(range(n), slots):
-        base.extrude(slot)
+    background = np.empty((9,) + base.cfg.grid.shape_phys + (1,))
+    for i in range(n):
+        base.extrude(background)
         for j in range(i * r, (i + 1) * r):
             base.advance(j)
-        yield slot
+        yield background
     return base.trajectory()
 
 
@@ -908,7 +909,7 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
             Worker("forcing", _timed_forcing_l6_5_sq, cfg))
         worker = None if direct_cfg is None else workers.enter_context(
             Worker("direct", _run_alone, direct_cfg, "full_3d", direct_dir))
-        # forked last, so that no other worker holds an end of its pipes
+        # forked last, so that no other worker holds an end of its pipe
         base_run = _Member(base_cfg, "2d_base", base_dir)
         backgrounds = workers.enter_context(Stream(
             "base", (9,) + g2.shape_phys + (1,), _backgrounds, base_run, r,

@@ -5,7 +5,7 @@
         result = worker.join()    # fn(*args), or its exception re-raised
 
     with Stream("base", shape, gen, *args) as stream:
-        for slot in stream:       # each slot gen(slots, *args) filled
+        for item in stream:       # each array gen(*args) yields, in turn
             ...
         result = stream.join()    # gen's return value, or its exception
 
@@ -19,16 +19,13 @@ Where os.fork does not exist, fn runs in the parent when the Worker is
 made, and join returns or raises its outcome.
 """
 
-import itertools
-import math
-import mmap
 import os
 import pickle
 import time
 
 import numpy as np
 
-#: the slots in the ring of a Stream
+#: the arrays that the pipe of a Stream is sized to hold
 SLOTS = 8
 
 
@@ -122,73 +119,73 @@ class Worker:
         self.close()
 
 
-def _produce(gen, args, ring, ready, free):
-    """A Stream's child: gen(slots, *args) to its end, one byte on the ready
-    pipe per slot it yields.  slots hands out the ring's slots in turn, a
-    used one again only after a byte on the free pipe, and raises EOFError
-    once that pipe has no writer left."""
-    os.close(ready[0])
-    os.close(free[1])
-
-    def slots():
-        for k in itertools.count():
-            if k >= len(ring) and not os.read(free[0], 1):
-                raise EOFError("the parent of the stream is gone")
-            yield ring[k % len(ring)]
-
-    items = gen(slots(), *args)
-    try:
-        while True:
-            try:
-                next(items)
-            except StopIteration as done:
-                return done.value
-            os.write(ready[1], b"\0")
-    finally:
-        os.close(ready[1])  # the parent's EOF, before the outcome is sent
-
-
 class Stream:
-    """The slots that gen(slots, *args), a generator, fills in a forked
-    child named name, read in order by the parent from a ring of SLOTS float
-    arrays of shape shape in one anonymous shared mmap (see the module).
+    """The arrays that gen(*args), a generator, yields in a forked child
+    named name, read in order by the parent through one pipe into one float
+    array of shape shape (see the module).
 
-    gen takes each slot it fills from slots and yields it to publish it.
-    Two pipes carry one byte per slot: "ready" to the parent as gen yields
-    it, and "free" to the child as the parent asks for the next one, so a
-    slot is the parent's until then, and a parent that stops after the last
-    slot it needs writes nothing more.  The child waits for a free slot only
-    once the ring is full, and leaves when that wait meets a closed pipe:
-    a killed parent leaves no child.  If gen ends early, iteration stops, or
-    re-raises gen's exception.  join returns gen's return value through the
-    outcome pipe of a Worker.  Where os.fork does not exist, gen runs in
-    this process as the slots are asked for.  wait_seconds adds up the
-    parent's time in asking for slots and in join.
+    The child writes each array whole, so each must hold as many bytes as
+    that buffer; it runs ahead of the parent until the pipe, sized on Linux
+    to hold SLOTS arrays, is full, and blocks there.  The parent gets the
+    same buffer each time, its own until it asks for the next array.  A
+    killed parent closes the pipe, and the child leaves at its next write.
+    If gen ends early, iteration stops, or re-raises gen's exception.  join
+    returns gen's return value through the outcome pipe of a Worker.  Where
+    os.fork does not exist, gen runs in this process as the arrays are
+    asked for, each copied into the buffer.  wait_seconds adds up the
+    parent's time in asking for arrays and in join.
     """
 
     def __init__(self, name: str, shape: tuple, gen, *args):
-        ring = mmap.mmap(-1, SLOTS * math.prod(shape) * 8)
-        self._ring = np.frombuffer(ring).reshape(SLOTS, *shape)
+        self._buffer = np.empty(shape)
+        self._bytes = memoryview(self._buffer).cast("B")
         self.wait_seconds = 0.0
-        self._worker = self._ready = self._free = self._result = None
-        self._taken = 0
+        self._worker = self._fd = self._result = None
+        self._items = self._framed(gen(*args))
         if not hasattr(os, "fork"):
-            self._items = self._here(gen(itertools.cycle(self._ring), *args))
             return
-        ready, free = os.pipe(), os.pipe()
-        self._ready, self._free = ready[0], free[1]
+        self._fd, write_fd = os.pipe()
         try:
-            self._worker = Worker(name, _produce, gen, args, self._ring,
-                                  ready, free)
+            import fcntl  # here: a platform without os.fork may lack it
+            try:
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ,
+                            SLOTS * len(self._bytes))
+            except (AttributeError, OSError):
+                pass  # the default capacity serves, only shallower
+            self._worker = Worker(name, self._produce, write_fd)
         except BaseException:
-            self._close_pipes()
+            self._close_pipe()
             raise
         finally:
-            os.close(ready[1])
-            os.close(free[0])
+            os.close(write_fd)
 
-    def _here(self, items):
-        self._result = yield from items
+    def _framed(self, items):
+        """The bytes of each array of items, checked to be as many as the
+        buffer's, since a pipe carries no frames; keeps items' return
+        value."""
+        while True:
+            try:
+                item = next(items)
+            except StopIteration as done:
+                self._result = done.value
+                return
+            if item.nbytes != len(self._bytes):
+                raise ValueError(f"a stream item of {item.nbytes} bytes, "
+                                 f"not {len(self._bytes)}")
+            yield memoryview(item).cast("B")
+
+    def _produce(self, write_fd):
+        """The child: gen to its end, each array written whole to the pipe,
+        whose write end it closes at the end, also after an exception,
+        before its outcome is sent."""
+        os.close(self._fd)
+        try:
+            for view in self._items:
+                while view:
+                    view = view[os.write(write_fd, view):]
+            return self._result
+        finally:
+            os.close(write_fd)
 
     def __iter__(self):
         return self
@@ -197,17 +194,16 @@ class Stream:
         t0 = time.perf_counter()
         try:
             if self._worker is None:
-                return next(self._items)
-            if self._taken:
-                try:
-                    os.write(self._free, b"\0")
-                except BrokenPipeError:  # the child is gone: see its outcome
-                    pass
-            if not os.read(self._ready, 1):
-                self._join()
-                raise StopIteration
-            self._taken += 1
-            return self._ring[(self._taken - 1) % len(self._ring)]
+                self._bytes[:] = next(self._items)
+                return self._buffer
+            view = self._bytes
+            while view:
+                got = os.readv(self._fd, [view])
+                if not got:  # the child closed the pipe: see its outcome
+                    self._join()
+                    raise StopIteration
+                view = view[got:]
+            return self._buffer
         finally:
             self.wait_seconds += time.perf_counter() - t0
 
@@ -216,11 +212,11 @@ class Stream:
             for _ in self._items:
                 pass
             return self._result
-        self._close_pipes()
+        self._close_pipe()
         return self._worker.join()
 
     def join(self):
-        """gen's return value, once the parent has its last slot; re-raises
+        """gen's return value, once the parent has its last array; re-raises
         gen's exception."""
         t0 = time.perf_counter()
         try:
@@ -228,15 +224,14 @@ class Stream:
         finally:
             self.wait_seconds += time.perf_counter() - t0
 
-    def _close_pipes(self):
-        for fd in (self._free, self._ready):
-            if fd is not None:
-                os.close(fd)
-        self._free = self._ready = None
+    def _close_pipe(self):
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def close(self):
         """Kill and reap a child that was not joined."""
-        self._close_pipes()
+        self._close_pipe()
         if self._worker is not None:
             self._worker.close()
 

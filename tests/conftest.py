@@ -1,7 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 
 from torusflow import make_grid
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    every run path must end each worker it forks."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process "
+                f"({'still running' if pid == 0 else f'pid {pid}'})")
 
 
 @pytest.fixture(scope="session")

@@ -698,9 +698,61 @@ def test_base_blowup_reported_as_one_loop_would(
         == (want.time, want.quantity, str(want))
 
 
+def test_base_blowup_with_every_worker_alive(monkeypatch):
+    # the forcing worker, made to outlast the runs, and the direct worker,
+    # held back a second, are both running when the base blows up in its
+    # worker: the run still reports the one-loop blow-up, kills the
+    # forcing worker and leaves no child
+    g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
+    nu, dt, t_end = 0.5, 4e-3, 0.08
+    base_cfg = SolverConfig(
+        grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end,
+        initial=taylor_green_exact(g2, nu, 0.0, 1e50))
+    pert_cfg = SolverConfig(
+        grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
+        forcing=ForcingSpec(kind="expression", expressions=(
+            "0.1*sin(x3)*cos(t)", "0.1*sin(x1)", "0.1*sin(x2)")),
+        initial=random_divfree_field(g3, seed=2, target_h1=1e5))
+    direct_cfg = dataclasses.replace(
+        pert_cfg, forcing=ForcingSpec(),
+        initial=random_divfree_field(g3, seed=3, target_h1=0.3))
+    series, run_alone = solver._timed_forcing_l6_5_sq, solver._run_alone
+
+    def slow_series(cfg):
+        time.sleep(30)
+        return series(cfg)
+
+    def late_run(*args):
+        time.sleep(1)
+        return run_alone(*args)
+
+    def blow_up():
+        with pytest.raises(BlowUpError) as info:
+            run_perturbation(pert_cfg, base_cfg, direct_cfg)
+        return info.value
+
+    with np.errstate(all="ignore"):
+        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", slow_series)
+        monkeypatch.setattr(solver, "_run_alone", late_run)
+        t0 = time.perf_counter()
+        got = blow_up()
+        assert time.perf_counter() - t0 < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # the one-process loop, with the real functions
+        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", series)
+        monkeypatch.setattr(solver, "_run_alone", run_alone)
+        monkeypatch.delattr(os, "fork")
+        want = blow_up()
+    assert got.quantity == "2d_base L2 norm"
+    assert got.time == pert_cfg.times[2]
+    assert (got.time, got.quantity, str(got)) \
+        == (want.time, want.quantity, str(want))
+
+
 def test_interrupt_kills_and_reaps_the_base_worker(monkeypatch):
     # an interrupt while the perturbation steps, the base worker ahead of
-    # it in the ring, leaves no child process
+    # it in the pipe, leaves no child process
     base_cfg, pert_cfg, _ = _lockstep_configs(2)
     advance, started = solver._Member.advance, []
 

@@ -1,11 +1,13 @@
 """The forked worker: results, exceptions, deaths and cleanup."""
 
+import itertools
 import os
 import pickle
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from torusflow import worker as worker_module
@@ -120,31 +122,53 @@ def test_worker_leaves_through_os_exit():
     assert proc.stdout.splitlines() == ["parent done", "atexit"]
 
 
-def _counting(slots, n, fail_at=None):
-    # slot i holds i and the filling process's id
-    for i, slot in zip(range(n), slots):
+def _counting(n, fail_at=None, shape=(2,)):
+    # item i holds the producing process's id at index 1, i elsewhere
+    item = np.empty(shape)
+    for i in range(n):
         if i == fail_at:
             raise BlowUpError(0.5, "2d_base L2 norm", float("inf"))
-        slot[:] = i, os.getpid()
-        yield slot
-    return f"{n} slots"
+        item[:] = i
+        item[1] = os.getpid()
+        yield item
+    return f"{n} items"
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
 @pytest.mark.parametrize("slots", [1, 3])
 def test_stream_hands_out_each_slot_in_order(monkeypatch, fork, slots):
-    # a ring smaller than the stream: every slot is filled again, only
-    # after the parent asked for the next one
+    # a pipe sized for fewer items than the stream: the child waits for
+    # the parent to read before it writes the rest
     monkeypatch.setattr(worker_module, "SLOTS", slots)
     if not fork:
         monkeypatch.delattr(os, "fork")
     with Stream("count", (2,), _counting, 10) as stream:
         got = [(float(a), int(b)) for _, (a, b) in zip(range(10), stream)]
-        assert stream.join() == "10 slots"
+        assert stream.join() == "10 items"
     assert [a for a, _ in got] == list(range(10))
     pids = {b for _, b in got}
     assert len(pids) == 1 and (pids == {os.getpid()}) == (not fork)
     assert stream.wait_seconds > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
+def test_stream_carries_items_larger_than_its_pipe(monkeypatch, fork):
+    # SLOTS items of 2 MiB exceed Linux's default pipe-max-size (1 MiB),
+    # so the kernel refuses the sizing to a process that may not pass it,
+    # and each item crosses the default pipe in parts
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    shape = (1 << 18,)
+    with Stream("big", shape, _counting, 5, None, shape) as stream:
+        got = [(float(item[0]), int(item[1]), np.all(item[2:] == item[0]))
+               for item in stream]
+        assert stream.join() == "5 items"
+    assert [a for a, _, _ in got] == list(range(5))
+    assert all(whole for _, _, whole in got)
+    pids = {b for _, b, _ in got}
+    assert len(pids) == 1 and (pids == {os.getpid()}) == (not fork)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -164,18 +188,39 @@ def test_stream_reraises_at_the_slot_it_did_not_fill(monkeypatch, fork):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _resized(n):
+    # two items of 2 floats, then one of 3: the pipe would carry its
+    # bytes as one and a half items
+    yield from itertools.islice(_counting(n), 2)
+    yield np.zeros(3)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
+@pytest.mark.parametrize("reader", ["iteration", "join"])
+def test_stream_refuses_an_item_of_another_size(monkeypatch, fork, reader):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with Stream("resized", (2,), _resized, 10) as stream:
+        assert [float(a) for _, (a, _) in zip(range(2), stream)] == [0, 1]
+        with pytest.raises(ValueError, match="of 24 bytes, not 16"):
+            next(stream) if reader == "iteration" else stream.join()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_stream_child_leaves_when_its_parent_is_killed():
-    # the child, blocked on a full ring, sees the free pipe close with
-    # its killed parent and exits: no process is left running
+    # the child, blocked writing to a full pipe, sees it close with its
+    # killed parent and exits: no process is left running
     if not os.path.exists("/proc/self/stat"):
         pytest.skip("needs /proc to see an orphan")
     script = (
         "import os, sys, time\n"
+        "import numpy as np\n"
         "from torusflow.worker import Stream\n"
-        "def endless(slots):\n"
-        "    for slot in slots:\n"
-        "        slot[0] = os.getpid()\n"
-        "        yield slot\n"
+        "def endless():\n"
+        "    item = np.full(1, float(os.getpid()))\n"
+        "    while True:\n"
+        "        yield item\n"
         "stream = Stream('endless', (1,), endless)\n"
         "print(int(next(stream)[0]), flush=True)\n"
         "time.sleep(60)\n")
