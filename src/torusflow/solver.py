@@ -20,15 +20,18 @@ divergence form:
 
 Every run stores and steps its state on the 2/3-rule modes K alone
 (_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
-to K, in numpy's own axis order, and every other operation is per mode, so
-each state equals, bit for bit, the one the full spectral lattice gives
-under the 2/3-rule masks.  The records read the K-state itself, the base
-run's L^3 and W^{1,sigma} norms through the pruned irfftn stages at 2N
-points an axis; only a snapshot copies it onto the full lattice, +0.0
-outside K.  Every force a run uses is computed on K as well: its physical
-values through the pruned rfftn, and the L^{6/5} series of the
-perturbation's force through the pruned irfftn stages at 2N points an
-axis, each equal bit for bit to the full transform's values on K.
+to K, in numpy's own axis order, each stage reading its axis at unit
+stride, and every other operation is per mode, so each state equals, bit
+for bit, the one the full spectral lattice gives under the 2/3-rule masks
+(pocketfft computes a line alike at any stride; the layout only lets numpy
+run a stage as a few long loops, so scipy.fft is not needed).  The records
+read the K-state itself, the base run's L^3 and W^{1,sigma} norms through
+the pruned irfftn stages at 2N points an axis; only a snapshot copies it
+onto the full lattice, +0.0 outside K.  Every force a run uses is computed
+on K as well: its physical values through the pruned rfftn, and the
+L^{6/5} series of the perturbation's force through the pruned irfftn
+stages at 2N points an axis, each equal bit for bit to the full
+transform's values on K.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -299,6 +302,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # spatial terms
 
+def _laid_out(shape, order, fill=np.empty):
+    """A complex array of shape shape whose axes lie in memory in the order
+    order, the last innermost: fill's array of the permuted shape, viewed
+    in shape's axis order."""
+    # not np.argsort, whose first call maps ~0.4 MB of numpy's sort code
+    return fill([shape[ax] for ax in order], dtype=complex).transpose(
+        [order.index(ax) for ax in range(len(order))])
+
+
 class _Workspace:
     """The arrays of one run's nonlinear kernel and IMEX steps
     (Crank-Nicolson / Adams-Bashforth 2 / trapezoid, see step), on the
@@ -312,15 +324,19 @@ class _Workspace:
     physical and spectral are numpy's irfftn and rfftn pruned to K, stage
     by stage in numpy's own axis order: before each inverse stage the kept
     rows are copied into a zero-padded buffer, and after each forward
-    stage only the kept rows are kept.  Every transformed line gets the
-    arithmetic it gets in the full transform, and a line left out is zero
-    and would transform to zeros; every other operation is per mode, so a
-    state stepped here equals, bit for bit on K, the one the full lattice
-    gives with its 2/3-rule masks; to_full puts it there.  spectral takes
-    the products of the kernel or the force's values (kept_force, force);
-    padded_magnitude and base_norms run physical's stages at 2N points an
-    axis, one call per stage over every component, for the force's L^{6/5}
-    series and the 2D base's L^3 and W^{1,sigma} norms.
+    stage only the kept rows are kept.  Each stage's buffers lie in memory
+    with its axis innermost (_laid_out), so numpy runs the stage as a few
+    long loops, not one per run of c+1 lines; those row copies do the
+    transposes, and pocketfft computes a line alike at any stride.  Every
+    transformed line gets the arithmetic it gets in the full transform, and
+    a line left out is zero and would transform to zeros; every other
+    operation is per mode, so a state stepped here equals, bit for bit on
+    K, the one the full lattice gives with its 2/3-rule masks; to_full puts
+    it there.  spectral takes the products of the kernel or the force's
+    values (kept_force, force); padded_magnitude and base_norms run
+    physical's stages at 2N points an axis, one call per stage over every
+    component, for the force's L^{6/5} series and the 2D base's L^3 and
+    W^{1,sigma} norms.
 
     Every array, the transforms' buffers included, is allocated once (the
     padded stages' at their first use); the kernel and the step write into
@@ -375,16 +391,19 @@ class _Workspace:
         # spectral: the rfft of the products, then per full axis, from the
         # last to the first, its kept rows, its result and (but for the
         # first axis, which writes into the caller's array) the kept rows
-        # of that
+        # of that; the stage of axis ax reads and writes its axes laid out
+        # [0, d, ..., ax+1, 1, ..., ax-1, ax]
+        def order(ax):
+            return [0, *range(d, ax, -1), *range(1, ax), ax]
         shape = [len(self.pairs), *grid.shape_spec]
-        self.forward_first = np.empty(shape, dtype=complex)
+        self.forward_first = _laid_out(shape, order(d - 1))
         shape[-1], self.forward_stages = c + 1, []
         for ax in range(d - 1, 0, -1):
-            result = np.empty(shape, dtype=complex)
+            result = _laid_out(shape, order(ax))
             shape[ax] = 2 * c + 1
             self.forward_stages.append(
                 (ax, self._rows(ax, N), result,
-                 np.empty(shape, dtype=complex) if ax > 1 else None))
+                 _laid_out(shape, order(ax - 1)) if ax > 1 else None))
 
     def _rows(self, ax, n):
         """The kept rows of axis ax at n points, the modes 0..c, then
@@ -397,12 +416,13 @@ class _Workspace:
         """The buffers of irfftn's stages from K to n points an axis, for
         ncomp components: per full axis its kept rows, its zero-padded
         input and its result, then the zero-padded input of the last axis."""
-        shape, stages = [ncomp, *self.shape[1:]], []
-        for ax in range(1, self.grid.dim):
+        shape, stages, d = [ncomp, *self.shape[1:]], [], self.grid.dim
+        for ax in range(1, d):
             shape[ax] = n
+            order = [0, *range(1, ax), *range(ax + 1, d + 1), ax]
             stages.append((ax, self._rows(ax, n),
-                           np.zeros(shape, dtype=complex),
-                           np.empty(shape, dtype=complex)))
+                           _laid_out(shape, order, np.zeros),
+                           _laid_out(shape, order)))
         shape[-1] = n // 2 + 1
         return stages, np.zeros(shape, dtype=complex)
 

@@ -124,8 +124,8 @@ class Stream:
     named name, read in order by the parent through one pipe into one float
     array of shape shape (see the module).
 
-    The child writes each array whole, so each must hold as many bytes as
-    that buffer; it runs ahead of the parent until the pipe, sized on Linux
+    The child writes each array whole, so each must match that buffer's
+    dtype and bytes; it runs ahead of the parent until the pipe, sized on Linux
     to hold SLOTS arrays, is full, and blocks there.  The parent gets the
     same buffer each time, its own until it asks for the next array.  A
     killed parent closes the pipe, and the child leaves at its next write.
@@ -160,15 +160,18 @@ class Stream:
             os.close(write_fd)
 
     def _framed(self, items):
-        """The bytes of each array of items, checked to be as many as the
-        buffer's, since a pipe carries no frames; keeps items' return
-        value."""
+        """The bytes of each array of items, checked to be of the buffer's
+        dtype and as many as the buffer's, since a pipe carries no frames;
+        keeps items' return value."""
         while True:
             try:
                 item = next(items)
             except StopIteration as done:
                 self._result = done.value
                 return
+            if item.dtype != self._buffer.dtype:
+                raise ValueError(f"a stream item of dtype {item.dtype}, "
+                                 f"not {self._buffer.dtype}")
             if item.nbytes != len(self._bytes):
                 raise ValueError(f"a stream item of {item.nbytes} bytes, "
                                  f"not {len(self._bytes)}")

@@ -975,6 +975,88 @@ def test_base_norms_match_norm_report(N):
             assert v.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_fft_stage_reads_a_unit_stride_axis(monkeypatch, dim):
+    # each buffer of the pruned transforms is laid out so that the axis an
+    # FFT stage transforms runs innermost in memory, which lets numpy run
+    # the stage as a few long loops: every array that a transform of one
+    # step (the kernel's physical and spectral, the force's spectral at
+    # both step times) and of the 2N stages (base_norms in 2D,
+    # padded_magnitude in 3D) reads has unit stride along its axis
+    N = 16
+    grid = make_grid(2 * np.pi, N, dim)
+    ws = _Workspace(grid, 0.5, 4e-3)
+    v = ws.to_kept(random_divfree_field(grid, seed=3,
+                                        target_h1=0.5).spectral())
+    forcing = ForcingSpec(kind="expression", expressions=(
+        "0.1*sin(x2)*cos(3*t)", "0.1*sin(x1)*sin(2*t)", "0*x1")[:dim])
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def traced(a, *args, axis, _name=name, _fn=getattr(np.fft, name),
+                   **kwargs):
+            calls.append((_name, a.shape[axis],
+                          a.strides[axis] == a.itemsize))
+            return _fn(a, *args, axis=axis, **kwargs)
+        monkeypatch.setattr(np.fft, name, traced)
+    ws.step(v, 0.0, 4e-3, forcing)
+    if dim == 2:
+        ws.base_norms(v, 4.0)
+    else:
+        ws.padded_magnitude(v)
+    # d stages each: physical, spectral, the force at two times, and 2N
+    assert len(calls) == 5 * dim
+    assert {name for name, _, _ in calls} == {"fft", "ifft", "rfft", "irfft"}
+    assert ("ifft", 2 * N, True) in calls
+    assert all(unit for _, _, unit in calls), calls
+
+
+def _zero_padded(v, c, M):
+    """The K-array v on the spectral lattice of M points an axis: along each
+    full axis its rows 0..c at 0..c and -c..-1 at M-c..M-1, zero elsewhere,
+    and along the last its rows 0..c."""
+    d = v.ndim - 1
+    out = np.zeros(v.shape[:1] + (M,) * (d - 1) + (M // 2 + 1,),
+                   dtype=complex)
+    rows = [np.r_[0:c + 1, M - c:M]] * (d - 1) + [np.arange(c + 1)]
+    out[(slice(None),) + np.ix_(*rows)] = v
+    return out
+
+
+@pytest.mark.parametrize("N", [24, 32])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pruned_transforms_match_numpy_at_larger_n(dim, N):
+    # the pruned stages equal numpy's irfftn and rfftn bit for bit beyond
+    # the sizes the step and norm tests reach: physical against irfftn of
+    # the full lattice, spectral against rfftn on K at the force's and the
+    # products' leading counts, and the 2N stages against irfftn of the
+    # zero-padded lattice at the component count of base_norms (2D) and
+    # padded_magnitude (3D)
+    grid = make_grid(2 * np.pi, N, dim)
+    ws = _Workspace(grid)
+    axes, M = tuple(range(1, dim + 1)), 2 * N
+    rng = np.random.default_rng(N + dim)
+
+    def kept(n):
+        shape = (n,) + ws.shape[1:]
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v = kept(dim)
+    assert ws.physical(v).tobytes() == np.fft.irfftn(
+        ws.to_full(v), s=grid.shape_phys, axes=axes,
+        norm="forward").tobytes()
+    phys = rng.standard_normal((len(ws.pairs),) + grid.shape_phys)
+    for lead in (3, len(ws.pairs)):
+        out = np.empty((lead,) + ws.shape[1:], dtype=complex)
+        assert ws.spectral(phys[:lead], out).tobytes() == ws.to_kept(
+            np.fft.rfftn(phys[:lead], axes=axes, norm="forward")).tobytes()
+    ncomp = dim + dim * dim if dim == 2 else dim
+    u = kept(ncomp)
+    got = ws._inverse(u, ws._inverse_buffers(M, ncomp), M, None)
+    assert got.tobytes() == np.fft.irfftn(
+        _zero_padded(u, N // 3, M), s=(M,) * dim, axes=axes,
+        norm="forward").tobytes()
+
+
 def test_force_above_two_thirds_is_not_applied():
     # at N=8 the 2/3 rule keeps |m| <= 2: sin(3 x2) lies above it, so the
     # run applies and records only 0.1 sin(x2), whose squared L2 norm on

@@ -208,6 +208,26 @@ def test_stream_refuses_an_item_of_another_size(monkeypatch, fork, reader):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _retyped(n):
+    # two float items, then an int64 item of as many bytes, which the pipe
+    # would carry as float bits
+    yield from itertools.islice(_counting(n), 2)
+    yield np.full(2, os.getpid())
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
+@pytest.mark.parametrize("reader", ["iteration", "join"])
+def test_stream_refuses_an_item_of_another_dtype(monkeypatch, fork, reader):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with Stream("retyped", (2,), _retyped, 10) as stream:
+        assert [float(a) for _, (a, _) in zip(range(2), stream)] == [0, 1]
+        with pytest.raises(ValueError, match="of dtype int64, not float64"):
+            next(stream) if reader == "iteration" else stream.join()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_stream_child_leaves_when_its_parent_is_killed():
     # the child, blocked writing to a full pipe, sees it close with its
     # killed parent and exits: no process is left running
