@@ -601,14 +601,25 @@ def emit_report(artifacts: RunArtifacts) -> tuple:
     return "\n".join(lines) + "\n", code
 
 
+def _first_difference(got, want, key=""):
+    """(dotted key, got's value, want's value) at the first sorted key where
+    the JSON values got and want differ (None where one lacks it), or None."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return next(filter(None, (_first_difference(
+            got.get(k), want.get(k), f"{key}.{k}".lstrip("."))
+            for k in sorted(got.keys() | want.keys()))), None)
+    return None if got == want else (key or "the value", got, want)
+
+
 def reverify(out_dir: str) -> RunArtifacts:
     """Re-run the estimate checks on stored trajectories (no simulation).
 
-    Refuses (FileNotFoundError) before writing anything when an output the
-    spec calls for is missing: the complete base run (its summary.json,
-    which save_trajectory writes last) and meta.json always, the complete
-    perturbation run and constants.json when a perturbation is configured;
-    a meta.json or constants.json that does not parse is refused too.
+    Refuses (FileNotFoundError), before writing anything, a missing output
+    the spec calls for: the complete base run (its summary.json) and
+    meta.json always, the complete perturbation run and constants.json with
+    a perturbation; a file that does not parse; a meta.json without
+    wall_seconds or failed; a constants.json other than what _resolve_budget
+    rebuilds from the spec, with which the checks run.
     """
     spec_path = os.path.join(out_dir, "spec.json")
     if not os.path.exists(spec_path):
@@ -629,9 +640,19 @@ def reverify(out_dir: str) -> RunArtifacts:
     pert = budget = None
     if spec["perturbation"] is not None:
         pert = load_trajectory(os.path.join(out_dir, "perturbation"))
-        budget = StabilityBudget(
-            **_read_json(os.path.join(out_dir, "constants.json"))["budget"])
-    meta = _read_json(os.path.join(out_dir, "meta.json"))
+        cal, budget = _resolve_budget(spec)
+        path = os.path.join(out_dir, "constants.json")
+        found = _first_difference(_read_json(path), {
+            "calibrated": asdict(cal), "budget": asdict(budget)})
+        if found:
+            key, got, want = found
+            raise FileNotFoundError(f"{path}: {key} is {got!r}, but the spec "
+                                    f"gives {want!r}; run the experiment again")
+    path = os.path.join(out_dir, "meta.json")
+    meta = _read_json(path)
+    if not isinstance(meta, dict) or {"wall_seconds", "failed"} - meta.keys():
+        raise FileNotFoundError(f"{path} lacks wall_seconds or failed; run "
+                                "the experiment again")
     reports, series_list, hyp_by_window = analyze(base, pert, spec, budget)
     paths = _write_verdicts(out_dir, reports, series_list, hyp_by_window)
     return RunArtifacts(out_dir, paths, meta["wall_seconds"], meta["failed"],

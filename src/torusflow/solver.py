@@ -11,7 +11,7 @@ divergence form:
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
     w = u + v_s.  A forked worker steps the base run and writes the
-    perturbation each extruded base state through a pipe
+    perturbation the physical values of each base state through a pipe
     (_backgrounds, worker.Stream), so v_s is read from the base state at
     the start of each step, never from a stored trajectory.  The step is
     linear in the flux history, so the extruded base plus the perturbation
@@ -582,36 +582,23 @@ class _Workspace:
             self._force = self._force[:2] + (True,)
         return self.projected_f
 
-    @staticmethod
-    def background(b, products=None):
-        """(b, the products b[i] * b[j], i <= j, in the order of pairs of a
-        workspace of len(b) dimensions): the background of flux_rhs for the
-        physical values b, the products into products if given."""
-        pairs = list(itertools.combinations_with_replacement(range(len(b)), 2))
-        if products is None:
-            products = np.empty((len(pairs),) + b.shape[1:])
-        for p, (i, j) in enumerate(pairs):
-            np.multiply(b[i], b[j], out=products[p])
-        return b, products
-
-    def flux_rhs(self, v, background, out):
+    def flux_rhs(self, v, b, out):
         """-div(w(x)w - b(x)b) on K into out, before the Leray projection.
 
-        w is the physical value of the K-state v plus the background b,
-        given as a pair of background(): physical values broadcastable to
-        (dim,) + grid.shape_phys (an x3-invariant base flow has shape
-        (3, N, N, 1)) and their products; without it this is the flux of
-        the full equations.  The divergence is zero at k=0.
+        w is the physical value of the K-state v plus the background b, the
+        physical values of w's first len(b) components, broadcastable to
+        them ((2, N, N, 1) for a 2D base flow), the others zero; without b
+        (None) this is the flux of the full equations.  The divergence is
+        zero at k=0.
         """
         w, prod, flux = self.w, self.prod, self.flux
         self.physical(v, out=w)
-        if background is not None:
-            b, bb = background
-            w += b
+        if b is not None:
+            w[:len(b)] += b
         for p, (i, j) in enumerate(self.pairs):
             np.multiply(w[i], w[j], out=prod[p])
-        if background is not None:
-            prod -= bb
+            if b is not None and j < len(b):
+                prod[p] -= b[i] * b[j]
         self.spectral(prod, out=flux)
         out[...] = 0.0
         term = self.terms[0]
@@ -760,18 +747,6 @@ class _Member:
         self._record(i + 1)
         self.seconds += time.perf_counter() - t0
 
-    def extrude(self, slot):
-        """The background of a 3D run's flux_rhs for this 2D state into
-        slot, shape (9, N, N, 1): its physical values b, mean included,
-        extruded along x3 into slot[:3], whose third component is zero, and
-        the products of _Workspace.background of b into slot[3:]."""
-        t0 = time.perf_counter()
-        b = slot[:3]
-        self.ws.physical(self.state, out=b[:2, ..., 0])
-        b[2] = 0.0
-        self.ws.background(b, slot[3:])
-        self.seconds += time.perf_counter() - t0
-
     def trajectory(self) -> Trajectory:
         cfg, label = self.cfg, self.label
         return Trajectory(
@@ -795,27 +770,28 @@ def _lockstep(lead: _Member, backgrounds=None):
     The steps are counted before an array is asked for, so none is asked
     for after the last step.
     """
-    slots = itertools.repeat(None) if backgrounds is None else backgrounds
-    for i, slot in zip(range(lead.n), slots):
-        lead.advance(i, None if slot is None else (slot[:3], slot[3:]))
+    items = itertools.repeat(None) if backgrounds is None else backgrounds
+    for i, b in zip(range(lead.n), items):
+        lead.advance(i, b)
 
 
 def _backgrounds(base: _Member, r: int, n: int):
     """The backgrounds of n steps of a 3D run around the 2D run base, each
-    filled into one array of its own and yielded (worker.Stream): for step
-    i, base extrudes its state at the start of the step (_Member.extrude),
-    then takes its r substeps of the step, and only then is the array
-    yielded.  So the base reaches the end of a step before the 3D run
-    starts it, as one process stepping the base first would, and a base
-    that blows up yields nothing for that step.  Only the backgrounds are
+    a new array yielded (worker.Stream): for step i, the physical values of
+    base's state at the start of the step, mean included, constant along
+    x3, shape (2, N, N, 1), then base's r substeps, and only then is the
+    array yielded.  So the base reaches the end of a step before the 3D
+    run starts it, as one process stepping the base first would, and a base
+    that blows up yields nothing for that step.  Only the base velocity is
     handed on, never the base trajectory.  Returns the base's trajectory.
     """
-    background = np.empty((9,) + base.cfg.grid.shape_phys + (1,))
     for i in range(n):
-        base.extrude(background)
+        t0 = time.perf_counter()
+        item = base.ws.physical(base.state)[..., np.newaxis]
+        base.seconds += time.perf_counter() - t0
         for j in range(i * r, (i + 1) * r):
             base.advance(j)
-        yield background
+        yield item
     return base.trajectory()
 
 
@@ -932,7 +908,7 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
         # forked last, so that no other worker holds an end of its pipe
         base_run = _Member(base_cfg, "2d_base", base_dir)
         backgrounds = workers.enter_context(Stream(
-            "base", (9,) + g2.shape_phys + (1,), _backgrounds, base_run, r,
+            "base", (2,) + g2.shape_phys + (1,), _backgrounds, base_run, r,
             cfg.n_steps))
         pert = _Member(cfg, "perturbation", pert_dir)
         try:

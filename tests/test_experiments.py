@@ -325,6 +325,56 @@ def test_verify_refuses_truncated_json(forced_pert_out, tmp_path, capsys,
         == before
 
 
+def _tamper_c3_c5(constants):
+    constants["budget"].update(c3=0.01, c5=50.0)
+
+
+def _tamper_gamma(constants):
+    for key in ("gamma", "gamma_star"):
+        constants["budget"][key] *= 1e6
+
+
+def _tamper_alpha(constants):
+    del constants["budget"]["alpha"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_tamper_c3_c5, "budget.c3"), (_tamper_gamma, "budget.gamma"),
+    (_tamper_alpha, "budget.alpha")], ids=["c3-c5", "gamma", "no-alpha"])
+def test_verify_refuses_constants_other_than_the_spec_gives(
+        forced_pert_out, tmp_path, capsys, edit, key):
+    # verify rebuilds the constants and the budget from spec.json: an edit
+    # of c3 and c5 used to verify with exit 0 and moved margins, and a
+    # gross gamma or a missing key ended in a traceback, exit 1
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    path = out / "constants.json"
+    constants = json.loads(path.read_text())
+    edit(constants)
+    path.write_text(json.dumps(constants))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{key} is " in err, err
+    assert "run the experiment again" in err
+    assert err.count("\n") == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
+def test_verify_refuses_meta_json_without_its_keys(forced_pert_out, tmp_path,
+                                                   capsys):
+    # a meta.json that parses but lacks wall_seconds and failed used to end
+    # in a KeyError traceback, exit 1
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    (out / "meta.json").write_text("{}")
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(out / "meta.json") in err and "run the experiment again" in err
+    assert err.count("\n") == 1
+
+
 def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
     # a run killed after it wrote meta.json's temporary file, before it
     # moved it into place, leaves no meta.json, and verify refuses the
@@ -932,22 +982,23 @@ def _modules_after_cli_import(packages, argv=None):
     return proc.stdout.splitlines()[-1]
 
 
-def test_benchmark_trace_installs():
-    # bench/trace_cli.py wraps package functions by their names: one that
-    # the package no longer has fails its install, and every traced
-    # benchmark run with it
+def test_benchmark_trace_installs(tmp_path):
+    # bench/trace_cli.py wraps package functions by their names, all before
+    # the command it traces runs: one that the package no longer has fails
+    # its install, and every traced benchmark run (bench/run.py --trace 1)
     import subprocess
     import sys
 
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(root / "src"),
-                                           str(root / "bench")]))
+               PYTHONPATH=str(root / "src"))
+    stats = tmp_path / "stats.json"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import trace_cli; trace_cli.Tracer().install()"],
-        env=env, cwd=root, capture_output=True, text=True, timeout=120)
+        [sys.executable, str(root / "bench" / "trace_cli.py"), str(stats),
+         "calibrate", "--N", "8"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "estimates.calibrate_constants" in json.loads(stats.read_text())
 
 
 def test_cli_import_loads_no_process_pool():

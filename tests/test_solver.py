@@ -145,7 +145,7 @@ def _convective_reference(grid, v_spec, f_spec, b_spec):
 def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
     # random dealiased divergence-free fields with a nonzero mean; the
     # background is an x3-invariant 2D field with its own mean, passed to
-    # the kernel as (3, N, N, 1) physical values
+    # the kernel as (2, N, N, 1) physical values
     grid = grid2 if case == "2d" else grid3
     ws = _Workspace(grid)
     zero = (slice(None),) + (0,) * grid.dim
@@ -158,7 +158,7 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
         b2 = random_divfree_field(grid2, seed=5, target_h1=1.0)
         b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
         b_spec = extrude_field(b2, grid3).spectral()
-        background = ws.background(physical_data(grid3, b_spec)[..., :1])
+        background = physical_data(grid3, b_spec)[:2, ..., :1]
     # the force enters the step projected beside the kernel's flux
     got = ws.nonlinear(ws.to_kept(v), background, out=ws.n0)
     got = ws.to_full(got + ws.project(ws.to_kept(f)))
@@ -187,7 +187,7 @@ def test_kernel_on_k_deriv_matches_kernel_on_k(grid2, grid3, case):
     assert np.abs(old.flux[..., grid.N // 2]).max() > 1e-6
     got = ws.to_full(ws.nonlinear(
         ws.to_kept(v),
-        None if background is None else ws.background(background),
+        None if background is None else background[:2],
         out=ws.n0))
     np.testing.assert_array_equal(got, ref)
 
@@ -220,7 +220,7 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
         b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
         b = extrude_field(b2, grid).physical()[..., :1]
         old_backgrounds = (b, 0.5 * b)
-        backgrounds = (ws.background(b), ws.background(0.5 * b))
+        backgrounds = (b[:2], 0.5 * b[:2])
     v0 = leray_data(grid, initial.spectral() * grid.dealias_mask)
     v, u = v0.copy(), ws.to_kept(v0)
     for i in range(steps):
@@ -483,9 +483,7 @@ def test_lockstep_matches_stored_base_oracle(r):
     ws = _Workspace(g3, pert_cfg.nu, pert_cfg.dt)
 
     def background(i):
-        vs = physical_data(g2, stored.snapshots[i * r])
-        return ws.background(np.concatenate([vs, np.zeros_like(vs[:1])])
-                             [..., np.newaxis])
+        return physical_data(g2, stored.snapshots[i * r])[..., np.newaxis]
 
     u = ws.to_kept(leray_data(g3, pert_cfg.initial.spectral()))
     oracle = [ws.to_full(u)]
@@ -502,6 +500,22 @@ def test_lockstep_matches_stored_base_oracle(r):
                                   np.array(stored.snapshots))
     for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
         np.testing.assert_array_equal(base.diag[key], stored.diag[key])
+
+
+def test_backgrounds_stream_the_base_velocity_alone():
+    # each item the base worker streams is the base's physical values at
+    # the start of the step, constant along x3, and nothing else
+    base_cfg, pert_cfg, _ = _lockstep_configs(2)
+    base = solver._Member(base_cfg, "2d_base")
+    ws, N = _Workspace(base_cfg.grid), base_cfg.grid.N
+    items = solver._backgrounds(base, 2, pert_cfg.n_steps)
+    for _ in range(pert_cfg.n_steps):
+        want = ws.physical(base.state)
+        item = next(items)
+        assert item.shape == (2, N, N, 1) and item.dtype == np.float64
+        assert item.tobytes() == want[..., np.newaxis].tobytes()
+    with pytest.raises(StopIteration):
+        next(items)
 
 
 def test_streamed_snapshots_equal_in_memory_path(tmp_path):
@@ -647,15 +661,14 @@ def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
 def _own_blowup_steps(base_cfg, pert_cfg) -> dict:
     """{label: the step at whose end that run first blows up}, for the base
     and the perturbation stepped in one loop that goes on past the first
-    blow-up: per step the base extrudes its state, then steps, and the
-    perturbation steps with that state."""
+    blow-up: per step the base writes its state's physical values, then
+    steps, and the perturbation steps with those values."""
     base = solver._Member(base_cfg, "2d_base")
     pert = solver._Member(pert_cfg, "perturbation")
-    slot = np.zeros((9,) + base_cfg.grid.shape_phys + (1,))
     steps = {}
     for i in range(pert.n):
-        base.extrude(slot)
-        for run, background in ((base, None), (pert, (slot[:3], slot[3:]))):
+        b = base.ws.physical(base.state)[..., np.newaxis]
+        for run, background in ((base, None), (pert, b)):
             if run.label not in steps:
                 try:
                     run.advance(i, background)
@@ -1088,8 +1101,7 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
     v = ws.to_kept(random_divfree_field(grid3, seed=3,
                                         target_h1=0.1).spectral())
     vs = random_divfree_field(grid2, seed=5, target_h1=1.0).physical()
-    background = ws.background(np.concatenate([vs, np.zeros_like(vs[:1])])
-                               [..., np.newaxis])
+    background = vs[..., np.newaxis]
     forcing = ForcingSpec(kind="expression",
                           expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
     ws.step(v, 0.0, dt, forcing, background)
