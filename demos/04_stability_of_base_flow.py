@@ -43,13 +43,13 @@ base, pert, _ = run_perturbation(SolverConfig(
 
 series = [est.stability_series(pert, base, budget, k)
           for k in range(windows)]
-for s in series:
-    hyp = est.check_stability_hypotheses(s, budget)
+hyps = [est.check_stability_hypotheses(s, budget) for s in series]
+for s, hyp in zip(series, hyps):
     ok = "ok" if est.hypotheses_hold(hyp) else "NOT MET"
     print(f"window {s.window}:  X^2(kT) = {s.X_sq[0]:.3e}   "
           f"int A^2 = {s.int_A_sq:.3e}   hypotheses {ok}")
 
 print()
-for key, rep in sorted(est.verify_stability_conclusion(series,
+for key, rep in sorted(est.verify_stability_conclusion(series, hyps,
                                                        budget).items()):
     print(f"({key})  {rep.status:7s}  worst margin {rep.worst_margin:+.3e}")

@@ -619,20 +619,21 @@ def window_endpoint_bound(series: StabilitySeries, budget: StabilityBudget,
         + math.exp(-0.5 * budget.c_star * budget.T + ia) * X0_sq
 
 
-def verify_stability_conclusion(series_list, budget: StabilityBudget,
+def verify_stability_conclusion(series_list, hypotheses,
+                                budget: StabilityBudget,
                                 tol: float = FLOAT_FLOOR) -> dict:
     """Check the stability conclusion over the inspected windows.
 
     Asserts X^2 <= gamma at every sample, X^2 below the integrated envelope,
-    and the window-endpoint recursion.  All reports turn vacuous if any
-    window's hypotheses fail.
+    and the window-endpoint recursion.  hypotheses holds each window's
+    check_stability_hypotheses, parallel to series_list.  All reports turn
+    vacuous if any window's hypotheses fail.
     """
     vacuous = False
     m_gamma, t_gamma = [], []
     m_env, t_env = [], []
     m_rec, t_rec = [], []
-    for series in series_list:
-        hyp = check_stability_hypotheses(series, budget, tol)
+    for series, hyp in zip(series_list, hypotheses, strict=True):
         window_ok = hypotheses_hold(hyp)
         if not window_ok:
             vacuous = True

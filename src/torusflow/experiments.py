@@ -388,8 +388,8 @@ def analyze(base: Trajectory, pert: Trajectory | None,
                 prev = reports.get(key)
                 if prev is None or rep.worst_margin < prev.worst_margin:
                     reports[key] = rep
-        reports.update(est.verify_stability_conclusion(series_list, budget,
-                                                       tol=tol))
+        reports.update(est.verify_stability_conclusion(
+            series_list, list(hyp_by_window.values()), budget, tol=tol))
     return reports, series_list, hyp_by_window
 
 

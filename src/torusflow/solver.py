@@ -354,14 +354,10 @@ class _Workspace:
         self.grid, self.dt = grid, dt
         self.shape = (d,) + (2 * c + 1,) * (d - 1) + (c + 1,)
         self.pairs = list(itertools.combinations_with_replacement(range(d), 2))
-        # the 2^(d-1) blocks of K: (index into the full lattice, into K)
-        lo, hi_full, hi_kept = slice(0, c + 1), slice(N - c, N), \
-            slice(c + 1, 2 * c + 1)
-        self.blocks = [((...,), (...,))]
-        for _ in range(d - 1):
-            self.blocks = [(f + (fs,), k + (ks,)) for f, k in self.blocks
-                           for fs, ks in ((lo, lo), (hi_full, hi_kept))]
-        self.blocks = [(f + (lo,), k + (lo,)) for f, k in self.blocks]
+        # K's entries on the full lattice, in K's layout; the last axis is
+        # sliced, which copies a few times faster than an index array
+        self.ix = (*np.ix_(*[np.r_[0:c + 1, N - c:N]] * (d - 1)),
+                   slice(0, c + 1))
 
         self.ik = [self.to_kept(1j * k) for k in grid.k_deriv]
         self.k = np.array([self.to_kept(k) for k in grid.k_deriv])
@@ -430,18 +426,14 @@ class _Workspace:
         """The entries on K of a, an array over the spectral lattice or
         broadcastable to it, as a new array in K's layout."""
         lead = a.shape[:a.ndim - self.grid.dim]
-        a = np.broadcast_to(a, lead + self.grid.shape_spec)
-        out = np.empty(lead + self.shape[1:], dtype=a.dtype)
-        for full, kept in self.blocks:
-            out[kept] = a[full]
-        return out
+        return np.ascontiguousarray(  # the gather is not laid out in C order
+            np.broadcast_to(a, lead + self.grid.shape_spec)[(..., *self.ix)])
 
     def to_full(self, v):
         """The K-state v on the full spectral lattice, as a new array that
         holds +0.0 outside K."""
         out = np.zeros((len(v),) + self.grid.shape_spec, dtype=complex)
-        for full, kept in self.blocks:
-            out[full] = v[kept]
+        out[(slice(None), *self.ix)] = v
         return out
 
     def mean_free_norms_sq(self, v):

@@ -15,6 +15,7 @@ before it reaps the child.  The child always leaves through os._exit, also
 after an exception, so it runs no atexit handler and none of its caller's
 cleanup.  Leaving the with-block before join, by an exception or an
 interrupt, kills and reaps the child, also one blocked on a full pipe.
+A Stream's child runs ahead of the parent until its pipe is full.
 Where os.fork does not exist, fn runs in the parent when the Worker is
 made, and join returns or raises its outcome.
 """
@@ -24,9 +25,6 @@ import pickle
 import time
 
 import numpy as np
-
-#: the arrays that the pipe of a Stream is sized to hold
-SLOTS = 8
 
 
 def _outcome(fn, args) -> tuple:
@@ -125,8 +123,8 @@ class Stream:
     array of shape shape (see the module).
 
     The child writes each array whole, so each must match that buffer's
-    dtype and bytes; it runs ahead of the parent until the pipe, sized on Linux
-    to hold SLOTS arrays, is full, and blocks there.  The parent gets the
+    dtype and bytes; it runs ahead of the parent until the pipe, of the
+    kernel's default capacity, is full, and blocks there.  The parent gets the
     same buffer each time, its own until it asks for the next array.  A
     killed parent closes the pipe, and the child leaves at its next write.
     If gen ends early, iteration stops, or re-raises gen's exception.  join
@@ -146,12 +144,6 @@ class Stream:
             return
         self._fd, write_fd = os.pipe()
         try:
-            import fcntl  # here: a platform without os.fork may lack it
-            try:
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ,
-                            SLOTS * len(self._bytes))
-            except (AttributeError, OSError):
-                pass  # the default capacity serves, only shallower
             self._worker = Worker(name, self._produce, write_fd)
         except BaseException:
             self._close_pipe()

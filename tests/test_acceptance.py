@@ -222,9 +222,9 @@ def test_criterion_08_stability_conclusion(calibrated):
 
     series = [est.stability_series(pert, base, budget, k)
               for k in range(windows)]
-    hyp_ok = all(est.hypotheses_hold(
-        est.check_stability_hypotheses(s, budget)) for s in series)
-    conclusion = est.verify_stability_conclusion(series, budget)
+    hyps = [est.check_stability_hypotheses(s, budget) for s in series]
+    hyp_ok = all(est.hypotheses_hold(hyp) for hyp in hyps)
+    conclusion = est.verify_stability_conclusion(series, hyps, budget)
     elapsed = time.time() - t0
     ok = hyp_ok \
         and all(r.status == est.PASS for r in conclusion.values()) \

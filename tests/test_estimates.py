@@ -334,10 +334,10 @@ def test_stability_series_invariants(stability_setup):
 def test_hypotheses_and_conclusion_pass(stability_setup):
     base, pert, budget, cal = stability_setup
     series = [est.stability_series(pert, base, budget, k) for k in range(2)]
-    for s in series:
-        hyp = est.check_stability_hypotheses(s, budget)
+    hyps = [est.check_stability_hypotheses(s, budget) for s in series]
+    for hyp in hyps:
         assert est.hypotheses_hold(hyp)
-    conc = est.verify_stability_conclusion(series, budget)
+    conc = est.verify_stability_conclusion(series, hyps, budget)
     assert set(conc) == {"4.13", "4.18-env", "4.25"}
     for rep in conc.values():
         assert rep.status == est.PASS
@@ -353,7 +353,7 @@ def test_hypotheses_vacuous_not_failed(stability_setup):
                                c5=budget.c5)
     hyp = est.check_stability_hypotheses(s, tiny)
     assert hyp["4.12a"].status == est.VACUOUS  # X^2(0) >> gamma
-    conc = est.verify_stability_conclusion([s], tiny)
+    conc = est.verify_stability_conclusion([s], [hyp], tiny)
     assert all(r.status == est.VACUOUS for r in conc.values())
 
 

@@ -788,14 +788,16 @@ def test_interrupt_kills_and_reaps_the_base_worker(monkeypatch):
 
 
 @pytest.mark.parametrize("slots", ["one", "more-than-steps"])
-def test_ring_size_leaves_the_runs_unchanged(monkeypatch, slots):
-    # flow control at its extremes: the base worker waits for the
-    # perturbation at every step, or never
+def test_ring_size_leaves_the_runs_unchanged(sized_pipes, slots):
+    # flow control at its extremes: the base worker's pipe holds one page,
+    # the fewest items a pipe can, or every step's item, so that it waits
+    # for the perturbation every few steps, or never
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
     want = run_perturbation(pert_cfg, base_cfg, direct_cfg)
-    monkeypatch.setattr(worker_module, "SLOTS",
-                        1 if slots == "one" else pert_cfg.n_steps + 1)
+    item = 2 * 8 * base_cfg.grid.N ** 2
+    size, made = sized_pipes(1 if slots == "one" else pert_cfg.n_steps * item)
     got = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    assert made and made == [size] * len(made)
     for mine, theirs in zip(got, want):
         assert mine.times.tobytes() == theirs.times.tobytes()
         assert np.array(mine.snapshots).tobytes() \

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from torusflow import worker as worker_module
 from torusflow.solver import BlowUpError
 from torusflow.worker import Stream, Worker
 
@@ -136,15 +135,22 @@ def _counting(n, fail_at=None, shape=(2,)):
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
 @pytest.mark.parametrize("slots", [1, 3])
-def test_stream_hands_out_each_slot_in_order(monkeypatch, fork, slots):
-    # a pipe sized for fewer items than the stream: the child waits for
-    # the parent to read before it writes the rest
-    monkeypatch.setattr(worker_module, "SLOTS", slots)
-    if not fork:
+def test_stream_hands_out_each_slot_in_order(monkeypatch, sized_pipes, fork,
+                                             slots):
+    # a one-page pipe that holds slots items, fewer than the stream: the
+    # child waits for the parent to read before it writes the rest
+    page = os.sysconf("SC_PAGE_SIZE")
+    shape = (page // 8 // slots,)
+    if fork:
+        size, made = sized_pipes(page)
+    else:
         monkeypatch.delattr(os, "fork")
-    with Stream("count", (2,), _counting, 10) as stream:
-        got = [(float(a), int(b)) for _, (a, b) in zip(range(10), stream)]
+    with Stream("count", shape, _counting, 10, None, shape) as stream:
+        got = [(float(item[0]), int(item[1]))
+               for _, item in zip(range(10), stream)]
         assert stream.join() == "10 items"
+    if fork:
+        assert made and made == [size] * len(made)
     assert [a for a, _ in got] == list(range(10))
     pids = {b for _, b in got}
     assert len(pids) == 1 and (pids == {os.getpid()}) == (not fork)
@@ -153,11 +159,28 @@ def test_stream_hands_out_each_slot_in_order(monkeypatch, fork, slots):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_stream_pipe_keeps_the_default_capacity():
+    # the stream leaves its pipe as the kernel makes it, also for items
+    # of a page, of which a smaller pipe would hold fewer
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("this platform cannot read a pipe's capacity")
+    read_fd, write_fd = os.pipe()
+    try:
+        default = fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    shape = (os.sysconf("SC_PAGE_SIZE") // 8,)
+    with Stream("count", shape, _counting, 3, None, shape) as stream:
+        assert fcntl.fcntl(stream._fd, fcntl.F_GETPIPE_SZ) == default
+        assert sum(1 for _ in stream) == 3
+        assert stream.join() == "3 items"
+
+
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "alone"])
 def test_stream_carries_items_larger_than_its_pipe(monkeypatch, fork):
-    # SLOTS items of 2 MiB exceed Linux's default pipe-max-size (1 MiB),
-    # so the kernel refuses the sizing to a process that may not pass it,
-    # and each item crosses the default pipe in parts
+    # items of 2 MiB, each larger than the pipe, cross it in parts
     if not fork:
         monkeypatch.delattr(os, "fork")
     shape = (1 << 18,)
