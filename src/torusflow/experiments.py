@@ -31,6 +31,7 @@ from .field import Field, extrude_field, physical_field, random_divfree_field
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      load_trajectory, run_2d_base, run_perturbation,
                      save_trajectory, taylor_green_exact)
+from .worker import Worker
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
                         TwoDBudget)
@@ -295,14 +296,19 @@ def _check_forcing(cfg: SolverConfig, where: str):
 
 def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
                    gamma: float | None) -> Field:
+    """The initial field that cfg names.  A random one is drawn in a forked
+    worker, joined before this returns: numpy.random, and the OpenSSL that
+    it loads through secrets, would otherwise stay in the run's process
+    (about 6 MB of its peak RSS) and in every worker forked after it."""
     cfg = _KINDS["initial"][cfg["kind"]] | cfg
     if cfg["kind"] == "taylor-green":
         return taylor_green_exact(grid, nu, 0.0, cfg["amplitude"])
     target = cfg["target_h1"]
     if target is None and gamma is not None:
         target = math.sqrt(cfg["h1_sq_frac_of_gamma"] * gamma)
-    return random_divfree_field(grid, seed + cfg["seed"],
-                                spectrum_decay=cfg["decay"], target_h1=target)
+    with Worker("initial", random_divfree_field, grid, seed + cfg["seed"],
+                cfg["decay"], target) as worker:
+        return worker.join()
 
 
 def _resolve_budget(spec: dict) -> tuple:
@@ -427,10 +433,11 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     failure marker.  meta.json also records the wall seconds of each of
     PHASES in this process (base and direct beside a perturbation: the
     wait for its worker; perturbation: with the wait for the forcing
-    worker), the busy seconds of each forked worker, the solver steps per
-    second of the runs and, per run and for the forcing worker, the
-    evaluations of its force (one per step time) and, per run, the count
-    and bytes of its snapshot files.
+    worker), the busy seconds of each forked worker that steps a run or
+    computes the forcing series (not of the initial field's), the solver
+    steps per second of the runs and, per run and for the forcing worker,
+    the evaluations of its force (one per step time) and, per run, the
+    count and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)

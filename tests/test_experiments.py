@@ -12,7 +12,7 @@ from torusflow import experiments as exp
 from torusflow import cli, solver, worker as worker_module
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
-from torusflow.field import load_field
+from torusflow.field import load_field, random_divfree_field
 from torusflow.grid import make_grid
 from torusflow.solver import (SolverConfig, forcing_lp_sq_series,
                               load_trajectory)
@@ -77,6 +77,35 @@ def test_parse_round_trip(load):
     # a resolved config, as spec.json records it, resolves to itself
     spec = load()
     assert exp.parse_config(json.dumps(spec)) == spec
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "no-fork"])
+def test_random_initial_field_drawn_in_a_worker_is_unchanged(
+        forked, monkeypatch):
+    # _build_initial draws a random field in a forked worker: it must be
+    # the field drawn in this process, bit for bit, and without os.fork too
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    grid = make_grid(2 * np.pi, 8, 3)
+    # the seeds add up to 7; the target is sqrt(0.5 * gamma) = 1
+    got = exp._build_initial({"kind": "random", "seed": 3}, grid, 1.0, 4,
+                             2.0)
+    want = random_divfree_field(grid, 7, spectrum_decay=4.0, target_h1=1.0)
+    assert got.grid == grid
+    assert got.representation == want.representation
+    assert got.divergence_free and got.time_stamp == 0.0
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "no-fork"])
+def test_random_initial_field_error_reaches_the_caller(forked, monkeypatch):
+    # the worker's exception is re-raised with its type and message, and
+    # its child is reaped (the no_child_left fixture)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="^spectrum_decay must be positive$"):
+        exp._build_initial({"kind": "random", "decay": 0.0},
+                           make_grid(2 * np.pi, 8, 3), 1.0, 0, 1.0)
 
 
 def test_null_target_h1_means_not_given():
@@ -933,42 +962,25 @@ def test_cli_sweep_member_fails_alone(tmp_path, capsys, parallel):
 def test_run_and_verify_do_not_import_scipy(tmp_path):
     # scipy is a test-only dependency; importing scipy.signal alone costs
     # about 1.3 s in every CLI process
-    import subprocess
-    import sys
-
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SMALL_PERT))
     out = str(tmp_path / "out")
-    script = (
-        "import sys\n"
-        "from torusflow import cli\n"
-        f"assert cli.main(['run', '--config', {str(cfg_path)!r}, "
-        f"'--out', {out!r}]) == 0\n"
-        f"assert cli.main(['verify', '--out', {out!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        "\n")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _modules_after_cli_import(
+        ("scipy",), ["run", "--config", str(cfg_path), "--out", out],
+        ["verify", "--out", out]) == "[]"
 
 
-def _modules_after_cli_import(packages, argv=None):
+def _modules_after_cli_import(packages, *argvs):
     """The modules of the packages named in packages, and their submodules,
-    that a fresh interpreter holds after importing torusflow.cli and, given
-    argv, running cli.main(argv)."""
+    that a fresh interpreter holds after importing torusflow.cli and running
+    cli.main on each of argvs in turn, each to exit 0."""
     import subprocess
     import sys
 
     script = ("import sys\n"
               "import torusflow.cli\n"
-              + (f"assert torusflow.cli.main({argv!r}) == 0\n" if argv
-                 else "")
+              + "".join(f"assert torusflow.cli.main({argv!r}) == 0\n"
+                        for argv in argvs)
               + "print(sorted(m for m in sys.modules if any(m == p or "
               f"m.startswith(p + '.') for p in {tuple(packages)!r})))\n")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -977,7 +989,7 @@ def _modules_after_cli_import(packages, argv=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -1056,14 +1068,23 @@ def test_cli_import_loads_no_openssl():
     assert _modules_after_cli_import(("_hashlib",)) == "[]"
 
 
-def test_verify_loads_no_random_generator_or_openssl(forced_pert_out,
-                                                      tmp_path):
-    # parse_config is on the verify path: importing numpy.random there would
-    # load OpenSSL (through secrets) and add about 6 MB to verify's peak RSS
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_run_and_verify_load_no_random_generator_or_openssl(
+        command, forced_pert_out, tmp_path):
+    # numpy.random loads OpenSSL (through secrets) and adds about 6 MB to a
+    # process's peak RSS: parse_config is on the verify path, and run draws
+    # its random initial perturbation in a worker of its own, so neither
+    # the run's process nor a worker forked after it holds them
     out = tmp_path / "out"
-    shutil.copytree(forced_pert_out, out)
+    if command == "run":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_PERT))
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    else:
+        shutil.copytree(forced_pert_out, out)
+        argv = ["verify", "--out", str(out)]
     assert _modules_after_cli_import(("numpy.random", "_hashlib"),
-                                     ["verify", "--out", str(out)]) == "[]"
+                                     argv) == "[]"
 
 
 def test_verify_ignores_the_former_hash_and_aborted_keys(tmp_path):
