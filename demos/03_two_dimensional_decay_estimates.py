@@ -27,7 +27,7 @@ budget = est.compute_A_constants(base, T, nu)
 print(f"A1^2 = {budget.A1_sq:.4e}   A2^2 = {budget.A2_sq:.4e}   "
       f"A3^2 = {budget.A3_sq:.4e}")
 print(f"A4^2 = {budget.A4_sq:.4e}   A5^2 = {budget.A5_sq:.4e}   "
-      f"windows = {budget.k_max}\n")
+      f"windows = {round(cfg.t_end / T)}\n")
 
 reports = est.verify_decay_2d(base, budget, tol=1e-7)
 reports["3.8"] = est.w1sigma_monitor(base)

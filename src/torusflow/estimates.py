@@ -117,6 +117,8 @@ class TwoDBudget:
 
     c_s1 is the sharp discrete H1 Poincare constant; c_s2 the sharp constant
     with c_s2*||u||_H2^2 <= ||Lap u||_L2^2 used for the H2 dissipation bound.
+    A3_sq = A1_sq + A2_sq and A5_sq = A1_sq + A4_sq are derived, so they
+    cannot disagree with the others.
     """
 
     nu: float
@@ -125,31 +127,29 @@ class TwoDBudget:
     c_s2: float
     A1_sq: float
     A2_sq: float
-    A3_sq: float
     A4_sq: float
-    A5_sq: float
-    k_max: int
     f_window_sup: float  # sup_k of the per-window integral of ||f_bar||_L2^2
-    v0_l2_sq: float
     v0_grad_l2_sq: float
 
     def __post_init__(self):
-        for name in ("A1_sq", "A2_sq", "A3_sq", "A4_sq", "A5_sq"):
+        for name in ("A1_sq", "A2_sq", "A4_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if abs(self.A3_sq - (self.A1_sq + self.A2_sq)) > \
-                1e-9 * max(1.0, self.A3_sq):
-            raise ValueError("A3_sq must equal A1_sq + A2_sq")
-        if abs(self.A5_sq - (self.A1_sq + self.A4_sq)) > \
-                1e-9 * max(1.0, self.A5_sq):
-            raise ValueError("A5_sq must equal A1_sq + A4_sq")
+
+    @property
+    def A3_sq(self) -> float:
+        return self.A1_sq + self.A2_sq
+
+    @property
+    def A5_sq(self) -> float:
+        return self.A1_sq + self.A4_sq
 
 
 def compute_A_constants(base: Trajectory, T: float, nu: float) -> TwoDBudget:
     """Evaluate the window constants from the base run and its forcing.
 
-    The sup over all windows is taken as the max over the k_max windows the
-    run actually covers.
+    The sup over all windows is taken as the max over the windows the run
+    actually covers.
     """
     t, f_l2_sq = base.diag["t"], base.diag["forcing_l2_sq"]
     windows = _window_slices(t, T)
@@ -167,12 +167,9 @@ def compute_A_constants(base: Trajectory, T: float, nu: float) -> TwoDBudget:
     A1_sq = f_sup / (nu * c_s1)
     A2_sq = A1_sq / decay + v0_l2
     A4_sq = c_s1 * A1_sq / decay + v0_grad
-    return TwoDBudget(
-        nu=nu, T=T, c_s1=c_s1, c_s2=c_s2,
-        A1_sq=A1_sq, A2_sq=A2_sq, A3_sq=A1_sq + A2_sq,
-        A4_sq=A4_sq, A5_sq=A1_sq + A4_sq,
-        k_max=len(windows), f_window_sup=f_sup,
-        v0_l2_sq=v0_l2, v0_grad_l2_sq=v0_grad)
+    return TwoDBudget(nu=nu, T=T, c_s1=c_s1, c_s2=c_s2, A1_sq=A1_sq,
+                      A2_sq=A2_sq, A4_sq=A4_sq, f_window_sup=f_sup,
+                      v0_grad_l2_sq=v0_grad)
 
 
 def verify_decay_2d(base: Trajectory, budget: TwoDBudget,
@@ -495,8 +492,6 @@ class StabilitySeries:
     window: int
     times: np.ndarray
     X_sq: np.ndarray
-    Y_sq: np.ndarray
-    Z_sq: np.ndarray
     G_sq: np.ndarray
     A_sq: np.ndarray
 
@@ -511,7 +506,7 @@ class StabilitySeries:
 
 def stability_series(pert: Trajectory, base: Trajectory,
                      budget: StabilityBudget, window: int) -> StabilitySeries:
-    """Assemble X^2, Y^2, Z^2, A^2, G^2 on one window's step grid, reading
+    """Assemble X^2, A^2, G^2 on one window's step grid, reading
     the base's grad_l3_sq at perturbation step i from base step r*i, r the
     whole number of base steps per perturbation step (ValueError if none)."""
     nu, T = budget.nu, budget.T
@@ -524,7 +519,6 @@ def stability_series(pert: Trajectory, base: Trajectory,
                          "the perturbation's")
     t = pert.diag["t"][sel]
     X_sq = pert.diag["l2_sq"][sel] + pert.diag["grad_l2_sq"][sel]
-    Y_sq = pert.diag["h2_sq"][sel]
 
     grad_l3_sq = base.grid.L ** (2.0 / 3.0) \
         * base.diag["grad_l3_sq"][r * sel]  # extruded to the 3D box
@@ -533,10 +527,8 @@ def stability_series(pert: Trajectory, base: Trajectory,
     mean_sq = np.sum(pert.diag["mean"][sel] ** 2, axis=1)
     g_l2_sq = pert.diag["forcing_l2_sq"][sel]
     G_sq = (budget.c5 / nu) * (grad_l3_sq * mean_sq + g_l2_sq)
-
-    Z_sq = X_sq * np.exp(-_cumtrapz(A_sq, t))
-    return StabilitySeries(window=window, times=t, X_sq=X_sq, Y_sq=Y_sq,
-                           Z_sq=Z_sq, G_sq=G_sq, A_sq=A_sq)
+    return StabilitySeries(window=window, times=t, X_sq=X_sq, G_sq=G_sq,
+                           A_sq=A_sq)
 
 
 def check_stability_hypotheses(series: StabilitySeries,

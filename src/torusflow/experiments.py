@@ -428,16 +428,16 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     resolves the budget, then steps the base, perturbation and direct runs
     in one run_perturbation call, each streaming its snapshots into the
     snapshots.partial directory of its trajectory directory, and writes
-    their scalar series once all have finished.  On solver blow-up only the partial snapshot
-    directories are left of the trajectories, and meta.json carries the
-    failure marker.  meta.json also records the wall seconds of each of
-    PHASES in this process (base and direct beside a perturbation: the
-    wait for its worker; perturbation: with the wait for the forcing
-    worker), the busy seconds of each forked worker that steps a run or
-    computes the forcing series (not of the initial field's), the solver
-    steps per second of the runs and, per run and for the forcing worker,
-    the evaluations of its force (one per step time) and, per run, the
-    count and bytes of its snapshot files.
+    their scalar series once all have finished.  On solver blow-up only the
+    partial snapshot directories are left of the trajectories, and
+    meta.json carries the failure marker.  meta.json also records the wall
+    seconds of each of PHASES in this process (base and direct beside a
+    perturbation: the wait for its worker; perturbation: with the wait for
+    the forcing worker), the busy seconds of each forked worker that steps
+    a run or computes the forcing series (not of the initial field's), the
+    solver steps per second of the runs and, per run and for the forcing
+    worker, the evaluations of its force (one per step time) and, per run,
+    the count and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)

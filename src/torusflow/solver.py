@@ -28,10 +28,11 @@ run a stage as a few long loops, so scipy.fft is not needed).  The records
 read the K-state itself, the base run's L^3 and W^{1,sigma} norms through
 the pruned irfftn stages at 2N points an axis; only a snapshot copies it
 onto the full lattice, +0.0 outside K.  Every force a run uses is computed
-on K as well: its physical values through the pruned rfftn, and the
-L^{6/5} series of the perturbation's force through the pruned irfftn
-stages at 2N points an axis, each equal bit for bit to the full
-transform's values on K.
+on K as well: its physical values through the pruned rfftn, equal bit for
+bit to the full transform's values on K; its L2 norm by the |.|^2 sum over
+K that the state's norms take, and the L^{6/5} series of the
+perturbation's force through the pruned irfftn stages at 2N points an
+axis.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -60,8 +61,7 @@ import numpy as np
 
 from .grid import TorusGrid
 from .field import Field, load_field, save_field, spectral_data, spectral_field
-from .norms import (_quadrature_norm, l2_norm_sq, lp_norm, w1_sigma_norms,
-                    DEFAULT_SIGMA)
+from .norms import _quadrature_norm, w1_sigma_norms, DEFAULT_SIGMA
 from .worker import Stream, Worker
 
 
@@ -269,8 +269,9 @@ def diag_columns(label: str, dim: int) -> list:
 @dataclass
 class Trajectory:
     """A run: spectral snapshots (mean included at k=0) and the per-step
-    series of diag_columns (diag["mean"] holds the mean as one array, for
-    every run in memory and for a 3D run loaded from disk).
+    series of diag_columns, each read from the run's state or force on the
+    2/3-rule modes K (_Member; diag["mean"] holds the mean as one array,
+    for every run in memory and for a 3D run loaded from disk).
 
     The snapshots, taken at times, are held in memory (snapshots), or, for
     a run that streamed them to disk, are files of field.save_field
@@ -445,13 +446,6 @@ class _Workspace:
         mag[(0,) * self.grid.dim] = 0.0
         return tuple(float(self.grid.volume * np.sum(w * mag))
                      for w in self.norm_weights)
-
-    def mean_free_field(self, v) -> Field:
-        """The K-state v without its mean on the full lattice, +0.0
-        outside K, as a new spectral Field."""
-        full = self.to_full(v)
-        full[(slice(None),) + (0,) * self.grid.dim] = 0.0
-        return spectral_field(self.grid, full)
 
     def _inverse(self, v, buffers, n, out):
         """irfftn's stages of the K-state v to n points an axis, pruned to
@@ -670,10 +664,10 @@ class _Member:
     a copy of the state in memory.
 
     Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i is
-    l2_norm_sq of the applied force at tgrid[i] without its mean: the
-    workspace's kept force (_Workspace.kept_force), which the step ending
-    there has already evaluated, on the full lattice with its k=0 mode
-    zeroed (_Workspace.mean_free_field); so each step time costs one
+    the squared L2 norm of the applied force at tgrid[i] without its mean:
+    the |f|^2 sum over K of the workspace's kept force
+    (_Workspace.kept_force, _Workspace.mean_free_norms_sq), which the step
+    ending there has already evaluated; so each step time costs one
     evaluation.  The count is read from the run's ForcingSpec: one
     shared with another run adds that run's evaluations.  No L^{6/5} norm
     is computed per step: run_perturbation records forcing_l6_5_sq.
@@ -713,7 +707,7 @@ class _Member:
         if i == 0 or not steady:
             # a steady force's norm holds at every step
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
-                l2_norm_sq(ws.mean_free_field(ws.kept_force(cfg.forcing, t)))
+                ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t))[0]
         if self.label == "2d_base":
             diag["grad_l3_sq"][i], diag["w1_sigma"][i] = \
                 ws.base_norms(v, cfg.sigma)
@@ -793,40 +787,25 @@ def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
     return run.trajectory()
 
 
-def _force_series(cfg: SolverConfig, value) -> np.ndarray:
-    """value(ws, f) at every step of cfg, for the force f on K at its time
-    (_Workspace.kept_force of ws, a workspace of this pass alone): one
-    evaluation per step time, one for a steady force, none for a zero
-    force, whose series is zero."""
+def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
+    """||mean-free force||_{L^p}^2 at every step of cfg, by the collocation
+    rule on the 2N grid (norms._quadrature_norm) of
+    _Workspace.padded_magnitude of the force on K, in one pass of its own
+    (_Workspace.kept_force of a workspace of this pass alone): for p != 2
+    equal bit for bit to lp_norm(., p) ** 2 of the mean-free force on the
+    full lattice.  One evaluation per step time, one for a steady force,
+    none for a zero force, whose series is zero."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
     ws = _Workspace(cfg.grid)
     for i, t in enumerate(cfg.times):
-        out[i] = value(ws, ws.kept_force(cfg.forcing, t))
+        out[i] = _quadrature_norm(cfg.grid, ws.padded_magnitude(
+            ws.kept_force(cfg.forcing, t)), p) ** 2
         if cfg.forcing.steady:
             out[:] = out[0]
             break
     return out
-
-
-def _forcing_series(cfg: SolverConfig, norm_sq) -> np.ndarray:
-    """norm_sq of the mean-free force (_Workspace.mean_free_field) at
-    every step of cfg, in one pass of its own (_force_series): the
-    reference that a run's recorded forcing_l2_sq must equal."""
-    return _force_series(cfg, lambda ws, f: norm_sq(ws.mean_free_field(f)))
-
-
-def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
-    """||mean-free force||_{L^p}^2 at every step of cfg, in one pass of
-    its own (_force_series), equal bit for bit to lp_norm(., p) ** 2 of
-    the mean-free force: for p = 2 by Parseval (lp_norm itself), else by
-    the collocation rule on the 2N grid (norms._quadrature_norm) of
-    _Workspace.padded_magnitude."""
-    if p == 2:
-        return _forcing_series(cfg, lambda f: lp_norm(f, 2) ** 2)
-    return _force_series(cfg, lambda ws, f: _quadrature_norm(
-        cfg.grid, ws.padded_magnitude(f), p) ** 2)
 
 
 def _timed_forcing_l6_5_sq(cfg: SolverConfig) -> tuple:
@@ -1034,12 +1013,10 @@ def load_trajectory(directory) -> Trajectory:
     The per-step series are read from diagnostics.csv exactly as the run
     wrote them, the mean_i columns of a 3D run into diag["mean"];
     _read_table refuses the file when it is missing, its header or rows
-    are not the run's columns (an output written before the 2D base run
-    recorded its norms at every step included), its times do not strictly
-    increase or a value is not finite, and series that do not span the
-    run's steps are refused too.  Nothing is re-evaluated, and snapshot
-    files are not read, so the trajectory has no snapshots;
-    field.load_field reads one.
+    are not the run's columns, its times do not strictly increase or a
+    value is not finite, and series that do not span the run's steps are
+    refused too.  Nothing is re-evaluated, and snapshot files are not read,
+    so the trajectory has no snapshots; field.load_field reads one.
     """
     with open(os.path.join(directory, "config.json")) as fh:
         config = json.load(fh)["config"]

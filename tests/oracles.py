@@ -54,8 +54,9 @@ def mean_free_force(cfg, t: float) -> Field:
 def forcing_norm_sq_series(cfg, p: float) -> np.ndarray:
     """The replaced solver.forcing_lp_sq_series: lp_norm(., p) ** 2 of
     mean_free_force at every step time of cfg (field.physical_padded, for
-    p != 2), l2_norm_sq for p = None; a steady force's once, zeros for a
-    zero force."""
+    p != 2), and for p = None the replaced record of a run's
+    forcing_l2_sq, l2_norm_sq; a steady force's once, zeros for a zero
+    force."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out

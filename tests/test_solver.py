@@ -7,6 +7,7 @@ import os
 import pickle
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,11 +22,10 @@ from torusflow.experiments import combine_forcing
 from torusflow.norms import (compute_norm_report, grad_l2_norm_sq,
                              l2_norm_sq, sobolev_norm_sq)
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
-                              _EXPR_FUNCTIONS, _forcing_series,
-                              forcing_lp_sq_series, load_trajectory,
-                              run_2d_base, run_full_3d, run_perturbation,
-                              save_trajectory, taylor_green_exact,
-                              _Workspace)
+                              _EXPR_FUNCTIONS, forcing_lp_sq_series,
+                              load_trajectory, run_2d_base, run_full_3d,
+                              run_perturbation, save_trajectory,
+                              taylor_green_exact, _Workspace)
 from torusflow.worker import Worker
 
 from oracles import (FullLatticeWorkspace, forcing_norm_sq_series,
@@ -853,6 +853,42 @@ def test_blowup_kills_a_live_forcing_worker(monkeypatch, direct):
         == (want.time, want.quantity, str(want))
 
 
+@pytest.mark.parametrize("forked", [True, False],
+                         ids=["forked", "in-process"])
+def test_full_lattice_copy_only_at_snapshots(monkeypatch, tmp_path, forked):
+    # a run copies its K-state onto the full lattice (_Workspace.to_full)
+    # once per stored snapshot and at no other step, its force norms
+    # included.  Each call appends its workspace's key to one file: the
+    # process and id of the workspace at its first call, which the base
+    # run's worker inherits from the initial snapshot taken here, and the
+    # workspace is held, so that no later one reuses its id
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    base_cfg = dataclasses.replace(base_cfg, snapshot_stride=3)
+    pert_cfg = dataclasses.replace(pert_cfg, snapshot_stride=4)
+    calls, to_full, held = tmp_path / "calls", _Workspace.to_full, []
+
+    def spy(self, v):
+        if not hasattr(self, "spy_key"):
+            self.spy_key = f"{os.getpid()}:{id(self)}:{self.grid.dim}"
+            held.append(self)
+        with open(calls, "a") as fh:
+            fh.write(self.spy_key + "\n")
+        return to_full(self, v)
+
+    monkeypatch.setattr(_Workspace, "to_full", spy)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    dims = sorted((int(key.rsplit(":", 1)[1]), n)
+                  for key, n in Counter(calls.read_text().split()).items())
+    want = sorted((run.grid.dim, len(run.times)) for run in runs)
+    assert dims == want
+    assert len({n for _, n in want}) == 3  # each count names one run
+    assert [len(run.times) for run in runs] == [
+        len(range(0, cfg.n_steps, cfg.snapshot_stride)) + 1
+        for cfg in (base_cfg, pert_cfg, direct_cfg)]
+
+
 @pytest.mark.parametrize("base_dt, base_t_end", [
     (0.04 / 15, 0.04), (2e-3, 0.036), (2e-3, 0.048), (8e-3, 0.04)],
     ids=["dt-not-divisor", "ends-early", "ends-late", "coarser-dt"])
@@ -870,8 +906,10 @@ def test_run_perturbation_refuses_mismatched_base(base_dt, base_t_end):
     ("0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)"),
     ("0.1*sin(x2)", "0.05 + 0.1*sin(x1)")], ids=["unsteady", "steady"])
 def test_recorded_forcing_norms_match_separate_passes(base_force):
-    # one pass of its own over the step times per norm: the reference for
-    # forcing_l2_sq, and the path that records forcing_l6_5_sq.  At
+    # one pass of its own over the step times per norm: the replaced
+    # full-lattice path (tests/oracles.py), the reference for
+    # forcing_l2_sq, which the run sums over K in another order, so they
+    # agree to roundoff; and the path that records forcing_l6_5_sq.  At
     # dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), so a step
     # that evaluated its force at t_i + dt would record another norm than
     # the pass, which evaluates at t_{i+1}
@@ -890,10 +928,10 @@ def test_recorded_forcing_norms_match_separate_passes(base_force):
             "0.3 + 0.1*sin(x2)*sin(20*t)")),
         initial=random_divfree_field(g3, seed=2, target_h1=0.3))
     base, pert, _ = run_perturbation(pert_cfg, base_cfg)
-    np.testing.assert_array_equal(base.diag["forcing_l2_sq"],
-                                  _forcing_series(base_cfg, l2_norm_sq))
-    np.testing.assert_array_equal(pert.diag["forcing_l2_sq"],
-                                  _forcing_series(pert_cfg, l2_norm_sq))
+    for run, cfg in ((base, base_cfg), (pert, pert_cfg)):
+        np.testing.assert_allclose(run.diag["forcing_l2_sq"],
+                                   forcing_norm_sq_series(cfg, None),
+                                   rtol=1e-15, atol=0)
     np.testing.assert_array_equal(pert.diag["forcing_l6_5_sq"],
                                   forcing_lp_sq_series(pert_cfg, 1.2))
 
@@ -940,23 +978,21 @@ def test_kept_force_matches_full_transform(dim, N):
     (3, 16, ("0.2 + sin(5*x2)", "cos(x3)", "sin(5*x1)*cos(x2)"), 0.05)],
     ids=["forced-direct", "N8", "N12", "N16", "N18", "2d", "steady"])
 def test_forcing_series_match_replaced_path(dim, N, expressions, t_end):
-    # the series on K (the pruned stages at 2N for p != 2, Parseval for
-    # p = 2) equal, bit for bit, lp_norm and l2_norm_sq of the replaced
-    # mean-free force on the full lattice (tests/oracles.py); the first
-    # case is the perturbation force of bench/workloads/forced-direct.json
+    # the series on K (the pruned stages at 2N) equal, bit for bit,
+    # lp_norm of the replaced mean-free force on the full lattice
+    # (tests/oracles.py); the first case is the perturbation force of
+    # bench/workloads/forced-direct.json
     grid = make_grid(2 * np.pi, N, dim)
     forcing = _force_to_cutoff(N, dim) if expressions is None \
         else ForcingSpec(kind="expression", expressions=expressions)
     cfg = SolverConfig(grid=grid, nu=1.0, dt=2e-3 if N == 16 else 1e-2,
                        t_end=t_end, T=t_end, forcing=forcing)
-    for p in (1.2, 2, 3):
+    for p in (1.2, 3):
         before = forcing.evaluations
         series = forcing_lp_sq_series(cfg, p)
         assert forcing.evaluations - before \
             == (1 if forcing.steady else cfg.n_steps + 1)
         assert series.tobytes() == forcing_norm_sq_series(cfg, p).tobytes()
-    assert _forcing_series(cfg, l2_norm_sq).tobytes() \
-        == forcing_norm_sq_series(cfg, None).tobytes()
     assert (series > 0).all()
 
 
