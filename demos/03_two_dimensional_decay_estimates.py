@@ -30,7 +30,7 @@ print(f"A4^2 = {budget.A4_sq:.4e}   A5^2 = {budget.A5_sq:.4e}   "
       f"windows = {round(cfg.t_end / T)}\n")
 
 reports = est.verify_decay_2d(base, budget, tol=1e-7)
-reports["3.8"] = est.w1sigma_monitor(base)
+reports["3.8"] = est.w1sigma_monitor(base, cfg.sigma, T)
 for key, rep in sorted(reports.items()):
     print(f"({key})  {rep.status:7s}  worst margin {rep.worst_margin:+.3e}"
           f"  at t = {rep.worst_time:.2f}")

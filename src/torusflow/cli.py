@@ -148,6 +148,9 @@ def _run_member(merged, out_dir):
 
 
 def _cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise exp.ConfigError(f"--parallel must be at least 1, got "
+                              f"{args.parallel}")
     with open(args.config) as fh:
         full = json.load(fh)
     members = full.pop("sweep", None)

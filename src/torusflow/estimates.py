@@ -256,24 +256,20 @@ def vorticity_cancellation_residual(vs: Field) -> float:
     return abs(integral) / scale
 
 
-def w1sigma_monitor(base: Trajectory, sigma: float | None = None,
+def w1sigma_monitor(base: Trajectory, sigma: float, T: float,
                     tol: float = 1e-6) -> InequalityReport:
-    """Empirical uniform-in-time bound on the W^1_sigma norm (per window).
+    """Empirical uniform-in-time bound on the W^1_sigma norm (per window
+    of length T).
 
     Passes when every window maximum, over the base run's per-step
     w1_sigma, stays below the first window's maximum times (1 + tol); the
-    report carries the per-window maxima as its series.  sigma defaults to
-    the base run's config["sigma"]; another one raises ValueError.
+    report carries the per-window maxima as its series.  sigma is the
+    exponent the run recorded w1_sigma at (its SolverConfig's sigma); one
+    of 3 or less raises ValueError.
     """
-    recorded = float(base.config["sigma"])
-    if sigma is None:
-        sigma = recorded
     if sigma <= 3:
         raise ValueError(f"sigma must exceed 3, got {sigma}")
-    if abs(recorded - sigma) > 1e-12:
-        raise ValueError("trajectory norm series used a different sigma")
     times, series = base.diag["t"], base.diag["w1_sigma"]
-    T = base.config["T"]
     windows = _window_slices(times, T)
     w_times = np.array([times[sel[-1]] for _, sel in windows])
     maxima = np.array([series[sel].max() for _, sel in windows])

@@ -4,10 +4,12 @@ Parses JSON scenario configs, orchestrates base / perturbation / direct
 runs, applies every estimate check, and writes deterministic artifacts:
 
   out/
-    spec.json           resolved configuration (defaults echoed)
-    base/               save_trajectory layout for the 2D base run (its
-                        snapshots stream into base/snapshots.partial/
-                        while it runs; likewise the other two)
+    spec.json           resolved configuration (defaults echoed), the one
+                        record of every run's grid, clock and force
+    base/               save_trajectory layout for the 2D base run:
+                        diagnostics.csv, summary.json, snapshots/ (which
+                        stream into base/snapshots.partial/ while it runs;
+                        likewise the other two)
     perturbation/       idem for the 3D perturbation run (if configured)
     direct/             idem for the optional full 3D run
     constants.json      calibrated constants and the stability budget
@@ -379,7 +381,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     tol = est.margin_tolerance(spec["tolerance"]["C"], spec["dt"])
     twod = est.compute_A_constants(base, T, nu)
     reports = dict(est.verify_decay_2d(base, twod, tol))
-    reports["3.8"] = est.w1sigma_monitor(base, spec["sigma"])
+    reports["3.8"] = est.w1sigma_monitor(base, spec["sigma"], T)
 
     series_list, hyp_by_window = [], {}
     if pert is not None and budget is not None:
@@ -626,7 +628,8 @@ def reverify(out_dir: str) -> RunArtifacts:
     meta.json always, the complete perturbation run and constants.json with
     a perturbation; a file that does not parse; a meta.json without
     wall_seconds or failed; a constants.json other than what _resolve_budget
-    rebuilds from the spec, with which the checks run.
+    rebuilds from the spec, with which the checks run; series that are not
+    at the step times of the spec's runs (_run_config, load_trajectory).
     """
     spec_path = os.path.join(out_dir, "spec.json")
     if not os.path.exists(spec_path):
@@ -643,10 +646,13 @@ def reverify(out_dir: str) -> RunArtifacts:
         raise FileNotFoundError(
             f"{out_dir} lacks {', '.join(missing)}: the run is incomplete; "
             "run the experiment again")
-    base = load_trajectory(os.path.join(out_dir, "base"))
+    base = load_trajectory(os.path.join(out_dir, "base"),
+                           _run_config(spec, "base"), "2d_base")
     pert = budget = None
     if spec["perturbation"] is not None:
-        pert = load_trajectory(os.path.join(out_dir, "perturbation"))
+        pert = load_trajectory(os.path.join(out_dir, "perturbation"),
+                               _run_config(spec, "perturbation"),
+                               "perturbation")
         cal, budget = _resolve_budget(spec)
         path = os.path.join(out_dir, "constants.json")
         found = _first_difference(_read_json(path), {

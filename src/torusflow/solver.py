@@ -238,15 +238,6 @@ class SolverConfig:
         self.times = self.dt * np.arange(self.n_steps + 1)
         self.times.flags.writeable = False  # every run of cfg shares it
 
-    def describe(self) -> dict:
-        return {
-            "L": self.grid.L, "N": self.grid.N, "dim": self.grid.dim,
-            "nu": self.nu, "dt": self.dt, "t_end": self.t_end, "T": self.T,
-            "forcing_kind": self.forcing.kind,
-            "forcing_expressions": list(self.forcing.expressions),
-            "snapshot_stride": self.snapshot_stride, "sigma": self.sigma,
-        }
-
 
 def diag_columns(label: str, dim: int) -> list:
     """The diagnostics.csv columns of a run labelled label.
@@ -269,9 +260,9 @@ def diag_columns(label: str, dim: int) -> list:
 @dataclass
 class Trajectory:
     """A run: spectral snapshots (mean included at k=0) and the per-step
-    series of diag_columns, each read from the run's state or force on the
-    2/3-rule modes K (_Member; diag["mean"] holds the mean as one array,
-    for every run in memory and for a 3D run loaded from disk).
+    series of diag_columns of its label, each read from the run's state or
+    force on the 2/3-rule modes K (_Member; diag["mean"] holds the mean as
+    one array, for every run in memory and for a 3D run loaded from disk).
 
     The snapshots, taken at times, are held in memory (snapshots), or, for
     a run that streamed them to disk, are files of field.save_field
@@ -286,7 +277,7 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     diag: dict
-    config: dict
+    label: str
     step_seconds: float = 0.0
     force_evaluations: int = 0
     wait_seconds: float = 0.0
@@ -437,15 +428,15 @@ class _Workspace:
         out[(slice(None), *self.ix)] = v
         return out
 
-    def mean_free_norms_sq(self, v):
-        """(l2_norm_sq, grad_l2_norm_sq, sobolev_norm_sq(., 2)) of the
-        mean-free part of to_full(v), up to the order of summation: one
-        |v|^2 sum over K, its k=0 entry zeroed, under grid.parseval_weights
-        gathered onto K."""
+    def mean_free_norms_sq(self, v, count=3):
+        """The first count of (l2_norm_sq, grad_l2_norm_sq,
+        sobolev_norm_sq(., 2)) of the mean-free part of to_full(v), up to
+        the order of summation: one |v|^2 sum over K, its k=0 entry zeroed,
+        under grid.parseval_weights gathered onto K."""
         mag = np.sum(np.abs(v) ** 2, axis=0)
         mag[(0,) * self.grid.dim] = 0.0
         return tuple(float(self.grid.volume * np.sum(w * mag))
-                     for w in self.norm_weights)
+                     for w in self.norm_weights[:count])
 
     def _inverse(self, v, buffers, n, out):
         """irfftn's stages of the K-state v to n points an axis, pruned to
@@ -707,7 +698,7 @@ class _Member:
         if i == 0 or not steady:
             # a steady force's norm holds at every step
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
-                ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t))[0]
+                ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t), 1)[0]
         if self.label == "2d_base":
             diag["grad_l3_sq"][i], diag["w1_sigma"][i] = \
                 ws.base_norms(v, cfg.sigma)
@@ -734,13 +725,13 @@ class _Member:
         self.seconds += time.perf_counter() - t0
 
     def trajectory(self) -> Trajectory:
-        cfg, label = self.cfg, self.label
+        cfg = self.cfg
         return Trajectory(
             grid=cfg.grid,
             times=np.array(self.snap_times),
             snapshots=self.snapshots,
             diag=self.diag,
-            config=cfg.describe() | {"label": label},
+            label=self.label,
             step_seconds=self.seconds,
             force_evaluations=cfg.forcing.evaluations
             - self.evaluations_before,
@@ -954,11 +945,13 @@ def _partial_snapshot_dir(directory) -> str:
 
 
 def save_trajectory(traj: Trajectory, directory) -> dict:
-    """Write config copy, per-step CSV, snapshots and summary.
+    """Write the per-step CSV, snapshots and summary of a run.
 
-    Layout: config.json, diagnostics.csv (diag_columns, every step, a
-    table of _write_table, which load_trajectory reads back bit for bit),
-    summary.json, snapshots/snap_NNNNNN.npz (at snapshot_stride).
+    Layout: diagnostics.csv (diag_columns, every step, a table of
+    _write_table, which load_trajectory reads back bit for bit),
+    summary.json, snapshots/snap_NNNNNN.npz (at snapshot_stride).  The
+    run's configuration is not written here: the caller keeps it
+    (experiments' spec.json) and hands it to load_trajectory.
 
     A streamed trajectory's snapshots are already files, in the directory
     its run streamed them into; the snapshots of any other are written to
@@ -976,13 +969,10 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         for i, path in enumerate(files):
             save_field(path, traj.snapshot_field(i))
 
-    with open(os.path.join(directory, "config.json"), "w") as fh:
-        json.dump({"config": traj.config}, fh, indent=2, sort_keys=True)
-
     series = {**traj.diag, **{f"mean_{i + 1}": m
                               for i, m in enumerate(traj.diag["mean"].T)}}
     _write_table(os.path.join(directory, "diagnostics.csv"), series,
-                 diag_columns(traj.config["label"], traj.grid.dim))
+                 diag_columns(traj.label, traj.grid.dim))
 
     partial = os.path.dirname(files[0])
     snapdir = os.path.join(directory, "snapshots")
@@ -994,7 +984,7 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         traj.snapshot_paths = paths
 
     summary = {
-        "label": traj.config.get("label"),
+        "label": traj.label,
         "final_time": float(traj.times[-1]),
         "final_l2_sq": float(traj.diag["l2_sq"][-1]),
         "final_grad_l2_sq": float(traj.diag["grad_l2_sq"][-1]),
@@ -1007,32 +997,30 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
             "summary": summary}
 
 
-def load_trajectory(directory) -> Trajectory:
-    """Rebuild the scalar series of a save_trajectory directory.
+def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
+    """Rebuild the scalar series of a save_trajectory directory of the run
+    of cfg labelled label.
 
     The per-step series are read from diagnostics.csv exactly as the run
     wrote them, the mean_i columns of a 3D run into diag["mean"];
     _read_table refuses the file when it is missing, its header or rows
-    are not the run's columns, its times do not strictly increase or a
-    value is not finite, and series that do not span the run's steps are
-    refused too.  Nothing is re-evaluated, and snapshot files are not read,
-    so the trajectory has no snapshots; field.load_field reads one.
+    are not the columns of label on cfg's grid, its times do not strictly
+    increase or a value is not finite, and series at times other than
+    cfg's step times (cfg.times) are refused too.  Nothing is re-evaluated,
+    and neither snapshot files nor any other file of the directory are
+    read, so the trajectory has no snapshots; field.load_field reads one.
     """
-    with open(os.path.join(directory, "config.json")) as fh:
-        config = json.load(fh)["config"]
-    grid = TorusGrid(L=config["L"], N=config["N"], dim=config["dim"])
-    columns = diag_columns(config["label"], grid.dim)
+    columns = diag_columns(label, cfg.grid.dim)
     diag = _read_table(os.path.join(directory, "diagnostics.csv"), columns)
     means = [c for c in columns if c.startswith("mean_")]
     if means:
         diag["mean"] = np.column_stack([diag.pop(c) for c in means])
-    steps = round(config["t_end"] / config["dt"]) + 1
-    if len(diag["t"]) != steps:
-        raise FileNotFoundError(f"{directory}: the series do not span the "
-                                f"run's {steps} steps; run the experiment "
-                                "again")
-    return Trajectory(grid=grid, times=np.empty(0), snapshots=[], diag=diag,
-                      config=config)
+    if not np.array_equal(diag["t"], cfg.times):
+        raise FileNotFoundError(f"{directory}: the series are not at the "
+                                f"run's {cfg.n_steps} steps of dt={cfg.dt:g}; "
+                                "run the experiment again")
+    return Trajectory(grid=cfg.grid, times=np.empty(0), snapshots=[],
+                      diag=diag, label=label)
 
 
 def _write_table(path, table: dict, columns):

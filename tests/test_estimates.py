@@ -237,10 +237,11 @@ def test_cancellation_rejects_3d_and_nondivfree(grid2, grid3):
 # W^1_sigma monitor
 
 def test_w1sigma_monitor(forced_base):
-    rep = est.w1sigma_monitor(forced_base)
+    rep = est.w1sigma_monitor(forced_base, 4.0, T)
     assert rep.status == est.PASS
+    assert len(rep.times) == 3
     with pytest.raises(ValueError):
-        est.w1sigma_monitor(forced_base, sigma=2.0)
+        est.w1sigma_monitor(forced_base, 2.0, T)
 
 
 # ---------------------------------------------------------------------------

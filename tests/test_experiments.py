@@ -50,6 +50,16 @@ FORCED_DIRECT = dict(SMALL, T=0.05, snapshot_stride=5,
                                        snapshot_stride=5))
 
 
+def _load_run(out, run):
+    """The trajectory of the run directory out/run, loaded with the
+    configuration that out/spec.json gives it (the direct run shares the
+    perturbation's grid and clock)."""
+    spec = json.loads((out / "spec.json").read_text())
+    label = {"base": "2d_base", "direct": "full_3d"}.get(run, run)
+    return load_trajectory(out / run, exp._run_config(
+        spec, "base" if run == "base" else "perturbation"), label)
+
+
 def test_parse_minimal_fills_defaults():
     spec = exp.parse_config(json.dumps({"nu": 0.25}))
     assert spec["nu"] == 0.25
@@ -475,8 +485,7 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
     raw = json.loads((out / "spec.json").read_text())
     budget = StabilityBudget(
         **json.loads((out / "constants.json").read_text())["budget"])
-    base = load_trajectory(out / "base")
-    pert = load_trajectory(out / "perturbation")
+    base, pert = (_load_run(out, run) for run in ("base", "perturbation"))
     assert pert.diag["forcing_l6_5_sq"].min() > 0.0
     reports = exp.analyze(base, pert, raw, budget)[0]
     assert reports_to_json(reports) + "\n" \
@@ -585,6 +594,58 @@ def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
     assert err.count("\n") == 1
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
         == before
+
+
+@pytest.fixture(scope="module")
+def two_window_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("two-window") / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(dict(SMALL_PERT,
+                                                        windows=2))),
+                       str(out))
+    return out
+
+
+@pytest.mark.parametrize("edit", [{"dt": 2.5e-3}, {"windows": 1}],
+                         ids=["half-dt", "one-window-fewer"])
+def test_verify_refuses_a_spec_of_another_clock(two_window_out, tmp_path,
+                                                capsys, edit):
+    # verify used to take the step count from each run's own config.json
+    # and exit 0: with dt halved in spec.json it checked every margin at a
+    # quarter of the run's tolerance, with one window fewer it left the
+    # last window unchecked
+    out = tmp_path / "out"
+    shutil.copytree(two_window_out, out)
+    path = out / "spec.json"
+    path.write_text(json.dumps(json.loads(path.read_text()) | edit))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(out / "base") in err and "run the experiment again" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
+def test_verify_opens_only_the_series_of_a_trajectory(two_window_out,
+                                                      tmp_path, monkeypatch):
+    # spec.json is the one record of a run's configuration: of a
+    # trajectory directory verify opens diagnostics.csv and no other
+    # file, not even a config.json that an older output still holds
+    out = tmp_path / "out"
+    shutil.copytree(two_window_out, out)
+    for run in ("base", "perturbation"):
+        (out / run / "config.json").write_text("{}")
+    opened, builtin_open = [], open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_OK
+    for run in ("base", "perturbation"):
+        names = [p.relative_to(out / run).as_posix() for p in opened
+                 if p.is_relative_to(out / run)]
+        assert names == ["diagnostics.csv"], run
 
 
 @pytest.mark.parametrize("missing", ["perturbation", "constants.json",
@@ -922,7 +983,8 @@ def test_no_forcing_worker_without_time_dependent_force(
     cfg = SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],
                        t_end=spec["T"], T=spec["T"],
                        forcing=exp._build_forcing(forcing, 3))
-    recorded = load_trajectory(out / "perturbation").diag["forcing_l6_5_sq"]
+    recorded = load_trajectory(out / "perturbation", cfg,
+                               "perturbation").diag["forcing_l6_5_sq"]
     np.testing.assert_array_equal(recorded, forcing_lp_sq_series(cfg, 1.2))
     assert (recorded == 0.0).all() == (forcing["kind"] == "zero")
 
@@ -957,6 +1019,18 @@ def test_cli_sweep_member_fails_alone(tmp_path, capsys, parallel):
     if parallel == 1:
         # a forked member writes to the process's stderr, past capsys
         assert "budget refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_cli_sweep_refuses_parallel_below_one(tmp_path, capsys, parallel):
+    # --parallel 0 used to run the members one after another and exit 0
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(dict(SMALL, sweep=[{}])))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--parallel", str(parallel)]) == exp.EXIT_ERROR
+    assert "--parallel must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_and_verify_do_not_import_scipy(tmp_path):
@@ -1029,8 +1103,7 @@ def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
     for run in ("base", "perturbation", "direct"):
         # only the 2D base run records the L3 and W^1_sigma norms, in its
         # per-step table, and no run writes a table beside it
-        norms = {"grad_l3_sq", "w1_sigma"} & set(load_trajectory(out / run)
-                                                  .diag)
+        norms = {"grad_l3_sq", "w1_sigma"} & set(_load_run(out, run).diag)
         assert len(norms) == (2 if run == "base" else 0), run
         assert not (out / run / "norms.csv").exists(), run
         paths = sorted((out / run / "snapshots").iterdir())
@@ -1089,14 +1162,22 @@ def test_run_and_verify_load_no_random_generator_or_openssl(
 
 def test_verify_ignores_the_former_hash_and_aborted_keys(tmp_path):
     # outputs written while runs stored config digests and summary.json's
-    # aborted flag carry them still: verify ignores both and rewrites the
-    # verdict files byte for byte
+    # aborted flag carry them still, and outputs written while each
+    # trajectory directory restated the spec carry a config.json, here
+    # with another L: verify ignores them all and rewrites the verdict
+    # files byte for byte
     out = tmp_path / "out"
     arts = exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)),
                               str(out))
     former = {"meta.json": {"hash": "0123456789abcdef"}}
-    for run in ("base", "perturbation", "direct"):
-        former[f"{run}/config.json"] = {"hash": "fedcba9876543210"}
+    for run, dim, label in (("base", 2, "2d_base"),
+                            ("perturbation", 3, "perturbation"),
+                            ("direct", 3, "full_3d")):
+        (out / run / "config.json").write_text(json.dumps({"config": {
+            "L": 3.0, "N": 8, "dim": dim, "nu": 0.5, "dt": 5e-3,
+            "t_end": 0.05, "T": 0.05, "forcing_kind": "zero",
+            "forcing_expressions": [], "snapshot_stride": 5, "sigma": 4.0,
+            "label": label}, "hash": "fedcba9876543210"}))
         former[f"{run}/summary.json"] = {"hash": "fedcba9876543210",
                                          "aborted": False}
     for name, keys in former.items():

@@ -5,9 +5,11 @@ import itertools
 import json
 import os
 import pickle
+import re
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,9 +75,8 @@ def test_config_validation(grid2):
                          initial=v0, snapshot_stride=stride)
     # every run records its series at every step, and snapshots may fall
     # anywhere
-    assert "norm_stride" not in SolverConfig(
-        grid=grid2, nu=0.1, dt=1e-3, t_end=1, T=1, initial=v0,
-        snapshot_stride=3).describe()
+    assert "norm_stride" not in {f.name
+                                 for f in dataclasses.fields(SolverConfig)}
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=2e-3, t_end=3, T=1, initial=v0)
     assert cfg.n_steps == 1500
     np.testing.assert_array_equal(cfg.times, 2e-3 * np.arange(1501))
@@ -265,6 +266,8 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim):
             ws.mean_free_norms_sq(v),
             (l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2)),
             rtol=1e-14, atol=0)
+        # a force's record takes the L2 sum alone, with the same bits
+        assert ws.mean_free_norms_sq(v, 1) == ws.mean_free_norms_sq(v)[:1]
     # a run records its mean as the k=0 coefficient of its state, bit for
     # bit, under a mean force
     forcing = ForcingSpec(kind="expression", expressions=(
@@ -553,7 +556,7 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
         scalar = sorted(set(os.listdir(directory)) - {"snapshots"})
         assert scalar == sorted(set(os.listdir(tmp_path / "held" / name))
                                 - {"snapshots"})
-        assert scalar == ["config.json", "diagnostics.csv", "summary.json"]
+        assert scalar == ["diagnostics.csv", "summary.json"]
         for fname in scalar:
             assert (directory / fname).read_bytes() \
                 == (tmp_path / "held" / name / fname).read_bytes()
@@ -1193,8 +1196,8 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     assert (tmp_path / "run" / "diagnostics.csv").exists()
     assert len(out["snapshots"]) == len(traj.times)
 
-    back = load_trajectory(tmp_path / "run")
-    assert back.grid == grid2
+    back = load_trajectory(tmp_path / "run", cfg, "2d_base")
+    assert (back.grid, back.label) == (grid2, "2d_base")
     # every stored series reads back bit for bit; the base stores every
     # one but its mean
     assert set(back.diag) == set(traj.diag) - {"mean"}
@@ -1204,3 +1207,24 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     last = load_field(out["snapshots"][-1])
     assert last.time_stamp == traj.times[-1]
     assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
+    # series at other step times than the given run's are refused
+    with pytest.raises(FileNotFoundError, match="run the experiment again"):
+        load_trajectory(tmp_path / "run", dataclasses.replace(cfg, dt=5e-4),
+                        "2d_base")
+
+
+def test_readme_layout_lists_the_files_save_trajectory_writes(tmp_path,
+                                                              grid2):
+    # README's trajectory layout block names every file of a trajectory
+    # directory and no other, a snapshot's number written NNNNNN
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Trajectory directory layout")[1].split("```")[1]
+    listed = {line.split()[0] for line in block.splitlines()
+              if line and not line[0].isspace()}
+    cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=2e-3, T=2e-3,
+                       initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
+    save_trajectory(run_2d_base(cfg), tmp_path)
+    written = {re.sub(r"\d{6}", "NNNNNN",
+                      path.relative_to(tmp_path).as_posix())
+               for path in tmp_path.rglob("*") if path.is_file()}
+    assert listed == written
