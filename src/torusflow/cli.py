@@ -152,10 +152,14 @@ def _cmd_sweep(args) -> int:
         raise exp.ConfigError(f"--parallel must be at least 1, got "
                               f"{args.parallel}")
     with open(args.config) as fh:
-        full = json.load(fh)
+        full = exp.decode_config(fh.read())
+    if not isinstance(full, dict):
+        raise exp.ConfigError("a sweep config must be a JSON object")
     members = full.pop("sweep", None)
-    if not members:
-        raise exp.ConfigError("sweep config needs a nonempty 'sweep' list")
+    if not isinstance(members, list) or not members \
+            or not all(isinstance(m, dict) for m in members):
+        raise exp.ConfigError("sweep config needs a nonempty 'sweep' list "
+                              "of objects")
     jobs = []
     for i, overrides in enumerate(members):
         merged = json.loads(json.dumps(full))

@@ -7,9 +7,9 @@ runs, applies every estimate check, and writes deterministic artifacts:
     spec.json           resolved configuration (defaults echoed), the one
                         record of every run's grid, clock and force
     base/               save_trajectory layout for the 2D base run:
-                        diagnostics.csv, summary.json, snapshots/ (which
-                        stream into base/snapshots.partial/ while it runs;
-                        likewise the other two)
+                        snapshots/ (which stream into
+                        base/snapshots.partial/ while it runs; likewise
+                        the other two) and diagnostics.csv, written last
     perturbation/       idem for the 3D perturbation run (if configured)
     direct/             idem for the optional full 3D run
     constants.json      calibrated constants and the stability budget
@@ -31,8 +31,8 @@ import numpy as np
 from .grid import TorusGrid, make_grid
 from .field import Field, extrude_field, physical_field, random_divfree_field
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
-                     load_trajectory, run_2d_base, run_perturbation,
-                     save_trajectory, taylor_green_exact)
+                     _write_atomic, load_trajectory, run_2d_base,
+                     run_perturbation, save_trajectory, taylor_green_exact)
 from .worker import Worker
 from . import estimates as est
 from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
@@ -162,6 +162,15 @@ def _check_leaf(key: str, default, val, where: str):
                               f"{bound}, got {val!r}")
 
 
+def decode_config(text: str):
+    """The JSON value of a config file's text; text that does not parse is
+    refused with its line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+
+
 def parse_config(text: str, seed: int | None = None) -> dict:
     """The resolved config of a JSON scenario config: _DEFAULTS (and, with a
     perturbation, _PERT_DEFAULTS) with the config's keys put in by _merged,
@@ -179,11 +188,7 @@ def parse_config(text: str, seed: int | None = None) -> dict:
     the run would not apply in full (_check_forcing) and a budget that
     _resolve_budget refuses.
     """
-    try:
-        given = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    spec = _merged(_DEFAULTS, given, "config")
+    spec = _merged(_DEFAULTS, decode_config(text), "config")
     if seed is not None:
         spec["seed"] = seed
     if spec["direct_3d"] and spec["perturbation"] is None:
@@ -507,7 +512,7 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                     traj.forcing_worker
             paths[name] = directory
             with _timed(phases, "writing"):
-                files = save_trajectory(traj, directory)["snapshots"]
+                files = save_trajectory(traj, directory)
             snapshots[name] = {"count": len(files),
                                "bytes": sum(map(os.path.getsize, files))}
 
@@ -541,15 +546,6 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
          "snapshots": snapshots,
          "failed": failed, "exit_code": code}, indent=2))
     return artifacts
-
-
-def _write_atomic(path, text: str):
-    """Write text to path through a temporary file moved into place with
-    os.replace, so that a run killed while writing leaves the earlier file
-    or none, never a part of one."""
-    with open(path + ".tmp", "w") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
 
 
 def _read_json(path):
@@ -624,7 +620,7 @@ def reverify(out_dir: str) -> RunArtifacts:
     """Re-run the estimate checks on stored trajectories (no simulation).
 
     Refuses (FileNotFoundError), before writing anything, a missing output
-    the spec calls for: the complete base run (its summary.json) and
+    the spec calls for: the complete base run (its diagnostics.csv) and
     meta.json always, the complete perturbation run and constants.json with
     a perturbation; a file that does not parse; a meta.json without
     wall_seconds or failed; a constants.json other than what _resolve_budget
@@ -636,9 +632,9 @@ def reverify(out_dir: str) -> RunArtifacts:
         raise FileNotFoundError(f"no experiment spec under {out_dir}")
     with open(spec_path) as fh:
         spec = parse_config(fh.read())
-    needed = [os.path.join("base", "summary.json"), "meta.json"]
+    needed = [os.path.join("base", "diagnostics.csv"), "meta.json"]
     if spec["perturbation"] is not None:
-        needed += [os.path.join("perturbation", "summary.json"),
+        needed += [os.path.join("perturbation", "diagnostics.csv"),
                    "constants.json"]
     missing = [name for name in needed
                if not os.path.exists(os.path.join(out_dir, name))]

@@ -1,13 +1,14 @@
 """Norms and function-space diagnostics for periodic fields.
 
 L2-based quantities are computed spectrally (Parseval with exact mode
-weights); other Lebesgue exponents use collocation quadrature on a 2N-padded
-grid to reduce aliasing in integrals of |u|^p.
+weights); the L^3 and L^sigma norms of the base run's checks use
+collocation quadrature on a 2N-padded grid to reduce aliasing in integrals
+of |u|^p.
 """
 
 import numpy as np
 
-from .field import Field, gradient_data, mean, physical_padded, spectral_field
+from .field import Field, gradient_data, physical_padded, spectral_field
 from .grid import TorusGrid
 
 DEFAULT_SIGMA = 4.0
@@ -39,27 +40,15 @@ def sobolev_norm_sq(field: Field, s: int) -> float:
     return _parseval_sum(field.grid, field.spectral(), ("l2", "h1", "h2")[s])
 
 
-def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
-    """L_p norm of the pointwise Euclidean magnitude |u(x)|."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if p == 2:
-        return float(np.sqrt(l2_norm_sq(field)))
-    return _quadrature_norm(field.grid, _padded_magnitude(field, pad_factor),
-                            p, pad_factor)
+def _padded_magnitude(field: Field) -> np.ndarray:
+    """Pointwise Euclidean magnitude |u(x)| on the 2N grid."""
+    return np.sqrt(np.sum(physical_padded(field) ** 2, axis=0))
 
 
-def _padded_magnitude(field: Field, pad_factor: int = 2) -> np.ndarray:
-    """Pointwise Euclidean magnitude |u(x)| on the padded grid."""
-    return np.sqrt(np.sum(physical_padded(field, pad_factor) ** 2, axis=0))
-
-
-def _quadrature_norm(grid: TorusGrid, mag: np.ndarray, p: float,
-                     pad_factor: int = 2) -> float:
-    """L_p norm of a padded-grid magnitude by the collocation rule."""
-    if np.isinf(p):
-        return float(mag.max())
-    cell = (grid.L / (pad_factor * grid.N)) ** grid.dim
+def _quadrature_norm(grid: TorusGrid, mag: np.ndarray, p: float) -> float:
+    """L_p norm, p finite, of a 2N-grid magnitude by the collocation
+    rule."""
+    cell = (grid.L / (2 * grid.N)) ** grid.dim
     return float((cell * np.sum(mag**p)) ** (1.0 / p))
 
 
@@ -93,26 +82,6 @@ def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> dict:
         _padded_magnitude(gradient_field(field)), sigma)
     return {"time_stamp": field.time_stamp, "grad_l3_sq": grad_l3_sq,
             "w1_sigma": w1_sigma}
-
-
-def poincare_ratio(field: Field, relative_to: str = "h1") -> float:
-    """Sharpness probe for the torus Poincare inequality on mean-free fields.
-
-    relative_to="h1": ||grad u||^2 / ||u||_H1^2   (>= kappa^2/(1+kappa^2))
-    relative_to="l2": ||grad u||^2 / ||u||_L2^2   (>= kappa^2)
-    """
-    l2 = l2_norm_sq(field)
-    if l2 == 0.0:
-        raise ValueError("poincare_ratio of a zero field")
-    m = mean(field)
-    if np.max(np.abs(m)) > 1e-10 * np.sqrt(l2 / field.grid.volume):
-        raise ValueError("poincare_ratio needs a mean-free field")
-    grad = grad_l2_norm_sq(field)
-    if relative_to == "h1":
-        return grad / (l2 + grad)
-    if relative_to == "l2":
-        return grad / l2
-    raise ValueError(f"unknown relative_to {relative_to!r}")
 
 
 def sharp_poincare_h1(grid: TorusGrid) -> float:

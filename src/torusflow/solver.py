@@ -49,12 +49,11 @@ grid.k_deriv.
 
 import ast
 import itertools
-import json
 import math
 import os
 import shutil
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -783,9 +782,10 @@ def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
     rule on the 2N grid (norms._quadrature_norm) of
     _Workspace.padded_magnitude of the force on K, in one pass of its own
     (_Workspace.kept_force of a workspace of this pass alone): for p != 2
-    equal bit for bit to lp_norm(., p) ** 2 of the mean-free force on the
-    full lattice.  One evaluation per step time, one for a steady force,
-    none for a zero force, whose series is zero."""
+    equal bit for bit to the squared L^p norm by padded quadrature of the
+    mean-free force on the full lattice (tests/oracles.py).  One evaluation
+    per step time, one for a steady force, none for a zero force, whose
+    series is zero."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
@@ -931,34 +931,34 @@ def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
 
 def _partial_snapshot_dir(directory) -> str:
     """<directory>/snapshots.partial, made empty for the snapshots of a run
-    about to be written.  The directory's summary.json goes first: until
+    about to be written.  The directory's diagnostics.csv goes first: until
     save_trajectory writes it again, the directory is not a complete
     trajectory."""
     os.makedirs(directory, exist_ok=True)
-    summary = os.path.join(directory, "summary.json")
-    if os.path.exists(summary):
-        os.remove(summary)
+    with suppress(FileNotFoundError):
+        os.remove(os.path.join(directory, "diagnostics.csv"))
     partial = os.path.join(directory, "snapshots.partial")
     shutil.rmtree(partial, ignore_errors=True)
     os.makedirs(partial)
     return partial
 
 
-def save_trajectory(traj: Trajectory, directory) -> dict:
-    """Write the per-step CSV, snapshots and summary of a run.
+def save_trajectory(traj: Trajectory, directory) -> list:
+    """Write the snapshots and the per-step CSV of a run; the paths of its
+    snapshot files.
 
-    Layout: diagnostics.csv (diag_columns, every step, a table of
-    _write_table, which load_trajectory reads back bit for bit),
-    summary.json, snapshots/snap_NNNNNN.npz (at snapshot_stride).  The
-    run's configuration is not written here: the caller keeps it
-    (experiments' spec.json) and hands it to load_trajectory.
+    Layout: snapshots/snap_NNNNNN.npz (at snapshot_stride) and
+    diagnostics.csv (diag_columns, every step, a table of _write_table,
+    which load_trajectory reads back bit for bit).  The run's configuration
+    is not written here: the caller keeps it (experiments' spec.json) and
+    hands it to load_trajectory.
 
     A streamed trajectory's snapshots are already files, in the directory
     its run streamed them into; the snapshots of any other are written to
-    <directory>/snapshots.partial.  Once the scalar files are written, that
-    directory moves to snapshots/, replacing an earlier one, and a streamed
-    trajectory's snapshot_paths follow it.  summary.json comes last, so a
-    directory with one is complete.
+    <directory>/snapshots.partial.  That directory then moves to
+    snapshots/, replacing an earlier one, and a streamed trajectory's
+    snapshot_paths follow it.  diagnostics.csv comes last, moved into
+    place whole (_write_atomic), so a directory with one is complete.
     """
     os.makedirs(directory, exist_ok=True)
     files = traj.snapshot_paths
@@ -969,11 +969,6 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
         for i, path in enumerate(files):
             save_field(path, traj.snapshot_field(i))
 
-    series = {**traj.diag, **{f"mean_{i + 1}": m
-                              for i, m in enumerate(traj.diag["mean"].T)}}
-    _write_table(os.path.join(directory, "diagnostics.csv"), series,
-                 diag_columns(traj.label, traj.grid.dim))
-
     partial = os.path.dirname(files[0])
     snapdir = os.path.join(directory, "snapshots")
     if os.path.abspath(partial) != os.path.abspath(snapdir):
@@ -983,18 +978,11 @@ def save_trajectory(traj: Trajectory, directory) -> dict:
     if traj.snapshot_paths:
         traj.snapshot_paths = paths
 
-    summary = {
-        "label": traj.label,
-        "final_time": float(traj.times[-1]),
-        "final_l2_sq": float(traj.diag["l2_sq"][-1]),
-        "final_grad_l2_sq": float(traj.diag["grad_l2_sq"][-1]),
-        "final_mean": [float(x) for x in traj.diag["mean"][-1]],
-        "snapshots": len(traj.times),
-    }
-    with open(os.path.join(directory, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    return {"directory": str(directory), "snapshots": paths,
-            "summary": summary}
+    series = {**traj.diag, **{f"mean_{i + 1}": m
+                              for i, m in enumerate(traj.diag["mean"].T)}}
+    _write_table(os.path.join(directory, "diagnostics.csv"), series,
+                 diag_columns(traj.label, traj.grid.dim))
+    return paths
 
 
 def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
@@ -1004,44 +992,54 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
     The per-step series are read from diagnostics.csv exactly as the run
     wrote them, the mean_i columns of a 3D run into diag["mean"];
     _read_table refuses the file when it is missing, its header or rows
-    are not the columns of label on cfg's grid, its times do not strictly
-    increase or a value is not finite, and series at times other than
-    cfg's step times (cfg.times) are refused too.  Nothing is re-evaluated,
-    and neither snapshot files nor any other file of the directory are
-    read, so the trajectory has no snapshots; field.load_field reads one.
+    are not the columns of label on cfg's grid or a value is not finite,
+    and series at times other than cfg's step times (cfg.times) are
+    refused too: rows out of order, missing or extra.  Nothing is
+    re-evaluated, and neither snapshot files nor any other file of the
+    directory are read, so the trajectory has no snapshots;
+    field.load_field reads one.
     """
+    path = os.path.join(directory, "diagnostics.csv")
     columns = diag_columns(label, cfg.grid.dim)
-    diag = _read_table(os.path.join(directory, "diagnostics.csv"), columns)
+    diag = _read_table(path, columns)
     means = [c for c in columns if c.startswith("mean_")]
     if means:
         diag["mean"] = np.column_stack([diag.pop(c) for c in means])
     if not np.array_equal(diag["t"], cfg.times):
-        raise FileNotFoundError(f"{directory}: the series are not at the "
-                                f"run's {cfg.n_steps} steps of dt={cfg.dt:g}; "
+        raise FileNotFoundError(f"{path}: the series are not at the run's "
+                                f"{cfg.n_steps} steps of dt={cfg.dt:g}; "
                                 "run the experiment again")
     return Trajectory(grid=cfg.grid, times=np.empty(0), snapshots=[],
                       diag=diag, label=label)
 
 
+def _write_atomic(path, text: str):
+    """Write text to path through a temporary file moved into place with
+    os.replace, so that a run killed while writing leaves the earlier file
+    or none, never a part of one."""
+    with open(f"{path}.tmp", "w") as fh:
+        fh.write(text)
+    os.replace(f"{path}.tmp", path)
+
+
 def _write_table(path, table: dict, columns):
     """The arrays table[c], for c in columns, as the columns of a CSV file
-    under a header of those names.  Each value is written as repr(float(x)),
-    the shortest text that reads back to the same double."""
+    under a header of those names, written by _write_atomic.  Each value is
+    written as repr(float(x)), the shortest text that reads back to the
+    same double."""
     rows = np.column_stack([table[c] for c in columns])
     lines = [",".join(columns)] \
         + [",".join(repr(float(x)) for x in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_table(path, columns) -> dict:
-    """{c: array} for c in columns, from a file of _write_table whose first
-    column is time.
+    """{c: array} for c in columns, from a file of _write_table.
 
-    A missing file, a header other than columns, a row of another length,
-    times that do not strictly increase and a value that is not finite are
-    refused with FileNotFoundError, so that verify exits with code 2 and
-    asks for a new run instead of checking series that are not the run's.
+    A missing file, a header other than columns, a row of another length
+    and a value that is not finite are refused with FileNotFoundError, so
+    that verify exits with code 2 and asks for a new run instead of
+    checking series that are not the run's.
     """
     columns = list(columns)
     if not os.path.exists(path):
@@ -1059,9 +1057,6 @@ def _read_table(path, columns) -> dict:
     if rows.shape[1] != len(columns):
         raise FileNotFoundError(f"{path} has rows that do not match its "
                                 "header; run the experiment again")
-    if not np.all(np.diff(rows[:, 0]) > 0):  # refuses a nan time too
-        raise FileNotFoundError(f"{path}: the times in {columns[0]} do not "
-                                "strictly increase; run the experiment again")
     if not np.all(np.isfinite(rows)):
         raise FileNotFoundError(f"{path} holds a value that is not finite; "
                                 "run the experiment again")

@@ -4,9 +4,46 @@ import functools
 
 import numpy as np
 
-from torusflow.field import (Field, leray_data, physical_data, spectral_data,
-                             spectral_field)
-from torusflow.norms import l2_norm_sq, lp_norm, sobolev_norm_sq
+from torusflow.field import (Field, leray_data, mean, physical_data,
+                             physical_padded, spectral_data, spectral_field)
+from torusflow.norms import grad_l2_norm_sq, l2_norm_sq, sobolev_norm_sq
+
+
+def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
+    """The former norms.lp_norm: the L_p norm of the pointwise Euclidean
+    magnitude |u(x)|, by Parseval for p = 2, else by the collocation rule
+    on the pad_factor*N grid (field.physical_padded), its maximum there for
+    p = inf."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if p == 2:
+        return float(np.sqrt(l2_norm_sq(field)))
+    mag = np.sqrt(np.sum(physical_padded(field, pad_factor) ** 2, axis=0))
+    if np.isinf(p):
+        return float(mag.max())
+    cell = (field.grid.L / (pad_factor * field.grid.N)) ** field.grid.dim
+    return float((cell * np.sum(mag**p)) ** (1.0 / p))
+
+
+def poincare_ratio(field: Field, relative_to: str = "h1") -> float:
+    """The former norms.poincare_ratio, a sharpness probe for the torus
+    Poincare inequality on mean-free fields.
+
+    relative_to="h1": ||grad u||^2 / ||u||_H1^2   (>= kappa^2/(1+kappa^2))
+    relative_to="l2": ||grad u||^2 / ||u||_L2^2   (>= kappa^2)
+    """
+    l2 = l2_norm_sq(field)
+    if l2 == 0.0:
+        raise ValueError("poincare_ratio of a zero field")
+    m = mean(field)
+    if np.max(np.abs(m)) > 1e-10 * np.sqrt(l2 / field.grid.volume):
+        raise ValueError("poincare_ratio needs a mean-free field")
+    grad = grad_l2_norm_sq(field)
+    if relative_to == "h1":
+        return grad / (l2 + grad)
+    if relative_to == "l2":
+        return grad / l2
+    raise ValueError(f"unknown relative_to {relative_to!r}")
 
 
 def mean_ode_integrate(times: np.ndarray, mean_forcing: np.ndarray,

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq,
+from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq, lp_norm,
                      window_slices_by_time)
 from torusflow import make_grid
 from torusflow.field import (leray_data, physical_padded, random_divfree_field,
                              spectral_field)
-from torusflow.norms import (gradient_field, l2_norm_sq, lp_norm,
-                             sharp_poincare_h1, sobolev_norm_sq)
+from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
+                             sobolev_norm_sq)
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
                               run_perturbation, taylor_green_exact)
 from torusflow import estimates as est

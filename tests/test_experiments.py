@@ -279,10 +279,10 @@ def test_rerun_replaces_stale_snapshots(tmp_path):
     for stride, count in ((10, 11), (50, 3)):
         cfg = dict(SMALL_PERT, perturbation={"snapshot_stride": stride})
         exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
+        meta = json.loads((out / "meta.json").read_text())
         for run in ("base", "perturbation"):
-            summary = json.loads((out / run / "summary.json").read_text())
             files = sorted(os.listdir(out / run / "snapshots"))
-            assert len(files) == summary["snapshots"]
+            assert len(files) == meta["snapshots"][run]["count"]
             assert not (out / run / "snapshots.partial").exists()
         assert len(files) == count
 
@@ -290,7 +290,8 @@ def test_rerun_replaces_stale_snapshots(tmp_path):
 @pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
 def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
     # a run that blows up in a directory holding a complete earlier run
-    # must not leave that run's trajectories looking complete, nor its
+    # must not leave that run's trajectories looking complete (no
+    # diagnostics.csv in any trajectory directory it started), nor its
     # verdicts beside a meta.json that says the rerun failed
     out = tmp_path / "out"
     verdicts = ("constants.json", "inequalities.json", "windows.csv")
@@ -308,20 +309,20 @@ def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
     assert not any((out / name).exists() for name in verdicts)
     for run in ("base", "perturbation", "direct"):
         assert (out / run / "snapshots.partial").is_dir()
-        assert not (out / run / "summary.json").exists()
+        assert not (out / run / "diagnostics.csv").exists()
         if not rerun:
             assert sorted(os.listdir(out / run)) == ["snapshots.partial"]
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run the experiment again" in err
     for run in ("base", "perturbation"):
-        assert os.path.join(run, "summary.json") in err
+        assert os.path.join(run, "diagnostics.csv") in err
     assert err.count("\n") == 1
 
 
 def test_killed_2d_rerun_leaves_no_meta(tmp_path, capsys, monkeypatch):
     # a 2D-only rerun killed after it wrote its spec.json, before its base
-    # run starts: the earlier run's base/summary.json is still there, so
+    # run starts: the earlier run's base/diagnostics.csv is still there, so
     # only a missing meta.json keeps verify from checking the earlier
     # trajectory under the new spec
     out = tmp_path / "out"
@@ -336,7 +337,7 @@ def test_killed_2d_rerun_leaves_no_meta(tmp_path, capsys, monkeypatch):
         exp.run_experiment(exp.parse_config(json.dumps(dict(SMALL, nu=0.4))),
                            str(out))
     assert json.loads((out / "spec.json").read_text())["nu"] == 0.4
-    assert (out / "base" / "summary.json").exists()
+    assert (out / "base" / "diagnostics.csv").exists()
     assert not (out / "meta.json").exists()
     capsys.readouterr()
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
@@ -435,6 +436,34 @@ def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     assert "meta.json" in capsys.readouterr().err
+
+
+def test_trajectory_is_complete_only_with_its_diagnostics(tmp_path, capsys,
+                                                         monkeypatch):
+    # a rerun killed after its base run's snapshots/ is in place, before
+    # its diagnostics.csv is: the earlier run's diagnostics.csv went when
+    # the rerun's base run started, so verify refuses the directory
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    replace = os.replace
+
+    def killed(src, dst):
+        if os.path.basename(dst) == "diagnostics.csv":
+            raise KeyboardInterrupt
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    monkeypatch.undo()
+    assert (out / "base" / "snapshots").is_dir()
+    assert not (out / "base" / "snapshots.partial").exists()
+    assert not (out / "base" / "diagnostics.csv").exists()
+    capsys.readouterr()
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert os.path.join("base", "diagnostics.csv") in err
+    assert "run the experiment again" in err and err.count("\n") == 1
 
 
 def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
@@ -937,10 +966,10 @@ def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, key, refuse)
                 patched.append(name)
     assert {"torusflow.field", "torusflow.norms"} <= set(patched)
-    # the patch reaches the public full-lattice norm
+    # the patch reaches the full-lattice norm report
     with pytest.raises(AssertionError, match="physical_padded"):
-        norms.lp_norm(field.random_divfree_field(make_grid(2 * np.pi, 8, 2),
-                                                 1), 3)
+        norms.compute_norm_report(field.random_divfree_field(
+            make_grid(2 * np.pi, 8, 2), 1))
     spec = exp.parse_config(json.dumps(FORCED_DIRECT))
     out = tmp_path / "out"
     assert exp.emit_report(exp.run_experiment(spec, str(out)))[1] \
@@ -1031,6 +1060,25 @@ def test_cli_sweep_refuses_parallel_below_one(tmp_path, capsys, parallel):
                      "--parallel", str(parallel)]) == exp.EXIT_ERROR
     assert "--parallel must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sweep": [{}],\n "nu": }', "line 2, column 8: Expecting value"),
+    (json.dumps([SMALL]), "must be a JSON object"),
+    (json.dumps(dict(SMALL, sweep=[3])), "'sweep' list of objects"),
+    (json.dumps(dict(SMALL, sweep={"nu": 0.5})), "'sweep' list of objects")],
+    ids=["not-json", "list", "member-number", "sweep-object"])
+def test_cli_sweep_refuses_malformed_config(tmp_path, capsys, text, message):
+    # each used to end in a traceback (JSONDecodeError, TypeError,
+    # AttributeError) with exit 1, the code of a failed inequality
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out",
+                     str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_run_and_verify_do_not_import_scipy(tmp_path):
@@ -1162,10 +1210,11 @@ def test_run_and_verify_load_no_random_generator_or_openssl(
 
 def test_verify_ignores_the_former_hash_and_aborted_keys(tmp_path):
     # outputs written while runs stored config digests and summary.json's
-    # aborted flag carry them still, and outputs written while each
-    # trajectory directory restated the spec carry a config.json, here
-    # with another L: verify ignores them all and rewrites the verdict
-    # files byte for byte
+    # aborted flag carry them still, outputs written while each trajectory
+    # directory ended in a summary.json carry that, and outputs written
+    # while each trajectory directory restated the spec carry a
+    # config.json, here with another L: verify ignores them all and
+    # rewrites the verdict files byte for byte
     out = tmp_path / "out"
     arts = exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)),
                               str(out))
@@ -1178,8 +1227,9 @@ def test_verify_ignores_the_former_hash_and_aborted_keys(tmp_path):
             "t_end": 0.05, "T": 0.05, "forcing_kind": "zero",
             "forcing_expressions": [], "snapshot_stride": 5, "sigma": 4.0,
             "label": label}, "hash": "fedcba9876543210"}))
-        former[f"{run}/summary.json"] = {"hash": "fedcba9876543210",
-                                         "aborted": False}
+        (out / run / "summary.json").write_text(json.dumps({
+            "label": label, "final_time": 0.05, "snapshots": 2,
+            "hash": "fedcba9876543210", "aborted": False}))
     for name, keys in former.items():
         path = out / name
         path.write_text(json.dumps(json.loads(path.read_text()) | keys))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq,
-                     streamed_padded_magnitude)
+from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq, lp_norm,
+                     poincare_ratio, streamed_padded_magnitude)
 from torusflow import cli, make_grid
 from torusflow import estimates as est
 from torusflow import experiments as exp
@@ -17,9 +17,8 @@ from torusflow.field import (mean_free, physical_field, random_divfree_field,
                              spectral_data, spectral_field)
 from torusflow.norms import (_padded_magnitude, compute_norm_report,
                              grad_l2_norm_sq, gradient_field, l2_norm_sq,
-                             lp_norm, poincare_ratio, sharp_dissipation_h2,
-                             sharp_poincare_h1, sharp_poincare_h2,
-                             sobolev_norm_sq)
+                             sharp_dissipation_h2, sharp_poincare_h1,
+                             sharp_poincare_h2, sobolev_norm_sq)
 from torusflow.solver import _read_table, _write_table, diag_columns
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -260,10 +259,11 @@ def test_calibrate_constants_match_stacked_reference(grid3):
 
 
 def test_trajectory_norms_ordering(tmp_path, capsys):
-    # a saved series whose rows are out of time order, or hold a time or a
-    # value that is not a number, is refused when verify loads it (exit 2),
-    # for the base's norm columns and the other per-step columns alike; a
-    # nan l2_sq used to be checked, and failed as 3.2 and 3.3 (exit 1)
+    # a saved series whose rows are out of time order or cut short, or hold
+    # a time or a value that is not a number, is refused when verify loads
+    # it (exit 2), for the base's norm columns and the other per-step
+    # columns alike; a nan l2_sq used to be checked, and failed as 3.2 and
+    # 3.3 (exit 1)
     run = tmp_path / "run"
     spec = exp.parse_config(json.dumps({
         "scenario": "ordering", "nu": 0.5, "dt": 5e-3, "T": 0.05,
@@ -276,6 +276,9 @@ def test_trajectory_norms_ordering(tmp_path, capsys):
     def swap(lines):
         lines[1], lines[2] = lines[2], lines[1]
 
+    def drop_last(lines):
+        lines.pop()
+
     def nan_time(lines):
         lines[2] = "nan" + lines[2][lines[2].index(","):]
 
@@ -286,9 +289,9 @@ def test_trajectory_norms_ordering(tmp_path, capsys):
             lines[2] = ",".join(cells)
         return edit
 
-    increase, finite = "strictly increase", "not finite"
+    clock, finite = "not at the run's 10 steps of dt=0.005", "not finite"
     name = "diagnostics.csv"
-    cases = [(swap, increase), (nan_time, increase),
+    cases = [(swap, clock), (drop_last, clock), (nan_time, finite),
              (nan_in("l2_sq"), finite), (nan_in("grad_l3_sq"), finite),
              (nan_in("w1_sigma"), finite)]
     for case, (edit, message) in enumerate(cases):
@@ -300,7 +303,7 @@ def test_trajectory_norms_ordering(tmp_path, capsys):
         path.write_text("\n".join(lines) + "\n")
         assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
         err = capsys.readouterr().err
-        assert name in err and message in err
+        assert str(path) in err and message in err
         assert "run the experiment again" in err and err.count("\n") == 1
 
 

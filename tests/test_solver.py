@@ -550,13 +550,13 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
         save_trajectory(mem, tmp_path / "held" / name)
         out = save_trajectory(disk, directory)
         assert not os.path.exists(partial)
-        assert disk.snapshot_paths == out["snapshots"]
+        assert disk.snapshot_paths == out
         # saved again where its files now lie, it keeps them
         assert save_trajectory(disk, directory) == out
         scalar = sorted(set(os.listdir(directory)) - {"snapshots"})
         assert scalar == sorted(set(os.listdir(tmp_path / "held" / name))
                                 - {"snapshots"})
-        assert scalar == ["diagnostics.csv", "summary.json"]
+        assert scalar == ["diagnostics.csv"]
         for fname in scalar:
             assert (directory / fname).read_bytes() \
                 == (tmp_path / "held" / name / fname).read_bytes()
@@ -1194,7 +1194,7 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     assert np.ptp(traj.diag["forcing_l2_sq"]) > 0.0
     out = save_trajectory(traj, tmp_path / "run")
     assert (tmp_path / "run" / "diagnostics.csv").exists()
-    assert len(out["snapshots"]) == len(traj.times)
+    assert len(out) == len(traj.times)
 
     back = load_trajectory(tmp_path / "run", cfg, "2d_base")
     assert (back.grid, back.label) == (grid2, "2d_base")
@@ -1204,7 +1204,7 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     assert {"grad_l3_sq", "w1_sigma"} <= set(back.diag)
     for key, series in back.diag.items():
         assert np.array_equal(series, traj.diag[key]), key
-    last = load_field(out["snapshots"][-1])
+    last = load_field(out[-1])
     assert last.time_stamp == traj.times[-1]
     assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
     # series at other step times than the given run's are refused
