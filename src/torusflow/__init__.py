@@ -3,7 +3,7 @@ stability bounds are checked, inequality by inequality, on the computed
 trajectories."""
 
 from .grid import TorusGrid, make_grid
-from .field import (Field, divergence_linf, extrude_field, load_field, mean,
+from .field import (Field, divergence_linf, extrude_field, load_field,
                     mean_free, physical_field, random_divfree_field,
                     save_field, spectral_derivative, spectral_field)
 from .norms import compute_norm_report, l2_norm_sq, sobolev_norm_sq

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from . import estimates as est
 from . import experiments as exp
 from .grid import make_grid
+from .solver import _write_atomic
 from .worker import Worker
 
 
@@ -117,14 +118,13 @@ def _cmd_calibrate(args) -> int:
     try:
         grid = make_grid(L, args.N, 3)
     except ValueError as exc:
-        # an odd N or a nonpositive L
+        # an odd N or an L that is not positive and finite
         raise exp.ConfigError(str(exc)) from None
     cal = est.calibrate_constants(grid)
     payload = json.dumps(asdict(cal), indent=2, sort_keys=True) + "\n"
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        _write_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0
@@ -188,10 +188,10 @@ def _cmd_sweep(args) -> int:
     for out_dir, code, failed in results:
         lines.append(f"{out_dir},{code},{failed}")
         worst = max(worst, code)
+    table = "\n".join(lines) + "\n"
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_atomic(os.path.join(args.out, "sweep.csv"), table)
+    sys.stdout.write(table)
     return worst
 
 

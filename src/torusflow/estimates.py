@@ -12,9 +12,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .field import (Field, divergence_linf, laplacian_data, mean as field_mean,
-                    mean_free, physical_padded, spectral_derivative,
-                    spectral_field)
+from .field import (Field, divergence_linf, laplacian_data, mean_free,
+                    physical_padded, spectral_derivative, spectral_field)
 from .grid import TorusGrid
 from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2)
@@ -235,7 +234,6 @@ def vorticity_cancellation_residual(vs: Field) -> float:
     if divergence_linf(vs) > 1e-8:
         raise ValueError("input must be divergence free")
     bar = mean_free(vs)
-    m = field_mean(vs)
     factor = 3  # integrand is cubic in the field: 3K bandwidth needs 3N/2+
     vel = physical_padded(vs, factor)
     lap = physical_padded(

@@ -1,7 +1,8 @@
 """Reproducible experiment runner.
 
 Parses JSON scenario configs, orchestrates base / perturbation / direct
-runs, applies every estimate check, and writes deterministic artifacts:
+runs, applies every estimate check, and writes deterministic artifacts,
+each text file moved into place whole by solver._write_atomic:
 
   out/
     spec.json           resolved configuration (defaults echoed), the one
@@ -17,6 +18,8 @@ runs, applies every estimate check, and writes deterministic artifacts:
     windows.csv         one row per window (fixed column schema)
     summary.txt         human-readable table
     meta.json           wall-clock metadata (excluded from determinism)
+
+run_experiment and reverify end in one writer of the verdict files.
 """
 
 import json
@@ -35,8 +38,7 @@ from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      run_perturbation, save_trajectory, taylor_green_exact)
 from .worker import Worker
 from . import estimates as est
-from .estimates import (FAIL, PASS, VACUOUS, InequalityReport, StabilityBudget,
-                        TwoDBudget)
+from .estimates import FAIL, InequalityReport, StabilityBudget
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,6 +46,10 @@ EXIT_ERROR = 2
 
 WINDOW_CSV_COLUMNS = ("window", "t_start", "t_end", "X_sq_start", "X_sq_end",
                       "int_A_sq", "int_G_sq", "hypotheses", "worst_margin")
+
+#: the verdict files of _write_verdicts, by their key in RunArtifacts.paths
+VERDICT_FILES = {"inequalities": "inequalities.json",
+                 "windows": "windows.csv", "summary": "summary.txt"}
 
 #: the phases of run_experiment timed in meta.json
 PHASES = ("base", "perturbation", "direct", "analysis", "writing")
@@ -162,11 +168,16 @@ def _check_leaf(key: str, default, val, where: str):
                               f"{bound}, got {val!r}")
 
 
+def _refuse_constant(name: str):
+    raise ConfigError(f"{name}: every number of a config must be finite")
+
+
 def decode_config(text: str):
     """The JSON value of a config file's text; text that does not parse is
-    refused with its line and column."""
+    refused with its line and column, and the non-finite literals NaN,
+    Infinity and -Infinity, which Python's json reads, by name."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
@@ -406,16 +417,22 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     return reports, series_list, hyp_by_window
 
 
-def _write_verdicts(out_dir, reports, series_list, hyp_by_window) -> dict:
-    """Write inequalities.json and windows.csv of analyze's results into
-    out_dir; returns their paths."""
-    paths = {"inequalities": os.path.join(out_dir, "inequalities.json"),
-             "windows": os.path.join(out_dir, "windows.csv")}
-    with open(paths["inequalities"], "w") as fh:
-        fh.write(est.reports_to_json(reports) + "\n")
-    with open(paths["windows"], "w") as fh:
-        fh.write(_window_csv(series_list, hyp_by_window, reports))
-    return paths
+def _write_verdicts(artifacts: RunArtifacts, series_list,
+                    hyp_by_window) -> int:
+    """Write analyze's inequalities.json and windows.csv (not after a
+    blow-up: series_list None), then emit_report's summary.txt, each by
+    _write_atomic, into artifacts' paths; emit_report's exit code."""
+    texts = {}
+    if series_list is not None:
+        texts["inequalities"] = est.reports_to_json(artifacts.reports) + "\n"
+        texts["windows"] = _window_csv(series_list, hyp_by_window,
+                                       artifacts.reports)
+    texts["summary"], code = emit_report(artifacts)
+    for key, text in texts.items():
+        path = os.path.join(artifacts.out_dir, VERDICT_FILES[key])
+        _write_atomic(path, text)
+        artifacts.paths[key] = path
+    return code
 
 
 @contextmanager
@@ -453,8 +470,7 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     force_evaluations = {}
     snapshots = {}
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("constants.json", "inequalities.json", "windows.csv",
-                 "meta.json"):
+    for name in ("constants.json", *VERDICT_FILES.values(), "meta.json"):
         # an earlier run's verdicts must not outlive a rerun that fails,
         # nor its meta.json one that is killed: verify refuses a directory
         # without it
@@ -469,6 +485,7 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     directories = tuple(os.path.join(out_dir, name) for name in runs)
     failed = False
     reports = {}
+    series_list = hyp_by_window = None
     try:
         base_cfg = _run_config(spec, "base")
         base_cfg.initial = _build_initial(spec["base"]["initial"],
@@ -519,24 +536,17 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
         with _timed(phases, "analysis"):
             reports, series_list, hyp_by_window = analyze(base, pert, spec,
                                                           budget)
-
-        with _timed(phases, "writing"):
-            paths.update(_write_verdicts(out_dir, reports, series_list,
-                                         hyp_by_window))
     except BlowUpError as exc:
         failed = True
         reports = {"blow-up": InequalityReport(
             "blow-up", [exc.time], [-float("inf")], 0.0,
             note=str(exc))}
 
-    artifacts = RunArtifacts(
-        out_dir=out_dir, paths=paths,
-        wall_seconds=time.perf_counter() - t_wall,
-        failed=failed, reports=reports)
-    text, code = emit_report(artifacts)
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(text)
-    paths["summary"] = os.path.join(out_dir, "summary.txt")
+    artifacts = RunArtifacts(out_dir=out_dir, paths=paths, wall_seconds=0.0,
+                             failed=failed, reports=reports)
+    with _timed(phases, "writing"):
+        code = _write_verdicts(artifacts, series_list, hyp_by_window)
+    artifacts.wall_seconds = time.perf_counter() - t_wall
     stepping = phases["base"] + phases["perturbation"] + phases["direct"]
     _write_atomic(os.path.join(out_dir, "meta.json"), json.dumps(
         {"wall_seconds": artifacts.wall_seconds,
@@ -626,6 +636,7 @@ def reverify(out_dir: str) -> RunArtifacts:
     wall_seconds or failed; a constants.json other than what _resolve_budget
     rebuilds from the spec, with which the checks run; series that are not
     at the step times of the spec's runs (_run_config, load_trajectory).
+    Then rewrites the verdict files, as run_experiment does.
     """
     spec_path = os.path.join(out_dir, "spec.json")
     if not os.path.exists(spec_path):
@@ -663,6 +674,7 @@ def reverify(out_dir: str) -> RunArtifacts:
         raise FileNotFoundError(f"{path} lacks wall_seconds or failed; run "
                                 "the experiment again")
     reports, series_list, hyp_by_window = analyze(base, pert, spec, budget)
-    paths = _write_verdicts(out_dir, reports, series_list, hyp_by_window)
-    return RunArtifacts(out_dir, paths, meta["wall_seconds"], meta["failed"],
-                        reports)
+    artifacts = RunArtifacts(out_dir, {}, meta["wall_seconds"],
+                             meta["failed"], reports)
+    _write_verdicts(artifacts, series_list, hyp_by_window)
+    return artifacts

@@ -163,12 +163,6 @@ def leray_data(grid: TorusGrid, spec: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def mean(field: Field) -> np.ndarray:
-    """Spatial mean vector (the k=0 spectral coefficient)."""
-    zero = (slice(None),) + (0,) * field.grid.dim
-    return np.real(field.spectral()[zero]).copy()
-
-
 def mean_free(field: Field) -> Field:
     """Subtract the spatial mean (zero the k=0 coefficient)."""
     out = field.spectral().copy()

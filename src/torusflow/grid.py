@@ -5,7 +5,7 @@ are represented spectrally through real-to-complex FFTs (Hermitian storage:
 the last axis holds N//2 + 1 modes).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +22,9 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.L <= 0:
-            raise ValueError(f"box length must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"box length must be positive and finite, "
+                             f"got {self.L}")
         if self.N < 4 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
 
@@ -113,8 +114,7 @@ class TorusGrid:
         """
         w = np.full(self.N // 2 + 1, 2.0)
         w[0] = 1.0
-        if self.N % 2 == 0:
-            w[-1] = 1.0
+        w[-1] = 1.0     # the Nyquist mode: N is even
         shape = [1] * self.dim
         shape[-1] = w.size
         return np.broadcast_to(w.reshape(shape), self.shape_spec)
@@ -151,5 +151,6 @@ class TorusGrid:
 
 
 def make_grid(L: float, N: int, dim: int) -> TorusGrid:
-    """Build a TorusGrid; rejects odd or tiny N and nonpositive L."""
+    """Build a TorusGrid; rejects odd or tiny N and an L that is not
+    positive and finite."""
     return TorusGrid(L=float(L), N=int(N), dim=int(dim))

@@ -944,8 +944,8 @@ def _partial_snapshot_dir(directory) -> str:
 
 
 def save_trajectory(traj: Trajectory, directory) -> list:
-    """Write the snapshots and the per-step CSV of a run; the paths of its
-    snapshot files.
+    """Publish the snapshots a run streamed into its directory and write
+    its per-step CSV; the paths of its snapshot files.
 
     Layout: snapshots/snap_NNNNNN.npz (at snapshot_stride) and
     diagnostics.csv (diag_columns, every step, a table of _write_table,
@@ -953,36 +953,29 @@ def save_trajectory(traj: Trajectory, directory) -> list:
     is not written here: the caller keeps it (experiments' spec.json) and
     hands it to load_trajectory.
 
-    A streamed trajectory's snapshots are already files, in the directory
-    its run streamed them into; the snapshots of any other are written to
-    <directory>/snapshots.partial.  That directory then moves to
-    snapshots/, replacing an earlier one, and a streamed trajectory's
-    snapshot_paths follow it.  diagnostics.csv comes last, moved into
-    place whole (_write_atomic), so a directory with one is complete.
+    <directory>/snapshots.partial moves to snapshots/, replacing an
+    earlier one, and traj.snapshot_paths follow it.  diagnostics.csv comes
+    last, moved into place whole (_write_atomic), so a directory with one
+    is complete.  A trajectory whose run streamed no snapshots there (a run
+    given no directory, or one already saved) is refused with ValueError
+    before anything is written.
     """
-    os.makedirs(directory, exist_ok=True)
+    partial = os.path.abspath(os.path.join(directory, "snapshots.partial"))
     files = traj.snapshot_paths
-    if not files:
-        partial = _partial_snapshot_dir(directory)
-        files = [os.path.join(partial, f"snap_{i:06d}.npz")
-                 for i in range(len(traj.times))]
-        for i, path in enumerate(files):
-            save_field(path, traj.snapshot_field(i))
-
-    partial = os.path.dirname(files[0])
+    if not files or os.path.abspath(os.path.dirname(files[0])) != partial:
+        raise ValueError(f"the {traj.label} run streamed no snapshots into "
+                         f"{partial}: give the run that directory")
     snapdir = os.path.join(directory, "snapshots")
-    if os.path.abspath(partial) != os.path.abspath(snapdir):
-        shutil.rmtree(snapdir, ignore_errors=True)
-        os.replace(partial, snapdir)
-    paths = [os.path.join(snapdir, os.path.basename(p)) for p in files]
-    if traj.snapshot_paths:
-        traj.snapshot_paths = paths
+    shutil.rmtree(snapdir, ignore_errors=True)
+    os.replace(partial, snapdir)
+    traj.snapshot_paths = [os.path.join(snapdir, os.path.basename(p))
+                           for p in files]
 
     series = {**traj.diag, **{f"mean_{i + 1}": m
                               for i, m in enumerate(traj.diag["mean"].T)}}
     _write_table(os.path.join(directory, "diagnostics.csv"), series,
                  diag_columns(traj.label, traj.grid.dim))
-    return paths
+    return traj.snapshot_paths
 
 
 def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
@@ -1015,8 +1008,8 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
 
 def _write_atomic(path, text: str):
     """Write text to path through a temporary file moved into place with
-    os.replace, so that a run killed while writing leaves the earlier file
-    or none, never a part of one."""
+    os.replace, so that a command killed while writing leaves the earlier
+    file or none, never a part of one: the writer of every text file."""
     with open(f"{path}.tmp", "w") as fh:
         fh.write(text)
     os.replace(f"{path}.tmp", path)

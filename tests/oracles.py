@@ -4,9 +4,16 @@ import functools
 
 import numpy as np
 
-from torusflow.field import (Field, leray_data, mean, physical_data,
+from torusflow.field import (Field, leray_data, physical_data,
                              physical_padded, spectral_data, spectral_field)
 from torusflow.norms import grad_l2_norm_sq, l2_norm_sq, sobolev_norm_sq
+
+
+def mean(field: Field) -> np.ndarray:
+    """The former field.mean: the spatial mean vector (the k=0 spectral
+    coefficient)."""
+    zero = (slice(None),) + (0,) * field.grid.dim
+    return np.real(field.spectral()[zero]).copy()
 
 
 def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from torusflow import make_grid
-from torusflow.field import (extrude_field, leray_data, mean,
-                             physical_field, random_divfree_field,
-                             spectral_field)
+from torusflow.field import (extrude_field, leray_data, physical_field,
+                             random_divfree_field, spectral_field)
 from torusflow.norms import l2_norm_sq
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
                               run_full_3d, run_perturbation,
@@ -23,7 +22,7 @@ from torusflow import estimates as est
 from torusflow import experiments as exp
 from torusflow.cli import margin_convergence_constant
 
-from oracles import mean_ode_integrate, poincare_ratio
+from oracles import mean, mean_ode_integrate, poincare_ratio
 
 
 def _line(n, ok, detail):

@@ -251,13 +251,15 @@ def test_reverify_reproduces_statuses(tmp_path, cfg):
     out = tmp_path / "out"
     first = exp.run_experiment(spec, str(out))
     written = {name: (out / name).read_bytes()
-               for name in ("inequalities.json", "windows.csv")}
+               for name in exp.VERDICT_FILES.values()}
+    for name in written:
+        (out / name).unlink()
     arts = exp.reverify(str(out))
     assert set(arts.reports) == set(first.reports)
     for key in arts.reports:
         assert arts.reports[key].status == first.reports[key].status
-    # verify reads the stored norm series, so it rewrites run's artifacts
-    # byte for byte
+    # verify reads the stored norm series, so it rewrites run's verdict
+    # files, summary.txt too, byte for byte
     for name, data in written.items():
         assert (out / name).read_bytes() == data, name
 
@@ -436,6 +438,29 @@ def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     assert "meta.json" in capsys.readouterr().err
+
+
+def test_interrupted_verify_leaves_the_verdict_files_whole(
+        forced_pert_out, tmp_path, monkeypatch):
+    # a verify killed after it wrote windows.csv's temporary file, before
+    # it moved it into place, cuts no verdict file short: each holds the
+    # bytes it held before
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    before = {name: (out / name).read_bytes()
+              for name in exp.VERDICT_FILES.values()}
+    replace = os.replace
+
+    def killed(src, dst):
+        if os.path.basename(dst) == "windows.csv":
+            raise KeyboardInterrupt
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        exp.reverify(str(out))
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
 
 
 def test_trajectory_is_complete_only_with_its_diagnostics(tmp_path, capsys,
@@ -862,6 +887,28 @@ def test_cli_calibrate_bad_arguments_are_config_errors(args, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, argv, value", [
+    ('{"windows": 1, "T": Infinity}', [], "Infinity"),
+    ('{"windows": 1, "perturbation": {}, "budget": {"alpha": NaN}}', [],
+     "NaN"),
+    (None, ["calibrate", "--N", "8", "--L", "nan"], "nan"),
+    (None, ["calibrate", "--L", "inf"], "inf"),
+], ids=["config-infinity", "config-nan", "calibrate-nan", "calibrate-inf"])
+def test_cli_refuses_non_finite_numbers(tmp_path, capsys, config, argv,
+                                        value):
+    # Python's json reads NaN and +-Infinity, and float() reads nan and
+    # inf: each is a config error that names the value, before any run
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and value in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_meta_records_phase_times(tmp_path):

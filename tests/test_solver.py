@@ -16,10 +16,10 @@ import pytest
 
 from torusflow import make_grid, solver, worker as worker_module
 from torusflow.field import (derivative_data, divergence_linf,
-                             extrude_field, leray_data, load_field, mean,
+                             extrude_field, leray_data, load_field,
                              mean_free, physical_field, physical_data,
-                             random_divfree_field, spectral_data,
-                             spectral_field)
+                             random_divfree_field, save_field,
+                             spectral_data, spectral_field)
 from torusflow.experiments import combine_forcing
 from torusflow.norms import (compute_norm_report, grad_l2_norm_sq,
                              l2_norm_sq, sobolev_norm_sq)
@@ -30,7 +30,7 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
                               taylor_green_exact, _Workspace)
 from torusflow.worker import Worker
 
-from oracles import (FullLatticeWorkspace, forcing_norm_sq_series,
+from oracles import (FullLatticeWorkspace, forcing_norm_sq_series, mean,
                      mean_ode_integrate)
 
 
@@ -523,8 +523,8 @@ def test_backgrounds_stream_the_base_velocity_alone():
 
 def test_streamed_snapshots_equal_in_memory_path(tmp_path):
     # the in-memory list is the reference: every streamed file holds the
-    # same state and time, and a saved streamed run matches a saved
-    # in-memory one file for file
+    # same state and time, and a saved streamed run matches the in-memory
+    # one, its snapshots written by save_field, file for file
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
     held = run_perturbation(pert_cfg, base_cfg, direct_cfg)
     names = ("base", "perturbation", "direct")
@@ -547,26 +547,24 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
                     got.time_stamp) == (want.grid, want.representation,
                                         want.divergence_free,
                                         want.time_stamp)
-        save_trajectory(mem, tmp_path / "held" / name)
+        held_dir = tmp_path / "held" / name
+        held_dir.mkdir(parents=True)
+        for i in range(len(mem.times)):
+            save_field(held_dir / f"snap_{i:06d}.npz", mem.snapshot_field(i))
         out = save_trajectory(disk, directory)
         assert not os.path.exists(partial)
         assert disk.snapshot_paths == out
-        # saved again where its files now lie, it keeps them
-        assert save_trajectory(disk, directory) == out
-        scalar = sorted(set(os.listdir(directory)) - {"snapshots"})
-        assert scalar == sorted(set(os.listdir(tmp_path / "held" / name))
-                                - {"snapshots"})
-        assert scalar == ["diagnostics.csv"]
-        for fname in scalar:
-            assert (directory / fname).read_bytes() \
-                == (tmp_path / "held" / name / fname).read_bytes()
-        held_files = sorted(os.listdir(tmp_path / "held" / name
-                                       / "snapshots"))
+        assert sorted(os.listdir(directory)) \
+            == ["diagnostics.csv", "snapshots"]
+        # diagnostics.csv is written from the series alone
+        assert disk.diag.keys() == mem.diag.keys()
+        for key, series in mem.diag.items():
+            np.testing.assert_array_equal(disk.diag[key], series)
+        held_files = sorted(os.listdir(held_dir))
         assert sorted(os.listdir(directory / "snapshots")) == held_files
         for fname in held_files:
             assert (directory / "snapshots" / fname).read_bytes() \
-                == (tmp_path / "held" / name / "snapshots"
-                    / fname).read_bytes()
+                == (held_dir / fname).read_bytes()
 
 
 def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
@@ -1190,7 +1188,7 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.05, T=0.05,
                        forcing=forcing, snapshot_stride=10,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
-    traj = run_2d_base(cfg)
+    traj = run_2d_base(cfg, tmp_path / "run")
     assert np.ptp(traj.diag["forcing_l2_sq"]) > 0.0
     out = save_trajectory(traj, tmp_path / "run")
     assert (tmp_path / "run" / "diagnostics.csv").exists()
@@ -1206,11 +1204,30 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
         assert np.array_equal(series, traj.diag[key]), key
     last = load_field(out[-1])
     assert last.time_stamp == traj.times[-1]
-    assert np.abs(last.spectral() - traj.snapshots[-1]).max() < 1e-15
+    assert np.abs(last.spectral()
+                  - run_2d_base(cfg).snapshots[-1]).max() < 1e-15
     # series at other step times than the given run's are refused
     with pytest.raises(FileNotFoundError, match="run the experiment again"):
         load_trajectory(tmp_path / "run", dataclasses.replace(cfg, dt=5e-4),
                         "2d_base")
+
+
+def test_save_trajectory_publishes_only_streamed_snapshots(tmp_path,
+                                                          grid2):
+    # an in-memory trajectory has no snapshots.partial to publish, and a
+    # saved one has published it: each is refused, and nothing is written
+    cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=2e-3, T=2e-3,
+                       initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
+    with pytest.raises(ValueError, match="streamed no snapshots"):
+        save_trajectory(run_2d_base(cfg), tmp_path / "held")
+    assert not (tmp_path / "held").exists()
+    saved = run_2d_base(cfg, tmp_path / "run")
+    save_trajectory(saved, tmp_path / "run")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match="streamed no snapshots"):
+        save_trajectory(saved, tmp_path / "run")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == before
 
 
 def test_readme_layout_lists_the_files_save_trajectory_writes(tmp_path,
@@ -1223,7 +1240,7 @@ def test_readme_layout_lists_the_files_save_trajectory_writes(tmp_path,
               if line and not line[0].isspace()}
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=2e-3, T=2e-3,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
-    save_trajectory(run_2d_base(cfg), tmp_path)
+    save_trajectory(run_2d_base(cfg, tmp_path), tmp_path)
     written = {re.sub(r"\d{6}", "NNNNNN",
                       path.relative_to(tmp_path).as_posix())
                for path in tmp_path.rglob("*") if path.is_file()}

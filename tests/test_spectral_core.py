@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import physical_padded_per_component
+from oracles import mean, physical_padded_per_component
 from torusflow import make_grid
 from torusflow.field import (derivative_data, divergence_linf, extrude_field,
-                             leray_data, load_field, mean, mean_free,
+                             leray_data, load_field, mean_free,
                              physical_field, physical_padded,
                              random_divfree_field, save_field,
                              spectral_derivative, spectral_field)
