@@ -10,6 +10,7 @@ Sub-commands:
 import argparse
 import json
 import os
+import shutil
 import sys
 from contextlib import ExitStack
 from dataclasses import asdict
@@ -77,6 +78,8 @@ def _load_spec(args) -> dict:
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args)
+    # verify must not accept an earlier --dt-halving run's experiment
+    shutil.rmtree(os.path.join(args.out, "half-dt"), ignore_errors=True)
     artifacts = exp.run_experiment(spec, args.out)
     text, code = exp.emit_report(artifacts)
     sys.stdout.write(text)
@@ -144,7 +147,7 @@ def _run_member(merged, out_dir):
         sys.stderr.write(f"{out_dir}: error:\n{traceback.format_exc()}")
         return out_dir, exp.EXIT_ERROR, True
     _, code = exp.emit_report(artifacts)
-    return out_dir, code, artifacts.failed
+    return out_dir, code, "blow-up" in artifacts.reports
 
 
 def _cmd_sweep(args) -> int:

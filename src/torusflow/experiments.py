@@ -19,7 +19,8 @@ each text file moved into place whole by solver._write_atomic:
     summary.txt         human-readable table
     meta.json           wall-clock metadata (excluded from determinism)
 
-run_experiment and reverify end in one writer of the verdict files.
+run_experiment and reverify reach their verdicts by one path, _check_saved,
+which reads spec.json, constants.json and the runs' diagnostics.csv only.
 """
 
 import json
@@ -53,6 +54,9 @@ VERDICT_FILES = {"inequalities": "inequalities.json",
 
 #: the phases of run_experiment timed in meta.json
 PHASES = ("base", "perturbation", "direct", "analysis", "writing")
+
+#: the trajectory directories of an output, in run_perturbation's order
+RUNS = ("base", "perturbation", "direct")
 
 
 class ConfigError(ValueError):
@@ -364,12 +368,12 @@ def _resolve_budget(spec: dict) -> tuple:
 
 @dataclass
 class RunArtifacts:
-    """Paths and metadata of one experiment run."""
+    """A run or verify of out_dir: its paths by key, its wall seconds and
+    its reports by id; a blow-up is the one, failing, report "blow-up"."""
 
     out_dir: str
     paths: dict
     wall_seconds: float
-    failed: bool
     reports: dict = dc_field(default_factory=dict)
 
 
@@ -448,20 +452,21 @@ def _timed(phases: dict, name: str):
 def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     """Execute the configured runs and checks; deterministic given the seed.
 
-    Removes an earlier run's verdict files and meta.json from out_dir,
-    resolves the budget, then steps the base, perturbation and direct runs
-    in one run_perturbation call, each streaming its snapshots into the
-    snapshots.partial directory of its trajectory directory, and writes
-    their scalar series once all have finished.  On solver blow-up only the
-    partial snapshot directories are left of the trajectories, and
-    meta.json carries the failure marker.  meta.json also records the wall
-    seconds of each of PHASES in this process (base and direct beside a
-    perturbation: the wait for its worker; perturbation: with the wait for
-    the forcing worker), the busy seconds of each forked worker that steps
-    a run or computes the forcing series (not of the initial field's), the
-    solver steps per second of the runs and, per run and for the forcing
-    worker, the evaluations of its force (one per step time) and, per run,
-    the count and bytes of its snapshot files.
+    Removes every earlier record that verify would accept (constants.json,
+    the verdict files, meta.json, each run's diagnostics.csv), writes
+    spec.json, resolves the budget, then steps the base, perturbation and
+    direct runs in one run_perturbation call, each streaming its snapshots
+    into the snapshots.partial directory of its trajectory directory, saves
+    them once all have finished and checks the saved output by reverify's
+    _check_saved.  On solver blow-up only the partial snapshot directories
+    are left of the trajectories, and the one report is "blow-up".
+    meta.json, written last, records the wall seconds of each of PHASES in
+    this process (base and direct beside a perturbation: the wait for its
+    worker; perturbation: with the wait for the forcing worker), the busy
+    seconds of each forked worker that steps a run or computes the forcing
+    series, the solver steps per second of the runs and, per run and for
+    the forcing worker, the evaluations of its force (one per step time)
+    and, per run, the count and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -470,10 +475,9 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     force_evaluations = {}
     snapshots = {}
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("constants.json", *VERDICT_FILES.values(), "meta.json"):
-        # an earlier run's verdicts must not outlive a rerun that fails,
-        # nor its meta.json one that is killed: verify refuses a directory
-        # without it
+    for name in ("constants.json", *VERDICT_FILES.values(), "meta.json",
+                 *(os.path.join(run, "diagnostics.csv") for run in RUNS)):
+        # verify must not check an earlier run under the new spec
         with suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
     with _timed(phases, "writing"):
@@ -481,17 +485,13 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                       json.dumps(spec, indent=2, sort_keys=True) + "\n")
 
     paths = {"spec": os.path.join(out_dir, "spec.json")}
-    runs = ("base", "perturbation", "direct")
-    directories = tuple(os.path.join(out_dir, name) for name in runs)
-    failed = False
-    reports = {}
-    series_list = hyp_by_window = None
+    directories = tuple(os.path.join(out_dir, name) for name in RUNS)
     try:
         base_cfg = _run_config(spec, "base")
         base_cfg.initial = _build_initial(spec["base"]["initial"],
                                           base_cfg.grid, spec["nu"],
                                           spec["seed"], None)
-        pert = direct = budget = cal = None
+        pert = direct = None
         if spec["perturbation"] is None:
             base = run_2d_base(base_cfg, directories[0])
         else:
@@ -510,8 +510,15 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                                           "budget": asdict(budget)},
                                          indent=2, sort_keys=True))
             paths["constants"] = os.path.join(out_dir, "constants.json")
-
-        for name, directory, traj in zip(runs, directories,
+    except BlowUpError as exc:
+        artifacts = RunArtifacts(out_dir, paths, 0.0, {
+            "blow-up": InequalityReport("blow-up", [exc.time],
+                                        [-float("inf")], 0.0,
+                                        note=str(exc))})
+        with _timed(phases, "writing"):
+            code = _write_verdicts(artifacts, None, None)
+    else:
+        for name, directory, traj in zip(RUNS, directories,
                                          (base, pert, direct)):
             if traj is None:
                 continue
@@ -532,20 +539,9 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                 files = save_trajectory(traj, directory)
             snapshots[name] = {"count": len(files),
                                "bytes": sum(map(os.path.getsize, files))}
-
         with _timed(phases, "analysis"):
-            reports, series_list, hyp_by_window = analyze(base, pert, spec,
-                                                          budget)
-    except BlowUpError as exc:
-        failed = True
-        reports = {"blow-up": InequalityReport(
-            "blow-up", [exc.time], [-float("inf")], 0.0,
-            note=str(exc))}
+            artifacts, code = _check_saved(spec, out_dir, paths)
 
-    artifacts = RunArtifacts(out_dir=out_dir, paths=paths, wall_seconds=0.0,
-                             failed=failed, reports=reports)
-    with _timed(phases, "writing"):
-        code = _write_verdicts(artifacts, series_list, hyp_by_window)
     artifacts.wall_seconds = time.perf_counter() - t_wall
     stepping = phases["base"] + phases["perturbation"] + phases["direct"]
     _write_atomic(os.path.join(out_dir, "meta.json"), json.dumps(
@@ -554,19 +550,9 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
          "steps_per_s": steps / stepping if stepping else 0.0,
          "force_evaluations": force_evaluations,
          "snapshots": snapshots,
-         "failed": failed, "exit_code": code}, indent=2))
+         "failed": "blow-up" in artifacts.reports, "exit_code": code},
+        indent=2))
     return artifacts
-
-
-def _read_json(path):
-    """The JSON value of the file at path; a file that does not parse is
-    refused with FileNotFoundError, so that verify exits with code 2."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileNotFoundError(f"{path} is not readable JSON ({exc}); "
-                                    "run the experiment again") from None
 
 
 def _direct_config(base_cfg: SolverConfig,
@@ -596,10 +582,10 @@ def emit_report(artifacts: RunArtifacts) -> tuple:
     """Plain-text table per inequality plus the exit code.
 
     Exit 0: every report passed or is vacuous.  Exit 1: at least one
-    non-vacuous failure (its id leads the first line).  Exit 2: artifacts
-    missing.
+    non-vacuous failure (its id leads the first line), a blow-up among
+    them.  Exit 2: no reports.
     """
-    if not artifacts.reports and not artifacts.failed:
+    if not artifacts.reports:
         return "error: no inequality reports found\n", EXIT_ERROR
     failed_ids = [k for k, r in sorted(artifacts.reports.items())
                   if r.status == FAIL]
@@ -612,7 +598,7 @@ def emit_report(artifacts: RunArtifacts) -> tuple:
     for key, r in sorted(artifacts.reports.items()):
         lines.append(f"{key:<12} {r.status:<8} {r.worst_margin:>14.3e} "
                      f"{r.worst_time:>10.3f}")
-    code = EXIT_FAIL if failed_ids or artifacts.failed else EXIT_OK
+    code = EXIT_FAIL if failed_ids else EXIT_OK
     return "\n".join(lines) + "\n", code
 
 
@@ -626,24 +612,18 @@ def _first_difference(got, want, key=""):
     return None if got == want else (key or "the value", got, want)
 
 
-def reverify(out_dir: str) -> RunArtifacts:
-    """Re-run the estimate checks on stored trajectories (no simulation).
+def _check_saved(spec: dict, out_dir: str, paths: dict) -> tuple:
+    """The one verdict path: check spec's saved output in out_dir and
+    write its verdict files; (RunArtifacts of paths, the exit code).
 
     Refuses (FileNotFoundError), before writing anything, a missing output
-    the spec calls for: the complete base run (its diagnostics.csv) and
-    meta.json always, the complete perturbation run and constants.json with
-    a perturbation; a file that does not parse; a meta.json without
-    wall_seconds or failed; a constants.json other than what _resolve_budget
-    rebuilds from the spec, with which the checks run; series that are not
-    at the step times of the spec's runs (_run_config, load_trajectory).
-    Then rewrites the verdict files, as run_experiment does.
+    the spec calls for: the base's diagnostics.csv always, the
+    perturbation's and constants.json with a perturbation; a constants.json
+    that does not parse or is other than what _resolve_budget rebuilds from
+    the spec, with which the checks run; series that are not at the step
+    times of the spec's runs (load_trajectory).  It reads no other file.
     """
-    spec_path = os.path.join(out_dir, "spec.json")
-    if not os.path.exists(spec_path):
-        raise FileNotFoundError(f"no experiment spec under {out_dir}")
-    with open(spec_path) as fh:
-        spec = parse_config(fh.read())
-    needed = [os.path.join("base", "diagnostics.csv"), "meta.json"]
+    needed = [os.path.join("base", "diagnostics.csv")]
     if spec["perturbation"] is not None:
         needed += [os.path.join("perturbation", "diagnostics.csv"),
                    "constants.json"]
@@ -662,19 +642,32 @@ def reverify(out_dir: str) -> RunArtifacts:
                                "perturbation")
         cal, budget = _resolve_budget(spec)
         path = os.path.join(out_dir, "constants.json")
-        found = _first_difference(_read_json(path), {
-            "calibrated": asdict(cal), "budget": asdict(budget)})
+        with open(path) as fh:
+            try:
+                found = _first_difference(json.load(fh), {
+                    "calibrated": asdict(cal), "budget": asdict(budget)})
+            except json.JSONDecodeError as exc:
+                raise FileNotFoundError(
+                    f"{path} is not readable JSON ({exc}); run the "
+                    "experiment again") from None
         if found:
             key, got, want = found
             raise FileNotFoundError(f"{path}: {key} is {got!r}, but the spec "
                                     f"gives {want!r}; run the experiment again")
-    path = os.path.join(out_dir, "meta.json")
-    meta = _read_json(path)
-    if not isinstance(meta, dict) or {"wall_seconds", "failed"} - meta.keys():
-        raise FileNotFoundError(f"{path} lacks wall_seconds or failed; run "
-                                "the experiment again")
     reports, series_list, hyp_by_window = analyze(base, pert, spec, budget)
-    artifacts = RunArtifacts(out_dir, {}, meta["wall_seconds"],
-                             meta["failed"], reports)
-    _write_verdicts(artifacts, series_list, hyp_by_window)
+    artifacts = RunArtifacts(out_dir, paths, 0.0, reports)
+    return artifacts, _write_verdicts(artifacts, series_list, hyp_by_window)
+
+
+def reverify(out_dir: str) -> RunArtifacts:
+    """Re-run the estimate checks on a stored output (no simulation) by
+    run_experiment's own path, the _check_saved of its spec.json."""
+    t_wall = time.perf_counter()
+    spec_path = os.path.join(out_dir, "spec.json")
+    if not os.path.exists(spec_path):
+        raise FileNotFoundError(f"no experiment spec under {out_dir}")
+    with open(spec_path) as fh:
+        spec = parse_config(fh.read())
+    artifacts, _ = _check_saved(spec, out_dir, {"spec": spec_path})
+    artifacts.wall_seconds = time.perf_counter() - t_wall
     return artifacts

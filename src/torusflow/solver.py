@@ -931,12 +931,8 @@ def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
 
 def _partial_snapshot_dir(directory) -> str:
     """<directory>/snapshots.partial, made empty for the snapshots of a run
-    about to be written.  The directory's diagnostics.csv goes first: until
-    save_trajectory writes it again, the directory is not a complete
-    trajectory."""
+    about to be written."""
     os.makedirs(directory, exist_ok=True)
-    with suppress(FileNotFoundError):
-        os.remove(os.path.join(directory, "diagnostics.csv"))
     partial = os.path.join(directory, "snapshots.partial")
     shutil.rmtree(partial, ignore_errors=True)
     os.makedirs(partial)
@@ -1009,10 +1005,17 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
 def _write_atomic(path, text: str):
     """Write text to path through a temporary file moved into place with
     os.replace, so that a command killed while writing leaves the earlier
-    file or none, never a part of one: the writer of every text file."""
-    with open(f"{path}.tmp", "w") as fh:
-        fh.write(text)
-    os.replace(f"{path}.tmp", path)
+    file or none, never a part of one: the writer of every text file.  An
+    exception, KeyboardInterrupt included, removes the temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_table(path, table: dict, columns):

@@ -204,7 +204,6 @@ def test_bundled_scenarios_parse():
 def test_run_experiment_base_only(tmp_path):
     spec = exp.parse_config(json.dumps(SMALL))
     arts = exp.run_experiment(spec, str(tmp_path / "out"))
-    assert not arts.failed
     for name in ("spec.json", "base", "inequalities.json", "windows.csv",
                  "summary.txt", "meta.json"):
         assert (tmp_path / "out" / name).exists()
@@ -222,15 +221,15 @@ def test_emit_report_exit_codes():
     vac = InequalityReport("c", [0.0], [-1.0], 1e-9)
     vac.status = VACUOUS
 
-    arts = exp.RunArtifacts("x", {}, 0.0, False, {"a": ok, "c": vac})
+    arts = exp.RunArtifacts("x", {}, 0.0, {"a": ok, "c": vac})
     assert exp.emit_report(arts)[1] == exp.EXIT_OK
 
-    arts = exp.RunArtifacts("x", {}, 0.0, False, {"a": ok, "b": bad})
+    arts = exp.RunArtifacts("x", {}, 0.0, {"a": ok, "b": bad})
     text, code = exp.emit_report(arts)
     assert code == exp.EXIT_FAIL
     assert text.splitlines()[0].startswith("FAIL: b")
 
-    empty = exp.RunArtifacts("x", {}, 0.0, False, {})
+    empty = exp.RunArtifacts("x", {}, 0.0, {})
     assert exp.emit_report(empty)[1] == exp.EXIT_ERROR
 
 
@@ -306,7 +305,12 @@ def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
     with np.errstate(all="ignore"):
         arts = exp.run_experiment(exp.parse_config(json.dumps(cfg)),
                                   str(out))
-    assert arts.failed and "blow-up" in arts.reports
+    # the one report is the blow-up, which fails, so the run exits 1 and
+    # meta.json says it failed
+    assert list(arts.reports) == ["blow-up"]
+    assert arts.reports["blow-up"].status == FAIL
+    assert exp.emit_report(arts)[1] == exp.EXIT_FAIL
+    assert (out / "summary.txt").read_text().startswith("FAIL: blow-up\n")
     assert json.loads((out / "meta.json").read_text())["failed"]
     assert not any((out / name).exists() for name in verdicts)
     for run in ("base", "perturbation", "direct"):
@@ -324,9 +328,9 @@ def test_blowup_leaves_partial_snapshots(tmp_path, capsys, rerun):
 
 def test_killed_2d_rerun_leaves_no_meta(tmp_path, capsys, monkeypatch):
     # a 2D-only rerun killed after it wrote its spec.json, before its base
-    # run starts: the earlier run's base/diagnostics.csv is still there, so
-    # only a missing meta.json keeps verify from checking the earlier
-    # trajectory under the new spec
+    # run starts: it removed the earlier run's base/diagnostics.csv (and
+    # meta.json) first, so verify does not check the earlier trajectory
+    # under the new spec
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_OK
@@ -339,16 +343,17 @@ def test_killed_2d_rerun_leaves_no_meta(tmp_path, capsys, monkeypatch):
         exp.run_experiment(exp.parse_config(json.dumps(dict(SMALL, nu=0.4))),
                            str(out))
     assert json.loads((out / "spec.json").read_text())["nu"] == 0.4
-    assert (out / "base" / "diagnostics.csv").exists()
+    for run in exp.RUNS:
+        assert not (out / run / "diagnostics.csv").exists()
     assert not (out / "meta.json").exists()
     capsys.readouterr()
     assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
     err = capsys.readouterr().err
-    assert "meta.json" in err and "run the experiment again" in err
+    assert os.path.join("base", "diagnostics.csv") in err
+    assert "run the experiment again" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ["meta.json", "constants.json",
-                                  "spec.json"])
+@pytest.mark.parametrize("name", ["constants.json", "spec.json"])
 def test_verify_refuses_truncated_json(forced_pert_out, tmp_path, capsys,
                                        name):
     # a JSON file cut short, as a run killed while writing it in place
@@ -404,23 +409,34 @@ def test_verify_refuses_constants_other_than_the_spec_gives(
         == before
 
 
-def test_verify_refuses_meta_json_without_its_keys(forced_pert_out, tmp_path,
-                                                   capsys):
-    # a meta.json that parses but lacks wall_seconds and failed used to end
-    # in a KeyError traceback, exit 1
+@pytest.mark.parametrize("edit", [
+    lambda path: path.unlink(),
+    lambda path: path.write_bytes(path.read_bytes()[:40]),
+    lambda path: path.write_text("{}"),
+    lambda path: path.write_text(json.dumps(
+        json.loads(path.read_text()) | {"failed": True})),
+], ids=["deleted", "truncated", "empty", "failed"])
+def test_verify_reads_no_meta_json(forced_pert_out, tmp_path, capsys, edit):
+    # meta.json is written for the reader: a verify whose output has it
+    # deleted, cut short, emptied or saying the run failed used to exit 2,
+    # 2, 2 and 1, and now rewrites the verdict files as run wrote them
     out = tmp_path / "out"
     shutil.copytree(forced_pert_out, out)
-    (out / "meta.json").write_text("{}")
-    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
-    err = capsys.readouterr().err
-    assert str(out / "meta.json") in err and "run the experiment again" in err
-    assert err.count("\n") == 1
+    edit(out / "meta.json")
+    before = {name: (out / name).read_bytes()
+              for name in exp.VERDICT_FILES.values()}
+    for name in before:
+        (out / name).unlink()
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_OK
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
 
 
-def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
+def test_meta_json_appears_only_complete(tmp_path, monkeypatch):
     # a run killed after it wrote meta.json's temporary file, before it
-    # moved it into place, leaves no meta.json, and verify refuses the
-    # directory; an undisturbed run leaves no temporary file
+    # moved it into place, leaves neither meta.json nor its temporary file,
+    # and verify, which does not read meta.json, accepts the otherwise
+    # complete output; an undisturbed run leaves no temporary file
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
     assert not list(out.glob("*.tmp"))
@@ -434,17 +450,17 @@ def test_meta_json_appears_only_complete(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(KeyboardInterrupt):
         exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
+    monkeypatch.undo()
     assert not (out / "meta.json").exists()
-    capsys.readouterr()
-    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
-    assert "meta.json" in capsys.readouterr().err
+    assert not list(out.rglob("*.tmp"))
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_OK
 
 
 def test_interrupted_verify_leaves_the_verdict_files_whole(
         forced_pert_out, tmp_path, monkeypatch):
     # a verify killed after it wrote windows.csv's temporary file, before
     # it moved it into place, cuts no verdict file short: each holds the
-    # bytes it held before
+    # bytes it held before, and the temporary file is gone
     out = tmp_path / "out"
     shutil.copytree(forced_pert_out, out)
     before = {name: (out / name).read_bytes()
@@ -461,13 +477,14 @@ def test_interrupted_verify_leaves_the_verdict_files_whole(
         exp.reverify(str(out))
     for name, data in before.items():
         assert (out / name).read_bytes() == data, name
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_trajectory_is_complete_only_with_its_diagnostics(tmp_path, capsys,
                                                          monkeypatch):
     # a rerun killed after its base run's snapshots/ is in place, before
     # its diagnostics.csv is: the earlier run's diagnostics.csv went when
-    # the rerun's base run started, so verify refuses the directory
+    # the rerun started, so verify refuses the directory
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
     replace = os.replace
@@ -700,10 +717,16 @@ def test_verify_opens_only_the_series_of_a_trajectory(two_window_out,
         names = [p.relative_to(out / run).as_posix() for p in opened
                  if p.is_relative_to(out / run)]
         assert names == ["diagnostics.csv"], run
+    # and of the whole output it reads spec.json, constants.json and the
+    # series, nothing else; what else it opens are its verdict files'
+    # temporary files
+    read = {p.relative_to(out).as_posix() for p in opened
+            if p.is_relative_to(out) and p.suffix != ".tmp"}
+    assert read == {"spec.json", "constants.json", "base/diagnostics.csv",
+                    "perturbation/diagnostics.csv"}
 
 
-@pytest.mark.parametrize("missing", ["perturbation", "constants.json",
-                                     "meta.json"])
+@pytest.mark.parametrize("missing", ["perturbation", "constants.json"])
 def test_verify_refuses_incomplete_stability_run(forced_pert_out, tmp_path,
                                                  capsys, missing):
     # without the perturbation run, verify used to check the base alone,
@@ -1295,3 +1318,27 @@ def test_margin_convergence_constant():
     fine = {"a": InequalityReport("a", [0.0], [1.0 + 7.5e-7], 0)}
     C = cli.margin_convergence_constant(coarse, fine, 1e-3)
     assert C == pytest.approx(2 * 7.5e-7 / (0.75e-6), rel=1e-6)
+
+
+def test_run_dt_halving(tmp_path, capsys):
+    # run --dt-halving repeats the experiment at dt/2 in <out>/half-dt,
+    # which verifies on its own; a plain rerun into <out> removes it
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    assert cli.main(argv + ["--dt-halving"]) == exp.EXIT_OK
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("dt-halving margin constant C = ")
+    half = out / "half-dt"
+    assert json.loads((half / "spec.json").read_text())["dt"] \
+        == SMALL["dt"] / 2
+    verdicts = {name: (half / name).read_bytes()
+                for name in exp.VERDICT_FILES.values()}
+    for name in verdicts:
+        (half / name).unlink()
+    assert cli.main(["verify", "--out", str(half)]) == exp.EXIT_OK
+    for name, data in verdicts.items():
+        assert (half / name).read_bytes() == data, name
+    assert cli.main(argv) == exp.EXIT_OK
+    assert not half.exists()
