@@ -10,14 +10,12 @@ from .norms import compute_norm_report, l2_norm_sq, sobolev_norm_sq
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      load_trajectory, run_2d_base, run_full_3d,
                      run_perturbation, save_trajectory, taylor_green_exact)
-from .estimates import (BConstants, CalibratedConstants, InequalityReport,
-                        StabilityBudget, StabilitySeries, TwoDBudget,
-                        calibrate_constants, check_stability_hypotheses,
+from .estimates import (INEQUALITIES, BConstants, CalibratedConstants,
+                        Evidence, InequalityReport, StabilityBudget,
+                        StabilitySeries, TwoDBudget, calibrate_constants,
                         compute_A_constants, compute_B_constants,
                         gronwall_envelope, stability_series,
-                        verify_decay_2d, verify_l2_stability,
-                        verify_stability_conclusion,
-                        vorticity_cancellation_residual, w1sigma_monitor)
+                        vorticity_cancellation_residual)
 from .experiments import (RunArtifacts, bundled_scenario, emit_report,
                           parse_config, run_experiment)
 

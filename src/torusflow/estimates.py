@@ -1,14 +1,17 @@
 """Executable energy-estimate and stability checks along trajectories.
 
-Every check reports a margin series (bound minus measured quantity) and a
-pass/fail/vacuous status; conditional statements whose hypotheses fail on
-the data are reported vacuous, never failed.
+INEQUALITIES declares each inequality id once: its kind (claim or
+hypothesis), the run it reads, its series function, returning (times,
+bound, value), the hypotheses it rests on and its note.  Evidence.report
+alone turns series into InequalityReports (margin = bound - value) and
+reports a statement whose premise fails on the data as vacuous, never
+failed.  Every exponential of a bound goes through exp_bound.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -27,6 +30,12 @@ PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
 
+CLAIM = "claim"
+HYPOTHESIS = "hypothesis"
+
+#: the premise of the L2 lemma's claims: checked once on the run, in no id
+ASSUMPTION_2 = "assumption 2 of the L2 lemma"
+
 FLOAT_FLOOR = 1e-9
 
 # relative slack of the stability conclusion's bounds (4.18-env, 4.25): X^2
@@ -39,7 +48,8 @@ CONCLUSION_TOL_REL = 1e-3
 
 @dataclass
 class InequalityReport:
-    """Result of one inequality check along a time series."""
+    """Result of one inequality check along a time series, with the bounds
+    of its margins (a scalar where constant)."""
 
     inequality_id: str
     times: np.ndarray
@@ -47,6 +57,7 @@ class InequalityReport:
     tolerance: float
     status: str = ""
     note: str = ""
+    bounds: np.ndarray | float | None = None
 
     def __post_init__(self):
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -81,14 +92,27 @@ class InequalityReport:
 
 
 def reports_to_json(reports: dict) -> str:
-    """Serialize a {eq_id: InequalityReport} mapping, keyed by equation id."""
-    return json.dumps({k: r.to_dict() for k, r in sorted(reports.items())},
-                      indent=2, sort_keys=True)
+    """Serialize a {eq_id: InequalityReport} mapping, keyed by equation id,
+    as strict JSON: a worst margin that is not finite is written null."""
+    doc = {k: r.to_dict() for k, r in sorted(reports.items())}
+    for entry in doc.values():
+        if not math.isfinite(entry["worst_margin"]):
+            entry["worst_margin"] = None
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def margin_tolerance(C: float, dt: float) -> float:
     """Scheme-order tolerance: C*dt^2 plus a floating-point floor."""
     return C * dt * dt + FLOAT_FLOOR
+
+
+def exp_bound(exponent: float, factor: float = 1.0) -> float:
+    """factor * e^exponent, factor >= 0: +inf past the float range, and 0
+    for factor 0 whatever the exponent."""
+    try:
+        return factor * math.exp(exponent) if factor else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def _cumtrapz(y, x):
@@ -162,62 +186,13 @@ def compute_A_constants(base: Trajectory, T: float, nu: float) -> TwoDBudget:
     v0_l2 = float(base.diag["l2_sq"][0])
     v0_grad = float(base.diag["grad_l2_sq"][0])
 
-    decay = 1.0 - math.exp(-nu * c_s1 * T)
+    decay = 1.0 - exp_bound(-nu * c_s1 * T)
     A1_sq = f_sup / (nu * c_s1)
     A2_sq = A1_sq / decay + v0_l2
     A4_sq = c_s1 * A1_sq / decay + v0_grad
     return TwoDBudget(nu=nu, T=T, c_s1=c_s1, c_s2=c_s2, A1_sq=A1_sq,
                       A2_sq=A2_sq, A4_sq=A4_sq, f_window_sup=f_sup,
                       v0_grad_l2_sq=v0_grad)
-
-
-def verify_decay_2d(base: Trajectory, budget: TwoDBudget,
-                    tol: float = FLOAT_FLOOR) -> dict:
-    """Check the 2D decay inequalities along the run.
-
-    Returns InequalityReports keyed "3.1" .. "3.5":
-      3.1  window-start L2 bound          3.4  window-start gradient bound
-      3.2  windowed L2 + H1 dissipation   3.5  windowed gradient + H2 diss.
-      3.3  per-step differential L2 inequality
-    """
-    nu, T = budget.nu, budget.T
-    t = base.diag["t"]
-    E = base.diag["l2_sq"]
-    H1 = base.diag["l2_sq"] + base.diag["grad_l2_sq"]
-    H2 = base.diag["h2_sq"]
-    G = base.diag["grad_l2_sq"]
-    F = base.diag["forcing_l2_sq"]
-    windows = _window_slices(t, T)
-    reports = {}
-
-    # (3.1) / (3.4): bounds at window boundaries (both ends of each window)
-    kt = np.array(sorted({sel[0] for _, sel in windows} |
-                         {sel[-1] for _, sel in windows}))
-    reports["3.1"] = InequalityReport("3.1", t[kt], budget.A2_sq - E[kt], tol)
-    reports["3.4"] = InequalityReport("3.4", t[kt], budget.A4_sq - G[kt], tol)
-
-    # (3.2) / (3.5): windowed integral bounds at every sample
-    m32, m35, tt = [], [], []
-    for _, sel in windows:
-        ts = t[sel]
-        int_h1 = _cumtrapz(H1[sel], ts)
-        int_h2 = _cumtrapz(H2[sel], ts)
-        m32.append(budget.A3_sq - (E[sel] + nu * budget.c_s1 * int_h1))
-        m35.append(budget.A5_sq - (G[sel] + nu * budget.c_s2 * int_h2))
-        tt.append(ts)
-    reports["3.2"] = InequalityReport("3.2", np.concatenate(tt),
-                                      np.concatenate(m32), tol)
-    reports["3.5"] = InequalityReport(
-        "3.5", np.concatenate(tt), np.concatenate(m35), tol,
-        note="H2 dissipation uses the sharp discrete constant c_s2")
-
-    # (3.3): discrete differential inequality per step (trapezoid in time)
-    dE = np.diff(E) / np.diff(t)
-    mid = lambda y: 0.5 * (y[1:] + y[:-1])
-    lhs = dE + nu * budget.c_s1 * mid(H1)
-    rhs = mid(F) / (nu * budget.c_s1)
-    reports["3.3"] = InequalityReport("3.3", mid(t), rhs - lhs, tol)
-    return reports
 
 
 def vorticity_cancellation_residual(vs: Field) -> float:
@@ -252,29 +227,6 @@ def vorticity_cancellation_residual(vs: Field) -> float:
     if scale == 0.0:
         return 0.0
     return abs(integral) / scale
-
-
-def w1sigma_monitor(base: Trajectory, sigma: float, T: float,
-                    tol: float = 1e-6) -> InequalityReport:
-    """Empirical uniform-in-time bound on the W^1_sigma norm (per window
-    of length T).
-
-    Passes when every window maximum, over the base run's per-step
-    w1_sigma, stays below the first window's maximum times (1 + tol); the
-    report carries the per-window maxima as its series.  sigma is the
-    exponent the run recorded w1_sigma at (its SolverConfig's sigma); one
-    of 3 or less raises ValueError.
-    """
-    if sigma <= 3:
-        raise ValueError(f"sigma must exceed 3, got {sigma}")
-    times, series = base.diag["t"], base.diag["w1_sigma"]
-    windows = _window_slices(times, T)
-    w_times = np.array([times[sel[-1]] for _, sel in windows])
-    maxima = np.array([series[sel].max() for _, sel in windows])
-    bound = maxima[0] * (1.0 + tol) + FLOAT_FLOOR
-    return InequalityReport("3.8", w_times, bound - maxima, FLOAT_FLOOR,
-                            note=f"sigma={sigma}; per-window maxima of the "
-                                 "W^1_sigma norm vs first-window maximum")
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +321,8 @@ class StabilityBudget:
     c5: float
 
     def __post_init__(self):
-        m1, m2 = margin_4_19(self.nu, self.c4, self.c5, self.gamma_star,
-                             self.c_star)
+        m1, m2 = np.subtract(*admissibility(self.nu, self.c4, self.c5,
+                                            self.gamma_star, self.c_star))
         if m1 < -FLOAT_FLOOR or m2 <= 0:
             raise ValueError(
                 "budget violates the gamma* admissibility condition: "
@@ -387,27 +339,19 @@ def admissible_gamma_star(nu, c4, c5, c_star) -> float:
     return math.sqrt((nu * c4 - 0.5 * c_star) * nu**3 / c5)
 
 
-# scalar condition evaluators (margins are rhs - lhs; >= 0 passes)
-
 def margin_4_11(nu, T, c_s1, c1, c3, f_window_sup, grad0_sq) -> float:
-    decay = 1.0 - math.exp(-nu * c_s1 * T)
-    lhs = (2.0 - math.exp(-nu * c_s1 * T)) / (c_s1 * nu * decay) \
+    decay = 1.0 - exp_bound(-nu * c_s1 * T)
+    lhs = (2.0 - exp_bound(-nu * c_s1 * T)) / (c_s1 * nu * decay) \
         * f_window_sup + grad0_sq
     rhs = nu**2 * c1**2 / (8.0 * c3) * T
     return rhs - lhs
 
 
-def margin_4_19(nu, c4, c5, gamma_star, c_star) -> tuple:
-    return (nu * c4 - c5 / nu**3 * gamma_star**2 - 0.5 * c_star,
-            nu * c4 - c_star)
-
-
-def margin_4_26(int_A_sq, int_G_sq, c_star, T, alpha, gamma) -> tuple:
-    return (0.25 * c_star * T - int_A_sq, alpha * gamma - int_G_sq)
-
-
-def margin_4_27(alpha, int_A_sq, c_star, T) -> float:
-    return 1.0 - (alpha * math.exp(int_A_sq) + math.exp(-0.25 * c_star * T))
+def admissibility(nu, c4, c5, gamma_star, c_star) -> tuple:
+    """(bound, value) of the gamma* admissibility conditions (4.19):
+    nu*c4 - (c5/nu^3)*gamma*^2 >= c*/2 and nu*c4 >= c*."""
+    return (np.array([nu * c4 - c5 / nu**3 * gamma_star**2, nu * c4]),
+            np.array([0.5 * c_star, c_star]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +365,6 @@ class BConstants:
     B4_sq: float
     assumption2_margin: float
     explicit_condition_margin: float  # Remark 4.2 form
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.assumption2_margin >= -FLOAT_FLOOR
 
 
 def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
@@ -448,32 +388,15 @@ def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
     A3_3d = L * twod.A3_sq
     A5_3d = L * twod.A5_sq
     assumption2 = -(-0.5 * nu * c1 * T + 4.0 * c3 / (nu * c1) * A3_3d)
-    B2_sq = math.exp(4.0 * c3 / (nu * c1) * A5_3d) * B1_sq
+    B2_sq = exp_bound(4.0 * c3 / (nu * c1) * A5_3d, B1_sq)
     u0_l2_sq = float(pert.diag["l2_sq"][0])
-    B3_sq = B2_sq / (1.0 - math.exp(-0.5 * nu * c1 * T)) + u0_l2_sq
+    B3_sq = B2_sq / (1.0 - exp_bound(-0.5 * nu * c1 * T)) + u0_l2_sq
     explicit = margin_4_11(nu, T, twod.c_s1, c1, c3,
                            L * twod.f_window_sup, L * twod.v0_grad_l2_sq)
     return BConstants(B1_sq=B1_sq, B2_sq=B2_sq, B3_sq=B3_sq,
                       B4_sq=B2_sq + B3_sq,
                       assumption2_margin=assumption2,
                       explicit_condition_margin=explicit)
-
-
-def verify_l2_stability(pert: Trajectory, b: BConstants, T: float,
-                        tol: float = FLOAT_FLOOR) -> dict:
-    """Check the windowed L2 bounds; vacuous when the hypotheses failed."""
-    t = pert.diag["t"]
-    E = pert.diag["l2_sq"]
-    windows = _window_slices(t, T)
-    kt = np.array(sorted({sel[0] for _, sel in windows} |
-                         {sel[-1] for _, sel in windows}))
-    r1 = InequalityReport("4.1a", t[kt], b.B3_sq - E[kt], tol)
-    r2 = InequalityReport("4.1b", t, b.B4_sq - E, tol)
-    if not b.hypotheses_hold:
-        for r in (r1, r2):
-            r.status = VACUOUS
-            r.note = "assumption 2 of the L2 lemma fails on this data"
-    return {"4.1a": r1, "4.1b": r2}
 
 
 # ---------------------------------------------------------------------------
@@ -525,40 +448,6 @@ def stability_series(pert: Trajectory, base: Trajectory,
                            A_sq=A_sq)
 
 
-def check_stability_hypotheses(series: StabilitySeries,
-                               budget: StabilityBudget,
-                               tol: float = FLOAT_FLOOR) -> dict:
-    """Per-window smallness hypotheses plus the budget admissibility."""
-    g, cs, T, a = budget.gamma, budget.c_star, budget.T, budget.alpha
-    t0 = series.times[0]
-    m19 = margin_4_19(budget.nu, budget.c4, budget.c5, budget.gamma_star, cs)
-    m26 = margin_4_26(series.int_A_sq, series.int_G_sq, cs, T, a, g)
-    reports = {
-        "4.12a": InequalityReport("4.12a", [t0], [g - series.X_sq[0]], tol,
-                                  note="window-start H1 smallness"),
-        "4.12b": InequalityReport("4.12b", series.times,
-                                  0.25 * cs * g - series.G_sq, tol),
-        "4.19": InequalityReport("4.19", [t0, t0], list(m19), tol,
-                                 note="gamma* admissibility"),
-        "4.26a": InequalityReport("4.26a", [t0], [m26[0]], tol),
-        "4.26b": InequalityReport("4.26b", [t0], [m26[1]], tol),
-        "4.27": InequalityReport(
-            "4.27", [t0], [margin_4_27(a, series.int_A_sq, cs, T)], tol,
-            note="sum form (used by the window recursion)"),
-    }
-    # hypotheses are premises, not claims: unmet ones are vacuous, not failed
-    for r in reports.values():
-        if not r.passed:
-            r.status = VACUOUS
-            r.note = (r.note + "; " if r.note else "") \
-                + "hypothesis not satisfied by the data"
-    return reports
-
-
-def hypotheses_hold(reports: dict) -> bool:
-    return all(r.passed for r in reports.values())
-
-
 def gronwall_envelope(series: StabilitySeries, budget: StabilityBudget,
                       X0_sq: float) -> np.ndarray:
     """Upper envelope: the H1 differential inequality integrated as an ODE.
@@ -596,65 +485,187 @@ def gronwall_envelope(series: StabilitySeries, budget: StabilityBudget,
     return W
 
 
-def window_endpoint_bound(series: StabilitySeries, budget: StabilityBudget,
-                          X0_sq: float) -> float:
-    """Integrated window bound: exp(int A^2) int G^2
-    + exp(-c*T/2 + int A^2) X^2(kT)."""
-    ia, ig = series.int_A_sq, series.int_G_sq
-    return math.exp(ia) * ig \
-        + math.exp(-0.5 * budget.c_star * budget.T + ia) * X0_sq
+# ---------------------------------------------------------------------------
+# the inequality ids: what they are checked on, and the table of them
+
+class Evidence:
+    """What the series functions read: the base and its 2D constants twod;
+    with a perturbation and its budget the L2 lemma's constants l2, the
+    StabilitySeries of each complete window (windows), each hypothesis's
+    reports, one per window, whether all hold on a window (holds) and its
+    Gronwall envelope, None unless they hold and it stays below gamma*."""
+
+    def __init__(self, base, pert, budget, nu, T, sigma, tol):
+        self.base, self.T, self.sigma, self.tol = base, T, sigma, tol
+        self.twod = compute_A_constants(base, T, nu)
+        self.perturbation = self.budget = self.l2 = None
+        self.windows = []
+        if pert is not None and budget is not None:
+            self.perturbation, self.budget = pert, budget
+            self.l2 = compute_B_constants(pert, self.twod, budget.c1,
+                                          budget.c3)
+            self.windows = [stability_series(pert, base, budget, k)
+                            for k, _ in _window_slices(pert.diag["t"], T)]
+        self.hypotheses = {h: [self.report(h, s) for s in self.windows]
+                           for h, eq in INEQUALITIES.items()
+                           if eq.kind == HYPOTHESIS}
+        self.holds = [all(r.status != VACUOUS for r in rs)
+                      for rs in zip(*self.hypotheses.values())]
+        self.envelopes = [self._envelope(s) if ok else None
+                          for s, ok in zip(self.windows, self.holds)]
+
+    def report(self, eq_id: str, s: StabilitySeries | None = None):
+        """The InequalityReport of eq_id's series (on window s, for a
+        hypothesis); vacuous for a hypothesis the data do not meet, a claim
+        whose premise fails (for the window hypotheses: a window without an
+        envelope) and a claim whose bound is infinite: it bounds nothing."""
+        eq = INEQUALITIES[eq_id]
+        times, bound, value = eq.series(self) if s is None \
+            else eq.series(s, self.budget)
+        r = InequalityReport(
+            eq_id, times, bound - value,
+            self.tol if eq.tolerance is None else eq.tolerance,
+            note=eq.note.format(sigma=self.sigma), bounds=bound)
+        if eq.kind == HYPOTHESIS:
+            if r.passed:
+                return r
+            reason = "; hypothesis not satisfied by the data"
+        elif ASSUMPTION_2 in eq.hypotheses \
+                and not self.l2.assumption2_margin >= -FLOAT_FLOOR:
+            reason = "; assumption 2 of the L2 lemma fails on this data"
+        elif set(eq.hypotheses) & set(WINDOW_HYPOTHESES) \
+                and any(e is None for e in self.envelopes):
+            reason = " (hypotheses failed on at least one window)"
+        elif np.isposinf(r.bounds).any():
+            reason = "; the bound is infinite"
+        else:
+            return r
+        r.status = VACUOUS
+        r.note = (r.note + reason).removeprefix("; ")
+        return r
+
+    def _envelope(self, s: StabilitySeries):
+        try:
+            return gronwall_envelope(s, self.budget, float(s.X_sq[0]))
+        except ValueError:
+            return None
 
 
-def verify_stability_conclusion(series_list, hypotheses,
-                                budget: StabilityBudget,
-                                tol: float = FLOAT_FLOOR) -> dict:
-    """Check the stability conclusion over the inspected windows.
+def _at_window_ends(run: Trajectory, column: str, bound, T: float):
+    t = run.diag["t"]
+    ends = np.array([0] + [sel[-1] for _, sel in _window_slices(t, T)])
+    return t[ends], bound, run.diag[column][ends]
 
-    Asserts X^2 <= gamma at every sample, X^2 below the integrated envelope,
-    and the window-endpoint recursion.  hypotheses holds each window's
-    check_stability_hypotheses, parallel to series_list.  All reports turn
-    vacuous if any window's hypotheses fail.
-    """
-    vacuous = False
-    m_gamma, t_gamma = [], []
-    m_env, t_env = [], []
-    m_rec, t_rec = [], []
-    for series, hyp in zip(series_list, hypotheses, strict=True):
-        window_ok = hypotheses_hold(hyp)
-        if not window_ok:
-            vacuous = True
-        t_gamma.append(series.times)
-        m_gamma.append(budget.gamma - series.X_sq)
-        X0 = float(series.X_sq[0])
-        if window_ok:
-            try:
-                env = gronwall_envelope(series, budget, X0)
-            except ValueError:
-                vacuous = True
-            else:
-                t_env.append(series.times)
-                m_env.append(env * (1.0 + CONCLUSION_TOL_REL) - series.X_sq)
-        t_rec.append([series.times[-1]])
-        m_rec.append([window_endpoint_bound(series, budget, X0)
-                      * (1.0 + CONCLUSION_TOL_REL)
-                      - float(series.X_sq[-1])])
-    if not m_env:
-        t_env = [np.array([series_list[0].times[0]])]
-        m_env = [np.array([0.0])]
-        vacuous = True
-    reports = {
-        "4.13": InequalityReport("4.13", np.concatenate(t_gamma),
-                                 np.concatenate(m_gamma), tol,
-                                 note="X^2 <= gamma at every sample"),
-        "4.18-env": InequalityReport("4.18-env", np.concatenate(t_env),
-                                     np.concatenate(m_env), tol,
-                                     note="envelope domination"),
-        "4.25": InequalityReport("4.25", np.concatenate(t_rec),
-                                 np.concatenate(m_rec), tol,
-                                 note="window-endpoint recursion"),
-    }
-    if vacuous:
-        for r in reports.values():
-            r.status = VACUOUS
-            r.note += " (hypotheses failed on at least one window)"
-    return reports
+
+def _dissipated(ev, column, c_s, integrand, bound):
+    # column + nu*c_s*(integral of integrand from its window's start)
+    t = ev.base.diag["t"]
+    sels = [sel for _, sel in _window_slices(t, ev.T)]
+    ints = np.concatenate([_cumtrapz(integrand[sel], t[sel]) for sel in sels])
+    idx = np.concatenate(sels)
+    return t[idx], bound, ev.base.diag[column][idx] + ev.twod.nu * c_s * ints
+
+
+def _series_3_3(ev):
+    # the differential L2 inequality per step, by the trapezoid rule
+    d, c = ev.base.diag, ev.twod.nu * ev.twod.c_s1
+    t, E = d["t"], d["l2_sq"]
+    mid = lambda y: 0.5 * (y[1:] + y[:-1])
+    return mid(t), mid(d["forcing_l2_sq"]) / c, \
+        np.diff(E) / np.diff(t) + c * mid(E + d["grad_l2_sq"])
+
+
+def _series_3_8(ev):
+    # window maxima against the first's: a relative slack, no scheme error
+    t, w1 = ev.base.diag["t"], ev.base.diag["w1_sigma"]
+    windows = _window_slices(t, ev.T)
+    maxima = np.array([w1[sel].max() for _, sel in windows])
+    return np.array([t[sel[-1]] for _, sel in windows]), \
+        maxima[0] * (1.0 + 1e-6) + FLOAT_FLOOR, maxima
+
+
+def _series_4_18_env(ev):
+    held = [(s, e) for s, e in zip(ev.windows, ev.envelopes)
+            if e is not None]
+    if not held:
+        return ev.windows[0].times[:1], 0.0, 0.0
+    return np.concatenate([s.times for s, _ in held]), \
+        np.concatenate([e * (1.0 + CONCLUSION_TOL_REL) for _, e in held]), \
+        np.concatenate([s.X_sq for s, _ in held])
+
+
+def _series_4_25(ev):
+    # X^2 at each window's end below the integrated window bound
+    # exp(int A^2) int G^2 + exp(-c*T/2 + int A^2) X^2(kT)
+    b = ev.budget
+    bound = [exp_bound(s.int_A_sq, s.int_G_sq) + exp_bound(
+        -0.5 * b.c_star * b.T + s.int_A_sq, float(s.X_sq[0]))
+        for s in ev.windows]
+    return [s.times[-1] for s in ev.windows], \
+        np.array(bound) * (1.0 + CONCLUSION_TOL_REL), \
+        np.array([float(s.X_sq[-1]) for s in ev.windows])
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One inequality id.  run names the Evidence attribute of the run it
+    reads; a hypothesis is checked on every window, by series(window's
+    StabilitySeries, budget); a note gets {sigma} filled in; tolerance
+    None is the Evidence's."""
+
+    kind: str
+    run: str
+    series: Callable
+    hypotheses: tuple = ()
+    note: str = ""
+    tolerance: float | None = None
+
+
+WINDOW_HYPOTHESES = ("4.12a", "4.12b", "4.19", "4.26a", "4.26b", "4.27")
+
+#: every inequality id, in the order analyze checks them
+INEQUALITIES = {
+    "3.1": Inequality(CLAIM, "base", lambda ev: _at_window_ends(
+        ev.base, "l2_sq", ev.twod.A2_sq, ev.T)),
+    "3.2": Inequality(CLAIM, "base", lambda ev: _dissipated(
+        ev, "l2_sq", ev.twod.c_s1,
+        ev.base.diag["l2_sq"] + ev.base.diag["grad_l2_sq"], ev.twod.A3_sq)),
+    "3.3": Inequality(CLAIM, "base", _series_3_3),
+    "3.4": Inequality(CLAIM, "base", lambda ev: _at_window_ends(
+        ev.base, "grad_l2_sq", ev.twod.A4_sq, ev.T)),
+    "3.5": Inequality(CLAIM, "base", lambda ev: _dissipated(
+        ev, "grad_l2_sq", ev.twod.c_s2, ev.base.diag["h2_sq"], ev.twod.A5_sq),
+        note="H2 dissipation uses the sharp discrete constant c_s2"),
+    "3.8": Inequality(CLAIM, "base", _series_3_8, tolerance=FLOAT_FLOOR,
+                      note="sigma={sigma}; per-window maxima of the "
+                           "W^1_sigma norm vs first-window maximum"),
+    "4.1a": Inequality(CLAIM, "perturbation", lambda ev: _at_window_ends(
+        ev.perturbation, "l2_sq", ev.l2.B3_sq, ev.T), (ASSUMPTION_2,)),
+    "4.1b": Inequality(CLAIM, "perturbation", lambda ev: (
+        ev.perturbation.diag["t"], ev.l2.B4_sq,
+        ev.perturbation.diag["l2_sq"]), (ASSUMPTION_2,)),
+    "4.12a": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
+        s.times[:1], b.gamma, s.X_sq[0]), note="window-start H1 smallness"),
+    "4.12b": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
+        s.times, 0.25 * b.c_star * b.gamma, s.G_sq)),
+    "4.19": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
+        s.times[[0, 0]], *admissibility(b.nu, b.c4, b.c5, b.gamma_star,
+                                        b.c_star)),
+        note="gamma* admissibility"),
+    "4.26a": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
+        s.times[:1], 0.25 * b.c_star * b.T, s.int_A_sq)),
+    "4.26b": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
+        s.times[:1], b.alpha * b.gamma, s.int_G_sq)),
+    "4.27": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
+        s.times[:1], 1.0,
+        exp_bound(s.int_A_sq, b.alpha) + exp_bound(-0.25 * b.c_star * b.T)),
+        note="sum form (used by the window recursion)"),
+    "4.13": Inequality(CLAIM, "perturbation", lambda ev: (
+        np.concatenate([s.times for s in ev.windows]), ev.budget.gamma,
+        np.concatenate([s.X_sq for s in ev.windows])),
+        WINDOW_HYPOTHESES, "X^2 <= gamma at every sample"),
+    "4.18-env": Inequality(CLAIM, "perturbation", _series_4_18_env,
+                           WINDOW_HYPOTHESES, "envelope domination"),
+    "4.25": Inequality(CLAIM, "perturbation", _series_4_25, WINDOW_HYPOTHESES,
+                       "window-endpoint recursion"),
+}

@@ -377,60 +377,45 @@ class RunArtifacts:
     reports: dict = dc_field(default_factory=dict)
 
 
-def _window_csv(series_list, hyp_by_window, reports) -> str:
+def _window_csv(evidence: est.Evidence, reports) -> str:
     lines = [",".join(WINDOW_CSV_COLUMNS)]
     worst_overall = min((r.worst_margin for r in reports.values()),
                        default=0.0)
-    for s in series_list:
-        hyp_ok = est.hypotheses_hold(hyp_by_window[s.window])
+    for s, holds in zip(evidence.windows, evidence.holds):
         row = (f"{s.window},{s.times[0]:.17e},{s.times[-1]:.17e},"
                f"{s.X_sq[0]:.17e},{s.X_sq[-1]:.17e},"
                f"{s.int_A_sq:.17e},{s.int_G_sq:.17e},"
-               f"{'pass' if hyp_ok else 'fail'},{worst_overall:.17e}")
+               f"{'pass' if holds else 'fail'},{worst_overall:.17e}")
         lines.append(row)
     return "\n".join(lines) + "\n"
 
 
 def analyze(base: Trajectory, pert: Trajectory | None,
             spec: dict, budget: StabilityBudget | None) -> tuple:
-    """All estimate checks on finished trajectories.
-
-    Returns (reports dict, series list, hypotheses per window).
-    """
-    nu, T = spec["nu"], spec["T"]
-    tol = est.margin_tolerance(spec["tolerance"]["C"], spec["dt"])
-    twod = est.compute_A_constants(base, T, nu)
-    reports = dict(est.verify_decay_2d(base, twod, tol))
-    reports["3.8"] = est.w1sigma_monitor(base, spec["sigma"], T)
-
-    series_list, hyp_by_window = [], {}
-    if pert is not None and budget is not None:
-        bconst = est.compute_B_constants(pert, twod, budget.c1, budget.c3)
-        reports.update(est.verify_l2_stability(pert, bconst, T, tol))
-        for k in range(spec["windows"]):
-            s = est.stability_series(pert, base, budget, k)
-            series_list.append(s)
-            hyp = est.check_stability_hypotheses(s, budget, tol)
-            hyp_by_window[k] = hyp
-            for key, rep in hyp.items():
-                prev = reports.get(key)
-                if prev is None or rep.worst_margin < prev.worst_margin:
-                    reports[key] = rep
-        reports.update(est.verify_stability_conclusion(
-            series_list, list(hyp_by_window.values()), budget, tol=tol))
-    return reports, series_list, hyp_by_window
+    """The report of every id of est.INEQUALITIES whose run exists, on
+    finished trajectories; (reports by id, the est.Evidence)."""
+    evidence = est.Evidence(
+        base, pert, budget, spec["nu"], spec["T"], spec["sigma"],
+        est.margin_tolerance(spec["tolerance"]["C"], spec["dt"]))
+    reports = {}
+    for eq_id, eq in est.INEQUALITIES.items():
+        if getattr(evidence, eq.run) is not None:
+            # a hypothesis is checked per window: the window with the
+            # smallest worst margin stands for all, the first on ties
+            found = evidence.hypotheses.get(eq_id) \
+                or [evidence.report(eq_id)]
+            reports[eq_id] = min(found, key=lambda r: r.worst_margin)
+    return reports, evidence
 
 
-def _write_verdicts(artifacts: RunArtifacts, series_list,
-                    hyp_by_window) -> int:
+def _write_verdicts(artifacts: RunArtifacts, evidence) -> int:
     """Write analyze's inequalities.json and windows.csv (not after a
-    blow-up: series_list None), then emit_report's summary.txt, each by
+    blow-up: evidence None), then emit_report's summary.txt, each by
     _write_atomic, into artifacts' paths; emit_report's exit code."""
     texts = {}
-    if series_list is not None:
+    if evidence is not None:
         texts["inequalities"] = est.reports_to_json(artifacts.reports) + "\n"
-        texts["windows"] = _window_csv(series_list, hyp_by_window,
-                                       artifacts.reports)
+        texts["windows"] = _window_csv(evidence, artifacts.reports)
     texts["summary"], code = emit_report(artifacts)
     for key, text in texts.items():
         path = os.path.join(artifacts.out_dir, VERDICT_FILES[key])
@@ -516,7 +501,7 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                                         [-float("inf")], 0.0,
                                         note=str(exc))})
         with _timed(phases, "writing"):
-            code = _write_verdicts(artifacts, None, None)
+            code = _write_verdicts(artifacts, None)
     else:
         for name, directory, traj in zip(RUNS, directories,
                                          (base, pert, direct)):
@@ -654,9 +639,9 @@ def _check_saved(spec: dict, out_dir: str, paths: dict) -> tuple:
             key, got, want = found
             raise FileNotFoundError(f"{path}: {key} is {got!r}, but the spec "
                                     f"gives {want!r}; run the experiment again")
-    reports, series_list, hyp_by_window = analyze(base, pert, spec, budget)
+    reports, evidence = analyze(base, pert, spec, budget)
     artifacts = RunArtifacts(out_dir, paths, 0.0, reports)
-    return artifacts, _write_verdicts(artifacts, series_list, hyp_by_window)
+    return artifacts, _write_verdicts(artifacts, evidence)
 
 
 def reverify(out_dir: str) -> RunArtifacts:

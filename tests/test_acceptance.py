@@ -7,6 +7,7 @@ dt-halving convergence measurements.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,8 +129,9 @@ def test_criterion_05_2d_decay_inequalities():
                            forcing=forcing, snapshot_stride=round(0.1 / step),
                            initial=taylor_green_exact(grid, nu, 0.0, 0.3))
         base = run_2d_base(cfg)
-        budget = est.compute_A_constants(base, T, nu)
-        return est.verify_decay_2d(base, budget, tol=np.inf)
+        evidence = est.Evidence(base, None, None, nu, T, cfg.sigma, np.inf)
+        return {k: evidence.report(k)
+                for k in ("3.1", "3.2", "3.3", "3.4", "3.5")}
 
     coarse = margins(dt)
     fine = margins(dt / 2)
@@ -219,11 +221,9 @@ def test_criterion_08_stability_conclusion(calibrated):
         grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
         forcing=g_force, snapshot_stride=250), base_cfg)
 
-    series = [est.stability_series(pert, base, budget, k)
-              for k in range(windows)]
-    hyps = [est.check_stability_hypotheses(s, budget) for s in series]
-    hyp_ok = all(est.hypotheses_hold(hyp) for hyp in hyps)
-    conclusion = est.verify_stability_conclusion(series, hyps, budget)
+    evidence = est.Evidence(base, pert, budget, nu, T, 4.0, est.FLOAT_FLOOR)
+    hyp_ok = len(evidence.holds) == windows and all(evidence.holds)
+    conclusion = {k: evidence.report(k) for k in ("4.13", "4.18-env", "4.25")}
     elapsed = time.time() - t0
     ok = hyp_ok \
         and all(r.status == est.PASS for r in conclusion.values()) \
@@ -261,7 +261,8 @@ def test_criterion_09_gronwall_reduced_case(calibrated):
 
 def test_criterion_10_scalar_condition_arithmetic():
     """(4.11), (4.19), (4.26), (4.27) evaluators match independently
-    reimplemented formulas to 1e-12 on 50 random tuples."""
+    reimplemented formulas to 1e-12 on 50 random tuples; 4.26 and 4.27
+    are evaluated by their series functions in estimates.INEQUALITIES."""
     rng = np.random.default_rng(123)
     worst = 0.0
     for _ in range(50):
@@ -284,14 +285,26 @@ def test_criterion_10_scalar_condition_arithmetic():
         o_426b = alpha * gamma - iG
         o_427 = 1 - alpha * math.exp(iA) - math.exp(-cs * T / 4)
 
+        # a window [0, T] whose A^2 and G^2 integrate to iA and iG
+        t = np.array([0.0, T])
+        window = est.StabilitySeries(window=0, times=t, X_sq=np.zeros(2),
+                                     A_sq=np.full(2, iA / T),
+                                     G_sq=np.full(2, iG / T))
+        budget = SimpleNamespace(c_star=cs, T=T, alpha=alpha, gamma=gamma)
+
+        def margin(eq_id):
+            _, bound, value = est.INEQUALITIES[eq_id].series(window, budget)
+            return bound - value
+
+        m419 = np.subtract(*est.admissibility(nu, c4, c5, gs, cs))
         worst = max(
             worst,
             abs(est.margin_4_11(nu, T, c_s1, c1, c3, F, g0) - o_411),
-            abs(est.margin_4_19(nu, c4, c5, gs, cs)[0] - o_419a),
-            abs(est.margin_4_19(nu, c4, c5, gs, cs)[1] - o_419b),
-            abs(est.margin_4_26(iA, iG, cs, T, alpha, gamma)[0] - o_426a),
-            abs(est.margin_4_26(iA, iG, cs, T, alpha, gamma)[1] - o_426b),
-            abs(est.margin_4_27(alpha, iA, cs, T) - o_427),
+            abs(m419[0] - o_419a),
+            abs(m419[1] - o_419b),
+            abs(margin("4.26a") - o_426a),
+            abs(margin("4.26b") - o_426b),
+            abs(margin("4.27") - o_427),
         )
     _line(10, worst <= 1e-12,
           f"max |evaluator - oracle| {worst:.3e} <= 1e-12 over 50 tuples")

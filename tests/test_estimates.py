@@ -3,23 +3,39 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq, lp_norm,
                      window_slices_by_time)
 from torusflow import make_grid
+from torusflow import experiments as exp
 from torusflow.field import (leray_data, physical_padded, random_divfree_field,
                              spectral_field)
 from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
                              sobolev_norm_sq)
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
-                              run_perturbation, taylor_green_exact)
+                              load_trajectory, run_perturbation,
+                              taylor_green_exact)
 from torusflow import estimates as est
 
 NU, T = 0.5, 1.0
+DECAY_IDS = ("3.1", "3.2", "3.3", "3.4", "3.5")
+CONCLUSION_IDS = ("4.13", "4.18-env", "4.25")
+
+
+def _base_evidence(base, tol=est.FLOAT_FLOOR):
+    """The Evidence of a base run alone, at window length T."""
+    return est.Evidence(base, None, None, NU, T, 4.0, tol)
+
+
+def _stability_evidence(base, pert, budget):
+    return est.Evidence(base, pert, budget, budget.nu, budget.T, 4.0,
+                        est.FLOAT_FLOOR)
 
 
 @pytest.mark.parametrize("dt, windows, stride", [
@@ -161,12 +177,18 @@ def test_A_constants_hand_quadrature(forced_base):
         b.A1_sq / decay + forced_base.diag["l2_sq"][0], rel=1e-8)
 
 
-def test_verify_decay_2d_passes(forced_base):
-    b = est.compute_A_constants(forced_base, T, NU)
-    reports = est.verify_decay_2d(forced_base, b, tol=1e-7)
-    assert set(reports) == {"3.1", "3.2", "3.3", "3.4", "3.5"}
-    for rep in reports.values():
-        assert rep.status == est.PASS
+def test_decay_2d_passes(forced_base):
+    ev = _base_evidence(forced_base, tol=1e-7)
+    for eq_id in DECAY_IDS:
+        assert ev.report(eq_id).status == est.PASS, eq_id
+
+
+def test_w1sigma_bound_passes(forced_base):
+    # one W^1_sigma maximum per window; sigma <= 3 is refused by
+    # parse_config (test_experiments.py, "sigma-3")
+    rep = _base_evidence(forced_base).report("3.8")
+    assert rep.status == est.PASS
+    assert len(rep.times) == 3
 
 
 def test_decay_zero_solution(grid2):
@@ -174,9 +196,8 @@ def test_decay_zero_solution(grid2):
                           divergence_free=True)
     base = run_2d_base(SolverConfig(grid=grid2, nu=NU, dt=5e-3, t_end=T,
                                     T=T, initial=zero, snapshot_stride=20))
-    b = est.compute_A_constants(base, T, NU)
-    reports = est.verify_decay_2d(base, b)
-    for rep in reports.values():
+    ev = _base_evidence(base)
+    for rep in map(ev.report, DECAY_IDS):
         assert rep.passed
         assert abs(rep.worst_margin) < 1e-12
 
@@ -187,8 +208,8 @@ def test_unforced_differential_inequality(grid2):
         grid=grid2, nu=NU, dt=5e-3, t_end=T, T=T,
         initial=taylor_green_exact(grid2, NU, 0.0, 0.4),
         snapshot_stride=20))
-    b = est.compute_A_constants(base, T, NU)
-    rep = est.verify_decay_2d(base, b)["3.3"]
+    ev = _base_evidence(base)
+    b, rep = ev.twod, ev.report("3.3")
     assert rep.status == est.PASS
     # Taylor-Green closed form: |k|^2 = 2 so H1^2 = 3E and
     # margin = (4nu - 3*nu*c_s1) * E > 0
@@ -234,25 +255,39 @@ def test_cancellation_rejects_3d_and_nondivfree(grid2, grid3):
 
 
 # ---------------------------------------------------------------------------
-# W^1_sigma monitor
-
-def test_w1sigma_monitor(forced_base):
-    rep = est.w1sigma_monitor(forced_base, 4.0, T)
-    assert rep.status == est.PASS
-    assert len(rep.times) == 3
-    with pytest.raises(ValueError):
-        est.w1sigma_monitor(forced_base, 2.0, T)
-
-
-# ---------------------------------------------------------------------------
 # scalar condition evaluators (criterion-10 oracles live in
 # test_acceptance; these check fixed examples)
 
+def _window(int_A_sq, int_G_sq=0.0, T_=1.0, X0_sq=0.0):
+    """A window [0, T_] whose A^2 and G^2 integrate to the given values."""
+    t = np.array([0.0, T_])
+    return est.StabilitySeries(window=0, times=t, X_sq=np.array([X0_sq, 0.0]),
+                               G_sq=np.full(2, int_G_sq / T_),
+                               A_sq=np.full(2, int_A_sq / T_))
+
+
 def test_margin_4_27_fixed_example():
     # alpha=0.3 with c*T/4 = 1: 0.3*e + e^{-1} > 1 fails
-    m = est.margin_4_27(0.3, 1.0, 4.0, 1.0)
+    _, bound, value = est.INEQUALITIES["4.27"].series(
+        _window(1.0), SimpleNamespace(alpha=0.3, c_star=4.0, T=1.0))
+    m = bound - value
     assert m == pytest.approx(1 - (0.3 * math.e + math.exp(-1)), rel=1e-14)
     assert m < 0
+
+
+def test_exp_bound_past_the_float_range():
+    # an exponent past the float range gives +inf, not OverflowError, and a
+    # zero factor gives 0 whatever the exponent (B1^2 = 0 gives B2^2 = 0)
+    assert est.exp_bound(1e4) == math.inf
+    assert est.exp_bound(1e4, 2.5) == math.inf
+    assert est.exp_bound(1e4, 0.0) == 0.0
+    assert est.exp_bound(-1e4) == 0.0
+    assert est.exp_bound(1.5, 3.0) == 3.0 * math.exp(1.5)
+    # 4.27's margin at int A^2 = 1e4 (test_experiments.py's strong base
+    # shows it vacuous and written null)
+    _, bound, value = est.INEQUALITIES["4.27"].series(
+        _window(1e4), SimpleNamespace(alpha=0.03, c_star=0.1, T=1.0))
+    assert bound - value == -math.inf
 
 
 def test_budget_validation():
@@ -282,7 +317,7 @@ def test_two_d_budget_invariants_raise():
 def test_admissible_gamma_star_saturates():
     nu, c4, c5, c_star = 1.0, 1 / 3, 150.0, 1 / 6
     g = est.admissible_gamma_star(nu, c4, c5, c_star)
-    m1, m2 = est.margin_4_19(nu, c4, c5, g, c_star)
+    m1, m2 = np.subtract(*est.admissibility(nu, c4, c5, g, c_star))
     assert abs(m1) < 1e-14 and m2 > 0
 
 
@@ -296,20 +331,35 @@ def test_B_constants_zero_forcing(stability_setup):
     assert b.B1_sq == 0.0
     assert b.B2_sq == 0.0
     assert b.B3_sq == pytest.approx(pert.diag["l2_sq"][0])
-    assert b.hypotheses_hold
+    assert b.assumption2_margin >= 0
     assert b.explicit_condition_margin > 0
-    reports = est.verify_l2_stability(pert, b, T)
-    assert all(r.status == est.PASS for r in reports.values())
+    ev = _stability_evidence(base, pert, budget)
+    assert ev.l2 == b
+    assert all(ev.report(k).status == est.PASS for k in ("4.1a", "4.1b"))
 
 
 def test_l2_stability_vacuous_when_hypotheses_fail(stability_setup):
     base, pert, budget, cal = stability_setup
-    twod = est.compute_A_constants(base, T, budget.nu)
-    b = est.compute_B_constants(pert, twod, budget.c1, budget.c3)
-    import dataclasses
-    broken = dataclasses.replace(b, assumption2_margin=-1.0)
-    reports = est.verify_l2_stability(pert, broken, T)
-    assert all(r.status == est.VACUOUS for r in reports.values())
+    ev = _stability_evidence(base, pert, budget)
+    ev.l2 = dataclasses.replace(ev.l2, assumption2_margin=-1.0)
+    for eq_id in ("4.1a", "4.1b"):
+        rep = ev.report(eq_id)
+        assert rep.status == est.VACUOUS
+        assert rep.note == "assumption 2 of the L2 lemma fails on this data"
+
+
+def test_claim_with_an_infinite_bound_is_vacuous(stability_setup):
+    # it bounds nothing; its margin +inf is written null, as strict JSON
+    base, pert, budget, cal = stability_setup
+    ev = _stability_evidence(base, pert, budget)
+    ev.l2 = dataclasses.replace(ev.l2, B3_sq=math.inf, B4_sq=math.inf)
+    for eq_id in ("4.1a", "4.1b"):
+        rep = ev.report(eq_id)
+        assert (rep.status, rep.note) == (est.VACUOUS, "the bound is infinite")
+        assert rep.worst_margin == math.inf
+        doc = json.loads(est.reports_to_json({eq_id: rep}),
+                         parse_constant=lambda token: 1 / 0)
+        assert doc[eq_id]["worst_margin"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +379,23 @@ def test_stability_series_invariants(stability_setup):
 
 def test_hypotheses_and_conclusion_pass(stability_setup):
     base, pert, budget, cal = stability_setup
-    series = [est.stability_series(pert, base, budget, k) for k in range(2)]
-    hyps = [est.check_stability_hypotheses(s, budget) for s in series]
-    for hyp in hyps:
-        assert est.hypotheses_hold(hyp)
-    conc = est.verify_stability_conclusion(series, hyps, budget)
-    assert set(conc) == {"4.13", "4.18-env", "4.25"}
-    for rep in conc.values():
-        assert rep.status == est.PASS
+    ev = _stability_evidence(base, pert, budget)
+    assert len(ev.windows) == 2 and all(ev.holds)
+    assert all(e is not None for e in ev.envelopes)
+    for eq_id in CONCLUSION_IDS:
+        assert ev.report(eq_id).status == est.PASS
 
 
 def test_hypotheses_vacuous_not_failed(stability_setup):
     base, pert, budget, cal = stability_setup
-    s = est.stability_series(pert, base, budget, 0)
-    tiny = est.StabilityBudget(nu=budget.nu, T=budget.T,
-                               gamma=1e-9, gamma_star=budget.gamma_star,
-                               c_star=budget.c_star, alpha=budget.alpha,
-                               c1=budget.c1, c3=budget.c3, c4=budget.c4,
-                               c5=budget.c5)
-    hyp = est.check_stability_hypotheses(s, tiny)
-    assert hyp["4.12a"].status == est.VACUOUS  # X^2(0) >> gamma
-    conc = est.verify_stability_conclusion([s], [hyp], tiny)
-    assert all(r.status == est.VACUOUS for r in conc.values())
+    tiny = dataclasses.replace(budget, gamma=1e-9)
+    ev = _stability_evidence(base, pert, tiny)
+    assert ev.hypotheses["4.12a"][0].status == est.VACUOUS  # X^2(0) >> gamma
+    assert not any(ev.holds)
+    for eq_id in CONCLUSION_IDS:
+        rep = ev.report(eq_id)
+        assert rep.status == est.VACUOUS
+        assert rep.note.endswith(" (hypotheses failed on at least one window)")
 
 
 def _envelope_oracle(series, budget, X0_sq):
@@ -453,13 +498,12 @@ def test_endpoint_bound_substitution(stability_setup):
     # alpha*gamma*e^{c*T/4} + X0^2 e^{-c*T/4}
     base, pert, budget, cal = stability_setup
     cs, T_, a, g = budget.c_star, budget.T, budget.alpha, budget.gamma
-    t = np.linspace(0, T_, 3)
     iA = 0.25 * cs * T_
     iG = a * g
-    s = est.StabilitySeries(window=0, times=t, X_sq=np.zeros(3),
-                            G_sq=np.full(3, iG / T_),
-                            A_sq=np.full(3, iA / T_))
-    bound = est.window_endpoint_bound(s, budget, g)
+    s = _window(iA, iG, T_, X0_sq=g)
+    _, bound, _ = est.INEQUALITIES["4.25"].series(
+        SimpleNamespace(windows=[s], budget=budget))
+    bound = bound[0] / (1.0 + est.CONCLUSION_TOL_REL)
     expect = math.exp(iA) * iG + math.exp(-0.5 * cs * T_ + iA) * g
     assert bound == pytest.approx(expect, rel=1e-12)
     assert bound <= (a * g * math.exp(iA) + g * math.exp(-0.25 * cs * T_)) \
@@ -562,3 +606,71 @@ def test_c3_bound_dominates_gradient_ascent():
     assert np.all(np.diff(ratios) >= -1e-12 * ratios[-1])
     assert ratios[-1] > 0.05
     assert ratios[-1] <= est.calibrate_constants(grid).c3
+
+
+# ---------------------------------------------------------------------------
+# the declaration table against the five functions it replaced
+
+_FORCE_3D = ["1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)*cos(t)",
+             "1e-6*sin(x2)*cos(t)"]
+
+#: N = 8 configs (seed 1), each with the property it is there for
+EQUIVALENCE_CASES = {
+    # smoke's physics: every id passes
+    "every-id-passes": ({}, lambda ev, reports: all(
+        r.status == est.PASS for r in reports.values())),
+    # forced-direct's physics: forced base and perturbation, direct run
+    "forced-direct": ({"windows": 1, "direct_3d": True, "base": {
+        "forcing": {"kind": "expression", "expressions": [
+            "1e-4*sin(x1)*cos(x2)*cos(t)", "-1e-4*cos(x1)*sin(x2)*cos(t)"]}},
+        "perturbation": {"forcing": {"kind": "expression",
+                                     "expressions": _FORCE_3D}}},
+        lambda ev, reports: all(ev.holds) and np.ptp(ev.windows[0].G_sq) > 0),
+    # hypothesis-violation's physics: no window meets its hypotheses
+    "hypothesis-unmet": ({"windows": 2, "perturbation": {"forcing": {
+        "kind": "expression",
+        "expressions": ["0.5*sin(x3)", "0.5*sin(x1)", "0.5*sin(x2)"]}}},
+        lambda ev, reports: not any(ev.holds)),
+    # gamma = gamma* and X^2(0) = gamma: the hypotheses hold, and the
+    # envelope leaves gamma* at once
+    "envelope-exceeds-gamma-star": ({"windows": 1,
+                                     "budget": {"gamma_frac": 1.0},
+                                     "perturbation": {"initial": {
+                                         "kind": "random",
+                                         "h1_sq_frac_of_gamma": 1.0}}},
+                                    lambda ev, reports: ev.holds == [True]
+                                    and ev.envelopes == [None]),
+    # a stronger base: the L2 lemma's assumption 2 fails
+    "l2-assumption-2-fails": ({"windows": 1, "base": {"initial": {
+        "kind": "taylor-green", "amplitude": 0.05}}},
+        lambda ev, reports: ev.l2.assumption2_margin < 0
+        and reports["4.1a"].status == est.VACUOUS),
+}
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_table_path_equals_the_five_functions(tmp_path, case):
+    # every id's report and the windows.csv text of the table path
+    # (experiments.analyze over estimates.INEQUALITIES, as run writes
+    # them) equal those of the five functions and the analyze they
+    # replaced, kept in tests/oracles.py
+    overrides, shows = EQUIVALENCE_CASES[case]
+    spec = exp.parse_config(json.dumps(
+        {"N": 8, "perturbation": {}} | overrides), 1)
+    exp.run_experiment(spec, str(tmp_path))
+    base, pert = (load_trajectory(tmp_path / run, exp._run_config(spec, run),
+                                  label)
+                  for run, label in (("base", "2d_base"),
+                                     ("perturbation", "perturbation")))
+    _, budget = exp._resolve_budget(spec)
+    got, evidence = exp.analyze(base, pert, spec, budget)
+    want, series_list, hyp_by_window = oracles.analyze(base, pert, spec,
+                                                       budget)
+    assert list(got) == list(est.INEQUALITIES) and set(want) == set(got)
+    for eq_id, rep in want.items():
+        assert got[eq_id].to_dict() == rep.to_dict(), eq_id
+    assert (tmp_path / "inequalities.json").read_text() \
+        == est.reports_to_json(want) + "\n"
+    assert (tmp_path / "windows.csv").read_text() \
+        == oracles._window_csv(series_list, hyp_by_window, want)
+    assert shows(evidence, got)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from torusflow import experiments as exp
-from torusflow import cli, solver, worker as worker_module
+from torusflow import cli, estimates as est, solver, worker as worker_module
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field, random_divfree_field
@@ -1118,6 +1118,53 @@ def test_cli_sweep_member_fails_alone(tmp_path, capsys, parallel):
     if parallel == 1:
         # a forked member writes to the process's stderr, past capsys
         assert "budget refused" in capsys.readouterr().err
+
+
+# a base strong enough that e^(int A^2) of 4.27 (amplitude 1.0) and the L2
+# lemma's e^(4 c3 L A5^2/(nu c1)) (2.0) are past the float range: run,
+# verify and a sweep member used to end in OverflowError, with no verdict
+# file (and the member recorded as a config error)
+STRONG_BASE = {"N": 8, "T": 0.5, "windows": 1, "perturbation": {}}
+
+
+def _strong_base(amplitude):
+    return dict(STRONG_BASE, base={"initial": {"kind": "taylor-green",
+                                               "amplitude": amplitude}})
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 2.0])
+def test_strong_base_is_analysed(tmp_path, capsys, amplitude):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_strong_base(amplitude)))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(out)])
+    written = {name: (out / name).read_bytes()
+               for name in exp.VERDICT_FILES.values()}
+    reports = json.loads(written["inequalities.json"], parse_constant=_refuse)
+    failed = [k for k, r in reports.items() if r["status"] == FAIL]
+    assert code == (exp.EXIT_FAIL if failed else exp.EXIT_OK)
+    assert all(est.INEQUALITIES[k].kind == est.CLAIM for k in failed)
+    # 4.27's margin is -inf, written null, and its hypothesis is vacuous
+    assert reports["4.27"]["status"] == VACUOUS
+    assert reports["4.27"]["worst_margin"] is None
+    assert cli.main(["verify", "--out", str(out)]) == code
+    for name, text in written.items():
+        assert (out / name).read_bytes() == text, name
+
+
+def test_cli_sweep_member_with_a_strong_base(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(dict(_strong_base(1.0), sweep=[{}])))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert code == exp.EXIT_OK
+    assert (out / "sweep.csv").read_text().splitlines() \
+        == ["member,exit_code,failed", f"{out / 'member_000'},0,False"]
 
 
 @pytest.mark.parametrize("parallel", [0, -1])

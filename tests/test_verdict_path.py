@@ -2,15 +2,21 @@
 
 run and verify reach their verdicts through experiments._check_saved, the
 one caller of experiments.analyze, and only run_experiment, which writes
-meta.json, names that file.  Both are read from a static scan (ast) of
-src/torusflow, so that a second verdict path or a reader of meta.json
-cannot come back unnoticed.
+meta.json, names that file.  Within estimates, one function makes a report
+vacuous and one evaluates every exponential, and the ids of its
+declaration table are those README.md and bench/checks.py name.  All are
+read statically (ast and text), so that a second verdict path, vacuity
+rule or exponential, or a reader of meta.json, cannot come back unnoticed.
 """
 
 import ast
+import re
 from pathlib import Path
 
+from torusflow import estimates as est
+
 ROOT = Path(__file__).resolve().parents[1]
+ESTIMATES = ROOT / "src" / "torusflow" / "estimates.py"
 
 
 def _docstrings(tree) -> set:
@@ -81,3 +87,59 @@ def test_the_scan_finds_analyze_calls_and_meta_json():
                      '        open(f"{out}/meta.json")\n')
     assert _sites(tree, "m", _calls_analyze) == ["m.f", "m.f"]
     assert _sites(tree, "m", _names_meta_json(tree)) == ["m.C.g"]
+
+
+def _assigns_vacuous(node) -> bool:
+    return isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+        and isinstance(node.value, ast.Name) and node.value.id == "VACUOUS"
+
+
+def _calls_exp(node) -> bool:
+    # math.exp, np.exp or a bare exp
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr == "exp")
+        or (isinstance(node.func, ast.Name) and node.func.id == "exp"))
+
+
+def test_one_function_makes_a_report_vacuous():
+    tree = ast.parse(ESTIMATES.read_text())
+    assert _sites(tree, "estimates", _assigns_vacuous) \
+        == ["estimates.Evidence.report"]
+
+
+def test_one_function_evaluates_an_exponential():
+    tree = ast.parse(ESTIMATES.read_text())
+    assert _sites(tree, "estimates", _calls_exp) == ["estimates.exp_bound"]
+
+
+def test_the_scan_finds_vacuity_and_exponentials():
+    tree = ast.parse("def f(r):\n    r.status = VACUOUS\n    x = VACUOUS\n"
+                     "    return r.status == VACUOUS\n"
+                     "def g(x):\n    return math.exp(x) + np.exp(x)"
+                     " + exp(x) + expm1(x)\n")
+    assert _sites(tree, "m", _assigns_vacuous) == ["m.f", "m.f"]
+    assert _sites(tree, "m", _calls_exp) == ["m.g", "m.g", "m.g"]
+
+
+def _readme_ids() -> list:
+    """The ids of README.md's table of inequalities, in its order."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| id | kind |", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+
+
+def _bench_expected_ids() -> tuple:
+    """bench/checks.py's EXPECTED_IDS, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "checks.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) \
+                and [t.id for t in node.targets] == ["EXPECTED_IDS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/checks.py has no EXPECTED_IDS")
+
+
+def test_readme_and_benchmark_name_the_declared_ids():
+    declared = list(est.INEQUALITIES)
+    assert len(declared) == 17
+    assert _readme_ids() == declared
+    assert sorted(_bench_expected_ids()) == sorted(declared)
