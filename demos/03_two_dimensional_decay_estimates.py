@@ -8,6 +8,7 @@ pipeline's own analysis, experiments.analyze.
 """
 
 import json
+import tempfile
 
 from torusflow import make_grid
 from torusflow.solver import SolverConfig, ForcingSpec, run_2d_base, \
@@ -27,7 +28,9 @@ cfg = SolverConfig(grid=grid, nu=nu, dt=spec["dt"], t_end=spec["windows"] * T,
                    forcing=ForcingSpec(kind="expression",
                                        expressions=tuple(forcing)),
                    initial=taylor_green_exact(grid, nu, 0.0, amplitude=0.3))
-base = run_2d_base(cfg)
+with tempfile.TemporaryDirectory() as out:
+    base = run_2d_base(cfg, out)
+    first = base.snapshot_field(0)
 
 reports, evidence = exp.analyze(base, None, spec, None)
 budget = evidence.twod
@@ -40,5 +43,5 @@ for key, rep in sorted(reports.items()):
     print(f"({key})  {rep.status:7s}  worst margin {rep.worst_margin:+.3e}"
           f"  at t = {rep.worst_time:.2f}")
 
-res = est.vorticity_cancellation_residual(base.snapshot_field(0))
+res = est.vorticity_cancellation_residual(first)
 print(f"\nvorticity cancellation residual (exact 0 in 2D): {res:.3e}")

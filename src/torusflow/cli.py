@@ -9,6 +9,7 @@ Sub-commands:
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -98,10 +99,13 @@ def margin_convergence_constant(coarse: dict, fine: dict, dt: float,
     """Tolerance constant from a dt-halving pair of margin sets.
 
     The worst margins differ by ~ (3/4) C dt^2 for a second-order scheme;
-    the returned C carries a safety factor.
+    the returned C carries a safety factor.  Only ids whose two margins
+    are both finite enter C; with none, C is 1.
     """
-    diffs = [abs(coarse[k].worst_margin - fine[k].worst_margin)
+    pairs = [(coarse[k].worst_margin, fine[k].worst_margin)
              for k in coarse if k in fine]
+    diffs = [abs(a - b) for a, b in pairs
+             if math.isfinite(a) and math.isfinite(b)]
     if not diffs:
         return 1.0
     return safety * max(diffs) / (0.75 * dt * dt)
@@ -115,8 +119,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    import math
-
     L = args.L if args.L is not None else 2.0 * math.pi
     try:
         grid = make_grid(L, args.N, 3)

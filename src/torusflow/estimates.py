@@ -367,6 +367,11 @@ class BConstants:
     explicit_condition_margin: float  # Remark 4.2 form
 
 
+def _mean_sq(run: Trajectory) -> np.ndarray:
+    """|mean|^2 at every step of a 3D run, from its mean_i columns."""
+    return sum(run.diag[f"mean_{i + 1}"] ** 2 for i in range(run.grid.dim))
+
+
 def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
                         c1: float, c3: float) -> BConstants:
     """Evaluate B1..B4 and the smallness conditions of the L2 estimate.
@@ -377,7 +382,7 @@ def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
     nu, T = twod.nu, twod.T
     L = pert.grid.L
     t = pert.diag["t"]
-    mean_sq = np.sum(pert.diag["mean"]**2, axis=1)
+    mean_sq = _mean_sq(pert)
     g65_sq = pert.diag["forcing_l6_5_sq"]
 
     integrand = (nu * c1 / (2.0 * c3)) * mean_sq \
@@ -441,7 +446,7 @@ def stability_series(pert: Trajectory, base: Trajectory,
         * base.diag["grad_l3_sq"][r * sel]  # extruded to the 3D box
     A_sq = (budget.c5 / nu) * grad_l3_sq
 
-    mean_sq = np.sum(pert.diag["mean"][sel] ** 2, axis=1)
+    mean_sq = _mean_sq(pert)[sel]
     g_l2_sq = pert.diag["forcing_l2_sq"][sel]
     G_sq = (budget.c5 / nu) * (grad_l3_sq * mean_sq + g_l2_sq)
     return StabilitySeries(window=window, times=t, X_sq=X_sq, G_sq=G_sq,

@@ -55,6 +55,7 @@ import shutil
 import time
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field as dc_field
+from typing import ClassVar
 
 import numpy as np
 
@@ -193,9 +194,10 @@ class SolverConfig:
     read-only, are fixed then.  dt must resolve the viscous scale of the grid:
     dt*nu*kmax^2 <= 100.
 
-    A run records diag_columns at every step and takes a snapshot every
-    snapshot_stride steps, the last step included.  sigma is the exponent
-    of the W^{1,sigma} norm that the 2D base run records.
+    A run records diag_columns at every step and, given a trajectory
+    directory, takes a snapshot every snapshot_stride steps, the last step
+    included.  sigma is the exponent of the W^{1,sigma} norm that the 2D
+    base run records.
     """
 
     grid: TorusGrid
@@ -244,7 +246,7 @@ def diag_columns(label: str, dim: int) -> list:
     Every run records, at every step, the L2, H1-seminorm and H2 norms of
     its mean-free part and the squared L2 norm of its mean-free force.  The
     2D base adds the norms of 4.25-4.27 (grad_l3_sq, ||grad v||_{L3}^2) and
-    3.8 (w1_sigma, ||v||_{L^sigma} + ||grad v||_{L^sigma}) and writes no
+    3.8 (w1_sigma, ||v||_{L^sigma} + ||grad v||_{L^sigma}) and records no
     mean, which no check reads; the perturbation adds forcing_l6_5_sq, the
     squared L^{6/5} norm of its mean-free force, which only B1 reads.
     """
@@ -258,23 +260,20 @@ def diag_columns(label: str, dim: int) -> list:
 
 @dataclass
 class Trajectory:
-    """A run: spectral snapshots (mean included at k=0) and the per-step
-    series of diag_columns of its label, each read from the run's state or
-    force on the 2/3-rule modes K (_Member; diag["mean"] holds the mean as
-    one array, for every run in memory and for a 3D run loaded from disk).
+    """A run, as its trajectory directory holds it: diag, the per-step
+    series of diag_columns of its label, in that order, each read from the
+    run's state or force on the 2/3-rule modes K (_Member), and
+    snapshot_paths, the field.save_field files of the spectral snapshots
+    (mean included at k=0) that the run streamed to that directory.  A run
+    given no directory, and a trajectory loaded from disk, has none.
 
-    The snapshots, taken at times, are held in memory (snapshots), or, for
-    a run that streamed them to disk, are files of field.save_field
-    (snapshot_paths) and snapshots is empty.  A trajectory loaded from disk
-    has neither.  step_seconds is the wall time the run spent stepping and
-    recording, force_evaluations the evaluations of its force (one per
-    step time, _Workspace.kept_force), wait_seconds the wall time its caller
-    waited for a worker of it, and forcing_worker (busy seconds, force
+    step_seconds is the wall time the run spent stepping and recording,
+    force_evaluations the evaluations of its force (one per step time,
+    _Workspace.kept_force), wait_seconds the wall time its caller waited
+    for a worker of it, and forcing_worker (busy seconds, force
     evaluations) of the worker that computed its forcing_l6_5_sq, if any."""
 
     grid: TorusGrid
-    times: np.ndarray
-    snapshots: list
     diag: dict
     label: str
     step_seconds: float = 0.0
@@ -282,12 +281,12 @@ class Trajectory:
     wait_seconds: float = 0.0
     forcing_worker: tuple | None = None
     snapshot_paths: list = dc_field(default_factory=list)
+    # no snapshot is held in memory; kept only for bench/trace_cli.py's
+    # solver.base_snapshot_mb, until ROADMAP item 9 rewrites the trace
+    snapshots: ClassVar[tuple] = ()
 
     def snapshot_field(self, i: int) -> Field:
-        if self.snapshot_paths:
-            return load_field(self.snapshot_paths[i])
-        return spectral_field(self.grid, self.snapshots[i],
-                              divergence_free=True, time_stamp=self.times[i])
+        return load_field(self.snapshot_paths[i])
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +649,8 @@ class _Member:
 
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
-    (_partial_snapshot_dir) and keeps only the path; without one it keeps
-    a copy of the state in memory.
+    (_partial_snapshot_dir) and keeps only the path; without one it takes
+    no snapshots.
 
     Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i is
     the squared L2 norm of the applied force at tgrid[i] without its mean:
@@ -675,20 +674,22 @@ class _Member:
         self.tgrid = cfg.times
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
-        norms = ("grad_l3_sq", "w1_sigma") if label == "2d_base" else ()
-        self.diag = {"t": self.tgrid, "mean": np.empty((self.n + 1, grid.dim))}
-        for c in ("l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq") + norms:
-            self.diag[c] = np.empty(self.n + 1)
+        # run_perturbation adds forcing_l6_5_sq, the perturbation's last
+        self.diag = {"t": self.tgrid} | {
+            c: np.empty(self.n + 1) for c in diag_columns(label, grid.dim)
+            if c not in ("t", "forcing_l6_5_sq")}
+        self.means = [c for c in self.diag if c.startswith("mean_")]
         self.snapdir = None if directory is None \
             else _partial_snapshot_dir(directory)
-        self.snapshots, self.snapshot_paths, self.snap_times = [], [], []
+        self.snapshot_paths = []
         self._record(0)
         self.seconds = time.perf_counter() - t0
 
     def _record(self, i):
         cfg, grid, ws, diag = self.cfg, self.cfg.grid, self.ws, self.diag
         t, v = self.tgrid[i], self.state
-        diag["mean"][i] = np.real(v[(slice(None),) + (0,) * grid.dim])
+        for c, m in zip(self.means, v[(slice(None),) + (0,) * grid.dim].real):
+            diag[c][i] = m
         diag["l2_sq"][i], diag["grad_l2_sq"][i], diag["h2_sq"][i] = \
             ws.mean_free_norms_sq(v)
         if not np.isfinite(diag["l2_sq"][i]):
@@ -701,18 +702,13 @@ class _Member:
         if self.label == "2d_base":
             diag["grad_l3_sq"][i], diag["w1_sigma"][i] = \
                 ws.base_norms(v, cfg.sigma)
-        if i % cfg.snapshot_stride and i != self.n:
+        if self.snapdir is None or (i % cfg.snapshot_stride and i != self.n):
             return
-        spec = ws.to_full(v)
-        if self.snapdir is None:
-            self.snapshots.append(spec)
-        else:
-            path = os.path.join(self.snapdir,
-                                f"snap_{len(self.snap_times):06d}.npz")
-            save_field(path, spectral_field(grid, spec, divergence_free=True,
-                                            time_stamp=t))
-            self.snapshot_paths.append(path)
-        self.snap_times.append(t)
+        path = os.path.join(self.snapdir,
+                            f"snap_{len(self.snapshot_paths):06d}.npz")
+        save_field(path, spectral_field(grid, ws.to_full(v),
+                                        divergence_free=True, time_stamp=t))
+        self.snapshot_paths.append(path)
 
     def advance(self, i, background=None):
         """Step from step i to step i + 1, with the background of
@@ -727,8 +723,6 @@ class _Member:
         cfg = self.cfg
         return Trajectory(
             grid=cfg.grid,
-            times=np.array(self.snap_times),
-            snapshots=self.snapshots,
             diag=self.diag,
             label=self.label,
             step_seconds=self.seconds,
@@ -966,10 +960,7 @@ def save_trajectory(traj: Trajectory, directory) -> list:
     os.replace(partial, snapdir)
     traj.snapshot_paths = [os.path.join(snapdir, os.path.basename(p))
                            for p in files]
-
-    series = {**traj.diag, **{f"mean_{i + 1}": m
-                              for i, m in enumerate(traj.diag["mean"].T)}}
-    _write_table(os.path.join(directory, "diagnostics.csv"), series,
+    _write_table(os.path.join(directory, "diagnostics.csv"), traj.diag,
                  diag_columns(traj.label, traj.grid.dim))
     return traj.snapshot_paths
 
@@ -979,27 +970,21 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
     of cfg labelled label.
 
     The per-step series are read from diagnostics.csv exactly as the run
-    wrote them, the mean_i columns of a 3D run into diag["mean"];
-    _read_table refuses the file when it is missing, its header or rows
-    are not the columns of label on cfg's grid or a value is not finite,
-    and series at times other than cfg's step times (cfg.times) are
-    refused too: rows out of order, missing or extra.  Nothing is
-    re-evaluated, and neither snapshot files nor any other file of the
-    directory are read, so the trajectory has no snapshots;
-    field.load_field reads one.
+    wrote them, one array per column; _read_table refuses the file when
+    it is missing, its header or rows are not the columns of label on
+    cfg's grid or a value is not finite, and series at times other than
+    cfg's step times (cfg.times) are refused too: rows out of order,
+    missing or extra.  Nothing is re-evaluated, and neither snapshot files
+    nor any other file of the directory are read, so the trajectory has no
+    snapshot_paths; field.load_field reads a snapshot.
     """
     path = os.path.join(directory, "diagnostics.csv")
-    columns = diag_columns(label, cfg.grid.dim)
-    diag = _read_table(path, columns)
-    means = [c for c in columns if c.startswith("mean_")]
-    if means:
-        diag["mean"] = np.column_stack([diag.pop(c) for c in means])
+    diag = _read_table(path, diag_columns(label, cfg.grid.dim))
     if not np.array_equal(diag["t"], cfg.times):
         raise FileNotFoundError(f"{path}: the series are not at the run's "
                                 f"{cfg.n_steps} steps of dt={cfg.dt:g}; "
                                 "run the experiment again")
-    return Trajectory(grid=cfg.grid, times=np.empty(0), snapshots=[],
-                      diag=diag, label=label)
+    return Trajectory(grid=cfg.grid, diag=diag, label=label)
 
 
 def _write_atomic(path, text: str):

@@ -25,6 +25,13 @@ def mean(field: Field) -> np.ndarray:
     return np.real(field.spectral()[zero]).copy()
 
 
+def mean_columns(run) -> np.ndarray:
+    """The mean vector a 3D run recorded at every step, one row a step,
+    from its mean_i columns."""
+    return np.column_stack([run.diag[f"mean_{i + 1}"]
+                            for i in range(run.grid.dim)])
+
+
 def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
     """The former norms.lp_norm: the L_p norm of the pointwise Euclidean
     magnitude |u(x)|, by Parseval for p = 2, else by the collocation rule

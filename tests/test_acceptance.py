@@ -23,7 +23,7 @@ from torusflow import estimates as est
 from torusflow import experiments as exp
 from torusflow.cli import margin_convergence_constant
 
-from oracles import mean, mean_ode_integrate, poincare_ratio
+from oracles import mean, mean_columns, mean_ode_integrate, poincare_ratio
 
 
 def _line(n, ok, detail):
@@ -45,7 +45,7 @@ def calibrated():
     return cal, budget
 
 
-def test_criterion_01_taylor_green_validation():
+def test_criterion_01_taylor_green_validation(tmp_path):
     """N=32, nu=0.1, dt=1e-3, t=1: pointwise error <= 1e-6, halving >= 3.5x,
     under 30 s."""
     t0 = time.time()
@@ -56,7 +56,7 @@ def test_criterion_01_taylor_green_validation():
         cfg = SolverConfig(grid=grid, nu=nu, dt=dt, t_end=1.0, T=1.0,
                            initial=taylor_green_exact(grid, nu, 0.0),
                            snapshot_stride=round(1.0 / dt))
-        traj = run_2d_base(cfg)
+        traj = run_2d_base(cfg, tmp_path / f"dt-{dt:g}")
         exact = taylor_green_exact(grid, nu, 1.0)
         errs.append(np.abs(traj.snapshot_field(-1).physical()
                            - exact.physical()).max())
@@ -159,11 +159,11 @@ def test_criterion_06_mean_evolution():
         f_means = [mean(spectral_field(grid, forcing.evaluate(grid, t)))
                    for t in traj.diag["t"]]
         oracle = mean_ode_integrate(traj.diag["t"], f_means, np.zeros(3))
-        worst = max(worst, np.abs(traj.diag["mean"] - oracle).max())
+        worst = max(worst, np.abs(mean_columns(traj) - oracle).max())
     _line(6, worst <= 1e-8, f"max |k=0 coeff - mean ODE| {worst:.3e} <= 1e-8")
 
 
-def test_criterion_07_split_consistency():
+def test_criterion_07_split_consistency(tmp_path):
     """Direct 3D run vs recombined base+perturbation: L2 difference at t=1
     <= 1e-5 at N=16, dt=1e-3; shrinks at >= second order under halving.
 
@@ -189,7 +189,9 @@ def test_criterion_07_split_consistency():
                          snapshot_stride=steps),
             base_cfg,
             SolverConfig(grid=g3, nu=nu, dt=dt, t_end=1.0, T=1.0, initial=v0,
-                         snapshot_stride=steps))
+                         snapshot_stride=steps),
+            tuple(tmp_path / f"dt-{dt:g}" / name
+                  for name in ("base", "perturbation", "direct")))
         recombined = extrude_field(base.snapshot_field(-1), g3).physical() \
             + pert.snapshot_field(-1).physical()
         diff = physical_field(

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package."""
+"""Every demo script runs to completion against the package and leaves
+nothing in its working directory."""
 
 import os
 import subprocess
@@ -18,3 +19,4 @@ def test_demo_runs(script, tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir())

@@ -110,8 +110,9 @@ def forced_base(grid2):
 
 
 @pytest.fixture(scope="module")
-def stability_setup(grid2, grid3):
-    """Small Taylor-Green base + small random perturbation, 2 windows."""
+def stability_setup(grid2, grid3, tmp_path_factory):
+    """Small Taylor-Green base + small random perturbation, 2 windows; the
+    perturbation streams its snapshots to a directory."""
     nu, dt, windows = 1.0, 2e-3, 2
     cal = est.calibrate_constants(grid3)
     c_star = 0.5 * nu * cal.c4
@@ -126,9 +127,11 @@ def stability_setup(grid2, grid3):
         snapshot_stride=250)
     u0 = random_divfree_field(grid3, seed=7, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
+    out = tmp_path_factory.mktemp("stability")
     base, pert, _ = run_perturbation(SolverConfig(
         grid=grid3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
-        snapshot_stride=250), base_cfg)
+        snapshot_stride=250), base_cfg,
+        directories=(None, out / "perturbation", None))
     return base, pert, budget, cal
 
 

@@ -1,6 +1,7 @@
 """Config parsing, orchestration, reporting, CLI plumbing."""
 
 import json
+import math
 import os
 import shutil
 from pathlib import Path
@@ -1365,6 +1366,16 @@ def test_margin_convergence_constant():
     fine = {"a": InequalityReport("a", [0.0], [1.0 + 7.5e-7], 0)}
     C = cli.margin_convergence_constant(coarse, fine, 1e-3)
     assert C == pytest.approx(2 * 7.5e-7 / (0.75e-6), rel=1e-6)
+    # a margin of a strong base can be +-inf (4.25, 4.27): inf - inf is
+    # nan, which max() kept when it came first.  Such ids are left out,
+    # whatever their order, and C is 1 when no id is left
+    inf = {k: InequalityReport(k, [0.0], [m], 0)
+           for k, m in (("4.25", math.inf), ("4.27", -math.inf))}
+    for order in (inf | coarse, coarse | inf):
+        assert cli.margin_convergence_constant(order, fine | inf, 1e-3) == C
+    assert cli.margin_convergence_constant(inf, inf, 1e-3) == 1.0
+    assert cli.margin_convergence_constant(
+        inf, {"4.25": InequalityReport("4.25", [0.0], [1.0], 0)}, 1e-3) == 1.0
 
 
 def test_run_dt_halving(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Time integration: scheme order, invariants, forcing, persistence."""
 
 import dataclasses
-import itertools
 import json
 import os
 import pickle
@@ -31,7 +30,7 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
 from torusflow.worker import Worker
 
 from oracles import (FullLatticeWorkspace, forcing_norm_sq_series, mean,
-                     mean_ode_integrate)
+                     mean_columns, mean_ode_integrate)
 
 
 def nse_rhs(v, f, nu):
@@ -193,6 +192,11 @@ def test_kernel_on_k_deriv_matches_kernel_on_k(grid2, grid3, case):
     np.testing.assert_array_equal(got, ref)
 
 
+def _snapshots(run) -> list:
+    """The spectral states of the snapshot files a run streamed, in order."""
+    return [load_field(p).spectral() for p in run.snapshot_paths]
+
+
 def _signed_zeros(a) -> int:
     """The entries of a whose real or imaginary part is -0.0."""
     return int(np.count_nonzero((a.real == 0) & np.signbit(a.real))
@@ -201,7 +205,7 @@ def _signed_zeros(a) -> int:
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("N", [6, 8, 16])
-def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
+def test_kept_mode_step_matches_full_lattice_oracle(N, dim, tmp_path):
     # the replaced path steps the full spectral lattice under the 2/3-rule
     # masks; stepped on K alone, under a time-dependent force and (3D) an
     # x3-invariant background that changes from step to step, the state is
@@ -235,14 +239,17 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
 
     cfg = SolverConfig(grid=grid, nu=nu, dt=dt, t_end=steps * dt,
                        T=steps * dt, forcing=forcing, initial=initial)
-    run = run_2d_base(cfg) if dim == 2 else run_full_3d(cfg)
+    run = run_2d_base(cfg, tmp_path) if dim == 2 \
+        else run_full_3d(cfg, tmp_path)
     # a run without a background, stored at every step: byte for byte the
     # replaced path's states on K, +0.0 outside K from the first one on
     old = FullLatticeWorkspace(grid, nu, dt)
     v = v0.copy()
-    assert run.snapshots[0].tobytes() == ws.to_full(ws.to_kept(v)).tobytes()
-    assert _signed_zeros(run.snapshots[0][:, ~grid.dealias_mask]) == 0
-    for i, snap in enumerate(run.snapshots[1:]):
+    snaps = _snapshots(run)
+    assert len(snaps) == steps + 1
+    assert snaps[0].tobytes() == ws.to_full(ws.to_kept(v)).tobytes()
+    assert _signed_zeros(snaps[0][:, ~grid.dealias_mask]) == 0
+    for i, snap in enumerate(snaps[1:]):
         old.step(v, i * dt, (i + 1) * dt, forcing)
         assert snap.tobytes() == v.tobytes()
         assert _signed_zeros(snap[:, ~grid.dealias_mask]) == 0
@@ -250,7 +257,7 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("N", [8, 16])
-def test_kept_mode_norms_match_full_lattice_norms(N, dim):
+def test_kept_mode_norms_match_full_lattice_norms(N, dim, tmp_path):
     # the replaced path: the three Parseval sums of norms on the mean-free
     # part of the state copied onto the full lattice; on K alone the sums
     # run in another order, so they agree to roundoff
@@ -268,17 +275,21 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim):
             rtol=1e-14, atol=0)
         # a force's record takes the L2 sum alone, with the same bits
         assert ws.mean_free_norms_sq(v, 1) == ws.mean_free_norms_sq(v)[:1]
-    # a run records its mean as the k=0 coefficient of its state, bit for
-    # bit, under a mean force
+    # a 3D run records its mean as the k=0 coefficient of its state, bit
+    # for bit, under a mean force; the 2D base records none
     forcing = ForcingSpec(kind="expression", expressions=(
         "0.3*cos(2*t) + 0.1*sin(x2)", "0.2 + 0*x1", "0.1*sin(t)")[:dim])
     cfg = SolverConfig(grid=grid, nu=0.5, dt=4e-3, t_end=0.02, T=0.02,
                        forcing=forcing,
                        initial=random_divfree_field(grid, 1, target_h1=0.5))
-    run = run_2d_base(cfg) if dim == 2 else run_full_3d(cfg)
-    k0 = np.real([s[(slice(None),) + (0,) * dim] for s in run.snapshots])
-    assert np.abs(k0[1:]).min() > 0
-    assert run.diag["mean"].tobytes() == k0.tobytes()
+    run = run_2d_base(cfg, tmp_path) if dim == 2 \
+        else run_full_3d(cfg, tmp_path)
+    k0 = np.real([s[(slice(None),) + (0,) * dim] for s in _snapshots(run)])
+    assert len(k0) == cfg.n_steps + 1 and np.abs(k0[1:]).min() > 0
+    means = [c for c in run.diag if c.startswith("mean_")]
+    assert means == ([] if dim == 2 else ["mean_1", "mean_2", "mean_3"])
+    for c, m in zip(means, k0.T):
+        assert run.diag[c].tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3])
@@ -320,7 +331,7 @@ def test_advance_detects_blowup(grid2):
     assert (info.value.time, info.value.quantity) == (0.0, "2d_base L2 norm")
 
 
-def test_second_order_convergence(grid2):
+def test_second_order_convergence(grid2, tmp_path):
     # forced run so the nonlinear coupling is genuinely exercised
     nu, t_end = 0.2, 0.25
     forcing = ForcingSpec(kind="expression", expressions=(
@@ -331,14 +342,14 @@ def test_second_order_convergence(grid2):
                            forcing=forcing,
                            initial=taylor_green_exact(grid2, nu, 0.0, 0.5),
                            snapshot_stride=round(t_end / dt))
-        traj = run_2d_base(cfg)
+        traj = run_2d_base(cfg, tmp_path / f"dt-{dt:g}")
         errs.append(traj.snapshot_field(-1).spectral())
     # Richardson: error(dt) ~ 4*error(dt/2); compare both against dt/4
     cfg = SolverConfig(grid=grid2, nu=nu, dt=5e-4, t_end=t_end, T=t_end,
                        forcing=forcing,
                        initial=taylor_green_exact(grid2, nu, 0.0, 0.5),
                        snapshot_stride=round(t_end / 5e-4))
-    ref = run_2d_base(cfg).snapshot_field(-1).spectral()
+    ref = run_2d_base(cfg, tmp_path / "ref").snapshot_field(-1).spectral()
     e_coarse = np.abs(errs[0] - ref).max()
     e_fine = np.abs(errs[1] - ref).max()
     assert e_coarse / e_fine > 3.5
@@ -382,10 +393,11 @@ def test_ab2_step_matches_replaced_heun_to_second_order(case):
     assert 3.8 < diffs[0] / diffs[1] < 4.2
 
 
-def test_run_keeps_divergence_free(grid2):
+def test_run_keeps_divergence_free(grid2, tmp_path):
     cfg = _tg_cfg(grid2, t_end=0.05, snapshot_stride=50)
-    traj = run_2d_base(cfg)
-    for i in range(len(traj.times)):
+    traj = run_2d_base(cfg, tmp_path)
+    assert len(traj.snapshot_paths) == 2
+    for i in range(len(traj.snapshot_paths)):
         assert divergence_linf(traj.snapshot_field(i)) < 1e-12
 
 
@@ -396,19 +408,20 @@ def test_mean_ode_trapezoid_exact_for_linear():
     assert out[-1] == pytest.approx([2.0, 1.0])  # 1 + t^2, t
 
 
-def test_base_run_mean_follows_forcing(grid2):
+def test_base_run_mean_follows_forcing(grid2, tmp_path):
+    # the base records no mean: the k=0 coefficient of each snapshot
+    # carries it
     forcing = ForcingSpec(kind="expression",
                           expressions=("0.3 + 0*x1", "0.1*cos(t)"))
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.5, T=0.5,
                        forcing=forcing, snapshot_stride=100,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.2))
-    traj = run_2d_base(cfg)
-    t = traj.diag["t"]
+    traj = run_2d_base(cfg, tmp_path)
+    snaps = [load_field(p) for p in traj.snapshot_paths]
+    assert [s.time_stamp for s in snaps] == list(cfg.times[::100])
+    t = np.array([s.time_stamp for s in snaps])
     exact = np.stack([0.3 * t, 0.1 * np.sin(t)], axis=1)
-    assert np.abs(traj.diag["mean"] - exact).max() < 1e-7
-    # the k=0 coefficient of each snapshot carries the mean
-    final = mean(traj.snapshot_field(-1))
-    assert final == pytest.approx(traj.diag["mean"][-1], abs=1e-14)
+    assert np.abs(np.array([mean(s) for s in snaps]) - exact).max() < 1e-7
 
 
 def test_full_3d_mean_matches_ode(grid3):
@@ -421,13 +434,14 @@ def test_full_3d_mean_matches_ode(grid3):
     f_means = [mean(spectral_field(grid3, forcing.evaluate(grid3, t)))
                for t in traj.diag["t"]]
     oracle = mean_ode_integrate(traj.diag["t"], f_means, np.zeros(3))
-    assert np.abs(traj.diag["mean"] - oracle).max() < 1e-10
+    assert np.abs(mean_columns(traj) - oracle).max() < 1e-10
 
 
 @pytest.mark.parametrize("mean_force", [
     None, ("0.5*cos(3*t)", "0.3*sin(2*t) + 0*x1", "0*x1")],
     ids=["unforced", "mean-force"])
-def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force):
+def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force,
+                                                    tmp_path):
     """With v_s = 0 the perturbation system is the plain 3D system, also
     while a time-dependent mean force drives the mean."""
     nu, dt, t_end = 0.2, 2e-3, 0.1
@@ -441,13 +455,39 @@ def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force):
     steps = round(t_end / dt)
     pcfg = SolverConfig(grid=grid3, nu=nu, dt=dt, t_end=t_end, T=t_end,
                         initial=u0, snapshot_stride=steps, forcing=forcing)
-    _, pert, _ = run_perturbation(pcfg, base_cfg)
+    _, pert, _ = run_perturbation(
+        pcfg, base_cfg, directories=(tmp_path / "base", tmp_path / "pert",
+                                     None))
     full = run_full_3d(SolverConfig(grid=grid3, nu=nu, dt=dt, t_end=t_end,
                                     T=t_end, initial=u0, forcing=forcing,
-                                    snapshot_stride=steps))
+                                    snapshot_stride=steps), tmp_path / "full")
     diff = np.abs(pert.snapshot_field(-1).spectral()
                   - full.snapshot_field(-1).spectral()).max()
     assert diff < 1e-13
+
+
+def _run_dirs(path) -> tuple:
+    """One trajectory directory under path for each run of
+    run_perturbation, in its order."""
+    return tuple(path / name for name in ("base", "perturbation", "direct"))
+
+
+def _stored_base_oracle(base_states, pert_cfg, r) -> list:
+    """The replaced path: the full-lattice states of the perturbation of
+    pert_cfg at every step, stepped with x3-invariant backgrounds read back
+    from the stored states of the base run at every base step, r base steps
+    a perturbation step."""
+    g3 = pert_cfg.grid
+    g2 = make_grid(g3.L, g3.N, 2)
+    ws = _Workspace(g3, pert_cfg.nu, pert_cfg.dt)
+    u = ws.to_kept(leray_data(g3, pert_cfg.initial.spectral()))
+    states = [ws.to_full(u)]
+    tgrid = pert_cfg.dt * np.arange(pert_cfg.n_steps + 1)
+    for i in range(pert_cfg.n_steps):
+        background = physical_data(g2, base_states[i * r])[..., np.newaxis]
+        ws.step(u, tgrid[i], tgrid[i + 1], pert_cfg.forcing, background)
+        states.append(ws.to_full(u))
+    return states
 
 
 def _lockstep_configs(r):
@@ -475,34 +515,24 @@ def _lockstep_configs(r):
 
 
 @pytest.mark.parametrize("r", [1, 2])
-def test_lockstep_matches_stored_base_oracle(r):
+def test_lockstep_matches_stored_base_oracle(r, tmp_path):
     # the replaced path: the base run stored at every base step, then the
     # perturbation stepped with x3-invariant backgrounds read back from its
     # snapshots on the perturbation's step times
     base_cfg, pert_cfg, _ = _lockstep_configs(r)
-    stored = run_2d_base(base_cfg)
-    g2, g3 = base_cfg.grid, pert_cfg.grid
+    stored = run_2d_base(base_cfg, tmp_path / "stored")
+    oracle = _stored_base_oracle(_snapshots(stored), pert_cfg, r)
 
-    ws = _Workspace(g3, pert_cfg.nu, pert_cfg.dt)
-
-    def background(i):
-        return physical_data(g2, stored.snapshots[i * r])[..., np.newaxis]
-
-    u = ws.to_kept(leray_data(g3, pert_cfg.initial.spectral()))
-    oracle = [ws.to_full(u)]
-    tgrid = pert_cfg.dt * np.arange(pert_cfg.n_steps + 1)
-    for i in range(pert_cfg.n_steps):
-        ws.step(u, tgrid[i], tgrid[i + 1], pert_cfg.forcing, background(i))
-        oracle.append(ws.to_full(u))
-
-    base, pert, direct = run_perturbation(pert_cfg, base_cfg)
+    base, pert, direct = run_perturbation(pert_cfg, base_cfg,
+                                          directories=_run_dirs(tmp_path))
     assert direct is None
-    np.testing.assert_array_equal(np.array(pert.snapshots),
+    np.testing.assert_array_equal(np.array(_snapshots(pert)),
                                   np.array(oracle))
-    np.testing.assert_array_equal(np.array(base.snapshots),
-                                  np.array(stored.snapshots))
-    for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
-        np.testing.assert_array_equal(base.diag[key], stored.diag[key])
+    np.testing.assert_array_equal(np.array(_snapshots(base)),
+                                  np.array(_snapshots(stored)))
+    assert list(base.diag) == list(stored.diag)
+    for key, series in stored.diag.items():
+        np.testing.assert_array_equal(base.diag[key], series)
 
 
 def test_backgrounds_stream_the_base_velocity_alone():
@@ -521,45 +551,55 @@ def test_backgrounds_stream_the_base_velocity_alone():
         next(items)
 
 
-def test_streamed_snapshots_equal_in_memory_path(tmp_path):
-    # the in-memory list is the reference: every streamed file holds the
-    # same state and time, and a saved streamed run matches the in-memory
-    # one, its snapshots written by save_field, file for file
+def _full_lattice_states(cfg) -> list:
+    """The replaced path: the states of a run of cfg without a background
+    at every step, stepped on the full lattice (FullLatticeWorkspace), the
+    first taken onto K and back, as a run stores it."""
+    grid = cfg.grid
+    ws, old = _Workspace(grid), FullLatticeWorkspace(grid, cfg.nu, cfg.dt)
+    v = leray_data(grid, cfg.initial.spectral() * grid.dealias_mask)
+    states = [ws.to_full(ws.to_kept(v))]
+    for i in range(cfg.n_steps):
+        old.step(v, cfg.times[i], cfg.times[i + 1], cfg.forcing)
+        states.append(v.copy())
+    return states
+
+
+def test_streamed_snapshots_equal_oracle_states(tmp_path):
+    # each file a run streams holds the oracle's state at its step, and
+    # that step's time: the full-lattice path for the base and the direct
+    # run, the stored-base path for the perturbation.  A saved run's files
+    # are those states written by save_field, file for file
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
-    held = run_perturbation(pert_cfg, base_cfg, direct_cfg)
-    names = ("base", "perturbation", "direct")
-    dirs = tuple(tmp_path / "streamed" / name for name in names)
-    streamed = run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
-    for name, directory, mem, disk in zip(names, dirs, held, streamed):
+    base_states = _full_lattice_states(base_cfg)
+    oracles = (base_states, _stored_base_oracle(base_states, pert_cfg, 2),
+               _full_lattice_states(direct_cfg))
+    dirs = _run_dirs(tmp_path / "streamed")
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
+    for cfg, directory, run, states in zip((base_cfg, pert_cfg, direct_cfg),
+                                           dirs, runs, oracles):
         partial = str(directory / "snapshots.partial")
-        assert disk.snapshots == []
-        assert [os.path.dirname(p) for p in disk.snapshot_paths] \
-            == [partial] * len(mem.snapshots)
-        np.testing.assert_array_equal(disk.times, mem.times)
+        steps = range(0, cfg.n_steps + 1, cfg.snapshot_stride)
+        assert [os.path.dirname(p) for p in run.snapshot_paths] \
+            == [partial] * len(steps)
         # the pickle a worker sends back carries paths, not states
-        assert len(pickle.dumps(disk)) \
-            - sum(len(p.encode()) for p in disk.snapshot_paths) \
-            < len(pickle.dumps(mem)) - sum(s.nbytes for s in mem.snapshots)
-        for i, path in enumerate(disk.snapshot_paths):
-            got, want = disk.snapshot_field(i), mem.snapshot_field(i)
-            assert got.data.tobytes() == want.data.tobytes()
-            assert (got.grid, got.representation, got.divergence_free,
-                    got.time_stamp) == (want.grid, want.representation,
-                                        want.divergence_free,
-                                        want.time_stamp)
-        held_dir = tmp_path / "held" / name
+        assert len(pickle.dumps(run)) < sum(states[i].nbytes for i in steps)
+        held_dir = tmp_path / "held" / directory.name
         held_dir.mkdir(parents=True)
-        for i in range(len(mem.times)):
-            save_field(held_dir / f"snap_{i:06d}.npz", mem.snapshot_field(i))
-        out = save_trajectory(disk, directory)
+        for j, i in enumerate(steps):
+            got = run.snapshot_field(j)
+            assert got.data.tobytes() == states[i].tobytes()
+            assert (got.grid, got.representation, got.divergence_free,
+                    got.time_stamp) == (cfg.grid, "spectral", True,
+                                        cfg.times[i])
+            save_field(held_dir / f"snap_{j:06d}.npz", spectral_field(
+                cfg.grid, states[i], divergence_free=True,
+                time_stamp=cfg.times[i]))
+        out = save_trajectory(run, directory)
         assert not os.path.exists(partial)
-        assert disk.snapshot_paths == out
+        assert run.snapshot_paths == out
         assert sorted(os.listdir(directory)) \
             == ["diagnostics.csv", "snapshots"]
-        # diagnostics.csv is written from the series alone
-        assert disk.diag.keys() == mem.diag.keys()
-        for key, series in mem.diag.items():
-            np.testing.assert_array_equal(disk.diag[key], series)
         held_files = sorted(os.listdir(held_dir))
         assert sorted(os.listdir(directory / "snapshots")) == held_files
         for fname in held_files:
@@ -567,10 +607,28 @@ def test_streamed_snapshots_equal_in_memory_path(tmp_path):
                 == (held_dir / fname).read_bytes()
 
 
+def test_load_trajectory_returns_the_runs_diag(tmp_path):
+    # a forced N = 8 run with its direct run: each saved run reads back as
+    # the series it recorded, the columns of diagnostics.csv in their order,
+    # bit for bit
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    dirs = _run_dirs(tmp_path)
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
+    for cfg, directory, run in zip((base_cfg, pert_cfg, direct_cfg), dirs,
+                                   runs):
+        columns = solver.diag_columns(run.label, cfg.grid.dim)
+        assert list(run.diag) == columns
+        save_trajectory(run, directory)
+        back = load_trajectory(directory, cfg, run.label)
+        assert list(back.diag) == columns
+        for key, series in run.diag.items():
+            assert back.diag[key].tobytes() == series.tobytes(), key
+
+
 def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
     # a streamed run holds no state per snapshot: its traced peak is the
     # same, within one state, for a snapshot at every step and at the two
-    # ends; the in-memory path holds one more state per snapshot
+    # ends
     grid = make_grid(2 * np.pi, 8, 3)
     steps, dt = 20, 2e-3
     initial = random_divfree_field(grid, 1, target_h1=0.5)
@@ -587,13 +645,11 @@ def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(traj.times) == steps // stride + 1
+        assert len(traj.snapshot_paths) == steps // stride + 1
         return top
 
     streamed = [peak(stride, tmp_path / "run") for stride in (1, steps)]
     assert abs(streamed[0] - streamed[1]) < state
-    held = [peak(stride, None) for stride in (1, steps)]
-    assert held[0] - held[1] >= (steps - 1) * state
 
 
 def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
@@ -613,16 +669,17 @@ def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
         return base_norms(ws, v, sigma)
 
     monkeypatch.setattr(_Workspace, "base_norms", norms_2d)
-    base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
-    alone = run_full_3d(direct_cfg)
+    base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                                          _run_dirs(tmp_path))
+    alone = run_full_3d(direct_cfg, tmp_path / "alone")
     dims = [int(d) for d in calls.read_text()]
     assert dims == [2] * len(base.diag["t"]) == [2] * (base_cfg.n_steps + 1)
     for traj in (pert, direct, alone):
         assert not {"grad_l3_sq", "w1_sigma"} & set(traj.diag)
-    np.testing.assert_array_equal(direct.times, alone.times)
-    np.testing.assert_array_equal(np.array(direct.snapshots),
-                                  np.array(alone.snapshots))
-    for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean"):
+    assert len(direct.snapshot_paths) == len(alone.snapshot_paths) == 6
+    np.testing.assert_array_equal(np.array(_snapshots(direct)),
+                                  np.array(_snapshots(alone)))
+    for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean_1", "mean_2", "mean_3"):
         np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
 
 
@@ -789,20 +846,24 @@ def test_interrupt_kills_and_reaps_the_base_worker(monkeypatch):
 
 
 @pytest.mark.parametrize("slots", ["one", "more-than-steps"])
-def test_ring_size_leaves_the_runs_unchanged(sized_pipes, slots):
+def test_ring_size_leaves_the_runs_unchanged(sized_pipes, slots, tmp_path):
     # flow control at its extremes: the base worker's pipe holds one page,
     # the fewest items a pipe can, or every step's item, so that it waits
     # for the perturbation every few steps, or never
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
-    want = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    want = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                            _run_dirs(tmp_path / "want"))
     item = 2 * 8 * base_cfg.grid.N ** 2
     size, made = sized_pipes(1 if slots == "one" else pert_cfg.n_steps * item)
-    got = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    got = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                           _run_dirs(tmp_path / "got"))
     assert made and made == [size] * len(made)
     for mine, theirs in zip(got, want):
-        assert mine.times.tobytes() == theirs.times.tobytes()
-        assert np.array(mine.snapshots).tobytes() \
-            == np.array(theirs.snapshots).tobytes()
+        mine_files, their_files = mine.snapshot_paths, theirs.snapshot_paths
+        assert [os.path.basename(p) for p in mine_files] \
+            == [os.path.basename(p) for p in their_files]
+        for a, b in zip(mine_files, their_files):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
         assert list(mine.diag) == list(theirs.diag)
         for key, series in theirs.diag.items():
             assert mine.diag[key].tobytes() == series.tobytes(), key
@@ -879,13 +940,14 @@ def test_full_lattice_copy_only_at_snapshots(monkeypatch, tmp_path, forked):
     monkeypatch.setattr(_Workspace, "to_full", spy)
     if not forked:
         monkeypatch.delattr(os, "fork")
-    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                            _run_dirs(tmp_path))
     dims = sorted((int(key.rsplit(":", 1)[1]), n)
                   for key, n in Counter(calls.read_text().split()).items())
-    want = sorted((run.grid.dim, len(run.times)) for run in runs)
+    want = sorted((run.grid.dim, len(run.snapshot_paths)) for run in runs)
     assert dims == want
     assert len({n for _, n in want}) == 3  # each count names one run
-    assert [len(run.times) for run in runs] == [
+    assert [len(run.snapshot_paths) for run in runs] == [
         len(range(0, cfg.n_steps, cfg.snapshot_stride)) + 1
         for cfg in (base_cfg, pert_cfg, direct_cfg)]
 
@@ -1109,7 +1171,7 @@ def test_pruned_transforms_match_numpy_at_larger_n(dim, N):
         norm="forward").tobytes()
 
 
-def test_force_above_two_thirds_is_not_applied():
+def test_force_above_two_thirds_is_not_applied(tmp_path):
     # at N=8 the 2/3 rule keeps |m| <= 2: sin(3 x2) lies above it, so the
     # run applies and records only 0.1 sin(x2), whose squared L2 norm on
     # [0, 2 pi]^2 is 0.01 * (2 pi)^2 / 2
@@ -1122,9 +1184,9 @@ def test_force_above_two_thirds_is_not_applied():
     high = (0, 0, 3)  # component 1, mode (m1, m2) = (0, 3)
     assert not grid.dealias_mask[high[1:]]
     assert abs(cfg.forcing.evaluate(grid, 0.0)[high]) > 0.4
-    traj = run_2d_base(cfg)
-    assert len(traj.snapshots) == 11
-    for snap in traj.snapshots:
+    traj = run_2d_base(cfg, tmp_path)
+    assert len(traj.snapshot_paths) == 11
+    for snap in _snapshots(traj):
         assert snap[high] == 0.0
         assert not snap[:, ~grid.dealias_mask].any()
     np.testing.assert_allclose(traj.diag["forcing_l2_sq"],
@@ -1155,17 +1217,7 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
     assert peak < 5 * v.nbytes
 
 
-def test_snapshots_do_not_share_memory():
-    grid = make_grid(2 * np.pi, 8, 3)
-    cfg = SolverConfig(grid=grid, nu=0.5, dt=2e-3, t_end=0.01, T=0.01,
-                       initial=random_divfree_field(grid, 1, target_h1=0.5))
-    traj = run_full_3d(cfg)
-    assert len(traj.snapshots) == 6
-    for a, b in itertools.combinations(traj.snapshots, 2):
-        assert not np.shares_memory(a, b)
-
-
-def test_advance_reproduces_run_bit_for_bit():
+def test_advance_reproduces_run_bit_for_bit(tmp_path):
     grid = make_grid(2 * np.pi, 8, 3)
     nu, dt, steps = 0.5, 2e-3, 10
     forcing = ForcingSpec(kind="expression", expressions=(
@@ -1173,12 +1225,12 @@ def test_advance_reproduces_run_bit_for_bit():
     cfg = SolverConfig(grid=grid, nu=nu, dt=dt, t_end=steps * dt,
                        T=steps * dt, forcing=forcing, snapshot_stride=steps,
                        initial=random_divfree_field(grid, 1, target_h1=0.5))
-    traj = run_full_3d(cfg)
+    first, last = _snapshots(run_full_3d(cfg, tmp_path))
     ws = _Workspace(grid, nu, dt)
-    state = ws.to_kept(traj.snapshots[0])
+    state = ws.to_kept(first)
     for i in range(steps):
         ws.step(state, i * dt, (i + 1) * dt, forcing)
-    np.testing.assert_array_equal(ws.to_full(state), traj.snapshots[-1])
+    np.testing.assert_array_equal(ws.to_full(state), last)
 
 
 def test_save_load_trajectory_round_trip(tmp_path, grid2):
@@ -1192,20 +1244,20 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
     assert np.ptp(traj.diag["forcing_l2_sq"]) > 0.0
     out = save_trajectory(traj, tmp_path / "run")
     assert (tmp_path / "run" / "diagnostics.csv").exists()
-    assert len(out) == len(traj.times)
+    assert len(out) == 6
 
     back = load_trajectory(tmp_path / "run", cfg, "2d_base")
     assert (back.grid, back.label) == (grid2, "2d_base")
-    # every stored series reads back bit for bit; the base stores every
-    # one but its mean
-    assert set(back.diag) == set(traj.diag) - {"mean"}
+    # every series the base records reads back bit for bit
+    assert list(back.diag) == list(traj.diag)
     assert {"grad_l3_sq", "w1_sigma"} <= set(back.diag)
     for key, series in back.diag.items():
         assert np.array_equal(series, traj.diag[key]), key
     last = load_field(out[-1])
-    assert last.time_stamp == traj.times[-1]
+    assert last.time_stamp == cfg.times[-1]
+    again = run_2d_base(cfg, tmp_path / "again")
     assert np.abs(last.spectral()
-                  - run_2d_base(cfg).snapshots[-1]).max() < 1e-15
+                  - again.snapshot_field(-1).spectral()).max() < 1e-15
     # series at other step times than the given run's are refused
     with pytest.raises(FileNotFoundError, match="run the experiment again"):
         load_trajectory(tmp_path / "run", dataclasses.replace(cfg, dt=5e-4),
@@ -1214,12 +1266,14 @@ def test_save_load_trajectory_round_trip(tmp_path, grid2):
 
 def test_save_trajectory_publishes_only_streamed_snapshots(tmp_path,
                                                           grid2):
-    # an in-memory trajectory has no snapshots.partial to publish, and a
+    # a run given no directory has no snapshots.partial to publish, and a
     # saved one has published it: each is refused, and nothing is written
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=2e-3, T=2e-3,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.3))
+    held = run_2d_base(cfg)
+    assert held.snapshot_paths == []
     with pytest.raises(ValueError, match="streamed no snapshots"):
-        save_trajectory(run_2d_base(cfg), tmp_path / "held")
+        save_trajectory(held, tmp_path / "held")
     assert not (tmp_path / "held").exists()
     saved = run_2d_base(cfg, tmp_path / "run")
     save_trajectory(saved, tmp_path / "run")
