@@ -1,10 +1,10 @@
 """Time integration of the periodic Navier-Stokes systems.
 
 Three evolutions share one IMEX scheme (Crank-Nicolson on the viscous term,
-Adams-Bashforth 2 on the projected, dealiased flux and the trapezoid rule
-on the projected force; second order overall, one evaluation of the
-nonlinear kernel per step), one time loop and one nonlinear kernel in
-divergence form:
+Adams-Bashforth 2 on the dealiased flux and the trapezoid rule on the
+force, their sum Leray-projected once; second order overall, one
+evaluation of the nonlinear kernel and one projection per step), one time
+loop and one nonlinear kernel in divergence form:
 
   * the full 3D equations,
   * the 2D base flow,
@@ -323,7 +323,7 @@ class _Workspace:
     operation is per mode, so a state stepped here equals, bit for bit on
     K, the one the full lattice gives with its 2/3-rule masks; to_full puts
     it there.  spectral takes the products of the kernel or the force's
-    values (kept_force, force); padded_magnitude and base_norms run
+    values (kept_force); padded_magnitude and base_norms run
     physical's stages at 2N points an axis, one call per stage over every
     component, for the force's L^{6/5} series and the 2D base's L^3 and
     W^{1,sigma} norms.
@@ -332,11 +332,12 @@ class _Workspace:
     padded stages' at their first use); the kernel and the step write into
     them with out=, so a run allocates no state-sized array per step.  w
     holds the kernel's physical values, and the force's at an evaluation.
-    n0 holds the projected flux of the last
-    step, and the next one is written into n1.  The workspace steps one
-    state: its first step takes the flux before it to be its own.  Without
-    nu and dt the Crank-Nicolson factors are 1 and the workspace serves the
-    kernel alone.
+    n0 holds the flux of the last step, before any projection, and the
+    next one is written into n1; rhs holds the step's sum of flux and
+    force, which the step projects.  The workspace steps one state: its
+    first step takes the flux before it to be its own.  Without nu and dt
+    the Crank-Nicolson factors are 1 and the workspace serves the kernel
+    alone.
     """
 
     def __init__(self, grid: TorusGrid, nu: float = 0.0, dt: float = 0.0):
@@ -365,13 +366,12 @@ class _Workspace:
         self.n1 = np.empty(self.shape, dtype=complex)
         self.started = False  # whether n0 holds the last step's flux
         self.padded_buffers = {}  # _padded_squares', by component count
-        self.force_sum = np.empty(self.shape, dtype=complex)
+        self.rhs = np.empty(self.shape, dtype=complex)
         self.norm_weights = [self.to_kept(grid.parseval_weights[w])
                              for w in ("l2", "grad", "h2")]
-        # the force on K and P of it, of the forcing and time of _force
+        # the force on K, of the forcing and time of _force
         self.kept_f = np.empty(self.shape, dtype=complex)
-        self.projected_f = np.empty(self.shape, dtype=complex)
-        self._force = (None, None, False)  # (forcing, time, projected)
+        self._force = (None, None)  # (forcing, time)
 
         self.inverse = self._inverse_buffers(N, d)
         # spectral: the rfft of the products, then per full axis, from the
@@ -527,35 +527,24 @@ class _Workspace:
         (forcing.physical, into w) through spectral, equal on K to
         forcing.evaluate bit for bit.
 
-        The force of one step time is kept, with its projection (force),
-        until another is asked for: a step asks for t_i, then t_{i+1},
-        which the step's record and the next step ask for again, so each
-        step time costs one evaluation, and a steady force one per run.
-        The array is the workspace's: do not write to it.
-        """
-        when = 0.0 if forcing.steady else float(t)
-        kept, kept_when, _ = self._force
-        if kept is not forcing or kept_when != when:
-            self.spectral(forcing.physical(self.grid, t, out=self.w),
-                          out=self.kept_f)
-            self._force = (forcing, when, False)
-        return self.kept_f
-
-    def force(self, forcing: ForcingSpec, t: float):
-        """The Leray projection of kept_force, computed once per
-        evaluation.  The array is the workspace's: do not write to it.
+        The force of one step time is kept until another is asked for: a
+        step asks for t_i, then t_{i+1}, which the step's record and the
+        next step ask for again, so each step time costs one evaluation,
+        and a steady force one per run.  The array is the workspace's: do
+        not write to it.
 
         The storage is the 2/3-rule mask: the applied force is the force on
         K and zero elsewhere, so a state stays exactly on K.  A force
         component above N/3 is not applied (experiments.parse_config refuses
         a config that names one); resolve it with a larger N.
         """
-        f = self.kept_force(forcing, t)
-        if not self._force[2]:
-            self.projected_f[...] = f
-            self.project(self.projected_f)
-            self._force = self._force[:2] + (True,)
-        return self.projected_f
+        when = 0.0 if forcing.steady else float(t)
+        kept, kept_when = self._force
+        if kept is not forcing or kept_when != when:
+            self.spectral(forcing.physical(self.grid, t, out=self.w),
+                          out=self.kept_f)
+            self._force = (forcing, when)
+        return self.kept_f
 
     def flux_rhs(self, v, b, out):
         """-div(w(x)w - b(x)b) on K into out, before the Leray projection.
@@ -594,38 +583,36 @@ class _Workspace:
         terms /= self.k_sq_divisor
         return np.subtract(v, terms, out=v)
 
-    def nonlinear(self, v, background, out):
-        """P(flux_rhs) into out."""
-        return self.project(self.flux_rhs(v, background, out))
-
     def step(self, v, t, t_next, forcing: ForcingSpec, background=None):
         """One step of the K-state v from t to the run's next step time
         t_next, in place: Crank-Nicolson on the viscous term,
-        Adams-Bashforth 2 on the projected flux N and the trapezoid rule on
-        the projected force P f,
+        Adams-Bashforth 2 on the flux N and the trapezoid rule on the force
+        f, their sum R projected once,
 
-          v <- [A v + dt (3/2 N(t) - 1/2 N(t - dt))
-                + dt/2 (P f(t) + P f(t_next))] / B,
+          R = dt (3/2 N(t) - 1/2 N(t - dt)) + dt/2 (f(t) + f(t_next)),
+          v <- (A v + P R) / B,
 
-        with A, B = 1 -+ dt nu |k|^2 / 2.  N(t) is nonlinear of v with the
-        background of flux_rhs at t (None for none), its one evaluation of
-        the step; N(t - dt) is the one of the step before, and the first
-        step takes N(t) for it.
+        with A, B = 1 -+ dt nu |k|^2 / 2; P commutes with A and B, so this
+        is the scheme with the flux and the force projected apart.  N(t)
+        is flux_rhs of v with its background at t (None for none), the
+        step's one evaluation of the kernel; N(t - dt) is the one of the
+        step before, and the first step takes N(t) for it.  f is
+        kept_force.
         """
-        dt, force_sum = self.dt, self.force_sum
+        dt, rhs = self.dt, self.rhs
         flux, previous = self.n1, self.n0
-        self.nonlinear(v, background, out=flux)
+        self.flux_rhs(v, background, out=flux)
         if not self.started:
             previous[...] = flux
             self.started = True
-        # force's array holds one step time: P f(t) is copied out first
-        force_sum[...] = self.force(forcing, t)
-        force_sum += self.force(forcing, t_next)
-        force_sum *= 0.5 * dt
+        # kept_force's array holds one step time: f(t) is copied out first
+        rhs[...] = self.kept_force(forcing, t)
+        rhs += self.kept_force(forcing, t_next)
+        rhs *= 0.5 * dt
+        rhs += np.multiply(flux, 1.5 * dt, out=self.terms)
+        rhs -= np.multiply(previous, 0.5 * dt, out=previous)
         np.multiply(self.A, v, out=v)
-        v += force_sum
-        v += np.multiply(flux, 1.5 * dt, out=force_sum)
-        v -= np.multiply(previous, 0.5 * dt, out=previous)
+        v += self.project(rhs)
         v /= self.B
         self.n0, self.n1 = flux, previous
         return v

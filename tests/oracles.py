@@ -215,11 +215,14 @@ class FullLatticeWorkspace:
     before its transform and to the result.  The background is the
     physical values b alone; their products are formed on every call.
 
-    step is solver._Workspace.step (Crank-Nicolson, Adams-Bashforth 2 on
-    the flux, trapezoid on the projected force at the step times t and
-    t_next); heun_step is the Crank-Nicolson / Heun step that it replaced,
-    which evaluates the kernel, the force included, at t and at the
-    predictor at t + dt.  One instance steps one state with one of them."""
+    step is solver._Workspace.step, in its order of operations
+    (Crank-Nicolson, Adams-Bashforth 2 on the flux and trapezoid on the
+    force at the step times t and t_next, their sum projected once);
+    two_projection_step is the step that it replaced, which projects the
+    flux and each force evaluation apart; heun_step is the Crank-Nicolson
+    / Heun step that one replaced, which evaluates the kernel, the force
+    included, at t and at the predictor at t + dt.  One instance steps one
+    state with one of them."""
 
     def __init__(self, grid, nu=0.0, dt=0.0):
         state = (grid.dim,) + grid.shape_spec
@@ -270,16 +273,35 @@ class FullLatticeWorkspace:
 
     def force(self, forcing, t):
         grid = self.grid
-        return leray_data(grid, forcing.evaluate(grid, t) * grid.dealias_mask)
+        return forcing.evaluate(grid, t) * grid.dealias_mask
 
     def step(self, v, t, t_next, forcing, background=None):
+        dt, rhs = self.dt, self.v_star
+        flux, previous = self.n1, self.n0
+        self.flux_rhs(v, None, background, out=flux)
+        if not self.started:
+            previous[...] = flux
+            self.started = True
+        rhs[...] = self.force(forcing, t)
+        rhs += self.force(forcing, t_next)
+        rhs *= 0.5 * dt
+        rhs += flux * (1.5 * dt)
+        rhs -= np.multiply(previous, 0.5 * dt, out=previous)
+        np.multiply(self.A, v, out=v)
+        v += leray_data(self.grid, rhs, out=rhs)
+        v /= self.B
+        self.n0, self.n1 = flux, previous
+        return v
+
+    def two_projection_step(self, v, t, t_next, forcing, background=None):
         dt, force_sum = self.dt, self.v_star
         flux, previous = self.n1, self.n0
         self.nonlinear(v, None, background, out=flux)
         if not self.started:
             previous[...] = flux
             self.started = True
-        np.add(self.force(forcing, t), self.force(forcing, t_next),
+        np.add(leray_data(self.grid, self.force(forcing, t)),
+               leray_data(self.grid, self.force(forcing, t_next)),
                out=force_sum)
         force_sum *= 0.5 * dt
         np.multiply(self.A, v, out=v)

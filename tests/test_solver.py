@@ -39,7 +39,8 @@ def nse_rhs(v, f, nu):
     if f is not None and f.grid != grid:
         raise ValueError("velocity and forcing grids differ")
     ws = _Workspace(grid)
-    rhs = ws.nonlinear(ws.to_kept(v.spectral()), None, out=ws.n0)
+    rhs = ws.project(ws.flux_rhs(ws.to_kept(v.spectral()), None,
+                                 out=ws.n0))
     if f is not None:
         rhs += ws.project(ws.to_kept(f.spectral()))
     out = ws.to_full(rhs)
@@ -159,9 +160,9 @@ def test_nonlinear_term_matches_convective_form(grid2, grid3, case):
         b2.data[(slice(None), 0, 0)] = [0.25, -0.15]
         b_spec = extrude_field(b2, grid3).spectral()
         background = physical_data(grid3, b_spec)[:2, ..., :1]
-    # the force enters the step projected beside the kernel's flux
-    got = ws.nonlinear(ws.to_kept(v), background, out=ws.n0)
-    got = ws.to_full(got + ws.project(ws.to_kept(f)))
+    # the step projects the sum of the kernel's flux and the force
+    got = ws.flux_rhs(ws.to_kept(v), background, out=ws.n0)
+    got = ws.to_full(ws.project(got + ws.to_kept(f)))
     ref = _convective_reference(grid, v, f, b_spec)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -185,10 +186,10 @@ def test_kernel_on_k_deriv_matches_kernel_on_k(grid2, grid3, case):
     ref = old.nonlinear(v, None, background, out=np.empty_like(v))
     # the products reach the Nyquist plane of the rfft axis
     assert np.abs(old.flux[..., grid.N // 2]).max() > 1e-6
-    got = ws.to_full(ws.nonlinear(
+    got = ws.to_full(ws.project(ws.flux_rhs(
         ws.to_kept(v),
         None if background is None else background[:2],
-        out=ws.n0))
+        out=ws.n0)))
     np.testing.assert_array_equal(got, ref)
 
 
@@ -607,6 +608,70 @@ def test_streamed_snapshots_equal_oracle_states(tmp_path):
                 == (held_dir / fname).read_bytes()
 
 
+def _two_projection_states(cfg, base_states=None, r=1) -> list:
+    """The replaced step, which projected the flux and each force
+    evaluation apart (FullLatticeWorkspace.two_projection_step): the
+    full-lattice states of a run of cfg at every step.  Given the states
+    of a base run at every base step, r base steps a perturbation step,
+    each step takes the physical values of the base state at its start as
+    its background."""
+    grid = cfg.grid
+    g2 = make_grid(grid.L, grid.N, 2)
+    old = FullLatticeWorkspace(grid, cfg.nu, cfg.dt)
+    v = leray_data(grid, cfg.initial.spectral() * grid.dealias_mask)
+    states, background = [v.copy()], None
+    for i in range(cfg.n_steps):
+        if base_states is not None:
+            background = np.zeros((3, grid.N, grid.N, 1))
+            background[:2, ..., 0] = physical_data(g2, base_states[i * r])
+        old.two_projection_step(v, cfg.times[i], cfg.times[i + 1],
+                                cfg.forcing, background)
+        states.append(v.copy())
+    return states
+
+
+def test_one_projection_step_matches_two_projection_step(tmp_path):
+    # the step projects its sum of flux and force once, where the replaced
+    # step projected the flux and each force evaluation apart.  P is linear
+    # and commutes with the Crank-Nicolson factors, so over one window with
+    # time-dependent forces the two agree to roundoff on the base run, on
+    # the perturbation run around it and on the full 3D run
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    base_states = _two_projection_states(base_cfg)
+    oracles = (base_states, _two_projection_states(pert_cfg, base_states, 2),
+               _two_projection_states(direct_cfg))
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                            _run_dirs(tmp_path))
+    for cfg, run, states in zip((base_cfg, pert_cfg, direct_cfg), runs,
+                                oracles):
+        assert cfg.t_end == cfg.T and cfg.forcing.kind == "expression"
+        steps = range(0, cfg.n_steps + 1, cfg.snapshot_stride)
+        assert len(run.snapshot_paths) == len(steps) > 5
+        for j, i in enumerate(steps):
+            got, want = run.snapshot_field(j).data, states[i]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_step_projects_once(dim, monkeypatch):
+    # one Leray projection a step, of the step's sum of flux and force,
+    # and one of the initial state: n + 1 over the n steps of a run with a
+    # time-dependent force, where projecting the flux and each force
+    # evaluation apart made 2n + 2
+    base_cfg, _, direct_cfg = _lockstep_configs(1)
+    calls, project = Counter(), _Workspace.project
+
+    def counted(self, v):
+        calls["project"] += 1
+        return project(self, v)
+
+    monkeypatch.setattr(_Workspace, "project", counted)
+    cfg = base_cfg if dim == 2 else direct_cfg
+    assert not cfg.forcing.steady
+    (run_2d_base if dim == 2 else run_full_3d)(cfg)
+    assert calls["project"] == cfg.n_steps + 1
+
+
 def test_load_trajectory_returns_the_runs_diag(tmp_path):
     # a forced N = 8 run with its direct run: each saved run reads back as
     # the series it recorded, the columns of diagnostics.csv in their order,
@@ -1013,8 +1078,8 @@ def _force_to_cutoff(N, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_kept_force_matches_full_transform(dim, N):
     # the force's values through the pruned rfftn equal the full rfftn on
-    # K bit for bit, and so does its projection; the force of a step time
-    # is kept, at the cost of one evaluation
+    # K bit for bit, and so does its projection on K; the force of a step
+    # time is kept, at the cost of one evaluation
     grid = make_grid(2 * np.pi, N, dim)
     forcing = _force_to_cutoff(N, dim)
     ws = _Workspace(grid)
@@ -1025,11 +1090,10 @@ def test_kept_force_matches_full_transform(dim, N):
         before = forcing.evaluations
         kept = ws.kept_force(forcing, t)
         assert kept.tobytes() == ws.to_kept(full).tobytes()
-        projected = ws.force(forcing, t)
-        assert projected.tobytes() \
-            == ws.project(ws.to_kept(full)).tobytes()
+        assert ws.project(kept.copy()).tobytes() \
+            == ws.to_kept(leray_data(grid, full)).tobytes()
         assert ws.kept_force(forcing, t) is kept
-        assert ws.force(forcing, t) is projected
+        assert kept.tobytes() == ws.to_kept(full).tobytes()
         assert forcing.evaluations == before + 1
 
 
