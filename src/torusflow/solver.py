@@ -241,27 +241,32 @@ class SolverConfig:
 
 
 def diag_columns(label: str, dim: int) -> list:
-    """The diagnostics.csv columns of a run labelled label.
+    """The diagnostics.csv columns of a run labelled label: the series a
+    check, criterion or demo reads, and no other.
 
-    Every run records, at every step, the L2, H1-seminorm and H2 norms of
-    its mean-free part and the squared L2 norm of its mean-free force.  The
-    2D base adds the norms of 4.25-4.27 (grad_l3_sq, ||grad v||_{L3}^2) and
-    3.8 (w1_sigma, ||v||_{L^sigma} + ||grad v||_{L^sigma}) and records no
-    mean, which no check reads; the perturbation adds forcing_l6_5_sq, the
-    squared L^{6/5} norm of its mean-free force, which only B1 reads.
+    Every run records, at every step, the squared L2 norm and H1 seminorm
+    of its mean-free part.  The 2D base adds its H2 norm (3.5), its
+    mean-free force's squared L2 norm (A1, 3.3) and the norms of 4.25-4.27
+    (grad_l3_sq, ||grad v||_{L3}^2) and 3.8 (w1_sigma, ||v||_{L^sigma} +
+    ||grad v||_{L^sigma}), and no mean.  A 3D run adds its mean; the 3D
+    checks are in H1, so it records no H2 norm.  The perturbation adds its
+    mean-free force's squared L2 (G^2 of stability_series) and L^{6/5}
+    (B1) norms.
     """
     if label == "2d_base":
         return ["t", "l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq",
                 "grad_l3_sq", "w1_sigma"]
-    return ["t", "l2_sq", "grad_l2_sq", "h2_sq"] \
-        + [f"mean_{i + 1}" for i in range(dim)] + ["forcing_l2_sq"] \
-        + (["forcing_l6_5_sq"] if label == "perturbation" else [])
+    return ["t", "l2_sq", "grad_l2_sq"] \
+        + [f"mean_{i + 1}" for i in range(dim)] \
+        + (["forcing_l2_sq", "forcing_l6_5_sq"] if label == "perturbation"
+           else [])
 
 
 @dataclass
 class Trajectory:
     """A run, as its trajectory directory holds it: diag, the per-step
-    series of diag_columns of its label, in that order, each read from the
+    series of diag_columns of its label, in that order and no other (no 3D
+    run holds h2_sq, the full 3D run no force norm), each read from the
     run's state or force on the 2/3-rule modes K (_Member), and
     snapshot_paths, the field.save_field files of the spectral snapshots
     (mean included at k=0) that the run streamed to that directory.  A run
@@ -269,9 +274,10 @@ class Trajectory:
 
     step_seconds is the wall time the run spent stepping and recording,
     force_evaluations the evaluations of its force (one per step time,
-    _Workspace.kept_force), wait_seconds the wall time its caller waited
-    for a worker of it, and forcing_worker (busy seconds, force
-    evaluations) of the worker that computed its forcing_l6_5_sq, if any."""
+    _Workspace.kept_force, whether or not it holds a force norm),
+    wait_seconds the wall time its caller waited for a worker of it, and
+    forcing_worker (busy seconds, force evaluations) of the worker that
+    computed its forcing_l6_5_sq, if any."""
 
     grid: TorusGrid
     diag: dict
@@ -629,24 +635,26 @@ class _Member:
 
     The run holds its state on the 2/3-rule modes K alone (state, in the
     layout of _Workspace): the initial field is taken onto K, which masks
-    it, and Leray-projected there.  The records read the mean and the norms
-    (_Workspace.mean_free_norms_sq, and for the 2D base run
-    _Workspace.base_norms) of that state; only a snapshot copies it onto
-    the full lattice (_Workspace.to_full).
+    it, and Leray-projected there.  The records compute the columns of
+    diag_columns(label) and no other from that state: the mean, the first
+    len(norms) of _Workspace.mean_free_norms_sq (the H2 norm for the 2D
+    base alone), and for the base _Workspace.base_norms; only a snapshot
+    copies it onto the full lattice (_Workspace.to_full).
 
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
     (_partial_snapshot_dir) and keeps only the path; without one it takes
     no snapshots.
 
-    Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i is
-    the squared L2 norm of the applied force at tgrid[i] without its mean:
-    the |f|^2 sum over K of the workspace's kept force
-    (_Workspace.kept_force, _Workspace.mean_free_norms_sq), which the step
-    ending there has already evaluated; so each step time costs one
-    evaluation.  The count is read from the run's ForcingSpec: one
-    shared with another run adds that run's evaluations.  No L^{6/5} norm
-    is computed per step: run_perturbation records forcing_l6_5_sq.
+    Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i
+    (not of the full 3D run) is the squared L2 norm of the applied force at
+    tgrid[i] without its mean: the |f|^2 sum over K of the workspace's kept
+    force (_Workspace.kept_force, _Workspace.mean_free_norms_sq), which the
+    step ending there has already evaluated; so each step time costs one
+    evaluation, recorded or not.  The count is read from the run's
+    ForcingSpec: one shared with another run adds that run's evaluations.
+    No L^{6/5} norm is computed per step: run_perturbation records
+    forcing_l6_5_sq.
     """
 
     def __init__(self, cfg: SolverConfig, label: str, directory=None):
@@ -666,6 +674,9 @@ class _Member:
             c: np.empty(self.n + 1) for c in diag_columns(label, grid.dim)
             if c not in ("t", "forcing_l6_5_sq")}
         self.means = [c for c in self.diag if c.startswith("mean_")]
+        self.norms = [c for c in ("l2_sq", "grad_l2_sq", "h2_sq")
+                      if c in self.diag]
+        self.force_norm = "forcing_l2_sq" in self.diag
         self.snapdir = None if directory is None \
             else _partial_snapshot_dir(directory)
         self.snapshot_paths = []
@@ -677,12 +688,13 @@ class _Member:
         t, v = self.tgrid[i], self.state
         for c, m in zip(self.means, v[(slice(None),) + (0,) * grid.dim].real):
             diag[c][i] = m
-        diag["l2_sq"][i], diag["grad_l2_sq"][i], diag["h2_sq"][i] = \
-            ws.mean_free_norms_sq(v)
+        for c, x in zip(self.norms,
+                        ws.mean_free_norms_sq(v, len(self.norms))):
+            diag[c][i] = x
         if not np.isfinite(diag["l2_sq"][i]):
             raise BlowUpError(t, f"{self.label} L2 norm", diag["l2_sq"][i])
         steady = cfg.forcing.steady
-        if i == 0 or not steady:
+        if self.force_norm and (i == 0 or not steady):
             # a steady force's norm holds at every step
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
                 ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t), 1)[0]

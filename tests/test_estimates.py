@@ -14,8 +14,8 @@ from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq, lp_norm,
                      window_slices_by_time)
 from torusflow import make_grid
 from torusflow import experiments as exp
-from torusflow.field import (leray_data, physical_padded, random_divfree_field,
-                             spectral_field)
+from torusflow.field import (leray_data, mean_free, physical_padded,
+                             random_divfree_field, spectral_field)
 from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
                              sobolev_norm_sq)
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
@@ -372,9 +372,11 @@ def test_stability_series_invariants(stability_setup):
     base, pert, budget, cal = stability_setup
     s = est.stability_series(pert, base, budget, 0)
     # X <= Y pointwise for mean-free fields (discrete norms): the H1 norm
-    # of the perturbation is below its H2 norm at every step
-    d = pert.diag
-    assert np.all(d["l2_sq"] + d["grad_l2_sq"] <= d["h2_sq"] * (1 + 1e-12))
+    # of the perturbation is below its H2 norm at every stored snapshot
+    assert len(pert.snapshot_paths) == 5
+    for j in range(len(pert.snapshot_paths)):
+        u = mean_free(pert.snapshot_field(j))
+        assert sobolev_norm_sq(u, 1) <= sobolev_norm_sq(u, 2) * (1 + 1e-12)
     # X^2(kT) matches the H1 norm of the stored initial snapshot
     u0 = pert.snapshot_field(0)
     assert s.X_sq[0] == pytest.approx(sobolev_norm_sq(u0, 1), rel=1e-12)

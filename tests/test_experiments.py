@@ -524,20 +524,34 @@ def test_verify_refuses_trajectory_without_norm_series(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_verify_refuses_trajectory_without_forcing_series(tmp_path, capsys):
-    # a diagnostics.csv without the forcing_l2_sq column, as written before
-    # the run recorded its forcing norms
-    out = tmp_path / "out"
-    exp.run_experiment(exp.parse_config(json.dumps(SMALL)), str(out))
-    path = out / "base" / "diagnostics.csv"
-    lines = [line.split(",") for line in path.read_text().splitlines()]
+def _without_forcing_series(lines):
+    # as written before the run recorded its forcing norms
     i = lines[0].index("forcing_l2_sq")
-    path.write_text("\n".join(",".join(cells[:i] + cells[i + 1:])
-                              for cells in lines) + "\n")
-    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
-    err = capsys.readouterr().err
-    assert "run the experiment again" in err
-    assert err.count("\n") == 1
+    return [cells[:i] + cells[i + 1:] for cells in lines]
+
+
+def _with_h2_series(lines):
+    # as written while the 3D runs recorded an H2 norm after grad_l2_sq
+    i = lines[0].index("grad_l2_sq") + 1
+    return [cells[:i] + (["h2_sq"] if n == 0 else cells[i - 1:i])
+            + cells[i:] for n, cells in enumerate(lines)]
+
+
+def test_verify_refuses_trajectory_without_forcing_series(tmp_path, capsys):
+    # a diagnostics.csv under an older header: the base's without the
+    # forcing_l2_sq column, the perturbation's with h2_sq
+    for cfg, run, edit in ((SMALL, "base", _without_forcing_series),
+                           (SMALL_PERT, "perturbation", _with_h2_series)):
+        out = tmp_path / run
+        exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
+        path = out / run / "diagnostics.csv"
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("\n".join(",".join(cells) for cells in edit(lines))
+                        + "\n")
+        assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and "run the experiment again" in err
+        assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

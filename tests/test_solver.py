@@ -274,10 +274,16 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim, tmp_path):
             ws.mean_free_norms_sq(v),
             (l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2)),
             rtol=1e-14, atol=0)
-        # a force's record takes the L2 sum alone, with the same bits
-        assert ws.mean_free_norms_sq(v, 1) == ws.mean_free_norms_sq(v)[:1]
+        # a force's record takes the L2 sum alone, and a 3D run's the L2
+        # and H1 sums, with the same bits
+        for count in (1, 2):
+            assert ws.mean_free_norms_sq(v, count) \
+                == ws.mean_free_norms_sq(v)[:count]
     # a 3D run records its mean as the k=0 coefficient of its state, bit
-    # for bit, under a mean force; the 2D base records none
+    # for bit, under a mean force; the 2D base records none.  Each run
+    # holds exactly the columns of its label: no 3D run an H2 norm, and the
+    # full 3D run no force norm, though its force is evaluated at every
+    # step time all the same
     forcing = ForcingSpec(kind="expression", expressions=(
         "0.3*cos(2*t) + 0.1*sin(x2)", "0.2 + 0*x1", "0.1*sin(t)")[:dim])
     cfg = SolverConfig(grid=grid, nu=0.5, dt=4e-3, t_end=0.02, T=0.02,
@@ -287,6 +293,11 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim, tmp_path):
         else run_full_3d(cfg, tmp_path)
     k0 = np.real([s[(slice(None),) + (0,) * dim] for s in _snapshots(run)])
     assert len(k0) == cfg.n_steps + 1 and np.abs(k0[1:]).min() > 0
+    assert list(run.diag) == solver.diag_columns(run.label, dim)
+    held = {"h2_sq", "forcing_l2_sq"} & set(run.diag)
+    assert held == ({"h2_sq", "forcing_l2_sq"} if dim == 2 else set())
+    assert not cfg.forcing.steady
+    assert run.force_evaluations == cfg.n_steps + 1
     means = [c for c in run.diag if c.startswith("mean_")]
     assert means == ([] if dim == 2 else ["mean_1", "mean_2", "mean_3"])
     for c, m in zip(means, k0.T):
@@ -744,7 +755,7 @@ def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
     assert len(direct.snapshot_paths) == len(alone.snapshot_paths) == 6
     np.testing.assert_array_equal(np.array(_snapshots(direct)),
                                   np.array(_snapshots(alone)))
-    for key in ("l2_sq", "grad_l2_sq", "h2_sq", "mean_1", "mean_2", "mean_3"):
+    for key in ("l2_sq", "grad_l2_sq", "mean_1", "mean_2", "mean_3"):
         np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
 
 
