@@ -20,10 +20,9 @@ from .field import (Field, divergence_linf, laplacian_data, mean_free,
 from .grid import TorusGrid
 from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2)
-# the benchmark's trace (bench/trace_cli.py) wraps forcing_lp_sq_series
-# under this module's name: run_perturbation calls it for the
-# perturbation's forcing_l6_5_sq, in-process for a steady force and in its
-# forcing worker (_timed_forcing_l6_5_sq) otherwise
+# bench/trace_cli.py wraps forcing_lp_sq_series under this module's name;
+# no run calls it, since B1 takes the Hoelder bound of the force's L^{6/5}
+# norm (compute_B_constants), and ROADMAP item 9 moves it to the tests
 from .solver import Trajectory, forcing_lp_sq_series  # noqa: F401
 
 PASS = "pass"
@@ -377,13 +376,21 @@ def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
     """Evaluate B1..B4 and the smallness conditions of the L2 estimate.
 
     2D base norms entering 3D bounds are extruded (squared L2-type norms
-    gain a factor L from the invariant third direction).
+    gain a factor L from the invariant third direction).  B1 integrates
+    ||g||_{L^{6/5}}^2 of the perturbation's mean-free force g through
+    Hoelder's inequality on the torus Omega, |Omega| = L^3:
+
+      ||g||_{L^{6/5}}^2 <= |Omega|^{2/3} ||g||_{L^2}^2 = L^2 forcing_l2_sq,
+
+    forcing_l2_sq is a Parseval sum, exact for the force on the kept modes,
+    so at each step time B1's force term bounds ||g||_{L^{6/5}}^2 instead
+    of approximating it by quadrature.
     """
     nu, T = twod.nu, twod.T
     L = pert.grid.L
     t = pert.diag["t"]
     mean_sq = _mean_sq(pert)
-    g65_sq = pert.diag["forcing_l6_5_sq"]
+    g65_sq = L**2 * pert.diag["forcing_l2_sq"]
 
     integrand = (nu * c1 / (2.0 * c3)) * mean_sq \
         + (2.0 * c3 / (nu * c1)) * g65_sq

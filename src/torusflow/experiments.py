@@ -447,11 +447,10 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     are left of the trajectories, and the one report is "blow-up".
     meta.json, written last, records the wall seconds of each of PHASES in
     this process (base and direct beside a perturbation: the wait for its
-    worker; perturbation: with the wait for the forcing worker), the busy
-    seconds of each forked worker that steps a run or computes the forcing
-    series, the solver steps per second of the runs and, per run and for
-    the forcing worker, the evaluations of its force (one per step time)
-    and, per run, the count and bytes of its snapshot files.
+    worker), the busy seconds of each forked worker that steps a run, the
+    solver steps per second of the runs and, per run, the evaluations of
+    its force (one per step time) and the count and bytes of its snapshot
+    files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -516,9 +515,6 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
                 phases[name] += traj.step_seconds
             steps += len(traj.diag["t"]) - 1
             force_evaluations[name] = traj.force_evaluations
-            if traj.forcing_worker is not None:
-                workers["forcing"], force_evaluations["forcing"] = \
-                    traj.forcing_worker
             paths[name] = directory
             with _timed(phases, "writing"):
                 files = save_trajectory(traj, directory)

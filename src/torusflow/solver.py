@@ -15,8 +15,9 @@ loop and one nonlinear kernel in divergence form:
     (_backgrounds, worker.Stream), so v_s is read from the base state at
     the start of each step, never from a stored trajectory.  The step is
     linear in the flux history, so the extruded base plus the perturbation
-    equals the full 3D run to roundoff.  A full 3D run beside them shares
-    nothing with them and steps in a forked worker of its own.
+    equals the full 3D run to roundoff.  A full 3D run beside them, the
+    direct run, shares nothing with them, steps in a forked worker of its
+    own and records its L2 norm alone.
 
 Every run stores and steps its state on the 2/3-rule modes K alone
 (_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
@@ -29,10 +30,8 @@ read the K-state itself, the base run's L^3 and W^{1,sigma} norms through
 the pruned irfftn stages at 2N points an axis; only a snapshot copies it
 onto the full lattice, +0.0 outside K.  Every force a run uses is computed
 on K as well: its physical values through the pruned rfftn, equal bit for
-bit to the full transform's values on K; its L2 norm by the |.|^2 sum over
-K that the state's norms take, and the L^{6/5} series of the
-perturbation's force through the pruned irfftn stages at 2N points an
-axis.
+bit to the full transform's values on K, and its L2 norm by the |.|^2 sum
+over K that the state's norms take.
 
 Every state carries its spatial mean in the k=0 coefficient.  The flux
 divergence vanishes there and the Leray projection passes k=0 through, so
@@ -244,40 +243,43 @@ def diag_columns(label: str, dim: int) -> list:
     """The diagnostics.csv columns of a run labelled label: the series a
     check, criterion or demo reads, and no other.
 
-    Every run records, at every step, the squared L2 norm and H1 seminorm
-    of its mean-free part.  The 2D base adds its H2 norm (3.5), its
-    mean-free force's squared L2 norm (A1, 3.3) and the norms of 4.25-4.27
-    (grad_l3_sq, ||grad v||_{L3}^2) and 3.8 (w1_sigma, ||v||_{L^sigma} +
-    ||grad v||_{L^sigma}), and no mean.  A 3D run adds its mean; the 3D
-    checks are in H1, so it records no H2 norm.  The perturbation adds its
-    mean-free force's squared L2 (G^2 of stability_series) and L^{6/5}
-    (B1) norms.
+    Every run records, at every step, the squared L2 norm of its mean-free
+    part.  The direct run beside a perturbation (run_perturbation) records
+    nothing else: no verdict reads it, and the output checks read only its
+    l2_sq, against its snapshots.  The other runs add their H1 seminorm.
+    The 2D base adds its H2 norm (3.5), its mean-free force's squared L2
+    norm (A1, 3.3) and the norms of 4.25-4.27 (grad_l3_sq,
+    ||grad v||_{L3}^2) and 3.8 (w1_sigma, ||v||_{L^sigma} +
+    ||grad v||_{L^sigma}), and no mean.  The full 3D and perturbation runs
+    add their mean; the 3D checks are in H1, so they record no H2 norm.
+    The perturbation adds its mean-free force's squared L2 norm (G^2 of
+    stability_series, and by Hoelder B1's L^{6/5} norm).
     """
     if label == "2d_base":
         return ["t", "l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq",
                 "grad_l3_sq", "w1_sigma"]
+    if label == "direct":
+        return ["t", "l2_sq"]
     return ["t", "l2_sq", "grad_l2_sq"] \
         + [f"mean_{i + 1}" for i in range(dim)] \
-        + (["forcing_l2_sq", "forcing_l6_5_sq"] if label == "perturbation"
-           else [])
+        + (["forcing_l2_sq"] if label == "perturbation" else [])
 
 
 @dataclass
 class Trajectory:
     """A run, as its trajectory directory holds it: diag, the per-step
     series of diag_columns of its label, in that order and no other (no 3D
-    run holds h2_sq, the full 3D run no force norm), each read from the
-    run's state or force on the 2/3-rule modes K (_Member), and
-    snapshot_paths, the field.save_field files of the spectral snapshots
-    (mean included at k=0) that the run streamed to that directory.  A run
-    given no directory, and a trajectory loaded from disk, has none.
+    run holds h2_sq, the full 3D run no force norm, the direct run nothing
+    but l2_sq), each read from the run's state or force on the 2/3-rule
+    modes K (_Member), and snapshot_paths, the field.save_field files of
+    the spectral snapshots (mean included at k=0) that the run streamed to
+    that directory.  A run given no directory, and a trajectory loaded from
+    disk, has none.
 
     step_seconds is the wall time the run spent stepping and recording,
     force_evaluations the evaluations of its force (one per step time,
-    _Workspace.kept_force, whether or not it holds a force norm),
-    wait_seconds the wall time its caller waited for a worker of it, and
-    forcing_worker (busy seconds, force evaluations) of the worker that
-    computed its forcing_l6_5_sq, if any."""
+    _Workspace.kept_force, whether or not it holds a force norm), and
+    wait_seconds the wall time its caller waited for a worker of it."""
 
     grid: TorusGrid
     diag: dict
@@ -285,7 +287,6 @@ class Trajectory:
     step_seconds: float = 0.0
     force_evaluations: int = 0
     wait_seconds: float = 0.0
-    forcing_worker: tuple | None = None
     snapshot_paths: list = dc_field(default_factory=list)
     # no snapshot is held in memory; kept only for bench/trace_cli.py's
     # solver.base_snapshot_mb, until ROADMAP item 9 rewrites the trace
@@ -331,8 +332,8 @@ class _Workspace:
     it there.  spectral takes the products of the kernel or the force's
     values (kept_force); padded_magnitude and base_norms run
     physical's stages at 2N points an axis, one call per stage over every
-    component, for the force's L^{6/5} series and the 2D base's L^3 and
-    W^{1,sigma} norms.
+    component, for the 2D base's L^3 and W^{1,sigma} norms (and
+    forcing_lp_sq_series, which no run calls).
 
     Every array, the transforms' buffers included, is allocated once (the
     padded stages' at their first use); the kernel and the step write into
@@ -647,14 +648,15 @@ class _Member:
     no snapshots.
 
     Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i
-    (not of the full 3D run) is the squared L2 norm of the applied force at
-    tgrid[i] without its mean: the |f|^2 sum over K of the workspace's kept
-    force (_Workspace.kept_force, _Workspace.mean_free_norms_sq), which the
-    step ending there has already evaluated; so each step time costs one
-    evaluation, recorded or not.  The count is read from the run's
+    (of the base and the perturbation) is the squared L2 norm of the
+    applied force at tgrid[i] without its mean: the |f|^2 sum over K of
+    the workspace's kept force (_Workspace.kept_force,
+    _Workspace.mean_free_norms_sq), which the step ending there has
+    already evaluated; so each step time costs one evaluation, recorded or
+    not.  The count is read from the run's
     ForcingSpec: one shared with another run adds that run's evaluations.
-    No L^{6/5} norm is computed per step: run_perturbation records
-    forcing_l6_5_sq.
+    No L^{6/5} norm is computed: B1 bounds it by forcing_l2_sq (Hoelder,
+    estimates.compute_B_constants).
     """
 
     def __init__(self, cfg: SolverConfig, label: str, directory=None):
@@ -669,10 +671,9 @@ class _Member:
         self.tgrid = cfg.times
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
-        # run_perturbation adds forcing_l6_5_sq, the perturbation's last
         self.diag = {"t": self.tgrid} | {
             c: np.empty(self.n + 1) for c in diag_columns(label, grid.dim)
-            if c not in ("t", "forcing_l6_5_sq")}
+            if c != "t"}
         self.means = [c for c in self.diag if c.startswith("mean_")]
         self.norms = [c for c in ("l2_sq", "grad_l2_sq", "h2_sq")
                       if c in self.diag]
@@ -778,7 +779,9 @@ def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
     equal bit for bit to the squared L^p norm by padded quadrature of the
     mean-free force on the full lattice (tests/oracles.py).  One evaluation
     per step time, one for a steady force, none for a zero force, whose
-    series is zero."""
+    series is zero.  No run calls it (B1 takes the Hoelder bound of the
+    L^{6/5} norm); bench/trace_cli.py wraps it by name, until ROADMAP
+    item 9 moves it to the tests."""
     out = np.zeros(cfg.n_steps + 1)
     if cfg.forcing.kind == "zero":
         return out
@@ -790,14 +793,6 @@ def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
             out[:] = out[0]
             break
     return out
-
-
-def _timed_forcing_l6_5_sq(cfg: SolverConfig) -> tuple:
-    """(forcing_l6_5_sq of cfg, (wall seconds, force evaluations))."""
-    t0, before = time.perf_counter(), cfg.forcing.evaluations
-    series = forcing_lp_sq_series(cfg, 1.2)
-    return series, (time.perf_counter() - t0,
-                    cfg.forcing.evaluations - before)
 
 
 def run_2d_base(cfg: SolverConfig, directory=None) -> Trajectory:
@@ -814,7 +809,8 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
     """Evolve the 3D perturbation of cfg around the 2D base flow of
     base_cfg, which a forked worker steps beside it and streams to it
     (_backgrounds, worker.Stream), and, if direct_cfg is given, beside the
-    full 3D run of direct_cfg, which another forked worker steps.
+    full 3D run of direct_cfg, labelled direct (diag_columns), which
+    another forked worker steps.
 
     The base dt must divide dt, and all runs end at cfg.t_end; the direct
     run shares the perturbation's grid and dt.  Returns the trajectories
@@ -824,14 +820,8 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
     blow-up of either is the one a loop stepping the base first would
     report.  If both that side and the direct run blow up, the BlowUpError
     with the earlier time is raised, and on a tie that side's, as a loop
-    stepping the direct run last at each step would report.
-
-    The perturbation's forcing_l6_5_sq depends on its force alone: for a
-    time-dependent force a second forked worker computes it with
-    forcing_lp_sq_series beside the runs (forcing_worker, wait_seconds); a
-    steady force takes one evaluation here, and a zero force none.  A
-    blow-up or any other exception kills and reaps every worker still
-    running.
+    stepping the direct run last at each step would report.  A blow-up or
+    any other exception kills and reaps every worker still running.
 
     Given directories, one trajectory directory per run in the order
     returned, each run streams its snapshots into its own (_Member), the
@@ -856,10 +846,8 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                          "grid, dt and t_end")
     base_dir, pert_dir, direct_dir = directories or (None, None, None)
     with ExitStack() as workers:
-        forcing = None if cfg.forcing.steady else workers.enter_context(
-            Worker("forcing", _timed_forcing_l6_5_sq, cfg))
         worker = None if direct_cfg is None else workers.enter_context(
-            Worker("direct", _run_alone, direct_cfg, "full_3d", direct_dir))
+            Worker("direct", _run_alone, direct_cfg, "direct", direct_dir))
         # forked last, so that no other worker holds an end of its pipe
         base_run = _Member(base_cfg, "2d_base", base_dir)
         backgrounds = workers.enter_context(Stream(
@@ -884,15 +872,7 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
             t0 = time.perf_counter()
             direct = worker.join()
             direct.wait_seconds = time.perf_counter() - t0
-        traj = pert.trajectory()
-        t0 = time.perf_counter()
-        if forcing is None:
-            series = forcing_lp_sq_series(cfg, 1.2)
-        else:
-            series, traj.forcing_worker = forcing.join()
-            traj.wait_seconds = time.perf_counter() - t0
-        traj.diag["forcing_l6_5_sq"] = series
-    return base, traj, direct
+    return base, pert.trajectory(), direct
 
 
 def run_full_3d(cfg: SolverConfig, directory=None) -> Trajectory:

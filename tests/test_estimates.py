@@ -1,8 +1,11 @@
 """Budget constants, inequality checks, envelopes, calibration."""
 
+import ast
+import contextlib
 import dataclasses
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,11 +22,15 @@ from torusflow.field import (leray_data, mean_free, physical_padded,
 from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
                              sobolev_norm_sq)
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
-                              load_trajectory, run_perturbation,
-                              taylor_green_exact)
+                              forcing_lp_sq_series, load_trajectory,
+                              run_perturbation, taylor_green_exact,
+                              _Workspace)
 from torusflow import estimates as est
 
+from test_solver import _force_to_cutoff
+
 NU, T = 0.5, 1.0
+ROOT = Path(__file__).resolve().parents[1]
 DECAY_IDS = ("3.1", "3.2", "3.3", "3.4", "3.5")
 CONCLUSION_IDS = ("4.13", "4.18-env", "4.25")
 
@@ -339,6 +346,73 @@ def test_B_constants_zero_forcing(stability_setup):
     ev = _stability_evidence(base, pert, budget)
     assert ev.l2 == b
     assert all(ev.report(k).status == est.PASS for k in ("4.1a", "4.1b"))
+
+
+def _literal_forces() -> set:
+    """Every tuple or list of two or three string literals in the tests and
+    the demos that ForcingSpec accepts as component expressions: the forces
+    they build (and a few that are only strings, which the check holds for
+    just as well)."""
+    forces = set()
+    for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.List, ast.Tuple)) \
+                    and len(node.elts) in (2, 3) \
+                    and all(isinstance(e, ast.Constant)
+                            and isinstance(e.value, str) for e in node.elts):
+                expressions = tuple(e.value for e in node.elts)
+                with contextlib.suppress(ValueError):
+                    ForcingSpec(kind="expression", expressions=expressions)
+                    forces.add(expressions)
+    return forces
+
+
+def _holder_configs() -> list:
+    """(name, config) of every force in the repo, each over step times of
+    its own: the bundled scenarios' and bench/workloads/forced-direct.json's
+    on their runs' clocks, the tests' and demos' at N = 8 over t in [0, 2]."""
+    specs = {name: exp.bundled_scenario(name) for name in (
+        "taylor-green-decay", "stability-smoke", "hypothesis-violation")}
+    specs["forced-direct"] = exp.parse_config(
+        (ROOT / "bench" / "workloads" / "forced-direct.json").read_text())
+    out = []
+    for name, spec in specs.items():
+        for run in ("base", "perturbation"):
+            if spec[run] is not None:
+                out.append((f"{name}/{run}", exp._run_config(spec, run)))
+    forces = [ForcingSpec(kind="expression", expressions=e)
+              for e in sorted(_literal_forces())]
+    forces += [_force_to_cutoff(N, dim) for N in (8, 12, 16, 18)
+               for dim in (2, 3)]
+    for forcing in forces:
+        grid = make_grid(2 * np.pi, 8, len(forcing.expressions))
+        out.append((" | ".join(forcing.expressions), SolverConfig(
+            grid=grid, nu=1.0, dt=0.25, t_end=2.0, T=2.0, forcing=forcing)))
+    return out
+
+
+def test_force_l6_5_norm_under_its_holder_bound():
+    # B1 takes ||g||_{L^{6/5}}^2 <= |Omega|^{2/3} ||g||_{L^2}^2 (Hoelder on
+    # the torus; L^2 forcing_l2_sq in 3D) in place of the padded quadrature
+    # of |g|^{6/5}.  The quadrature stays at or below that bound at every
+    # step time of every force in the repo, with no tolerance: the
+    # quadrature/bound ratio is 0.961 at every step of forced-direct's and
+    # hypothesis-violation's perturbation force, at most 0.961 on the
+    # others, and 0 = 0 on a force without a mean-free part
+    configs = _holder_configs()
+    assert len(configs) > 40
+    for name, cfg in configs:
+        ws = _Workspace(cfg.grid)
+        l2_sq = np.array([  # the run's record of forcing_l2_sq (_Member)
+            ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t), 1)[0]
+            for t in cfg.times])
+        bound = cfg.grid.volume ** (2 / 3) * l2_sq
+        quadrature = forcing_lp_sq_series(cfg, 1.2)
+        assert np.isfinite(bound).all(), name
+        assert (quadrature <= bound).all(), name
+        if name.endswith("/perturbation") and cfg.forcing.kind != "zero":
+            np.testing.assert_allclose(quadrature / bound, 0.9608,
+                                       rtol=1e-4, err_msg=name)
 
 
 def test_l2_stability_vacuous_when_hypotheses_fail(stability_setup):

@@ -15,8 +15,7 @@ from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field, random_divfree_field
 from torusflow.grid import make_grid
-from torusflow.solver import (SolverConfig, forcing_lp_sq_series,
-                              load_trajectory)
+from torusflow.solver import SolverConfig, load_trajectory
 from torusflow.worker import Worker
 
 SMALL = {
@@ -34,7 +33,7 @@ SMALL = {
 SMALL_PERT = dict(SMALL, perturbation={"snapshot_stride": 50})
 
 # SMALL_PERT under a time-dependent perturbation force: B1 reads a nonzero
-# L^{6/5} series
+# forcing_l2_sq series
 FORCED_PERT = dict(SMALL, perturbation={
     "snapshot_stride": 50,
     "forcing": {"kind": "expression", "expressions": [
@@ -56,7 +55,7 @@ def _load_run(out, run):
     configuration that out/spec.json gives it (the direct run shares the
     perturbation's grid and clock)."""
     spec = json.loads((out / "spec.json").read_text())
-    label = {"base": "2d_base", "direct": "full_3d"}.get(run, run)
+    label = {"base": "2d_base"}.get(run, run)
     return load_trajectory(out / run, exp._run_config(
         spec, "base" if run == "base" else "perturbation"), label)
 
@@ -537,15 +536,27 @@ def _with_h2_series(lines):
             + cells[i:] for n, cells in enumerate(lines)]
 
 
+def _with_l6_5_series(lines):
+    # as written while the perturbation recorded the L^{6/5} quadrature of
+    # its force after forcing_l2_sq, its last column
+    return [cells + (["forcing_l6_5_sq"] if n == 0 else ["0.0"])
+            for n, cells in enumerate(lines)]
+
+
 def test_verify_refuses_trajectory_without_forcing_series(tmp_path, capsys):
     # a diagnostics.csv under an older header: the base's without the
-    # forcing_l2_sq column, the perturbation's with h2_sq
-    for cfg, run, edit in ((SMALL, "base", _without_forcing_series),
-                           (SMALL_PERT, "perturbation", _with_h2_series)):
-        out = tmp_path / run
+    # forcing_l2_sq column, the perturbation's with h2_sq or with
+    # forcing_l6_5_sq
+    for n, (cfg, run, edit) in enumerate((
+            (SMALL, "base", _without_forcing_series),
+            (SMALL_PERT, "perturbation", _with_h2_series),
+            (SMALL_PERT, "perturbation", _with_l6_5_series))):
+        out = tmp_path / str(n)
         exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
         path = out / run / "diagnostics.csv"
         lines = [line.split(",") for line in path.read_text().splitlines()]
+        assert lines[0][-1] == ("w1_sigma" if run == "base"
+                                else "forcing_l2_sq")
         path.write_text("\n".join(",".join(cells) for cells in edit(lines))
                         + "\n")
         assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
@@ -572,7 +583,7 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
     budget = StabilityBudget(
         **json.loads((out / "constants.json").read_text())["budget"])
     base, pert = (_load_run(out, run) for run in ("base", "perturbation"))
-    assert pert.diag["forcing_l6_5_sq"].min() > 0.0
+    assert pert.diag["forcing_l2_sq"].min() > 0.0
     reports = exp.analyze(base, pert, raw, budget)[0]
     assert reports_to_json(reports) + "\n" \
         == (out / "inequalities.json").read_text()
@@ -962,14 +973,13 @@ def test_meta_records_phase_times(tmp_path):
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
     # busy seconds of the forked workers, beside the parent's timeline
     workers = meta["workers"]
-    assert set(workers) == {"base", "direct", "forcing"}
+    assert set(workers) == {"base", "direct"}
     assert all(0 < v < meta["wall_seconds"] for v in workers.values())
     assert meta["steps_per_s"] > 0
-    # every run, and the forcing worker, evaluates its force exactly once
-    # per step time
+    # every run evaluates its force exactly once per step time
     n = round(SMALL["T"] / SMALL["dt"])
     counts = meta["force_evaluations"]
-    assert set(counts) == {"base", "perturbation", "direct", "forcing"}
+    assert set(counts) == {"base", "perturbation", "direct"}
     assert all(c == n + 1 for c in counts.values())
     # the snapshot files each run streamed, as they lie in snapshots/
     for name, streamed in meta["snapshots"].items():
@@ -1004,13 +1014,13 @@ def _forked_and_alone(spec, tmp_path, monkeypatch) -> dict:
 
 def test_one_process_fallback_writes_the_forked_artifacts(tmp_path,
                                                           monkeypatch):
-    # without os.fork the base and direct runs and the forcing series are
-    # computed in the run's own process, to the same bytes
+    # without os.fork the base and direct runs are stepped in the run's
+    # own process, to the same bytes
     spec = exp.parse_config(json.dumps(FORCED_DIRECT))
     forked, workers = _forked_and_alone(spec, tmp_path, monkeypatch)
     assert "perturbation/diagnostics.csv" in forked
     assert "direct/diagnostics.csv" in forked
-    assert workers == {"base", "direct", "forcing"}
+    assert workers == {"base", "direct"}
 
 
 def test_one_process_fallback_without_force_or_direct_run(tmp_path,
@@ -1033,7 +1043,7 @@ def test_one_process_fallback_without_force_or_direct_run(tmp_path,
 def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
     # every norm a run records is read from its K-state (solver._Workspace):
     # field.physical_padded, patched to raise under every torusflow name
-    # bound to it before the direct and forcing workers fork, is called
+    # bound to it before the direct and base workers fork, is called
     # neither by run nor by verify, in this process or in a worker
     import sys
     from torusflow import field, norms
@@ -1060,7 +1070,7 @@ def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
     assert exp.emit_report(exp.run_experiment(spec, str(out)))[1] \
         == exp.EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
-    assert set(meta["workers"]) == {"base", "direct", "forcing"}
+    assert set(meta["workers"]) == {"base", "direct"}
     assert exp.emit_report(exp.reverify(str(out)))[1] == exp.EXIT_OK
 
 
@@ -1073,8 +1083,10 @@ def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
                          ids=["alone", "direct"])
 def test_no_forcing_worker_without_time_dependent_force(
         tmp_path, monkeypatch, forcing, direct_3d):
-    # a zero force (stability-smoke) or a steady one (hypothesis-violation)
-    # has its L^{6/5} series computed in the run's own process
+    # a zero force (stability-smoke) or a steady one (hypothesis-violation),
+    # like a time-dependent one (test_meta_records_phase_times), starts no
+    # worker beside the runs': B1 reads the perturbation's forcing_l2_sq,
+    # the Parseval sum its own process records
     started = []
 
     def worker(name, *args):
@@ -1092,14 +1104,16 @@ def test_no_forcing_worker_without_time_dependent_force(
     assert started == (["direct", "base"] if direct_3d else ["base"])
     assert set(meta["workers"]) == ({"base", "direct"} if direct_3d
                                     else {"base"})
-    assert "forcing" not in meta["force_evaluations"]
+    assert set(meta["force_evaluations"]) == ({"base", "perturbation",
+                                               "direct"} if direct_3d
+                                              else {"base", "perturbation"})
     g3 = make_grid(spec["L"], spec["N"], 3)
     cfg = SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],
                        t_end=spec["T"], T=spec["T"],
                        forcing=exp._build_forcing(forcing, 3))
     recorded = load_trajectory(out / "perturbation", cfg,
-                               "perturbation").diag["forcing_l6_5_sq"]
-    np.testing.assert_array_equal(recorded, forcing_lp_sq_series(cfg, 1.2))
+                               "perturbation").diag["forcing_l2_sq"]
+    assert (recorded == recorded[0]).all()
     assert (recorded == 0.0).all() == (forcing["kind"] == "zero")
 
 
@@ -1280,6 +1294,9 @@ def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
     # reaches the modes the rule drops
     out = tmp_path / "out"
     exp.run_experiment(exp.parse_config(json.dumps(FORCED_DIRECT)), str(out))
+    # the direct run writes the one series the output checks read of it
+    assert (out / "direct" / "diagnostics.csv").read_text().split("\n")[0] \
+        == "t,l2_sq"
     for run in ("base", "perturbation", "direct"):
         # only the 2D base run records the L3 and W^1_sigma norms, in its
         # per-step table, and no run writes a table beside it

@@ -755,12 +755,17 @@ def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
     assert len(direct.snapshot_paths) == len(alone.snapshot_paths) == 6
     np.testing.assert_array_equal(np.array(_snapshots(direct)),
                                   np.array(_snapshots(alone)))
-    for key in ("l2_sq", "grad_l2_sq", "mean_1", "mean_2", "mean_3"):
-        np.testing.assert_array_equal(direct.diag[key], alone.diag[key])
+    # the direct run records the one series the output checks read of it;
+    # run_full_3d keeps those of criteria 02 and 06 and demo 02
+    assert list(direct.diag) == ["t", "l2_sq"]
+    assert list(alone.diag) == ["t", "l2_sq", "grad_l2_sq", "mean_1",
+                                "mean_2", "mean_3"]
+    for key in direct.diag:
+        assert direct.diag[key].tobytes() == alone.diag[key].tobytes()
 
 
 @pytest.mark.parametrize("pert_h1, direct_h1, label, t", [
-    (0.3, 1e4, "full_3d", 0.04), (1e4, 1e5, "full_3d", 0.032),
+    (0.3, 1e4, "direct", 0.04), (1e4, 1e5, "direct", 0.032),
     (1e5, 1e4, "perturbation", 0.032), (1e4, 1e4, "perturbation", 0.04)],
     ids=["direct-only", "direct-earlier", "perturbation-earlier", "tie"])
 def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
@@ -781,8 +786,8 @@ def test_blowup_reported_as_one_loop_would(pert_h1, direct_h1, label, t):
         with pytest.raises(BlowUpError) as info:
             run_perturbation(pert_cfg, base_cfg, direct_cfg)
         with pytest.raises(BlowUpError) as alone:
-            if label == "full_3d":
-                run_full_3d(direct_cfg)
+            if label == "direct":
+                solver._run_alone(direct_cfg, "direct")
             else:
                 run_perturbation(pert_cfg, base_cfg)
     got, want = info.value, alone.value
@@ -846,10 +851,9 @@ def test_base_blowup_reported_as_one_loop_would(
 
 
 def test_base_blowup_with_every_worker_alive(monkeypatch):
-    # the forcing worker, made to outlast the runs, and the direct worker,
-    # held back a second, are both running when the base blows up in its
-    # worker: the run still reports the one-loop blow-up, kills the
-    # forcing worker and leaves no child
+    # the direct worker, held back a second, is still running when the
+    # base blows up in its worker: the run still reports the one-loop
+    # blow-up and leaves no child
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
     nu, dt, t_end = 0.5, 4e-3, 0.08
     base_cfg = SolverConfig(
@@ -863,11 +867,7 @@ def test_base_blowup_with_every_worker_alive(monkeypatch):
     direct_cfg = dataclasses.replace(
         pert_cfg, forcing=ForcingSpec(),
         initial=random_divfree_field(g3, seed=3, target_h1=0.3))
-    series, run_alone = solver._timed_forcing_l6_5_sq, solver._run_alone
-
-    def slow_series(cfg):
-        time.sleep(30)
-        return series(cfg)
+    run_alone = solver._run_alone
 
     def late_run(*args):
         time.sleep(1)
@@ -879,15 +879,13 @@ def test_base_blowup_with_every_worker_alive(monkeypatch):
         return info.value
 
     with np.errstate(all="ignore"):
-        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", slow_series)
         monkeypatch.setattr(solver, "_run_alone", late_run)
         t0 = time.perf_counter()
         got = blow_up()
         assert time.perf_counter() - t0 < 20
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # the one-process loop, with the real functions
-        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", series)
+        # the one-process loop, with the real function
         monkeypatch.setattr(solver, "_run_alone", run_alone)
         monkeypatch.delattr(os, "fork")
         want = blow_up()
@@ -945,10 +943,13 @@ def test_ring_size_leaves_the_runs_unchanged(sized_pipes, slots, tmp_path):
             assert mine.diag[key].tobytes() == series.tobytes(), key
 
 
-@pytest.mark.parametrize("direct", [False, True], ids=["alone", "direct"])
-def test_blowup_kills_a_live_forcing_worker(monkeypatch, direct):
-    # a time-dependent perturbation force starts the forcing worker; made to
-    # outlast the runs, it is still computing when the perturbation blows up
+def test_blowup_kills_a_live_base_worker(monkeypatch, sized_pipes):
+    # the perturbation blows up while both of its siblings are alive: the
+    # direct worker, held back a second, has not yet blown up, and the base
+    # worker is blocked ahead of the perturbation on a one-page pipe.  The
+    # run waits for the direct run, reports the blow-up one loop would
+    # (the direct run's, which is earlier), kills and reaps the base worker
+    # and leaves no child
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
     nu, dt, t_end = 0.5, 4e-3, 0.08
     base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end,
@@ -961,32 +962,33 @@ def test_blowup_kills_a_live_forcing_worker(monkeypatch, direct):
     direct_cfg = dataclasses.replace(
         pert_cfg, forcing=ForcingSpec(), initial=physical_field(
             g3, extrude_field(base_cfg.initial, g3).physical()
-            + random_divfree_field(g3, seed=2, target_h1=1e5).physical())) \
-        if direct else None
-    series = solver._timed_forcing_l6_5_sq
+            + random_divfree_field(g3, seed=2, target_h1=1e5).physical()))
+    run_alone = solver._run_alone
 
-    def slow_series(cfg):
-        time.sleep(30)
-        return series(cfg)
+    def late_run(*args):
+        time.sleep(1)
+        return run_alone(*args)
 
     def blow_up():
         with pytest.raises(BlowUpError) as info:
             run_perturbation(pert_cfg, base_cfg, direct_cfg)
         return info.value
 
+    # the base's arrays at N=8 take 1 KiB each: a few fill the pipe
+    size, made = sized_pipes(1)
     with np.errstate(all="ignore"):
-        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", slow_series)
+        monkeypatch.setattr(solver, "_run_alone", late_run)
         t0 = time.perf_counter()
         got = blow_up()
         assert time.perf_counter() - t0 < 20
+        assert made and made == [size] * len(made)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # the one-process loop, with the real series
-        monkeypatch.setattr(solver, "_timed_forcing_l6_5_sq", series)
+        # the one-process loop, with the real function
+        monkeypatch.setattr(solver, "_run_alone", run_alone)
         monkeypatch.delattr(os, "fork")
         want = blow_up()
-    assert got.quantity == f"{'full_3d' if direct else 'perturbation'} " \
-        "L2 norm"
+    assert got.quantity == "direct L2 norm"
     assert (got.time, got.quantity, str(got)) \
         == (want.time, want.quantity, str(want))
 
@@ -1045,10 +1047,9 @@ def test_run_perturbation_refuses_mismatched_base(base_dt, base_t_end):
     ("0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)"),
     ("0.1*sin(x2)", "0.05 + 0.1*sin(x1)")], ids=["unsteady", "steady"])
 def test_recorded_forcing_norms_match_separate_passes(base_force):
-    # one pass of its own over the step times per norm: the replaced
-    # full-lattice path (tests/oracles.py), the reference for
-    # forcing_l2_sq, which the run sums over K in another order, so they
-    # agree to roundoff; and the path that records forcing_l6_5_sq.  At
+    # one pass of its own over the step times: the replaced full-lattice
+    # path (tests/oracles.py), the reference for forcing_l2_sq, which the
+    # run sums over K in another order, so they agree to roundoff.  At
     # dt = 2e-3 some t_i + dt differ from t_{i+1} = dt*(i+1), so a step
     # that evaluated its force at t_i + dt would record another norm than
     # the pass, which evaluates at t_{i+1}
@@ -1071,8 +1072,6 @@ def test_recorded_forcing_norms_match_separate_passes(base_force):
         np.testing.assert_allclose(run.diag["forcing_l2_sq"],
                                    forcing_norm_sq_series(cfg, None),
                                    rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(pert.diag["forcing_l6_5_sq"],
-                                  forcing_lp_sq_series(pert_cfg, 1.2))
 
 
 def _force_to_cutoff(N, dim):

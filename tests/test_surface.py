@@ -26,6 +26,11 @@ EXEMPT = {
                         "(ROADMAP item 9)",
     "norms.grad_l2_norm_sq": "bench/trace_cli.py wraps it by name "
                              "(ROADMAP item 9)",
+    "solver.forcing_lp_sq_series": "bench/trace_cli.py wraps it by name "
+                                   "(ROADMAP item 9)",
+    "solver._Workspace.padded_magnitude": "only forcing_lp_sq_series "
+                                          "calls it, which bench/trace_cli.py "
+                                          "wraps by name (ROADMAP item 9)",
     "norms._padded_magnitude": "only compute_norm_report calls it",
     "norms.gradient_field": "only compute_norm_report calls it",
     "field.gradient_data": "only compute_norm_report calls it, through "
