@@ -53,7 +53,7 @@ VERDICT_FILES = {"inequalities": "inequalities.json",
                  "windows": "windows.csv", "summary": "summary.txt"}
 
 #: the phases of run_experiment timed in meta.json
-PHASES = ("base", "perturbation", "direct", "analysis", "writing")
+PHASES = ("base", "perturbation", "analysis", "writing")
 
 #: the trajectory directories of an output, in run_perturbation's order
 RUNS = ("base", "perturbation", "direct")
@@ -446,11 +446,11 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     _check_saved.  On solver blow-up only the partial snapshot directories
     are left of the trajectories, and the one report is "blow-up".
     meta.json, written last, records the wall seconds of each of PHASES in
-    this process (base and direct beside a perturbation: the wait for its
-    worker), the busy seconds of each forked worker that steps a run, the
-    solver steps per second of the runs and, per run, the evaluations of
-    its force (one per step time) and the count and bytes of its snapshot
-    files.
+    this process (base beside a perturbation: the wait for the forked
+    child that steps the base and direct runs), the busy seconds of each
+    run that child steps, the solver steps per second of the runs and, per
+    run, the evaluations of its force (one per step time) and the count
+    and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -502,14 +502,14 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
         with _timed(phases, "writing"):
             code = _write_verdicts(artifacts, None)
     else:
+        phases["base"] += base.wait_seconds
         for name, directory, traj in zip(RUNS, directories,
                                          (base, pert, direct)):
             if traj is None:
                 continue
-            phases[name] += traj.wait_seconds
             if pert is not None and name != "perturbation":
-                # run_perturbation steps the base and direct runs in
-                # forked workers
+                # run_perturbation steps the base and direct runs in its
+                # forked child
                 workers[name] = traj.step_seconds
             else:
                 phases[name] += traj.step_seconds
@@ -524,7 +524,7 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
             artifacts, code = _check_saved(spec, out_dir, paths)
 
     artifacts.wall_seconds = time.perf_counter() - t_wall
-    stepping = phases["base"] + phases["perturbation"] + phases["direct"]
+    stepping = phases["base"] + phases["perturbation"]
     _write_atomic(os.path.join(out_dir, "meta.json"), json.dumps(
         {"wall_seconds": artifacts.wall_seconds,
          "phases": phases, "workers": workers,

@@ -10,14 +10,14 @@ loop and one nonlinear kernel in divergence form:
   * the 2D base flow,
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
-    w = u + v_s.  A forked worker steps the base run and writes the
+    w = u + v_s.  A forked child steps the base run and writes the
     perturbation the physical values of each base state through a pipe
     (_backgrounds, worker.Stream), so v_s is read from the base state at
     the start of each step, never from a stored trajectory.  The step is
     linear in the flux history, so the extruded base plus the perturbation
     equals the full 3D run to roundoff.  A full 3D run beside them, the
-    direct run, shares nothing with them, steps in a forked worker of its
-    own and records its L2 norm alone.
+    direct run, shares no state with them, steps in the same child after
+    the base and records its L2 norm alone.
 
 Every run stores and steps its state on the 2/3-rule modes K alone
 (_Workspace): the kernel's transforms are numpy's irfftn and rfftn pruned
@@ -52,7 +52,7 @@ import math
 import os
 import shutil
 import time
-from contextlib import ExitStack, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from typing import ClassVar
 
@@ -61,7 +61,7 @@ import numpy as np
 from .grid import TorusGrid
 from .field import Field, load_field, save_field, spectral_data, spectral_field
 from .norms import _quadrature_norm, w1_sigma_norms, DEFAULT_SIGMA
-from .worker import Stream, Worker
+from .worker import Stream
 
 
 class BlowUpError(RuntimeError):
@@ -279,7 +279,9 @@ class Trajectory:
     step_seconds is the wall time the run spent stepping and recording,
     force_evaluations the evaluations of its force (one per step time,
     _Workspace.kept_force, whether or not it holds a force norm), and
-    wait_seconds the wall time its caller waited for a worker of it."""
+    wait_seconds, of a base run beside a perturbation, the wall time the
+    perturbation's process waited for the child that steps the base and
+    direct runs (run_perturbation)."""
 
     grid: TorusGrid
     diag: dict
@@ -745,16 +747,24 @@ def _lockstep(lead: _Member, backgrounds=None):
         lead.advance(i, b)
 
 
-def _backgrounds(base: _Member, r: int, n: int):
+def _backgrounds(base: _Member, r: int, n: int, direct_cfg=None,
+                 direct_dir=None):
     """The backgrounds of n steps of a 3D run around the 2D run base, each
     a new array yielded (worker.Stream): for step i, the physical values of
     base's state at the start of the step, mean included, constant along
     x3, shape (2, N, N, 1), then base's r substeps, and only then is the
-    array yielded.  So the base reaches the end of a step before the 3D
-    run starts it, as one process stepping the base first would, and a base
-    that blows up yields nothing for that step.  Only the base velocity is
-    handed on, never the base trajectory.  Returns the base's trajectory.
+    array yielded; after it, the direct run of direct_cfg, if given, takes
+    its step i.  So at each step the base, the 3D run that reads the array
+    and the direct run step in that order, as one process stepping them
+    in turn would: a base that blows up yields nothing for that step, and
+    a direct blow-up at step i is raised where the next array is asked
+    for.  The direct run is made here, streaming its snapshots into
+    direct_dir (_Member), so that its workspace lives where the generator
+    runs.  Only the base velocity is handed on, never the base trajectory.
+    Returns the trajectories (base, direct or None).
     """
+    direct = None if direct_cfg is None \
+        else _Member(direct_cfg, "direct", direct_dir)
     for i in range(n):
         t0 = time.perf_counter()
         item = base.ws.physical(base.state)[..., np.newaxis]
@@ -762,7 +772,10 @@ def _backgrounds(base: _Member, r: int, n: int):
         for j in range(i * r, (i + 1) * r):
             base.advance(j)
         yield item
-    return base.trajectory()
+        if direct is not None:
+            direct.advance(i)
+    return base.trajectory(), \
+        None if direct is None else direct.trajectory()
 
 
 def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
@@ -807,25 +820,25 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                      direct_cfg: SolverConfig | None = None,
                      directories=None) -> tuple:
     """Evolve the 3D perturbation of cfg around the 2D base flow of
-    base_cfg, which a forked worker steps beside it and streams to it
-    (_backgrounds, worker.Stream), and, if direct_cfg is given, beside the
-    full 3D run of direct_cfg, labelled direct (diag_columns), which
-    another forked worker steps.
+    base_cfg, which one forked child steps beside it and streams to it
+    (_backgrounds, worker.Stream), and, if direct_cfg is given, the full 3D
+    run of direct_cfg, labelled direct (diag_columns), which the same child
+    steps after the base.
 
     The base dt must divide dt, and all runs end at cfg.t_end; the direct
     run shares the perturbation's grid and dt.  Returns the trajectories
-    (base, perturbation, direct or None); the base and direct ones record
-    in wait_seconds how long this call waited for their workers.  The base
-    reaches the end of each step before the perturbation starts it, so a
-    blow-up of either is the one a loop stepping the base first would
-    report.  If both that side and the direct run blow up, the BlowUpError
-    with the earlier time is raised, and on a tie that side's, as a loop
-    stepping the direct run last at each step would report.  A blow-up or
-    any other exception kills and reaps every worker still running.
+    (base, perturbation, direct or None); the base one records in
+    wait_seconds how long this call waited for the child.  At each step
+    the base, the perturbation and the direct run step in that order, and
+    the first BlowUpError (or any other exception, a direct_cfg that
+    _Member refuses included) is the one a loop stepping them in turn
+    would raise.  Leaving the call by an exception kills and reaps the
+    child at once, so a blow-up ends the base and direct runs where they
+    are.
 
     Given directories, one trajectory directory per run in the order
     returned, each run streams its snapshots into its own (_Member), the
-    base and direct runs from their workers.
+    base and direct runs from the child.
     """
     grid, g2 = cfg.grid, base_cfg.grid
     if grid.dim != 3:
@@ -845,33 +858,13 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
         raise ValueError("the direct run must share the perturbation's "
                          "grid, dt and t_end")
     base_dir, pert_dir, direct_dir = directories or (None, None, None)
-    with ExitStack() as workers:
-        worker = None if direct_cfg is None else workers.enter_context(
-            Worker("direct", _run_alone, direct_cfg, "direct", direct_dir))
-        # forked last, so that no other worker holds an end of its pipe
-        base_run = _Member(base_cfg, "2d_base", base_dir)
-        backgrounds = workers.enter_context(Stream(
-            "base", (2,) + g2.shape_phys + (1,), _backgrounds, base_run, r,
-            cfg.n_steps))
+    base_run = _Member(base_cfg, "2d_base", base_dir)
+    with Stream("base", (2,) + g2.shape_phys + (1,), _backgrounds, base_run,
+                r, cfg.n_steps, direct_cfg, direct_dir) as backgrounds:
         pert = _Member(cfg, "perturbation", pert_dir)
-        try:
-            _lockstep(pert, backgrounds)
-            base = backgrounds.join()
-        except BlowUpError as own:
-            if worker is None:
-                raise
-            try:
-                worker.join()
-            except BlowUpError as other:
-                if other.time < own.time:
-                    raise other from None
-            raise
-        base.wait_seconds = backgrounds.wait_seconds
-        direct = None
-        if worker is not None:
-            t0 = time.perf_counter()
-            direct = worker.join()
-            direct.wait_seconds = time.perf_counter() - t0
+        _lockstep(pert, backgrounds)
+        base, direct = backgrounds.join()
+    base.wait_seconds = backgrounds.wait_seconds
     return base, pert.trajectory(), direct
 
 

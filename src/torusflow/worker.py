@@ -1,6 +1,6 @@
 """Work run in a forked child process, beside the parent's own work.
 
-    with Worker("direct", fn, *args) as worker:
+    with Worker("initial", fn, *args) as worker:
         ...                       # the parent's share of the work
         result = worker.join()    # fn(*args), or its exception re-raised
 

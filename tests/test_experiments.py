@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from torusflow import experiments as exp
-from torusflow import cli, estimates as est, solver, worker as worker_module
+from torusflow import cli, estimates as est, worker as worker_module
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
 from torusflow.field import load_field, random_divfree_field
@@ -967,11 +967,12 @@ def test_meta_records_phase_times(tmp_path):
                                             direct_3d=True)))
     exp.run_experiment(spec, str(tmp_path / "out"))
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-    assert set(meta["phases"]) == {"base", "perturbation", "direct",
-                                   "analysis", "writing"}
+    assert set(meta["phases"]) == {"base", "perturbation", "analysis",
+                                   "writing"}
     assert all(v > 0 for v in meta["phases"].values())
     assert sum(meta["phases"].values()) <= meta["wall_seconds"]
-    # busy seconds of the forked workers, beside the parent's timeline
+    # busy seconds of the base and direct runs in the forked child, beside
+    # the parent's timeline
     workers = meta["workers"]
     assert set(workers) == {"base", "direct"}
     assert all(0 < v < meta["wall_seconds"] for v in workers.values())
@@ -1043,8 +1044,8 @@ def test_one_process_fallback_without_force_or_direct_run(tmp_path,
 def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
     # every norm a run records is read from its K-state (solver._Workspace):
     # field.physical_padded, patched to raise under every torusflow name
-    # bound to it before the direct and base workers fork, is called
-    # neither by run nor by verify, in this process or in a worker
+    # bound to it before the base's child forks, is called neither by run
+    # nor by verify, in this process or in that child
     import sys
     from torusflow import field, norms
 
@@ -1081,19 +1082,22 @@ def test_runs_never_pad_on_the_full_lattice(tmp_path, monkeypatch):
     ids=["zero", "steady"])
 @pytest.mark.parametrize("direct_3d", [False, True],
                          ids=["alone", "direct"])
-def test_no_forcing_worker_without_time_dependent_force(
-        tmp_path, monkeypatch, forcing, direct_3d):
-    # a zero force (stability-smoke) or a steady one (hypothesis-violation),
-    # like a time-dependent one (test_meta_records_phase_times), starts no
-    # worker beside the runs': B1 reads the perturbation's forcing_l2_sq,
-    # the Parseval sum its own process records
+def test_run_forks_one_stepping_child(tmp_path, monkeypatch, forcing,
+                                      direct_3d):
+    # with or without the direct run, and under a zero force
+    # (stability-smoke) or a steady one (hypothesis-violation) as under a
+    # time-dependent one (test_meta_records_phase_times), a run forks one
+    # child that steps runs, the base's, which steps the direct run too,
+    # beside the one that draws the random initial perturbation.  B1 reads
+    # the perturbation's forcing_l2_sq, the Parseval sum its own process
+    # records
     started = []
 
     def worker(name, *args):
         started.append(name)
         return Worker(name, *args)
 
-    monkeypatch.setattr(solver, "Worker", worker)
+    monkeypatch.setattr(exp, "Worker", worker)
     monkeypatch.setattr(worker_module, "Worker", worker)  # the base's Stream
     spec = exp.parse_config(json.dumps(dict(
         SMALL, T=0.05, direct_3d=direct_3d,
@@ -1101,7 +1105,7 @@ def test_no_forcing_worker_without_time_dependent_force(
     out = tmp_path / "out"
     exp.run_experiment(spec, str(out))
     meta = json.loads((out / "meta.json").read_text())
-    assert started == (["direct", "base"] if direct_3d else ["base"])
+    assert started == ["initial", "base"]
     assert set(meta["workers"]) == ({"base", "direct"} if direct_3d
                                     else {"base"})
     assert set(meta["force_evaluations"]) == ({"base", "perturbation",

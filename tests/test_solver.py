@@ -730,9 +730,9 @@ def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
 
 def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
     # only the 2D base computes the L3 and W^1_sigma norms, at every step:
-    # a 3D run that computed them fails, in the direct run's worker too.
-    # Each call appends its grid's dim to a file, from whichever process
-    # makes it: the base steps in a worker of its own
+    # a 3D run that computed them fails, in the base's child too, which
+    # steps the direct run.  Each call appends its grid's dim to a file,
+    # from whichever process makes it
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
     calls = tmp_path / "dims"
     calls.touch()
@@ -851,9 +851,9 @@ def test_base_blowup_reported_as_one_loop_would(
 
 
 def test_base_blowup_with_every_worker_alive(monkeypatch):
-    # the direct worker, held back a second, is still running when the
-    # base blows up in its worker: the run still reports the one-loop
-    # blow-up and leaves no child
+    # the direct run, held back half a second a step, steps in the base's
+    # child: the base still blows up there at step 2, the run reports the
+    # one-loop blow-up and leaves no child
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
     nu, dt, t_end = 0.5, 4e-3, 0.08
     base_cfg = SolverConfig(
@@ -867,11 +867,12 @@ def test_base_blowup_with_every_worker_alive(monkeypatch):
     direct_cfg = dataclasses.replace(
         pert_cfg, forcing=ForcingSpec(),
         initial=random_divfree_field(g3, seed=3, target_h1=0.3))
-    run_alone = solver._run_alone
+    advance = solver._Member.advance
 
-    def late_run(*args):
-        time.sleep(1)
-        return run_alone(*args)
+    def late_direct(member, i, background=None):
+        if member.label == "direct":
+            time.sleep(0.5)
+        return advance(member, i, background)
 
     def blow_up():
         with pytest.raises(BlowUpError) as info:
@@ -879,14 +880,14 @@ def test_base_blowup_with_every_worker_alive(monkeypatch):
         return info.value
 
     with np.errstate(all="ignore"):
-        monkeypatch.setattr(solver, "_run_alone", late_run)
+        monkeypatch.setattr(solver._Member, "advance", late_direct)
         t0 = time.perf_counter()
         got = blow_up()
         assert time.perf_counter() - t0 < 20
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # the one-process loop, with the real function
-        monkeypatch.setattr(solver, "_run_alone", run_alone)
+        # the one-process loop, with the real method
+        monkeypatch.setattr(solver._Member, "advance", advance)
         monkeypatch.delattr(os, "fork")
         want = blow_up()
     assert got.quantity == "2d_base L2 norm"
@@ -943,15 +944,13 @@ def test_ring_size_leaves_the_runs_unchanged(sized_pipes, slots, tmp_path):
             assert mine.diag[key].tobytes() == series.tobytes(), key
 
 
-def test_blowup_kills_a_live_base_worker(monkeypatch, sized_pipes):
-    # the perturbation blows up while both of its siblings are alive: the
-    # direct worker, held back a second, has not yet blown up, and the base
-    # worker is blocked ahead of the perturbation on a one-page pipe.  The
-    # run waits for the direct run, reports the blow-up one loop would
-    # (the direct run's, which is earlier), kills and reaps the base worker
-    # and leaves no child
+def _healthy_direct_beside_blowup(t_end):
+    """(base, perturbation, direct) configs at N=8 and dt=4e-3 up to
+    t_end: a forced perturbation that blows up at t=0.04, its step 10,
+    beside a direct run that does not blow up, both taking a snapshot at
+    every step."""
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
-    nu, dt, t_end = 0.5, 4e-3, 0.08
+    nu, dt = 0.5, 4e-3
     base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end,
                             initial=taylor_green_exact(g2, nu, 0.0, 0.5))
     pert_cfg = SolverConfig(
@@ -962,12 +961,23 @@ def test_blowup_kills_a_live_base_worker(monkeypatch, sized_pipes):
     direct_cfg = dataclasses.replace(
         pert_cfg, forcing=ForcingSpec(), initial=physical_field(
             g3, extrude_field(base_cfg.initial, g3).physical()
-            + random_divfree_field(g3, seed=2, target_h1=1e5).physical()))
-    run_alone = solver._run_alone
+            + random_divfree_field(g3, seed=2, target_h1=0.3).physical()))
+    return base_cfg, pert_cfg, direct_cfg
 
-    def late_run(*args):
-        time.sleep(1)
-        return run_alone(*args)
+
+def test_blowup_kills_a_live_base_worker(monkeypatch, sized_pipes):
+    # the perturbation blows up at step 10 of 20 while the child that steps
+    # the base and direct runs is alive, blocked ahead of it on a one-page
+    # pipe: the run reports the perturbation's blow-up, as one loop would,
+    # and kills and reaps the child.  The direct run's last step, held
+    # back 30 s, is never reached: the child is not joined
+    base_cfg, pert_cfg, direct_cfg = _healthy_direct_beside_blowup(0.08)
+    advance = solver._Member.advance
+
+    def slow_end(member, i, background=None):
+        if member.label == "direct" and i == member.n - 1:
+            time.sleep(30)
+        return advance(member, i, background)
 
     def blow_up():
         with pytest.raises(BlowUpError) as info:
@@ -977,20 +987,59 @@ def test_blowup_kills_a_live_base_worker(monkeypatch, sized_pipes):
     # the base's arrays at N=8 take 1 KiB each: a few fill the pipe
     size, made = sized_pipes(1)
     with np.errstate(all="ignore"):
-        monkeypatch.setattr(solver, "_run_alone", late_run)
+        monkeypatch.setattr(solver._Member, "advance", slow_end)
         t0 = time.perf_counter()
         got = blow_up()
         assert time.perf_counter() - t0 < 20
         assert made and made == [size] * len(made)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # the one-process loop, with the real function
-        monkeypatch.setattr(solver, "_run_alone", run_alone)
+        # the one-process loop, with the real method
+        monkeypatch.setattr(solver._Member, "advance", advance)
         monkeypatch.delattr(os, "fork")
         want = blow_up()
-    assert got.quantity == "direct L2 norm"
+    assert got.quantity == "perturbation L2 norm"
+    assert got.time == pert_cfg.times[10]
     assert (got.time, got.quantity, str(got)) \
         == (want.time, want.quantity, str(want))
+
+
+def test_blowup_does_not_wait_for_the_direct_run(tmp_path):
+    # the perturbation blows up at step 10 of 300 beside a direct run that
+    # would not: leaving run_perturbation kills the child that steps the
+    # direct run, which can have run ahead of the perturbation only as far
+    # as the pipe holds (64 KiB by default, 64 of the base's 1 KiB arrays),
+    # so its snapshots.partial holds far fewer than its 301 snapshots
+    base_cfg, pert_cfg, direct_cfg = _healthy_direct_beside_blowup(1.2)
+    assert pert_cfg.n_steps == 300
+    dirs = _run_dirs(tmp_path)
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
+    assert info.value.quantity == "perturbation L2 norm"
+    assert info.value.time == pert_cfg.times[10]
+    direct = os.listdir(dirs[2] / "snapshots.partial")
+    assert 1 <= len(direct) < pert_cfg.n_steps // 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [True, False],
+                         ids=["forked", "in-process"])
+def test_bad_direct_config_fails_before_the_perturbation_steps(
+        monkeypatch, tmp_path, forked):
+    # the direct run is made where the base's first array is, so a config
+    # that _Member refuses raises before the perturbation takes a step,
+    # not once it has taken them all
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    direct_cfg = dataclasses.replace(direct_cfg, initial=None)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    dirs = _run_dirs(tmp_path)
+    with pytest.raises(ValueError, match="missing initial field"):
+        run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
+    assert os.listdir(dirs[1] / "snapshots.partial") == ["snap_000000.npz"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("forked", [True, False],
@@ -1000,7 +1049,7 @@ def test_full_lattice_copy_only_at_snapshots(monkeypatch, tmp_path, forked):
     # once per stored snapshot and at no other step, its force norms
     # included.  Each call appends its workspace's key to one file: the
     # process and id of the workspace at its first call, which the base
-    # run's worker inherits from the initial snapshot taken here, and the
+    # run's child inherits from the initial snapshot taken here, and the
     # workspace is held, so that no later one reuses its id
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
     base_cfg = dataclasses.replace(base_cfg, snapshot_stride=3)
