@@ -5,7 +5,7 @@ trajectories."""
 from .grid import TorusGrid, make_grid
 from .field import (Field, divergence_linf, extrude_field, load_field,
                     mean_free, physical_field, random_divfree_field,
-                    save_field, spectral_derivative, spectral_field)
+                    save_field, spectral_derivative)
 from .norms import compute_norm_report, l2_norm_sq, sobolev_norm_sq
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      load_trajectory, run_2d_base, run_full_3d,

@@ -4,7 +4,7 @@ Sub-commands:
   run        simulate a scenario config (or a bundled scenario) and check it
   verify     re-run the estimate checks on stored trajectories
   calibrate  print the embedding/interpolation constants of a grid
-  sweep      run a grid of scenario variants, optionally in forked workers
+  sweep      run a grid of scenario variants, each in a forked worker
 """
 
 import argparse
@@ -21,6 +21,10 @@ from . import experiments as exp
 from .grid import make_grid
 from .solver import _write_atomic
 from .worker import Worker
+
+# safety factor on the dt-halving margin constant C: the worst margins of
+# a second-order scheme differ by (3/4) C dt^2 only to leading order in dt
+MARGIN_SAFETY = 2.0
 
 
 def _add_common(p):
@@ -94,13 +98,13 @@ def _cmd_run(args) -> int:
     return code
 
 
-def margin_convergence_constant(coarse: dict, fine: dict, dt: float,
-                                safety: float = 2.0) -> float:
+def margin_convergence_constant(coarse: dict, fine: dict,
+                                dt: float) -> float:
     """Tolerance constant from a dt-halving pair of margin sets.
 
     The worst margins differ by ~ (3/4) C dt^2 for a second-order scheme;
-    the returned C carries a safety factor.  Only ids whose two margins
-    are both finite enter C; with none, C is 1.
+    the returned C carries the safety factor MARGIN_SAFETY.  Only ids
+    whose two margins are both finite enter C; with none, C is 1.
     """
     pairs = [(coarse[k].worst_margin, fine[k].worst_margin)
              for k in coarse if k in fine]
@@ -108,7 +112,7 @@ def margin_convergence_constant(coarse: dict, fine: dict, dt: float,
              if math.isfinite(a) and math.isfinite(b)]
     if not diffs:
         return 1.0
-    return safety * max(diffs) / (0.75 * dt * dt)
+    return MARGIN_SAFETY * max(diffs) / (0.75 * dt * dt)
 
 
 def _cmd_verify(args) -> int:
@@ -173,20 +177,17 @@ def _cmd_sweep(args) -> int:
             merged["seed"] = args.seed
         jobs.append((merged, os.path.join(args.out, f"member_{i:03d}")))
 
+    # up to args.parallel members at once, each in a forked worker, joined
+    # in jobs order
     results = []
-    if args.parallel > 1:
-        # up to args.parallel members at once, each in a forked worker,
-        # joined in jobs order
-        with ExitStack() as stack:
-            running = []
-            for job in jobs:
-                if len(running) == args.parallel:
-                    results.append(running.pop(0).join())
-                running.append(stack.enter_context(
-                    Worker(job[1], _run_member, *job)))
-            results += [worker.join() for worker in running]
-    else:
-        results = [_run_member(*job) for job in jobs]
+    with ExitStack() as stack:
+        running = []
+        for job in jobs:
+            if len(running) == args.parallel:
+                results.append(running.pop(0).join())
+            running.append(stack.enter_context(
+                Worker(job[1], _run_member, *job)))
+        results += [worker.join() for worker in running]
 
     worst = 0
     lines = ["member,exit_code,failed"]

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .field import (Field, divergence_linf, laplacian_data, mean_free,
-                    physical_padded, spectral_derivative, spectral_field)
+                    physical_padded, spectral_derivative)
 from .grid import TorusGrid
 from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
                     sharp_dissipation_h2)
@@ -43,6 +43,11 @@ FLOAT_FLOOR = 1e-9
 # bound takes trapezoid integrals of them, so a bound and the X^2 it
 # dominates differ by discretisation error of order dt^2, not roundoff
 CONCLUSION_TOL_REL = 1e-3
+
+# safety margin on c5 (derive_c4_c5): the absorption constants are traced
+# with the calibrated c3 and c_interp, and the margin applies to c5 only;
+# c3 enters B1-B4, the 4.1 hypotheses and 4.11 as it is
+C5_SAFETY = 4.0
 
 
 @dataclass
@@ -211,7 +216,7 @@ def vorticity_cancellation_residual(vs: Field) -> float:
     factor = 3  # integrand is cubic in the field: 3K bandwidth needs 3N/2+
     vel = physical_padded(vs, factor)
     lap = physical_padded(
-        spectral_field(grid, laplacian_data(grid, bar.spectral())), factor)
+        Field(grid, laplacian_data(grid, bar.spectral())), factor)
     grad = [physical_padded(spectral_derivative(bar, j), factor)
             for j in range(2)]
     integrand = np.zeros_like(vel[0])
@@ -261,7 +266,7 @@ class CalibratedConstants:
 
 
 def derive_c4_c5(grid: TorusGrid, c2: float, c3: float,
-                 c_interp: float, safety: float = 4.0) -> tuple:
+                 c_interp: float) -> tuple:
     """Trace the Young-inequality absorption with calibrated constants.
 
     Half the dissipation (nu*c2*Y^2) absorbs the epsilon-halves of the four
@@ -270,14 +275,14 @@ def derive_c4_c5(grid: TorusGrid, c2: float, c3: float,
       cubic gradient term:  54 * c_interp^12 / c2^3      (times X^6/nu^3)
       base-flow couplings:  18 * c3 / c2                 (times A-terms/nu)
       mean/forcing terms:   4 * max(c3, |Omega|^(1/3)) / c2
-    and c5 is their maximum times a safety factor.
+    and c5 is their maximum times the safety margin C5_SAFETY, on c5 only.
     """
     vol_third = grid.volume ** (1.0 / 3.0)
     c4 = 0.5 * c2
-    c5 = safety * max(54.0 * c_interp**12 / c2**3,
-                      18.0 * c3 / c2,
-                      4.0 * max(c3, vol_third) / c2,
-                      2.0 / c2)
+    c5 = C5_SAFETY * max(54.0 * c_interp**12 / c2**3,
+                         18.0 * c3 / c2,
+                         4.0 * max(c3, vol_third) / c2,
+                         2.0 / c2)
     return c4, c5
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field, asdict, replace
 import numpy as np
 
 from .grid import TorusGrid, make_grid
-from .field import Field, extrude_field, physical_field, random_divfree_field
+from .field import Field, extrude_field, random_divfree_field
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      _write_atomic, load_trajectory, run_2d_base,
                      run_perturbation, save_trajectory, taylor_green_exact)
@@ -541,8 +541,8 @@ def _direct_config(base_cfg: SolverConfig,
     """Config of the full 3D run of the recombined state v_s(0)+u(0)
     under f_s+g, on the perturbation's grid and clock."""
     g3 = pert_cfg.grid
-    v0 = extrude_field(base_cfg.initial, g3)
-    total0 = physical_field(g3, v0.physical() + pert_cfg.initial.physical())
+    total0 = Field(g3, extrude_field(base_cfg.initial, g3).spectral()
+                   + pert_cfg.initial.spectral())
     return replace(pert_cfg, initial=total0, forcing=combine_forcing(
         base_cfg.forcing, pert_cfg.forcing))
 

@@ -1,11 +1,12 @@
-"""Periodic vector/scalar fields with physical and spectral representations.
+"""Periodic vector/scalar fields, held as their spectral coefficients.
 
 Spectral data uses real-to-complex (rfftn) Hermitian storage and is
 normalized so that the k=0 coefficient equals the spatial mean.  A field
 carries one leading component axis: velocity fields have grid.dim
-components, scalars one.  Every first derivative, here and in the solver's
-nonlinear kernel, multiplies by i k on one lattice, grid.k_deriv, which is
-zero on each axis' Nyquist plane.
+components, scalars one.  physical_field builds a field from collocation
+values and Field.physical transforms back.  Every first derivative, here
+and in the solver's nonlinear kernel, multiplies by i k on one lattice,
+grid.k_deriv, which is zero on each axis' Nyquist plane.
 """
 
 import json
@@ -14,42 +15,28 @@ import numpy as np
 
 from .grid import TorusGrid
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 class Field:
-    """A field on a TorusGrid.
+    """A field on a TorusGrid, held as its spectral coefficients.
 
     Attributes:
         grid: the underlying TorusGrid
-        data: ndarray of shape (ncomp,) + grid.shape_phys (physical, real)
-              or (ncomp,) + grid.shape_spec (spectral, complex)
-        representation: "physical" or "spectral"
-        divergence_free: claim that i k . v_hat = 0 for every mode
+        data: complex ndarray of shape (ncomp,) + grid.shape_spec
         time_stamp: simulation time in seconds
     """
 
-    __slots__ = ("grid", "data", "representation", "divergence_free", "time_stamp")
+    __slots__ = ("grid", "data", "time_stamp")
 
-    def __init__(self, grid: TorusGrid, data: np.ndarray, representation: str,
-                 divergence_free: bool = False, time_stamp: float = 0.0):
-        if representation not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {representation!r}")
+    def __init__(self, grid: TorusGrid, data: np.ndarray,
+                 time_stamp: float = 0.0):
         data = np.asarray(data)
-        if data.ndim == grid.dim:
-            data = data[np.newaxis]
-        expected = grid.shape_phys if representation == PHYSICAL else grid.shape_spec
-        if data.shape[1:] != expected:
-            raise ValueError(
-                f"data shape {data.shape} does not match {representation} "
-                f"shape (ncomp,)+{expected}")
+        if data.shape[1:] != grid.shape_spec:
+            raise ValueError(f"data shape {data.shape} does not match the "
+                             f"spectral shape (ncomp,)+{grid.shape_spec}")
         self.grid = grid
         self.data = data
-        self.representation = representation
-        self.divergence_free = divergence_free
         self.time_stamp = float(time_stamp)
 
     @property
@@ -57,20 +44,16 @@ class Field:
         return self.data.shape[0]
 
     def spectral(self) -> np.ndarray:
-        """Spectral coefficients (converting if needed)."""
-        if self.representation == SPECTRAL:
-            return self.data
-        return spectral_data(self.grid, self.data)
+        """Spectral coefficients, the field's own data."""
+        return self.data
 
     def physical(self) -> np.ndarray:
-        """Physical collocation values (converting if needed)."""
-        if self.representation == PHYSICAL:
-            return self.data
+        """Physical collocation values, as a fresh array."""
         return physical_data(self.grid, self.data)
 
     def __repr__(self):
         return (f"Field(grid=N{self.grid.N}^{self.grid.dim}, ncomp={self.ncomp}, "
-                f"{self.representation}, t={self.time_stamp:g})")
+                f"t={self.time_stamp:g})")
 
 
 def spectral_data(grid: TorusGrid, phys: np.ndarray, out=None) -> np.ndarray:
@@ -86,14 +69,17 @@ def physical_data(grid: TorusGrid, spec: np.ndarray, out=None) -> np.ndarray:
                          out=out)
 
 
-def spectral_field(grid: TorusGrid, spec: np.ndarray, divergence_free=False,
-                   time_stamp=0.0) -> Field:
-    return Field(grid, spec, SPECTRAL, divergence_free, time_stamp)
-
-
-def physical_field(grid: TorusGrid, phys: np.ndarray, divergence_free=False,
-                   time_stamp=0.0) -> Field:
-    return Field(grid, phys, PHYSICAL, divergence_free, time_stamp)
+def physical_field(grid: TorusGrid, phys: np.ndarray,
+                   time_stamp: float = 0.0) -> Field:
+    """The field of collocation values phys: shape (ncomp,) +
+    grid.shape_phys, or grid.shape_phys for a scalar."""
+    phys = np.asarray(phys)
+    if phys.ndim == grid.dim:
+        phys = phys[np.newaxis]
+    if phys.shape[1:] != grid.shape_phys:
+        raise ValueError(f"data shape {phys.shape} does not match the "
+                         f"physical shape (ncomp,)+{grid.shape_phys}")
+    return Field(grid, spectral_data(grid, phys), time_stamp)
 
 
 def derivative_data(grid: TorusGrid, spec: np.ndarray, axis: int) -> np.ndarray:
@@ -108,7 +94,7 @@ def derivative_data(grid: TorusGrid, spec: np.ndarray, axis: int) -> np.ndarray:
 def spectral_derivative(field: Field, direction: int) -> Field:
     """Differentiate along `direction` by modewise i k."""
     out = derivative_data(field.grid, field.spectral(), direction)
-    return Field(field.grid, out, SPECTRAL, False, field.time_stamp)
+    return Field(field.grid, out, field.time_stamp)
 
 
 def gradient_data(grid: TorusGrid, spec: np.ndarray) -> np.ndarray:
@@ -168,8 +154,7 @@ def mean_free(field: Field) -> Field:
     out = field.spectral().copy()
     zero = (slice(None),) + (0,) * field.grid.dim
     out[zero] = 0.0
-    return Field(field.grid, out, SPECTRAL, field.divergence_free,
-                 field.time_stamp)
+    return Field(field.grid, out, field.time_stamp)
 
 
 def random_divfree_field(grid: TorusGrid, seed: int, spectrum_decay: float = 2.0,
@@ -189,7 +174,7 @@ def random_divfree_field(grid: TorusGrid, seed: int, spectrum_decay: float = 2.0
     spec *= amp * grid.dealias_mask
     zero = (slice(None),) + (0,) * grid.dim
     spec[zero] = 0.0
-    out = Field(grid, leray_data(grid, spec), SPECTRAL, True, 0.0)
+    out = Field(grid, leray_data(grid, spec))
     if target_h1 is not None:
         from .norms import sobolev_norm_sq
         h1 = np.sqrt(sobolev_norm_sq(out, 1))
@@ -201,17 +186,16 @@ def random_divfree_field(grid: TorusGrid, seed: int, spectrum_decay: float = 2.0
 
 def extrude_field(field2d: Field, grid3: TorusGrid) -> Field:
     """Lift a 2D velocity field to the 3D box, invariant along x3 with a
-    zero third component."""
+    zero third component: the 2D physical values, extruded along x3, are
+    transformed on the 3D grid (physical_field)."""
     g2 = field2d.grid
     if g2.dim != 2 or grid3.dim != 3:
         raise ValueError("extrude_field lifts 2D fields onto a 3D grid")
     if g2.N != grid3.N or g2.L != grid3.L:
         raise ValueError("grids are incompatible")
-    phys2 = field2d.physical()
     phys = np.zeros((3,) + grid3.shape_phys)
-    phys[:2] = phys2[..., np.newaxis]
-    return Field(grid3, phys, PHYSICAL, field2d.divergence_free,
-                 field2d.time_stamp)
+    phys[:2] = field2d.physical()[..., np.newaxis]
+    return physical_field(grid3, phys, field2d.time_stamp)
 
 
 def physical_padded(field: Field, factor: int = 2) -> np.ndarray:
@@ -254,11 +238,10 @@ def physical_padded(field: Field, factor: int = 2) -> np.ndarray:
 def save_field(path, field: Field) -> None:
     """Write a field snapshot.
 
-    Layout (stable, version 1): a deflated .npz archive
+    Layout (stable, version 2): a deflated .npz archive
     (np.savez_compressed) with
-      meta: JSON string {"version", "L", "N", "dim", "ncomp",
-                         "representation", "divergence_free", "time_stamp"}
-      data: the component array, shape (ncomp,)+grid shape
+      meta: JSON string {"version", "L", "N", "dim", "ncomp", "time_stamp"}
+      data: the spectral coefficients, shape (ncomp,)+grid.shape_spec
     Deflate changes the container only: np.load, and so load_field, reads
     the members of a deflated and of an uncompressed archive alike.
     """
@@ -268,8 +251,6 @@ def save_field(path, field: Field) -> None:
         "N": field.grid.N,
         "dim": field.grid.dim,
         "ncomp": field.ncomp,
-        "representation": field.representation,
-        "divergence_free": bool(field.divergence_free),
         "time_stamp": field.time_stamp,
     }
     np.savez_compressed(path, meta=np.array(json.dumps(meta)),
@@ -277,12 +258,12 @@ def save_field(path, field: Field) -> None:
 
 
 def load_field(path) -> Field:
-    """Read a field snapshot written by save_field."""
+    """Read a field snapshot written by save_field; ValueError for an
+    archive of any other format version."""
     with np.load(path, allow_pickle=False) as npz:
         meta = json.loads(str(npz["meta"]))
         data = npz["data"]
     if meta.get("version") != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot version {meta.get('version')}")
     grid = TorusGrid(L=meta["L"], N=meta["N"], dim=meta["dim"])
-    return Field(grid, data, meta["representation"],
-                 meta["divergence_free"], meta["time_stamp"])
+    return Field(grid, data, meta["time_stamp"])

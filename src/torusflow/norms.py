@@ -8,7 +8,7 @@ of |u|^p.
 
 import numpy as np
 
-from .field import Field, gradient_data, physical_padded, spectral_field
+from .field import Field, gradient_data, physical_padded
 from .grid import TorusGrid
 
 DEFAULT_SIGMA = 4.0
@@ -54,8 +54,8 @@ def _quadrature_norm(grid: TorusGrid, mag: np.ndarray, p: float) -> float:
 
 def gradient_field(field: Field) -> Field:
     """All first derivatives stacked as one (ncomp*dim)-component field."""
-    return spectral_field(field.grid, gradient_data(field.grid, field.spectral()),
-                          time_stamp=field.time_stamp)
+    return Field(field.grid, gradient_data(field.grid, field.spectral()),
+                 field.time_stamp)
 
 
 def w1_sigma_norms(grid: TorusGrid, mag: np.ndarray, grad_mag: np.ndarray,

@@ -59,7 +59,8 @@ from typing import ClassVar
 import numpy as np
 
 from .grid import TorusGrid
-from .field import Field, load_field, save_field, spectral_data, spectral_field
+from .field import (Field, extrude_field, load_field, physical_field,
+                    save_field, spectral_data)
 from .norms import _quadrature_norm, w1_sigma_norms, DEFAULT_SIGMA
 from .worker import Stream
 
@@ -239,9 +240,10 @@ class SolverConfig:
         self.times.flags.writeable = False  # every run of cfg shares it
 
 
-def diag_columns(label: str, dim: int) -> list:
+def diag_columns(label: str) -> list:
     """The diagnostics.csv columns of a run labelled label: the series a
-    check, criterion or demo reads, and no other.
+    check, criterion or demo reads, and no other.  The label fixes the
+    dimension: 2d_base is the 2D run, every other label a 3D one.
 
     Every run records, at every step, the squared L2 norm of its mean-free
     part.  The direct run beside a perturbation (run_perturbation) records
@@ -261,7 +263,7 @@ def diag_columns(label: str, dim: int) -> list:
     if label == "direct":
         return ["t", "l2_sq"]
     return ["t", "l2_sq", "grad_l2_sq"] \
-        + [f"mean_{i + 1}" for i in range(dim)] \
+        + ["mean_1", "mean_2", "mean_3"] \
         + (["forcing_l2_sq"] if label == "perturbation" else [])
 
 
@@ -674,7 +676,7 @@ class _Member:
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
         self.diag = {"t": self.tgrid} | {
-            c: np.empty(self.n + 1) for c in diag_columns(label, grid.dim)
+            c: np.empty(self.n + 1) for c in diag_columns(label)
             if c != "t"}
         self.means = [c for c in self.diag if c.startswith("mean_")]
         self.norms = [c for c in ("l2_sq", "grad_l2_sq", "h2_sq")
@@ -708,8 +710,7 @@ class _Member:
             return
         path = os.path.join(self.snapdir,
                             f"snap_{len(self.snapshot_paths):06d}.npz")
-        save_field(path, spectral_field(grid, ws.to_full(v),
-                                        divergence_free=True, time_stamp=t))
+        save_field(path, Field(grid, ws.to_full(v), t))
         self.snapshot_paths.append(path)
 
     def advance(self, i, background=None):
@@ -881,15 +882,19 @@ def run_full_3d(cfg: SolverConfig, directory=None) -> Trajectory:
 
 def taylor_green_exact(grid: TorusGrid, nu: float, t: float,
                        amplitude: float = 1.0) -> Field:
-    """(sin x1 cos x2, -cos x1 sin x2[, 0]) * exp(-2 nu t); needs L=2*pi."""
+    """(sin x1 cos x2, -cos x1 sin x2[, 0]) * exp(-2 nu t); needs L=2*pi.
+    On a 3D grid it is the 2D vortex lifted by extrude_field."""
     if abs(grid.L - 2.0 * np.pi) > 1e-12:
         raise ValueError("Taylor-Green reference requires L = 2*pi")
-    x1, x2 = grid.coords[:2]
+    if grid.dim == 3:
+        return extrude_field(taylor_green_exact(
+            TorusGrid(grid.L, grid.N, 2), nu, t, amplitude), grid)
+    x1, x2 = grid.coords
     decay = amplitude * math.exp(-2.0 * nu * t)
-    phys = np.zeros((grid.dim,) + grid.shape_phys)
+    phys = np.zeros((2,) + grid.shape_phys)
     phys[0] = decay * np.sin(x1) * np.cos(x2)
     phys[1] = -decay * np.cos(x1) * np.sin(x2)
-    return Field(grid, phys, "physical", True, t)
+    return physical_field(grid, phys, t)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +938,7 @@ def save_trajectory(traj: Trajectory, directory) -> list:
     traj.snapshot_paths = [os.path.join(snapdir, os.path.basename(p))
                            for p in files]
     _write_table(os.path.join(directory, "diagnostics.csv"), traj.diag,
-                 diag_columns(traj.label, traj.grid.dim))
+                 diag_columns(traj.label))
     return traj.snapshot_paths
 
 
@@ -951,7 +956,7 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
     snapshot_paths; field.load_field reads a snapshot.
     """
     path = os.path.join(directory, "diagnostics.csv")
-    diag = _read_table(path, diag_columns(label, cfg.grid.dim))
+    diag = _read_table(path, diag_columns(label))
     if not np.array_equal(diag["t"], cfg.times):
         raise FileNotFoundError(f"{path}: the series are not at the run's "
                                 f"{cfg.n_steps} steps of dt={cfg.dt:g}; "

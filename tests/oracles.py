@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from torusflow.field import (Field, leray_data, physical_data,
-                             physical_padded, spectral_data, spectral_field)
+                             physical_padded, spectral_data)
 from torusflow.norms import grad_l2_norm_sq, l2_norm_sq, sobolev_norm_sq
 from torusflow import estimates as est
 from torusflow.estimates import (CONCLUSION_TOL_REL, FLOAT_FLOOR, VACUOUS,
@@ -108,7 +108,7 @@ def mean_free_force(cfg, t: float) -> Field:
     grid = cfg.grid
     bar = cfg.forcing.evaluate(grid, t) * grid.dealias_mask
     bar[(slice(None),) + (0,) * grid.dim] = 0.0
-    return spectral_field(grid, bar)
+    return Field(grid, bar)
 
 
 def forcing_norm_sq_series(cfg, p: float) -> np.ndarray:
@@ -198,7 +198,7 @@ def streamed_padded_magnitude(field: Field, pad_factor: int = 2) -> np.ndarray:
     one accumulator in component order."""
     acc = scratch = None
     for c in range(field.ncomp):
-        part = Field(field.grid, field.data[c:c + 1], field.representation)
+        part = Field(field.grid, field.data[c:c + 1])
         if acc is None:
             acc = physical_padded_per_component(part, pad_factor)[0]
             np.square(acc, out=acc)

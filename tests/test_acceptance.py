@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from torusflow import make_grid
-from torusflow.field import (extrude_field, leray_data, physical_field,
-                             random_divfree_field, spectral_field)
+from torusflow.field import (Field, extrude_field, leray_data,
+                             physical_field, random_divfree_field)
 from torusflow.norms import l2_norm_sq
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
                               run_full_3d, run_perturbation,
@@ -156,7 +156,7 @@ def test_criterion_06_mean_evolution():
                            initial=random_divfree_field(grid, 0,
                                                         target_h1=0.05))
         traj = run_full_3d(cfg)
-        f_means = [mean(spectral_field(grid, forcing.evaluate(grid, t)))
+        f_means = [mean(Field(grid, forcing.evaluate(grid, t)))
                    for t in traj.diag["t"]]
         oracle = mean_ode_integrate(traj.diag["t"], f_means, np.zeros(3))
         worst = max(worst, np.abs(mean_columns(traj) - oracle).max())
@@ -177,8 +177,7 @@ def test_criterion_07_split_consistency(tmp_path):
     base_cfg = SolverConfig(
         grid=g2, nu=nu, dt=2.5e-4, t_end=1.0, T=1.0,
         initial=taylor_green_exact(g2, nu, 0.0, 0.2), snapshot_stride=4000)
-    vs0 = spectral_field(g2, leray_data(g2, base_cfg.initial.spectral()),
-                         divergence_free=True)
+    vs0 = Field(g2, leray_data(g2, base_cfg.initial.spectral()))
     u0 = random_divfree_field(g3, seed=3, spectrum_decay=3.0, target_h1=0.02)
     v0 = physical_field(g3, extrude_field(vs0, g3).physical() + u0.physical())
     errs = []
@@ -243,8 +242,7 @@ def test_criterion_09_gronwall_reduced_case(calibrated):
     nu, dt, t_end = 1.0, 2e-3, 2.0
     g2 = make_grid(2 * np.pi, 16, 2)
     g3 = make_grid(2 * np.pi, 16, 3)
-    zero2 = spectral_field(g2, np.zeros((2,) + g2.shape_spec, complex),
-                           divergence_free=True)
+    zero2 = Field(g2, np.zeros((2,) + g2.shape_spec, complex))
     base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt, t_end=t_end, T=1.0,
                             initial=zero2, snapshot_stride=500)
     u0 = random_divfree_field(g3, seed=5, spectrum_decay=4.0,

@@ -17,8 +17,8 @@ from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq, lp_norm,
                      window_slices_by_time)
 from torusflow import make_grid
 from torusflow import experiments as exp
-from torusflow.field import (leray_data, mean_free, physical_padded,
-                             random_divfree_field, spectral_field)
+from torusflow.field import (Field, leray_data, mean_free, physical_padded,
+                             random_divfree_field)
 from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
                              sobolev_norm_sq)
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
@@ -202,8 +202,7 @@ def test_w1sigma_bound_passes(forced_base):
 
 
 def test_decay_zero_solution(grid2):
-    zero = spectral_field(grid2, np.zeros((2,) + grid2.shape_spec, complex),
-                          divergence_free=True)
+    zero = Field(grid2, np.zeros((2,) + grid2.shape_spec, complex))
     base = run_2d_base(SolverConfig(grid=grid2, nu=NU, dt=5e-3, t_end=T,
                                     T=T, initial=zero, snapshot_stride=20))
     ev = _base_evidence(base)
@@ -671,9 +670,9 @@ def test_c3_bound_dominates_gradient_ascent():
     grid = make_grid(2 * np.pi, 8, 3)
     h1_weight = grid.hermitian_weight * grid.sobolev_weights[1]
     spec = random_divfree_field(grid, 0).spectral()
-    ratios = [embedding_ratio_l6_h1(spectral_field(grid, spec))]
+    ratios = [embedding_ratio_l6_h1(Field(grid, spec))]
     for _ in range(30):
-        u = physical_padded(spectral_field(grid, spec))
+        u = physical_padded(Field(grid, spec))
         grad = np.fft.rfftn(np.sum(u**2, axis=0) ** 2 * u, axes=(1, 2, 3),
                             norm="forward")
         step = _band(grid, grad, 2 * grid.N) / grid.sobolev_weights[1]
@@ -681,7 +680,7 @@ def test_c3_bound_dominates_gradient_ascent():
         spec = leray_data(grid, step)
         spec /= math.sqrt(np.sum(h1_weight * np.sum(np.abs(spec)**2,
                                                      axis=0)))
-        ratios.append(embedding_ratio_l6_h1(spectral_field(grid, spec)))
+        ratios.append(embedding_ratio_l6_h1(Field(grid, spec)))
     assert np.all(np.diff(ratios) >= -1e-12 * ratios[-1])
     assert ratios[-1] > 0.05
     assert ratios[-1] <= est.calibrate_constants(grid).c3

@@ -13,7 +13,7 @@ from torusflow import experiments as exp
 from torusflow import cli, estimates as est, worker as worker_module
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
                                  StabilityBudget, reports_to_json)
-from torusflow.field import load_field, random_divfree_field
+from torusflow.field import divergence_linf, load_field, random_divfree_field
 from torusflow.grid import make_grid
 from torusflow.solver import SolverConfig, load_trajectory
 from torusflow.worker import Worker
@@ -102,8 +102,7 @@ def test_random_initial_field_drawn_in_a_worker_is_unchanged(
                              2.0)
     want = random_divfree_field(grid, 7, spectrum_decay=4.0, target_h1=1.0)
     assert got.grid == grid
-    assert got.representation == want.representation
-    assert got.divergence_free and got.time_stamp == 0.0
+    assert got.time_stamp == 0.0 and divergence_linf(got) < 1e-13
     assert got.data.tobytes() == want.data.tobytes()
 
 
@@ -1136,7 +1135,7 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
-def test_cli_sweep_member_fails_alone(tmp_path, capsys, parallel):
+def test_cli_sweep_member_fails_alone(tmp_path, capfd, parallel):
     cfg = dict(SMALL_PERT, sweep=[{}, {"budget": {"c_star_frac": 5.0}}])
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -1148,9 +1147,9 @@ def test_cli_sweep_member_fails_alone(tmp_path, capsys, parallel):
     assert rows == ["member,exit_code,failed",
                     f"{out / 'member_000'},0,False",
                     f"{out / 'member_001'},{exp.EXIT_ERROR},True"]
-    if parallel == 1:
-        # a forked member writes to the process's stderr, past capsys
-        assert "budget refused" in capsys.readouterr().err
+    # every member runs in a forked worker, which writes to the process's
+    # stderr file descriptor
+    assert "budget refused" in capfd.readouterr().err
 
 
 # a base strong enough that e^(int A^2) of 4.27 (amplitude 1.0) and the L2

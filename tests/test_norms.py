@@ -13,8 +13,8 @@ from oracles import (embedding_ratio_l6_h1, hessian_l2_norm_sq, lp_norm,
 from torusflow import cli, make_grid
 from torusflow import estimates as est
 from torusflow import experiments as exp
-from torusflow.field import (mean_free, physical_field, random_divfree_field,
-                             spectral_data, spectral_field)
+from torusflow.field import (Field, mean_free, physical_field,
+                             random_divfree_field, spectral_data)
 from torusflow.norms import (_padded_magnitude, compute_norm_report,
                              grad_l2_norm_sq, gradient_field, l2_norm_sq,
                              sharp_dissipation_h2, sharp_poincare_h1,
@@ -67,7 +67,7 @@ def test_lp_rejects_bad_exponent(grid2):
 @settings(max_examples=20, deadline=None)
 def test_lp_homogeneity(grid2, seed, c):
     f = random_divfree_field(grid2, seed)
-    g = spectral_field(grid2, c * f.spectral())
+    g = Field(grid2, c * f.spectral())
     assert lp_norm(g, 3) == pytest.approx(abs(c) * lp_norm(f, 3),
                                           rel=1e-10, abs=1e-12)
 
@@ -155,7 +155,7 @@ def test_norm_report_csv_schema(grid2, tmp_path):
     # a row of them reads back bit for bit
     rep = compute_norm_report(_sin_field(grid2))
     assert tuple(rep) == REPORT_KEYS
-    columns = diag_columns("2d_base", 2)
+    columns = diag_columns("2d_base")
     assert columns[0] == "t" and tuple(columns[-2:]) == REPORT_KEYS[1:]
     table = {"t": [rep["time_stamp"]]} | {c: [rep.get(c, 1.0)]
                                           for c in columns[1:]}
@@ -199,14 +199,14 @@ def test_streamed_padded_magnitude_is_exact(dim, ncomp):
     # two different fields in a row, both results held: the replaced path
     # (tests/oracles.py) pads one component at a time through shared
     # scratch arrays, and a stale one would show in either
-    fields = (spectral_field(grid, spec),
+    fields = (Field(grid, spec),
               physical_field(grid, rng.standard_normal(
                   (ncomp,) + grid.shape_phys)))
     got = [_padded_magnitude(f) for f in fields]
     held = [streamed_padded_magnitude(f) for f in fields]
     for mag, ref in zip(got, held):
         np.testing.assert_array_equal(mag, ref)
-    grad = gradient_field(spectral_field(grid, spec[:3]))
+    grad = gradient_field(Field(grid, spec[:3]))
     np.testing.assert_array_equal(_padded_magnitude(grad),
                                   streamed_padded_magnitude(grad))
 
@@ -232,7 +232,7 @@ def test_parseval_weights_match_per_call_products(dim):
 def test_hessian_parseval_matches_second_derivative_field(grid3):
     rng = np.random.default_rng(3)
     for f in (random_divfree_field(grid3, seed=2, spectrum_decay=1.0),
-              spectral_field(grid3, spectral_data(
+              Field(grid3, spectral_data(
                   grid3, rng.standard_normal((3,) + grid3.shape_phys)))):
         reference = l2_norm_sq(gradient_field(gradient_field(f)))
         assert hessian_l2_norm_sq(f) == pytest.approx(reference, rel=1e-14,

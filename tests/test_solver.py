@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from torusflow import make_grid, solver, worker as worker_module
-from torusflow.field import (derivative_data, divergence_linf,
+from torusflow.field import (Field, derivative_data, divergence_linf,
                              extrude_field, leray_data, load_field,
                              mean_free, physical_field, physical_data,
                              random_divfree_field, save_field,
-                             spectral_data, spectral_field)
+                             spectral_data)
 from torusflow.experiments import combine_forcing
 from torusflow.norms import (compute_norm_report, grad_l2_norm_sq,
                              l2_norm_sq, sobolev_norm_sq)
@@ -45,8 +45,7 @@ def nse_rhs(v, f, nu):
         rhs += ws.project(ws.to_kept(f.spectral()))
     out = ws.to_full(rhs)
     out = out - nu * grid.k_sq * v.spectral()
-    return spectral_field(grid, out, divergence_free=True,
-                          time_stamp=v.time_stamp)
+    return Field(grid, out, v.time_stamp)
 
 
 def _tg_cfg(grid, nu=0.1, dt=1e-3, t_end=0.1, amplitude=1.0, **kw):
@@ -269,7 +268,7 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim, tmp_path):
         v = ws.to_kept(spectral_data(
             grid, rng.standard_normal((dim,) + grid.shape_phys)))
         v[(slice(None),) + (0,) * dim] = rng.uniform(0.5, 1.0, dim)
-        bar = mean_free(spectral_field(grid, ws.to_full(v)))
+        bar = mean_free(Field(grid, ws.to_full(v)))
         np.testing.assert_allclose(
             ws.mean_free_norms_sq(v),
             (l2_norm_sq(bar), grad_l2_norm_sq(bar), sobolev_norm_sq(bar, 2)),
@@ -293,7 +292,7 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim, tmp_path):
         else run_full_3d(cfg, tmp_path)
     k0 = np.real([s[(slice(None),) + (0,) * dim] for s in _snapshots(run)])
     assert len(k0) == cfg.n_steps + 1 and np.abs(k0[1:]).min() > 0
-    assert list(run.diag) == solver.diag_columns(run.label, dim)
+    assert list(run.diag) == solver.diag_columns(run.label)
     held = {"h2_sq", "forcing_l2_sq"} & set(run.diag)
     assert held == ({"h2_sq", "forcing_l2_sq"} if dim == 2 else set())
     assert not cfg.forcing.steady
@@ -334,8 +333,7 @@ def test_advance_single_step_matches_exact(grid2):
 
 
 def test_advance_detects_blowup(grid2):
-    bad = spectral_field(grid2,
-                         np.full((2,) + grid2.shape_spec, np.nan + 0j))
+    bad = Field(grid2, np.full((2,) + grid2.shape_spec, np.nan + 0j))
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.01, T=0.01,
                        initial=bad)
     with pytest.raises(BlowUpError) as info:
@@ -443,7 +441,7 @@ def test_full_3d_mean_matches_ode(grid3):
                        forcing=forcing, snapshot_stride=100,
                        initial=random_divfree_field(grid3, 0, target_h1=0.05))
     traj = run_full_3d(cfg)
-    f_means = [mean(spectral_field(grid3, forcing.evaluate(grid3, t)))
+    f_means = [mean(Field(grid3, forcing.evaluate(grid3, t)))
                for t in traj.diag["t"]]
     oracle = mean_ode_integrate(traj.diag["t"], f_means, np.zeros(3))
     assert np.abs(mean_columns(traj) - oracle).max() < 1e-10
@@ -459,8 +457,7 @@ def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force,
     nu, dt, t_end = 0.2, 2e-3, 0.1
     forcing = ForcingSpec() if mean_force is None \
         else ForcingSpec(kind="expression", expressions=mean_force)
-    zero2 = spectral_field(grid2, np.zeros((2,) + grid2.shape_spec, complex),
-                           divergence_free=True)
+    zero2 = Field(grid2, np.zeros((2,) + grid2.shape_spec, complex))
     base_cfg = SolverConfig(grid=grid2, nu=nu, dt=dt, t_end=t_end,
                             T=t_end, initial=zero2, snapshot_stride=10)
     u0 = random_divfree_field(grid3, seed=2, target_h1=0.1)
@@ -517,7 +514,7 @@ def _lockstep_configs(r):
     u0 = random_divfree_field(g3, seed=2, target_h1=0.3)
     pert_cfg = SolverConfig(grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
                             forcing=g, snapshot_stride=1, initial=u0)
-    vs0 = spectral_field(g2, leray_data(g2, base_cfg.initial.spectral()))
+    vs0 = Field(g2, leray_data(g2, base_cfg.initial.spectral()))
     v0 = physical_field(g3, extrude_field(vs0, g3).physical()
                         + u0.physical())
     direct_cfg = SolverConfig(grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
@@ -601,12 +598,9 @@ def test_streamed_snapshots_equal_oracle_states(tmp_path):
         for j, i in enumerate(steps):
             got = run.snapshot_field(j)
             assert got.data.tobytes() == states[i].tobytes()
-            assert (got.grid, got.representation, got.divergence_free,
-                    got.time_stamp) == (cfg.grid, "spectral", True,
-                                        cfg.times[i])
-            save_field(held_dir / f"snap_{j:06d}.npz", spectral_field(
-                cfg.grid, states[i], divergence_free=True,
-                time_stamp=cfg.times[i]))
+            assert (got.grid, got.time_stamp) == (cfg.grid, cfg.times[i])
+            save_field(held_dir / f"snap_{j:06d}.npz",
+                       Field(cfg.grid, states[i], cfg.times[i]))
         out = save_trajectory(run, directory)
         assert not os.path.exists(partial)
         assert run.snapshot_paths == out
@@ -692,7 +686,7 @@ def test_load_trajectory_returns_the_runs_diag(tmp_path):
     runs = run_perturbation(pert_cfg, base_cfg, direct_cfg, dirs)
     for cfg, directory, run in zip((base_cfg, pert_cfg, direct_cfg), dirs,
                                    runs):
-        columns = solver.diag_columns(run.label, cfg.grid.dim)
+        columns = solver.diag_columns(run.label)
         assert list(run.diag) == columns
         save_trajectory(run, directory)
         back = load_trajectory(directory, cfg, run.label)
@@ -1205,7 +1199,7 @@ def test_base_norms_match_norm_report(N):
         for v in states:
             before = v.copy()
             report = compute_norm_report(
-                mean_free(spectral_field(grid, ws.to_full(v))), sigma)
+                mean_free(Field(grid, ws.to_full(v))), sigma)
             want = np.array([report["grad_l3_sq"], report["w1_sigma"]])
             assert np.array(ws.base_norms(v, sigma)).tobytes() \
                 == want.tobytes()

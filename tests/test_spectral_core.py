@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import mean, physical_padded_per_component
 from torusflow import make_grid
-from torusflow.field import (derivative_data, divergence_linf, extrude_field,
-                             leray_data, load_field, mean_free,
-                             physical_field, physical_padded,
+from torusflow.field import (Field, derivative_data, divergence_linf,
+                             extrude_field, leray_data, load_field,
+                             mean_free, physical_field, physical_padded,
                              random_divfree_field, save_field,
-                             spectral_derivative, spectral_field)
+                             spectral_derivative)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -72,7 +72,7 @@ def test_round_trip(grid2, seed):
     rng = np.random.default_rng(seed)
     phys = rng.standard_normal((2, 16, 16))
     spec = physical_field(grid2, phys).spectral()
-    back = spectral_field(grid2, spec).physical()
+    back = Field(grid2, spec).physical()
     assert np.abs(back - phys).max() < 1e-13
 
 
@@ -126,7 +126,7 @@ def test_derivative_on_k_deriv_matches_zeroed_nyquist_plane(dim):
 def test_leray_idempotent_and_divfree(grid3, seed):
     rng = np.random.default_rng(seed)
     f = physical_field(grid3, rng.standard_normal((3, 16, 16, 16)))
-    p = spectral_field(grid3, leray_data(grid3, f.spectral()))
+    p = Field(grid3, leray_data(grid3, f.spectral()))
     assert divergence_linf(p) < 1e-13
     twice = leray_data(grid3, p.spectral())
     assert np.abs(twice - p.spectral()).max() < 1e-14
@@ -174,7 +174,7 @@ def test_leray_keeps_mean(grid2):
     phys = np.ones((2, 16, 16))
     phys[1] = -2.0
     p = leray_data(grid2, physical_field(grid2, phys).spectral())
-    assert mean(spectral_field(grid2, p)) == pytest.approx([1.0, -2.0])
+    assert mean(Field(grid2, p)) == pytest.approx([1.0, -2.0])
 
 
 def test_leray_fixes_divfree_field(grid2):
@@ -199,7 +199,7 @@ def test_derivative_commutes_with_projection(grid3):
     f = physical_field(grid3,
                        np.random.default_rng(5).standard_normal((3,) + (16,) * 3))
     a = spectral_derivative(
-        spectral_field(grid3, leray_data(grid3, f.spectral())), 0)
+        Field(grid3, leray_data(grid3, f.spectral())), 0)
     b = leray_data(grid3, spectral_derivative(f, 0).spectral())
     assert np.abs(a.spectral() - b).max() < 1e-13
 
@@ -302,18 +302,24 @@ def test_save_load_round_trip(tmp_path, grid2):
     g = load_field(path)
     assert g.grid == grid2
     assert g.time_stamp == 1.25
-    assert g.divergence_free
-    assert np.array_equal(g.data, f.data)
+    assert g.data.tobytes() == f.data.tobytes()
+
+
+def _snapshot_meta(f, version):
+    """The meta member of a snapshot of f in format version 1 or 2."""
+    meta = {"version": version, "L": f.grid.L, "N": f.grid.N,
+            "dim": f.grid.dim, "ncomp": f.ncomp}
+    if version == 1:
+        meta |= {"representation": "spectral", "divergence_free": True}
+    return meta | {"time_stamp": f.time_stamp}
 
 
 def test_load_field_reads_uncompressed_and_deflated(tmp_path, grid3):
-    # snapshots written before save_field deflated them are the same
-    # version-1 members in an uncompressed archive
+    # an uncompressed archive with the same version-2 members reads as the
+    # deflated one save_field writes
     f = random_divfree_field(grid3, seed=4)
     f.time_stamp = 0.375
-    meta = {"version": 1, "L": grid3.L, "N": grid3.N, "dim": grid3.dim,
-            "ncomp": f.ncomp, "representation": f.representation,
-            "divergence_free": True, "time_stamp": f.time_stamp}
+    meta = _snapshot_meta(f, 2)
     np.savez(tmp_path / "plain.npz", meta=np.array(json.dumps(meta)),
              data=f.data)
     save_field(tmp_path / "deflated.npz", f)
@@ -325,7 +331,17 @@ def test_load_field_reads_uncompressed_and_deflated(tmp_path, grid3):
     plain = load_field(tmp_path / "plain.npz")
     deflated = load_field(tmp_path / "deflated.npz")
     for g in (plain, deflated):
-        assert (g.grid, g.representation, g.divergence_free, g.time_stamp) \
-            == (grid3, f.representation, True, 0.375)
+        assert (g.grid, g.time_stamp) == (grid3, 0.375)
         assert g.data.dtype == f.data.dtype and g.data.shape == f.data.shape
     assert plain.data.tobytes() == deflated.data.tobytes() == f.data.tobytes()
+
+
+def test_load_field_refuses_a_version_1_snapshot(tmp_path, grid2):
+    # version 1's data were spectral coefficients too, but a snapshot of
+    # another format version is refused, not guessed at
+    f = random_divfree_field(grid2, seed=5)
+    path = tmp_path / "v1.npz"
+    np.savez_compressed(path, meta=np.array(json.dumps(_snapshot_meta(f, 1))),
+                        data=f.data)
+    with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+        load_field(path)
