@@ -34,6 +34,7 @@ import numpy as np
 
 from .grid import TorusGrid, make_grid
 from .field import Field, extrude_field, random_divfree_field
+from .norms import DEFAULT_SIGMA
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      _write_atomic, load_trajectory, run_2d_base,
                      run_perturbation, save_trajectory, taylor_green_exact)
@@ -75,7 +76,7 @@ _DEFAULTS = {
     "nu": 1.0,
     "dt": 2e-3,
     "T": 1.0,
-    "sigma": 4.0,
+    "sigma": DEFAULT_SIGMA,
     "snapshot_stride": 250,
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.005},
              "forcing": {"kind": "zero"}},
@@ -261,15 +262,14 @@ def bundled_scenario(name: str, seed: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # building blocks
 
-def _build_forcing(cfg: dict, dim: int) -> ForcingSpec:
-    cfg = _KINDS["forcing"][cfg["kind"]] | cfg
-    if cfg["kind"] == "zero":
-        return ForcingSpec()
-    if len(cfg["expressions"]) != dim:
-        raise ConfigError(f"expression forcing needs {dim} components")
+def _build_forcing(cfg: dict) -> ForcingSpec:
+    """The force of a forcing section; _check_forcing checks its component
+    count against the run's grid (ForcingSpec.physical)."""
+    expressions = tuple(cfg.get("expressions", ()))
+    if cfg["kind"] == "expression" and not expressions:
+        raise ConfigError("expression forcing needs component expressions")
     try:
-        return ForcingSpec(kind="expression",
-                           expressions=tuple(cfg["expressions"]))
+        return ForcingSpec(expressions=expressions)
     except Exception as exc:
         raise ConfigError(f"forcing expression refused: {exc}")
 
@@ -279,7 +279,7 @@ def _run_config(spec: dict, run: str) -> SolverConfig:
     initial field; a run that SolverConfig refuses raises ConfigError."""
     dim = 2 if run == "base" else 3
     stride = (spec if run == "base" else spec[run])["snapshot_stride"]
-    forcing = _build_forcing(spec[run]["forcing"], dim)
+    forcing = _build_forcing(spec[run]["forcing"])
     try:
         return SolverConfig(
             grid=make_grid(spec["L"], spec["N"], dim), nu=spec["nu"],
@@ -290,23 +290,28 @@ def _run_config(spec: dict, run: str) -> SolverConfig:
 
 
 def _check_forcing(cfg: SolverConfig, where: str):
-    """Refuse a force of cfg that does not evaluate on its grid or that
-    has a component above N/3 there.
+    """Refuse a force of cfg that does not evaluate on its grid (with a
+    wrong component count, say), is not finite or has a component above
+    N/3 there: the run would blow up at once, or drop the component.
 
     The kernel applies the force on the 2/3-rule modes only
-    (grid.dealias_mask), so such a component would be dropped while the
-    config still names it.  A time-dependent force is checked at 9 times
-    spanning [0, t_end]; coefficients outside the mask up to 1e-12 of the
-    largest are transform roundoff.
+    (grid.dealias_mask), though the config names the component.  A
+    time-dependent force is checked at 9 times spanning [0, t_end];
+    coefficients outside the mask up to 1e-12 of the largest are transform
+    roundoff.
     """
     spec, grid = cfg.forcing, cfg.grid
-    if spec.kind == "zero":
+    if not spec.expressions:
         return
     for t in (0.0,) if spec.steady else np.linspace(0.0, cfg.t_end, 9):
         try:
-            coeffs = np.abs(spec.evaluate(grid, t))
+            with np.errstate(all="ignore"):
+                coeffs = np.abs(spec.evaluate(grid, t))
         except Exception as exc:
             raise ConfigError(f"{where}: forcing expression refused: {exc}")
+        if not np.isfinite(coeffs).all():
+            raise ConfigError(f"{where}: at t={t:g} the force is not "
+                              "finite on the grid")
         dropped = coeffs[:, ~grid.dealias_mask].max()
         if dropped > 1e-12 * coeffs.max():
             raise ConfigError(
@@ -548,15 +553,14 @@ def _direct_config(base_cfg: SolverConfig,
 
 
 def combine_forcing(f2d: ForcingSpec, g3d: ForcingSpec) -> ForcingSpec:
-    """Sum of a 2D (x3-independent) force and a 3D force as expressions."""
-    if f2d.kind == "zero" and g3d.kind == "zero":
+    """Sum of a 2D (x3-independent) force and a 3D force as expressions,
+    "0" for a component that a force lacks; zero if both are zero."""
+    if not (f2d.expressions or g3d.expressions):
         return ForcingSpec()
-    f_expr = list(f2d.expressions) + ["0"] if f2d.kind == "expression" \
-        else ["0", "0", "0"]
-    g_expr = list(g3d.expressions) if g3d.kind == "expression" \
-        else ["0", "0", "0"]
-    combined = tuple(f"({a})+({b})" for a, b in zip(f_expr, g_expr))
-    return ForcingSpec(kind="expression", expressions=combined)
+    f_expr = list(f2d.expressions or ["0", "0"]) + ["0"]
+    g_expr = list(g3d.expressions or ["0", "0", "0"])
+    return ForcingSpec(expressions=tuple(
+        f"({a})+({b})" for a, b in zip(f_expr, g_expr)))
 
 
 def emit_report(artifacts: RunArtifacts) -> tuple:

@@ -128,26 +128,19 @@ def _compile_expression(expr: str):
 
 @dataclass
 class ForcingSpec:
-    """External force: zero, or analytic expressions.
+    """External force: analytic expressions, none for the zero force.
 
     expressions: one string per component in x1, x2 (, x3) and t, evaluated
     with numpy semantics, e.g. "0.1*sin(x1)*cos(t)"; _compile_expression
     lists the grammar.  steady (no expression names t) is decided once, at
-    construction.  evaluations counts the calls of physical, evaluate's
-    included.
+    construction; a run's workspace counts its evaluations (kept_force).
     """
 
-    kind: str = "zero"
     expressions: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "expression"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
-        if self.kind == "expression" and not self.expressions:
-            raise ValueError("expression forcing needs component expressions")
         self._compiled = [_compile_expression(e) for e in self.expressions]
         self.steady = not any("t" in names for _, names in self._compiled)
-        self.evaluations = 0
 
     def physical(self, grid: TorusGrid, t: float, out=None) -> np.ndarray:
         """Physical values of the force at time t into out, shape
@@ -156,10 +149,9 @@ class ForcingSpec:
         Each expression is evaluated on the broadcastable coordinate axes
         grid.coords and its value broadcast into its component of out.
         """
-        self.evaluations += 1
         if out is None:
             out = np.empty((grid.dim,) + grid.shape_phys)
-        if self.kind == "zero":
+        if not self._compiled:
             out.fill(0.0)
             return out
         if len(self.expressions) != grid.dim:
@@ -279,8 +271,8 @@ class Trajectory:
     disk, has none.
 
     step_seconds is the wall time the run spent stepping and recording,
-    force_evaluations the evaluations of its force (one per step time,
-    _Workspace.kept_force, whether or not it holds a force norm), and
+    force_evaluations those of its force that its workspace counted
+    (_Workspace.kept_force, whether or not it holds a force norm), and
     wait_seconds, of a base run beside a perturbation, the wall time the
     perturbation's process waited for the child that steps the base and
     direct runs (run_perturbation)."""
@@ -383,6 +375,7 @@ class _Workspace:
         # the force on K, of the forcing and time of _force
         self.kept_f = np.empty(self.shape, dtype=complex)
         self._force = (None, None)  # (forcing, time)
+        self.force_evaluations = 0  # kept_force's
 
         self.inverse = self._inverse_buffers(N, d)
         # spectral: the rfft of the products, then per full axis, from the
@@ -541,8 +534,8 @@ class _Workspace:
         The force of one step time is kept until another is asked for: a
         step asks for t_i, then t_{i+1}, which the step's record and the
         next step ask for again, so each step time costs one evaluation,
-        and a steady force one per run.  The array is the workspace's: do
-        not write to it.
+        and a steady force one per run; force_evaluations counts them.  The
+        array is the workspace's: do not write to it.
 
         The storage is the 2/3-rule mask: the applied force is the force on
         K and zero elsewhere, so a state stays exactly on K.  A force
@@ -555,6 +548,7 @@ class _Workspace:
             self.spectral(forcing.physical(self.grid, t, out=self.w),
                           out=self.kept_f)
             self._force = (forcing, when)
+            self.force_evaluations += 1
         return self.kept_f
 
     def flux_rhs(self, v, b, out):
@@ -635,8 +629,8 @@ class _Workspace:
 class _Member:
     """One run of _lockstep or _backgrounds: its state, its workspace, the
     series it records (diag_columns at every step, snapshots at
-    snapshot_stride), the wall seconds spent on them and the evaluations of
-    its force.
+    snapshot_stride) and the wall seconds spent on them; its workspace
+    counts the evaluations of its force.
 
     The run holds its state on the 2/3-rule modes K alone (state, in the
     layout of _Workspace): the initial field is taken onto K, which masks
@@ -657,9 +651,8 @@ class _Member:
     the workspace's kept force (_Workspace.kept_force,
     _Workspace.mean_free_norms_sq), which the step ending there has
     already evaluated; so each step time costs one evaluation, recorded or
-    not.  The count is read from the run's
-    ForcingSpec: one shared with another run adds that run's evaluations.
-    No L^{6/5} norm is computed: B1 bounds it by forcing_l2_sq (Hoelder,
+    not, and the run's workspace counts them.  No L^{6/5} norm is
+    computed: B1 bounds it by forcing_l2_sq (Hoelder,
     estimates.compute_B_constants).
     """
 
@@ -671,7 +664,6 @@ class _Member:
         if cfg.initial.grid != grid:
             raise ValueError("initial field grid mismatch")
         self.cfg, self.label, self.n = cfg, label, cfg.n_steps
-        self.evaluations_before = cfg.forcing.evaluations
         self.tgrid = cfg.times
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
@@ -723,14 +715,12 @@ class _Member:
         self.seconds += time.perf_counter() - t0
 
     def trajectory(self) -> Trajectory:
-        cfg = self.cfg
         return Trajectory(
-            grid=cfg.grid,
+            grid=self.cfg.grid,
             diag=self.diag,
             label=self.label,
             step_seconds=self.seconds,
-            force_evaluations=cfg.forcing.evaluations
-            - self.evaluations_before,
+            force_evaluations=self.ws.force_evaluations,
             snapshot_paths=self.snapshot_paths,
         )
 
@@ -797,7 +787,7 @@ def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
     L^{6/5} norm); bench/trace_cli.py wraps it by name, until ROADMAP
     item 9 moves it to the tests."""
     out = np.zeros(cfg.n_steps + 1)
-    if cfg.forcing.kind == "zero":
+    if not cfg.forcing.expressions:
         return out
     ws = _Workspace(cfg.grid)
     for i, t in enumerate(cfg.times):
@@ -951,9 +941,10 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
     it is missing, its header or rows are not the columns of label on
     cfg's grid or a value is not finite, and series at times other than
     cfg's step times (cfg.times) are refused too: rows out of order,
-    missing or extra.  Nothing is re-evaluated, and neither snapshot files
-    nor any other file of the directory are read, so the trajectory has no
-    snapshot_paths; field.load_field reads a snapshot.
+    missing or extra, and a negative value in a column of norms (any but
+    t and the means).  Nothing is re-evaluated, and neither snapshot
+    files nor any other file of the directory are read, so the trajectory
+    has no snapshot_paths; field.load_field reads a snapshot.
     """
     path = os.path.join(directory, "diagnostics.csv")
     diag = _read_table(path, diag_columns(label))
@@ -961,6 +952,10 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
         raise FileNotFoundError(f"{path}: the series are not at the run's "
                                 f"{cfg.n_steps} steps of dt={cfg.dt:g}; "
                                 "run the experiment again")
+    for c, x in diag.items():
+        if c != "t" and not c.startswith("mean_") and (x < 0).any():
+            raise FileNotFoundError(f"{path}: column {c} holds a negative "
+                                    "value; run the experiment again")
     return Trajectory(grid=cfg.grid, diag=diag, label=label)
 
 

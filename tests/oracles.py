@@ -118,7 +118,7 @@ def forcing_norm_sq_series(cfg, p: float) -> np.ndarray:
     forcing_l2_sq, l2_norm_sq; a steady force's once, zeros for a zero
     force."""
     out = np.zeros(cfg.n_steps + 1)
-    if cfg.forcing.kind == "zero":
+    if not cfg.forcing.expressions:
         return out
     for i, t in enumerate(cfg.times):
         f = mean_free_force(cfg, t)

@@ -121,7 +121,7 @@ def test_criterion_05_2d_decay_inequalities():
     >= -tol(dt), tol from a dt-halving pre-run."""
     nu, T, dt = 0.5, 1.0, 2e-3
     grid = make_grid(2 * np.pi, 16, 2)
-    forcing = ForcingSpec(kind="expression", expressions=(
+    forcing = ForcingSpec(expressions=(
         "0.02*sin(x1)*cos(x2)*cos(t)", "-0.02*cos(x1)*sin(x2)*cos(t)"))
 
     def margins(step):
@@ -150,7 +150,7 @@ def test_criterion_06_mean_evolution():
     worst = 0.0
     for exprs in (("0.3 + 0*x1", "0*x1", "0*x1"),
                   ("0.1*cos(t)", "0.05*sin(t)", "0*x1")):
-        forcing = ForcingSpec(kind="expression", expressions=exprs)
+        forcing = ForcingSpec(expressions=exprs)
         cfg = SolverConfig(grid=grid, nu=0.1, dt=2e-3, t_end=0.5, T=0.5,
                            forcing=forcing, snapshot_stride=250,
                            initial=random_divfree_field(grid, 0,
@@ -216,8 +216,7 @@ def test_criterion_08_stability_conclusion(calibrated):
         snapshot_stride=250)
     u0 = random_divfree_field(g3, seed=7, spectrum_decay=4.0,
                               target_h1=np.sqrt(0.5 * budget.gamma))
-    g_force = ForcingSpec(kind="expression",
-                          expressions=("1e-4*sin(x3)", "0*x1", "0*x1"))
+    g_force = ForcingSpec(expressions=("1e-4*sin(x3)", "0*x1", "0*x1"))
     base, pert, _ = run_perturbation(SolverConfig(
         grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
         forcing=g_force, snapshot_stride=250), base_cfg)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,26 @@ def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
         == before
 
 
+@pytest.mark.parametrize("run, column", [("base", "forcing_l2_sq"),
+                                         ("perturbation", "grad_l2_sq")])
+def test_verify_refuses_a_negative_squared_norm(forced_pert_out, tmp_path,
+                                                capsys, run, column):
+    # a negative squared norm used to reach the estimates and end in a
+    # ValueError traceback with exit 1, the code of a failed inequality
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    path = out / run / "diagnostics.csv"
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    i = lines[0].index(column)
+    for cells in lines[1:]:
+        cells[i] = "-1.0"
+    path.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert str(path) in err and column in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def two_window_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("two-window") / "out"
@@ -781,11 +802,18 @@ def test_inadmissible_budget_fraction_is_a_config_error(tmp_path, capsys):
 
 
 def _assert_run_refused(tmp_path, capsys, cfg):
-    """run exits 2 with a one-line config error and writes nothing."""
+    """run exits 2 with a one-line config error and writes nothing.
+
+    The run sees warnings as the CLI does, printed and not raised: the
+    suite's filterwarnings = error would turn a RuntimeWarning of numpy
+    into an exception that a config check catches, so a config that the
+    CLI runs would pass here as refused."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code = cli.main(["run", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code = cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
     assert code == exp.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
@@ -841,6 +869,11 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
         "0.5*sin(x2)", "0.5*sin(x1)"]}}},
     {"base": {"forcing": {"kind": "expression", "expressions": [
         "0.5*sin(x2)", "0.5*sin(x1)"], "amplitude": 2.0}}},
+    {"base": {"forcing": {"kind": "expression"}}},
+    {"perturbation": {"snapshot_stride": 50, "forcing": {
+        "kind": "expression", "expressions": ["0.5*sin(x2)", "0.5*sin(x1)"]}}},
+    {"base": {"forcing": {"kind": "expression", "expressions": [
+        "log(x1)", "0*x1"]}}},
     {"perturbation": {"snapshot_stride": 50}, "direct_3d": "no"},
     {"direct_3d": True},
     {"scenario": 5}],
@@ -849,12 +882,15 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
          "string-target-h1", "negative-seed", "number-perturbation",
          "unknown-initial-kind", "null-amplitude", "forcing-without-kind",
          "zero-forcing-with-expressions", "unknown-expression-forcing-key",
+         "expression-forcing-without-expressions",
+         "two-component-perturbation-forcing", "forcing-not-finite",
          "string-direct-3d", "direct-3d-without-perturbation",
          "number-scenario"])
 def test_cli_refuses_config_the_run_would_fail_on(tmp_path, capsys, cfg):
     # each used to pass parsing and then fail once the run had started,
     # with a traceback and exit 1 or after writing spec.json, or to run
-    # without the force or the direct run the config names
+    # without the force or the direct run the config names; a force that
+    # is not finite on the grid ran and blew up at its first step
     _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
 
 
@@ -885,13 +921,12 @@ def test_cli_refuses_unresolved_viscous_scale(tmp_path, capsys, cfg):
 def test_combine_forcing():
     from torusflow.solver import ForcingSpec
 
-    f = ForcingSpec(kind="expression", expressions=("sin(x1)", "0*x1"))
-    g = ForcingSpec(kind="expression",
-                    expressions=("0*x1", "cos(x3)", "0*x1"))
+    f = ForcingSpec(expressions=("sin(x1)", "0*x1"))
+    g = ForcingSpec(expressions=("0*x1", "cos(x3)", "0*x1"))
     both = exp.combine_forcing(f, g)
     assert len(both.expressions) == 3
     assert "sin(x1)" in both.expressions[0]
-    assert exp.combine_forcing(ForcingSpec(), ForcingSpec()).kind == "zero"
+    assert exp.combine_forcing(ForcingSpec(), ForcingSpec()).expressions == ()
 
 
 def test_cli_run_and_verify(tmp_path, capsys):
@@ -1113,7 +1148,7 @@ def test_run_forks_one_stepping_child(tmp_path, monkeypatch, forcing,
     g3 = make_grid(spec["L"], spec["N"], 3)
     cfg = SolverConfig(grid=g3, nu=spec["nu"], dt=spec["dt"],
                        t_end=spec["T"], T=spec["T"],
-                       forcing=exp._build_forcing(forcing, 3))
+                       forcing=exp._build_forcing(forcing))
     recorded = load_trajectory(out / "perturbation", cfg,
                                "perturbation").diag["forcing_l2_sq"]
     assert (recorded == recorded[0]).all()

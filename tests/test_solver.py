@@ -82,16 +82,14 @@ def test_config_validation(grid2):
 
 
 def test_forcing_expression_and_steady(grid2):
-    f = ForcingSpec(kind="expression",
-                    expressions=("sin(x1)", "cos(x2)"))
+    f = ForcingSpec(expressions=("sin(x1)", "cos(x2)"))
     assert f.steady
-    g = ForcingSpec(kind="expression",
-                    expressions=("sin(x1)*cos(t)", "0*x2"))
+    g = ForcingSpec(expressions=("sin(x1)*cos(t)", "0*x2"))
     assert not g.steady
     spec = f.evaluate(grid2, 0.0)
     assert spec.shape == (2,) + grid2.shape_spec
     # "t" must mean time, not match inside identifiers like "sqrt"
-    h = ForcingSpec(kind="expression", expressions=("sqrt(2)*sin(x1)", "0*x1"))
+    h = ForcingSpec(expressions=("sqrt(2)*sin(x1)", "0*x1"))
     assert h.steady
 
 
@@ -115,16 +113,22 @@ def test_forcing_on_axes_matches_meshgrid(name, dim):
              f"{name}(0.1 + 0.3*x2 + t)*(1 + x1)", f"-{name}(0.5 + x3)"]
     for N, t in ((8, 0.0), (16, 0.37)):
         grid = make_grid(2 * np.pi, N, dim)
-        forcing = ForcingSpec(kind="expression", expressions=exprs[:dim])
+        forcing = ForcingSpec(expressions=exprs[:dim])
         np.testing.assert_array_equal(forcing.evaluate(grid, t),
                                       _evaluate_on_meshgrid(forcing, grid, t))
 
 
-def test_forcing_validation():
-    with pytest.raises(ValueError):
-        ForcingSpec(kind="expression")
-    with pytest.raises(ValueError):
-        ForcingSpec(kind="mystery")
+def test_forcing_validation(grid2, grid3):
+    # physical, the one function that writes the components, refuses a
+    # component count other than the grid's dimension; no expressions is
+    # the zero force, on any grid
+    for grid, exprs in ((grid2, ("0*x1",) * 3), (grid3, ("0*x1",) * 2)):
+        with pytest.raises(ValueError, match=f"need {grid.dim} component "
+                           f"expressions, got {len(exprs)}"):
+            ForcingSpec(expressions=exprs).physical(grid, 0.0)
+        zero = ForcingSpec().physical(grid, 0.3)
+        assert zero.shape == (grid.dim,) + grid.shape_phys
+        assert not zero.any()
 
 
 def _convective_reference(grid, v_spec, f_spec, b_spec):
@@ -213,7 +217,7 @@ def test_kept_mode_step_matches_full_lattice_oracle(N, dim, tmp_path):
     # +0.0 outside K after its first step
     grid = make_grid(2 * np.pi, N, dim)
     nu, dt, steps = 0.5, 4e-3, 4
-    forcing = ForcingSpec(kind="expression", expressions=(
+    forcing = ForcingSpec(expressions=(
         "0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)*sin(2*t)",
         "0.1*sin(x1)*cos(t)")[:dim])
     initial = random_divfree_field(grid, seed=3, target_h1=0.5)
@@ -283,7 +287,7 @@ def test_kept_mode_norms_match_full_lattice_norms(N, dim, tmp_path):
     # holds exactly the columns of its label: no 3D run an H2 norm, and the
     # full 3D run no force norm, though its force is evaluated at every
     # step time all the same
-    forcing = ForcingSpec(kind="expression", expressions=(
+    forcing = ForcingSpec(expressions=(
         "0.3*cos(2*t) + 0.1*sin(x2)", "0.2 + 0*x1", "0.1*sin(t)")[:dim])
     cfg = SolverConfig(grid=grid, nu=0.5, dt=4e-3, t_end=0.02, T=0.02,
                        forcing=forcing,
@@ -344,7 +348,7 @@ def test_advance_detects_blowup(grid2):
 def test_second_order_convergence(grid2, tmp_path):
     # forced run so the nonlinear coupling is genuinely exercised
     nu, t_end = 0.2, 0.25
-    forcing = ForcingSpec(kind="expression", expressions=(
+    forcing = ForcingSpec(expressions=(
         "0.5*sin(x2)*cos(t)", "0.5*sin(x1)"))
     errs = []
     for dt in (2e-3, 1e-3):
@@ -386,7 +390,7 @@ def test_ab2_step_matches_replaced_heun_to_second_order(case):
         initial, forcing = _taylor_green_3d(grid, 1.0), ForcingSpec()
     else:
         initial = random_divfree_field(grid, seed=3, target_h1=1.0)
-        forcing = ForcingSpec(kind="expression", expressions=(
+        forcing = ForcingSpec(expressions=(
             "0.5*sin(x3)*cos(3*t)", "0.5*sin(x1)*sin(2*t)",
             "0.3 + 0.5*sin(x2)*cos(t)"))
     v0 = leray_data(grid, initial.spectral() * grid.dealias_mask)
@@ -421,8 +425,7 @@ def test_mean_ode_trapezoid_exact_for_linear():
 def test_base_run_mean_follows_forcing(grid2, tmp_path):
     # the base records no mean: the k=0 coefficient of each snapshot
     # carries it
-    forcing = ForcingSpec(kind="expression",
-                          expressions=("0.3 + 0*x1", "0.1*cos(t)"))
+    forcing = ForcingSpec(expressions=("0.3 + 0*x1", "0.1*cos(t)"))
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.5, T=0.5,
                        forcing=forcing, snapshot_stride=100,
                        initial=taylor_green_exact(grid2, 0.1, 0.0, 0.2))
@@ -435,8 +438,7 @@ def test_base_run_mean_follows_forcing(grid2, tmp_path):
 
 
 def test_full_3d_mean_matches_ode(grid3):
-    forcing = ForcingSpec(kind="expression",
-                          expressions=("0.2 + 0*x1", "0.05*cos(t)", "0*x1"))
+    forcing = ForcingSpec(expressions=("0.2 + 0*x1", "0.05*cos(t)", "0*x1"))
     cfg = SolverConfig(grid=grid3, nu=0.1, dt=2e-3, t_end=0.2, T=0.2,
                        forcing=forcing, snapshot_stride=100,
                        initial=random_divfree_field(grid3, 0, target_h1=0.05))
@@ -456,7 +458,7 @@ def test_perturbation_of_zero_base_is_full_dynamics(grid2, grid3, mean_force,
     while a time-dependent mean force drives the mean."""
     nu, dt, t_end = 0.2, 2e-3, 0.1
     forcing = ForcingSpec() if mean_force is None \
-        else ForcingSpec(kind="expression", expressions=mean_force)
+        else ForcingSpec(expressions=mean_force)
     zero2 = Field(grid2, np.zeros((2,) + grid2.shape_spec, complex))
     base_cfg = SolverConfig(grid=grid2, nu=nu, dt=dt, t_end=t_end,
                             T=t_end, initial=zero2, snapshot_stride=10)
@@ -504,9 +506,9 @@ def _lockstep_configs(r):
     time-dependent forces on every run."""
     g2, g3 = make_grid(2 * np.pi, 8, 2), make_grid(2 * np.pi, 8, 3)
     nu, dt, t_end = 0.5, 4e-3, 0.04
-    f = ForcingSpec(kind="expression", expressions=(
+    f = ForcingSpec(expressions=(
         "0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)*sin(2*t)"))
-    g = ForcingSpec(kind="expression", expressions=(
+    g = ForcingSpec(expressions=(
         "0.1*sin(x3)*cos(t)", "0.1*sin(x1)", "0.1*sin(x2)*sin(t)"))
     base_cfg = SolverConfig(grid=g2, nu=nu, dt=dt / r, t_end=t_end, T=t_end,
                             forcing=f, snapshot_stride=1,
@@ -649,7 +651,7 @@ def test_one_projection_step_matches_two_projection_step(tmp_path):
                             _run_dirs(tmp_path))
     for cfg, run, states in zip((base_cfg, pert_cfg, direct_cfg), runs,
                                 oracles):
-        assert cfg.t_end == cfg.T and cfg.forcing.kind == "expression"
+        assert cfg.t_end == cfg.T and cfg.forcing.expressions
         steps = range(0, cfg.n_steps + 1, cfg.snapshot_stride)
         assert len(run.snapshot_paths) == len(steps) > 5
         for j, i in enumerate(steps):
@@ -855,7 +857,7 @@ def test_base_blowup_with_every_worker_alive(monkeypatch):
         initial=taylor_green_exact(g2, nu, 0.0, 1e50))
     pert_cfg = SolverConfig(
         grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
-        forcing=ForcingSpec(kind="expression", expressions=(
+        forcing=ForcingSpec(expressions=(
             "0.1*sin(x3)*cos(t)", "0.1*sin(x1)", "0.1*sin(x2)")),
         initial=random_divfree_field(g3, seed=2, target_h1=1e5))
     direct_cfg = dataclasses.replace(
@@ -949,7 +951,7 @@ def _healthy_direct_beside_blowup(t_end):
                             initial=taylor_green_exact(g2, nu, 0.0, 0.5))
     pert_cfg = SolverConfig(
         grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end,
-        forcing=ForcingSpec(kind="expression", expressions=(
+        forcing=ForcingSpec(expressions=(
             "0.1*sin(x3)*cos(t)", "0.1*sin(x1)", "0.1*sin(x2)")),
         initial=random_divfree_field(g3, seed=2, target_h1=1e4))
     direct_cfg = dataclasses.replace(
@@ -1015,6 +1017,22 @@ def test_blowup_does_not_wait_for_the_direct_run(tmp_path):
     assert 1 <= len(direct) < pert_cfg.n_steps // 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [True, False],
+                         ids=["forked", "in-process"])
+def test_shared_force_counted_per_run(monkeypatch, forked):
+    # the perturbation and the direct run share one time-dependent force:
+    # each run's workspace counts its own evaluations, one per step time,
+    # whether the direct run steps in the forked child or in this process
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(1)
+    direct_cfg = dataclasses.replace(direct_cfg, forcing=pert_cfg.forcing)
+    assert pert_cfg.n_steps == 10 and not pert_cfg.forcing.steady
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    _, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    assert pert.force_evaluations == direct.force_evaluations \
+        == pert_cfg.n_steps + 1
 
 
 @pytest.mark.parametrize("forked", [True, False],
@@ -1102,11 +1120,11 @@ def test_recorded_forcing_norms_match_separate_passes(base_force):
     assert np.count_nonzero(tgrid[:-1] + dt != tgrid[1:]) > 0
     base_cfg = SolverConfig(
         grid=g2, nu=nu, dt=dt, t_end=t_end, T=t_end, snapshot_stride=100,
-        forcing=ForcingSpec(kind="expression", expressions=base_force),
+        forcing=ForcingSpec(expressions=base_force),
         initial=taylor_green_exact(g2, nu, 0.0, 0.5))
     pert_cfg = SolverConfig(
         grid=g3, nu=nu, dt=dt, t_end=t_end, T=t_end, snapshot_stride=100,
-        forcing=ForcingSpec(kind="expression", expressions=(
+        forcing=ForcingSpec(expressions=(
             "0.1*sin(x3)*cos(40*t)", "0.1*sin(x1)*exp(5*t)",
             "0.3 + 0.1*sin(x2)*sin(20*t)")),
         initial=random_divfree_field(g3, seed=2, target_h1=0.3))
@@ -1121,7 +1139,7 @@ def _force_to_cutoff(N, dim):
     """A time-dependent force with a mean and modes up to |m| = N // 3,
     the largest the 2/3 rule keeps, along every axis."""
     c = N // 3
-    return ForcingSpec(kind="expression", expressions=(
+    return ForcingSpec(expressions=(
         f"0.3 + 0.1*sin({c}*x2 + t)*cos(x1) - 0.2*cos({c}*x1)*exp(t)",
         f"0.05*sin(x1 - 2*t)*cos({c}*x{dim}) + 0.7*sin({c}*x1)",
         f"-0.4*cos(x2)*sin({c}*x3 + 3*t) + 0.1")[:dim])
@@ -1140,14 +1158,14 @@ def test_kept_force_matches_full_transform(dim, N):
     for t in (0.0, 0.37):
         assert forcing.physical(grid, t, out=values) is values
         full = forcing.evaluate(grid, t)
-        before = forcing.evaluations
+        before = ws.force_evaluations
         kept = ws.kept_force(forcing, t)
         assert kept.tobytes() == ws.to_kept(full).tobytes()
         assert ws.project(kept.copy()).tobytes() \
             == ws.to_kept(leray_data(grid, full)).tobytes()
         assert ws.kept_force(forcing, t) is kept
         assert kept.tobytes() == ws.to_kept(full).tobytes()
-        assert forcing.evaluations == before + 1
+        assert ws.force_evaluations == before + 1
 
 
 @pytest.mark.parametrize("dim, N, expressions, t_end", [
@@ -1157,21 +1175,31 @@ def test_kept_force_matches_full_transform(dim, N):
     (2, 16, None, 0.05),
     (3, 16, ("0.2 + sin(5*x2)", "cos(x3)", "sin(5*x1)*cos(x2)"), 0.05)],
     ids=["forced-direct", "N8", "N12", "N16", "N18", "2d", "steady"])
-def test_forcing_series_match_replaced_path(dim, N, expressions, t_end):
+def test_forcing_series_match_replaced_path(monkeypatch, dim, N,
+                                            expressions, t_end):
     # the series on K (the pruned stages at 2N) equal, bit for bit,
     # lp_norm of the replaced mean-free force on the full lattice
     # (tests/oracles.py); the first case is the perturbation force of
-    # bench/workloads/forced-direct.json
+    # bench/workloads/forced-direct.json.  forcing_lp_sq_series evaluates
+    # in a workspace of its own, so its evaluations are counted as calls
+    # of physical
+    calls = []
+    physical = ForcingSpec.physical
+
+    def counted(forcing, grid, t, out=None):
+        calls.append(t)
+        return physical(forcing, grid, t, out)
+
+    monkeypatch.setattr(ForcingSpec, "physical", counted)
     grid = make_grid(2 * np.pi, N, dim)
     forcing = _force_to_cutoff(N, dim) if expressions is None \
-        else ForcingSpec(kind="expression", expressions=expressions)
+        else ForcingSpec(expressions=expressions)
     cfg = SolverConfig(grid=grid, nu=1.0, dt=2e-3 if N == 16 else 1e-2,
                        t_end=t_end, T=t_end, forcing=forcing)
     for p in (1.2, 3):
-        before = forcing.evaluations
+        calls.clear()
         series = forcing_lp_sq_series(cfg, p)
-        assert forcing.evaluations - before \
-            == (1 if forcing.steady else cfg.n_steps + 1)
+        assert len(calls) == (1 if forcing.steady else cfg.n_steps + 1)
         assert series.tobytes() == forcing_norm_sq_series(cfg, p).tobytes()
     assert (series > 0).all()
 
@@ -1219,7 +1247,7 @@ def test_every_fft_stage_reads_a_unit_stride_axis(monkeypatch, dim):
     ws = _Workspace(grid, 0.5, 4e-3)
     v = ws.to_kept(random_divfree_field(grid, seed=3,
                                         target_h1=0.5).spectral())
-    forcing = ForcingSpec(kind="expression", expressions=(
+    forcing = ForcingSpec(expressions=(
         "0.1*sin(x2)*cos(3*t)", "0.1*sin(x1)*sin(2*t)", "0*x1")[:dim])
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
@@ -1295,7 +1323,7 @@ def test_force_above_two_thirds_is_not_applied(tmp_path):
     grid = make_grid(2 * np.pi, 8, 2)
     cfg = SolverConfig(
         grid=grid, nu=0.5, dt=2e-3, t_end=0.02, T=0.02,
-        forcing=ForcingSpec(kind="expression", expressions=(
+        forcing=ForcingSpec(expressions=(
             "0.1*sin(x2) + sin(3*x2)", "0*x1")),
         initial=taylor_green_exact(grid, 0.5, 0.0, 0.5))
     high = (0, 0, 3)  # component 1, mode (m1, m2) = (0, 3)
@@ -1320,8 +1348,7 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
                                         target_h1=0.1).spectral())
     vs = random_divfree_field(grid2, seed=5, target_h1=1.0).physical()
     background = vs[..., np.newaxis]
-    forcing = ForcingSpec(kind="expression",
-                          expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
+    forcing = ForcingSpec(expressions=("1e-3*sin(x3)", "0*x1", "0*x1"))
     ws.step(v, 0.0, dt, forcing, background)
     tracemalloc.start()
     try:
@@ -1337,7 +1364,7 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
 def test_advance_reproduces_run_bit_for_bit(tmp_path):
     grid = make_grid(2 * np.pi, 8, 3)
     nu, dt, steps = 0.5, 2e-3, 10
-    forcing = ForcingSpec(kind="expression", expressions=(
+    forcing = ForcingSpec(expressions=(
         "0.05 + 0.1*sin(x2)", "0.1*sin(x3)", "0.1*sin(x1)"))
     cfg = SolverConfig(grid=grid, nu=nu, dt=dt, t_end=steps * dt,
                        T=steps * dt, forcing=forcing, snapshot_stride=steps,
@@ -1351,8 +1378,7 @@ def test_advance_reproduces_run_bit_for_bit(tmp_path):
 
 
 def test_save_load_trajectory_round_trip(tmp_path, grid2):
-    forcing = ForcingSpec(kind="expression",
-                          expressions=("0.1*sin(x1)*cos(t)",
+    forcing = ForcingSpec(expressions=("0.1*sin(x1)*cos(t)",
                                        "0.2*cos(3*t) + 0.1*sin(x2)"))
     cfg = SolverConfig(grid=grid2, nu=0.1, dt=1e-3, t_end=0.05, T=0.05,
                        forcing=forcing, snapshot_stride=10,
