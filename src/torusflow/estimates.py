@@ -71,7 +71,9 @@ class InequalityReport:
 
     @property
     def worst_margin(self) -> float:
-        return float(np.min(self.margins)) if self.margins.size else 0.0
+        """The smallest margin; nan when nothing was measured."""
+        return float(np.min(self.margins)) if self.margins.size \
+            else float("nan")
 
     @property
     def worst_time(self) -> float:
@@ -84,11 +86,14 @@ class InequalityReport:
         return self.worst_margin >= -self.tolerance
 
     def to_dict(self) -> dict:
+        """The report's JSON values: a worst margin or time that is not
+        finite (an infinite bound's margin, or none measured) is None."""
+        finite = lambda x: x if math.isfinite(x) else None
         return {
             "inequality": self.inequality_id,
             "status": self.status,
-            "worst_margin": self.worst_margin,
-            "worst_time": self.worst_time,
+            "worst_margin": finite(self.worst_margin),
+            "worst_time": finite(self.worst_time),
             "tolerance": self.tolerance,
             "samples": int(self.margins.size),
             "note": self.note,
@@ -97,11 +102,8 @@ class InequalityReport:
 
 def reports_to_json(reports: dict) -> str:
     """Serialize a {eq_id: InequalityReport} mapping, keyed by equation id,
-    as strict JSON: a worst margin that is not finite is written null."""
+    as strict JSON (InequalityReport.to_dict)."""
     doc = {k: r.to_dict() for k, r in sorted(reports.items())}
-    for entry in doc.values():
-        if not math.isfinite(entry["worst_margin"]):
-            entry["worst_margin"] = None
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -371,18 +373,14 @@ class BConstants:
     explicit_condition_margin: float  # Remark 4.2 form
 
 
-def _mean_sq(run: Trajectory) -> np.ndarray:
-    """|mean|^2 at every step of a 3D run, from its mean_i columns."""
-    return sum(run.diag[f"mean_{i + 1}"] ** 2 for i in range(run.grid.dim))
-
-
 def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
                         c1: float, c3: float) -> BConstants:
     """Evaluate B1..B4 and the smallness conditions of the L2 estimate.
 
     2D base norms entering 3D bounds are extruded (squared L2-type norms
     gain a factor L from the invariant third direction).  B1 integrates
-    ||g||_{L^{6/5}}^2 of the perturbation's mean-free force g through
+    the perturbation's |mean|^2, its recorded mean_sq, and
+    ||g||_{L^{6/5}}^2 of its mean-free force g, the latter through
     Hoelder's inequality on the torus Omega, |Omega| = L^3:
 
       ||g||_{L^{6/5}}^2 <= |Omega|^{2/3} ||g||_{L^2}^2 = L^2 forcing_l2_sq,
@@ -394,7 +392,7 @@ def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
     nu, T = twod.nu, twod.T
     L = pert.grid.L
     t = pert.diag["t"]
-    mean_sq = _mean_sq(pert)
+    mean_sq = pert.diag["mean_sq"]
     g65_sq = L**2 * pert.diag["forcing_l2_sq"]
 
     integrand = (nu * c1 / (2.0 * c3)) * mean_sq \
@@ -442,7 +440,9 @@ def stability_series(pert: Trajectory, base: Trajectory,
                      budget: StabilityBudget, window: int) -> StabilitySeries:
     """Assemble X^2, A^2, G^2 on one window's step grid, reading
     the base's grad_l3_sq at perturbation step i from base step r*i, r the
-    whole number of base steps per perturbation step (ValueError if none)."""
+    whole number of base steps per perturbation step (ValueError if none).
+    G^2 reads the perturbation's mean only as its recorded |mean|^2,
+    mean_sq, beside its forcing_l2_sq."""
     nu, T = budget.nu, budget.T
     sel = dict(_window_slices(pert.diag["t"], T)).get(window)
     if sel is None:
@@ -458,7 +458,7 @@ def stability_series(pert: Trajectory, base: Trajectory,
         * base.diag["grad_l3_sq"][r * sel]  # extruded to the 3D box
     A_sq = (budget.c5 / nu) * grad_l3_sq
 
-    mean_sq = _mean_sq(pert)[sel]
+    mean_sq = pert.diag["mean_sq"][sel]
     g_l2_sq = pert.diag["forcing_l2_sq"][sel]
     G_sq = (budget.c5 / nu) * (grad_l3_sq * mean_sq + g_l2_sq)
     return StabilitySeries(window=window, times=t, X_sq=X_sq, G_sq=G_sq,
@@ -552,7 +552,9 @@ class Evidence:
             reason = "; assumption 2 of the L2 lemma fails on this data"
         elif set(eq.hypotheses) & set(WINDOW_HYPOTHESES) \
                 and any(e is None for e in self.envelopes):
-            reason = " (hypotheses failed on at least one window)"
+            reason = " (hypotheses failed on " + (
+                "at least one window)" if r.margins.size
+                else "every window: no margin)")
         elif np.isposinf(r.bounds).any():
             reason = "; the bound is infinite"
         else:
@@ -605,7 +607,8 @@ def _series_4_18_env(ev):
     held = [(s, e) for s, e in zip(ev.windows, ev.envelopes)
             if e is not None]
     if not held:
-        return ev.windows[0].times[:1], 0.0, 0.0
+        # no window has an envelope: nothing is measured, so no margin
+        return np.empty(0), np.empty(0), np.empty(0)
     return np.concatenate([s.times for s, _ in held]), \
         np.concatenate([e * (1.0 + CONCLUSION_TOL_REL) for _, e in held]), \
         np.concatenate([s.X_sq for s, _ in held])

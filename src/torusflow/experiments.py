@@ -384,8 +384,8 @@ class RunArtifacts:
 
 def _window_csv(evidence: est.Evidence, reports) -> str:
     lines = [",".join(WINDOW_CSV_COLUMNS)]
-    worst_overall = min((r.worst_margin for r in reports.values()),
-                       default=0.0)
+    worst_overall = min((r.worst_margin for r in reports.values()
+                         if r.margins.size), default=0.0)
     for s, holds in zip(evidence.windows, evidence.holds):
         row = (f"{s.window},{s.times[0]:.17e},{s.times[-1]:.17e},"
                f"{s.X_sq[0]:.17e},{s.X_sq[-1]:.17e},"
@@ -581,8 +581,10 @@ def emit_report(artifacts: RunArtifacts) -> tuple:
              f"{'at t':>10}"
     lines += [header, "-" * len(header)]
     for key, r in sorted(artifacts.reports.items()):
+        # a report that measured nothing has no margin to print
         lines.append(f"{key:<12} {r.status:<8} {r.worst_margin:>14.3e} "
-                     f"{r.worst_time:>10.3f}")
+                     f"{r.worst_time:>10.3f}" if r.margins.size
+                     else f"{key:<12} {r.status}")
     code = EXIT_FAIL if failed_ids else EXIT_OK
     return "\n".join(lines) + "\n", code
 

@@ -232,6 +232,10 @@ class SolverConfig:
         self.times.flags.writeable = False  # every run of cfg shares it
 
 
+#: the signed components of a run's mean, which the full 3D run records
+MEAN_COLUMNS = ("mean_1", "mean_2", "mean_3")
+
+
 def diag_columns(label: str) -> list:
     """The diagnostics.csv columns of a run labelled label: the series a
     check, criterion or demo reads, and no other.  The label fixes the
@@ -244,31 +248,34 @@ def diag_columns(label: str) -> list:
     The 2D base adds its H2 norm (3.5), its mean-free force's squared L2
     norm (A1, 3.3) and the norms of 4.25-4.27 (grad_l3_sq,
     ||grad v||_{L3}^2) and 3.8 (w1_sigma, ||v||_{L^sigma} +
-    ||grad v||_{L^sigma}), and no mean.  The full 3D and perturbation runs
-    add their mean; the 3D checks are in H1, so they record no H2 norm.
-    The perturbation adds its mean-free force's squared L2 norm (G^2 of
-    stability_series, and by Hoelder B1's L^{6/5} norm).
+    ||grad v||_{L^sigma}), and no mean.  The 3D checks are in H1, so no 3D
+    run records an H2 norm.  The full 3D run adds its mean vector
+    (MEAN_COLUMNS, read by criterion 06 and demo 02).  The perturbation
+    adds the squared length of its mean, mean_sq = (m1^2 + m2^2) + m3^2
+    (the only form in which G^2 of stability_series and B1 read it), and
+    its mean-free force's squared L2 norm (G^2, and by Hoelder B1's
+    L^{6/5} norm).
     """
     if label == "2d_base":
         return ["t", "l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq",
                 "grad_l3_sq", "w1_sigma"]
     if label == "direct":
         return ["t", "l2_sq"]
-    return ["t", "l2_sq", "grad_l2_sq"] \
-        + ["mean_1", "mean_2", "mean_3"] \
-        + (["forcing_l2_sq"] if label == "perturbation" else [])
+    if label == "perturbation":
+        return ["t", "l2_sq", "grad_l2_sq", "mean_sq", "forcing_l2_sq"]
+    return ["t", "l2_sq", "grad_l2_sq", *MEAN_COLUMNS]
 
 
 @dataclass
 class Trajectory:
     """A run, as its trajectory directory holds it: diag, the per-step
     series of diag_columns of its label, in that order and no other (no 3D
-    run holds h2_sq, the full 3D run no force norm, the direct run nothing
-    but l2_sq), each read from the run's state or force on the 2/3-rule
-    modes K (_Member), and snapshot_paths, the field.save_field files of
-    the spectral snapshots (mean included at k=0) that the run streamed to
-    that directory.  A run given no directory, and a trajectory loaded from
-    disk, has none.
+    run holds h2_sq, the full 3D run no force norm, the perturbation its
+    mean as mean_sq alone, the direct run nothing but l2_sq), each read
+    from the run's state or force on the 2/3-rule modes K (_Member), and
+    snapshot_paths, the field.save_field files of the spectral snapshots
+    (mean included at k=0) that the run streamed to that directory.  A run
+    given no directory, and a trajectory loaded from disk, has none.
 
     step_seconds is the wall time the run spent stepping and recording,
     force_evaluations those of its force that its workspace counted
@@ -635,9 +642,11 @@ class _Member:
     The run holds its state on the 2/3-rule modes K alone (state, in the
     layout of _Workspace): the initial field is taken onto K, which masks
     it, and Leray-projected there.  The records compute the columns of
-    diag_columns(label) and no other from that state: the mean, the first
-    len(norms) of _Workspace.mean_free_norms_sq (the H2 norm for the 2D
-    base alone), and for the base _Workspace.base_norms; only a snapshot
+    diag_columns(label) and no other from that state: the mean (its
+    components, or for the perturbation mean_sq, the sum of their squares
+    in the order (m1^2 + m2^2) + m3^2), the first len(norms) of
+    _Workspace.mean_free_norms_sq (the H2 norm for the 2D base alone),
+    and for the base _Workspace.base_norms; only a snapshot
     copies it onto the full lattice (_Workspace.to_full).
 
     Given a trajectory directory, the run streams each snapshot, as it
@@ -670,7 +679,8 @@ class _Member:
         self.diag = {"t": self.tgrid} | {
             c: np.empty(self.n + 1) for c in diag_columns(label)
             if c != "t"}
-        self.means = [c for c in self.diag if c.startswith("mean_")]
+        self.means = [c for c in MEAN_COLUMNS if c in self.diag]
+        self.mean_sq = "mean_sq" in self.diag
         self.norms = [c for c in ("l2_sq", "grad_l2_sq", "h2_sq")
                       if c in self.diag]
         self.force_norm = "forcing_l2_sq" in self.diag
@@ -683,8 +693,14 @@ class _Member:
     def _record(self, i):
         cfg, grid, ws, diag = self.cfg, self.cfg.grid, self.ws, self.diag
         t, v = self.tgrid[i], self.state
-        for c, m in zip(self.means, v[(slice(None),) + (0,) * grid.dim].real):
-            diag[c][i] = m
+        m = v[(slice(None),) + (0,) * grid.dim].real
+        for c, x in zip(self.means, m):
+            diag[c][i] = x
+        if self.mean_sq:
+            # m * m, not a scalar's ** 2: libm's pow can round x ** 2 off
+            # x * x by one unit in the last place
+            sq = m * m
+            diag["mean_sq"][i] = (sq[0] + sq[1]) + sq[2]
         for c, x in zip(self.norms,
                         ws.mean_free_norms_sq(v, len(self.norms))):
             diag[c][i] = x
@@ -941,8 +957,9 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
     it is missing, its header or rows are not the columns of label on
     cfg's grid or a value is not finite, and series at times other than
     cfg's step times (cfg.times) are refused too: rows out of order,
-    missing or extra, and a negative value in a column of norms (any but
-    t and the means).  Nothing is re-evaluated, and neither snapshot
+    missing or extra, and a negative value in a column of squared norms
+    (any but t and MEAN_COLUMNS, the signed mean components; mean_sq is
+    one).  Nothing is re-evaluated, and neither snapshot
     files nor any other file of the directory are read, so the trajectory
     has no snapshot_paths; field.load_field reads a snapshot.
     """
@@ -953,7 +970,7 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
                                 f"{cfg.n_steps} steps of dt={cfg.dt:g}; "
                                 "run the experiment again")
     for c, x in diag.items():
-        if c != "t" and not c.startswith("mean_") and (x < 0).any():
+        if c != "t" and c not in MEAN_COLUMNS and (x < 0).any():
             raise FileNotFoundError(f"{path}: column {c} holds a negative "
                                     "value; run the experiment again")
     return Trajectory(grid=cfg.grid, diag=diag, label=label)

@@ -26,10 +26,18 @@ def mean(field: Field) -> np.ndarray:
 
 
 def mean_columns(run) -> np.ndarray:
-    """The mean vector a 3D run recorded at every step, one row a step,
-    from its mean_i columns."""
+    """The mean vector the full 3D run recorded at every step, one row a
+    step, from its mean_i columns (the perturbation records mean_sq)."""
     return np.column_stack([run.diag[f"mean_{i + 1}"]
                             for i in range(run.grid.dim)])
+
+
+def mean_sq(means) -> np.ndarray:
+    """|mean|^2 at every step from the mean vectors means, one row a step:
+    the replaced estimates._mean_sq, which summed the squares of a 3D run's
+    mean_i columns in this order."""
+    means = np.asarray(means, dtype=float)
+    return sum(means[:, i] ** 2 for i in range(means.shape[1]))
 
 
 def lp_norm(field: Field, p: float, pad_factor: int = 2) -> float:
@@ -517,8 +525,8 @@ def verify_stability_conclusion(series_list, hypotheses,
                       * (1.0 + CONCLUSION_TOL_REL)
                       - float(series.X_sq[-1])])
     if not m_env:
-        t_env = [np.array([series_list[0].times[0]])]
-        m_env = [np.array([0.0])]
+        # no window has an envelope: no margin at all
+        t_env, m_env = [np.empty(0)], [np.empty(0)]
         vacuous = True
     reports = {
         "4.13": InequalityReport("4.13", np.concatenate(t_gamma),
@@ -534,14 +542,16 @@ def verify_stability_conclusion(series_list, hypotheses,
     if vacuous:
         for r in reports.values():
             r.status = VACUOUS
-            r.note += " (hypotheses failed on at least one window)"
+            r.note += " (hypotheses failed on " + (
+                "at least one window)" if r.margins.size
+                else "every window: no margin)")
     return reports
 
 
 def _window_csv(series_list, hyp_by_window, reports) -> str:
     lines = [",".join(WINDOW_CSV_COLUMNS)]
-    worst_overall = min((r.worst_margin for r in reports.values()),
-                       default=0.0)
+    worst_overall = min((r.worst_margin for r in reports.values()
+                         if r.margins.size), default=0.0)
     for s in series_list:
         hyp_ok = hypotheses_hold(hyp_by_window[s.window])
         row = (f"{s.window},{s.times[0]:.17e},{s.times[-1]:.17e},"

@@ -24,7 +24,7 @@ from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
                               forcing_lp_sq_series, load_trajectory,
                               run_perturbation, taylor_green_exact,
-                              _Workspace)
+                              _compile_expression, _Workspace)
 from torusflow import estimates as est
 
 from test_solver import _force_to_cutoff
@@ -348,11 +348,12 @@ def test_B_constants_zero_forcing(stability_setup):
 
 def _literal_forces() -> set:
     """Every tuple or list of two or three string literals in the tests and
-    the demos that ForcingSpec accepts as component expressions and that
-    are finite on the N = 8 grid at t = 0: the forces they build (and a
-    few that are only strings, which the check holds for just as well).
-    A force that is not finite is one that experiments._check_forcing
-    refuses, and has no norm to bound."""
+    the demos that ForcingSpec accepts as component expressions, that name
+    no coordinate the grid of their length lacks (x3 in two) and that are
+    finite on the N = 8 grid at t = 0: the forces they build (and a few
+    that are only strings, which the check holds for just as well).  A
+    force that is not finite, or that names x3 on a 2D grid, is one that
+    experiments._check_forcing refuses, and has no norm to bound."""
     forces = set()
     for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -363,6 +364,10 @@ def _literal_forces() -> set:
                 expressions = tuple(e.value for e in node.elts)
                 with contextlib.suppress(ValueError), \
                         np.errstate(all="ignore"):
+                    names = set().union(*(_compile_expression(e)[1]
+                                          for e in expressions))
+                    if len(expressions) == 2 and "x3" in names:
+                        continue
                     values = ForcingSpec(expressions=expressions).physical(
                         make_grid(2 * np.pi, 8, len(expressions)), 0.0)
                     if np.isfinite(values).all():
@@ -474,10 +479,21 @@ def test_hypotheses_vacuous_not_failed(stability_setup):
     ev = _stability_evidence(base, pert, tiny)
     assert ev.hypotheses["4.12a"][0].status == est.VACUOUS  # X^2(0) >> gamma
     assert not any(ev.holds)
-    for eq_id in CONCLUSION_IDS:
+    for eq_id in ("4.13", "4.25"):
         rep = ev.report(eq_id)
         assert rep.status == est.VACUOUS
         assert rep.note.endswith(" (hypotheses failed on at least one window)")
+    # no window has an envelope, so 4.18-env measures nothing: no margin
+    rep = ev.report("4.18-env")
+    assert rep.status == est.VACUOUS and rep.margins.size == 0
+    assert rep.note == \
+        "envelope domination (hypotheses failed on every window: no margin)"
+    doc = json.loads(est.reports_to_json({"4.18-env": rep}))["4.18-env"]
+    assert (doc["worst_margin"], doc["worst_time"], doc["samples"]) \
+        == (None, None, 0)
+    text = exp.emit_report(exp.RunArtifacts("", {}, 0.0, {"4.18-env": rep}))
+    assert text == (f"{'inequality':<12} {'status':<8} {'worst margin':>14} "
+                    f"{'at t':>10}\n{'-' * 47}\n4.18-env     vacuous\n", 0)
 
 
 def _envelope_oracle(series, budget, X0_sq):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from torusflow import experiments as exp
 from torusflow import cli, estimates as est, worker as worker_module
 from torusflow.estimates import (FAIL, PASS, VACUOUS, InequalityReport,
@@ -589,14 +590,14 @@ def test_verify_path_evaluates_no_force(forced_pert_out, no_fft):
         == (out / "inequalities.json").read_text()
 
 
-def _base_table_edit(edit):
-    """An edit of base/diagnostics.csv, line by line, and what verify's
+def _table_edit(edit, run="base"):
+    """An edit of run's diagnostics.csv, line by line, and what verify's
     error names."""
     def apply(out):
-        path = out / "base" / "diagnostics.csv"
+        path = out / run / "diagnostics.csv"
         path.write_text("\n".join(edit(path.read_text().splitlines()))
                         + "\n")
-        return [str(out / "base"), "run the experiment again"]
+        return [str(out / run), "run the experiment again"]
     return apply
 
 
@@ -634,6 +635,10 @@ NINE_COLUMNS = ("t", "l2_sq", "grad_l2_sq", "h2_sq", "mean_1", "mean_2",
 STRIDED_NORMS_COLUMNS = ("t", "l2_sq", "grad_l2_sq", "h2_sq", "mean_1",
                          "mean_2", "forcing_l2_sq")
 
+#: the perturbation table written before it recorded its mean as mean_sq
+PERTURBATION_MEAN_COLUMNS = ("t", "l2_sq", "grad_l2_sq", "mean_1", "mean_2",
+                             "mean_3", "forcing_l2_sq")
+
 
 def _spec_with_norm_stride(out):
     path = out / "spec.json"
@@ -660,17 +665,20 @@ def _spec_with_calibration(out):
 
 
 @pytest.mark.parametrize("edit", [
-    _base_table_edit(_drop_w1), _base_table_edit(_swap_grad_l3_w1),
-    _base_table_edit(lambda lines: lines[:1] + _drop_w1(lines[1:])),
-    _base_table_edit(lambda lines: lines[:3]),
-    _base_table_edit(lambda lines: _relabelled(lines, NINE_COLUMNS)),
-    _base_table_edit(lambda lines: _relabelled(lines,
+    _table_edit(_drop_w1), _table_edit(_swap_grad_l3_w1),
+    _table_edit(lambda lines: lines[:1] + _drop_w1(lines[1:])),
+    _table_edit(lambda lines: lines[:3]),
+    _table_edit(lambda lines: _relabelled(lines, NINE_COLUMNS)),
+    _table_edit(lambda lines: _relabelled(lines,
                                                STRIDED_NORMS_COLUMNS)),
+    _table_edit(lambda lines: _relabelled(
+        lines, PERTURBATION_MEAN_COLUMNS), "perturbation"),
     _spec_with_norm_stride, _spec_with_perturbation_norm_stride,
     _spec_with_calibration],
     ids=["dropped-w1-sigma", "swapped-grad-l3-w1-sigma",
          "rows-without-w1-sigma", "ends-early", "nine-columns",
-         "strided-norms-header", "base-norm-stride",
+         "strided-norms-header", "perturbation-mean-components",
+         "base-norm-stride",
          "perturbation-norm-stride", "calibration-section"])
 def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
                                                       tmp_path, capsys, edit):
@@ -680,7 +688,8 @@ def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
     # pass with moved 4.26a/4.27 margins (exit 0); the mean columns, the
     # header without norm columns and such a spec are those of an output
     # written before the base recorded its norms at every step, or before
-    # the constants were closed-form
+    # the constants were closed-form; the perturbation's mean components
+    # are those of an output written before it recorded mean_sq
     out = tmp_path / "out"
     shutil.copytree(forced_pert_out, out)
     expected = edit(out)
@@ -694,7 +703,8 @@ def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
 
 
 @pytest.mark.parametrize("run, column", [("base", "forcing_l2_sq"),
-                                         ("perturbation", "grad_l2_sq")])
+                                         ("perturbation", "grad_l2_sq"),
+                                         ("perturbation", "mean_sq")])
 def test_verify_refuses_a_negative_squared_norm(forced_pert_out, tmp_path,
                                                 capsys, run, column):
     # a negative squared norm used to reach the estimates and end in a
@@ -711,6 +721,38 @@ def test_verify_refuses_a_negative_squared_norm(forced_pert_out, tmp_path,
     err = capsys.readouterr().err
     assert str(path) in err and column in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# SMALL_PERT under a time-dependent mean force, with a snapshot at every
+# step: the perturbation's mean is the force's alone
+MEAN_FORCED_PERT = dict(SMALL, perturbation={
+    "snapshot_stride": 1,
+    "forcing": {"kind": "expression", "expressions": [
+        "0.01*cos(t) + 0*x1", "0*x1", "0*x1"]}})
+
+
+def test_perturbation_mean_sq_is_its_mean_squared(tmp_path):
+    # mean_sq is (m1^2 + m2^2) + m3^2 of the k = 0 coefficient at every
+    # step, bit for bit, and the verdicts are those of the three-column
+    # sum (oracles.mean_sq)
+    out = tmp_path / "out"
+    exp.run_experiment(exp.parse_config(json.dumps(MEAN_FORCED_PERT)),
+                       str(out))
+    pert = _load_run(out, "perturbation")
+    means = np.array([oracles.mean(load_field(p)) for p in sorted(
+        (out / "perturbation" / "snapshots").iterdir())])
+    assert len(means) == len(pert.diag["t"])
+    assert np.abs(means[1:, 0]).min() > 0.0
+    want = oracles.mean_sq(means)
+    assert pert.diag["mean_sq"].tobytes() == want.tobytes()
+    pert.diag["mean_sq"] = want
+    budget = StabilityBudget(
+        **json.loads((out / "constants.json").read_text())["budget"])
+    reports = exp.analyze(_load_run(out, "base"), pert,
+                          json.loads((out / "spec.json").read_text()),
+                          budget)[0]
+    assert reports_to_json(reports) + "\n" \
+        == (out / "inequalities.json").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -871,7 +913,7 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
         "0.5*sin(x2)", "0.5*sin(x1)"], "amplitude": 2.0}}},
     {"base": {"forcing": {"kind": "expression"}}},
     {"perturbation": {"snapshot_stride": 50, "forcing": {
-        "kind": "expression", "expressions": ["0.5*sin(x2)", "0.5*sin(x1)"]}}},
+        "kind": "expression", "expressions": ["0.5*sin(x3)", "0.5*sin(x1)"]}}},
     {"base": {"forcing": {"kind": "expression", "expressions": [
         "log(x1)", "0*x1"]}}},
     {"perturbation": {"snapshot_stride": 50}, "direct_3d": "no"},

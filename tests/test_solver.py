@@ -30,7 +30,7 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
 from torusflow.worker import Worker
 
 from oracles import (FullLatticeWorkspace, forcing_norm_sq_series, mean,
-                     mean_columns, mean_ode_integrate)
+                     mean_columns, mean_ode_integrate, mean_sq)
 
 
 def nse_rhs(v, f, nu):
@@ -447,6 +447,25 @@ def test_full_3d_mean_matches_ode(grid3):
                for t in traj.diag["t"]]
     oracle = mean_ode_integrate(traj.diag["t"], f_means, np.zeros(3))
     assert np.abs(mean_columns(traj) - oracle).max() < 1e-10
+
+
+def test_perturbation_mean_sq_is_the_column_sum(grid3):
+    # the perturbation records (m1^2 + m2^2) + m3^2 of its k = 0
+    # coefficient, bit for bit the sum of squares of the mean columns it
+    # used to write; each component is one whose square numpy's scalar
+    # x ** 2 (libm pow) rounds one unit in the last place off x * x
+    means = np.array([[-0.015763150531707022, 0.019124447508016545,
+                       0.0022942657019610485], [0.007114731156330433,
+                                                0.0, 0.0]])
+    assert all(np.float64(x) ** 2 != x * x for x in means[means != 0])
+    cfg = SolverConfig(grid=grid3, nu=0.1, dt=1e-3, t_end=1e-3, T=1e-3,
+                       initial=random_divfree_field(grid3, 0))
+    member = solver._Member(cfg, "perturbation")
+    assert list(member.diag) == solver.diag_columns("perturbation")
+    for i, m in enumerate(means):
+        member.state[(slice(None), 0, 0, 0)] = m
+        member._record(i)
+    assert member.diag["mean_sq"].tobytes() == mean_sq(means).tobytes()
 
 
 @pytest.mark.parametrize("mean_force", [
