@@ -24,7 +24,7 @@ spec = exp.parse_config(json.dumps({
 nu, T = spec["nu"], spec["T"]
 grid = make_grid(spec["L"], spec["N"], 2)
 cfg = SolverConfig(grid=grid, nu=nu, dt=spec["dt"], t_end=spec["windows"] * T,
-                   T=T, sigma=spec["sigma"], snapshot_stride=20,
+                   T=T, snapshot_stride=20,
                    forcing=ForcingSpec(expressions=tuple(forcing)),
                    initial=taylor_green_exact(grid, nu, 0.0, amplitude=0.3))
 with tempfile.TemporaryDirectory() as out:

@@ -95,6 +95,12 @@ def _cmd_run(args) -> int:
                                         fine_arts.reports, spec["dt"])
         sys.stdout.write(f"dt-halving margin constant C = {C:.6e} "
                          f"(tol = C*dt^2 + {est.FLOAT_FLOOR:g})\n")
+        # a check failed at the dt/2 run's four times tighter tolerance
+        # fails the run
+        fine_text, fine_code = exp.emit_report(fine_arts)
+        if fine_code != exp.EXIT_OK:
+            sys.stdout.write(f"half-dt: {fine_text.splitlines()[0]}\n")
+        code = max(code, fine_code)
     return code
 
 
@@ -210,7 +216,7 @@ def main(argv=None) -> int:
     except exp.ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return exp.EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input or an unusable --out
         sys.stderr.write(f"error: {exc}\n")
         return exp.EXIT_ERROR
 

@@ -18,8 +18,8 @@ import numpy as np
 from .field import (Field, divergence_linf, laplacian_data, mean_free,
                     physical_padded, spectral_derivative)
 from .grid import TorusGrid
-from .norms import (sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
-                    sharp_dissipation_h2)
+from .norms import (DEFAULT_SIGMA, sobolev_norm_sq, sharp_poincare_h1,
+                    sharp_poincare_h2, sharp_dissipation_h2)
 # bench/trace_cli.py wraps forcing_lp_sq_series under this module's name;
 # no run calls it, since B1 takes the Hoelder bound of the force's L^{6/5}
 # norm (compute_B_constants), and ROADMAP item 9 moves it to the tests
@@ -512,8 +512,8 @@ class Evidence:
     reports, one per window, whether all hold on a window (holds) and its
     Gronwall envelope, None unless they hold and it stays below gamma*."""
 
-    def __init__(self, base, pert, budget, nu, T, sigma, tol):
-        self.base, self.T, self.sigma, self.tol = base, T, sigma, tol
+    def __init__(self, base, pert, budget, nu, T, tol):
+        self.base, self.T, self.tol = base, T, tol
         self.twod = compute_A_constants(base, T, nu)
         self.perturbation = self.budget = self.l2 = None
         self.windows = []
@@ -542,7 +542,7 @@ class Evidence:
         r = InequalityReport(
             eq_id, times, bound - value,
             self.tol if eq.tolerance is None else eq.tolerance,
-            note=eq.note.format(sigma=self.sigma), bounds=bound)
+            note=eq.note, bounds=bound)
         if eq.kind == HYPOTHESIS:
             if r.passed:
                 return r
@@ -630,8 +630,7 @@ def _series_4_25(ev):
 class Inequality:
     """One inequality id.  run names the Evidence attribute of the run it
     reads; a hypothesis is checked on every window, by series(window's
-    StabilitySeries, budget); a note gets {sigma} filled in; tolerance
-    None is the Evidence's."""
+    StabilitySeries, budget); tolerance None is the Evidence's."""
 
     kind: str
     run: str
@@ -657,8 +656,8 @@ INEQUALITIES = {
         ev, "grad_l2_sq", ev.twod.c_s2, ev.base.diag["h2_sq"], ev.twod.A5_sq),
         note="H2 dissipation uses the sharp discrete constant c_s2"),
     "3.8": Inequality(CLAIM, "base", _series_3_8, tolerance=FLOAT_FLOOR,
-                      note="sigma={sigma}; per-window maxima of the "
-                           "W^1_sigma norm vs first-window maximum"),
+                      note=f"sigma={DEFAULT_SIGMA}; per-window maxima of "
+                           "the W^1_sigma norm vs first-window maximum"),
     "4.1a": Inequality(CLAIM, "perturbation", lambda ev: _at_window_ends(
         ev.perturbation, "l2_sq", ev.l2.B3_sq, ev.T), (ASSUMPTION_2,)),
     "4.1b": Inequality(CLAIM, "perturbation", lambda ev: (

@@ -34,7 +34,6 @@ import numpy as np
 
 from .grid import TorusGrid, make_grid
 from .field import Field, extrude_field, random_divfree_field
-from .norms import DEFAULT_SIGMA
 from .solver import (BlowUpError, ForcingSpec, SolverConfig, Trajectory,
                      _write_atomic, load_trajectory, run_2d_base,
                      run_perturbation, save_trajectory, taylor_green_exact)
@@ -76,15 +75,14 @@ _DEFAULTS = {
     "nu": 1.0,
     "dt": 2e-3,
     "T": 1.0,
-    "sigma": DEFAULT_SIGMA,
-    "snapshot_stride": 250,
+    "snapshot_stride": 250,  # of the base, perturbation and direct runs
     "base": {"initial": {"kind": "taylor-green", "amplitude": 0.005},
              "forcing": {"kind": "zero"}},
     "perturbation": None,
     "direct_3d": False,
     "budget": {"gamma_frac": 0.5, "c_star_frac": 0.5, "alpha": 0.03,
                "gamma": None, "gamma_star": None, "c_star": None,
-               "c1": None, "c3": None, "c4": None, "c5": None},
+               "c3": None, "c4": None, "c5": None},
     "tolerance": {"C": 1.0},
 }
 
@@ -92,7 +90,6 @@ _PERT_DEFAULTS = {
     "initial": {"kind": "random", "seed": 7, "decay": 4.0,
                 "h1_sq_frac_of_gamma": 0.5},
     "forcing": {"kind": "zero"},
-    "snapshot_stride": 250,
 }
 
 #: each kind of an initial or forcing section: its keys and their defaults
@@ -113,9 +110,7 @@ _LEAF_TYPES = {bool: (bool, "true or false"), int: (int, "an integer"),
 #: what a leaf's type cannot say: key -> (bound, whether the bound itself
 #: is excluded); a null passes
 _BOUNDS = {"nu": (0, True), "dt": (0, True), "T": (0, True), "L": (0, True),
-           "windows": (1, False),
-           # the base run's W^1_sigma norm (3.8) needs sigma > 3
-           "sigma": (3, True), "C": (0, False), "decay": (0, True),
+           "windows": (1, False), "C": (0, False), "decay": (0, True),
            "target_h1": (0, False), "h1_sq_frac_of_gamma": (0, False)}
 
 
@@ -278,13 +273,12 @@ def _run_config(spec: dict, run: str) -> SolverConfig:
     """The SolverConfig of spec's "base" or "perturbation" run, without its
     initial field; a run that SolverConfig refuses raises ConfigError."""
     dim = 2 if run == "base" else 3
-    stride = (spec if run == "base" else spec[run])["snapshot_stride"]
     forcing = _build_forcing(spec[run]["forcing"])
     try:
         return SolverConfig(
             grid=make_grid(spec["L"], spec["N"], dim), nu=spec["nu"],
             dt=spec["dt"], t_end=spec["windows"] * spec["T"], T=spec["T"],
-            forcing=forcing, snapshot_stride=stride, sigma=spec["sigma"])
+            forcing=forcing, snapshot_stride=spec["snapshot_stride"])
     except ValueError as exc:
         raise ConfigError(f"config.{run}: {exc}")
 
@@ -340,7 +334,7 @@ def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
 
 def _resolve_budget(spec: dict) -> tuple:
     """The constants of the 3D grid and the stability budget, the config's
-    overrides applied; (calibrated constants, StabilityBudget)."""
+    overrides applied (none of c1); (calibrated constants, StabilityBudget)."""
     cal = est.calibrate_constants(make_grid(spec["L"], spec["N"], 3))
     b = spec["budget"]
 
@@ -349,7 +343,6 @@ def _resolve_budget(spec: dict) -> tuple:
         return b[key] if b[key] is not None else fallback
 
     nu, T = spec["nu"], spec["T"]
-    c1 = pick("c1", cal.c1)
     c3 = pick("c3", cal.c3)
     c4 = pick("c4", cal.c4)
     c5 = pick("c5", cal.c5)
@@ -360,7 +353,7 @@ def _resolve_budget(spec: dict) -> tuple:
         gamma = pick("gamma", b["gamma_frac"] * gamma_star)
         budget = StabilityBudget(nu=nu, T=T, gamma=gamma,
                                  gamma_star=gamma_star, c_star=c_star,
-                                 alpha=b["alpha"], c1=c1, c3=c3,
+                                 alpha=b["alpha"], c1=cal.c1, c3=c3,
                                  c4=c4, c5=c5)
     except (ArithmeticError, ValueError) as exc:
         # an inadmissible budget
@@ -400,7 +393,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     """The report of every id of est.INEQUALITIES whose run exists, on
     finished trajectories; (reports by id, the est.Evidence)."""
     evidence = est.Evidence(
-        base, pert, budget, spec["nu"], spec["T"], spec["sigma"],
+        base, pert, budget, spec["nu"], spec["T"],
         est.margin_tolerance(spec["tolerance"]["C"], spec["dt"]))
     reports = {}
     for eq_id, eq in est.INEQUALITIES.items():

@@ -11,7 +11,7 @@ import numpy as np
 from .field import Field, gradient_data, physical_padded
 from .grid import TorusGrid
 
-DEFAULT_SIGMA = 4.0
+DEFAULT_SIGMA = 4.0  # the base run's W^{1,sigma} norm; 3.8 needs sigma > 3
 
 
 def _parseval_sum(grid: TorusGrid, spec: np.ndarray, weight="l2") -> float:

@@ -188,8 +188,8 @@ class SolverConfig:
 
     A run records diag_columns at every step and, given a trajectory
     directory, takes a snapshot every snapshot_stride steps, the last step
-    included.  sigma is the exponent of the W^{1,sigma} norm that the 2D
-    base run records.
+    included.  The 2D base run records its W^{1,sigma} norm at
+    sigma = norms.DEFAULT_SIGMA.
     """
 
     grid: TorusGrid
@@ -200,7 +200,6 @@ class SolverConfig:
     forcing: ForcingSpec = dc_field(default_factory=ForcingSpec)
     initial: Field | None = None
     snapshot_stride: int = 1
-    sigma: float = DEFAULT_SIGMA
     n_steps: int = dc_field(init=False)
     times: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
@@ -713,7 +712,7 @@ class _Member:
                 ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t), 1)[0]
         if self.label == "2d_base":
             diag["grad_l3_sq"][i], diag["w1_sigma"][i] = \
-                ws.base_norms(v, cfg.sigma)
+                ws.base_norms(v, DEFAULT_SIGMA)
         if self.snapdir is None or (i % cfg.snapshot_stride and i != self.n):
             return
         path = os.path.join(self.snapdir,

@@ -7,7 +7,8 @@ import numpy as np
 
 from torusflow.field import (Field, leray_data, physical_data,
                              physical_padded, spectral_data)
-from torusflow.norms import grad_l2_norm_sq, l2_norm_sq, sobolev_norm_sq
+from torusflow.norms import (DEFAULT_SIGMA, grad_l2_norm_sq, l2_norm_sq,
+                             sobolev_norm_sq)
 from torusflow import estimates as est
 from torusflow.estimates import (CONCLUSION_TOL_REL, FLOAT_FLOOR, VACUOUS,
                                  BConstants, InequalityReport,
@@ -403,7 +404,7 @@ def w1sigma_monitor(base: Trajectory, sigma: float, T: float,
     Passes when every window maximum, over the base run's per-step
     w1_sigma, stays below the first window's maximum times (1 + tol); the
     report carries the per-window maxima as its series.  sigma is the
-    exponent the run recorded w1_sigma at (its SolverConfig's sigma); one
+    exponent the run recorded w1_sigma at (norms.DEFAULT_SIGMA); one
     of 3 or less raises ValueError.
     """
     if sigma <= 3:
@@ -572,7 +573,7 @@ def analyze(base: Trajectory, pert: Trajectory | None,
     tol = est.margin_tolerance(spec["tolerance"]["C"], spec["dt"])
     twod = est.compute_A_constants(base, T, nu)
     reports = dict(verify_decay_2d(base, twod, tol))
-    reports["3.8"] = w1sigma_monitor(base, spec["sigma"], T)
+    reports["3.8"] = w1sigma_monitor(base, DEFAULT_SIGMA, T)
 
     series_list, hyp_by_window = [], {}
     if pert is not None and budget is not None:

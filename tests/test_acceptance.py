@@ -129,7 +129,7 @@ def test_criterion_05_2d_decay_inequalities():
                            forcing=forcing, snapshot_stride=round(0.1 / step),
                            initial=taylor_green_exact(grid, nu, 0.0, 0.3))
         base = run_2d_base(cfg)
-        evidence = est.Evidence(base, None, None, nu, T, cfg.sigma, np.inf)
+        evidence = est.Evidence(base, None, None, nu, T, np.inf)
         return {k: evidence.report(k)
                 for k in ("3.1", "3.2", "3.3", "3.4", "3.5")}
 
@@ -221,7 +221,7 @@ def test_criterion_08_stability_conclusion(calibrated):
         grid=g3, nu=nu, dt=dt, t_end=windows * T, T=T, initial=u0,
         forcing=g_force, snapshot_stride=250), base_cfg)
 
-    evidence = est.Evidence(base, pert, budget, nu, T, 4.0, est.FLOAT_FLOOR)
+    evidence = est.Evidence(base, pert, budget, nu, T, est.FLOAT_FLOOR)
     hyp_ok = len(evidence.holds) == windows and all(evidence.holds)
     conclusion = {k: evidence.report(k) for k in ("4.13", "4.18-env", "4.25")}
     elapsed = time.time() - t0
@@ -317,8 +317,8 @@ def test_criterion_11_determinism(tmp_path):
         "scenario": "determinism", "seed": 3, "nu": 1.0, "dt": 5e-3,
         "T": 0.5, "windows": 1, "N": 8,
         "base": {"initial": {"kind": "taylor-green", "amplitude": 0.01}},
-        "perturbation": {"initial": {"kind": "random", "seed": 2},
-                         "snapshot_stride": 50},
+        "snapshot_stride": 50,
+        "perturbation": {"initial": {"kind": "random", "seed": 2}},
     }
     spec = exp.parse_config(json.dumps(config))
     exp.run_experiment(spec, str(tmp_path / "a"))

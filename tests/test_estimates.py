@@ -37,11 +37,11 @@ CONCLUSION_IDS = ("4.13", "4.18-env", "4.25")
 
 def _base_evidence(base, tol=est.FLOAT_FLOOR):
     """The Evidence of a base run alone, at window length T."""
-    return est.Evidence(base, None, None, NU, T, 4.0, tol)
+    return est.Evidence(base, None, None, NU, T, tol)
 
 
 def _stability_evidence(base, pert, budget):
-    return est.Evidence(base, pert, budget, budget.nu, budget.T, 4.0,
+    return est.Evidence(base, pert, budget, budget.nu, budget.T,
                         est.FLOAT_FLOOR)
 
 
@@ -193,8 +193,8 @@ def test_decay_2d_passes(forced_base):
 
 
 def test_w1sigma_bound_passes(forced_base):
-    # one W^1_sigma maximum per window; sigma <= 3 is refused by
-    # parse_config (test_experiments.py, "sigma-3")
+    # one W^1_sigma maximum per window, at the constant
+    # norms.DEFAULT_SIGMA, which no config sets
     rep = _base_evidence(forced_base).report("3.8")
     assert rep.status == est.PASS
     assert len(rep.times) == 3

@@ -32,12 +32,11 @@ SMALL = {
 
 # SMALL with a perturbation run: exercises calibration and every stability
 # check
-SMALL_PERT = dict(SMALL, perturbation={"snapshot_stride": 50})
+SMALL_PERT = dict(SMALL, snapshot_stride=50, perturbation={})
 
 # SMALL_PERT under a time-dependent perturbation force: B1 reads a nonzero
 # forcing_l2_sq series
-FORCED_PERT = dict(SMALL, perturbation={
-    "snapshot_stride": 50,
+FORCED_PERT = dict(SMALL, snapshot_stride=50, perturbation={
     "forcing": {"kind": "expression", "expressions": [
         "1e-6*sin(x3)*cos(t)", "1e-6*sin(x1)", "1e-6*sin(x2)"]}})
 
@@ -48,8 +47,7 @@ FORCED_DIRECT = dict(SMALL, T=0.05, snapshot_stride=5,
                          "kind": "expression", "expressions": [
                              "1e-3*sin(x1)*cos(x2)*cos(t)",
                              "-1e-3*cos(x1)*sin(x2)*cos(t)"]}),
-                     perturbation=dict(FORCED_PERT["perturbation"],
-                                       snapshot_stride=5))
+                     perturbation=FORCED_PERT["perturbation"])
 
 
 def _load_run(out, run):
@@ -125,7 +123,7 @@ def test_null_target_h1_means_not_given():
     fields = []
     for initial in ({"kind": "random"}, {"kind": "random", "target_h1": None}):
         spec = exp.parse_config(json.dumps(dict(
-            SMALL, perturbation={"snapshot_stride": 50, "initial": initial})))
+            SMALL_PERT, perturbation={"initial": initial})))
         grid = make_grid(spec["L"], spec["N"], 3)
         gamma = exp._resolve_budget(spec)[1].gamma
         fields.append(exp._build_initial(spec["perturbation"]["initial"],
@@ -279,14 +277,13 @@ def test_rerun_replaces_stale_snapshots(tmp_path):
     # extra snapshot files beside its own
     out = tmp_path / "out"
     for stride, count in ((10, 11), (50, 3)):
-        cfg = dict(SMALL_PERT, perturbation={"snapshot_stride": stride})
+        cfg = dict(SMALL_PERT, snapshot_stride=stride)
         exp.run_experiment(exp.parse_config(json.dumps(cfg)), str(out))
         meta = json.loads((out / "meta.json").read_text())
         for run in ("base", "perturbation"):
             files = sorted(os.listdir(out / run / "snapshots"))
-            assert len(files) == meta["snapshots"][run]["count"]
+            assert len(files) == meta["snapshots"][run]["count"] == count
             assert not (out / run / "snapshots.partial").exists()
-        assert len(files) == count
 
 
 @pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
@@ -725,8 +722,7 @@ def test_verify_refuses_a_negative_squared_norm(forced_pert_out, tmp_path,
 
 # SMALL_PERT under a time-dependent mean force, with a snapshot at every
 # step: the perturbation's mean is the force's alone
-MEAN_FORCED_PERT = dict(SMALL, perturbation={
-    "snapshot_stride": 1,
+MEAN_FORCED_PERT = dict(SMALL, snapshot_stride=1, perturbation={
     "forcing": {"kind": "expression", "expressions": [
         "0.01*cos(t) + 0*x1", "0*x1", "0*x1"]}})
 
@@ -866,7 +862,7 @@ def _assert_run_refused(tmp_path, capsys, cfg):
 
 @pytest.mark.parametrize("cfg", [
     dict(SMALL, norm_stride=30),
-    dict(SMALL_PERT, perturbation={"snapshot_stride": 50, "norm_stride": 30}),
+    dict(SMALL_PERT, perturbation={"norm_stride": 30}),
     dict(SMALL, snapshot_stride=0),
     dict(SMALL, norm_stride=None)],
     ids=["base-norm-stride", "perturbation-norm-stride", "zero-stride",
@@ -892,17 +888,27 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
     _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
 
 
+#: the settings that left the schema, each at its former default, by the
+#: refusal that names it: sigma is norms.DEFAULT_SIGMA, c1 the calibrated
+#: one, and the top-level snapshot_stride serves every run
+REMOVED_SETTINGS = {
+    "unknown key 'sigma' in config": {"sigma": 4.0},
+    "unknown key 'c1' in config.budget": {"budget": {"c1": None}},
+    "unknown key 'snapshot_stride' in config.perturbation": {
+        "perturbation": {"snapshot_stride": 250}},
+}
+
+
 @pytest.mark.parametrize("cfg", [
-    {"perturbation": {"snapshot_stride": 50}, "budget": {"alpha": "x"}},
-    {"perturbation": {"snapshot_stride": 50}, "budget": {"c5": 0}},
+    {"snapshot_stride": 50, "perturbation": {}, "budget": {"alpha": "x"}},
+    {"snapshot_stride": 50, "perturbation": {}, "budget": {"c5": 0}},
     {"tolerance": {"C": None}}, {"tolerance": 5},
-    {"sigma": None}, {"sigma": 3},
     {"L": 6.0},
-    {"perturbation": {"snapshot_stride": 50,
-                      "initial": {"kind": "random", "decay": -1}}},
-    {"perturbation": {"snapshot_stride": 50,
-                      "initial": {"kind": "random", "target_h1": "1"}}},
-    {"perturbation": {"snapshot_stride": 50}, "seed": -8},
+    {"snapshot_stride": 50,
+     "perturbation": {"initial": {"kind": "random", "decay": -1}}},
+    {"snapshot_stride": 50,
+     "perturbation": {"initial": {"kind": "random", "target_h1": "1"}}},
+    {"snapshot_stride": 50, "perturbation": {}, "seed": -8},
     {"perturbation": 5},
     {"base": {"initial": {"kind": "vortex"}}},
     {"base": {"initial": {"kind": "taylor-green", "amplitude": None}}},
@@ -912,28 +918,35 @@ def test_cli_refuses_config_values_of_the_wrong_type(tmp_path, capsys, cfg):
     {"base": {"forcing": {"kind": "expression", "expressions": [
         "0.5*sin(x2)", "0.5*sin(x1)"], "amplitude": 2.0}}},
     {"base": {"forcing": {"kind": "expression"}}},
-    {"perturbation": {"snapshot_stride": 50, "forcing": {
+    {"snapshot_stride": 50, "perturbation": {"forcing": {
         "kind": "expression", "expressions": ["0.5*sin(x3)", "0.5*sin(x1)"]}}},
     {"base": {"forcing": {"kind": "expression", "expressions": [
         "log(x1)", "0*x1"]}}},
-    {"perturbation": {"snapshot_stride": 50}, "direct_3d": "no"},
+    {"snapshot_stride": 50, "perturbation": {}, "direct_3d": "no"},
     {"direct_3d": True},
-    {"scenario": 5}],
+    {"scenario": 5},
+    *REMOVED_SETTINGS.values()],
     ids=["string-alpha", "zero-c5", "null-tolerance-C", "number-tolerance",
-         "null-sigma", "sigma-3", "taylor-green-off-2pi", "negative-decay",
+         "taylor-green-off-2pi", "negative-decay",
          "string-target-h1", "negative-seed", "number-perturbation",
          "unknown-initial-kind", "null-amplitude", "forcing-without-kind",
          "zero-forcing-with-expressions", "unknown-expression-forcing-key",
          "expression-forcing-without-expressions",
          "two-component-perturbation-forcing", "forcing-not-finite",
          "string-direct-3d", "direct-3d-without-perturbation",
-         "number-scenario"])
+         "number-scenario", "sigma", "budget-c1",
+         "perturbation-snapshot-stride"])
 def test_cli_refuses_config_the_run_would_fail_on(tmp_path, capsys, cfg):
     # each used to pass parsing and then fail once the run had started,
     # with a traceback and exit 1 or after writing spec.json, or to run
     # without the force or the direct run the config names; a force that
-    # is not finite on the grid ran and blew up at its first step
-    _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
+    # is not finite on the grid ran and blew up at its first step.  A
+    # setting that left the schema is an unknown key, at its former
+    # default too
+    err = _assert_run_refused(tmp_path, capsys, dict(SMALL, **cfg))
+    for refusal, removed in REMOVED_SETTINGS.items():
+        if cfg == removed:
+            assert refusal in err
 
 
 def test_cli_seed_is_checked_with_the_config(tmp_path, capsys):
@@ -953,7 +966,7 @@ def test_cli_seed_is_checked_with_the_config(tmp_path, capsys):
     {"N": 32, "windows": 1, "dt": 0.5, "snapshot_stride": 2},
     # dt*nu*kmax^2 is 80 on the 2D grid but 120 on the 3D one
     {"N": 16, "windows": 1, "dt": 0.625, "T": 1.25, "snapshot_stride": 2,
-     "perturbation": {"snapshot_stride": 2}}],
+     "perturbation": {}}],
     ids=["base", "perturbation"])
 def test_cli_refuses_unresolved_viscous_scale(tmp_path, capsys, cfg):
     err = _assert_run_refused(tmp_path, capsys, cfg)
@@ -986,6 +999,25 @@ def test_cli_errors(tmp_path, capsys):
     assert cli.main(["run", "--out", str(tmp_path)]) == exp.EXIT_ERROR
     assert cli.main(["verify", "--out", str(tmp_path / "none")]) \
         == exp.EXIT_ERROR
+
+
+@pytest.mark.parametrize("command, out", [
+    (["run", "--scenario", "stability-smoke"], "file"),
+    (["run", "--scenario", "stability-smoke"], "file/out"),
+    (["calibrate", "--N", "8"], "file/x.json")],
+    ids=["run-into-a-file", "run-under-a-file", "calibrate-under-a-file"])
+def test_cli_refuses_an_unusable_out(tmp_path, capsys, command, out):
+    # an output directory that is a file, or lies under one, used to end
+    # in a FileExistsError or NotADirectoryError traceback and exit 1, the
+    # code of a failed check
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert cli.main(command + ["--out", str(tmp_path / out)]) \
+        == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_cli_calibrate(tmp_path, capsys):
@@ -1064,7 +1096,7 @@ def test_meta_records_phase_times(tmp_path):
         assert streamed == {"count": len(files),
                             "bytes": sum(f.stat().st_size for f in files)}
     assert set(meta["snapshots"]) == {"base", "perturbation", "direct"}
-    assert meta["snapshots"]["perturbation"]["count"] == 3
+    assert all(s["count"] == 3 for s in meta["snapshots"].values())
 
 
 def _artifacts(out: Path) -> dict:
@@ -1108,7 +1140,7 @@ def test_one_process_fallback_without_force_or_direct_run(tmp_path,
         "scenario": "smoke-n8", "nu": 1.0, "dt": 2e-3, "T": 0.1,
         "windows": 2, "N": 8,
         "base": {"initial": {"kind": "taylor-green", "amplitude": 0.005}},
-        "perturbation": {"snapshot_stride": 25}}))
+        "snapshot_stride": 25, "perturbation": {}}))
     assert spec["perturbation"]["forcing"]["kind"] == "zero"
     assert not spec["direct_3d"]
     forked, workers = _forked_and_alone(spec, tmp_path, monkeypatch)
@@ -1176,8 +1208,8 @@ def test_run_forks_one_stepping_child(tmp_path, monkeypatch, forcing,
     monkeypatch.setattr(exp, "Worker", worker)
     monkeypatch.setattr(worker_module, "Worker", worker)  # the base's Stream
     spec = exp.parse_config(json.dumps(dict(
-        SMALL, T=0.05, direct_3d=direct_3d,
-        perturbation={"snapshot_stride": 5, "forcing": forcing})))
+        SMALL, T=0.05, direct_3d=direct_3d, snapshot_stride=5,
+        perturbation={"forcing": forcing})))
     out = tmp_path / "out"
     exp.run_experiment(spec, str(out))
     meta = json.loads((out / "meta.json").read_text())
@@ -1391,6 +1423,21 @@ def test_stored_snapshots_vanish_outside_dealias_mask(tmp_path):
             assert not outside.any(), (run, path.name)
 
 
+def test_every_run_snapshots_the_same_steps(tmp_path):
+    # one snapshot_stride serves the base, perturbation and direct runs, so
+    # the split and direct states are stored at the same times: every
+    # stride-th step and the last, here steps 0, 4, 8 and 10
+    out = tmp_path / "out"
+    spec = exp.parse_config(json.dumps(dict(FORCED_DIRECT,
+                                            snapshot_stride=4)))
+    exp.run_experiment(spec, str(out))
+    want = [exp._run_config(spec, "base").times[i] for i in (0, 4, 8, 10)]
+    for run in exp.RUNS:
+        stamps = [load_field(path).time_stamp
+                  for path in sorted((out / run / "snapshots").iterdir())]
+        assert stamps == want, run
+
+
 def test_force_above_two_thirds_is_refused():
     # at N=8 the 2/3 rule keeps |m| <= 2, so the kernel would drop sin(3 x2)
     # while the config still names it; a time-dependent one is caught at a
@@ -1511,3 +1558,27 @@ def test_run_dt_halving(tmp_path, capsys):
         assert (half / name).read_bytes() == data, name
     assert cli.main(argv) == exp.EXIT_OK
     assert not half.exists()
+
+
+def test_run_dt_halving_fails_with_its_half_dt_run(tmp_path, capsys,
+                                                   monkeypatch):
+    # the dt/2 run checks at a four times tighter tolerance: a check that
+    # fails there fails the run, which used to exit with the dt run's code
+    run_experiment = exp.run_experiment
+
+    def failing_at_half_dt(spec, out_dir):
+        artifacts = run_experiment(spec, out_dir)
+        if out_dir.endswith("half-dt"):
+            artifacts.reports["3.3"] = InequalityReport("3.3", [0.0],
+                                                        [-1.0], 0.0)
+        return artifacts
+
+    monkeypatch.setattr(exp, "run_experiment", failing_at_half_dt)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out),
+                     "--dt-halving"]) == exp.EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL" not in lines[0]
+    assert lines[-1] == "half-dt: FAIL: 3.3"
