@@ -641,13 +641,21 @@ def _check_saved(spec: dict, out_dir: str, paths: dict) -> tuple:
 
 def reverify(out_dir: str) -> RunArtifacts:
     """Re-run the estimate checks on a stored output (no simulation) by
-    run_experiment's own path, the _check_saved of its spec.json."""
+    run_experiment's own path, the _check_saved of its spec.json.  A
+    spec.json that parse_config refuses, such as one written by another
+    version, is refused by its path, with the advice to run again."""
     t_wall = time.perf_counter()
     spec_path = os.path.join(out_dir, "spec.json")
     if not os.path.exists(spec_path):
         raise FileNotFoundError(f"no experiment spec under {out_dir}")
     with open(spec_path) as fh:
-        spec = parse_config(fh.read())
+        try:
+            spec = parse_config(fh.read())
+        except ConfigError as exc:
+            raise ConfigError(
+                f"{spec_path} is refused ({exc}): the output was written by "
+                "another version of torusflow, or edited since; run the "
+                "experiment again") from None
     artifacts, _ = _check_saved(spec, out_dir, {"spec": spec_path})
     artifacts.wall_seconds = time.perf_counter() - t_wall
     return artifacts

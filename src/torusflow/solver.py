@@ -301,13 +301,16 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # spatial terms
 
-def _laid_out(shape, order, fill=np.empty):
+def _laid_out(shape, order, fill=np.empty, arena=None):
     """A complex array of shape shape whose axes lie in memory in the order
-    order, the last innermost: fill's array of the permuted shape, viewed
-    in shape's axis order."""
+    order, the last innermost: fill's array of the permuted shape, or given
+    arena, a flat complex array, a view of its first entries, viewed in
+    shape's axis order."""
+    permuted = [shape[ax] for ax in order]
+    a = fill(permuted, dtype=complex) if arena is None \
+        else arena[:math.prod(permuted)].reshape(permuted)
     # not np.argsort, whose first call maps ~0.4 MB of numpy's sort code
-    return fill([shape[ax] for ax in order], dtype=complex).transpose(
-        [order.index(ax) for ax in range(len(order))])
+    return a.transpose([order.index(ax) for ax in range(len(order))])
 
 
 class _Workspace:
@@ -337,16 +340,23 @@ class _Workspace:
     component, for the 2D base's L^3 and W^{1,sigma} norms (and
     forcing_lp_sq_series, which no run calls).
 
-    Every array, the transforms' buffers included, is allocated once (the
-    padded stages' at their first use); the kernel and the step write into
-    them with out=, so a run allocates no state-sized array per step.  w
-    holds the kernel's physical values, and the force's at an evaluation.
-    n0 holds the flux of the last step, before any projection, and the
-    next one is written into n1; rhs holds the step's sum of flux and
-    force, which the step projects.  The workspace steps one state: its
-    first step takes the flux before it to be its own.  Without nu and dt
-    the Crank-Nicolson factors are 1 and the workspace serves the kernel
-    alone.
+    Every array is allocated once (the padded stages' at their first use);
+    the kernel and the step write into them with out=, so a run allocates
+    no state-sized array per step.  The stages at N points keep only their
+    zero-padded inputs apart; the rest share two flat complex arenas, each
+    array dead by the next stage: a holds the rfft's result, the kept rows
+    after each fft stage but the last, each inverse stage's result and
+    flux, the products' coefficients on K; b holds each fft stage's result
+    and w, the kernel's physical values, and the force's at an evaluation.
+    So an array in an arena is valid only until the next transform
+    (physical, spectral, and so flux_rhs and kept_force); what a caller
+    keeps is in memory of its own: physical's new array, spectral's out,
+    kept_f, n0, n1 and rhs.  n0 holds the flux of the last step, before
+    any projection, and the next one is written into n1; rhs holds the
+    step's sum of flux and force, which the step projects.  The workspace
+    steps one state: its first step takes the flux before it to be its
+    own.  Without nu and dt the Crank-Nicolson factors are 1 and the
+    workspace serves the kernel alone.
     """
 
     def __init__(self, grid: TorusGrid, nu: float = 0.0, dt: float = 0.0):
@@ -365,10 +375,7 @@ class _Workspace:
         z = 0.5 * dt * nu * self.to_kept(grid.k_sq)
         self.A = 1.0 - z
         self.B = 1.0 + z
-        self.w = np.empty((d,) + grid.shape_phys)
         self.prod = np.empty((len(self.pairs),) + grid.shape_phys)
-        self.flux = np.empty((len(self.pairs),) + self.shape[1:],
-                             dtype=complex)
         self.terms = np.empty(self.shape, dtype=complex)
         self.kdotv = np.empty(self.shape[1:], dtype=complex)
         self.n0 = np.empty(self.shape, dtype=complex)
@@ -383,23 +390,33 @@ class _Workspace:
         self._force = (None, None)  # (forcing, time)
         self.force_evaluations = 0  # kept_force's
 
-        self.inverse = self._inverse_buffers(N, d)
-        # spectral: the rfft of the products, then per full axis, from the
-        # last to the first, its kept rows, its result and (but for the
-        # first axis, which writes into the caller's array) the kept rows
-        # of that; the stage of axis ax reads and writes its axes laid out
-        # [0, d, ..., ax+1, 1, ..., ax-1, ax]
+        # the transforms' scratch: arena a, the size of the rfft's result,
+        # and b, of the first fft stage's; w (in b) and flux (in a) are
+        # the kernel's
+        shape = [len(self.pairs), *grid.shape_spec]
+        a = np.empty(math.prod(shape), dtype=complex)
+        b = np.empty(math.prod(shape[:-1]) * (c + 1), dtype=complex)
+        self.w = b.view(float)[:d * N ** d].reshape((d,) + grid.shape_phys)
+        self.flux = a[:len(self.pairs) * math.prod(self.shape[1:])].reshape(
+            (len(self.pairs),) + self.shape[1:])
+        # physical: irfftn's stages, each result in a
+        self.inverse = self._inverse_buffers(N, d, a)
+        # spectral: the rfft of the products (in a), then per full axis,
+        # from the last to the first, its kept rows, its result (in b) and
+        # (but for the first axis, which writes into the caller's array)
+        # the kept rows of that (in a); the stage of axis ax reads and
+        # writes its axes laid out [0, d, ..., ax+1, 1, ..., ax-1, ax]
         def order(ax):
             return [0, *range(d, ax, -1), *range(1, ax), ax]
-        shape = [len(self.pairs), *grid.shape_spec]
-        self.forward_first = _laid_out(shape, order(d - 1))
+        self.forward_first = _laid_out(shape, order(d - 1), arena=a)
         shape[-1], self.forward_stages = c + 1, []
         for ax in range(d - 1, 0, -1):
-            result = _laid_out(shape, order(ax))
+            result = _laid_out(shape, order(ax), arena=b)
             shape[ax] = 2 * c + 1
             self.forward_stages.append(
                 (ax, self._rows(ax, N), result,
-                 _laid_out(shape, order(ax - 1)) if ax > 1 else None))
+                 _laid_out(shape, order(ax - 1), arena=a) if ax > 1
+                 else None))
 
     def _rows(self, ax, n):
         """The kept rows of axis ax at n points, the modes 0..c, then
@@ -408,17 +425,18 @@ class _Workspace:
         return (pre + (slice(0, c + 1),), pre + (slice(n - c, n),),
                 pre + (slice(c + 1, 2 * c + 1),))
 
-    def _inverse_buffers(self, n, ncomp):
+    def _inverse_buffers(self, n, ncomp, arena=None):
         """The buffers of irfftn's stages from K to n points an axis, for
         ncomp components: per full axis its kept rows, its zero-padded
-        input and its result, then the zero-padded input of the last axis."""
+        input and its result (given arena, each a view of its first
+        entries), then the zero-padded input of the last axis."""
         shape, stages, d = [ncomp, *self.shape[1:]], [], self.grid.dim
         for ax in range(1, d):
             shape[ax] = n
             order = [0, *range(1, ax), *range(ax + 1, d + 1), ax]
             stages.append((ax, self._rows(ax, n),
                            _laid_out(shape, order, np.zeros),
-                           _laid_out(shape, order)))
+                           _laid_out(shape, order, arena=arena)))
         shape[-1] = n // 2 + 1
         return stages, np.zeros(shape, dtype=complex)
 

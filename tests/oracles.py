@@ -591,3 +591,21 @@ def analyze(base: Trajectory, pert: Trajectory | None,
         reports.update(verify_stability_conclusion(
             series_list, list(hyp_by_window.values()), budget, tol=tol))
     return reports, series_list, hyp_by_window
+
+
+def workspace_bytes(ws) -> int:
+    """The bytes of the distinct arrays that the solver._Workspace ws holds
+    in its attributes (lists, tuples and dicts searched through), each view
+    counted as the array that owns its memory."""
+    owners, todo = {}, list(vars(ws).values())
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif isinstance(obj, dict):
+            todo += obj.values()
+    return sum(a.nbytes for a in owners.values())

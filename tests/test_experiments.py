@@ -780,6 +780,28 @@ def test_verify_refuses_a_spec_of_another_clock(two_window_out, tmp_path,
         == before
 
 
+def test_verify_refuses_a_spec_of_another_version(forced_pert_out, tmp_path,
+                                                  capsys):
+    # a spec.json that names a key this version no longer has, as
+    # budget.c1 of an older output, used to read "config error: unknown
+    # key 'c1' in config.budget" alone; verify now names spec.json and
+    # says to run the experiment again, still with exit code 2
+    out = tmp_path / "out"
+    shutil.copytree(forced_pert_out, out)
+    path = out / "spec.json"
+    spec = json.loads(path.read_text())
+    spec["budget"]["c1"] = 1.0
+    path.write_text(json.dumps(spec))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "unknown key 'c1' in config.budget" in err
+    assert "another version" in err and "run the experiment again" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} \
+        == before
+
+
 def test_verify_opens_only_the_series_of_a_trajectory(two_window_out,
                                                       tmp_path, monkeypatch):
     # spec.json is the one record of a run's configuration: of a

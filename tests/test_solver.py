@@ -30,7 +30,8 @@ from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
 from torusflow.worker import Worker
 
 from oracles import (FullLatticeWorkspace, forcing_norm_sq_series, mean,
-                     mean_columns, mean_ode_integrate, mean_sq)
+                     mean_columns, mean_ode_integrate, mean_sq,
+                     workspace_bytes)
 
 
 def nse_rhs(v, f, nu):
@@ -208,7 +209,7 @@ def _signed_zeros(a) -> int:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("N", [6, 8, 16])
+@pytest.mark.parametrize("N", [6, 8, 12, 16, 18])
 def test_kept_mode_step_matches_full_lattice_oracle(N, dim, tmp_path):
     # the replaced path steps the full spectral lattice under the 2/3-rule
     # masks; stepped on K alone, under a time-dependent force and (3D) an
@@ -1378,6 +1379,84 @@ def test_workspace_step_allocates_under_five_states(grid2, grid3):
         tracemalloc.stop()
     assert np.isfinite(v).all()
     assert peak < 5 * v.nbytes
+
+
+def test_workspace_transforms_share_two_arenas(grid2, grid3):
+    # the transforms' stages at N points, w and flux view two arenas: the
+    # 3D workspace holds at most 1.1 MB at N=16 and 65 MB at N=64
+    # (1,568,488 and 92,277,096 B when each stage had buffers of its own),
+    # and the 2D one, its base norms' padded buffers included, no more than
+    # the 198,296 B it held then
+    assert workspace_bytes(_Workspace(make_grid(2 * np.pi, 64, 3))) <= 65e6
+    for grid, most in ((grid3, 1.1e6), (grid2, 198_296)):
+        ws = _Workspace(grid, 0.5, 4e-3)
+        v = ws.to_kept(random_divfree_field(grid, seed=3,
+                                            target_h1=0.5).spectral())
+        ws.step(v, 0.0, 4e-3, ForcingSpec(expressions=(
+            "0.1*sin(x2)*cos(t)", "0.1*sin(x1)", "0*x1")[:grid.dim]))
+        if grid.dim == 2:
+            ws.base_norms(v, 4.0)
+        assert workspace_bytes(ws) <= most, (grid.dim, workspace_bytes(ws))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_results_outlive_the_shared_transform_arenas(dim):
+    # an array in the transforms' arenas is valid only until the next
+    # transform; every array a call returns or the workspace keeps (the
+    # state, the last flux n0, the kept force, physical's new array,
+    # spectral's and flux_rhs's out, the padded values) stays unchanged by
+    # the calls after it, but for the ones that rewrite it, and equals bit
+    # for bit the result of a fresh workspace that makes the call alone
+    N, nu, dt = 16, 0.5, 4e-3
+    grid = make_grid(2 * np.pi, N, dim)
+    forcing = ForcingSpec(expressions=(
+        "0.1*sin(x2)*cos(3*t)", "0.05 + 0.1*sin(x1)*sin(2*t)",
+        "0.1*sin(x1)*cos(t)")[:dim])
+    b = None if dim == 2 else random_divfree_field(
+        make_grid(2 * np.pi, N, 2), seed=5,
+        target_h1=1.0).physical()[..., np.newaxis]
+    ws, alone = _Workspace(grid, nu, dt), _Workspace(grid, nu, dt)
+    u = ws.to_kept(random_divfree_field(grid, seed=3,
+                                        target_h1=0.5).spectral())
+    u_alone, held = u.copy(), {}
+
+    def fresh():
+        return _Workspace(grid, nu, dt)
+
+    def kept():
+        return np.empty(ws.shape, dtype=complex)
+
+    def hold(name, got, want):
+        assert got.tobytes() == want.tobytes(), name
+        held[name] = (got, got.copy())
+        for key, (a, before) in held.items():
+            assert a.tobytes() == before.tobytes(), f"{name} changed {key}"
+
+    def step(t):
+        for name in ("state", "n0", "kept_f"):
+            held.pop(name, None)
+        ws.step(u, t, t + dt, forcing, b)
+        alone.step(u_alone, t, t + dt, forcing, b)
+        hold("state", u, u_alone)
+        hold("n0", ws.n0, alone.n0)
+        hold("kept_f", ws.kept_f, alone.kept_f)
+
+    step(0.0)
+    phys = ws.physical(u)
+    hold("physical", phys, fresh().physical(u))
+    hold("spectral", ws.spectral(phys, kept()),
+         fresh().spectral(phys, kept()))
+    hold("flux_rhs", ws.flux_rhs(u, b, kept()),
+         fresh().flux_rhs(u, b, kept()))
+    if dim == 2:
+        assert ws.base_norms(u, 4.0) == fresh().base_norms(u, 4.0)
+    else:
+        hold("padded", ws.padded_magnitude(u), fresh().padded_magnitude(u))
+    del held["kept_f"]
+    hold("kept_f", ws.kept_force(forcing, 2.5 * dt),
+         fresh().kept_force(forcing, 2.5 * dt))
+    step(dt)
+    step(2 * dt)
 
 
 def test_advance_reproduces_run_bit_for_bit(tmp_path):
