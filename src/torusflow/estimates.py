@@ -18,12 +18,10 @@ import numpy as np
 from .field import (Field, divergence_linf, laplacian_data, mean_free,
                     physical_padded, spectral_derivative)
 from .grid import TorusGrid
-from .norms import (DEFAULT_SIGMA, sobolev_norm_sq, sharp_poincare_h1,
-                    sharp_poincare_h2, sharp_dissipation_h2)
-# bench/trace_cli.py wraps forcing_lp_sq_series under this module's name;
-# no run calls it, since B1 takes the Hoelder bound of the force's L^{6/5}
-# norm (compute_B_constants), and ROADMAP item 9 moves it to the tests
-from .solver import Trajectory, forcing_lp_sq_series  # noqa: F401
+from .norms import (DEFAULT_SIGMA, _padded_magnitude, _quadrature_norm,
+                    sobolev_norm_sq, sharp_poincare_h1, sharp_poincare_h2,
+                    sharp_dissipation_h2)
+from .solver import SolverConfig, Trajectory
 
 PASS = "pass"
 FAIL = "fail"
@@ -412,6 +410,30 @@ def compute_B_constants(pert: Trajectory, twod: TwoDBudget,
                       B4_sq=B2_sq + B3_sq,
                       assumption2_margin=assumption2,
                       explicit_condition_margin=explicit)
+
+
+def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
+    """||g||_{L^p}^2 of the mean-free force g of cfg at every step time, p
+    finite: the force on the full lattice (ForcingSpec.evaluate) under the
+    2/3-rule mask, its k=0 coefficient zeroed, by the collocation rule on
+    the 2N grid (norms._quadrature_norm of norms._padded_magnitude).  One
+    evaluation per step time, one for a steady force, none for a zero
+    force, whose series is zero.  No run calls it, since B1 takes the
+    Hoelder bound of the L^{6/5} norm (compute_B_constants);
+    bench/trace_cli.py wraps it by name, until ROADMAP item 9 moves it to
+    the tests."""
+    grid, out = cfg.grid, np.zeros(cfg.n_steps + 1)
+    if not cfg.forcing.expressions:
+        return out
+    for i, t in enumerate(cfg.times):
+        g = cfg.forcing.evaluate(grid, t) * grid.dealias_mask
+        g[(slice(None),) + (0,) * grid.dim] = 0.0
+        out[i] = _quadrature_norm(grid, _padded_magnitude(Field(grid, g)),
+                                  p) ** 2
+        if cfg.forcing.steady:
+            out[:] = out[0]
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------

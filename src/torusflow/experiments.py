@@ -86,16 +86,12 @@ _DEFAULTS = {
     "tolerance": {"C": 1.0},
 }
 
-_PERT_DEFAULTS = {
-    "initial": {"kind": "random", "seed": 7, "decay": 4.0,
-                "h1_sq_frac_of_gamma": 0.5},
-    "forcing": {"kind": "zero"},
-}
+_PERT_DEFAULTS = {"initial": {"kind": "random"}, "forcing": {"kind": "zero"}}
 
 #: each kind of an initial or forcing section: its keys and their defaults
 _KINDS = {
     "initial": {"taylor-green": {"amplitude": 1.0},
-                "random": {"seed": 0, "decay": 4.0, "target_h1": None,
+                "random": {"seed": 7, "decay": 4.0, "target_h1": None,
                            "h1_sq_frac_of_gamma": 0.5}},
     "forcing": {"zero": {}, "expression": {"expressions": []}},
 }
@@ -120,10 +116,11 @@ def _merged(defaults: dict, given, where: str) -> dict:
 
     A key must be one of defaults'.  An object default is a section, merged
     in turn; a non-null perturbation is merged into _PERT_DEFAULTS.  An
-    initial or forcing section must name a kind of _KINDS and only that
-    kind's keys, checked like a section's, and is kept as given.  A leaf
-    takes the JSON values of _LEAF_TYPES for its default's type and lies
-    within its _BOUNDS.
+    initial or forcing section, given or defaulted, must name a kind of
+    _KINDS and only that kind's keys, and is merged into that kind's
+    defaults like a section, so that it holds every key of its kind.  A
+    leaf takes the JSON values of _LEAF_TYPES for its default's type and
+    lies within its _BOUNDS.
     """
     if not isinstance(given, dict):
         raise ConfigError(f"{where} must be an object, got {given!r}")
@@ -131,7 +128,8 @@ def _merged(defaults: dict, given, where: str) -> dict:
     # the defaults
     out = {key: _merged(val, {}, where) if isinstance(val, dict) else val
            for key, val in defaults.items()}
-    for key, val in given.items():
+    kinds = {key: val for key, val in defaults.items() if key in _KINDS}
+    for key, val in (kinds | given).items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {where}")
         path = f"{where}.{key}"
@@ -142,7 +140,7 @@ def _merged(defaults: dict, given, where: str) -> dict:
             if not isinstance(kind, str) or kind not in _KINDS[key]:
                 raise ConfigError(f"{path}.kind must be one of "
                                   f"{', '.join(_KINDS[key])}, got {kind!r}")
-            _merged({"kind": kind} | _KINDS[key][kind], val, path)
+            val = _merged({"kind": kind} | _KINDS[key][kind], val, path)
         elif key == "perturbation" and val is not None:
             val = _merged(_PERT_DEFAULTS, val, path)
         elif isinstance(defaults[key], dict):
@@ -209,8 +207,7 @@ def parse_config(text: str, seed: int | None = None) -> dict:
             continue
         where = f"config.{run}"
         cfg = _run_config(spec, run)
-        initial = _KINDS["initial"][spec[run]["initial"]["kind"]] \
-            | spec[run]["initial"]
+        initial = spec[run]["initial"]
         if initial["kind"] == "taylor-green" \
                 and abs(spec["L"] - 2.0 * math.pi) > 1e-12:
             raise ConfigError(f"{where}.initial: a Taylor-Green field needs "
@@ -321,7 +318,6 @@ def _build_initial(cfg: dict, grid: TorusGrid, nu: float, seed: int,
     worker, joined before this returns: numpy.random, and the OpenSSL that
     it loads through secrets, would otherwise stay in the run's process
     (about 6 MB of its peak RSS) and in every worker forked after it."""
-    cfg = _KINDS["initial"][cfg["kind"]] | cfg
     if cfg["kind"] == "taylor-green":
         return taylor_green_exact(grid, nu, 0.0, cfg["amplitude"])
     target = cfg["target_h1"]
@@ -376,14 +372,25 @@ class RunArtifacts:
 
 
 def _window_csv(evidence: est.Evidence, reports) -> str:
+    """One row per window; its worst_margin is the smallest margin of every
+    report's samples at times in the window, ends included, a hypothesis's
+    from its report on that window (Evidence.hypotheses), and 0 when no
+    report has samples there."""
     lines = [",".join(WINDOW_CSV_COLUMNS)]
-    worst_overall = min((r.worst_margin for r in reports.values()
-                         if r.margins.size), default=0.0)
-    for s, holds in zip(evidence.windows, evidence.holds):
+    for k, (s, holds) in enumerate(zip(evidence.windows, evidence.holds)):
+        worst = []
+        for eq_id, r in reports.items():
+            if eq_id in evidence.hypotheses:
+                margins = evidence.hypotheses[eq_id][k].margins
+            else:
+                margins = r.margins[(r.times >= s.times[0])
+                                    & (r.times <= s.times[-1])]
+            if margins.size:
+                worst.append(float(np.min(margins)))
         row = (f"{s.window},{s.times[0]:.17e},{s.times[-1]:.17e},"
                f"{s.X_sq[0]:.17e},{s.X_sq[-1]:.17e},"
                f"{s.int_A_sq:.17e},{s.int_G_sq:.17e},"
-               f"{'pass' if holds else 'fail'},{worst_overall:.17e}")
+               f"{'pass' if holds else 'fail'},{min(worst, default=0.0):.17e}")
         lines.append(row)
     return "\n".join(lines) + "\n"
 

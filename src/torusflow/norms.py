@@ -58,28 +58,26 @@ def gradient_field(field: Field) -> Field:
                  field.time_stamp)
 
 
-def w1_sigma_norms(grid: TorusGrid, mag: np.ndarray, grad_mag: np.ndarray,
-                   sigma: float) -> tuple:
-    """(||grad u||_{L3}^2, ||u||_{L^sigma} + ||grad u||_{L^sigma}) by the
-    collocation rule on the 2N grid, from the padded magnitudes of u and of
-    its gradient."""
+def w1_sigma_norms(grid: TorusGrid, mag: np.ndarray,
+                   grad_mag: np.ndarray) -> tuple:
+    """(||grad u||_{L3}^2, ||u||_{L^sigma} + ||grad u||_{L^sigma}) at sigma
+    = DEFAULT_SIGMA by the collocation rule on the 2N grid, from the padded
+    magnitudes of u and of its gradient."""
     return (_quadrature_norm(grid, grad_mag, 3) ** 2,
-            _quadrature_norm(grid, mag, sigma)
-            + _quadrature_norm(grid, grad_mag, sigma))
+            _quadrature_norm(grid, mag, DEFAULT_SIGMA)
+            + _quadrature_norm(grid, grad_mag, DEFAULT_SIGMA))
 
 
-def compute_norm_report(field: Field, sigma: float = DEFAULT_SIGMA) -> dict:
+def compute_norm_report(field: Field) -> dict:
     """{"time_stamp", "grad_l3_sq", "w1_sigma"}: the time_stamp of field,
     ||grad field||_{L3}^2 and the W^1_sigma norm ||field||_{L^sigma} +
-    ||grad field||_{L^sigma}, for sigma > 3 (w1_sigma_norms of the padded
-    magnitudes of field and of gradient_field(field)).  The reference of
-    the 2D base run's per-step norms (solver._Workspace.base_norms), which
-    equal it bit for bit on the run's mean-free state."""
-    if sigma <= 3:
-        raise ValueError(f"sigma must exceed 3, got {sigma}")
+    ||grad field||_{L^sigma} (w1_sigma_norms of the padded magnitudes of
+    field and of gradient_field(field)).  The reference of the 2D base
+    run's per-step norms (solver._Workspace.base_norms), which equal it bit
+    for bit on the run's mean-free state."""
     grad_l3_sq, w1_sigma = w1_sigma_norms(
         field.grid, _padded_magnitude(field),
-        _padded_magnitude(gradient_field(field)), sigma)
+        _padded_magnitude(gradient_field(field)))
     return {"time_stamp": field.time_stamp, "grad_l3_sq": grad_l3_sq,
             "w1_sigma": w1_sigma}
 

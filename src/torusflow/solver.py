@@ -61,7 +61,7 @@ import numpy as np
 from .grid import TorusGrid
 from .field import (Field, extrude_field, load_field, physical_field,
                     save_field, spectral_data)
-from .norms import _quadrature_norm, w1_sigma_norms, DEFAULT_SIGMA
+from .norms import w1_sigma_norms
 from .worker import Stream
 
 
@@ -335,10 +335,9 @@ class _Workspace:
     operation is per mode, so a state stepped here equals, bit for bit on
     K, the one the full lattice gives with its 2/3-rule masks; to_full puts
     it there.  spectral takes the products of the kernel or the force's
-    values (kept_force); padded_magnitude and base_norms run
-    physical's stages at 2N points an axis, one call per stage over every
-    component, for the 2D base's L^3 and W^{1,sigma} norms (and
-    forcing_lp_sq_series, which no run calls).
+    values (kept_force); base_norms runs physical's stages at 2N points an
+    axis, one call per stage over every component, for the 2D base's L^3
+    and W^{1,sigma} norms.
 
     Every array is allocated once (the padded stages' at their first use);
     the kernel and the step write into them with out=, so a run allocates
@@ -381,7 +380,7 @@ class _Workspace:
         self.n0 = np.empty(self.shape, dtype=complex)
         self.n1 = np.empty(self.shape, dtype=complex)
         self.started = False  # whether n0 holds the last step's flux
-        self.padded_buffers = {}  # _padded_squares', by component count
+        self.padded = None  # _padded_squares' buffers, from its first call
         self.rhs = np.empty(self.shape, dtype=complex)
         self.norm_weights = [self.to_kept(grid.parseval_weights[w])
                              for w in ("l2", "grad", "h2")]
@@ -481,32 +480,30 @@ class _Workspace:
         None): irfftn's stages, pruned to K."""
         return self._inverse(v, self.inverse, self.grid.N, out)
 
-    def _padded_squares(self, v, gradient=False):
+    def _padded_squares(self, v):
         """The squares of the values on the 2N grid of the mean-free part u
-        of the K-state v and, given gradient, of its first derivatives
-        ik_j u_c after it, in field.gradient_data's order, into a buffer of
-        the workspace that the next call overwrites.
+        of the K-state v and of its first derivatives ik_j u_c after it, in
+        field.gradient_data's order, into a buffer of the workspace that
+        the next call overwrites.
 
         One K-array holds every component (its buffers are allocated at the
-        first call for their count), and physical's stages at M = 2N take
-        them all, one call per stage.  Each component's values equal, bit
-        for bit, those of field.physical_padded, which transforms every line
-        of the full lattice: the lines skipped here are zero, and a zero
-        line transforms to zeros.
+        first call), and physical's stages at M = 2N take them all, one call
+        per stage.  Each component's values equal, bit for bit, those of
+        field.physical_padded, which transforms every line of the full
+        lattice: the lines skipped here are zero, and a zero line transforms
+        to zeros.
         """
         n, d, M = len(v), self.grid.dim, 2 * self.grid.N
-        ncomp = n + n * d if gradient else n
-        if ncomp not in self.padded_buffers:
-            self.padded_buffers[ncomp] = (
-                np.empty((ncomp,) + self.shape[1:], dtype=complex),
-                self._inverse_buffers(M, ncomp),
-                np.empty((ncomp,) + (M,) * d))
-        parts, buffers, out = self.padded_buffers[ncomp]
+        ncomp = n + n * d
+        if self.padded is None:
+            self.padded = (np.empty((ncomp,) + self.shape[1:], dtype=complex),
+                           self._inverse_buffers(M, ncomp),
+                           np.empty((ncomp,) + (M,) * d))
+        parts, buffers, out = self.padded
         parts[:n] = v
         parts[(slice(0, n),) + (0,) * d] = 0.0
-        if gradient:
-            for c, ax in itertools.product(range(n), range(d)):
-                np.multiply(parts[c], self.ik[ax], out=parts[n + c * d + ax])
+        for c, ax in itertools.product(range(n), range(d)):
+            np.multiply(parts[c], self.ik[ax], out=parts[n + c * d + ax])
         vals = self._inverse(parts, buffers, M, out)
         return np.square(vals, out=vals)
 
@@ -519,21 +516,16 @@ class _Workspace:
             mag += square
         return np.sqrt(mag, out=mag)
 
-    def padded_magnitude(self, v):
-        """|u(x)| on the 2N grid of the mean-free part u of the K-state v
-        (_padded_squares): norms._padded_magnitude, bit for bit."""
-        return self._magnitude(self._padded_squares(v))
-
-    def base_norms(self, v, sigma):
+    def base_norms(self, v):
         """(grad_l3_sq, w1_sigma) of the mean-free part u of the 2D K-state
         v: ||grad u||_{L3}^2 and ||u||_{L^sigma} + ||grad u||_{L^sigma} by
         the collocation rule on the 2N grid, from one _padded_squares of u
         and grad u (norms.w1_sigma_norms); equal bit for bit to
         norms.compute_norm_report of field.mean_free of v on the full
         lattice."""
-        squares = self._padded_squares(v, gradient=True)
+        squares = self._padded_squares(v)
         return w1_sigma_norms(self.grid, self._magnitude(squares[:len(v)]),
-                              self._magnitude(squares[len(v):]), sigma)
+                              self._magnitude(squares[len(v):]))
 
     def spectral(self, phys, out):
         """The K entries of the spectral coefficients of the physical
@@ -729,8 +721,7 @@ class _Member:
             diag["forcing_l2_sq"][slice(None) if steady else i] = \
                 ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t), 1)[0]
         if self.label == "2d_base":
-            diag["grad_l3_sq"][i], diag["w1_sigma"][i] = \
-                ws.base_norms(v, DEFAULT_SIGMA)
+            diag["grad_l3_sq"][i], diag["w1_sigma"][i] = ws.base_norms(v)
         if self.snapdir is None or (i % cfg.snapshot_stride and i != self.n):
             return
         path = os.path.join(self.snapdir,
@@ -806,30 +797,6 @@ def _run_alone(cfg: SolverConfig, label: str, directory=None) -> Trajectory:
     run = _Member(cfg, label, directory)
     _lockstep(run)
     return run.trajectory()
-
-
-def forcing_lp_sq_series(cfg: SolverConfig, p: float) -> np.ndarray:
-    """||mean-free force||_{L^p}^2 at every step of cfg, by the collocation
-    rule on the 2N grid (norms._quadrature_norm) of
-    _Workspace.padded_magnitude of the force on K, in one pass of its own
-    (_Workspace.kept_force of a workspace of this pass alone): for p != 2
-    equal bit for bit to the squared L^p norm by padded quadrature of the
-    mean-free force on the full lattice (tests/oracles.py).  One evaluation
-    per step time, one for a steady force, none for a zero force, whose
-    series is zero.  No run calls it (B1 takes the Hoelder bound of the
-    L^{6/5} norm); bench/trace_cli.py wraps it by name, until ROADMAP
-    item 9 moves it to the tests."""
-    out = np.zeros(cfg.n_steps + 1)
-    if not cfg.forcing.expressions:
-        return out
-    ws = _Workspace(cfg.grid)
-    for i, t in enumerate(cfg.times):
-        out[i] = _quadrature_norm(cfg.grid, ws.padded_magnitude(
-            ws.kept_force(cfg.forcing, t)), p) ** 2
-        if cfg.forcing.steady:
-            out[:] = out[0]
-            break
-    return out
 
 
 def run_2d_base(cfg: SolverConfig, directory=None) -> Trajectory:

@@ -121,7 +121,7 @@ def mean_free_force(cfg, t: float) -> Field:
 
 
 def forcing_norm_sq_series(cfg, p: float) -> np.ndarray:
-    """The replaced solver.forcing_lp_sq_series: lp_norm(., p) ** 2 of
+    """estimates.forcing_lp_sq_series by lp_norm: lp_norm(., p) ** 2 of
     mean_free_force at every step time of cfg (field.physical_padded, for
     p != 2), and for p = None the replaced record of a run's
     forcing_l2_sq, l2_norm_sq; a steady force's once, zeros for a zero
@@ -551,14 +551,25 @@ def verify_stability_conclusion(series_list, hypotheses,
 
 def _window_csv(series_list, hyp_by_window, reports) -> str:
     lines = [",".join(WINDOW_CSV_COLUMNS)]
-    worst_overall = min((r.worst_margin for r in reports.values()
-                         if r.margins.size), default=0.0)
     for s in series_list:
         hyp_ok = hypotheses_hold(hyp_by_window[s.window])
+        # the window's worst margin: each report's samples in the window,
+        # ends included, a hypothesis's of its report on the window
+        hyps, worst = hyp_by_window[s.window], None
+        for key, rep in reports.items():
+            if key in hyps:
+                margins = hyps[key].margins
+            else:
+                margins = [m for t, m in zip(rep.times, rep.margins)
+                           if s.times[0] <= t <= s.times[-1]]
+            for m in margins:
+                if worst is None or m < worst:
+                    worst = m
+        worst = 0.0 if worst is None else worst
         row = (f"{s.window},{s.times[0]:.17e},{s.times[-1]:.17e},"
                f"{s.X_sq[0]:.17e},{s.X_sq[-1]:.17e},"
                f"{s.int_A_sq:.17e},{s.int_G_sq:.17e},"
-               f"{'pass' if hyp_ok else 'fail'},{worst_overall:.17e}")
+               f"{'pass' if hyp_ok else 'fail'},{worst:.17e}")
         lines.append(row)
     return "\n".join(lines) + "\n"
 

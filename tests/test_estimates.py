@@ -22,10 +22,11 @@ from torusflow.field import (Field, leray_data, mean_free, physical_padded,
 from torusflow.norms import (gradient_field, l2_norm_sq, sharp_poincare_h1,
                              sobolev_norm_sq)
 from torusflow.solver import (ForcingSpec, SolverConfig, run_2d_base,
-                              forcing_lp_sq_series, load_trajectory,
-                              run_perturbation, taylor_green_exact,
-                              _compile_expression, _Workspace)
+                              load_trajectory, run_perturbation,
+                              taylor_green_exact, _compile_expression,
+                              _Workspace)
 from torusflow import estimates as est
+from torusflow.estimates import forcing_lp_sq_series
 
 from test_solver import _force_to_cutoff
 

@@ -89,6 +89,12 @@ def test_parse_round_trip(load):
     assert exp.parse_config(json.dumps(spec)) == spec
 
 
+def _random_initial(**keys) -> dict:
+    """A resolved random initial section, as parse_config stores it: the
+    kind's defaults with keys put in."""
+    return {"kind": "random"} | exp._KINDS["initial"]["random"] | keys
+
+
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "no-fork"])
 def test_random_initial_field_drawn_in_a_worker_is_unchanged(
         forked, monkeypatch):
@@ -98,8 +104,7 @@ def test_random_initial_field_drawn_in_a_worker_is_unchanged(
         monkeypatch.delattr(os, "fork")
     grid = make_grid(2 * np.pi, 8, 3)
     # the seeds add up to 7; the target is sqrt(0.5 * gamma) = 1
-    got = exp._build_initial({"kind": "random", "seed": 3}, grid, 1.0, 4,
-                             2.0)
+    got = exp._build_initial(_random_initial(seed=3), grid, 1.0, 4, 2.0)
     want = random_divfree_field(grid, 7, spectrum_decay=4.0, target_h1=1.0)
     assert got.grid == grid
     assert got.time_stamp == 0.0 and divergence_linf(got) < 1e-13
@@ -113,7 +118,7 @@ def test_random_initial_field_error_reaches_the_caller(forked, monkeypatch):
     if not forked:
         monkeypatch.delattr(os, "fork")
     with pytest.raises(ValueError, match="^spectrum_decay must be positive$"):
-        exp._build_initial({"kind": "random", "decay": 0.0},
+        exp._build_initial(_random_initial(decay=0.0),
                            make_grid(2 * np.pi, 8, 3), 1.0, 0, 1.0)
 
 
@@ -130,6 +135,65 @@ def test_null_target_h1_means_not_given():
                                          grid, spec["nu"], spec["seed"],
                                          gamma).data)
     assert np.array_equal(*fields)
+
+
+def test_defaulted_and_given_random_initial_are_one():
+    # a perturbation's initial section, defaulted or given by its kind
+    # alone, resolves to one spec, every key of the kind filled in, and
+    # draws one field, at the config's seed + 7
+    specs = [exp.parse_config(json.dumps(dict(SMALL_PERT, perturbation=p)))
+             for p in ({}, {"initial": {"kind": "random"}})]
+    assert specs[0] == specs[1]
+    initial = specs[0]["perturbation"]["initial"]
+    assert initial == {"kind": "random", "seed": 7, "decay": 4.0,
+                       "target_h1": None, "h1_sq_frac_of_gamma": 0.5}
+    grid = make_grid(specs[0]["L"], specs[0]["N"], 3)
+    gamma = exp._resolve_budget(specs[0])[1].gamma
+    fields = [exp._build_initial(spec["perturbation"]["initial"], grid,
+                                 spec["nu"], spec["seed"], gamma).data
+              for spec in specs]
+    assert fields[0].tobytes() == fields[1].tobytes()
+    want = random_divfree_field(grid, specs[0]["seed"] + 7,
+                                spectrum_decay=4.0,
+                                target_h1=math.sqrt(0.5 * gamma))
+    assert fields[0].tobytes() == want.data.tobytes()
+
+
+def test_verify_reads_a_spec_with_an_initial_section_as_given(tmp_path):
+    # an output whose spec.json records the perturbation's initial section
+    # as given, without the keys of its kind left at their defaults (the
+    # layout of older outputs), verifies: exit 0, verdicts byte for byte
+    out = tmp_path / "out"
+    artifacts = exp.run_experiment(exp.parse_config(json.dumps(SMALL_PERT)),
+                                   str(out))
+    assert exp.emit_report(artifacts)[1] == exp.EXIT_OK
+    path = out / "spec.json"
+    stored = json.loads(path.read_text())
+    del stored["perturbation"]["initial"]["target_h1"]
+    assert stored["perturbation"]["initial"] == {
+        "kind": "random", "seed": 7, "decay": 4.0,
+        "h1_sq_frac_of_gamma": 0.5}
+    path.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
+    verdicts = {name: (out / name).read_bytes()
+                for name in exp.VERDICT_FILES.values()}
+    assert cli.main(["verify", "--out", str(out)]) == exp.EXIT_OK
+    assert {name: (out / name).read_bytes() for name in verdicts} \
+        == verdicts
+
+
+def test_windows_csv_worst_margin_is_per_window(tmp_path):
+    # windows.csv's last column is each window's own worst margin: on a
+    # three-window run the rows differ, and the smallest is the worst
+    # margin of every report with samples
+    artifacts = exp.run_experiment(exp.parse_config(json.dumps(
+        dict(SMALL_PERT, windows=3))), str(tmp_path))
+    rows = (tmp_path / "windows.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "worst_margin"
+    worst = [float(row.split(",")[-1]) for row in rows[1:]]
+    assert len(worst) == len(set(worst)) == 3
+    assert min(worst) == min(r.worst_margin
+                             for r in artifacts.reports.values()
+                             if r.margins.size)
 
 
 @pytest.mark.parametrize("config", [{}, {"perturbation": {}}],

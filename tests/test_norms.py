@@ -15,8 +15,9 @@ from torusflow import estimates as est
 from torusflow import experiments as exp
 from torusflow.field import (Field, mean_free, physical_field,
                              random_divfree_field, spectral_data)
-from torusflow.norms import (_padded_magnitude, compute_norm_report,
-                             grad_l2_norm_sq, gradient_field, l2_norm_sq,
+from torusflow.norms import (DEFAULT_SIGMA, _padded_magnitude,
+                             compute_norm_report, grad_l2_norm_sq,
+                             gradient_field, l2_norm_sq,
                              sharp_dissipation_h2, sharp_poincare_h1,
                              sharp_poincare_h2, sobolev_norm_sq)
 from torusflow.solver import _read_table, _write_table, diag_columns
@@ -140,10 +141,9 @@ def test_sharp_h2_constants_are_lower_bounds(grid2, seed):
 
 
 def test_w1_sigma_requires_sigma_above_3(grid2):
-    f = _sin_field(grid2)
-    with pytest.raises(ValueError):
-        compute_norm_report(f, 3.0)
-    assert compute_norm_report(f, 4.0)["w1_sigma"] > 0
+    # 3.8 needs sigma > 3, and the report is taken at the one sigma
+    assert DEFAULT_SIGMA > 3
+    assert compute_norm_report(_sin_field(grid2))["w1_sigma"] > 0
 
 
 #: the keys of compute_norm_report, in order
@@ -177,11 +177,12 @@ def test_norm_report_csv_schema(grid2, tmp_path):
 def test_norm_report_matches_standalone_norms(dim):
     grid = make_grid(2 * np.pi, 8, dim)
     f = random_divfree_field(grid, seed=5, spectrum_decay=1.5)
-    rep = compute_norm_report(f, 4.5)
+    rep = compute_norm_report(f)
     grad = gradient_field(f)
     expected = {"time_stamp": f.time_stamp,
                 "grad_l3_sq": lp_norm(grad, 3) ** 2,
-                "w1_sigma": lp_norm(f, 4.5) + lp_norm(grad, 4.5)}
+                "w1_sigma": lp_norm(f, DEFAULT_SIGMA)
+                + lp_norm(grad, DEFAULT_SIGMA)}
     assert tuple(rep) == tuple(expected) == REPORT_KEYS
     for name, value in expected.items():
         assert rep[name] == pytest.approx(value, rel=1e-14, abs=0)

@@ -19,14 +19,15 @@ from torusflow.field import (Field, derivative_data, divergence_linf,
                              mean_free, physical_field, physical_data,
                              random_divfree_field, save_field,
                              spectral_data)
+from torusflow.estimates import forcing_lp_sq_series
 from torusflow.experiments import combine_forcing
 from torusflow.norms import (compute_norm_report, grad_l2_norm_sq,
                              l2_norm_sq, sobolev_norm_sq)
 from torusflow.solver import (BlowUpError, ForcingSpec, SolverConfig,
-                              _EXPR_FUNCTIONS, forcing_lp_sq_series,
-                              load_trajectory, run_2d_base, run_full_3d,
-                              run_perturbation, save_trajectory,
-                              taylor_green_exact, _Workspace)
+                              _EXPR_FUNCTIONS, load_trajectory,
+                              run_2d_base, run_full_3d, run_perturbation,
+                              save_trajectory, taylor_green_exact,
+                              _Workspace)
 from torusflow.worker import Worker
 
 from oracles import (FullLatticeWorkspace, forcing_norm_sq_series, mean,
@@ -754,11 +755,11 @@ def test_lockstep_direct_matches_run_full_3d(monkeypatch, tmp_path):
     calls.touch()
     base_norms = _Workspace.base_norms
 
-    def norms_2d(ws, v, sigma):
+    def norms_2d(ws, v):
         with open(calls, "a") as fh:
             fh.write(str(ws.grid.dim))
         assert ws.grid.dim == 2, "a 3D run computed the base's norms"
-        return base_norms(ws, v, sigma)
+        return base_norms(ws, v)
 
     monkeypatch.setattr(_Workspace, "base_norms", norms_2d)
     base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg,
@@ -1197,12 +1198,11 @@ def test_kept_force_matches_full_transform(dim, N):
     ids=["forced-direct", "N8", "N12", "N16", "N18", "2d", "steady"])
 def test_forcing_series_match_replaced_path(monkeypatch, dim, N,
                                             expressions, t_end):
-    # the series on K (the pruned stages at 2N) equal, bit for bit,
-    # lp_norm of the replaced mean-free force on the full lattice
-    # (tests/oracles.py); the first case is the perturbation force of
-    # bench/workloads/forced-direct.json.  forcing_lp_sq_series evaluates
-    # in a workspace of its own, so its evaluations are counted as calls
-    # of physical
+    # the series equal, bit for bit, lp_norm of the replaced mean-free
+    # force on the full lattice (tests/oracles.py), one evaluation of the
+    # force (ForcingSpec.evaluate, which calls physical) per step time; the
+    # first case is the perturbation force of
+    # bench/workloads/forced-direct.json
     calls = []
     physical = ForcingSpec.physical
 
@@ -1243,15 +1243,12 @@ def test_base_norms_match_norm_report(N):
         v[:, 0, 0] = rng.standard_normal(2)
     states.append(ws.to_kept(taylor_green_exact(grid, 0.5, 0.0, 0.3)
                              .spectral()))
-    for sigma in (4.0, 4.5):
-        for v in states:
-            before = v.copy()
-            report = compute_norm_report(
-                mean_free(Field(grid, ws.to_full(v))), sigma)
-            want = np.array([report["grad_l3_sq"], report["w1_sigma"]])
-            assert np.array(ws.base_norms(v, sigma)).tobytes() \
-                == want.tobytes()
-            assert v.tobytes() == before.tobytes()
+    for v in states:
+        before = v.copy()
+        report = compute_norm_report(mean_free(Field(grid, ws.to_full(v))))
+        want = np.array([report["grad_l3_sq"], report["w1_sigma"]])
+        assert np.array(ws.base_norms(v)).tobytes() == want.tobytes()
+        assert v.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1260,8 +1257,8 @@ def test_every_fft_stage_reads_a_unit_stride_axis(monkeypatch, dim):
     # FFT stage transforms runs innermost in memory, which lets numpy run
     # the stage as a few long loops: every array that a transform of one
     # step (the kernel's physical and spectral, the force's spectral at
-    # both step times) and of the 2N stages (base_norms in 2D,
-    # padded_magnitude in 3D) reads has unit stride along its axis
+    # both step times) and, in 2D, of the 2N stages (base_norms) reads has
+    # unit stride along its axis
     N = 16
     grid = make_grid(2 * np.pi, N, dim)
     ws = _Workspace(grid, 0.5, 4e-3)
@@ -1279,13 +1276,12 @@ def test_every_fft_stage_reads_a_unit_stride_axis(monkeypatch, dim):
         monkeypatch.setattr(np.fft, name, traced)
     ws.step(v, 0.0, 4e-3, forcing)
     if dim == 2:
-        ws.base_norms(v, 4.0)
-    else:
-        ws.padded_magnitude(v)
-    # d stages each: physical, spectral, the force at two times, and 2N
-    assert len(calls) == 5 * dim
+        ws.base_norms(v)
+    # d stages each: physical, spectral, the force at two times, and in 2D
+    # the 2N stages
+    assert len(calls) == (5 if dim == 2 else 4) * dim
     assert {name for name, _, _ in calls} == {"fft", "ifft", "rfft", "irfft"}
-    assert ("ifft", 2 * N, True) in calls
+    assert (("ifft", 2 * N, True) in calls) == (dim == 2)
     assert all(unit for _, _, unit in calls), calls
 
 
@@ -1307,9 +1303,8 @@ def test_pruned_transforms_match_numpy_at_larger_n(dim, N):
     # the pruned stages equal numpy's irfftn and rfftn bit for bit beyond
     # the sizes the step and norm tests reach: physical against irfftn of
     # the full lattice, spectral against rfftn on K at the force's and the
-    # products' leading counts, and the 2N stages against irfftn of the
-    # zero-padded lattice at the component count of base_norms (2D) and
-    # padded_magnitude (3D)
+    # products' leading counts, and in 2D the 2N stages against irfftn of
+    # the zero-padded lattice at the component count of base_norms
     grid = make_grid(2 * np.pi, N, dim)
     ws = _Workspace(grid)
     axes, M = tuple(range(1, dim + 1)), 2 * N
@@ -1328,12 +1323,12 @@ def test_pruned_transforms_match_numpy_at_larger_n(dim, N):
         out = np.empty((lead,) + ws.shape[1:], dtype=complex)
         assert ws.spectral(phys[:lead], out).tobytes() == ws.to_kept(
             np.fft.rfftn(phys[:lead], axes=axes, norm="forward")).tobytes()
-    ncomp = dim + dim * dim if dim == 2 else dim
-    u = kept(ncomp)
-    got = ws._inverse(u, ws._inverse_buffers(M, ncomp), M, None)
-    assert got.tobytes() == np.fft.irfftn(
-        _zero_padded(u, N // 3, M), s=(M,) * dim, axes=axes,
-        norm="forward").tobytes()
+    if dim == 2:
+        u = kept(dim + dim * dim)
+        got = ws._inverse(u, ws._inverse_buffers(M, len(u)), M, None)
+        assert got.tobytes() == np.fft.irfftn(
+            _zero_padded(u, N // 3, M), s=(M,) * dim, axes=axes,
+            norm="forward").tobytes()
 
 
 def test_force_above_two_thirds_is_not_applied(tmp_path):
@@ -1395,7 +1390,7 @@ def test_workspace_transforms_share_two_arenas(grid2, grid3):
         ws.step(v, 0.0, 4e-3, ForcingSpec(expressions=(
             "0.1*sin(x2)*cos(t)", "0.1*sin(x1)", "0*x1")[:grid.dim]))
         if grid.dim == 2:
-            ws.base_norms(v, 4.0)
+            ws.base_norms(v)
         assert workspace_bytes(ws) <= most, (grid.dim, workspace_bytes(ws))
 
 
@@ -1404,9 +1399,9 @@ def test_results_outlive_the_shared_transform_arenas(dim):
     # an array in the transforms' arenas is valid only until the next
     # transform; every array a call returns or the workspace keeps (the
     # state, the last flux n0, the kept force, physical's new array,
-    # spectral's and flux_rhs's out, the padded values) stays unchanged by
-    # the calls after it, but for the ones that rewrite it, and equals bit
-    # for bit the result of a fresh workspace that makes the call alone
+    # spectral's and flux_rhs's out) stays unchanged by the calls after it,
+    # but for the ones that rewrite it, and equals bit for bit the result
+    # of a fresh workspace that makes the call alone
     N, nu, dt = 16, 0.5, 4e-3
     grid = make_grid(2 * np.pi, N, dim)
     forcing = ForcingSpec(expressions=(
@@ -1449,9 +1444,7 @@ def test_results_outlive_the_shared_transform_arenas(dim):
     hold("flux_rhs", ws.flux_rhs(u, b, kept()),
          fresh().flux_rhs(u, b, kept()))
     if dim == 2:
-        assert ws.base_norms(u, 4.0) == fresh().base_norms(u, 4.0)
-    else:
-        hold("padded", ws.padded_magnitude(u), fresh().padded_magnitude(u))
+        assert ws.base_norms(u) == fresh().base_norms(u)
     del held["kept_f"]
     hold("kept_f", ws.kept_force(forcing, 2.5 * dt),
          fresh().kept_force(forcing, 2.5 * dt))
