@@ -54,7 +54,7 @@ import shutil
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -231,50 +231,99 @@ class SolverConfig:
         self.times.flags.writeable = False  # every run of cfg shares it
 
 
-#: the signed components of a run's mean, which the full 3D run records
-MEAN_COLUMNS = ("mean_1", "mean_2", "mean_3")
+@dataclass(frozen=True)
+class Probe:
+    """One pass of a run's per-step record (_Member._record) and the
+    diagnostics.csv columns it fills.
+
+    columns maps each column, in file order, to the labels of the runs that
+    record it; within a probe the label sets nest, so a run records a
+    prefix of the columns.  values(member, state, t, count) returns the
+    first count values (or more) at step time t, from the member's K-state
+    or force.  signed: a value may be negative (load_trajectory refuses a
+    negative value in any other column).  steady: under a steady force the
+    value holds at every step, so it is taken once, at step 0.
+    """
+
+    columns: dict
+    values: Callable
+    signed: bool = False
+    steady: bool = False
+
+
+def _state_norms(member, v, t, count):
+    # one |v|^2 sum over K; a run whose L2 norm is not finite stops here,
+    # before its force and base norms
+    norms = member.ws.mean_free_norms_sq(v, count)
+    if not np.isfinite(norms[0]):
+        raise BlowUpError(t, f"{member.label} L2 norm", norms[0])
+    return norms
+
+
+def _mean(member, v, t, count):
+    # the real part of the k = 0 coefficient
+    return v[(slice(None),) + (0,) * member.cfg.grid.dim].real
+
+
+def _mean_sq(member, v, t, count):
+    # m * m, not a scalar's ** 2: libm's pow can round x ** 2 off x * x by
+    # one unit in the last place
+    m = _mean(member, v, t, count)
+    sq = m * m
+    return ((sq[0] + sq[1]) + sq[2],)
+
+
+def _force_norm(member, v, t, count):
+    # the force at t that the step ending there has already evaluated
+    ws = member.ws
+    return ws.mean_free_norms_sq(ws.kept_force(member.cfg.forcing, t), count)
+
+
+def _base_norms(member, v, t, count):
+    return member.ws.base_norms(v)
+
+
+#: the per-step columns after t, which every run records first: each
+#: column's runs, sign and readers are README's table of columns
+PROBES = (
+    Probe({"l2_sq": ("2d_base", "perturbation", "full_3d", "direct"),
+           "grad_l2_sq": ("2d_base", "perturbation", "full_3d"),
+           "h2_sq": ("2d_base",)}, _state_norms),
+    Probe(dict.fromkeys(("mean_1", "mean_2", "mean_3"), ("full_3d",)),
+          _mean, signed=True),
+    Probe({"mean_sq": ("perturbation",)}, _mean_sq),
+    Probe({"forcing_l2_sq": ("2d_base", "perturbation")}, _force_norm,
+          steady=True),
+    Probe(dict.fromkeys(("grad_l3_sq", "w1_sigma"), ("2d_base",)),
+          _base_norms),
+)
+
+
+def _probes(label: str) -> list:
+    """(probe, the columns of it that the run labelled label records), in
+    PROBES' order, for each probe with any.  Every run records l2_sq, so a
+    label with none is no run's: ValueError."""
+    found = [(p, cols) for p in PROBES if (cols := [
+        c for c, labels in p.columns.items() if label in labels])]
+    if not found:
+        raise ValueError(f"no run is labelled {label!r}")
+    return found
 
 
 def diag_columns(label: str) -> list:
-    """The diagnostics.csv columns of a run labelled label: the series a
-    check, criterion or demo reads, and no other.  The label fixes the
-    dimension: 2d_base is the 2D run, every other label a 3D one.
-
-    Every run records, at every step, the squared L2 norm of its mean-free
-    part.  The direct run beside a perturbation (run_perturbation) records
-    nothing else: no verdict reads it, and the output checks read only its
-    l2_sq, against its snapshots.  The other runs add their H1 seminorm.
-    The 2D base adds its H2 norm (3.5), its mean-free force's squared L2
-    norm (A1, 3.3) and the norms of 4.25-4.27 (grad_l3_sq,
-    ||grad v||_{L3}^2) and 3.8 (w1_sigma, ||v||_{L^sigma} +
-    ||grad v||_{L^sigma}), and no mean.  The 3D checks are in H1, so no 3D
-    run records an H2 norm.  The full 3D run adds its mean vector
-    (MEAN_COLUMNS, read by criterion 06 and demo 02).  The perturbation
-    adds the squared length of its mean, mean_sq = (m1^2 + m2^2) + m3^2
-    (the only form in which G^2 of stability_series and B1 read it), and
-    its mean-free force's squared L2 norm (G^2, and by Hoelder B1's
-    L^{6/5} norm).
-    """
-    if label == "2d_base":
-        return ["t", "l2_sq", "grad_l2_sq", "h2_sq", "forcing_l2_sq",
-                "grad_l3_sq", "w1_sigma"]
-    if label == "direct":
-        return ["t", "l2_sq"]
-    if label == "perturbation":
-        return ["t", "l2_sq", "grad_l2_sq", "mean_sq", "forcing_l2_sq"]
-    return ["t", "l2_sq", "grad_l2_sq", *MEAN_COLUMNS]
+    """The diagnostics.csv columns of the run labelled label: t, then its
+    columns of PROBES."""
+    return ["t", *(c for _, cols in _probes(label) for c in cols)]
 
 
 @dataclass
 class Trajectory:
     """A run, as its trajectory directory holds it: diag, the per-step
-    series of diag_columns of its label, in that order and no other (no 3D
-    run holds h2_sq, the full 3D run no force norm, the perturbation its
-    mean as mean_sq alone, the direct run nothing but l2_sq), each read
-    from the run's state or force on the 2/3-rule modes K (_Member), and
-    snapshot_paths, the field.save_field files of the spectral snapshots
-    (mean included at k=0) that the run streamed to that directory.  A run
-    given no directory, and a trajectory loaded from disk, has none.
+    series of diag_columns of its label (PROBES), in that order and no
+    other, and snapshot_paths, the field.save_field files of the spectral
+    snapshots (mean included at k=0) that the run streamed to that
+    directory.  A run given no directory, and a trajectory loaded from
+    disk, has none.
 
     step_seconds is the wall time the run spent stepping and recording,
     force_evaluations those of its force that its workspace counted
@@ -650,28 +699,17 @@ class _Member:
 
     The run holds its state on the 2/3-rule modes K alone (state, in the
     layout of _Workspace): the initial field is taken onto K, which masks
-    it, and Leray-projected there.  The records compute the columns of
-    diag_columns(label) and no other from that state: the mean (its
-    components, or for the perturbation mean_sq, the sum of their squares
-    in the order (m1^2 + m2^2) + m3^2), the first len(norms) of
-    _Workspace.mean_free_norms_sq (the H2 norm for the 2D base alone),
-    and for the base _Workspace.base_norms; only a snapshot
-    copies it onto the full lattice (_Workspace.to_full).
+    it, and Leray-projected there.  Its label's probes (PROBES) are
+    resolved once, and the record of step i runs each of them on that
+    state at tgrid[i]; only a snapshot copies it onto the full lattice
+    (_Workspace.to_full).  Step i goes from tgrid[i] to tgrid[i + 1], so a
+    force norm reads the force that the step ending at tgrid[i] has
+    already evaluated (_Workspace.kept_force).
 
     Given a trajectory directory, the run streams each snapshot, as it
     takes it, to a file of its snapshots.partial directory
     (_partial_snapshot_dir) and keeps only the path; without one it takes
     no snapshots.
-
-    Step i goes from tgrid[i] to tgrid[i + 1].  forcing_l2_sq at step i
-    (of the base and the perturbation) is the squared L2 norm of the
-    applied force at tgrid[i] without its mean: the |f|^2 sum over K of
-    the workspace's kept force (_Workspace.kept_force,
-    _Workspace.mean_free_norms_sq), which the step ending there has
-    already evaluated; so each step time costs one evaluation, recorded or
-    not, and the run's workspace counts them.  No L^{6/5} norm is
-    computed: B1 bounds it by forcing_l2_sq (Hoelder,
-    estimates.compute_B_constants).
     """
 
     def __init__(self, cfg: SolverConfig, label: str, directory=None):
@@ -685,14 +723,12 @@ class _Member:
         self.tgrid = cfg.times
         self.ws = ws = _Workspace(grid, cfg.nu, cfg.dt)
         self.state = ws.project(ws.to_kept(cfg.initial.spectral()))
+        # (values, columns, whether taken once at step 0) of each probe
+        self.probes = [(p.values, cols, p.steady and cfg.forcing.steady)
+                       for p, cols in _probes(label)]
         self.diag = {"t": self.tgrid} | {
-            c: np.empty(self.n + 1) for c in diag_columns(label)
-            if c != "t"}
-        self.means = [c for c in MEAN_COLUMNS if c in self.diag]
-        self.mean_sq = "mean_sq" in self.diag
-        self.norms = [c for c in ("l2_sq", "grad_l2_sq", "h2_sq")
-                      if c in self.diag]
-        self.force_norm = "forcing_l2_sq" in self.diag
+            c: np.empty(self.n + 1) for _, cols, _ in self.probes
+            for c in cols}
         self.snapdir = None if directory is None \
             else _partial_snapshot_dir(directory)
         self.snapshot_paths = []
@@ -700,33 +736,19 @@ class _Member:
         self.seconds = time.perf_counter() - t0
 
     def _record(self, i):
-        cfg, grid, ws, diag = self.cfg, self.cfg.grid, self.ws, self.diag
+        cfg, diag = self.cfg, self.diag
         t, v = self.tgrid[i], self.state
-        m = v[(slice(None),) + (0,) * grid.dim].real
-        for c, x in zip(self.means, m):
-            diag[c][i] = x
-        if self.mean_sq:
-            # m * m, not a scalar's ** 2: libm's pow can round x ** 2 off
-            # x * x by one unit in the last place
-            sq = m * m
-            diag["mean_sq"][i] = (sq[0] + sq[1]) + sq[2]
-        for c, x in zip(self.norms,
-                        ws.mean_free_norms_sq(v, len(self.norms))):
-            diag[c][i] = x
-        if not np.isfinite(diag["l2_sq"][i]):
-            raise BlowUpError(t, f"{self.label} L2 norm", diag["l2_sq"][i])
-        steady = cfg.forcing.steady
-        if self.force_norm and (i == 0 or not steady):
-            # a steady force's norm holds at every step
-            diag["forcing_l2_sq"][slice(None) if steady else i] = \
-                ws.mean_free_norms_sq(ws.kept_force(cfg.forcing, t), 1)[0]
-        if self.label == "2d_base":
-            diag["grad_l3_sq"][i], diag["w1_sigma"][i] = ws.base_norms(v)
+        for values, columns, once in self.probes:
+            if once and i:
+                continue
+            at = slice(None) if once else i
+            for c, x in zip(columns, values(self, v, t, len(columns))):
+                diag[c][at] = x
         if self.snapdir is None or (i % cfg.snapshot_stride and i != self.n):
             return
         path = os.path.join(self.snapdir,
                             f"snap_{len(self.snapshot_paths):06d}.npz")
-        save_field(path, Field(grid, ws.to_full(v), t))
+        save_field(path, Field(cfg.grid, self.ws.to_full(v), t))
         self.snapshot_paths.append(path)
 
     def advance(self, i, background=None):
@@ -941,9 +963,8 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
     it is missing, its header or rows are not the columns of label on
     cfg's grid or a value is not finite, and series at times other than
     cfg's step times (cfg.times) are refused too: rows out of order,
-    missing or extra, and a negative value in a column of squared norms
-    (any but t and MEAN_COLUMNS, the signed mean components; mean_sq is
-    one).  Nothing is re-evaluated, and neither snapshot
+    missing or extra, and a negative value in a column of a probe that is
+    not signed (PROBES).  Nothing is re-evaluated, and neither snapshot
     files nor any other file of the directory are read, so the trajectory
     has no snapshot_paths; field.load_field reads a snapshot.
     """
@@ -953,8 +974,8 @@ def load_trajectory(directory, cfg: SolverConfig, label: str) -> Trajectory:
         raise FileNotFoundError(f"{path}: the series are not at the run's "
                                 f"{cfg.n_steps} steps of dt={cfg.dt:g}; "
                                 "run the experiment again")
-    for c, x in diag.items():
-        if c != "t" and c not in MEAN_COLUMNS and (x < 0).any():
+    for c in [c for p, cols in _probes(label) if not p.signed for c in cols]:
+        if (diag[c] < 0).any():
             raise FileNotFoundError(f"{path}: column {c} holds a negative "
                                     "value; run the experiment again")
     return Trajectory(grid=cfg.grid, diag=diag, label=label)

@@ -764,6 +764,7 @@ def test_verify_refuses_norm_series_of_another_schema(forced_pert_out,
 
 
 @pytest.mark.parametrize("run, column", [("base", "forcing_l2_sq"),
+                                         ("base", "h2_sq"),
                                          ("perturbation", "grad_l2_sq"),
                                          ("perturbation", "mean_sq")])
 def test_verify_refuses_a_negative_squared_norm(forced_pert_out, tmp_path,

@@ -718,6 +718,117 @@ def test_load_trajectory_returns_the_runs_diag(tmp_path):
             assert back.diag[key].tobytes() == series.tobytes(), key
 
 
+def test_recorded_columns_are_pinned():
+    # the diagnostics.csv header of each run and the columns that may hold
+    # a negative value (t is checked against the step times instead)
+    headers = {
+        "2d_base": "t,l2_sq,grad_l2_sq,h2_sq,forcing_l2_sq,grad_l3_sq,"
+                   "w1_sigma",
+        "perturbation": "t,l2_sq,grad_l2_sq,mean_sq,forcing_l2_sq",
+        "full_3d": "t,l2_sq,grad_l2_sq,mean_1,mean_2,mean_3",
+        "direct": "t,l2_sq"}
+    for label, header in headers.items():
+        assert ",".join(solver.diag_columns(label)) == header
+    assert {"t"} | {c for p in solver.PROBES if p.signed
+                    for c in p.columns} \
+        == {"t", "mean_1", "mean_2", "mean_3"}
+
+
+def test_a_column_added_through_one_table_entry(monkeypatch, tmp_path):
+    # one more entry of solver.PROBES, twice l2_sq for the perturbation
+    # before its force norm, is recorded, written and loaded at its table
+    # position, and no other run records it
+    twice = solver.Probe({"l2_sq_twice": ("perturbation",)},
+                         lambda member, v, t, count: (
+                             2.0 * member.ws.mean_free_norms_sq(v, 1)[0],))
+    probes = list(solver.PROBES)
+    probes.insert(3, twice)
+    monkeypatch.setattr(solver, "PROBES", tuple(probes))
+    for probe in solver.PROBES:
+        labels = [set(runs) for runs in probe.columns.values()]
+        assert all(a >= b for a, b in zip(labels, labels[1:])), probe
+    columns = ["t", "l2_sq", "grad_l2_sq", "mean_sq", "l2_sq_twice",
+               "forcing_l2_sq"]
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(1)
+    dirs = _run_dirs(tmp_path)
+    base, pert, direct = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                                          dirs)
+    assert list(pert.diag) == columns
+    assert not {"l2_sq_twice"} & (set(base.diag) | set(direct.diag))
+    want = 2.0 * pert.diag["l2_sq"]
+    assert pert.diag["l2_sq_twice"].tobytes() == want.tobytes()
+    save_trajectory(pert, dirs[1])
+    lines = (dirs[1] / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == ",".join(columns)
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in lines[1:]])
+    assert rows[:, columns.index("l2_sq_twice")].tobytes() == want.tobytes()
+    back = load_trajectory(dirs[1], pert_cfg, "perturbation")
+    assert list(back.diag) == columns
+    assert back.diag["l2_sq_twice"].tobytes() == want.tobytes()
+    # a label of no run is refused, not given the full 3D run's columns
+    with pytest.raises(ValueError, match="full-3d"):
+        solver.diag_columns("full-3d")
+
+
+@pytest.mark.parametrize("steady", [False, True],
+                         ids=["time-dependent", "steady"])
+def test_one_pass_per_probe_at_each_recorded_step(monkeypatch, steady):
+    # every recorded step of every run sums its state once; a force norm
+    # sums the force at every step under a time-dependent force and at
+    # step 0 alone under a steady one; only the 2D base takes its padded
+    # norms.  The forces are evaluated once per step time, or once
+    calls = {}
+    norms_sq, base_norms = _Workspace.mean_free_norms_sq, \
+        _Workspace.base_norms
+
+    def tally(ws, kind):
+        calls.setdefault(id(ws), Counter(dim=ws.grid.dim))[kind] += 1
+
+    def counted_norms_sq(ws, v, count=3):
+        tally(ws, "force" if v is ws.kept_f else "state")
+        return norms_sq(ws, v, count)
+
+    def counted_base_norms(ws, v):
+        tally(ws, "base_norms")
+        return base_norms(ws, v)
+
+    monkeypatch.setattr(_Workspace, "mean_free_norms_sq", counted_norms_sq)
+    monkeypatch.setattr(_Workspace, "base_norms", counted_base_norms)
+    monkeypatch.delattr(os, "fork")  # every run counted in this process
+    cfgs = _lockstep_configs(1)
+    if steady:
+        steady_force = ("0.1*sin(x2)", "0.05 + 0.1*sin(x1)", "0.1*sin(x1)")
+        cfgs = [dataclasses.replace(cfg, forcing=ForcingSpec(
+            expressions=steady_force[:cfg.grid.dim])) for cfg in cfgs]
+    base_cfg, pert_cfg, direct_cfg = cfgs
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    steps = pert_cfg.n_steps + 1
+    forces = 1 if steady else steps
+    assert sorted(sorted(c.items()) for c in calls.values()) == sorted([
+        sorted({"dim": 2, "state": steps, "force": forces,
+                "base_norms": steps}.items()),
+        sorted({"dim": 3, "state": steps, "force": forces}.items()),
+        sorted({"dim": 3, "state": steps}.items())])
+    assert [run.force_evaluations for run in runs] == [forces] * 3
+
+
+def test_negative_mean_component_loads(grid3, tmp_path):
+    # the full 3D run's mean components are signed: a run whose mean_1
+    # goes negative under a negative mean force saves and loads as it ran
+    forcing = ForcingSpec(expressions=("-0.2 + 0*x1", "0*x1", "0*x1"))
+    cfg = SolverConfig(grid=grid3, nu=0.1, dt=2e-3, t_end=0.02, T=0.02,
+                       forcing=forcing, snapshot_stride=10,
+                       initial=random_divfree_field(grid3, 0,
+                                                    target_h1=0.05))
+    run = run_full_3d(cfg, tmp_path)
+    assert (run.diag["mean_1"] < 0).any()
+    save_trajectory(run, tmp_path)
+    back = load_trajectory(tmp_path, cfg, "full_3d")
+    for key, series in run.diag.items():
+        assert back.diag[key].tobytes() == series.tobytes(), key
+
+
 def test_streamed_run_memory_does_not_grow_with_snapshots(tmp_path):
     # a streamed run holds no state per snapshot: its traced peak is the
     # same, within one state, for a snapshot at every step and at the two

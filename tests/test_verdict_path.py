@@ -4,7 +4,9 @@ run and verify reach their verdicts through experiments._check_saved, the
 one caller of experiments.analyze, and only run_experiment, which writes
 meta.json, names that file.  Within estimates, one function makes a report
 vacuous and one evaluates every exponential, and the ids of its
-declaration table are those README.md and bench/checks.py name.  All are
+declaration table are those README.md and bench/checks.py name, as the
+columns of solver's probe table are those of README.md's table of
+columns.  All are
 read statically (ast and text), so that a second verdict path, vacuity
 rule or exponential, or a reader of meta.json, cannot come back unnoticed.
 """
@@ -13,7 +15,7 @@ import ast
 import re
 from pathlib import Path
 
-from torusflow import estimates as est
+from torusflow import estimates as est, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 ESTIMATES = ROOT / "src" / "torusflow" / "estimates.py"
@@ -143,3 +145,24 @@ def test_readme_and_benchmark_name_the_declared_ids():
     assert len(declared) == 17
     assert _readme_ids() == declared
     assert sorted(_bench_expected_ids()) == sorted(declared)
+
+
+def _readme_columns() -> list:
+    """(column, runs, signed) of each row of README.md's table of columns,
+    in its order: the labels named in its runs field, and its signed
+    field."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| column | runs | signed |", 1)[1].split("\n\n")[0]
+    return [(column, set(re.findall(r"`([^`]+)`", runs)), signed)
+            for column, runs, signed in re.findall(
+                r"^\| `([^`]+)` \| ([^|]+) \| ([^|]+) \|", table,
+                flags=re.M)]
+
+
+def test_readme_names_the_recorded_columns():
+    labels = {label for probe in solver.PROBES
+              for runs in probe.columns.values() for label in runs}
+    declared = [("t", labels, "—")] + [
+        (column, set(runs), "yes" if probe.signed else "no")
+        for probe in solver.PROBES for column, runs in probe.columns.items()]
+    assert _readme_columns() == declared
