@@ -652,7 +652,10 @@ def _series_4_25(ev):
 class Inequality:
     """One inequality id.  run names the Evidence attribute of the run it
     reads; a hypothesis is checked on every window, by series(window's
-    StabilitySeries, budget); tolerance None is the Evidence's."""
+    StabilitySeries, budget); tolerance None is the Evidence's.
+    tight_by_construction: its margin is a function of the budget alone,
+    zero up to roundoff by the budget's construction, so it says nothing
+    about a run or a window (windows.csv leaves it out)."""
 
     kind: str
     run: str
@@ -660,6 +663,7 @@ class Inequality:
     hypotheses: tuple = ()
     note: str = ""
     tolerance: float | None = None
+    tight_by_construction: bool = False
 
 
 WINDOW_HYPOTHESES = ("4.12a", "4.12b", "4.19", "4.26a", "4.26b", "4.27")
@@ -692,7 +696,7 @@ INEQUALITIES = {
     "4.19": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
         s.times[[0, 0]], *admissibility(b.nu, b.c4, b.c5, b.gamma_star,
                                         b.c_star)),
-        note="gamma* admissibility"),
+        note="gamma* admissibility", tight_by_construction=True),
     "4.26a": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (
         s.times[:1], 0.25 * b.c_star * b.T, s.int_A_sq)),
     "4.26b": Inequality(HYPOTHESIS, "perturbation", lambda s, b: (

@@ -375,11 +375,15 @@ def _window_csv(evidence: est.Evidence, reports) -> str:
     """One row per window; its worst_margin is the smallest margin of every
     report's samples at times in the window, ends included, a hypothesis's
     from its report on that window (Evidence.hypotheses), and 0 when no
-    report has samples there."""
+    report has samples there.  A report tight by construction
+    (est.Inequality) is left out: its margin is the same in every
+    window."""
     lines = [",".join(WINDOW_CSV_COLUMNS)]
     for k, (s, holds) in enumerate(zip(evidence.windows, evidence.holds)):
         worst = []
         for eq_id, r in reports.items():
+            if est.INEQUALITIES[eq_id].tight_by_construction:
+                continue
             if eq_id in evidence.hypotheses:
                 margins = evidence.hypotheses[eq_id][k].margins
             else:
@@ -452,10 +456,10 @@ def run_experiment(spec: dict, out_dir: str) -> RunArtifacts:
     are left of the trajectories, and the one report is "blow-up".
     meta.json, written last, records the wall seconds of each of PHASES in
     this process (base beside a perturbation: the wait for the forked
-    child that steps the base and direct runs), the busy seconds of each
-    run that child steps, the solver steps per second of the runs and, per
-    run, the evaluations of its force (one per step time) and the count
-    and bytes of its snapshot files.
+    child that makes and steps the base and direct runs), the busy seconds
+    of each run that child steps, the solver steps per second of the runs
+    and, per run, the evaluations of its force (one per step time) and the
+    count and bytes of its snapshot files.
     """
     t_wall = time.perf_counter()
     phases = dict.fromkeys(PHASES, 0.0)

@@ -10,10 +10,10 @@ loop and one nonlinear kernel in divergence form:
   * the 2D base flow,
   * the 3D perturbation u around a 2D base flow v_s: the full equations
     minus the base equations, with the flux w(x)w - v_s(x)v_s of
-    w = u + v_s.  A forked child steps the base run and writes the
-    perturbation the physical values of each base state through a pipe
-    (_backgrounds, worker.Stream), so v_s is read from the base state at
-    the start of each step, never from a stored trajectory.  The step is
+    w = u + v_s.  A forked child makes and steps the base run and writes
+    the perturbation the physical values of each base state through a
+    pipe (_backgrounds, worker.Stream), so v_s is read from the base state
+    at the start of each step, never from a stored trajectory.  The step is
     linear in the flux history, so the extruded base plus the perturbation
     equals the full 3D run to roundoff.  A full 3D run beside them, the
     direct run, shares no state with them, steps in the same child after
@@ -329,8 +329,9 @@ class Trajectory:
     force_evaluations those of its force that its workspace counted
     (_Workspace.kept_force, whether or not it holds a force norm), and
     wait_seconds, of a base run beside a perturbation, the wall time the
-    perturbation's process waited for the child that steps the base and
-    direct runs (run_perturbation)."""
+    perturbation's process waited for the child that makes and steps the
+    base and direct runs, the making of the base run included
+    (run_perturbation)."""
 
     grid: TorusGrid
     diag: dict
@@ -784,28 +785,35 @@ def _lockstep(lead: _Member, backgrounds=None):
         lead.advance(i, b)
 
 
-def _backgrounds(base: _Member, r: int, n: int, direct_cfg=None,
-                 direct_dir=None):
-    """The backgrounds of n steps of a 3D run around the 2D run base, each
-    a new array yielded (worker.Stream): for step i, the physical values of
-    base's state at the start of the step, mean included, constant along
-    x3, shape (2, N, N, 1), then base's r substeps, and only then is the
-    array yielded; after it, the direct run of direct_cfg, if given, takes
-    its step i.  So at each step the base, the 3D run that reads the array
-    and the direct run step in that order, as one process stepping them
-    in turn would: a base that blows up yields nothing for that step, and
-    a direct blow-up at step i is raised where the next array is asked
-    for.  The direct run is made here, streaming its snapshots into
-    direct_dir (_Member), so that its workspace lives where the generator
-    runs.  Only the base velocity is handed on, never the base trajectory.
-    Returns the trajectories (base, direct or None).
+def _backgrounds(base_cfg: SolverConfig, base_dir, r: int, n: int,
+                 direct_cfg=None, direct_dir=None):
+    """The backgrounds of n steps of a 3D run around the 2D run of base_cfg
+    (worker.Stream), each yielded in one array of shape (2, N, N, 1) that
+    the next overwrites: the physical values of the base state, mean
+    included, constant along x3.
+
+    The base run is made here, streaming its snapshots into base_dir
+    (_Member), and its state at t = 0 is yielded once on its own, so that
+    the 3D run is made after it; then the direct run of direct_cfg, if
+    given, is made, streaming into direct_dir.  For step i the array takes
+    base's state at the start of the step, base takes its r substeps, and
+    only then is the array yielded; after it, the direct run takes its
+    step i.  So the runs are made, and at each step they step, in the order
+    base, 3D run, direct run, as one process doing it in turn would: a base
+    that is refused or blows up yields nothing more, and the direct run's
+    exception at its making or at step i is raised where the next array is
+    asked for.  Every run is made where the generator runs, the process
+    that steps it.  Only the base velocity is handed on, never the base
+    trajectory.  Returns the trajectories (base, direct or None).
     """
+    base = _Member(base_cfg, "2d_base", base_dir)
+    item = base.ws.physical(base.state)[..., np.newaxis]
+    yield item  # the base is made: the 3D run may be made now
     direct = None if direct_cfg is None \
         else _Member(direct_cfg, "direct", direct_dir)
     for i in range(n):
-        t0 = time.perf_counter()
-        item = base.ws.physical(base.state)[..., np.newaxis]
-        base.seconds += time.perf_counter() - t0
+        if i:  # the state at t = 0 is in item already
+            base.ws.physical(base.state, out=item[..., 0])
         for j in range(i * r, (i + 1) * r):
             base.advance(j)
         yield item
@@ -833,25 +841,28 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
                      direct_cfg: SolverConfig | None = None,
                      directories=None) -> tuple:
     """Evolve the 3D perturbation of cfg around the 2D base flow of
-    base_cfg, which one forked child steps beside it and streams to it
-    (_backgrounds, worker.Stream), and, if direct_cfg is given, the full 3D
-    run of direct_cfg, labelled direct (diag_columns), which the same child
-    steps after the base.
+    base_cfg, which one forked child makes, steps beside it and streams to
+    it (_backgrounds, worker.Stream), and, if direct_cfg is given, the full
+    3D run of direct_cfg, labelled direct (diag_columns), which the same
+    child makes and steps after the base.  This process makes and steps
+    the perturbation alone.
 
     The base dt must divide dt, and all runs end at cfg.t_end; the direct
     run shares the perturbation's grid and dt.  Returns the trajectories
     (base, perturbation, direct or None); the base one records in
-    wait_seconds how long this call waited for the child.  At each step
-    the base, the perturbation and the direct run step in that order, and
-    the first BlowUpError (or any other exception, a direct_cfg that
-    _Member refuses included) is the one a loop stepping them in turn
-    would raise.  Leaving the call by an exception kills and reaps the
-    child at once, so a blow-up ends the base and direct runs where they
-    are.
+    wait_seconds how long this call waited for the child, from the making
+    of the base run to the final join.  The runs are made, and at each step
+    they step, in the order base, perturbation, direct run, and the first
+    BlowUpError (or any other exception, a config that _Member refuses
+    included) is the one a loop making and stepping them in turn would
+    raise: the perturbation is made only once the child has sent the
+    base's state at t = 0.  Leaving the call by an exception kills and
+    reaps the child at once, so a blow-up ends the base and direct runs
+    where they are.
 
     Given directories, one trajectory directory per run in the order
-    returned, each run streams its snapshots into its own (_Member), the
-    base and direct runs from the child.
+    returned, each run streams its snapshots into its own (_Member) from
+    the process that steps it: the base and direct runs from the child.
     """
     grid, g2 = cfg.grid, base_cfg.grid
     if grid.dim != 3:
@@ -871,9 +882,10 @@ def run_perturbation(cfg: SolverConfig, base_cfg: SolverConfig,
         raise ValueError("the direct run must share the perturbation's "
                          "grid, dt and t_end")
     base_dir, pert_dir, direct_dir = directories or (None, None, None)
-    base_run = _Member(base_cfg, "2d_base", base_dir)
-    with Stream("base", (2,) + g2.shape_phys + (1,), _backgrounds, base_run,
-                r, cfg.n_steps, direct_cfg, direct_dir) as backgrounds:
+    with Stream("base", (2,) + g2.shape_phys + (1,), _backgrounds, base_cfg,
+                base_dir, r, cfg.n_steps, direct_cfg, direct_dir) \
+            as backgrounds:
+        next(backgrounds)  # the base run is made and finite at t = 0
         pert = _Member(cfg, "perturbation", pert_dir)
         _lockstep(pert, backgrounds)
         base, direct = backgrounds.join()

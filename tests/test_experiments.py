@@ -184,16 +184,37 @@ def test_verify_reads_a_spec_with_an_initial_section_as_given(tmp_path):
 def test_windows_csv_worst_margin_is_per_window(tmp_path):
     # windows.csv's last column is each window's own worst margin: on a
     # three-window run the rows differ, and the smallest is the worst
-    # margin of every report with samples
+    # margin of every report with samples but those tight by construction
     artifacts = exp.run_experiment(exp.parse_config(json.dumps(
         dict(SMALL_PERT, windows=3))), str(tmp_path))
     rows = (tmp_path / "windows.csv").read_text().splitlines()
     assert rows[0].split(",")[-1] == "worst_margin"
     worst = [float(row.split(",")[-1]) for row in rows[1:]]
     assert len(worst) == len(set(worst)) == 3
-    assert min(worst) == min(r.worst_margin
-                             for r in artifacts.reports.values()
-                             if r.margins.size)
+    assert min(worst) == min(
+        r.worst_margin for eq_id, r in artifacts.reports.items()
+        if r.margins.size
+        and not est.INEQUALITIES[eq_id].tight_by_construction)
+
+
+def test_windows_csv_leaves_out_the_margin_tight_by_construction(tmp_path):
+    # 4.19's margin is the budget's alone, -6.94e-17 by the construction of
+    # gamma*, so on a run whose hypotheses hold it was every row's worst
+    # margin; left out, the rows of three windows differ and none reads it
+    assert [eq_id for eq_id, eq in est.INEQUALITIES.items()
+            if eq.tight_by_construction] == ["4.19"]
+    cfg = dict(SMALL, nu=1.0, dt=1e-2, T=1.0, windows=3, snapshot_stride=50,
+               base={"initial": {"kind": "taylor-green", "amplitude": 0.005}},
+               perturbation={})
+    artifacts = exp.run_experiment(exp.parse_config(json.dumps(cfg)),
+                                   str(tmp_path))
+    rows = [row.split(",") for row in
+            (tmp_path / "windows.csv").read_text().splitlines()[1:]]
+    assert [row[-2] for row in rows] == ["pass"] * 3
+    worst = [float(row[-1]) for row in rows]
+    assert len(set(worst)) == 3
+    assert artifacts.reports["4.19"].worst_margin < 0
+    assert artifacts.reports["4.19"].worst_margin not in worst
 
 
 @pytest.mark.parametrize("config", [{}, {"perturbation": {}}],

@@ -569,18 +569,30 @@ def test_lockstep_matches_stored_base_oracle(r, tmp_path):
 
 def test_backgrounds_stream_the_base_velocity_alone():
     # each item the base worker streams is the base's physical values at
-    # the start of the step, constant along x3, and nothing else
+    # the start of the step, constant along x3, and nothing else, in one
+    # array the generator owns; the base's state at t = 0 comes first, on
+    # its own, once the generator has made the base run
     base_cfg, pert_cfg, _ = _lockstep_configs(2)
     base = solver._Member(base_cfg, "2d_base")
     ws, N = _Workspace(base_cfg.grid), base_cfg.grid.N
-    items = solver._backgrounds(base, 2, pert_cfg.n_steps)
-    for _ in range(pert_cfg.n_steps):
+    items = solver._backgrounds(base_cfg, None, 2, pert_cfg.n_steps)
+    first = next(items)
+    assert first.tobytes() \
+        == ws.physical(base.state)[..., np.newaxis].tobytes()
+    for i in range(pert_cfg.n_steps):
         want = ws.physical(base.state)
         item = next(items)
+        assert item is first
         assert item.shape == (2, N, N, 1) and item.dtype == np.float64
         assert item.tobytes() == want[..., np.newaxis].tobytes()
-    with pytest.raises(StopIteration):
+        for j in (2 * i, 2 * i + 1):
+            base.advance(j)
+    with pytest.raises(StopIteration) as done:
         next(items)
+    got, direct = done.value.value
+    assert direct is None and list(got.diag) == list(base.diag)
+    for key, series in base.diag.items():
+        assert got.diag[key].tobytes() == series.tobytes(), key
 
 
 def _full_lattice_states(cfg) -> list:
@@ -1192,9 +1204,9 @@ def test_full_lattice_copy_only_at_snapshots(monkeypatch, tmp_path, forked):
     # a run copies its K-state onto the full lattice (_Workspace.to_full)
     # once per stored snapshot and at no other step, its force norms
     # included.  Each call appends its workspace's key to one file: the
-    # process and id of the workspace at its first call, which the base
-    # run's child inherits from the initial snapshot taken here, and the
-    # workspace is held, so that no later one reuses its id
+    # process and id of the workspace at its first call, the initial
+    # snapshot, taken in the process that steps the run, and the workspace
+    # is held, so that no later one reuses its id
     base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
     base_cfg = dataclasses.replace(base_cfg, snapshot_stride=3)
     pert_cfg = dataclasses.replace(pert_cfg, snapshot_stride=4)
@@ -1221,6 +1233,92 @@ def test_full_lattice_copy_only_at_snapshots(monkeypatch, tmp_path, forked):
     assert [len(run.snapshot_paths) for run in runs] == [
         len(range(0, cfg.n_steps, cfg.snapshot_stride)) + 1
         for cfg in (base_cfg, pert_cfg, direct_cfg)]
+
+
+def test_each_run_is_made_where_it_steps(monkeypatch, tmp_path):
+    # every _Workspace made and every snapshot saved appends its process to
+    # one file, and the forked child inherits the patches: the child makes
+    # the base's and the direct run's workspaces and writes their
+    # snapshots, this process the perturbation's alone
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(2)
+    log, init, save = tmp_path / "log", _Workspace.__init__, solver.save_field
+
+    def note(*words):
+        with open(log, "a") as fh:
+            fh.write(" ".join(map(str, (os.getpid(), *words))) + "\n")
+
+    def made(self, grid, *args, **kwargs):
+        note("workspace", grid.dim)
+        init(self, grid, *args, **kwargs)
+
+    def saved(path, f):
+        note("snapshot", Path(path).parent.parent.name)
+        save(path, f)
+
+    monkeypatch.setattr(_Workspace, "__init__", made)
+    monkeypatch.setattr(solver, "save_field", saved)
+    runs = run_perturbation(pert_cfg, base_cfg, direct_cfg,
+                            _run_dirs(tmp_path / "runs"))
+    by_pid = {}
+    for line in log.read_text().splitlines():
+        pid, *what = line.split()
+        by_pid.setdefault(int(pid), Counter())[tuple(what)] += 1
+    here = by_pid.pop(os.getpid())
+    [child] = by_pid.values()
+    base, pert, direct = (len(run.snapshot_paths) for run in runs)
+    assert here == Counter({("workspace", "3"): 1,
+                            ("snapshot", "perturbation"): pert})
+    assert child == Counter({("workspace", "2"): 1, ("workspace", "3"): 1,
+                             ("snapshot", "base"): base,
+                             ("snapshot", "direct"): direct})
+
+
+def _refused(cfg, why):
+    """cfg with an initial field that _Member refuses: None for "missing",
+    else one on another grid."""
+    if why == "missing":
+        return dataclasses.replace(cfg, initial=None)
+    other = make_grid(4.0, cfg.grid.N, cfg.grid.dim)
+    return dataclasses.replace(cfg, initial=random_divfree_field(other, 1))
+
+
+@pytest.mark.parametrize("forked", [True, False],
+                         ids=["forked", "in-process"])
+@pytest.mark.parametrize("refused, message", [
+    (("missing", "mismatch", None), "missing initial field"),
+    ((None, "mismatch", "missing"), "initial field grid mismatch")],
+    ids=["base-and-perturbation", "perturbation-and-direct"])
+def test_refused_runs_raise_in_one_loop_order(monkeypatch, forked, refused,
+                                              message):
+    # two runs that _Member refuses: the one made first in the order base,
+    # perturbation, direct raises, whichever process makes it
+    cfgs = [cfg if why is None else _refused(cfg, why)
+            for cfg, why in zip(_lockstep_configs(2), refused)]
+    base_cfg, pert_cfg, direct_cfg = cfgs
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError) as info:
+        run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("forked", [True, False],
+                         ids=["forked", "in-process"])
+def test_base_not_finite_at_t0_wins_over_the_perturbation(monkeypatch,
+                                                          forked):
+    # a base and a perturbation both not finite at t = 0: the base's
+    # blow-up is raised, as by one loop making the base first
+    base_cfg, pert_cfg, direct_cfg = _lockstep_configs(1)
+    g2, g3 = base_cfg.grid, pert_cfg.grid
+    base_cfg = dataclasses.replace(
+        base_cfg, initial=taylor_green_exact(g2, base_cfg.nu, 0.0, 1e200))
+    pert_cfg = dataclasses.replace(pert_cfg, initial=random_divfree_field(
+        g3, seed=2, target_h1=1e200))
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        run_perturbation(pert_cfg, base_cfg, direct_cfg)
+    assert (info.value.quantity, info.value.time) == ("2d_base L2 norm", 0.0)
 
 
 @pytest.mark.parametrize("base_dt, base_t_end", [
